@@ -190,7 +190,7 @@ class KineticsPack:
 
 
 # ----------------------------------------------------------------------
-# xp-generic NASA-7 thermodynamics (branch-blended, like ThermoTable)
+# xp-generic NASA-7 thermodynamics (branch-blended; bitwise ThermoTable)
 # ----------------------------------------------------------------------
 def _h_branch(xp, a, T):
     poly = a[0] + T * (a[1] / 2 + T * (a[2] / 3 + T * (a[3] / 4 + T * a[4] / 5)))

@@ -211,10 +211,9 @@ def temperature_from_energy_cells(
     active = np.arange(e.shape[0])
     for _ in range(max_iter):
         Ts = T[active]
-        h, cp = mech.thermo.enthalpy_cp_molar(Ts)
-        Ysub = Y[:, active]
-        resid = axis0_sum(h / w * Ysub) - r[active] * Ts - e[active]
-        cv = axis0_sum(cp / w * Ysub) - r[active]
+        hm, cpm = mech.thermo.enthalpy_cp_mass(Ts, Y[:, active], mech.weights)
+        resid = hm - r[active] * Ts - e[active]
+        cv = cpm - r[active]
         dT = resid / cv
         Tn = np.clip(Ts - dT, 50.0, 6000.0)
         T[active] = Tn

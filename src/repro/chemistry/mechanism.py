@@ -166,62 +166,41 @@ class Mechanism:
         T = np.full(e.shape, 1000.0) if T_guess is None else np.array(T_guess, dtype=float, copy=True)
         T = np.broadcast_to(T, e.shape).copy() if T.shape != e.shape else T
         # Y is loop-invariant: hoist the gas constant (a full mean-weight
-        # reduction otherwise recomputed twice per iteration) and assemble
-        # the residual in place — same operations, same bits, no
-        # per-iteration (Ns,)+S temporaries.
+        # reduction otherwise recomputed twice per iteration)
         w, Y = self._wshape(Y)
         r = RU / (1.0 / axis0_sum(Y / w))
         for _ in range(max_iter):
-            # fused residual + Jacobian pass: h and cp from one
-            # range-selection sweep, assembled in place into the fresh
-            # arrays it returns
-            h, cp = self.thermo.enthalpy_cp_molar(T)
             # resid = int_energy_mass - e = (enthalpy_mass - r T) - e
-            h /= w
-            h *= Y
-            resid = axis0_sum(h)
+            resid, cv = self.thermo.enthalpy_cp_mass(T, Y, self.weights)
             resid -= r * T
             resid -= e
             # cv = cp_mass - r
-            cp /= w
-            cp *= Y
-            cv = axis0_sum(cp)
             cv -= r
-            dT = resid
-            dT /= cv
-            T -= dT
-            np.clip(T, 50.0, 6000.0, out=T)
-            if np.all(np.abs(dT) < tol * np.maximum(T, 1.0)):
-                break
-        else:
-            raise RuntimeError("temperature_from_energy failed to converge")
-        return T
+            if self._newton_update(T, resid, cv, tol):
+                return T
+        raise RuntimeError("temperature_from_energy failed to converge")
 
     def temperature_from_enthalpy(self, h, Y, T_guess=None, tol=1e-9, max_iter=100):
         """Invert h(T, Y) = h for T by Newton iteration."""
         h = np.asarray(h, dtype=float)
         T = np.full(h.shape, 1000.0) if T_guess is None else np.array(T_guess, dtype=float, copy=True)
         T = np.broadcast_to(T, h.shape).copy() if T.shape != h.shape else T
-        # same in-place assembly as temperature_from_energy
-        w, Y = self._wshape(Y)
+        Y = np.asarray(Y, dtype=float)
         for _ in range(max_iter):
-            hm, cpm = self.thermo.enthalpy_cp_molar(T)
-            hm /= w
-            hm *= Y
-            resid = axis0_sum(hm)
+            resid, cp = self.thermo.enthalpy_cp_mass(T, Y, self.weights)
             resid -= h
-            cpm /= w
-            cpm *= Y
-            cp = axis0_sum(cpm)
-            dT = resid
-            dT /= cp
-            T -= dT
-            np.clip(T, 50.0, 6000.0, out=T)
-            if np.all(np.abs(dT) < tol * np.maximum(T, 1.0)):
-                break
-        else:
-            raise RuntimeError("temperature_from_enthalpy failed to converge")
-        return T
+            if self._newton_update(T, resid, cp, tol):
+                return T
+        raise RuntimeError("temperature_from_enthalpy failed to converge")
+
+    @staticmethod
+    def _newton_update(T, resid, slope, tol):
+        """``T -= resid / slope`` in place, clipped; True once the whole batch converged."""
+        dT = resid
+        dT /= slope
+        T -= dT
+        np.clip(T, 50.0, 6000.0, out=T)
+        return bool(np.all(np.abs(dT) < tol * np.maximum(T, 1.0)))
 
     def sound_speed(self, T, Y):
         """Frozen sound speed a = sqrt(gamma R T) [m/s]."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.constants import RU
+from repro.util.reduction import axis0_sum
 
 
 @dataclass(frozen=True)
@@ -105,25 +106,62 @@ class Nasa7:
         return self.enthalpy_molar(T) / (RU * T) - self.entropy_molar(T) / RU
 
 
+def _horner(T, c, div, out, logT=None):
+    """``out <- RU * p(T)`` in place for one NASA-7 Horner program ``c``.
+
+    ``p = (..((T c0 [/ div] + c1) T + c2) T ..) + c_last``; with ``logT``
+    the final entry of ``c`` is instead the ``ln T`` coefficient, added
+    before ``c_last`` (entropy). ``c[j]`` are scalars (1-D ``out``: one
+    species) or ``(Ng, 1)`` columns (``(Ng, n)`` ``out``: a species group).
+    """
+    last = len(c) - (1 if logT is None else 2)
+    np.multiply(T, c[0], out=out)
+    if div:
+        out /= div
+    for j in range(1, last):
+        out += c[j]
+        out *= T
+    if logT is not None:
+        out += c[-1] * logT
+    out += c[last]
+    out *= RU
+    return out
+
+
+#: property -> (Horner coefficients of an (Ns, 7) table ``a``, divisor of
+#: the leading term, has a ln T term): the operation sequence of the
+#: textbook expressions, e.g. h = RU (T (a0 + T (a1/2 + T (a2/3 +
+#: T (a3/4 + T a4 / 5)))) + a5)
+_PROGRAMS = {
+    "cp": (lambda a: (a[:, 4], a[:, 3], a[:, 2], a[:, 1], a[:, 0]), None, False),
+    "h": (lambda a: (a[:, 4], a[:, 3] / 4, a[:, 2] / 3, a[:, 1] / 2, a[:, 0], a[:, 5]), 5, False),
+    "s": (lambda a: (a[:, 4], a[:, 3] / 3, a[:, 2] / 2, a[:, 1], a[:, 6], a[:, 0]), 4, True),
+    "dcp": (lambda a: (4.0 * a[:, 4], 3.0 * a[:, 3], 2.0 * a[:, 2], a[:, 1]), None, False),
+}
+
+
 class ThermoTable:
     """Vectorized thermodynamics for a list of species.
-
-    Coefficients are packed into ``(Ns, 7)`` arrays so that per-grid-point
-    evaluations reduce to a handful of fused NumPy expressions — the Python
-    analogue of the memory-bandwidth-conscious kernels of §4.1.
 
     Evaluation methods accept ``T`` of any shape ``S`` and return arrays of
     shape ``(Ns,) + S``.
 
-    Evaluation strategy: each property is computed per species for *both*
-    temperature ranges from their scalar coefficients and the results are
-    blended with ``np.where(T < t_mid, ...)``. Per element this performs
-    the identical arithmetic as gathering the selected coefficients first
-    (the original formulation), so results are bitwise unchanged — but no
-    ``(Ns, 7) + S`` coefficient array is ever materialized, which is the
-    dominant cost on DNS-sized fields (the gather is 7x the size of the
-    result). The Newton energy/enthalpy inversions use the fused
-    :meth:`enthalpy_cp_molar` so residual and Jacobian come from one pass.
+    Evaluation strategy: one branch-partitioned in-place kernel. The range
+    mask ``T < t_mid`` is computed once per temperature field (per distinct
+    ``t_mid``; the shipped mechanisms have one); the majority range runs in
+    place over the whole field, the minority range only on the gathered
+    minority cells and is scattered back, and a single-range field never
+    touches the second range. Each property is a Horner program
+    (:data:`_PROGRAMS`) of ``out=`` ufuncs, run one species at a time on
+    fields above :attr:`_SMALL` cells (cache-resident 1-D passes) and as
+    one ``(Ns, n)`` pass on smaller batches (boundary faces, implicit
+    active sets, load-balancer shipments), where per-species call overhead
+    would dominate. Every output element comes from elementwise IEEE
+    operations on its own ``T`` and its own range's coefficients, in the
+    order of the textbook expression; which cells share a pass never
+    enters the arithmetic, so results are bitwise those of evaluating both
+    ranges everywhere and selecting with ``np.where`` — a pure function of
+    the cell, whatever the batch.
 
     Evaluated properties are additionally memoized per temperature field
     (single slot, fingerprint-revalidated): one RHS evaluation asks for
@@ -144,11 +182,31 @@ class ThermoTable:
         self._tmid = np.array([f.t_mid for f in fits])
         self.t_low = min(f.t_low for f in fits)
         self.t_high = max(f.t_high for f in fits)
+        # species grouped by t_mid: (t_mid, output selector, species indices);
+        # the selector is a slice (a view) for the usual single-t_mid table
+        self._groups = []
+        for tmid in np.unique(self._tmid):
+            members = np.flatnonzero(self._tmid == tmid)
+            whole = len(members) == self.n_species
+            sel = slice(None) if whole else members
+            self._groups.append((float(tmid), sel, members.tolist()))
+        # per property: (divisor, has ln T, per-species scalar programs
+        # [range][species], per-group column programs [group][range])
+        self._prog = {}
+        for name, (coeffs, div, has_log) in _PROGRAMS.items():
+            tabs = [np.array(coeffs(a)) for a in (self._lo, self._hi)]  # (k, Ns)
+            scalars = [t.T.tolist() for t in tabs]
+            columns = [[t[:, m, None] for t in tabs] for _, _, m in self._groups]
+            self._prog[name] = (div, has_log, scalars, columns)
         # single-slot per-field property memo: (T, fingerprint, {prop: value})
         self._prop_cache = None
 
     #: only memoize property evaluations for fields at least this large
     _MEMO_MIN_SIZE = 512
+
+    #: batches of at most this many cells evaluate a species group in one
+    #: (Ng, n) pass; larger fields go one species at a time
+    _SMALL = 1024
 
     @staticmethod
     def _fingerprint(T):
@@ -173,83 +231,141 @@ class ThermoTable:
         cache[2][key] = value
         return value
 
-    # -- branch-blended NASA-7 evaluation ------------------------------
-    @staticmethod
-    def _cp_branch(a, T):
-        return RU * (a[0] + T * (a[1] + T * (a[2] + T * (a[3] + T * a[4]))))
+    # -- branch-partitioned NASA-7 kernel ------------------------------
+    def _fill(self, name, g, rng, T1, logT1, block):
+        """``block`` (Ng, n) <- property ``name`` of group ``g`` on range ``rng``.
 
-    @staticmethod
-    def _h_branch(a, T):
-        poly = a[0] + T * (a[1] / 2 + T * (a[2] / 3 + T * (a[3] / 4 + T * a[4] / 5)))
-        return RU * (T * poly + a[5])
+        ``T1`` is 1-D. Small batches run the whole group in one pass,
+        larger ones one species (row) at a time.
+        """
+        div, has_log, scalars, columns = self._prog[name]
+        lt = logT1 if has_log else None
+        if T1.size <= self._SMALL:
+            return _horner(T1, columns[g][rng], div, block, lt)
+        for row, i in zip(block, self._groups[g][2]):
+            _horner(T1, scalars[rng][i], div, row, lt)
+        return block
 
-    @staticmethod
-    def _dcp_branch(a, T):
-        return RU * (a[1] + T * (2.0 * a[2] + T * (3.0 * a[3] + T * (4.0 * a[4]))))
+    def _plan(self, names, Tf, logT):
+        """Range partition of a flat field, per ``t_mid`` group.
 
-    @staticmethod
-    def _s_branch(a, T, logT):
-        return RU * (
-            a[0] * logT
-            + T * (a[1] + T * (a[2] / 2 + T * (a[3] / 3 + T * a[4] / 4)))
-            + a[6]
-        )
+        Returns ``(majority range, minority cells, minority patches)``
+        per group: the majority range is to be evaluated over the whole
+        field, and ``patches[j]`` already holds ``names[j]`` on the
+        minority range at the gathered minority cells, ``(Ng, n_minor)``.
+        A single-range field has no minority (``None``, ``None``). Range
+        0 is ``T < t_mid``; NaN compares false and lands in range 1, where
+        a ``np.where`` on the same mask would put it.
+        """
+        plan = []
+        for g, (tmid, _, members) in enumerate(self._groups):
+            low = Tf < tmid
+            n_low = np.count_nonzero(low)
+            if n_low in (0, Tf.size):
+                plan.append((int(n_low == 0), None, None))
+                continue
+            major = int(2 * n_low < Tf.size)
+            minor = np.flatnonzero(low if major else ~low)
+            Tm = Tf[minor]
+            logTm = None if logT is None else logT[minor]
+            shape = (len(members), minor.size)
+            patches = [
+                self._fill(name, g, 1 - major, Tm, logTm, np.empty(shape))
+                for name in names
+            ]
+            plan.append((major, minor, patches))
+        return plan
 
-    def _blend(self, T, branch, *extra):
-        """Evaluate ``branch`` on both ranges per species, select by t_mid."""
-        out = np.empty((self.n_species,) + T.shape)
-        for i in range(self.n_species):
-            out[i] = np.where(
-                T < self._tmid[i],
-                branch(self._lo[i], T, *extra),
-                branch(self._hi[i], T, *extra),
-            )
-        return out
+    def _evaluate(self, T, names):
+        """Properties ``names`` at ``T``: fresh ``(Ns,) + S`` arrays."""
+        T = np.asarray(T, dtype=float)
+        Tf = T.reshape(-1)
+        logT = np.asarray(np.log(T)).reshape(-1) if "s" in names else None
+        outs = [np.empty((self.n_species, Tf.size)) for _ in names]
+        for g, (major, minor, patches) in enumerate(self._plan(names, Tf, logT)):
+            sel = self._groups[g][1]
+            for j, (name, out) in enumerate(zip(names, outs)):
+                block = out[sel]  # a view unless the table mixes t_mid values
+                self._fill(name, g, major, Tf, logT, block)
+                if minor is not None:
+                    block[:, minor] = patches[j]
+                if not isinstance(sel, slice):
+                    out[sel] = block
+        return [o.reshape((self.n_species,) + T.shape) for o in outs]
 
     def cp_molar(self, T):
         """Species isobaric heat capacities [J/(mol K)], shape (Ns,)+S."""
-        return self._memo(T, "cp", lambda T: self._blend(T, self._cp_branch))
+        return self._memo(T, "cp", lambda T: self._evaluate(T, ("cp",))[0])
 
     def enthalpy_molar(self, T):
         """Species molar enthalpies [J/mol], shape (Ns,)+S."""
-        return self._memo(T, "h", lambda T: self._blend(T, self._h_branch))
+        return self._memo(T, "h", lambda T: self._evaluate(T, ("h",))[0])
 
     def entropy_molar(self, T):
         """Species standard molar entropies [J/(mol K)], shape (Ns,)+S."""
-        return self._memo(
-            T, "s", lambda T: self._blend(T, self._s_branch, np.log(T))
-        )
+        return self._memo(T, "s", lambda T: self._evaluate(T, ("s",))[0])
 
     def cp_derivative_molar(self, T):
         """Species heat-capacity slopes dcp/dT [J/(mol K^2)], shape (Ns,)+S.
 
-        Analytic derivative of the NASA-7 cp polynomial, branch-blended
+        Analytic derivative of the NASA-7 cp polynomial, range-selected
         like every other property. Used by the analytical source-term
         Jacobian (:mod:`repro.chemistry.jacobian`) for the temperature
         row; not memoized (it is evaluated once per Jacobian assembly,
         never in the explicit RHS hot path).
         """
-        T = np.asarray(T, dtype=float)
-        return self._blend(T, self._dcp_branch)
+        return self._evaluate(T, ("dcp",))[0]
 
     def enthalpy_cp_molar(self, T):
-        """Fused (h_molar, cp_molar) for the Newton T inversions.
+        """Fused (h_molar, cp_molar): one range partition serves both.
 
-        One range-selection mask per species serves both properties, and
-        the returned arrays are fresh and writable (the Newton loops
-        assemble residual and Jacobian into them in place), so this path
-        deliberately bypasses the memo. Values are bitwise identical to
-        the individual :meth:`enthalpy_molar` / :meth:`cp_molar` results.
+        The returned arrays are fresh and writable (callers assemble into
+        them in place), so this path deliberately bypasses the memo.
+        Values are bitwise identical to the individual
+        :meth:`enthalpy_molar` / :meth:`cp_molar` results.
+        """
+        return tuple(self._evaluate(T, ("h", "cp")))
+
+    def enthalpy_cp_mass(self, T, Y, weights):
+        """Mixture ``(sum_i h_i Y_i / W_i, sum_i cp_i Y_i / W_i)``, each shape S.
+
+        The residual/slope pair of the Newton temperature inversions
+        [J/kg, J/(kg K)], returned fresh and writable. Each term is
+        ``(x_i / W_i) * Y_i`` and the sum runs in species-index order
+        (:func:`~repro.util.reduction.axis0_sum`'s), so this is bitwise
+        the mass-weighted reduction of :meth:`enthalpy_cp_molar` — but a
+        large field is consumed one species at a time through one scratch
+        pair, never materializing the ``(Ns,) + S`` arrays.
         """
         T = np.asarray(T, dtype=float)
-        h = np.empty((self.n_species,) + T.shape)
-        cp = np.empty((self.n_species,) + T.shape)
+        if T.size <= self._SMALL or len(self._groups) > 1:
+            # small batches, and tables mixing t_mid values, reduce the
+            # materialized pair
+            w = weights.reshape((-1,) + (1,) * T.ndim)
+            h, cp = self.enthalpy_cp_molar(T)
+            for x in (h, cp):
+                x /= w
+                x *= Y
+            return axis0_sum(h), axis0_sum(cp)
+        Tf = T.reshape(-1)
+        names = ("h", "cp")
+        # one group holding every species: patch rows are species indices
+        ((major, minor, patches),) = self._plan(names, Tf, None)
+        programs = [(self._prog[n][2][major], self._prog[n][0]) for n in names]
+        sums = np.empty((2,) + T.shape)
+        scratch = np.empty((2,) + T.shape)
         for i in range(self.n_species):
-            lo, hi = self._lo[i], self._hi[i]
-            mask = T < self._tmid[i]
-            h[i] = np.where(mask, self._h_branch(lo, T), self._h_branch(hi, T))
-            cp[i] = np.where(mask, self._cp_branch(lo, T), self._cp_branch(hi, T))
-        return h, cp
+            terms = sums if i == 0 else scratch
+            for j, row in enumerate(terms.reshape(2, -1)):
+                scalars, div = programs[j]
+                _horner(Tf, scalars[i], div, row)
+                if minor is not None:
+                    row[minor] = patches[j][i]
+            terms /= weights[i]
+            terms *= Y[i]
+            if i:
+                sums += terms
+        return sums[0], sums[1]
 
     def gibbs_over_rt(self, T):
         """Dimensionless Gibbs energies g_i/(Ru T), shape (Ns,)+S."""

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core.config import resolve_face_value
 from repro.util.constants import RU
+from repro.util.reduction import axis0_sum
 
 
 def _face_index(ndim: int, axis: int, side: int):
@@ -98,7 +99,20 @@ def _characteristic_face(rhs, t, u, du, face, spec, axis, side, *,
     p_f = p[face]
     T_f = T[face]
     Y_f = Y[(slice(None),) + face]
-    a_f = mech.sound_speed(T_f, Y_f)
+    # face thermodynamics from one fused NASA-7 pass: the same arithmetic
+    # as mech.sound_speed / cv_mass / int_energy_mass and the species
+    # internal energies, each of which would re-evaluate h or cp on T_f
+    w = mech.weights.reshape((-1,) + (1,) * T_f.ndim)
+    h_i, cp_i = mech.thermo.enthalpy_cp_molar(T_f)
+    h_i /= w
+    cp_i /= w
+    cp_i *= Y_f
+    cp_mix = axis0_sum(cp_i)
+    r_spec = mech.gas_constant(Y_f)
+    cv = cp_mix - r_spec
+    a_f = np.sqrt(cp_mix / cv * r_spec * T_f)
+    e_i = h_i - RU * T_f[None] / w
+    e_int_f = axis0_sum(h_i * Y_f) - r_spec * T_f
     mach2 = np.minimum((un / a_f) ** 2, 0.99)
 
     dp_dn = grad_p[axis][face]
@@ -177,9 +191,6 @@ def _characteristic_face(rhs, t, u, du, face, spec, axis, side, *,
     c_y = dd5
 
     # convert to conservative corrections on the face
-    r_spec = mech.gas_constant(Y_f)
-    cv = mech.cv_mass(T_f, Y_f)
-    e_i = rhs.species_internal_energies(T_f)
     w = mech.weights
     n_last = mech.n_species - 1
     d_r = RU * np.array([1.0 / w[k] - 1.0 / w[n_last] for k in range(nk)])
@@ -190,7 +201,6 @@ def _characteristic_face(rhs, t, u, du, face, spec, axis, side, *,
 
     vel_f = [vel[a][face] for a in range(ndim)]
     ke = 0.5 * sum(vf * vf for vf in vel_f)
-    e_int_f = mech.int_energy_mass(T_f, Y_f)
 
     c_vel = [None] * ndim
     c_vel[axis] = c_un

@@ -51,7 +51,6 @@ from repro.core.kernels import species_diffusive_flux_dir
 from repro.core import nscbc
 from repro.core.workspace import Workspace
 from repro.telemetry import resolve as resolve_telemetry
-from repro.util.constants import RU
 
 #: recognised RHS engine names
 ENGINES = ("batched", "naive")
@@ -189,13 +188,18 @@ class CompressibleRHS:
         """Primitives + transport + species enthalpies for ``u``, memoized.
 
         One evaluation is shared between the diffusive-flux, heat-flux,
-        and reaction consumers of a single RHS call, and between
-        :meth:`stable_dt` and the first integrator stage of a step (both
-        see the same buffer). The cache key is the buffer object, the
-        state's version token (bumped by
+        and reaction consumers of a single RHS call, and with a
+        :meth:`stable_dt` on the *same buffer* right after it. The cache
+        key is the buffer object, the state's version token (bumped by
         :meth:`~repro.core.state.State.mark_modified`), and a content
         fingerprint that catches in-place mutation (low-storage RK
         stages update ``u`` in place between evaluations).
+
+        Inside a solver step the memo does not bridge :meth:`stable_dt`
+        and the first integrator stage: ``LowStorageERK.step`` copies
+        ``u`` before stage 1, so the buffer identity differs and
+        ``rhs.props_cache_hits`` stays 0 over a run (see
+        docs/PERFORMANCE.md for why that is left alone).
         """
         st = self.state
         u = np.asarray(u, dtype=float)
@@ -566,10 +570,11 @@ class CompressibleRHS:
     def stable_dt(self, u=None, cfl=0.8, fourier=0.4):
         """Acoustic + diffusive stable time step estimate.
 
-        Shares the memoized primitives/transport evaluation with the RHS
-        proper — calling ``stable_dt`` and then evaluating the RHS on
-        the same buffer (the start-of-step pattern) performs the
-        expensive property evaluation once.
+        Shares the memoized primitives/transport evaluation with an RHS
+        evaluation on the same buffer. The integrators copy ``u`` before
+        their first stage, so at the start of a solver step the
+        estimate and stage 1 each evaluate the properties (see
+        :meth:`_eval_props`).
         """
         st = self.state
         pc = self._eval_props(st.u if u is None else u)
@@ -591,9 +596,3 @@ class CompressibleRHS:
             if dmax > 0:
                 dt = min(dt, fourier * dx * dx / dmax)
         return dt
-
-    def species_internal_energies(self, T):
-        """Per-species specific internal energies e_i [J/kg]."""
-        h = self.mech.species_enthalpy_mass(T)
-        w = self.mech.weights.reshape((-1,) + (1,) * np.ndim(T))
-        return h - RU * np.asarray(T)[None] / w

@@ -13,8 +13,10 @@ from repro.chemistry.mechanisms import air
 from repro.core.config import BoundarySpec, SolverConfig
 from repro.core.grid import Grid
 from repro.core.rhs import ENGINES, CompressibleRHS
+from repro.core.solver import S3DSolver
 from repro.core.state import State
 from repro.core.workspace import Workspace
+from repro.scenarios import lifted_jet
 from repro.telemetry import Telemetry
 from repro.transport import (
     ConstantLewisTransport,
@@ -209,6 +211,22 @@ class TestPropsMemo:
         assert hits.value == 0
         rhs.stable_dt()  # same state buffer, same version -> memo hit
         assert hits.value == 1
+
+    def test_no_hit_inside_a_solver_step(self):
+        """What actually happens in a run: ``stable_dt`` evaluates the
+        properties on ``state.u``, then ``LowStorageERK.step`` copies
+        ``u`` before its first stage, and the memo is keyed on buffer
+        identity — so the time-step estimate and stage 1 do *not* share
+        an evaluation, and ``rhs.props_cache_hits`` stays 0 over whole
+        steps. (Making it hit skips a warm Newton solve that is not
+        idempotent in the last bit; see docs/PERFORMANCE.md.)"""
+        tel = Telemetry()
+        jet, _ = lifted_jet(nx=24, ny=16)
+        solver = S3DSolver(jet.state, jet.config, transport=jet.rhs.transport,
+                           reacting=True, telemetry=tel)
+        for _ in range(2):
+            solver.step(solver.compute_dt())
+        assert tel.counter("rhs.props_cache_hits").value == 0
 
     def test_cache_invalidated_by_content_change(self):
         mech = h2_li2004()

@@ -1,6 +1,8 @@
 """Tests for the scaled DNS scenario builders (construction + short
 advancement; the full physics checks live in the benchmarks)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.scenarios import (
     premixed_flame_box,
 )
 from repro.chemistry import ch4_twostep
+from repro.util.constants import P_ATM
 
 
 class TestStreams:
@@ -60,6 +63,34 @@ class TestLiftedJet:
         core = np.argmax(u_in)
         assert u_now[core] == pytest.approx(u_in[core], rel=1e-2)
         assert np.abs(u_now - u_in).max() < 0.15 * u_in.max()
+
+
+class TestLiftedJetStateHashes:
+    """sha256 of the conserved state after a few steps of the 36 x 24 jet,
+    computed at the commit before the partitioned NASA-7 kernel and pinned
+    here: thermo refactors must be invisible to the last bit. The explicit
+    value is ``benchmarks/bench_implicit.py::GOLDEN_EXPLICIT_HASH`` (same
+    run); like it, these depend on the platform's libm only through
+    exp/log/pow."""
+
+    EXPLICIT_5_STEPS = "9d84e67628047c82cc9ae9e05d1961ed77bd871935e69c89cfab0cef8e625c4c"
+    STRANG_3_STEPS = "d3d63ba6b637b49a63a4fbc81cb8e90a773c7ed13ed34072bde241a212a39cae"
+
+    @staticmethod
+    def _hash_after(steps, **kwargs):
+        solver, _ = lifted_jet(nx=36, ny=24, seed=0, **kwargs)
+        for _ in range(steps):
+            solver.step()
+        return hashlib.sha256(solver.state.u.tobytes()).hexdigest()
+
+    def test_explicit_nscbc_jet(self):
+        assert self._hash_after(5) == self.EXPLICIT_5_STEPS
+
+    def test_stiff_strang_jet(self):
+        digest = self._hash_after(
+            3, fluct=0.0, p=100.0 * P_ATM, chemistry_mode="strang"
+        )
+        assert digest == self.STRANG_3_STEPS
 
 
 class TestPremixedBox:
