@@ -24,11 +24,11 @@ sparse Jacobian of :mod:`repro.chemistry.jacobian`:
     Variable-step BDF2 with an implicit-Euler startup step, solved by
     modified Newton: the iteration matrix ``I - beta h J`` keeps a
     frozen Jacobian that is refreshed only when stale
-    (``jac_reuse_limit`` substeps), on a step rejection, or on a Newton
-    convergence failure. The local error is estimated from the
-    corrector-predictor difference (an O(h^2) curvature estimate —
-    deliberately conservative; the measured global order is 2, see
-    ``tests/test_implicit.py``).
+    (``jac_reuse_limit`` substeps), or after a step rejection or Newton
+    convergence failure that used an aged one. The local error is
+    estimated from the corrector-predictor difference (an O(h^2)
+    curvature estimate — deliberately conservative; the measured global
+    order is 2, see ``tests/test_implicit.py``).
 
 Substepping is error-controlled **per cell**: each cell carries its own
 time, step size, history, and Jacobian age, and every arithmetic
@@ -42,10 +42,22 @@ chemistry load balancer (:mod:`repro.parallel.chemlb`) ship implicit
 cell work between ranks and fall back to local evaluation bit-exactly,
 and it is pinned by Hypothesis property tests.
 
+One round of the batch loop does only the work that round needs. A
+rejected cell retries from the state it already stands at, so its
+``f(z0)`` is kept (a per-cell cache valid until the cell accepts a step)
+and so is a Jacobian that was evaluated at that state; only a Jacobian
+carried over from earlier accepted steps is refreshed on rejection.
+Both are the values a re-evaluation would return, bit for bit, so the
+accept/reject trajectories are those of evaluating everything every
+round (the frozen oracle in ``tests/test_implicit.py`` does exactly
+that).
+
 Telemetry: each :meth:`ImplicitChemistry.advance` increments
 ``chem.implicit.substeps``, ``chem.implicit.rejected_steps``,
-``chem.implicit.newton_iters``, ``chem.implicit.factorizations`` and
-``chem.implicit.jacobian_reuses`` on the resolved backend.
+``chem.implicit.newton_iters``, ``chem.implicit.factorizations``,
+``chem.implicit.jacobian_reuses``, ``chem.implicit.source_cells`` and
+``chem.implicit.jacobian_cells`` on the resolved backend (definitions:
+:class:`ImplicitStats`).
 """
 
 from __future__ import annotations
@@ -144,9 +156,10 @@ def batched_lu_factor(a):
         for k in range(n):
             p = np.abs(lu[:, k:, k]).argmax(axis=1) + k
             piv[:, k] = p
-            tmp = lu[rows, p, :].copy()
-            lu[rows, p, :] = lu[rows, k, :]
-            lu[rows, k, :] = tmp
+            if (p != k).any():  # no matrix pivots here: nothing to swap
+                tmp = lu[rows, p, :]
+                lu[rows, p, :] = lu[:, k, :]
+                lu[:, k, :] = tmp
             if k + 1 < n:
                 lu[:, k + 1 :, k] /= lu[:, k, None, k]
                 lu[:, k + 1 :, k + 1 :] -= (
@@ -165,11 +178,11 @@ def batched_lu_solve(lu, piv, b):
     x = np.array(b, dtype=float, copy=True)
     N, n = x.shape
     rows = np.arange(N)
-    for k in range(n):
+    for k in np.nonzero((piv != np.arange(n)).any(axis=0))[0]:
         p = piv[:, k]
-        tmp = x[rows, p].copy()
-        x[rows, p] = x[rows, k]
-        x[rows, k] = tmp
+        tmp = x[rows, p]
+        x[rows, p] = x[:, k]
+        x[:, k] = tmp
     for k in range(1, n):
         x[:, k] -= (lu[:, k, :k] * x[:, :k]).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -229,6 +242,11 @@ def temperature_from_energy_cells(
 # ----------------------------------------------------------------------
 # integrator
 # ----------------------------------------------------------------------
+def _live_report(live, h):
+    """The cells still integrating and their smallest step, for errors."""
+    return f"{live.size} cells still live, smallest h = {h[live].min():.3e} s"
+
+
 @dataclass
 class ImplicitStats:
     """Work accounting for one :meth:`ImplicitChemistry.advance` call."""
@@ -237,7 +255,13 @@ class ImplicitStats:
     rejected: int  #: rejected trial steps (total over cells)
     newton_iters: int  #: modified-Newton iterations (bdf2; 0 for rosw2)
     factorizations: int  #: iteration-matrix LU factorizations
-    jacobian_reuses: int  #: substeps that reused a cached Jacobian
+    #: trial steps that did not evaluate a Jacobian: the cell's cached one
+    #: was younger than ``jac_reuse_limit`` accepted steps, or its last
+    #: trial was rejected with a Jacobian already evaluated at the state
+    #: it retries from (re-evaluating would return the same matrix)
+    jacobian_reuses: int
+    source_cells: int  #: cells ``SourceTermJacobian.source`` evaluated
+    jacobian_cells: int  #: cells the analytical Jacobian was evaluated on
 
     @property
     def total_substeps(self) -> int:
@@ -265,11 +289,20 @@ class ImplicitChemistry:
         ``atol_T`` on the temperature row).
     jac_reuse_limit:
         Maximum substeps a cell may reuse its cached Jacobian before a
-        fresh analytical evaluation (1 = always fresh). Rejections and
-        Newton failures force a refresh regardless.
+        fresh analytical evaluation (1 = always fresh). A rejection or
+        Newton failure forces a refresh regardless, unless the cached
+        Jacobian was already evaluated at the state the cell retries
+        from.
     max_newton, newton_tol:
         Modified-Newton iteration cap and displacement tolerance (in
         error-weight units) for ``bdf2``.
+    max_substeps:
+        Cap on *rounds* of the batch loop in one :meth:`advance` call.
+        Every live cell takes one trial step (accepted or rejected) per
+        round, so this bounds each cell's trial steps, not its accepted
+        substeps; exceeding it raises ``RuntimeError``.
+    safety:
+        Safety factor of the step-size controller.
     fixed_substeps:
         When given, :meth:`advance` calls without an explicit
         ``fixed_steps`` take this many equal substeps instead of the
@@ -358,6 +391,8 @@ class ImplicitChemistry:
         tel.counter("chem.implicit.newton_iters").inc(stats.newton_iters)
         tel.counter("chem.implicit.factorizations").inc(stats.factorizations)
         tel.counter("chem.implicit.jacobian_reuses").inc(stats.jacobian_reuses)
+        tel.counter("chem.implicit.source_cells").inc(stats.source_cells)
+        tel.counter("chem.implicit.jacobian_cells").inc(stats.jacobian_cells)
         return z1[ns], z1[:ns], stats
 
     def advance_energy(self, rho, e_int, Y, dt, T_guess=None, fixed_steps=None):
@@ -412,6 +447,7 @@ class ImplicitChemistry:
     def _advance_adaptive(self, z, dt, kw):
         ns, n = self.stj.ns, self.stj.n
         N = z.shape[1]
+        rosw2 = self.method == "rosw2"
         t = np.zeros(N)
         h = np.full(N, dt)
         substeps = np.zeros(N, dtype=np.int64)
@@ -420,13 +456,21 @@ class ImplicitChemistry:
         have_hist = np.zeros(N, dtype=bool)
         jac = np.zeros((N, n, n))
         jac_age = np.full(N, self.jac_reuse_limit, dtype=np.int64)
+        # f(z) at each cell's current state, valid until the cell accepts
+        # a step: a rejected cell retries from the same z
+        f0 = np.zeros_like(z)
+        f0_valid = np.zeros(N, dtype=bool)
         rejected = newton_total = factorizations = reuses = 0
+        source_cells = jacobian_cells = 0
         rounds = 0
         active = np.nonzero(t < dt * (1.0 - 1e-12))[0]
         while active.size:
             rounds += 1
             if rounds > self.max_substeps:
-                raise RuntimeError("implicit chemistry exceeded max_substeps")
+                raise RuntimeError(
+                    f"implicit chemistry exceeded max_substeps="
+                    f"{self.max_substeps} rounds; {_live_report(active, h)}"
+                )
             hA = np.minimum(h[active], dt - t[active])
             # refresh stale Jacobians (per-cell age)
             need = jac_age[active] >= self.jac_reuse_limit
@@ -437,15 +481,28 @@ class ImplicitChemistry:
                         z[ns, idx], z[:ns, idx], **self._sub(kw, idx)
                     )
                 jac_age[idx] = 0
+                jacobian_cells += int(idx.size)
             reuses += int((~need).sum())
             factorizations += int(active.size)
+            # f(z0): every rosw2 cell, only the startup cells of bdf2
+            cold = active if rosw2 else active[~have_hist[active]]
+            cold = cold[~f0_valid[cold]]
+            if cold.size:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    f0[:, cold] = self.stj.source(
+                        z[ns, cold], z[:ns, cold], **self._sub(kw, cold)
+                    )
+                f0_valid[cold] = True
+                source_cells += int(cold.size)
             zA = z[:, active]
             wts = self._weights(zA)
+            kwA = self._sub(kw, active)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if self.method == "rosw2":
+                if rosw2:
                     z_new, err, fail = self._rosw2_step(
-                        zA, hA, jac[active], self._sub(kw, active)
+                        zA, hA, jac[active], f0[:, active], kwA
                     )
+                    source_cells += int(active.size)  # the stage-2 source
                 else:
                     z_new, err, fail, nit = self._bdf2_step(
                         zA,
@@ -454,10 +511,12 @@ class ImplicitChemistry:
                         zprev[:, active],
                         hprev[active],
                         have_hist[active],
-                        self._sub(kw, active),
+                        f0[:, active],
+                        kwA,
                         wts,
                     )
                     newton_total += nit
+                    source_cells += nit  # one residual per Newton iteration
                 enorm = self._error_norm(err, wts)
             bad = fail | ~np.isfinite(enorm) | ~np.isfinite(z_new).all(axis=0)
             ok = (enorm <= 1.0) & ~bad
@@ -469,10 +528,14 @@ class ImplicitChemistry:
             z[:, acc] = z_new[:, ok]
             t[acc] += hA[ok]
             substeps[acc] += 1
+            f0_valid[acc] = False
+            rej = active[~ok]
+            rejected += int(rej.size)
+            # a rejected step invalidates an aged Jacobian; one evaluated
+            # at the cell's current state (age 0) is what a refresh would
+            # return, so it stays
+            jac_age[rej[jac_age[rej] > 0]] = self.jac_reuse_limit
             jac_age[acc] += 1
-            rejected += int((~ok).sum())
-            # a rejected step invalidates the cached Jacobian
-            jac_age[active[~ok]] = self.jac_reuse_limit
             # per-cell step-size controller (order-1 embedded → exponent 1/2)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 fac = self.safety * enorm**-0.5
@@ -480,12 +543,15 @@ class ImplicitChemistry:
             fac = np.clip(fac, 0.2, 5.0)
             fac = np.where(bad, 0.25, fac)
             h[active] = hA * fac
-            live = t < dt * (1.0 - 1e-12)
-            if np.any(live & (h < dt * 1e-12)):
-                raise RuntimeError("implicit chemistry step-size underflow")
-            active = np.nonzero(live)[0]
+            active = np.nonzero(t < dt * (1.0 - 1e-12))[0]
+            if np.any(h[active] < dt * 1e-12):
+                raise RuntimeError(
+                    "implicit chemistry step-size underflow; "
+                    + _live_report(active, h)
+                )
         return z, ImplicitStats(substeps, rejected, newton_total,
-                                factorizations, reuses)
+                                factorizations, reuses,
+                                source_cells, jacobian_cells)
 
     def _advance_fixed(self, z, dt, k, kw):
         if k <= 0:
@@ -496,18 +562,25 @@ class ImplicitChemistry:
         zprev = np.zeros_like(z)
         hprev = h
         have = np.zeros(N, dtype=bool)
-        newton_total = 0
-        for _ in range(k):
+        rosw2 = self.method == "rosw2"
+        newton_total = source_cells = 0
+        f0 = None
+        for step in range(k):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 jacA = self.stj.jacobian(z[ns], z[:ns], **kw)
                 wts = self._weights(z)
-                if self.method == "rosw2":
-                    z_new, _, fail = self._rosw2_step(z, h, jacA, kw)
+                if rosw2 or step == 0:  # bdf2 needs f(z0) only at startup
+                    f0 = self.stj.source(z[ns], z[:ns], **kw)
+                    source_cells += N
+                if rosw2:
+                    z_new, _, fail = self._rosw2_step(z, h, jacA, f0, kw)
+                    source_cells += N
                 else:
                     z_new, _, fail, nit = self._bdf2_step(
-                        z, h, jacA, zprev, hprev, have, kw, wts
+                        z, h, jacA, zprev, hprev, have, f0, kw, wts
                     )
                     newton_total += nit
+                    source_cells += nit
             if fail.any() or not np.isfinite(z_new).all():
                 raise RuntimeError(
                     "fixed-step implicit chemistry step failed (step too large?)"
@@ -516,7 +589,8 @@ class ImplicitChemistry:
             have[:] = True
             z = z_new
         stats = ImplicitStats(
-            np.full(N, k, dtype=np.int64), 0, newton_total, k * N, 0
+            np.full(N, k, dtype=np.int64), 0, newton_total, k * N, 0,
+            source_cells, k * N,
         )
         return z, stats
 
@@ -524,14 +598,12 @@ class ImplicitChemistry:
     #: non-contracting iteration is accepted rather than failed.
     _NEWTON_STAG_TOL = 0.5
 
-    def _rosw2_step(self, z0, h, jac, kw):
-        """One trial Rosenbrock-W step on a cell subset."""
+    def _rosw2_step(self, z0, h, jac, f0, kw):
+        """One trial Rosenbrock-W step on a cell subset; ``f0 = f(z0)``."""
         ns, n = self.stj.ns, self.stj.n
-        m = z0.shape[1]
         M = (-(_ROS_GAMMA) * h)[:, None, None] * jac
         M[:, np.arange(n), np.arange(n)] += 1.0
         lu, piv = batched_lu_factor(M)
-        f0 = self.stj.source(z0[ns], z0[:ns], **kw)
         k1 = batched_lu_solve(lu, piv, f0.T).T
         z_mid = z0 + h[None] * k1
         f1 = self.stj.source(z_mid[ns], z_mid[:ns], **kw)
@@ -541,8 +613,11 @@ class ImplicitChemistry:
         fail = ~np.isfinite(z_new).all(axis=0)
         return z_new, err, fail
 
-    def _bdf2_step(self, z0, h, jac, zp, hp, have, kw, wts):
-        """One trial BDF2 (or startup BDF1) step via modified Newton."""
+    def _bdf2_step(self, z0, h, jac, zp, hp, have, f0, kw, wts):
+        """One trial BDF2 (or startup BDF1) step via modified Newton.
+
+        ``f0`` holds ``f(z0)`` in the columns of the startup cells
+        (``~have``); its other columns are never read."""
         ns, n = self.stj.ns, self.stj.n
         m = z0.shape[1]
         hp_safe = np.where(have, hp, 1.0)
@@ -593,6 +668,5 @@ class ImplicitChemistry:
         no_hist = ~have
         if no_hist.any():
             j = np.nonzero(no_hist)[0]
-            f0 = self.stj.source(z0[ns, j], z0[:ns, j], **self._sub(kw, j))
-            diff[:, j] = zk[:, j] - z0[:, j] - h[j][None] * f0
+            diff[:, j] = zk[:, j] - z0[:, j] - h[j][None] * f0[:, j]
         return zk, diff, fail, niter

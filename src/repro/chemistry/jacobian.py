@@ -114,22 +114,45 @@ class JacobianPattern:
         return float(np.abs(outside).max()) if jac.size else 0.0
 
 
+def _nonzero_selector(eff):
+    """Index of the nonzero entries of ``eff``: a slice when all are."""
+    if eff is None or eff.all():
+        return slice(None)
+    return np.nonzero(eff)[0]
+
+
+def _accumulate(acc, nu, x):
+    """``acc += nu * x`` in place; ``nu = +-1`` skips the (exact) multiply."""
+    if nu == 1.0:
+        acc += x
+    elif nu == -1.0:
+        acc -= x
+    else:
+        acc += nu * x
+
+
 def _safe_pow(base, e):
-    """``base ** e`` for base >= 0 with the cheap-exponent fast paths."""
+    """``base ** e`` for base >= 0 with the cheap-exponent fast paths.
+
+    ``e == 1`` returns ``base`` itself: callers treat the result as
+    read-only."""
     if e == 1.0:
-        return base.copy()
+        return base
     if e == 2.0:
         return base * base
     return base**e
 
 
-def _pow_deriv(cpos, e):
-    """d(cpos**e)/dC, guarded at cpos == 0 (sub-gradient 0 there)."""
-    pos = cpos > 0.0
+def _pow_deriv(cpos, positive, e):
+    """d(cpos**e)/dC, guarded at cpos == 0 (sub-gradient 0 there).
+
+    ``positive`` is the 0/1 indicator of ``cpos > 0``, which is the
+    derivative itself for ``e == 1`` (returned as is, read-only)."""
     if e == 1.0:
-        return np.where(pos, 1.0, 0.0)
+        return positive
     if e == 2.0:
         return 2.0 * cpos
+    pos = cpos > 0.0
     safe = np.where(pos, cpos, 1.0)
     return np.where(pos, e * safe ** (e - 1.0), 0.0)
 
@@ -176,6 +199,9 @@ class SourceTermJacobian:
                     "rev": list(self.kin._rev_terms[j]) if rxn.reversible else [],
                     "net": list(self.kin._net_terms[j]),
                     "eff": self.kin._tb_eff[j],
+                    # species with a nonzero efficiency: all of them (a
+                    # slice, so row blocks stay views) or an index array
+                    "eff_sel": _nonzero_selector(self.kin._tb_eff[j]),
                     "delta_nu": float(self.kin._delta_nu[j]),
                 }
             )
@@ -277,17 +303,19 @@ class SourceTermJacobian:
         """
         T, Y = self._check_shapes(T, Y)
         rho, _ = self._density(T, Y, p=p, rho=rho)
-        C = rho[None] * Y / self._w[:, None]
+        w = self._w[:, None]
+        C = rho[None] * Y / w
         wdot = self.kin.production_rates_cells(T, C)  # mol/(m^3 s)
         f = np.empty((self.n, T.shape[0]))
-        f[: self.ns] = wdot * self._w[:, None] / rho[None]
-        h_m = self.mech.thermo.enthalpy_molar(T)  # J/mol
+        f[: self.ns] = wdot * w / rho[None]
+        # one range partition serves both properties [J/mol, J/(mol K)]
+        h_m, cp_m = self.mech.thermo.enthalpy_cp_molar(T)
+        cp = axis0_sum(cp_m / w * Y)
         if self.mode == "constant-pressure":
-            cp = self.mech.cp_mass(T, Y)
             f[self.ns] = -axis0_sum(h_m * wdot) / (rho * cp)
         else:
             e_m = h_m - RU * T[None]
-            cv = self.mech.cv_mass(T, Y)
+            cv = cp - self.mech.gas_constant(Y)
             f[self.ns] = -axis0_sum(e_m * wdot) / (rho * cv)
         return f
 
@@ -306,6 +334,7 @@ class SourceTermJacobian:
         rho, wbar = self._density(T, Y, p=p, rho=rho)
         C = rho[None] * Y / w[:, None]
         cpos = np.maximum(C, 0.0)
+        positive = np.where(cpos > 0.0, 1.0, 0.0)
 
         thermo = self.mech.thermo
         g_rt = thermo.gibbs_over_rt(T)  # (Ns, N)
@@ -318,28 +347,34 @@ class SourceTermJacobian:
         dwT = np.zeros((ns, N))  # ∂ω̇_i/∂T at fixed C
         wdot = np.zeros((ns, N))
 
+        # factors the reactions share, through the kinetics plan: T**n
+        # per distinct exponent, Ru T, [M] per distinct efficiency vector
+        # (read-only below) — the same expressions as the evaluator's
+        kin = self.kin
+        powT, rut, tbc = kin.shared_factors(T, C)
         invT = 1.0 / T
-        for data in self._rxns:
+        rut_T = rut * T  # Ru T^2, associated as (Ru T) T
+        p_rt = P_ATM / rut
+        scratch = np.empty(N)
+        for j, data in enumerate(self._rxns):
             rxn = data["rxn"]
             rate = rxn.rate
-            kf = rate.A * T**rate.n
-            if rate.Ea != 0.0:
-                kf = kf * np.exp(-rate.Ea / (RU * T))
-            dlnkf = rate.n * invT + rate.Ea / (RU * T * T)
+            kf = kin.arrhenius_into(
+                np.empty(N), rate, kin._rate_slot[j], powT, rut, scratch
+            )
+            dlnkf = rate.n * invT + rate.Ea / rut_T
 
             eff = data["eff"]
             if eff is not None:
-                m = eff[0] * C[0]
-                for i in range(1, ns):
-                    m += eff[i] * C[i]
+                m = tbc[kin._tb_group[j]]
 
             dkf_dm = None
             if rxn.falloff is not None:
                 fo = rxn.falloff
-                k0 = fo.low.A * T**fo.low.n
-                if fo.low.Ea != 0.0:
-                    k0 = k0 * np.exp(-fo.low.Ea / (RU * T))
-                dlnk0 = fo.low.n * invT + fo.low.Ea / (RU * T * T)
+                k0 = kin.arrhenius_into(
+                    np.empty(N), fo.low, kin._low_slot[j], powT, rut, scratch
+                )
+                dlnk0 = fo.low.n * invT + fo.low.Ea / rut_T
                 kinf_safe = np.maximum(kf, _TINY)
                 pr = k0 * m / kinf_safe
                 dpr_dm = k0 / kinf_safe
@@ -361,14 +396,14 @@ class SourceTermJacobian:
 
             # forward/reverse mass-action products and their per-column
             # derivatives (leave-one-out products over the sparse terms)
-            pif, dpif = self._product_derivs(cpos, data["fwd"])
+            pif, dpif = self._product_derivs(cpos, positive, data["fwd"])
             kr = None
             if rxn.reversible:
-                kc, dlnkc = self._kc_derivs(T, g_rt, h_m, data)
+                kc, dlnkc = self._kc_derivs(T, p_rt, rut_T, g_rt, h_m, data)
                 kcm = np.maximum(kc, _TINY)
                 kr = kf / kcm
                 dkr_dT = (dkf_dT - kf * dlnkc) / kcm
-                pir, dpir = self._product_derivs(cpos, data["rev"])
+                pir, dpir = self._product_derivs(cpos, positive, data["rev"])
 
             pure_tb = eff is not None and rxn.falloff is None
             mfac = m if pure_tb else 1.0
@@ -381,34 +416,31 @@ class SourceTermJacobian:
             if kr is not None:
                 dq_dT_nom = dq_dT_nom - dkr_dT * pir
 
-            for i, nui in data["net"]:
-                acc_w = wdot[i : i + 1]
-                acc_T = dwT[i : i + 1]
-                if nui == 1.0:
-                    acc_w += q
-                    acc_T += mfac * dq_dT_nom
-                elif nui == -1.0:
-                    acc_w -= q
-                    acc_T -= mfac * dq_dT_nom
-                else:
-                    acc_w += nui * q
-                    acc_T += nui * (mfac * dq_dT_nom)
-                for k, dp in dpif:
-                    dwC[i, k] += nui * (mfac * kf * dp)
+            # what every net species of the reaction shares, formed once
+            dq_dT = mfac * dq_dT_nom
+            mkf = mfac * kf
+            cols = [(k, 1.0, mkf * dp) for k, dp in dpif]
+            if kr is not None:
+                mkr = mfac * kr
+                cols += [(k, -1.0, mkr * dp) for k, dp in dpir]
+            dq_dm = None
+            if pure_tb:
+                # ∂[M]/∂C_k = eff_k multiplies the nominal rate
+                dq_dm = q_nom
+            elif dkf_dm is not None:
+                # falloff: k_f(M) sensitivity, shared by the reverse
+                dq_dm = dkf_dm * pif
                 if kr is not None:
-                    for k, dp in dpir:
-                        dwC[i, k] -= nui * (mfac * kr * dp)
-                if pure_tb:
-                    # ∂[M]/∂C_k = eff_k multiplies the nominal rate
-                    for k in np.nonzero(eff)[0]:
-                        dwC[i, k] += nui * eff[k] * q_nom
-                elif dkf_dm is not None:
-                    # falloff: k_f(M) sensitivity, shared by the reverse
-                    dq_dm = dkf_dm * pif
-                    if kr is not None:
-                        dq_dm = dq_dm - (dkf_dm / kcm) * pir
-                    for k in np.nonzero(eff)[0]:
-                        dwC[i, k] += nui * eff[k] * dq_dm
+                    dq_dm = dq_dm - (dkf_dm / kcm) * pir
+
+            for i, nui in data["net"]:
+                _accumulate(wdot[i : i + 1], nui, q)
+                _accumulate(dwT[i : i + 1], nui, dq_dT)
+                for k, sign, col in cols:
+                    _accumulate(dwC[i, k], sign * nui, col)
+                if dq_dm is not None:
+                    sel = data["eff_sel"]
+                    dwC[i, sel] += (nui * eff[sel])[:, None] * dq_dm
 
         # chain rule to the state z = (Y, T) for the selected closure
         jac = np.zeros((self.n, self.n, N))
@@ -434,28 +466,36 @@ class SourceTermJacobian:
 
     # -- reaction-level pieces -----------------------------------------
     @staticmethod
-    def _product_derivs(cpos, terms):
-        """(Π C^ν, [(k, ∂Π/∂C_k), ...]) via leave-one-out products."""
+    def _product_derivs(cpos, positive, terms):
+        """(Π C^ν, [(k, ∂Π/∂C_k), ...]) via leave-one-out products.
+
+        ``positive`` is ``where(cpos > 0, 1, 0)``. The returned arrays may
+        be rows of ``cpos`` / ``positive``: read-only for the caller."""
         if not terms:
             n = cpos.shape[-1]
             return np.ones(n), []
         vals = [_safe_pow(cpos[k], nu) for k, nu in terms]
-        pi = vals[0].copy()
+        pi = vals[0]
         for v in vals[1:]:
-            pi *= v
+            pi = pi * v
         derivs = []
         for a, (k, nu) in enumerate(terms):
             other = None
             for b, v in enumerate(vals):
                 if b == a:
                     continue
-                other = v.copy() if other is None else other * v
-            dp = _pow_deriv(cpos[k], nu)
+                other = v if other is None else other * v
+            dp = _pow_deriv(cpos[k], positive[k], nu)
             derivs.append((k, dp if other is None else dp * other))
         return pi, derivs
 
-    def _kc_derivs(self, T, g_rt, h_m, data):
-        """(Kc, d ln Kc/dT) for one reaction (van 't Hoff)."""
+    def _kc_derivs(self, T, p_rt, rut_T, g_rt, h_m, data):
+        """(Kc, d ln Kc/dT) for one reaction (van 't Hoff).
+
+        ``p_rt = p_atm / Ru T`` and ``rut_T = Ru T^2``. ``Kc`` is formed
+        here rather than taken from the evaluator: ``p_rt ** dn`` rounds
+        differently from its repeated multiply.
+        """
         dg = None
         dh = None
         for i, nu in data["net"]:
@@ -466,8 +506,8 @@ class SourceTermJacobian:
         dn = data["delta_nu"]
         kc = np.exp(-dg)
         if dn != 0.0:
-            kc = kc * (P_ATM / (RU * T)) ** dn
-        dlnkc = -dn / T + dh / (RU * T * T)
+            kc = kc * p_rt**dn
+        dlnkc = -dn / T + dh / rut_T
         return kc, dlnkc
 
     @staticmethod

@@ -43,6 +43,14 @@ from repro.util.reduction import axis0_sum
 _TINY = 1e-300
 
 
+def _weighted_sum(eff, C):
+    """``sum_i eff_i C_i`` accumulated in species-index order."""
+    m = eff[0] * C[0]
+    for i in range(1, len(eff)):
+        m += eff[i] * C[i]
+    return m
+
+
 @dataclass(frozen=True)
 class Arrhenius:
     """Modified Arrhenius rate ``k = A T^n exp(-Ea / Ru T)`` (SI units).
@@ -56,7 +64,11 @@ class Arrhenius:
 
     def __call__(self, T):
         T = np.asarray(T, dtype=float)
-        k = self.A * T**self.n
+        # T**0 is exactly 1 (NaN included): no pow call for n == 0
+        if self.n == 0:
+            k = np.full(T.shape, self.A, dtype=float)
+        else:
+            k = self.A * T**self.n
         if self.Ea != 0.0:
             k = k * np.exp(-self.Ea / (RU * T))
         return k
@@ -209,6 +221,36 @@ class KineticsEvaluator:
                     if name in self._index:
                         eff[self._index[name]] = value
                 self._tb_eff.append(eff)
+        # The evaluation plan: what reactions share is computed once per
+        # call (see shared_factors). ``_tb_vectors`` are the distinct
+        # efficiency vectors and ``_tb_group[j]`` the one reaction j uses;
+        # ``_pow_exps`` are the distinct nonzero temperature exponents and
+        # ``_rate_slot`` / ``_low_slot`` index them per Arrhenius form
+        # (None for n == 0). Exponents are merged only when equal in value
+        # and type, so each ``T ** n`` is the expression the reaction's
+        # own Arrhenius form would evaluate.
+        self._tb_vectors, self._tb_group = [], []
+        for eff in self._tb_eff:
+            g = None
+            if eff is not None:
+                g = next((k for k, v in enumerate(self._tb_vectors)
+                          if np.array_equal(v, eff)), len(self._tb_vectors))
+                if g == len(self._tb_vectors):
+                    self._tb_vectors.append(eff)
+            self._tb_group.append(g)
+        slots = {}
+
+        def slot(arrh):
+            if arrh is None or arrh.n == 0:
+                return None
+            return slots.setdefault((arrh.n, type(arrh.n)), len(slots))
+
+        self._rate_slot = [slot(rxn.rate) for rxn in self.reactions]
+        self._low_slot = [
+            slot(rxn.falloff.low if rxn.falloff is not None else None)
+            for rxn in self.reactions
+        ]
+        self._pow_exps = [n for n, _ in slots]
         # Sparse per-reaction participation for fast rate-of-progress.
         self._fwd_terms = [
             [
@@ -240,26 +282,71 @@ class KineticsEvaluator:
     def n_reactions(self) -> int:
         return len(self.reactions)
 
+    def shared_factors(self, T, C=None):
+        """What the reactions share at one ``(T, C)``, each computed once.
+
+        Returns ``(powT, rut, tbc)``: ``powT[s] = T ** n`` per distinct
+        nonzero Arrhenius exponent, ``rut = Ru T``, and ``tbc[g] = [M]``
+        per distinct third-body efficiency vector (``None`` without
+        ``C``). Each is the expression a reaction evaluating alone would
+        form, so sharing them changes no bits.
+        """
+        powT = [T**n for n in self._pow_exps]
+        tbc = None
+        if C is not None:
+            tbc = [_weighted_sum(eff, C) for eff in self._tb_vectors]
+        return powT, RU * T, tbc
+
+    @staticmethod
+    def arrhenius_into(out, arrh, slot, powT, rut, scratch):
+        """``out <- A T^n exp(-Ea / Ru T)`` in place from shared factors.
+
+        ``scratch`` has ``out``'s shape; same operations per element as
+        :meth:`Arrhenius.__call__`.
+        """
+        if slot is None:
+            out[...] = arrh.A
+        else:
+            np.multiply(arrh.A, powT[slot], out=out)
+        if arrh.Ea != 0.0:
+            np.divide(-arrh.Ea, rut, out=scratch)
+            np.exp(scratch, out=scratch)
+            out *= scratch
+        return out
+
+    def _forward_constants_into(self, kf, T, factors):
+        """Fill ``kf`` (Nr,)+S with the falloff-blended forward constants."""
+        powT, rut, tbc = factors
+        scratch = np.empty((1,) + T.shape)
+        k0 = np.empty((1,) + T.shape)
+        for j, rxn in enumerate(self.reactions):
+            # (1,)+S row views: writable even for 0-d grids
+            row = kf[j : j + 1]
+            self.arrhenius_into(row, rxn.rate, self._rate_slot[j], powT, rut,
+                                scratch)
+            if rxn.falloff is not None:
+                if tbc is None:
+                    raise ValueError("falloff reactions need concentrations")
+                self.arrhenius_into(k0, rxn.falloff.low, self._low_slot[j],
+                                    powT, rut, scratch)
+                pr = k0 * tbc[self._tb_group[j]]
+                pr /= np.maximum(row, _TINY)
+                f = rxn.falloff.broadening(T, pr)
+                row *= pr / (1.0 + pr)
+                row *= f
+        return kf
+
     def forward_rate_constants(self, T, C=None):
         """Forward rate constants k_f per reaction (falloff-blended).
 
-        Returns a list of arrays broadcastable against ``T``; falloff
-        reactions require concentrations ``C`` (shape ``(Ns,) + S``).
+        Shape ``(Nr,) + S``; falloff reactions require concentrations
+        ``C`` (shape ``(Ns,) + S``).
         """
         T = np.asarray(T, dtype=float)
-        out = []
-        for j, rxn in enumerate(self.reactions):
-            kf = rxn.rate(T)
-            if rxn.falloff is not None:
-                if C is None:
-                    raise ValueError("falloff reactions need concentrations")
-                m = self._third_body_conc(j, C)
-                k0 = rxn.falloff.low(T)
-                pr = k0 * m / np.maximum(kf, _TINY)
-                f = rxn.falloff.broadening(T, pr)
-                kf = kf * (pr / (1.0 + pr)) * f
-            out.append(kf)
-        return out
+        if C is not None:
+            C = np.asarray(C, dtype=float)
+        kf = np.empty((self.n_reactions,) + T.shape)
+        return self._forward_constants_into(kf, T, self.shared_factors(T, C))
 
     def equilibrium_constants(self, T):
         """Concentration-based equilibrium constants Kc per reaction.
@@ -290,7 +377,8 @@ class KineticsEvaluator:
                 else:
                     acc += nu * g_rt[i]
         pow_base = P_ATM / (RU * T)
-        kc = np.exp(-dg)
+        kc = np.negative(dg, out=dg)
+        np.exp(kc, out=kc)
         for j, dn in enumerate(self._delta_nu):
             if dn == 0.0:
                 continue
@@ -309,37 +397,44 @@ class KineticsEvaluator:
         """[M] for reaction ``j``: fixed-order elementwise accumulation
         over species (shape-independent, see module docstring)."""
         eff = self._tb_eff[j]
-        if eff is None:
-            return axis0_sum(C)
-        m = eff[0] * C[0]
-        for i in range(1, len(eff)):
-            m += eff[i] * C[i]
-        return m
+        return axis0_sum(C) if eff is None else _weighted_sum(eff, C)
 
     def rates_of_progress(self, T, C):
-        """Net rates of progress q_r [mol/(m^3 s)], shape (Nr,) + S."""
+        """Net rates of progress q_r [mol/(m^3 s)], shape (Nr,) + S.
+
+        Executes the plan compiled at construction in place: shared
+        factors once (:meth:`shared_factors`), each ``k_f`` written
+        straight into its row of the result, the mass-action products
+        multiplied into that row, and the reverse rate formed in one
+        scratch row (``max(Kc, tiny)`` -> divide -> multiply ->
+        subtract). Per element this is the operation sequence of
+        evaluating every reaction on its own, so the result is a pure
+        function of the cell whatever the batch (``tests/test_kinetics.py``
+        pins it against that frozen evaluation).
+        """
         T = np.asarray(T, dtype=float)
         C = np.asarray(C, dtype=float)
-        kf_list = self.forward_rate_constants(T, C)
         kc = self.equilibrium_constants(T)
-        q = np.empty((self.n_reactions,) + T.shape)
+        factors = self.shared_factors(T, C)
+        tbc = factors[2]
         cpos = np.maximum(C, 0.0)
+        q = np.empty((self.n_reactions,) + T.shape)
+        self._forward_constants_into(q, T, factors)
+        rev = np.empty((1,) + T.shape)
         for j, rxn in enumerate(self.reactions):
-            fwd = np.array(kf_list[j], dtype=float, copy=True)
-            fwd = np.broadcast_to(fwd, T.shape).copy()
+            row = q[j : j + 1]
+            if rxn.reversible:  # k_r = k_f / Kc, before k_f is consumed
+                np.maximum(kc[j], _TINY, out=rev)
+                np.divide(row, rev, out=rev)
             for idx, nu in self._fwd_terms[j]:
-                fwd *= cpos[idx] if nu == 1 else cpos[idx] ** nu
-            rate = fwd
+                row *= cpos[idx] if nu == 1 else cpos[idx] ** nu
             if rxn.reversible:
-                kr = kf_list[j] / np.maximum(kc[j], _TINY)
-                rev = np.broadcast_to(np.asarray(kr, dtype=float), T.shape).copy()
                 for idx, nu in self._rev_terms[j]:
                     rev *= cpos[idx] if nu == 1 else cpos[idx] ** nu
-                rate = fwd - rev
+                row -= rev
             # Pure third-body (non-falloff) reactions scale with [M].
             if rxn.third_body is not None and rxn.falloff is None:
-                rate = rate * self._third_body_conc(j, C)
-            q[j] = rate
+                row *= tbc[self._tb_group[j]]
         return q
 
     def production_rates(self, T, C):

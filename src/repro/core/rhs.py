@@ -460,6 +460,7 @@ class CompressibleRHS:
         tel = self.telemetry
         with tel.span("THERMOPROPS"):
             rho, vel, T, p, Y, e0 = st.primitives(u)
+            st._t_cache = T  # an RHS evaluation: warm-start the next one
 
         # -- primitive gradients ---------------------------------------
         grad_vel = [[self.ops[b].apply_naive(vel[a], axis=b) for b in range(ndim)] for a in range(ndim)]

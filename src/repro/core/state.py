@@ -143,7 +143,11 @@ class State:
     def primitives(self, u=None):
         """Decode (rho, [u_alpha], T, p, Y, e0) from the conserved array.
 
-        Temperature uses (and refreshes) the cached Newton guess.
+        A pure observation: the temperature solve starts from the cached
+        Newton guess but leaves it untouched, so monitors, renders,
+        checkpoints and summaries may look at a live solver without
+        changing a bit of any later step. Only the RHS evaluations
+        (:meth:`primitives_ws`, the naive engine) refresh the cache.
         """
         u = self.u if u is None else u
         rho = u[self.i_rho]
@@ -156,7 +160,6 @@ class State:
             self._t_cache is not None and self._t_cache.shape == rho.shape
         ) else None
         T = self.mech.temperature_from_energy(e_int, Y, T_guess=guess)
-        self._t_cache = T
         p = self.mech.pressure(rho, T, Y)
         return rho, vel, T, p, Y, e0
 

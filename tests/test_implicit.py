@@ -32,9 +32,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import solve_ivp
 
-from repro.chemistry import ImplicitChemistry
+from repro.analysis.golden import burned_methane_state
+from repro.chemistry import ImplicitChemistry, implicit
 from repro.core import Grid, S3DSolver, SolverConfig, State
 from repro.core.config import periodic_boundaries
+from repro.core.solver import strang_reactor_inputs
+from repro.scenarios import bunsen_mixture, lifted_jet
+from repro.telemetry import Telemetry
 from repro.transport import ConstantLewisTransport
 from repro.util.constants import P_ATM
 
@@ -364,3 +368,328 @@ class TestParallelStrang:
         # and work actually moved: the hot spot makes rank loads uneven
         assert par.chemlb.last_plan is not None
         assert par.chemlb._work is not None
+
+
+# ----------------------------------------------------------------------
+# frozen oracle: the batch loop that evaluates everything every round
+# ----------------------------------------------------------------------
+#
+# `_oracle_*` below are the adaptive loop and the two trial-step kernels
+# as they stood before the f(z0) cache and the Jacobian-retention rule
+# (PR 13): every round re-evaluates source(z0) on every live cell and
+# every rejection refreshes the Jacobian. They are test-only and kept
+# verbatim apart from counting the cells they evaluate; the production
+# loop must reproduce their results bit for bit and do exactly the work
+# they do minus what the two rules save.
+
+def _oracle_rosw2_step(ic, z0, h, jac, kw):
+    ns, n = ic.stj.ns, ic.stj.n
+    M = (-(implicit._ROS_GAMMA) * h)[:, None, None] * jac
+    M[:, np.arange(n), np.arange(n)] += 1.0
+    lu, piv = implicit.batched_lu_factor(M)
+    f0 = ic.stj.source(z0[ns], z0[:ns], **kw)
+    k1 = implicit.batched_lu_solve(lu, piv, f0.T).T
+    z_mid = z0 + h[None] * k1
+    f1 = ic.stj.source(z_mid[ns], z_mid[:ns], **kw)
+    k2 = implicit.batched_lu_solve(lu, piv, (f1 - 2.0 * k1).T).T
+    z_new = z0 + (0.5 * h)[None] * (3.0 * k1 + k2)
+    err = (0.5 * h)[None] * (k1 + k2)
+    fail = ~np.isfinite(z_new).all(axis=0)
+    return z_new, err, fail, 2 * z0.shape[1]
+
+
+def _oracle_bdf2_step(ic, z0, h, jac, zp, hp, have, kw, wts):
+    ns, n = ic.stj.ns, ic.stj.n
+    m = z0.shape[1]
+    hp_safe = np.where(have, hp, 1.0)
+    r = np.where(have, h / hp_safe, 0.0)
+    denom = 1.0 + 2.0 * r
+    a1 = np.where(have, (1.0 + r) ** 2 / denom, 1.0)
+    a2 = np.where(have, -(r * r) / denom, 0.0)
+    beta = np.where(have, (1.0 + r) / denom, 1.0)
+    rhs_const = a1[None] * z0 + a2[None] * zp
+    zpred = np.where(have[None], z0 + r[None] * (z0 - zp), z0)
+    bh = beta * h
+    M = (-bh)[:, None, None] * jac
+    M[:, np.arange(n), np.arange(n)] += 1.0
+    lu, piv = implicit.batched_lu_factor(M)
+    zk = zpred.copy()
+    fail = np.zeros(m, dtype=bool)
+    idx = np.arange(m)
+    prev_dn = np.full(m, np.inf)
+    niter = sources = 0
+    for it in range(ic.max_newton):
+        f = ic.stj.source(zk[ns, idx], zk[:ns, idx], **ic._sub(kw, idx))
+        sources += int(idx.size)
+        G = zk[:, idx] - bh[idx][None] * f - rhs_const[:, idx]
+        delta = -implicit.batched_lu_solve(lu[idx], piv[idx], G.T).T
+        zk[:, idx] += delta
+        niter += int(idx.size)
+        dn = ic._error_norm(delta, wts[:, idx])
+        bad = ~np.isfinite(dn) | ~np.isfinite(zk[:, idx]).all(axis=0)
+        done = (dn < ic.newton_tol) & ~bad
+        if it >= 1:
+            stag = (dn < ic._NEWTON_STAG_TOL) & (dn >= 0.5 * prev_dn[idx])
+            done |= stag & ~bad
+        fail[idx[bad]] = True
+        prev_dn[idx] = dn
+        idx = idx[~done & ~bad]
+        if idx.size == 0:
+            break
+    fail[idx] = True
+    diff = zk - zpred
+    no_hist = ~have
+    if no_hist.any():
+        j = np.nonzero(no_hist)[0]
+        f0 = ic.stj.source(z0[ns, j], z0[:ns, j], **ic._sub(kw, j))
+        sources += int(j.size)
+        diff[:, j] = zk[:, j] - z0[:, j] - h[j][None] * f0
+    return zk, diff, fail, niter, sources
+
+
+def _oracle_advance(ic, T, Y, dt, rho):
+    """Returns ``(T1, Y1, work)`` with ``work`` the oracle's counts. Of
+    the rejections, ``retainable`` had a Jacobian evaluated at the state
+    the cell retries from and ``startup`` hit a cell with no history."""
+    kw = {"rho": np.broadcast_to(np.asarray(rho, dtype=float), T.shape)}
+    z = np.concatenate([Y, T[None]], axis=0)
+    ns, n = ic.stj.ns, ic.stj.n
+    N = z.shape[1]
+    t = np.zeros(N)
+    h = np.full(N, dt)
+    substeps = np.zeros(N, dtype=np.int64)
+    zprev = np.zeros_like(z)
+    hprev = np.ones(N)
+    have_hist = np.zeros(N, dtype=bool)
+    jac = np.zeros((N, n, n))
+    jac_age = np.full(N, ic.jac_reuse_limit, dtype=np.int64)
+    rejected = newton_total = factorizations = reuses = 0
+    source_cells = jacobian_cells = retainable = startup = 0
+    active = np.nonzero(t < dt * (1.0 - 1e-12))[0]
+    while active.size:
+        hA = np.minimum(h[active], dt - t[active])
+        need = jac_age[active] >= ic.jac_reuse_limit
+        if need.any():
+            idx = active[need]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                jac[idx] = ic.stj.jacobian(
+                    z[ns, idx], z[:ns, idx], **ic._sub(kw, idx)
+                )
+            jac_age[idx] = 0
+            jacobian_cells += int(idx.size)
+        reuses += int((~need).sum())
+        factorizations += int(active.size)
+        zA = z[:, active]
+        wts = ic._weights(zA)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if ic.method == "rosw2":
+                z_new, err, fail, nsrc = _oracle_rosw2_step(
+                    ic, zA, hA, jac[active], ic._sub(kw, active)
+                )
+            else:
+                z_new, err, fail, nit, nsrc = _oracle_bdf2_step(
+                    ic, zA, hA, jac[active], zprev[:, active], hprev[active],
+                    have_hist[active], ic._sub(kw, active), wts,
+                )
+                newton_total += nit
+            source_cells += nsrc
+            enorm = ic._error_norm(err, wts)
+        bad = fail | ~np.isfinite(enorm) | ~np.isfinite(z_new).all(axis=0)
+        ok = (enorm <= 1.0) & ~bad
+        acc = active[ok]
+        zprev[:, acc] = z[:, acc]
+        hprev[acc] = hA[ok]
+        have_hist[acc] = True
+        z[:, acc] = z_new[:, ok]
+        t[acc] += hA[ok]
+        substeps[acc] += 1
+        retainable += int((jac_age[active[~ok]] == 0).sum())
+        startup += int((~have_hist[active[~ok]]).sum())
+        jac_age[acc] += 1
+        rejected += int((~ok).sum())
+        jac_age[active[~ok]] = ic.jac_reuse_limit
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fac = ic.safety * enorm**-0.5
+        fac = np.where(np.isfinite(fac), fac, 5.0)
+        fac = np.clip(fac, 0.2, 5.0)
+        fac = np.where(bad, 0.25, fac)
+        h[active] = hA * fac
+        active = np.nonzero(t < dt * (1.0 - 1e-12))[0]
+    work = dict(substeps=substeps, rejected=rejected,
+                newton_iters=newton_total, factorizations=factorizations,
+                jacobian_reuses=reuses, source_cells=source_cells,
+                jacobian_cells=jacobian_cells, retainable=retainable,
+                startup=startup)
+    return z[ns], z[:ns], work
+
+
+def _oracle_lu_factor(a):
+    """The LU kernel that swaps at every elimination step, needed or not."""
+    lu = np.array(a, dtype=float, copy=True)
+    N, n, _ = lu.shape
+    piv = np.empty((N, n), dtype=np.int64)
+    rows = np.arange(N)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            p = np.abs(lu[:, k:, k]).argmax(axis=1) + k
+            piv[:, k] = p
+            tmp = lu[rows, p, :].copy()
+            lu[rows, p, :] = lu[rows, k, :]
+            lu[rows, k, :] = tmp
+            if k + 1 < n:
+                lu[:, k + 1 :, k] /= lu[:, k, None, k]
+                lu[:, k + 1 :, k + 1 :] -= (
+                    lu[:, k + 1 :, k, None] * lu[:, k, None, k + 1 :]
+                )
+    return lu, piv
+
+
+def _oracle_lu_solve(lu, piv, b):
+    x = np.array(b, dtype=float, copy=True)
+    N, n = x.shape
+    rows = np.arange(N)
+    for k in range(n):
+        p = piv[:, k]
+        tmp = x[rows, p].copy()
+        x[rows, p] = x[rows, k]
+        x[rows, k] = tmp
+    for k in range(1, n):
+        x[:, k] -= (lu[:, k, :k] * x[:, :k]).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1, -1, -1):
+            if k + 1 < n:
+                x[:, k] -= (lu[:, k, k + 1 :] * x[:, k + 1 :]).sum(axis=1)
+            x[:, k] /= lu[:, k, k]
+    return x
+
+
+class TestBatchedLU:
+    """Skipping the no-op row swaps changes no factor and no solution."""
+
+    @pytest.mark.parametrize("pivoting", ["none", "some", "all"])
+    @pytest.mark.parametrize("N", [1, 7, 70])
+    def test_bitwise_vs_always_swapping_kernel(self, rng, N, pivoting):
+        n = 10
+        A = rng.normal(size=(N, n, n))
+        if pivoting == "none":  # diagonally dominant: p == k throughout
+            A = np.eye(n)[None] - 0.02 * A
+        elif pivoting == "some":  # only the odd matrices pivot
+            A[::2] = np.eye(n)[None] - 0.02 * A[::2]
+        b = rng.normal(size=(N, n))
+        lu, piv = implicit.batched_lu_factor(A)
+        want_lu, want_piv = _oracle_lu_factor(A)
+        assert np.array_equal(piv, want_piv)
+        assert np.array_equal(lu, want_lu)
+        swapped = (piv != np.arange(n)).any()
+        assert swapped == (pivoting != "none") or N == 1
+        x = implicit.batched_lu_solve(lu, piv, b)
+        assert np.array_equal(x, _oracle_lu_solve(want_lu, want_piv, b))
+        np.testing.assert_allclose(x, np.linalg.solve(A, b[..., None])[..., 0],
+                                   rtol=1e-8, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def stiff_h2_cells():
+    """Every cell of the 100 atm lifted jet, three Strang steps in."""
+    solver, _ = lifted_jet(nx=36, ny=24, seed=0, fluct=0.0, p=100.0 * P_ATM,
+                           chemistry_mode="strang")
+    for _ in range(3):
+        solver.step()
+    st = solver.state
+    rho, e, Y = strang_reactor_inputs(st.u, st.ndim, st.mech.n_species)
+    return st.mech, rho, st.mech.temperature_from_energy(e, Y), Y, 6.0e-8
+
+
+@pytest.fixture(scope="module")
+def stiff_ch4_cells(ch4_mech):
+    """A 100 atm lean CH4/air flame brush, fresh gas to products."""
+    mech = ch4_mech
+    t_b, y_b = burned_methane_state(mech)
+    y_u = bunsen_mixture(mech, 0.7)
+    c = np.linspace(0.0, 1.0, 48) ** 2
+    Y = (1.0 - c)[None] * y_u[:, None] + c[None] * y_b[:, None]
+    Y[mech.index("CO")] += 1e-3 * np.sin(np.arange(c.size)) ** 2
+    Y /= Y.sum(axis=0)
+    T = 900.0 + (t_b - 900.0) * c
+    return mech, mech.density(100.0 * P_ATM, T, Y), T, Y, 2.0e-8
+
+
+def _assert_same_integration(stats, T1, Y1, want_T1, want_Y1, want):
+    assert np.array_equal(T1, want_T1)
+    assert np.array_equal(Y1, want_Y1)
+    assert np.array_equal(stats.substeps, want["substeps"])
+    assert (stats.rejected, stats.newton_iters, stats.factorizations) == (
+        want["rejected"], want["newton_iters"], want["factorizations"])
+
+
+class TestFrozenOracle:
+    """The production batch loop against the loop that redoes everything."""
+
+    @pytest.fixture(params=["h2", "ch4"])
+    def cells(self, request):
+        return request.getfixturevalue(f"stiff_{request.param}_cells")
+
+    @pytest.mark.parametrize("method", ["rosw2", "bdf2"])
+    def test_bitwise_and_exact_work(self, cells, method):
+        mech, rho, T, Y, dt = cells
+        ic = ImplicitChemistry(mech, closure="constant-volume", method=method)
+        want_T1, want_Y1, want = _oracle_advance(ic, T.copy(), Y.copy(), dt, rho)
+        T1, Y1, stats = ic.advance(T.copy(), Y.copy(), dt, rho=rho)
+        _assert_same_integration(stats, T1, Y1, want_T1, want_Y1, want)
+        assert want["rejected"] > 0 and want["retainable"] > 0  # both rules bite
+        # every retry reuses f(z0): rosw2 needs it on each trial step,
+        # bdf2 only for the error estimate of cells with no history yet
+        saved = want["rejected" if method == "rosw2" else "startup"]
+        assert saved > 0
+        assert stats.source_cells == want["source_cells"] - saved
+        assert stats.jacobian_cells == want["jacobian_cells"] - want["retainable"]
+        assert stats.jacobian_reuses == want["jacobian_reuses"] + want["retainable"]
+
+    @pytest.mark.parametrize("method", ["rosw2", "bdf2"])
+    def test_single_cell_and_permuted(self, cells, method):
+        mech, rho, T, Y, dt = cells
+        ic = ImplicitChemistry(mech, closure="constant-volume", method=method)
+        want_T1, want_Y1, want = _oracle_advance(ic, T.copy(), Y.copy(), dt, rho)
+        hardest = int(np.argmax(want["substeps"]))
+        for idx in (np.array([hardest]),
+                    np.random.default_rng(3).permutation(T.size)):
+            T1, Y1, stats = ic.advance(T[idx].copy(), Y[:, idx].copy(), dt,
+                                       rho=rho[idx])
+            assert np.array_equal(T1, want_T1[idx])
+            assert np.array_equal(Y1, want_Y1[:, idx])
+            assert np.array_equal(stats.substeps, want["substeps"][idx])
+
+    @given(data=hst.data(), method=_methods)
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_sub_batches(self, stiff_h2_cells, data, method):
+        mech, rho, T, Y, dt = stiff_h2_cells
+        idx = np.array(data.draw(hst.lists(
+            hst.integers(0, T.size - 1), min_size=1, max_size=24, unique=True)))
+        ic = ImplicitChemistry(mech, closure="constant-volume", method=method)
+        want_T1, want_Y1, want = _oracle_advance(
+            ic, T[idx].copy(), Y[:, idx].copy(), dt, rho[idx])
+        T1, Y1, stats = ic.advance(T[idx].copy(), Y[:, idx].copy(), dt,
+                                   rho=rho[idx])
+        _assert_same_integration(stats, T1, Y1, want_T1, want_Y1, want)
+
+    def test_counters_reach_telemetry(self, stiff_h2_cells):
+        mech, rho, T, Y, dt = stiff_h2_cells
+        tel = Telemetry()
+        ic = ImplicitChemistry(mech, closure="constant-volume", telemetry=tel)
+        _, _, stats = ic.advance(T[:96].copy(), Y[:, :96].copy(), dt,
+                                 rho=rho[:96])
+        counters = tel.snapshot()["metrics"]["counters"]
+        assert counters["chem.implicit.source_cells"] == stats.source_cells
+        assert counters["chem.implicit.jacobian_cells"] == stats.jacobian_cells
+        assert stats.source_cells > 0 and stats.jacobian_cells > 0
+
+
+class TestRoundLimits:
+    def test_errors_name_the_live_cells(self, stiff_h2_cells):
+        mech, rho, T, Y, dt = stiff_h2_cells
+        ic = ImplicitChemistry(mech, closure="constant-volume", max_substeps=1)
+        with pytest.raises(RuntimeError, match=r"max_substeps=1 rounds; "
+                           r"\d+ cells still live, smallest h = \S+ s"):
+            ic.advance(T.copy(), Y.copy(), dt, rho=rho)

@@ -11,6 +11,8 @@ broadening-factor derivatives the built-in mechanisms (constant-Fcent
 falloff) don't exercise.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,61 @@ class TestBatchShapeIndependence:
         lam = stj.stiffness_estimate(T, Y, rho=h2_mech.density(P_ATM, T, Y))
         assert lam.shape == (6,)
         assert (lam > 0).all()
+
+
+# ----------------------------------------------------------------------
+# bitwise pins against the commit before the shared-factor plan
+# ----------------------------------------------------------------------
+
+#: sha256 over ``J.tobytes() + source.tobytes()`` of the states below,
+#: computed at the parent commit of PR 13 (before the Jacobian took its
+#: Arrhenius factors, Ru T and [M] from the kinetics plan and ``source``
+#: fused its thermo pass). Like the lifted-jet state hashes these depend
+#: on the platform's libm only through exp/log/pow.
+PARENT_DIGESTS = {
+    ("h2", "constant-volume", 1): "7c340b88e0935b10ab5219343649679e51078965de65111b89ddb43c16786cf3",
+    ("h2", "constant-volume", 2): "2a0b9e07d63fadd4dad3eb29bdff84e5f57a5f556379fd1c99316c4a6fc6bbb6",
+    ("h2", "constant-volume", 68): "9707d4bc90e29dc76999723845d7d00c45b182b2576774d6b182368aa75d5ea3",
+    ("h2", "constant-pressure", 1): "b2dc35a4475ef91c71e35d85634c271b0bfd156b74a0b4987112c81b59208781",
+    ("h2", "constant-pressure", 2): "2d24bcdd57d57899c29352d912746247ce4bc4906f2fd3a7cdbac744ae11ee7a",
+    ("h2", "constant-pressure", 68): "5d997dc8bc867b81255081a7cd0bcad1a75a1b9489acd57e58e2abf6ad268e47",
+    ("ch4", "constant-volume", 1): "de72c8330392432b6273ba88c0692cb8534bbdf8e77ad43ef6f36a9dffe91a28",
+    ("ch4", "constant-volume", 2): "3e3415b7ccec7572d9482fc13fb558398180a65b9f08d03385317f25565cc921",
+    ("ch4", "constant-volume", 68): "ef240d941aceae01a27384714a5afb89bf222eb14f6e3ed717e98fe2720f8231",
+    ("ch4", "constant-pressure", 1): "4ee354c27ec0e16dd780a2f1751cb33e4d8087a3da14b6a7074cdc8fa78fc8a8",
+    ("ch4", "constant-pressure", 2): "e13d118b64818f8b1bfe5b5d6b94ecd95429d95ca1617eb32422832bc735b4a7",
+    ("ch4", "constant-pressure", 68): "d914b03b7583f8c3d53e7d8417187b39de68ab2a7bf11c3f95564040eaf2d055",
+}
+
+
+def _pinned_states(mech, n_cells):
+    rng = np.random.default_rng(13)
+    T = rng.uniform(320.0, 2800.0, n_cells)
+    Y = rng.uniform(0.0, 1.0, (mech.n_species, n_cells)) ** 2
+    Y[1, ::4] = 0.0  # exact zeros: the clipped-power sub-gradients
+    Y /= Y.sum(axis=0)
+    return T, Y
+
+
+class TestBitwiseAgainstParentCommit:
+    @pytest.mark.parametrize("key", list(PARENT_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+    def test_jacobian_and_source(self, key, h2_mech, ch4_mech):
+        name, mode, n_cells = key
+        mech = {"h2": h2_mech, "ch4": ch4_mech}[name]
+        stj = SourceTermJacobian(mech, mode=mode)
+        T, Y = _pinned_states(mech, n_cells)
+        kw = ({"rho": mech.density(100.0 * P_ATM, T, Y)}
+              if mode == "constant-volume" else {"p": 100.0 * P_ATM})
+        f, J = stj.source_and_jacobian(T, Y, **kw)
+        assert np.array_equal(J, stj.jacobian(T, Y, **kw))
+        blob = J.tobytes() + stj.source(T, Y, **kw).tobytes()
+        assert hashlib.sha256(blob).hexdigest() == PARENT_DIGESTS[key]
+
+    def test_single_cells_match_the_batch(self, h2_mech):
+        stj = SourceTermJacobian(h2_mech, mode="constant-volume")
+        T, Y = _pinned_states(h2_mech, 68)
+        rho = h2_mech.density(100.0 * P_ATM, T, Y)
+        J = stj.jacobian(T, Y, rho=rho)
+        for c in (0, 4, 67):  # 4: a zeroed species
+            one = stj.jacobian(T[c:c + 1], Y[:, c:c + 1], rho=rho[c:c + 1])
+            assert np.array_equal(one[0], J[c])

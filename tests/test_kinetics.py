@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from repro.chemistry import Arrhenius, Falloff, Reaction, ThirdBody
 from repro.chemistry.kinetics import KineticsEvaluator
@@ -266,3 +268,145 @@ class TestProductionRates:
         C[1] = 4.0
         q = mech.kinetics.rates_of_progress(T, C)
         assert q[0, 0] == pytest.approx(2.0 * 4.0**0.5)
+
+
+# ----------------------------------------------------------------------
+# frozen oracle: every reaction evaluated on its own
+# ----------------------------------------------------------------------
+#
+# `_oracle_production_rates` is the evaluator body as it stood before the
+# compiled plan (PR 13): each reaction calls its own Arrhenius form
+# (``A * T**n`` even for n = 0), accumulates its own [M], and builds its
+# rate from fresh copies. Test-only; the planned evaluator must return
+# the same bits for every shape and every kind of input.
+
+def _oracle_arrhenius(arrh, T):
+    k = arrh.A * T**arrh.n
+    if arrh.Ea != 0.0:
+        k = k * np.exp(-arrh.Ea / (RU * T))
+    return k
+
+
+def _oracle_production_rates(kin, T, C):
+    T = np.asarray(T, dtype=float)
+    C = np.asarray(C, dtype=float)
+    kf_list = []
+    for j, rxn in enumerate(kin.reactions):
+        kf = _oracle_arrhenius(rxn.rate, T)
+        if rxn.falloff is not None:
+            m = kin._third_body_conc(j, C)
+            k0 = _oracle_arrhenius(rxn.falloff.low, T)
+            pr = k0 * m / np.maximum(kf, 1e-300)
+            f = rxn.falloff.broadening(T, pr)
+            kf = kf * (pr / (1.0 + pr)) * f
+        kf_list.append(kf)
+    kc = kin.equilibrium_constants(T)
+    q = np.empty((kin.n_reactions,) + T.shape)
+    cpos = np.maximum(C, 0.0)
+    for j, rxn in enumerate(kin.reactions):
+        fwd = np.array(kf_list[j], dtype=float, copy=True)
+        fwd = np.broadcast_to(fwd, T.shape).copy()
+        for idx, nu in kin._fwd_terms[j]:
+            fwd *= cpos[idx] if nu == 1 else cpos[idx] ** nu
+        rate = fwd
+        if rxn.reversible:
+            kr = kf_list[j] / np.maximum(kc[j], 1e-300)
+            rev = np.broadcast_to(np.asarray(kr, dtype=float), T.shape).copy()
+            for idx, nu in kin._rev_terms[j]:
+                rev *= cpos[idx] if nu == 1 else cpos[idx] ** nu
+            rate = fwd - rev
+        if rxn.third_body is not None and rxn.falloff is None:
+            rate = rate * kin._third_body_conc(j, C)
+        q[j] = rate
+    wdot = np.zeros((len(kin.species_names),) + T.shape)
+    for i, terms in enumerate(kin._species_terms):
+        acc = wdot[i : i + 1]
+        for j, nu in terms:
+            if nu == 1.0:
+                acc += q[j]
+            elif nu == -1.0:
+                acc -= q[j]
+            else:
+                acc += nu * q[j]
+    return wdot
+
+
+def _flame_like(mech, shape, rng):
+    """(T, C) at 100 atm spanning cold reactants to hot products."""
+    T = rng.uniform(400.0, 2600.0, shape)
+    Y = rng.uniform(0.0, 1.0, (mech.n_species,) + shape) ** 3
+    Y /= Y.sum(axis=0)
+    return T, mech.concentrations(mech.density(100.0 * P_ATM, T, Y), Y)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.jacobian  # the plan is shared with SourceTermJacobian: same CI lane
+class TestPlannedEvaluatorIsBitwise:
+    @pytest.fixture(params=["h2_mech", "ch4_mech", "ch4_1s_mech"])
+    def mech(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize(
+        "shape", [(), (1,), (2,), (257,), (5, 3), (3, 4, 2), (40000,)])
+    def test_shapes(self, mech, rng, shape):
+        T, C = _flame_like(mech, shape, rng)
+        kin = mech.kinetics
+        assert _same_bits(kin.production_rates(T, C),
+                          _oracle_production_rates(kin, T, C))
+
+    def test_zero_and_negative_concentrations(self, mech, rng):
+        T, C = _flame_like(mech, (64,), rng)
+        C[:, ::3] *= -1.0
+        C[1, ::5] = 0.0
+        C[:, 7] = 0.0
+        kin = mech.kinetics
+        assert _same_bits(kin.production_rates(T, C),
+                          _oracle_production_rates(kin, T, C))
+
+    def test_nan_and_inf_pass_through(self, mech, rng):
+        T, C = _flame_like(mech, (32,), rng)
+        T[3], T[4] = np.nan, np.inf
+        C[0, 9], C[1, 11] = np.nan, np.inf
+        kin = mech.kinetics
+        with np.errstate(all="ignore"):
+            got = kin.production_rates(T, C)
+            want = _oracle_production_rates(kin, T, C)
+        assert _same_bits(got, want)
+        assert np.isnan(got[:, 3]).any() and np.isfinite(got[:, 0]).all()
+
+    def test_strided_views(self, mech, rng):
+        T, C = _flame_like(mech, (6, 10), rng)
+        kin = mech.kinetics
+        want = _oracle_production_rates(kin, T, C)
+        got = kin.production_rates(T.T, np.swapaxes(C, 1, 2))
+        assert _same_bits(np.swapaxes(got, 1, 2), want)
+
+    @given(data=hst.data())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_sub_batch(self, h2_mech, data):
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**31 - 1)))
+        T, C = _flame_like(h2_mech, (48,), rng)
+        idx = np.array(data.draw(hst.lists(hst.integers(0, 47), min_size=1,
+                                           max_size=48)))
+        kin = h2_mech.kinetics
+        want = _oracle_production_rates(kin, T, C)
+        assert _same_bits(kin.production_rates(T[idx], C[:, idx]),
+                          want[:, idx])
+
+    def test_plan_shares_what_li2004_repeats(self, h2_mech):
+        kin = h2_mech.kinetics
+        assert len(kin._pow_exps) == 11  # + n = 0: 12 exponents, 23 forms
+        assert len(kin._tb_vectors) == 2  # for 6 third-body/falloff reactions
+
+
+class TestArrheniusWithoutPow:
+    @pytest.mark.parametrize("Ea", [0.0, 5.0e4])
+    def test_n_zero_is_the_pow_expression_bitwise(self, Ea):
+        T = np.array([[300.0, 1500.0, np.nan], [np.inf, 0.0, 2500.0]])
+        k = Arrhenius(A=3.5e8, n=0.0, Ea=Ea)
+        with np.errstate(all="ignore"):
+            assert _same_bits(k(T), _oracle_arrhenius(k, T))

@@ -151,10 +151,13 @@ class TestWorkspaceBehavior:
 
     @pytest.mark.parametrize(
         "reacting,max_ratio",
-        # viscous transport + fluxes are fully arena-backed; the reacting
-        # path still allocates inside the kinetics evaluator (known
-        # remaining work), so it only has to be well below naive
-        [(False, 0.05), (True, 0.35)],
+        # viscous transport + fluxes are fully arena-backed. The kinetics
+        # evaluator's per-call buffers are transient by design (one
+        # (Nr,)+S result, the shared factors, Kc; measured 0.194 of naive,
+        # 0.232 before the in-place plan) — persistent arena slots for
+        # them would remove no pass and raise peak RSS, see
+        # docs/PERFORMANCE.md "Known remaining allocation sources"
+        [(False, 0.05), (True, 0.22)],
         ids=["viscous", "reacting"],
     )
     def test_warm_eval_tracemalloc_far_below_naive(self, reacting, max_ratio):

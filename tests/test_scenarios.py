@@ -12,8 +12,12 @@ from repro.scenarios import (
     lifted_jet,
     premixed_flame_box,
 )
+from repro.analysis.golden import summarize_solver
 from repro.chemistry import ch4_twostep
+from repro.io import S3DCheckpoint, SimFileSystem, lustre
+from repro.io.restart import checkpoint_state
 from repro.util.constants import P_ATM
+from repro.viz.insitu import InSituRenderer
 
 
 class TestStreams:
@@ -91,6 +95,41 @@ class TestLiftedJetStateHashes:
             3, fluct=0.0, p=100.0 * P_ATM, chemistry_mode="strang"
         )
         assert digest == self.STRANG_3_STEPS
+
+
+class TestObserversLeaveNoTrace:
+    """Looking at a live solver changes no bit of any later step: the
+    decoders observers use start from the Newton warm-start cache but do
+    not refresh it (only RHS evaluations do)."""
+
+    STRANG = dict(fluct=0.0, p=100.0 * P_ATM, chemistry_mode="strang")
+
+    @staticmethod
+    def _run(observe, **kwargs):
+        solver, _ = lifted_jet(nx=36, ny=24, seed=0, **kwargs)
+        for step in range(4):
+            solver.step()
+            if observe and step == 1:
+                summarize_solver(solver, ("H2", "OH"))
+                InSituRenderer(fields=("T", "OH"))(
+                    solver.step_count, solver.time, solver.state)
+                solver.primitives()
+        return solver.state.u
+
+    @pytest.mark.parametrize("kwargs", [{}, STRANG], ids=["explicit", "strang"])
+    def test_observed_run_is_bitwise_the_undisturbed_run(self, kwargs):
+        assert np.array_equal(self._run(True, **kwargs),
+                              self._run(False, **kwargs))
+
+    def test_primitive_checkpoint_leaves_the_cache(self):
+        solver, _ = lifted_jet(nx=36, ny=24, seed=0)
+        solver.step()
+        cache = solver.state._t_cache
+        before = cache.copy()
+        ck = S3DCheckpoint(proc_shape=(2, 2, 1), block=(18, 12, 1))
+        checkpoint_state(SimFileSystem(lustre()), ck, solver, 0)
+        assert solver.state._t_cache is cache
+        assert np.array_equal(cache, before)
 
 
 class TestPremixedBox:
