@@ -14,7 +14,7 @@ not), or when the headline 3-D reacting H2 case falls under the hard
 2x floor.
 
 Beyond the engine comparison, ``--backends`` times the batched engine
-under each requested array backend (``numpy``, ``numba``, ``torch``)
+under each requested array backend (``numpy``, ``numba``)
 with the same interleaved-minima protocol, reporting a
 ``speedup_vs_reference`` column (reference = the NumPy batched engine).
 Backends whose optional package is absent are recorded under

@@ -23,7 +23,7 @@ def main():
     state = ic.pressure_pulse(mech, grid, p0=P_ATM, T0=300.0, Y=y_air,
                               amplitude=1e-3, width=0.05)
     cfg = SolverConfig(boundaries=periodic_boundaries(1), cfl=0.5,
-                       filter_interval=1, filter_alpha=0.2)
+                       filter_interval=1, filter_alpha=0.2, telemetry=True)
     solver = S3DSolver(state, cfg, transport=None, reacting=False)
 
     mass0, energy0 = state.total_mass(), state.total_energy()
@@ -43,7 +43,7 @@ def main():
     print(f"energy drift:       {abs(state.total_energy() - energy0) / abs(energy0):.2e}")
     print(f"pulse peak at:      {x_peak:.3f} "
           f"(acoustic predictions: {left:.3f} and {right:.3f})")
-    print(solver.performance_report())
+    print(solver.profile_report())
 
 
 if __name__ == "__main__":

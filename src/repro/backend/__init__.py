@@ -1,12 +1,13 @@
 """Pluggable array backends for the hot RHS kernels.
 
-The batched RHS engine (see :mod:`repro.core.rhs`) is written against a
-small execution protocol — :class:`ArrayBackend` — instead of calling
-NumPy directly at its hottest points. Three backends implement it:
+The batched RHS engine (see :mod:`repro.core.rhs`) runs its hottest
+kernels — the stencil sweeps, the Newton temperature inversion and the
+production rates — through a small execution protocol,
+:class:`ArrayBackend`. Two backends implement it:
 
 ``numpy``
-    The bitwise-pinned reference (default). Its ufunc namespace *is* the
-    :mod:`numpy` module and it registers no fused kernels, so every code
+    The bitwise-pinned reference (default). It registers no fused
+    kernels and its hooks call the mechanism directly, so every code
     path is literally the pre-backend implementation: all existing
     bitwise guarantees (engine cross-checks, goldens, restart identity)
     are untouched by construction.
@@ -17,30 +18,17 @@ NumPy directly at its hottest points. Three backends implement it:
     arena buffers. Importability-gated: resolving it without the
     ``numba`` package raises :class:`BackendUnavailable` naming the
     missing package, and conformance tests skip with that reason.
-``torch``
-    Executes the same kernels as Torch tensor programs with device
-    selection (CPU fallback; CUDA when available, override with
-    ``REPRO_TORCH_DEVICE``). Device-side scratch lives in an
-    out-of-place analogue of the arena, keyed like
-    :class:`~repro.core.workspace.Workspace` slots; conversion at the
-    kernel boundary is zero-copy on CPU. Importability-gated like numba.
 
-Non-reference backends are verified by tolerance-based conformance
+The non-reference backend is verified by tolerance-based conformance
 tests against the NumPy reference (≤ 1e-12 relative); the reference
 itself remains the truth for every bitwise contract in the test suite.
 
-Selection mirrors the existing engine/transport switches: an explicit
-``backend=`` argument (a name or an :class:`ArrayBackend` instance)
-beats :attr:`~repro.core.config.SolverConfig.rhs_backend` (passed
-explicitly by the solver), which beats the ``REPRO_RHS_BACKEND``
-environment variable, which defaults to ``"numpy"``.
+Selection is the ``rhs_backend`` knob of
+:data:`repro.core.config.KNOBS`; an :class:`ArrayBackend` instance
+passed as ``backend=`` is used as is.
 """
 
 from __future__ import annotations
-
-import os
-
-import numpy as np
 
 __all__ = [
     "ArrayBackend",
@@ -48,7 +36,6 @@ __all__ = [
     "BACKEND_NAMES",
     "register_backend",
     "resolve_backend",
-    "validate_backend_name",
     "backend_skip_reason",
 ]
 
@@ -73,21 +60,18 @@ class BackendUnavailable(RuntimeError):
 class ArrayBackend:
     """Execution protocol for the batched RHS program.
 
-    A backend supplies (1) allocation and host conversion for the arena
-    buffers, (2) a NumPy-compatible ufunc namespace :attr:`xp`, (3) a
-    registry of optional *fused kernels* the core operators consult, and
-    (4) override hooks for the chemistry/transport bundles. Every hook
-    defaults to the host reference implementation, so a backend
+    A backend supplies a registry of optional *fused kernels* the core
+    stencil operators consult, and the two chemistry hooks below. Every
+    hook defaults to the host reference implementation, so a backend
     overrides exactly the pieces it accelerates and inherits bitwise
-    reference behavior for the rest.
+    reference behavior for the rest. Arena buffers are plain NumPy
+    arrays on every backend.
     """
 
     #: registry name; subclasses must override
     name = "abstract"
     #: True only for the bitwise-pinned NumPy reference backend
     is_reference = False
-    #: ufunc namespace used by generic code (numpy-compatible subset)
-    xp = np
 
     def __init__(self):
         #: fused kernels compiled so far (telemetry: backend.compile_count)
@@ -106,30 +90,6 @@ class ArrayBackend:
         """Human-readable unavailability reason naming the missing package."""
         return None
 
-    # -- allocation and conversion --------------------------------------
-    def empty(self, shape, dtype=np.float64):
-        """Uninitialized arena buffer of the backend's native array type."""
-        return np.empty(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype=np.float64):
-        return np.zeros(shape, dtype=dtype)
-
-    def asarray(self, x, dtype=np.float64):
-        """Convert host data to the backend's native array type."""
-        return np.asarray(x, dtype=dtype)
-
-    def to_numpy(self, x) -> np.ndarray:
-        """Convert a native array back to a host ndarray (no-op on host)."""
-        return np.asarray(x)
-
-    def nbytes(self, arr) -> int:
-        """Resident size of a native arena buffer."""
-        return int(arr.nbytes)
-
-    def fill(self, arr, value) -> None:
-        """In-place fill of a native arena buffer."""
-        arr.fill(value)
-
     # -- fused kernels ---------------------------------------------------
     def kernel(self, name: str):
         """The fused kernel registered under ``name``, or None.
@@ -142,21 +102,14 @@ class ArrayBackend:
         """
         return None
 
-    # -- chemistry / transport hooks (default: host reference) -----------
+    # -- chemistry hooks (default: host reference) ------------------------
     def temperature_from_energy(self, mech, e, Y, T_guess=None):
         """Newton inversion of e(T, Y); the primitive-recovery hot spot."""
         return mech.temperature_from_energy(e, Y, T_guess=T_guess)
 
-    def species_enthalpy_mass(self, mech, T):
-        return mech.species_enthalpy_mass(T)
-
     def production_rates(self, mech, rho, T, Y):
         """Chemical source terms W_i ω̇_i for the reaction block."""
         return mech.production_rates(rho, T, Y)
-
-    def transport_evaluate(self, transport, T, p, Y, workspace=None):
-        """Mixture-averaged transport bundle (host-evaluated by default)."""
-        return transport.evaluate(T, p, Y, workspace=workspace)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -177,60 +130,44 @@ def register_backend(cls):
     return cls
 
 
-def _known() -> tuple:
-    return tuple(_REGISTRY)
+def _registered(name) -> type:
+    # imported here, not at module level: repro.core imports this package
+    from repro.core.config import resolve
 
-
-def validate_backend_name(name: str) -> str:
-    """Raise ValueError (listing registered backends) on an unknown name.
-
-    Availability is *not* checked — config validation must succeed on
-    machines without the optional package; the actual resolution at RHS
-    construction raises :class:`BackendUnavailable` instead.
-    """
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown RHS backend {name!r}; registered backends: {_known()}"
-        )
-    return name
+    return _REGISTRY[resolve("rhs_backend", name)]
 
 
 def backend_skip_reason(name: str) -> str | None:
     """Why ``name`` would skip (missing package), or None when runnable."""
-    validate_backend_name(name)
-    return _REGISTRY[name].skip_reason()
+    return _registered(name).skip_reason()
 
 
 def resolve_backend(backend=None) -> ArrayBackend:
     """Resolve a backend selection to a (shared) live instance.
 
     ``backend`` may be an :class:`ArrayBackend` instance (returned as
-    is), a registered name, or ``None`` — which defers to the
-    ``REPRO_RHS_BACKEND`` environment variable and finally ``"numpy"``,
-    exactly like the engine/transport switches. Instances are cached per
-    name so JIT-compiled kernels are shared process-wide.
+    is) or the ``rhs_backend`` knob value (``None`` defers to its
+    environment variable and default). Knowing a name does not need its
+    package; building it does, and raises :class:`BackendUnavailable`
+    otherwise. Instances are cached per name so JIT-compiled kernels are
+    shared process-wide.
     """
     if isinstance(backend, ArrayBackend):
         return backend
-    if backend is None:
-        backend = os.environ.get("REPRO_RHS_BACKEND") or "numpy"
-    validate_backend_name(backend)
-    cls = _REGISTRY[backend]
+    cls = _registered(backend)
     if not cls.available():
-        raise BackendUnavailable(backend, cls.missing_package)
-    inst = _INSTANCES.get(backend)
+        raise BackendUnavailable(cls.name, cls.missing_package)
+    inst = _INSTANCES.get(cls.name)
     if inst is None:
-        inst = cls()
-        _INSTANCES[backend] = inst
+        inst = _INSTANCES[cls.name] = cls()
     return inst
 
 
-# Import the concrete backends for their registration side effects. Each
-# module guards its optional dependency, so importing this package never
-# requires numba or torch.
+# Import the concrete backends for their registration side effects. The
+# numba module guards its optional dependency, so importing this package
+# never requires numba.
 from repro.backend import numpy_ref as _numpy_ref  # noqa: E402,F401
 from repro.backend import numba_jit as _numba_jit  # noqa: E402,F401
-from repro.backend import torch_device as _torch_device  # noqa: E402,F401
 
-#: registered backend names, in registration order
-BACKEND_NAMES = _known()
+#: registered backend names (the ``rhs_backend`` knob's choices)
+BACKEND_NAMES = tuple(_REGISTRY)

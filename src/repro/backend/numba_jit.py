@@ -314,7 +314,6 @@ class NumbaBackend(ArrayBackend):
     name = "numba"
     is_reference = False
     missing_package = "numba"
-    xp = np
 
     def __init__(self):
         super().__init__()

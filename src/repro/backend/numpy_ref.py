@@ -1,16 +1,12 @@
 """The bitwise-pinned NumPy reference backend.
 
-This backend *is* the pre-backend implementation: its ufunc namespace is
-the :mod:`numpy` module itself, allocation is ``np.empty``, and it
-registers no fused kernels — so every operator and chemistry hook falls
-through to the exact code the bitwise test matrix pins. Selecting
-``backend="numpy"`` (the default) therefore cannot change a single bit
-of any result.
+This backend *is* the pre-backend implementation: it registers no fused
+kernels — so every operator and chemistry hook falls through to the
+exact code the bitwise test matrix pins. Selecting ``backend="numpy"``
+(the default) therefore cannot change a single bit of any result.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.backend import ArrayBackend, register_backend
 
@@ -21,4 +17,3 @@ class NumpyBackend(ArrayBackend):
 
     name = "numpy"
     is_reference = True
-    xp = np

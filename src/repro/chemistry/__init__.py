@@ -46,8 +46,6 @@ from repro.chemistry.implicit import (
     METHODS,
     ImplicitChemistry,
     ImplicitStats,
-    resolve_chemistry_method,
-    resolve_chemistry_mode,
 )
 
 __all__ = [
@@ -74,6 +72,4 @@ __all__ = [
     "METHODS",
     "ImplicitChemistry",
     "ImplicitStats",
-    "resolve_chemistry_method",
-    "resolve_chemistry_mode",
 ]

@@ -62,70 +62,24 @@ Telemetry: each :meth:`ImplicitChemistry.advance` increments
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.chemistry.jacobian import SourceTermJacobian
+from repro.core.config import KNOBS, resolve
 from repro.telemetry import resolve as resolve_telemetry
 from repro.util.constants import RU
 from repro.util.reduction import axis0_sum
 
 #: Solver-level chemistry coupling modes (SolverConfig.chemistry_mode).
-CHEMISTRY_MODES = ("explicit", "strang")
+CHEMISTRY_MODES = KNOBS["chemistry_mode"].choices
 
 #: Implicit integration methods.
-METHODS = ("bdf2", "rosw2")
+METHODS = KNOBS["chemistry_method"].choices
 
 #: Rosenbrock-W gamma: L-stable second-order choice.
 _ROS_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
-
-
-def resolve_chemistry_mode(mode: str | None = None) -> str:
-    """Explicit argument wins; otherwise ``REPRO_CHEMISTRY_MODE``; default
-    ``"explicit"`` (the pre-existing fully-explicit coupling)."""
-    if mode is None:
-        mode = os.environ.get("REPRO_CHEMISTRY_MODE", "").strip() or "explicit"
-    if mode not in CHEMISTRY_MODES:
-        raise ValueError(
-            f"unknown chemistry mode {mode!r}; expected one of {CHEMISTRY_MODES}"
-        )
-    return mode
-
-
-def resolve_chemistry_method(method: str | None = None) -> str:
-    """Explicit argument wins; otherwise ``REPRO_CHEMISTRY_METHOD``;
-    default ``"rosw2"`` (no Newton loop, cheapest per substep)."""
-    if method is None:
-        method = os.environ.get("REPRO_CHEMISTRY_METHOD", "").strip() or "rosw2"
-    if method not in METHODS:
-        raise ValueError(
-            f"unknown chemistry method {method!r}; expected one of {METHODS}"
-        )
-    return method
-
-
-def resolve_fixed_substeps(n: int | None = None) -> int | None:
-    """Explicit argument wins; otherwise ``REPRO_CHEM_FIXED_SUBSTEPS``;
-    default ``None`` (the adaptive controller). Must be a positive
-    integer when given — the convergence-study knob, now reachable
-    without touching integrator internals."""
-    if n is None:
-        raw = os.environ.get("REPRO_CHEM_FIXED_SUBSTEPS", "").strip()
-        if not raw:
-            return None
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"REPRO_CHEM_FIXED_SUBSTEPS must be a positive integer, "
-                f"got {raw!r}"
-            ) from exc
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"fixed_substeps must be >= 1, got {n}")
-    return n
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +236,8 @@ class ImplicitChemistry:
         energy fixed) or ``"constant-pressure"`` (the 0-D ignition
         problems).
     method:
-        ``"rosw2"`` (default) or ``"bdf2"``.
+        ``"rosw2"`` (default) or ``"bdf2"``; ``None`` defers to the
+        ``chemistry_method`` knob's environment switch.
     rtol, atol_y, atol_T:
         Error-test tolerances; the per-cell weighted RMS norm uses
         weights ``atol + rtol |z|`` (``atol_y`` on species rows,
@@ -307,8 +262,7 @@ class ImplicitChemistry:
         When given, :meth:`advance` calls without an explicit
         ``fixed_steps`` take this many equal substeps instead of the
         adaptive controller (the convergence-study knob); ``None``
-        defers to the ``REPRO_CHEM_FIXED_SUBSTEPS`` environment switch
-        (:func:`resolve_fixed_substeps`).
+        defers to the ``fixed_substeps`` knob's environment switch.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; defaults to the
         process backend.
@@ -330,11 +284,9 @@ class ImplicitChemistry:
         fixed_substeps: int | None = None,
         telemetry=None,
     ):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         self.mech = mech
         self.closure = closure
-        self.method = method
+        self.method = resolve("chemistry_method", method)
         self.stj = SourceTermJacobian(mech, mode=closure)
         self.rtol = float(rtol)
         self.atol_y = float(atol_y)
@@ -350,7 +302,7 @@ class ImplicitChemistry:
         #: controller — the order-of-accuracy studies set it so the
         #: integration error scales smoothly with the step size rather
         #: than through the controller's discrete accept/reject decisions
-        self.fixed_substeps: int | None = resolve_fixed_substeps(fixed_substeps)
+        self.fixed_substeps: int | None = resolve("fixed_substeps", fixed_substeps)
         ns = self.stj.ns
         self._atol = np.empty(ns + 1)
         self._atol[:ns] = self.atol_y

@@ -1,7 +1,15 @@
-"""Solver configuration: boundary specifications and run parameters."""
+"""Solver configuration: boundary specifications, run parameters, and
+the one table of run-time knobs.
+
+Every run-time switch of the package is a row of :data:`KNOBS` and is
+read through :func:`resolve` — the only place under ``src/repro`` that
+touches ``os.environ``. This module imports nothing from the package,
+so every layer can import it.
+"""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +74,202 @@ def periodic_boundaries(ndim: int) -> dict:
     return out
 
 
+# ----------------------------------------------------------------------
+# the run-time knob table
+# ----------------------------------------------------------------------
+_SWITCH = {"1": True, "on": True, "true": True, "yes": True,
+           "0": False, "off": False, "false": False, "no": False}
+
+
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(value)
+    return n
+
+
+def _seconds(value) -> float:
+    x = float(value)
+    if not x >= 0.0:
+        raise ValueError(value)
+    return x
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One row of the knob table.
+
+    ``name`` is the :class:`SolverConfig` field (``in_config``) or the
+    name of an environment-only knob; ``env`` the ``REPRO_*`` variable
+    consulted when no explicit value is given. A value is matched
+    against ``choices`` and ``aliases`` (other accepted spellings,
+    mapped to a choice), or handed to ``parse`` for numeric knobs, whose
+    accepted form ``accepts`` describes. ``requires`` is the knob's
+    cross-knob constraint ``(trigger, other, needed, why)``: when this
+    knob is given as ``trigger`` (``None`` = given at all), knob
+    ``other`` must resolve to ``needed`` (:func:`check_constraints`).
+    """
+
+    name: str
+    env: str
+    default: object
+    doc: str
+    choices: tuple = ()
+    aliases: dict = field(default_factory=dict)
+    parse: object = None
+    accepts: str = ""
+    requires: tuple = ()
+    in_config: bool = True
+
+    def forms(self) -> str:
+        """The accepted values, as the error message and docs state them."""
+        if self.parse is not None:
+            return self.accepts
+        text = ", ".join(repr(c) for c in self.choices)
+        spellings = sorted(a for a in self.aliases if a and isinstance(a, str))
+        return f"{text} (or {', '.join(spellings)})" if spellings else text
+
+
+#: every run-time knob, by name (docs/CONFIG.md is rendered from this)
+KNOBS = {k.name: k for k in (
+    Knob("rhs_engine", "REPRO_RHS_ENGINE", "batched",
+         "RHS assembly: fused stacked sweeps, or the one-sweep-per-variable "
+         "bitwise reference oracle",
+         choices=("batched", "naive"),
+         requires=("naive", "rhs_backend", "numpy",
+                   "the naive engine is the bitwise reference oracle")),
+    Knob("rhs_backend", "REPRO_RHS_BACKEND", "numpy",
+         "array backend of the hot RHS kernels: the bitwise-pinned "
+         "reference, or fused JIT kernels (needs the numba package)",
+         choices=("numpy", "numba")),
+    Knob("transport", "REPRO_TRANSPORT", "inprocess",
+         "communication backend of rank-parallel runs: the deterministic "
+         "single-process reference, or one worker process per rank",
+         choices=("inprocess", "multiprocessing")),
+    Knob("chem_load_balance", "REPRO_CHEM_LB", "off",
+         "chemistry load-balancing policy of rank-parallel runs; every "
+         "policy is bitwise identical to off",
+         choices=("off", "greedy", "pairwise-diffusion")),
+    Knob("chemistry_mode", "REPRO_CHEMISTRY_MODE", "explicit",
+         "chemistry inside the ERK right-hand side, or Strang-split "
+         "implicit half-steps around a non-reacting transport step",
+         choices=("explicit", "strang")),
+    Knob("chemistry_method", "REPRO_CHEMISTRY_METHOD", "rosw2",
+         "implicit integrator of the Strang half-steps",
+         choices=("bdf2", "rosw2")),
+    Knob("fixed_substeps", "REPRO_CHEM_FIXED_SUBSTEPS", None,
+         "equal implicit substeps per Strang half-step instead of the "
+         "adaptive controller (convergence studies); the environment "
+         "value is ignored outside strang",
+         parse=_positive_int, accepts="a positive integer",
+         requires=(None, "chemistry_mode", "strang",
+                   "there is no implicit integrator to apply it to")),
+    Knob("parallel_recovery", "REPRO_PARALLEL_RECOVERY", "off",
+         "rank-failure policy of supervised parallel runs: plain run, "
+         "revive dead ranks and replay, or re-decompose over survivors",
+         choices=("off", "respawn", "shrink")),
+    Knob("observability", "REPRO_OBSERVABILITY", "off",
+         "health observatory: null monitor, standard watchdogs + flight "
+         "recorder, or everything armed (conservation, RK stage guard)",
+         choices=("off", "on", "full"),
+         aliases={False: "off", "": "off", "0": "off", "none": "off",
+                  "false": "off", "no": "off",
+                  True: "on", "1": "on", "true": "on", "yes": "on",
+                  "basic": "on", "all": "full", "paranoid": "full"}),
+    Knob("telemetry", "REPRO_TELEMETRY", False,
+         "record spans and metrics (a fresh recording backend) instead of "
+         "the zero-cost null backend",
+         choices=(False, True), aliases=_SWITCH),
+    Knob("tracing", "REPRO_TRACING", False,
+         "causal trace events for every span and message (Perfetto "
+         "timeline); upgrades a null telemetry backend to a recording one",
+         choices=(False, True), aliases=_SWITCH),
+    Knob("heartbeat", "REPRO_HEARTBEAT", 0.0,
+         "multiprocessing worker liveness deadline in seconds; 0 disables "
+         "hang detection",
+         parse=_seconds, accepts="a number of seconds >= 0",
+         in_config=False),
+    Knob("fault_seed", "REPRO_FAULT_SEED", None,
+         "fault-injector seed of the resilience test lanes; unset keeps "
+         "each suite's own seed",
+         parse=int, accepts="an integer", in_config=False),
+)}
+
+
+def _coerce(knob: Knob, raw, source: str):
+    value = raw.strip().lower() if isinstance(raw, str) else raw
+    try:
+        if knob.parse is not None:
+            return knob.parse(value)
+        return ({c: c for c in knob.choices} | knob.aliases)[value]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            f"unknown {knob.name} {raw!r} ({source}); "
+            f"{knob.name} / {knob.env} accepts {knob.forms()}"
+        ) from None
+
+
+def resolve(name: str, explicit=None):
+    """The value of knob ``name``: explicit > ``REPRO_*`` > default.
+
+    ``explicit`` is whatever the caller was handed — a constructor
+    argument or the :class:`SolverConfig` field — and wins when not
+    ``None``; otherwise the knob's environment variable decides (unset
+    or empty means unset), and finally the table default. Text is
+    stripped and case-folded before matching, from either source; a
+    value the knob does not accept raises ``ValueError`` naming the
+    knob, its variable and the accepted forms.
+    """
+    knob = KNOBS[name]
+    if explicit is not None:
+        return _coerce(knob, explicit, "explicit")
+    raw = os.environ.get(knob.env, "").strip()
+    if raw:
+        return _coerce(knob, raw, "from the environment")
+    return knob.default
+
+
+def check_constraints(given: dict) -> None:
+    """Enforce the table's cross-knob constraints.
+
+    ``given`` maps knob names to the values the caller holds, already
+    resolved (``None`` = not given). A constraint fires on its trigger
+    knob's *given* value only — an environment setting of the trigger
+    never trips it — and is checked against the other knob's given
+    value, or its environment/default resolution when that is not given.
+    """
+    for name, value in given.items():
+        requires = KNOBS[name].requires
+        if value is None or not requires:
+            continue
+        trigger, other, needed, why = requires
+        if trigger is not None and value != trigger:
+            continue
+        found = given.get(other)
+        if found is None:
+            found = resolve(other)
+        if found != needed:
+            raise ValueError(
+                f"{name}={value!r} requires {other}={needed!r}, "
+                f"got {found!r} ({why})"
+            )
+
+
+def knob_table_markdown() -> str:
+    """The "Configuration knobs" table of docs/CONFIG.md, from the table."""
+    lines = [
+        "| knob | environment variable | accepts | default | meaning |",
+        "|---|---|---|---|---|",
+    ]
+    for k in KNOBS.values():
+        name = f"`SolverConfig.{k.name}`" if k.in_config else f"{k.name} (env only)"
+        forms = k.forms().replace("'", "`")
+        lines.append(
+            f"| {name} | `{k.env}` | {forms} | `{k.default!r}` | {k.doc} |"
+        )
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class SolverConfig:
     """Run parameters for :class:`~repro.core.solver.S3DSolver`.
@@ -86,109 +290,19 @@ class SolverConfig:
         Filter strength in [0, 1].
     scheme:
         ERK scheme name (see :data:`repro.core.erk.SCHEMES`).
-    rhs_engine:
-        RHS assembly engine: ``"batched"`` (fused stacked-sweep path) or
-        ``"naive"`` (one sweep per variable/direction, the bitwise
-        reference); ``None`` (default) defers to the
-        ``REPRO_RHS_ENGINE`` environment switch, falling back to
-        ``"batched"``.
-    rhs_backend:
-        Array backend for the hot RHS kernels: ``"numpy"`` (the
-        bitwise-pinned reference), ``"numba"`` (fused JIT kernels), or
-        ``"torch"`` (tensor programs with device selection); ``None``
-        (default) defers to the ``REPRO_RHS_BACKEND`` environment
-        switch, falling back to ``"numpy"``. Validation checks only
-        that the *name* is registered — availability of the optional
-        package is checked when the RHS is built (see
-        :func:`repro.backend.resolve_backend`).
-    telemetry:
-        ``True`` — give the solver a fresh recording
-        :class:`~repro.telemetry.Telemetry`; ``False`` — force the no-op
-        backend; ``None`` (default) — use the process default (the
-        ``REPRO_TELEMETRY`` environment switch).
-    tracing:
-        Distributed-tracing mode on top of the telemetry backend:
-        ``True`` attaches a :class:`~repro.telemetry.TraceLog` (causal
-        trace events for every span and transport message, stitched
-        into a Perfetto timeline by
-        :mod:`repro.observability.timeline`), upgrading a null
-        telemetry backend to a recording one if needed; ``False``
-        forces it off; ``None`` (default) defers to the
-        ``REPRO_TRACING`` environment switch. Off stays on the null
-        backend's zero-cost path, and enabling it leaves solutions
-        bitwise identical.
-    observability:
-        Health-observatory mode: ``"off"`` (null monitor, zero cost),
-        ``"on"`` (standard watchdogs + flight recorder), or ``"full"``
-        (adds the conservation watchdog on all-periodic grids, the
-        per-RK-stage NaN guard, and telemetry deltas in step records).
-        Booleans map to ``"on"``/``"off"``; ``None`` (default) defers to
-        the ``REPRO_OBSERVABILITY`` environment switch, falling back to
-        ``"off"``. See :mod:`repro.observability`.
-    chemistry_mode:
-        How reaction source terms couple to transport: ``"explicit"``
-        (chemistry inside the ERK right-hand side — the pre-existing
-        path, bitwise unchanged) or ``"strang"`` (second-order Strang
-        operator splitting: an implicit constant-volume chemistry
-        half-step, the non-reacting ERK transport step, and a second
-        chemistry half-step — see
-        :class:`repro.chemistry.implicit.ImplicitChemistry`). ``None``
-        (default) defers to the ``REPRO_CHEMISTRY_MODE`` environment
-        switch, falling back to ``"explicit"``. With ``"strang"`` the
-        time step is no longer limited by chemical stiffness, only by
-        the acoustic/diffusive CFL. Consumed by both
-        :class:`~repro.core.solver.S3DSolver` and
-        :class:`~repro.parallel.solver.ParallelPeriodicSolver`; ignored
-        (with no chemistry objects built) when the solver is
-        non-reacting or the mechanism has no reactions.
-    chemistry_method:
-        Implicit integrator for the Strang chemistry half-steps:
-        ``"rosw2"`` (two-stage Rosenbrock-W, the default) or ``"bdf2"``
-        (variable-step BDF2 with modified Newton); ``None`` defers to
-        the ``REPRO_CHEMISTRY_METHOD`` environment switch. Only
-        meaningful with ``chemistry_mode="strang"``.
-    fixed_substeps:
-        Fixed implicit-substep count for the Strang chemistry
-        half-steps (the convergence-study knob: equal substeps instead
-        of the adaptive controller — see
-        :attr:`repro.chemistry.implicit.ImplicitChemistry.fixed_substeps`);
-        must be a positive integer. ``None`` (default) defers to the
-        ``REPRO_CHEM_FIXED_SUBSTEPS`` environment switch, falling back
-        to the adaptive controller. Requires
-        ``chemistry_mode="strang"``; both solvers raise when it is set
-        on an explicit-chemistry run.
-    chem_load_balance:
-        Chemistry dynamic-load-balancing policy: ``"off"`` (strict
-        owner-computes, the default), ``"greedy"``, or
-        ``"pairwise-diffusion"`` (see
-        :data:`repro.parallel.chemlb.POLICIES`); ``None`` defers to the
-        ``REPRO_CHEM_LB`` environment switch, falling back to ``"off"``.
-        Consumed by
-        :class:`~repro.parallel.solver.ParallelPeriodicSolver`; the
-        single-rank serial solver has nothing to balance and ignores it.
-        Every policy is bitwise identical to ``"off"`` on conserved
-        state.
-    transport:
-        Communication backend for rank-parallel runs: ``"inprocess"``
-        (deterministic single-process reference, the default),
-        ``"multiprocessing"`` (one worker process per rank), or
-        ``"mpi4py"`` (real MPI, when importable); ``None`` defers to
-        the ``REPRO_TRANSPORT`` environment switch (see
-        :data:`repro.parallel.comm.TRANSPORTS`). Consumed by
-        :class:`~repro.parallel.solver.ParallelPeriodicSolver`; the
-        serial solver has no ranks to place and ignores it. Distinct
-        from the *molecular* transport model passed to the RHS.
-    parallel_recovery:
-        Rank-failure recovery policy for supervised parallel runs:
-        ``"off"`` (plain run, bit-identical, no checkpoint traffic, the
-        default), ``"respawn"`` (revive dead ranks and replay from the
-        newest committed distributed checkpoint), or ``"shrink"``
-        (re-decompose over the survivors and continue); ``None`` defers
-        to the ``REPRO_PARALLEL_RECOVERY`` environment switch (see
-        :data:`repro.resilience.distributed.RECOVERY_POLICIES`).
-        Consumed by
-        :meth:`~repro.parallel.solver.ParallelPeriodicSolver.run_resilient`;
-        the serial solver's supervisor is :func:`repro.resilience.run_resilient`.
+    rhs_engine, rhs_backend, transport, chem_load_balance, chemistry_mode,
+    chemistry_method, fixed_substeps, parallel_recovery, observability,
+    telemetry, tracing:
+        The run-time knobs: one row each of :data:`KNOBS` (rendered in
+        docs/CONFIG.md), which gives the accepted values, the
+        ``REPRO_*`` variable consulted when the field is ``None``, the
+        default and the meaning. ``transport`` (the *communication*
+        backend, not the molecular transport model passed to the
+        solver), ``chem_load_balance`` and ``parallel_recovery`` are
+        consumed by
+        :class:`~repro.parallel.solver.ParallelPeriodicSolver` only.
+        ``telemetry=False`` forces the null backend; ``None`` uses the
+        process default.
     """
 
     boundaries: dict = field(default_factory=dict)
@@ -210,7 +324,8 @@ class SolverConfig:
     parallel_recovery: str | None = None
 
     def validate(self, grid) -> None:
-        """Cross-check the boundary map against the grid."""
+        """Cross-check the boundary map against the grid, and every knob
+        field against the knob table."""
         for ax in range(grid.ndim):
             for side in (0, 1):
                 spec = self.boundaries.get((ax, side))
@@ -225,57 +340,14 @@ class SolverConfig:
             raise ValueError("cfl must be in (0, 2]")
         if not 0.0 <= self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must be in [0, 1]")
-        if self.rhs_engine is not None:
-            from repro.core.rhs import ENGINES
-
-            if self.rhs_engine not in ENGINES:
-                raise ValueError(
-                    f"unknown rhs_engine {self.rhs_engine!r}; choose from {ENGINES}"
+        given = {}
+        for knob in KNOBS.values():
+            if knob.in_config:
+                value = getattr(self, knob.name)
+                given[knob.name] = (
+                    None if value is None else resolve(knob.name, value)
                 )
-        if self.rhs_backend is not None:
-            from repro.backend import validate_backend_name
-
-            validate_backend_name(self.rhs_backend)  # raises on unknown name
-        if self.observability is not None:
-            from repro.observability import resolve_mode
-
-            resolve_mode(self.observability)  # raises on unknown mode
-        if self.chemistry_mode is not None:
-            from repro.chemistry.implicit import CHEMISTRY_MODES
-
-            if self.chemistry_mode not in CHEMISTRY_MODES:
-                raise ValueError(
-                    f"unknown chemistry_mode {self.chemistry_mode!r}; "
-                    f"choose from {CHEMISTRY_MODES}"
-                )
-        if self.chemistry_method is not None:
-            from repro.chemistry.implicit import METHODS
-
-            if self.chemistry_method not in METHODS:
-                raise ValueError(
-                    f"unknown chemistry_method {self.chemistry_method!r}; "
-                    f"choose from {METHODS}"
-                )
-        if self.fixed_substeps is not None:
-            from repro.chemistry.implicit import resolve_fixed_substeps
-
-            resolve_fixed_substeps(self.fixed_substeps)  # raises on < 1
-        if self.chem_load_balance is not None:
-            from repro.parallel.chemlb import POLICIES
-
-            if self.chem_load_balance not in POLICIES:
-                raise ValueError(
-                    f"unknown chem_load_balance {self.chem_load_balance!r}; "
-                    f"choose from {POLICIES}"
-                )
-        if self.transport is not None:
-            from repro.parallel.comm import resolve_transport_name
-
-            resolve_transport_name(self.transport)  # raises on unknown name
-        if self.parallel_recovery is not None:
-            from repro.resilience.distributed import resolve_recovery_policy
-
-            resolve_recovery_policy(self.parallel_recovery)  # raises on unknown
+        check_constraints(given)
 
 
 def resolve_face_value(value, t: float):

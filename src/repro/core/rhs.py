@@ -41,11 +41,10 @@ same per-element operation order within every field (enforced by
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.backend import resolve_backend
+from repro.core.config import KNOBS, check_constraints, resolve
 from repro.core.derivatives import gradient_operators
 from repro.core.kernels import species_diffusive_flux_dir
 from repro.core import nscbc
@@ -53,7 +52,7 @@ from repro.core.workspace import Workspace
 from repro.telemetry import resolve as resolve_telemetry
 
 #: recognised RHS engine names
-ENGINES = ("batched", "naive")
+ENGINES = KNOBS["rhs_engine"].choices
 
 
 class _EvalProps:
@@ -93,16 +92,13 @@ class CompressibleRHS:
         their DERIVATIVES time no longer nests inside
         COMPUTESPECIESDIFFFLUX.)
     engine:
-        ``"batched"`` (default) or ``"naive"``; when None the
-        ``REPRO_RHS_ENGINE`` environment variable decides.
+        The ``rhs_engine`` knob (:data:`repro.core.config.KNOBS`).
     backend:
         Array backend executing the hot kernels: an
-        :class:`~repro.backend.ArrayBackend` instance, a registered name
-        (``"numpy"``, ``"numba"``, ``"torch"``), or None — in which case
-        the ``REPRO_RHS_BACKEND`` environment variable decides, falling
-        back to the bitwise-pinned NumPy reference. Non-reference
-        backends require the batched engine (the naive engine is the
-        reference oracle and stays pure NumPy by definition).
+        :class:`~repro.backend.ArrayBackend` instance, or the
+        ``rhs_backend`` knob. Non-reference backends require the
+        batched engine (the naive engine is the reference oracle and
+        stays pure NumPy by definition).
     workspace:
         Optional shared :class:`~repro.core.workspace.Workspace`; by
         default each RHS owns a private arena.
@@ -145,18 +141,11 @@ class CompressibleRHS:
         self._needs_nscbc = any(
             spec.kind != "periodic" for spec in self.boundaries.values()
         )
-        if engine is None:
-            engine = os.environ.get("REPRO_RHS_ENGINE") or "batched"
-        if engine not in ENGINES:
-            raise ValueError(f"unknown RHS engine {engine!r}; choose from {ENGINES}")
-        if engine == "naive" and not self.backend.is_reference:
-            raise ValueError(
-                f"RHS backend {self.backend.name!r} requires the batched engine; "
-                "the naive engine is the bitwise reference oracle"
-            )
-        self.engine = engine
+        self.engine = resolve("rhs_engine", engine)
+        check_constraints({"rhs_engine": self.engine,
+                           "rhs_backend": self.backend.name})
         self.workspace = workspace if workspace is not None else Workspace(
-            telemetry=self.telemetry, backend=self.backend
+            telemetry=self.telemetry
         )
         self.telemetry.gauge(f"rhs.backend.{self.backend.name}").set(1.0)
         self.reaction_delegate = reaction_delegate
@@ -213,16 +202,17 @@ class CompressibleRHS:
         ):
             self.telemetry.counter("rhs.props_cache_hits").inc()
             return cache
-        be = self.backend
-        ws = self.workspace.bind(be)
+        ws = self.workspace
         with self.telemetry.span("THERMOPROPS"):
-            rho, vel, T, p, Y, e0, wbar = st.primitives_ws(u, ws, backend=be)
+            rho, vel, T, p, Y, e0, wbar = st.primitives_ws(
+                u, ws, backend=self.backend
+            )
             props = None
             if self.transport is not None:
-                props = be.transport_evaluate(self.transport, T, p, Y, workspace=ws)
+                props = self.transport.evaluate(T, p, Y, workspace=ws)
             h_i = None
             if self.transport is not None or (self.reacting and self.mech.n_reactions):
-                h_i = be.species_enthalpy_mass(self.mech, T)
+                h_i = self.mech.species_enthalpy_mass(T)
         pc = _EvalProps()
         pc.u, pc.version, pc.fingerprint = u, st.version, fp
         pc.rho, pc.vel, pc.T, pc.p, pc.Y, pc.e0, pc.wbar = rho, vel, T, p, Y, e0, wbar
@@ -238,7 +228,7 @@ class CompressibleRHS:
         mech = self.mech
         ndim = self.ndim
         tel = self.telemetry
-        ws = self.workspace.bind(self.backend)
+        ws = self.workspace
         ws.begin_eval()
         u = np.asarray(u, dtype=float)
         if out is not None:

@@ -8,23 +8,19 @@ ecosystem attaches to:
   of §5 registers here,
 * ``insitu_hook`` — per-step visualization/analysis (§8.3),
 * min/max monitoring per variable (the ASCII monitoring files of §9),
-* per-kernel timers feeding the TAU-like profiler of §4.
+* per-kernel spans feeding the TAU-like profiler of §4.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.chemistry.implicit import (
-    resolve_chemistry_method,
-    resolve_chemistry_mode,
-)
+from repro.core.config import resolve
 from repro.core.erk import ERKIntegrator
 from repro.core.filters import filter_operators
 from repro.core.rhs import CompressibleRHS
 from repro.core.state import strang_apply_update, strang_reactor_inputs
 from repro import telemetry as _telemetry
-from repro.util.timers import TimerRegistry
 
 
 class S3DSolver:
@@ -43,9 +39,8 @@ class S3DSolver:
     telemetry:
         Explicit :class:`~repro.telemetry.Telemetry` backend; overrides
         ``config.telemetry`` and the ``REPRO_TELEMETRY`` environment
-        default. Kernel spans use the §4 inventory names (INTEGRATE,
-        FILTER, DERIVATIVES, ...); the legacy ``timers`` registry keeps
-        its lowercase step-phase timers for backward compatibility.
+        default (:func:`repro.telemetry.for_solver`). Kernel spans use
+        the §4 inventory names (INTEGRATE, FILTER, DERIVATIVES, ...).
     """
 
     def __init__(self, state, config, transport=None, reacting=True,
@@ -53,8 +48,10 @@ class S3DSolver:
         config.validate(state.grid)
         self.state = state
         self.config = config
-        self.telemetry = self._resolve_telemetry(telemetry, config)
-        self.chemistry_mode = resolve_chemistry_mode(config.chemistry_mode)
+        self.telemetry = _telemetry.for_solver(
+            telemetry, config.telemetry, config.tracing
+        )
+        self.chemistry_mode = resolve("chemistry_mode", config.chemistry_mode)
         # Strang splitting moves chemistry out of the ERK right-hand
         # side: the RHS is built non-reacting and an implicit per-cell
         # integrator advances the reactors in two dt/2 half-steps around
@@ -68,14 +65,9 @@ class S3DSolver:
 
             self._chem = ImplicitChemistry(
                 state.mech, closure="constant-volume",
-                method=resolve_chemistry_method(config.chemistry_method),
+                method=config.chemistry_method,
                 fixed_substeps=config.fixed_substeps,
                 telemetry=self.telemetry,
-            )
-        elif config.fixed_substeps is not None:
-            raise ValueError(
-                "fixed_substeps requires chemistry_mode='strang' "
-                "(there is no implicit integrator to apply it to)"
             )
         self.rhs = CompressibleRHS(
             state, transport=transport, boundaries=config.boundaries,
@@ -88,7 +80,6 @@ class S3DSolver:
                                         backend=self.rhs.backend)
         self.time = 0.0
         self.step_count = 0
-        self.timers = TimerRegistry(telemetry=self.telemetry)
         self.health = self._resolve_health(config)
         self.checkpoint_hook = None
         self.insitu_hook = None
@@ -96,26 +87,6 @@ class S3DSolver:
         #: optional :class:`~repro.telemetry.MonitorWriter` fed by
         #: :meth:`record_monitor` (the §9 ASCII monitoring files)
         self.monitor_writer = None
-
-    @staticmethod
-    def _resolve_telemetry(telemetry, config):
-        if telemetry is not None:
-            return telemetry
-        if config.telemetry is True:
-            tel = _telemetry.Telemetry()
-        elif config.telemetry is False:
-            return _telemetry.NULL_TELEMETRY
-        else:
-            tel = _telemetry.get_telemetry()
-        # tracing rides on the telemetry mode: upgrade a recording
-        # backend in place, or stand one up when only tracing was asked
-        # for (config or REPRO_TRACING)
-        if _telemetry.resolve_tracing(config.tracing):
-            if getattr(tel, "enabled", False):
-                tel.enable_tracing()
-            else:
-                tel = _telemetry.Telemetry(tracing=True)
-        return tel
 
     def _resolve_health(self, config):
         from repro.observability import for_solver
@@ -140,7 +111,7 @@ class S3DSolver:
             dt = self.compute_dt()
         if self._chem is not None:
             self._strang_chemistry(0.5 * dt)
-        with self.timers("integrate"), self.telemetry.span("INTEGRATE"):
+        with self.telemetry.span("INTEGRATE"):
             self.state.u = self.integrator.step(self.rhs, self.time, self.state.u, dt)
         if self._chem is not None:
             self._strang_chemistry(0.5 * dt)
@@ -150,8 +121,7 @@ class S3DSolver:
         self.step_count += 1
         interval = self.config.filter_interval
         if interval and self.step_count % interval == 0:
-            with self.timers("filter"):
-                self.apply_filter()
+            self.apply_filter()
         return dt
 
     def _strang_chemistry(self, half_dt: float) -> None:
@@ -167,7 +137,7 @@ class S3DSolver:
         st = self.state
         mech = st.mech
         rho_f, e_f, Y_f = strang_reactor_inputs(st.u, st.ndim, mech.n_species)
-        with self.timers("chemistry"), self.telemetry.span("CHEMISTRY_IMPLICIT"):
+        with self.telemetry.span("CHEMISTRY_IMPLICIT"):
             _, Y1, _ = self._chem.advance_energy(rho_f, e_f, Y_f, half_dt)
         strang_apply_update(st.u, st.ndim, mech.n_species, Y1)
         st.mark_modified()
@@ -209,14 +179,14 @@ class S3DSolver:
                 and self.checkpoint_hook is not None
                 and self.step_count % checkpoint_interval == 0
             ):
-                with self.timers("checkpoint"), self.telemetry.span("CHECKPOINT"):
+                with self.telemetry.span("CHECKPOINT"):
                     self.checkpoint_hook(self.step_count, self.time, self.state)
             if (
                 insitu_interval
                 and self.insitu_hook is not None
                 and self.step_count % insitu_interval == 0
             ):
-                with self.timers("insitu"), self.telemetry.span("INSITU"):
+                with self.telemetry.span("INSITU"):
                     self.insitu_hook(self.step_count, self.time, self.state)
         return self.state
 
@@ -253,10 +223,6 @@ class S3DSolver:
     def primitives(self):
         """Convenience: decode the current primitive fields."""
         return self.state.primitives()
-
-    def performance_report(self) -> str:
-        """Per-kernel timer table (legacy step-phase timers)."""
-        return self.timers.report()
 
     def profile_report(self) -> str:
         """TAU-style per-kernel exclusive-time profile (§4, Fig 2).

@@ -31,72 +31,40 @@ class Workspace:
         the ``workspace.allocations`` counter; resolved like every other
         instrumented component.
 
-    backend:
-        Optional :class:`~repro.backend.ArrayBackend` that owns the
-        buffers. Pool slots are keyed by ``(name, backend, dtype)``, so
-        binding a different backend (see :meth:`bind`) can never hand
-        out a buffer allocated by — or aliased with — another backend's
-        slot of the same name.
-
     Notes
     -----
-    Arrays are keyed by ``(name, backend, dtype)``; requesting the same
+    Arrays are keyed by ``(name, dtype)``; requesting the same
     key with a different shape reallocates that slot (the old buffer is
     dropped). Contents are *not* cleared between evaluations — callers
     own initialization, exactly like Fortran work arrays.
     """
 
-    def __init__(self, telemetry=None, backend=None):
+    def __init__(self, telemetry=None):
         self.telemetry = resolve_telemetry(telemetry)
-        self.backend = backend
         self._arrays: dict = {}
-        self._sizes: dict = {}
         #: lifetime bytes allocated through this arena
         self.total_bytes_allocated = 0
         #: bytes allocated since :meth:`begin_eval`
         self.eval_bytes_allocated = 0
 
     # ------------------------------------------------------------------
-    def bind(self, backend) -> "Workspace":
-        """Set the owning backend for subsequent requests; returns self.
-
-        Slots already allocated under another backend stay in the pool
-        under their own keys — they are never re-handed out to the new
-        backend (the no-aliasing guarantee the backend tests pin).
-        """
-        self.backend = backend
-        return self
-
-    def _key(self, name: str, dtype):
-        tag = self.backend.name if self.backend is not None else "numpy"
-        return (name, tag, np.dtype(dtype).name)
-
     def array(self, name: str, shape, dtype=np.float64):
         """A persistent scratch array of the given shape and dtype."""
         shape = tuple(int(s) for s in shape)
-        key = self._key(name, dtype)
+        key = (name, np.dtype(dtype).name)
         arr = self._arrays.get(key)
-        if arr is None or tuple(arr.shape) != shape:
-            if self.backend is not None:
-                arr = self.backend.empty(shape, dtype=dtype)
-                nbytes = self.backend.nbytes(arr)
-            else:
-                arr = np.empty(shape, dtype=dtype)
-                nbytes = arr.nbytes
+        if arr is None or arr.shape != shape:
+            arr = np.empty(shape, dtype=dtype)
             self._arrays[key] = arr
-            self._sizes[key] = nbytes
-            self.total_bytes_allocated += nbytes
-            self.eval_bytes_allocated += nbytes
+            self.total_bytes_allocated += arr.nbytes
+            self.eval_bytes_allocated += arr.nbytes
             self.telemetry.counter("workspace.allocations").inc()
         return arr
 
     def zeros(self, name: str, shape, dtype=np.float64):
         """Like :meth:`array` but zero-filled on every request."""
         arr = self.array(name, shape, dtype=dtype)
-        if self.backend is not None:
-            self.backend.fill(arr, 0.0)
-        else:
-            arr.fill(0.0)
+        arr.fill(0.0)
         return arr
 
     # ------------------------------------------------------------------
@@ -114,7 +82,7 @@ class Workspace:
     @property
     def nbytes(self) -> int:
         """Resident size of the arena in bytes."""
-        return sum(self._sizes.values())
+        return sum(arr.nbytes for arr in self._arrays.values())
 
     def __len__(self) -> int:
         return len(self._arrays)
@@ -122,4 +90,3 @@ class Workspace:
     def clear(self) -> None:
         """Drop every pooled array (memory returns to the allocator)."""
         self._arrays.clear()
-        self._sizes.clear()

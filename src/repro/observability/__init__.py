@@ -34,18 +34,18 @@ dies:
   text format plus the full telemetry snapshot, feeding the workflow
   dashboard.
 
-Mode selection mirrors ``REPRO_TELEMETRY``: the environment variable
-``REPRO_OBSERVABILITY`` (or ``SolverConfig.observability``) picks
-``"off"`` (the null path — bitwise-identical solver results, one
-attribute check per step), ``"on"`` (the standard watchdog set at
-step cadence), or ``"full"`` (everything armed: conservation tracking
-on periodic boxes, the RK stage guard, per-step telemetry deltas).
+Mode selection is the ``observability`` knob of
+:data:`repro.core.config.KNOBS` (``REPRO_OBSERVABILITY`` or
+``SolverConfig.observability``): ``"off"`` (the null path —
+bitwise-identical solver results, one attribute check per step),
+``"on"`` (the standard watchdog set at step cadence), or ``"full"``
+(everything armed: conservation tracking on periodic boxes, the RK
+stage guard, per-step telemetry deltas).
 """
 
 from __future__ import annotations
 
-import os
-
+from repro.core.config import KNOBS, resolve
 from repro.observability.watchdogs import (
     BoundsWatchdog,
     CFLMarginWatchdog,
@@ -129,41 +129,12 @@ __all__ = [
     "prometheus_text",
     "parse_prometheus_text",
     "MODES",
-    "resolve_mode",
     "standard_watchdogs",
     "for_solver",
 ]
 
 #: recognized observability modes, least to most armed
-MODES = ("off", "on", "full")
-
-_ON = ("1", "on", "true", "yes", "basic")
-_FULL = ("full", "all", "paranoid")
-
-
-def resolve_mode(value=None) -> str:
-    """Normalize a config/environment observability selector.
-
-    ``None`` defers to ``REPRO_OBSERVABILITY``; booleans map to
-    off/on; strings are matched case-insensitively. Unknown values
-    raise so typos fail loudly rather than silently disarming.
-    """
-    if value is None:
-        value = os.environ.get("REPRO_OBSERVABILITY", "")
-    if value is True:
-        return "on"
-    if value is False:
-        return "off"
-    text = str(value).strip().lower()
-    if text in ("", "0", "off", "none", "false", "no"):
-        return "off"
-    if text in _ON:
-        return "on"
-    if text in _FULL:
-        return "full"
-    raise ValueError(
-        f"unknown observability mode {value!r}; choose from {MODES}"
-    )
+MODES = KNOBS["observability"].choices
 
 
 def standard_watchdogs(solver, mode: str = "on", clock=None) -> list:
@@ -193,7 +164,7 @@ def for_solver(solver, mode=None, clock=None):
     the solver's hot loop then pays a single ``enabled`` attribute
     check per step and nothing else.
     """
-    mode = resolve_mode(mode)
+    mode = resolve("observability", mode)
     if mode == "off":
         return NULL_HEALTH
     return HealthMonitor(

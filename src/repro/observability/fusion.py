@@ -9,10 +9,6 @@ min/median/max/mean exclusive times plus the max/mean imbalance factor
 (the same statistic :func:`repro.perfmodel.loadbalance.chemistry_imbalance`
 computes), so the ``chemlb`` speedups can be validated from measured
 rank profiles rather than the cost model.
-
-Legacy :class:`~repro.util.timers.Timer` call sites forwarded into
-telemetry histograms (``timer.<name>``) fuse alongside the spans, so
-the old timing namespace appears in the same table.
 """
 
 from __future__ import annotations
@@ -227,28 +223,20 @@ class FusedProfile:
         }
 
 
-def _rank_exclusive(snapshot: dict, include_timers: bool) -> dict:
+def _rank_exclusive(snapshot: dict) -> dict:
     """kernel -> (exclusive seconds, calls) for one rank snapshot."""
-    out = {}
-    for name, row in snapshot.get("spans", {}).items():
-        out[name] = (float(row["exclusive"]), int(row["count"]))
-    if include_timers:
-        hists = snapshot.get("metrics", {}).get("histograms", {})
-        for name, h in hists.items():
-            if name.startswith("timer."):
-                out[name] = (float(h["sum"]), int(h["count"]))
-    return out
+    return {name: (float(row["exclusive"]), int(row["count"]))
+            for name, row in snapshot.get("spans", {}).items()}
 
 
-def fuse_profiles(snapshots, include_timers: bool = True) -> FusedProfile:
+def fuse_profiles(snapshots) -> FusedProfile:
     """Merge per-rank snapshot dicts into a :class:`FusedProfile`.
 
     Kernels absent on a rank contribute zero there (a rank that never
     entered REACTION really did spend 0 s in it — that asymmetry *is*
-    the imbalance signal). With ``include_timers`` the forwarded legacy
-    ``timer.*`` histograms fuse alongside the spans.
+    the imbalance signal).
     """
-    per_rank = [_rank_exclusive(s, include_timers) for s in snapshots]
+    per_rank = [_rank_exclusive(s) for s in snapshots]
     names = sorted(set().union(*[set(p) for p in per_rank]) if per_rank else ())
     rows = {}
     for name in names:
@@ -258,8 +246,6 @@ def fuse_profiles(snapshots, include_timers: bool = True) -> FusedProfile:
     return FusedProfile(rows, n_ranks=len(snapshots))
 
 
-def fuse_solver_profiles(world, telemetries, root: int = 0,
-                         include_timers: bool = True) -> FusedProfile:
+def fuse_solver_profiles(world, telemetries, root: int = 0) -> FusedProfile:
     """Collect over SimMPI and fuse in one call (the job-end reduce)."""
-    snapshots = collect_snapshots(world, telemetries, root=root)
-    return fuse_profiles(snapshots, include_timers=include_timers)
+    return fuse_profiles(collect_snapshots(world, telemetries, root=root))

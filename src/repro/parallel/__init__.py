@@ -14,11 +14,10 @@ reaction-zone cell batches from over-threshold ranks to underloaded
 ones without changing a single bit of the answer.
 
 The communication backend is pluggable (:mod:`repro.parallel.comm`):
-the in-process simulated MPI is the default bit-exact reference, a
-shared-memory multiprocessing backend runs ranks on separate cores,
-and an mpi4py backend activates when real MPI is importable — all
-behind one :class:`~repro.parallel.comm.Transport` contract, selected
-via ``REPRO_TRANSPORT`` / ``SolverConfig.transport``.
+the in-process simulated MPI is the default bit-exact reference and a
+shared-memory multiprocessing backend runs ranks on separate cores —
+both behind one :class:`~repro.parallel.comm.Transport` contract,
+selected via ``REPRO_TRANSPORT`` / ``SolverConfig.transport``.
 """
 
 from repro.parallel.chemlb import (
@@ -37,7 +36,6 @@ from repro.parallel.comm import (
     TransportUnavailableError,
     available_transports,
     create_transport,
-    resolve_transport_name,
     transport_unavailable_reason,
 )
 from repro.parallel.decomp import CartesianDecomposition, block_range
@@ -54,7 +52,6 @@ __all__ = [
     "TRANSPORTS",
     "available_transports",
     "create_transport",
-    "resolve_transport_name",
     "transport_unavailable_reason",
     "CartesianDecomposition",
     "block_range",

@@ -67,21 +67,18 @@ executing rank, not the owner) accumulate in
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import KNOBS, resolve
 from repro.resilience.errors import MessageNotFoundError, RankFailedError
 from repro.telemetry import resolve as resolve_telemetry
 
 #: recognised balancing policies
-POLICIES = ("off", "greedy", "pairwise-diffusion")
-
-#: environment switch consulted when no explicit policy is given
-ENV_VAR = "REPRO_CHEM_LB"
+POLICIES = KNOBS["chem_load_balance"].choices
 
 #: message-tag bases (clear of the halo exchanger's small axis tags)
 TAG_SHIP = 700
@@ -89,15 +86,6 @@ TAG_RESULT = 50700
 
 #: floor avoiding divide-by-zero on cold (zero-rate) fields
 _TINY = 1e-300
-
-
-def resolve_policy(policy: str | None = None) -> str:
-    """Explicit policy wins; otherwise ``REPRO_CHEM_LB``; default off."""
-    if policy is None:
-        policy = os.environ.get(ENV_VAR, "").strip() or "off"
-    if policy not in POLICIES:
-        raise ValueError(f"unknown chemistry LB policy {policy!r}; choose from {POLICIES}")
-    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +245,7 @@ def plan_assignment(costs_per_rank, policy: str = "greedy",
     is a partition: every cell appears exactly once, either retained by
     its owner or in exactly one shipment.
     """
-    policy = resolve_policy(policy)
+    policy = resolve("chem_load_balance", policy)
     costs = [np.asarray(c, dtype=float).ravel() for c in costs_per_rank]
     loads_before = np.array([c.sum() for c in costs])
     retained = [np.arange(c.size) for c in costs]
@@ -314,7 +302,7 @@ class ChemistryLoadBalancer:
         injector governs shipping faults (sites ``chemlb.ship`` and
         ``chemlb.reply``, plus whatever ``mpi.send`` does underneath).
     policy:
-        One of :data:`POLICIES`; None defers to ``REPRO_CHEM_LB``.
+        The ``chem_load_balance`` knob (one of :data:`POLICIES`).
     cost_model:
         A :class:`CellCostModel`; default unit model.
     threshold:
@@ -343,7 +331,7 @@ class ChemistryLoadBalancer:
                  telemetry=None):
         self.mech = mech
         self.world = world
-        self.policy = resolve_policy(policy)
+        self.policy = resolve("chem_load_balance", policy)
         self.cost_model = cost_model if cost_model is not None else CellCostModel()
         self.threshold = float(threshold)
         self.sweeps = int(sweeps)

@@ -22,13 +22,13 @@ Backends
   per rank; program payloads move through ``SharedMemory`` buffers and
   a pickled pipe control plane, so rank programs actually run on
   separate cores.
-* :class:`~repro.parallel.mpi.MPI4PyTransport` (``"mpi4py"``) — real
-  MPI via mpi4py, activated only when the package is importable and the
-  job is launched SPMD (``mpirun -n <size>``).
 
-Selection: an explicit name wins, otherwise the ``REPRO_TRANSPORT``
-environment variable, otherwise ``"inprocess"``
-(:func:`resolve_transport_name` / :func:`create_transport`).
+Both are driver-owned: one process holds every rank's blocks and
+dispatches rank programs. A real-MPI backend is SPMD and needs a solver
+driver that does not exist yet (docs/PARALLEL.md).
+
+Selection is the ``transport`` knob of
+:data:`repro.core.config.KNOBS` (:func:`create_transport`).
 
 Every transfer is recorded in a :class:`MessageLog` (source, dest, tag,
 bytes) — the observable the §4 performance model and the §5 I/O layer
@@ -38,12 +38,12 @@ is the contract any new backend must pass.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import KNOBS, resolve
 from repro.resilience.errors import (
     MessageNotFoundError,
     RankFailedError,
@@ -53,7 +53,6 @@ from repro.resilience.faults import resolve_injector
 from repro.telemetry import resolve as resolve_telemetry
 
 __all__ = [
-    "ENV_VAR",
     "TRANSPORTS",
     "MessageRecord",
     "MessageLog",
@@ -65,20 +64,16 @@ __all__ = [
     "TransportUnavailableError",
     "available_transports",
     "create_transport",
-    "resolve_transport_name",
     "transport_unavailable_reason",
 ]
 
-#: environment switch consulted when no explicit transport is given
-ENV_VAR = "REPRO_TRANSPORT"
-
 #: registered transport backend names
-TRANSPORTS = ("inprocess", "multiprocessing", "mpi4py")
+TRANSPORTS = KNOBS["transport"].choices
 
 
 class TransportUnavailableError(RuntimeError):
-    """A transport backend cannot run in this environment (e.g. mpi4py
-    is not importable, or the job was not launched under ``mpirun``)."""
+    """A transport backend cannot run in this environment (e.g. the
+    platform has no ``multiprocessing.shared_memory``)."""
 
 
 @dataclass
@@ -642,26 +637,14 @@ SimMPI = InProcessTransport
 # ---------------------------------------------------------------------------
 # registry / selection
 # ---------------------------------------------------------------------------
-def resolve_transport_name(name: str | None = None) -> str:
-    """Explicit name wins; otherwise ``REPRO_TRANSPORT``; default
-    ``"inprocess"``. Raises on unregistered names."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "").strip() or "inprocess"
-    if name not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {name!r}; choose from {TRANSPORTS}"
-        )
-    return name
-
-
 def transport_unavailable_reason(name: str) -> str | None:
     """None when backend ``name`` can run here, else a human reason
     (the skip-with-reason string the CI transport lane prints)."""
-    name = resolve_transport_name(name)
-    if name == "mpi4py":
-        from repro.parallel.mpi import mpi4py_unavailable_reason
-
-        return mpi4py_unavailable_reason()
+    if resolve("transport", name) == "multiprocessing":
+        try:
+            import repro.parallel.shm  # noqa: F401
+        except ImportError as exc:
+            return f"multiprocessing transport cannot be imported: {exc}"
     return None
 
 
@@ -672,23 +655,21 @@ def available_transports() -> list:
 
 def create_transport(name: str | None = None, size: int = 1,
                      fault_injector=None, **kwargs) -> Transport:
-    """Build a transport backend by registry name.
+    """Build a transport backend by the ``transport`` knob.
 
-    ``name=None`` defers to ``REPRO_TRANSPORT`` (default
-    ``"inprocess"``). Extra keyword arguments are backend-specific
-    (e.g. ``context=`` for the multiprocessing backend). Raises
+    Extra keyword arguments are backend-specific (e.g. ``context=`` for
+    the multiprocessing backend). Raises
     :class:`TransportUnavailableError` when the backend cannot run in
     this environment.
     """
-    name = resolve_transport_name(name)
+    name = resolve("transport", name)
+    reason = transport_unavailable_reason(name)
+    if reason is not None:
+        raise TransportUnavailableError(reason)
     if name == "inprocess":
         return InProcessTransport(size, fault_injector=fault_injector,
                                   **kwargs)
-    if name == "multiprocessing":
-        from repro.parallel.shm import MultiprocessingTransport
+    from repro.parallel.shm import MultiprocessingTransport
 
-        return MultiprocessingTransport(size, fault_injector=fault_injector,
-                                        **kwargs)
-    from repro.parallel.mpi import MPI4PyTransport
-
-    return MPI4PyTransport(size, fault_injector=fault_injector, **kwargs)
+    return MultiprocessingTransport(size, fault_injector=fault_injector,
+                                    **kwargs)

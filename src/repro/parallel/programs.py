@@ -1,7 +1,7 @@
 """Module-level rank programs used by the transport conformance suite.
 
 Execution-plane factories must be picklable *by reference* so
-out-of-process backends (multiprocessing, mpi4py) can ship them to
+out-of-process backends (multiprocessing) can ship them to
 workers — hence these live at module level rather than inside tests.
 They double as minimal examples of the rank-program protocol: a
 factory ``f(rank, *args) -> program`` plus ordinary methods invoked via

@@ -51,11 +51,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.core.config import resolve
 from repro.parallel.comm import InProcessTransport, _annotate_rank
 from repro.resilience.errors import RankFailedError, RankUnresponsiveError
 
 __all__ = [
-    "HEARTBEAT_ENV",
     "MultiprocessingTransport",
     "WorkerCrashedError",
     "WorkerError",
@@ -63,9 +63,6 @@ __all__ = [
 
 #: initial per-direction SharedMemory segment size [bytes]
 INITIAL_SEGMENT = 1 << 20
-
-#: environment switch for the worker heartbeat deadline [seconds]
-HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 
 #: warn-once flag for CPU oversubscription (module-level: one warning
 #: per process, however many transports are built)
@@ -315,10 +312,10 @@ class MultiprocessingTransport(InProcessTransport):
         its rank surfaces as
         :class:`~repro.resilience.errors.RankUnresponsiveError` — a
         *hung* node becomes a typed, recoverable failure instead of
-        blocking the driver forever. ``None`` defers to the
-        ``REPRO_HEARTBEAT`` environment switch; 0 (the default)
-        disables the deadline. Program initialization is exempt (spawn
-        + import time is not a liveness signal).
+        blocking the driver forever. This is the ``heartbeat`` knob
+        (``REPRO_HEARTBEAT``); 0 (the default) disables the deadline.
+        Program initialization is exempt (spawn + import time is not a
+        liveness signal).
     telemetry:
         Telemetry backend for transport-level gauges (e.g.
         ``transport.oversubscribed``).
@@ -341,15 +338,7 @@ class MultiprocessingTransport(InProcessTransport):
         self._ctx = multiprocessing.get_context(context)
         self._workers: list | None = None
         self._closed = False
-        if heartbeat is None:
-            raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-            try:
-                heartbeat = float(raw) if raw else 0.0
-            except ValueError:
-                heartbeat = 0.0
-        self.heartbeat = float(heartbeat)
-        if self.heartbeat < 0:
-            raise ValueError("heartbeat deadline must be >= 0 seconds")
+        self.heartbeat = resolve("heartbeat", heartbeat)
         self._factory = None   # pickled program factory, kept for revival
         self._args = None
         _LIVE.add(self)

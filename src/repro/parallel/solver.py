@@ -22,23 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chemistry.implicit import (
-    ImplicitChemistry,
-    resolve_chemistry_method,
-    resolve_chemistry_mode,
-    resolve_fixed_substeps,
-)
+from repro import telemetry as _telemetry
+from repro.chemistry.implicit import ImplicitChemistry
+from repro.core.config import check_constraints, resolve
 from repro.core.derivatives import DerivativeOperator, HALF_WIDTH
 from repro.core.filters import FilterOperator, FILTER_HALF_WIDTH
-from repro.core.erk import SCHEMES
+from repro.core.erk import ERKIntegrator
 from repro.core.grid import Grid
 from repro.core.rhs import CompressibleRHS
 from repro.core.state import State, strang_apply_update, strang_reactor_inputs
 from repro.parallel import chemlb
 from repro.parallel.comm import create_transport
 from repro.parallel.halo import HaloExchanger
-from repro.telemetry import resolve as resolve_telemetry
-from repro.telemetry.tracing import resolve_tracing
 
 #: halo depth for nested-gradient (viscous-flux) bitwise equivalence
 DEEP_HALO = 2 * HALF_WIDTH + 1  # 9 >= filter's 5 as well
@@ -70,14 +65,13 @@ class SolverRankProgram:
         self.rank = int(rank)
         if telemetry is None:
             if rank_telemetry:
-                from repro.telemetry import Telemetry
-
                 # a private per-rank backend; with tracing on its trace
                 # log records on this rank's own lane, and the driver
                 # stitches the shipped snapshots at run end
-                telemetry = Telemetry(tracing=bool(tracing), rank=rank)
+                telemetry = _telemetry.Telemetry(tracing=bool(tracing),
+                                                 rank=rank)
             else:
-                telemetry = resolve_telemetry(None)
+                telemetry = _telemetry.get_telemetry()
         self.telemetry = telemetry
         ext_shape = tuple(int(n) for n in ext_shape)
         lengths = tuple(dx * (n - 1) for dx, n in zip(spacings, ext_shape))
@@ -214,43 +208,34 @@ class ParallelPeriodicSolver:
         uniformly spaced.
     decomp, world:
         Decomposition and transport world. ``world=None`` builds one
-        via :func:`repro.parallel.comm.create_transport` — selected by
-        ``comm_transport`` or the ``REPRO_TRANSPORT`` environment
-        switch — and :meth:`close` releases it.
-    comm_transport:
-        Communication-backend name (``"inprocess"``,
-        ``"multiprocessing"``, ``"mpi4py"``) used when ``world`` is
-        None; distinct from ``transport``, which selects the
-        *molecular* transport model. On an explicit ``world`` the
-        name must agree with the world's backend.
+        via :func:`repro.parallel.comm.create_transport` from
+        ``comm_transport``, and :meth:`close` releases it.
+    comm_transport, rhs_engine, rhs_backend, chemistry_mode,
+    chemistry_method, fixed_substeps, chem_load_balance,
+    parallel_recovery, observability, tracing:
+        The run-time knobs of :data:`repro.core.config.KNOBS`;
+        ``None`` defers to each knob's ``REPRO_*`` variable and default.
+        ``comm_transport`` is the ``transport`` knob (``transport``
+        here is the *molecular* transport model); on an explicit
+        ``world`` it must agree with the world's backend.
     transport, reacting, scheme, filter_alpha:
         Passed through to per-rank RHS/filter construction.
-    rhs_engine:
-        RHS engine name forwarded to every per-rank
-        :class:`~repro.core.rhs.CompressibleRHS` (None defers to the
-        ``REPRO_RHS_ENGINE`` environment switch). Both engines are
+    rhs_engine, rhs_backend:
+        Forwarded to every per-rank
+        :class:`~repro.core.rhs.CompressibleRHS`. Both engines are
         bitwise identical, so the serial-equivalence guarantee holds for
-        either.
-    rhs_backend:
-        Array-backend name forwarded to every per-rank RHS (None defers
-        to the ``REPRO_RHS_BACKEND`` environment switch; see
-        :mod:`repro.backend`). Names, not instances, cross the
-        transport boundary — each rank process resolves its own backend
-        and JIT caches.
+        either. Backend names, not instances, cross the transport
+        boundary — each rank process resolves its own backend and JIT
+        caches.
     chemistry_mode, chemistry_method:
-        Chemistry coupling (``"explicit"`` or ``"strang"``) and the
-        implicit integrator for Strang half-steps (``"rosw2"`` or
-        ``"bdf2"``); None defers to ``REPRO_CHEMISTRY_MODE`` /
-        ``REPRO_CHEMISTRY_METHOD``. With ``"strang"`` the rank RHS is
-        built non-reacting and the driver runs implicit chemistry
-        half-steps around the RK transport step, exactly as the serial
-        solver does; per-cell implicit results are bitwise independent
-        of batch shape, so serial equivalence survives the split.
+        With ``"strang"`` the rank RHS is built non-reacting and the
+        driver runs implicit chemistry half-steps around the RK
+        transport step, exactly as the serial solver does; per-cell
+        implicit results are bitwise independent of batch shape, so
+        serial equivalence survives the split.
     chem_load_balance:
-        Chemistry dynamic-load-balancing policy (``"off"``, ``"greedy"``,
-        ``"pairwise-diffusion"``; None defers to the ``REPRO_CHEM_LB``
-        environment switch). When active in explicit mode, per-rank RHS
-        evaluations defer their reaction source terms and a
+        When active in explicit mode, per-rank RHS evaluations defer
+        their reaction source terms and a
         :class:`~repro.parallel.chemlb.ChemistryLoadBalancer` evaluates
         the owned interior cells instead, shipping batches from
         over-threshold ranks to underloaded ones; in strang mode the
@@ -270,13 +255,12 @@ class ParallelPeriodicSolver:
         :meth:`fused_profile` — cross-rank profile fusion needs
         per-rank data, exactly like TAU's per-process profiles.
     observability:
-        Health-observatory mode (see :mod:`repro.observability`);
-        ``None`` defers to ``REPRO_OBSERVABILITY``. The parallel
-        watchdog set runs on the gathered global state (NaN sentinel,
-        bounds, wall-time anomaly, plus conservation at ``"full"`` —
-        the grid is all-periodic by construction); the CFL-margin
-        watchdog is omitted because this solver is driven by an
-        explicit ``dt``.
+        Health-observatory mode (see :mod:`repro.observability`). The
+        parallel watchdog set runs on the gathered global state (NaN
+        sentinel, bounds, wall-time anomaly, plus conservation at
+        ``"full"`` — the grid is all-periodic by construction); the
+        CFL-margin watchdog is omitted because this solver is driven by
+        an explicit ``dt``.
     """
 
     def __init__(self, mechanism, grid, decomp, world=None, transport=None,
@@ -296,58 +280,40 @@ class ParallelPeriodicSolver:
         self.mech = mechanism
         self.grid = grid
         self.decomp = decomp
-        self.telemetry = resolve_telemetry(telemetry)
-        self.tracing = resolve_tracing(tracing)
-        if self.tracing:
-            # tracing is a mode on the telemetry backend: upgrade the
-            # resolved backend in place, or replace a null one — the
-            # transport below shares this backend, so message-plane
-            # trace contexts start flowing immediately
-            if getattr(self.telemetry, "enabled", False):
-                self.telemetry.enable_tracing()
-            else:
-                from repro.telemetry import Telemetry
-
-                self.telemetry = Telemetry(tracing=True)
+        self.scheme = ERKIntegrator(scheme).scheme  # raises on unknown name
+        self.tracing = resolve("tracing", tracing)
+        self.telemetry = _telemetry.for_solver(telemetry,
+                                               tracing=self.tracing)
         self._owns_world = world is None
         if world is None:
             world = create_transport(comm_transport, size=decomp.size,
                                      telemetry=self.telemetry)
-        elif comm_transport is not None and world.name != comm_transport:
+        elif (comm_transport is not None
+              and world.name != resolve("transport", comm_transport)):
             raise ValueError(
                 f"explicit world is a {world.name!r} transport but "
                 f"comm_transport={comm_transport!r} was requested"
             )
         self.world = world
-        self.scheme = SCHEMES[scheme]()
         self.filter_interval = int(filter_interval)
-        from repro.resilience.distributed import resolve_recovery_policy
-
-        self.recovery_policy = resolve_recovery_policy(parallel_recovery)
+        self.recovery_policy = resolve("parallel_recovery", parallel_recovery)
         self.halo = HaloExchanger(decomp, world, width=DEEP_HALO,
                                   telemetry=self.telemetry)
         self.spacings = [grid.spacing(a) for a in range(grid.ndim)]
-        self.chemistry_mode = resolve_chemistry_mode(chemistry_mode)
+        self.chemistry_mode = resolve("chemistry_mode", chemistry_mode)
+        check_constraints({"fixed_substeps": fixed_substeps,
+                           "chemistry_mode": self.chemistry_mode})
         split = (self.chemistry_mode == "strang" and reacting
                  and mechanism.n_reactions > 0)
         self._strang_chem = None
         if split:
             self._strang_chem = ImplicitChemistry(
                 mechanism, closure="constant-volume",
-                method=resolve_chemistry_method(chemistry_method),
+                method=chemistry_method,
                 fixed_substeps=fixed_substeps,
                 telemetry=self.telemetry,
             )
-        elif fixed_substeps is not None:
-            # validate even though no integrator consumes it here; the
-            # env switch is deliberately ignored outside strang mode so
-            # a study-wide setting does not break explicit runs
-            resolve_fixed_substeps(fixed_substeps)
-            raise ValueError(
-                "fixed_substeps requires chemistry_mode='strang' "
-                "(there is no implicit integrator to apply it to)"
-            )
-        policy = chemlb.resolve_policy(chem_load_balance)
+        policy = resolve("chem_load_balance", chem_load_balance)
         self.chemlb = None
         if policy != "off" and reacting and mechanism.n_reactions:
             self.chemlb = chemlb.ChemistryLoadBalancer(
@@ -420,14 +386,6 @@ class ParallelPeriodicSolver:
         (the communication backend, forwarded as ``comm_transport``).
         Extra keyword arguments override.
         """
-        from repro import telemetry as _telemetry
-
-        if config.telemetry is True:
-            tel = _telemetry.Telemetry()
-        elif config.telemetry is False:
-            tel = _telemetry.NULL_TELEMETRY
-        else:
-            tel = None
         opts = dict(
             scheme=config.scheme,
             filter_interval=config.filter_interval,
@@ -438,7 +396,9 @@ class ParallelPeriodicSolver:
             chemistry_method=config.chemistry_method,
             chem_load_balance=config.chem_load_balance,
             observability=config.observability,
-            telemetry=tel,
+            # the constructor applies config.tracing to this backend
+            telemetry=_telemetry.for_solver(enabled=config.telemetry,
+                                            tracing=False),
             comm_transport=config.transport,
             parallel_recovery=config.parallel_recovery,
             tracing=config.tracing,
@@ -567,7 +527,7 @@ class ParallelPeriodicSolver:
     def _resolve_health(self, mode):
         from repro import observability as obs
 
-        mode = obs.resolve_mode(mode)
+        mode = resolve("observability", mode)
         if mode == "off":
             return obs.NULL_HEALTH
         dogs = [obs.NaNSentinel(), obs.BoundsWatchdog(),
@@ -711,7 +671,7 @@ class ParallelPeriodicSolver:
             return None
         return [p.telemetry for p in programs]
 
-    def fused_profile(self, root: int = 0, include_timers: bool = True):
+    def fused_profile(self, root: int = 0):
         """Cross-rank fused profile of the per-rank kernel telemetry.
 
         Snapshots every rank program's telemetry through the execution
@@ -733,7 +693,7 @@ class ParallelPeriodicSolver:
         snapshots = self.world.call_all("telemetry_snapshot")
         snapshots = collect_snapshot_dicts(self.world, snapshots, root=root,
                                            telemetry=self.telemetry)
-        return fuse_profiles(snapshots, include_timers=include_timers)
+        return fuse_profiles(snapshots)
 
     # -- distributed tracing ---------------------------------------------
     def trace_events(self) -> list:
@@ -744,7 +704,7 @@ class ParallelPeriodicSolver:
         driver's own log (spans, message sends/receives) joins them —
         and stitches everything into one causally-ordered timeline via
         :func:`repro.observability.timeline.stitch`. Requires
-        ``tracing=True`` (or ``REPRO_TRACING``); empty otherwise.
+        the ``tracing`` knob; empty otherwise.
         """
         from repro.observability import timeline
 

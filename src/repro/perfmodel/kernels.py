@@ -53,18 +53,16 @@ def s3d_kernel_inventory() -> list:
     ]
 
 
-def measured_kernel_weights(timers) -> dict:
+def measured_kernel_weights(tracer) -> dict:
     """Relative kernel weights from a real solver run.
 
-    Accepts either the legacy ``TimerRegistry`` (total times) or a
-    telemetry :class:`~repro.telemetry.spans.Tracer` (exclusive times).
-    Used to sanity-check the inventory's proportions against the Python
+    ``tracer`` is anything with ``exclusive_times()`` — a telemetry
+    :class:`~repro.telemetry.spans.Tracer` or a
+    :class:`~repro.perfmodel.profiler.SimProfiler`. Used to
+    sanity-check the inventory's proportions against the Python
     implementation (tests assert diffusive-flux assembly dominates the
     memory kernels, mirroring §4.1's finding).
     """
-    if hasattr(timers, "exclusive_times"):  # Tracer / telemetry backend
-        times = timers.exclusive_times()
-    else:
-        times = {name: t.total for name, t in timers.timers.items()}
+    times = tracer.exclusive_times()
     total = sum(times.values()) or 1.0
     return {name: v / total for name, v in times.items()}

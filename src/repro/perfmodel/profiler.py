@@ -21,7 +21,7 @@ import numpy as np
 from repro.perfmodel.kernels import s3d_kernel_inventory
 from repro.perfmodel.machine import XT3, XT4, HybridSystem
 from repro.perfmodel.roofline import kernel_time
-from repro.util.timers import TimerRegistry
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -89,43 +89,32 @@ def class_means(profiles):
 class SimProfiler:
     """Instrument real Python callables, TAU-style.
 
-    Wrap kernels with :meth:`instrument`; every call accumulates
-    exclusive wall time under the kernel's name. When a recording
-    :class:`~repro.telemetry.Telemetry` is supplied, calls run under
-    nested spans instead, so instrumented callables that invoke each
+    Wrap kernels with :meth:`instrument`; every call runs under a span
+    named after the kernel, so instrumented callables that invoke each
     other get *true* exclusive times (child time subtracted) rather
-    than double-counted flat totals.
+    than double-counted flat totals. Spans go to the recording
+    :class:`~repro.telemetry.Telemetry` supplied, or to a private one.
     """
 
     def __init__(self, telemetry=None):
-        self.timers = TimerRegistry()
-        self.telemetry = telemetry if (telemetry is not None and telemetry.enabled) else None
+        recording = telemetry is not None and telemetry.enabled
+        self.telemetry = telemetry if recording else Telemetry()
 
     def instrument(self, name: str, fn):
-        timer = self.timers(name)
         tel = self.telemetry
 
-        if tel is not None:
-            def wrapped(*args, **kwargs):
-                with timer, tel.span(name):
-                    return fn(*args, **kwargs)
-        else:
-            def wrapped(*args, **kwargs):
-                with timer:
-                    return fn(*args, **kwargs)
+        def wrapped(*args, **kwargs):
+            with tel.span(name):
+                return fn(*args, **kwargs)
 
         wrapped.__name__ = f"profiled_{name}"
         return wrapped
 
     def exclusive_times(self) -> dict:
-        if self.telemetry is not None:
-            return self.telemetry.tracer.exclusive_times()
-        return {name: t.total for name, t in self.timers.timers.items()}
+        return self.telemetry.tracer.exclusive_times()
 
     def report(self) -> str:
-        if self.telemetry is not None:
-            return self.telemetry.profile_report()
-        return self.timers.report()
+        return self.telemetry.profile_report()
 
 
 def rank_profile_from_telemetry(telemetry, rank: int = 0,

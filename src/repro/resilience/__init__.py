@@ -48,7 +48,6 @@ from repro.resilience.faults import (
     FaultSpec,
     NullFaultInjector,
     resolve_injector,
-    seed_from_env,
 )
 from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy, fs_backoff_sleep
 
@@ -67,7 +66,6 @@ __all__ = [
     "NullFaultInjector",
     "NULL_INJECTOR",
     "resolve_injector",
-    "seed_from_env",
     "RetryPolicy",
     "DEFAULT_RETRY",
     "fs_backoff_sleep",
@@ -79,7 +77,6 @@ __all__ = [
     "DistributedRunReport",
     "ParallelRecoveryEvent",
     "RECOVERY_POLICIES",
-    "resolve_recovery_policy",
     "run_parallel_resilient",
     "shrink_decomposition",
 ]
@@ -96,7 +93,6 @@ _LAZY = {
     "DistributedRunReport": "repro.resilience.distributed",
     "ParallelRecoveryEvent": "repro.resilience.distributed",
     "RECOVERY_POLICIES": "repro.resilience.distributed",
-    "resolve_recovery_policy": "repro.resilience.distributed",
     "run_parallel_resilient": "repro.resilience.distributed",
     "shrink_decomposition": "repro.resilience.distributed",
 }

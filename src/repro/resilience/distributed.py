@@ -30,11 +30,11 @@ counters plus a ``PARALLEL_RECOVERY`` span per rollback.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import KNOBS, resolve
 from repro.resilience.errors import (
     FaultInjectedError,
     RankFailedError,
@@ -51,43 +51,21 @@ from repro.telemetry import resolve as resolve_telemetry
 __all__ = [
     "DistributedCheckpointRing",
     "DistributedRunReport",
-    "ENV_VAR",
     "PARALLEL_RECOVERABLE",
     "ParallelRecoveryEvent",
     "RECOVERY_POLICIES",
-    "resolve_recovery_policy",
     "run_parallel_resilient",
     "shrink_decomposition",
 ]
 
 #: recognised parallel-recovery policies, in documentation order
-RECOVERY_POLICIES = ("off", "respawn", "shrink")
-
-#: environment override consulted when no policy is given explicitly
-ENV_VAR = "REPRO_PARALLEL_RECOVERY"
+RECOVERY_POLICIES = KNOBS["parallel_recovery"].choices
 
 #: fault classes the parallel supervisor answers with recovery — the
 #: serial set plus rank failure (crash or missed heartbeat)
 PARALLEL_RECOVERABLE = (FaultInjectedError, TransientIOError,
                         RestartCorruptionError, WatchdogTripError,
                         RankFailedError)
-
-
-def resolve_recovery_policy(policy=None) -> str:
-    """Normalise a recovery-policy choice.
-
-    Explicit argument wins; ``None`` falls back to the
-    ``REPRO_PARALLEL_RECOVERY`` environment variable, then ``"off"``.
-    """
-    if policy is None:
-        policy = os.environ.get(ENV_VAR) or "off"
-    policy = str(policy).lower()
-    if policy not in RECOVERY_POLICIES:
-        raise ValueError(
-            f"unknown parallel recovery policy {policy!r}; "
-            f"choose from {RECOVERY_POLICIES}"
-        )
-    return policy
 
 
 def shrink_decomposition(decomp, new_size: int):
@@ -425,7 +403,7 @@ def run_parallel_resilient(solver, fs, n_steps: int, dt: float, *,
     shrink: 1-D decompositions are bitwise decomposition-independent),
     within round-off on multiprocessing.
     """
-    policy = resolve_recovery_policy(policy)
+    policy = resolve("parallel_recovery", policy)
     if policy == "off":
         solver.run(n_steps, dt)
         report = DistributedRunReport(steps_completed=solver.step_count,

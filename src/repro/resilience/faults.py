@@ -23,7 +23,6 @@ single attribute check.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -36,20 +35,7 @@ __all__ = [
     "NullFaultInjector",
     "NULL_INJECTOR",
     "resolve_injector",
-    "seed_from_env",
 ]
-
-#: environment variable read by :func:`seed_from_env` (the CI matrix knob)
-SEED_ENV_VAR = "REPRO_FAULT_SEED"
-
-
-def seed_from_env(default: int = 0) -> int:
-    """Injector seed from ``REPRO_FAULT_SEED`` (CI matrix), else default."""
-    raw = os.environ.get(SEED_ENV_VAR, "").strip()
-    try:
-        return int(raw) if raw else int(default)
-    except ValueError:
-        return int(default)
 
 
 @dataclass

@@ -14,15 +14,15 @@ Two backends share one API:
 
 Backend selection: an explicit instance passed to a component always
 wins; otherwise the process default from :func:`get_telemetry` applies,
-which is the null backend unless the environment variable
-``REPRO_TELEMETRY`` is truthy (``1``/``on``/``true``/``yes``) or
-:func:`configure` was called.
+which is the null backend unless the ``telemetry`` knob
+(:data:`repro.core.config.KNOBS`, ``REPRO_TELEMETRY``) is on or
+:func:`configure` was called. Solvers pick theirs with
+:func:`for_solver`.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 from repro.telemetry.metrics import (
     Counter,
@@ -36,7 +36,6 @@ from repro.telemetry.tracing import (
     TraceContext,
     TraceEvent,
     TraceLog,
-    resolve_tracing,
 )
 from repro.telemetry import export
 from repro.telemetry.export import (
@@ -56,7 +55,6 @@ __all__ = [
     "TraceContext",
     "TraceEvent",
     "TraceLog",
-    "resolve_tracing",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -71,7 +69,15 @@ __all__ = [
     "get_telemetry",
     "set_default",
     "resolve",
+    "for_solver",
 ]
+
+
+def _knob(name: str, explicit=None):
+    # imported on use: importing repro.core pulls this package in
+    from repro.core.config import resolve as resolve_knob
+
+    return resolve_knob(name, explicit)
 
 
 class Telemetry:
@@ -85,7 +91,7 @@ class Telemetry:
         Distributed-tracing mode. ``True`` attaches a
         :class:`~repro.telemetry.tracing.TraceLog` so spans and
         transport messages record causal trace events; ``None``
-        (default) defers to the ``REPRO_TRACING`` environment switch;
+        (default) defers to the ``tracing`` knob's environment switch;
         ``False`` forces it off regardless of the environment.
     rank:
         Event lane for this backend's trace log (rank programs pass
@@ -99,7 +105,7 @@ class Telemetry:
         self.tracer = Tracer(clock=clock, metrics=self.metrics)
         self.tracelog = None
         self._delta_base: dict | None = None
-        if resolve_tracing(tracing):
+        if _knob("tracing", tracing):
             self.enable_tracing(rank=rank)
 
     @property
@@ -334,23 +340,19 @@ class NullTelemetry:
 #: the shared disabled backend
 NULL_TELEMETRY = NullTelemetry()
 
-_TRUTHY = ("1", "on", "true", "yes")
 _default: object | None = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in _TRUTHY
 
 
 def get_telemetry():
     """The process-default telemetry backend.
 
-    Null unless ``REPRO_TELEMETRY`` is truthy at first use or
-    :func:`configure`/:func:`set_default` installed a backend.
+    Null unless the ``telemetry`` knob's environment switch is on at
+    first use or :func:`configure`/:func:`set_default` installed a
+    backend.
     """
     global _default
     if _default is None:
-        _default = Telemetry() if _env_enabled() else NULL_TELEMETRY
+        _default = Telemetry() if _knob("telemetry") else NULL_TELEMETRY
     return _default
 
 
@@ -371,3 +373,26 @@ def resolve(telemetry=None):
     """Resolution used by instrumented components: explicit instance
     wins, otherwise the process default."""
     return telemetry if telemetry is not None else get_telemetry()
+
+
+def for_solver(telemetry=None, enabled=None, tracing=None):
+    """The backend a solver records into.
+
+    An explicit ``telemetry`` instance wins; otherwise ``enabled``
+    (``SolverConfig.telemetry``) picks a fresh recording backend
+    (``True``), the null backend regardless of tracing (``False``), or
+    the process default (``None``). The ``tracing`` knob then rides on
+    the result: a recording backend is upgraded in place, a null one is
+    replaced by a recording one — the transport built on it shares the
+    backend, so message-plane trace contexts flow immediately.
+    """
+    if telemetry is None:
+        if enabled is False:
+            return NULL_TELEMETRY
+        telemetry = Telemetry() if enabled else get_telemetry()
+    if _knob("tracing", tracing):
+        if telemetry.enabled:
+            telemetry.enable_tracing()
+        else:
+            telemetry = Telemetry(tracing=True)
+    return telemetry

@@ -26,13 +26,12 @@ across ranks is the logical clock's job, duration the wall clock's.
 
 The context that crosses the wire is deliberately tiny — ``(id,
 logical)``, two integers — and rides *beside* the payload (a sidecar
-queue in the local transports, a pickled tuple on mpi4py), so enabling
-tracing is bitwise-invisible to every array a solver exchanges.
+queue in the transports), so enabling tracing is bitwise-invisible to
+every array a solver exchanges.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -40,32 +39,15 @@ from typing import NamedTuple
 
 __all__ = [
     "DRIVER_RANK",
-    "TRACING_ENV",
     "TraceContext",
     "TraceEvent",
     "TraceLog",
     "classify_tag",
-    "resolve_tracing",
 ]
-
-#: environment switch for the tracing mode (same truthy set as
-#: ``REPRO_TELEMETRY``)
-TRACING_ENV = "REPRO_TRACING"
 
 #: lane used for events recorded by the driver process itself (rank
 #: programs use their real rank ids >= 0)
 DRIVER_RANK = -1
-
-_TRUTHY = ("1", "on", "true", "yes")
-
-
-def resolve_tracing(tracing=None) -> bool:
-    """Resolve the tracing mode: explicit argument wins, ``None`` defers
-    to the ``REPRO_TRACING`` environment switch."""
-    if tracing is None:
-        return os.environ.get(TRACING_ENV, "").strip().lower() in _TRUTHY
-    return bool(tracing)
-
 
 #: message-name classification by tag range: chemlb replies come back on
 #: ``TAG_RESULT + seq`` (>= 50700), shipments go out on ``TAG_SHIP +

@@ -1,4 +1,4 @@
-"""Shared utilities: physical constants, validation helpers, timers."""
+"""Shared utilities: physical constants, validation helpers."""
 
 from repro.util.constants import (
     RU,
@@ -14,7 +14,6 @@ from repro.util.validation import (
     check_shape,
     check_probability_vector,
 )
-from repro.util.timers import Timer, TimerRegistry
 
 __all__ = [
     "RU",
@@ -27,6 +26,4 @@ __all__ = [
     "check_in_range",
     "check_shape",
     "check_probability_vector",
-    "Timer",
-    "TimerRegistry",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import SolverConfig
+from repro.core.config import SolverConfig, resolve
 from repro.core.grid import Grid
 from repro.core.state import State
 from repro.parallel import CartesianDecomposition, SimMPI
@@ -30,7 +30,6 @@ from repro.parallel.chemlb import (
     plan_assignment,
     plan_moves_greedy,
     plan_moves_pairwise,
-    resolve_policy,
 )
 from repro.parallel.solver import ParallelPeriodicSolver
 from repro.resilience.faults import FaultInjector
@@ -134,19 +133,19 @@ class TestPlanInvariants:
 class TestPolicyResolution:
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHEM_LB", raising=False)
-        assert resolve_policy(None) == "off"
+        assert resolve("chem_load_balance") == "off"
 
     def test_env_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHEM_LB", "greedy")
-        assert resolve_policy(None) == "greedy"
+        assert resolve("chem_load_balance") == "greedy"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHEM_LB", "greedy")
-        assert resolve_policy("pairwise-diffusion") == "pairwise-diffusion"
+        assert resolve("chem_load_balance", "pairwise-diffusion") == "pairwise-diffusion"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown chemistry LB policy"):
-            resolve_policy("round-robin")
+        with pytest.raises(ValueError, match="unknown chem_load_balance"):
+            resolve("chem_load_balance", "round-robin")
 
     def test_solver_config_validates_policy(self, h2_mech):
         from repro.core.config import periodic_boundaries

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.chemistry.mechanisms.builders import h2_li2004
-from repro.core.config import SolverConfig, periodic_boundaries
+from repro.core.config import SolverConfig, periodic_boundaries, resolve
 from repro.core.grid import Grid
 from repro.core.state import State
 from repro.io import SimFileSystem, lustre
@@ -49,11 +49,9 @@ from repro.resilience import (
 )
 from repro.resilience.distributed import (
     DistributedCheckpointRing,
-    ENV_VAR,
-    resolve_recovery_policy,
     shrink_decomposition,
 )
-from repro.resilience.faults import FaultInjector, seed_from_env
+from repro.resilience.faults import FaultInjector
 from repro.telemetry import Telemetry
 from repro.transport import ConstantLewisTransport
 from repro.util.constants import P_ATM
@@ -64,7 +62,9 @@ pytestmark = pytest.mark.recovery
 MP_RTOL = 1e-12
 
 #: per-lane fault schedule seed (CI sweeps REPRO_FAULT_SEED in {1, 7, 42})
-SEED = seed_from_env(7)
+SEED = resolve("fault_seed")
+if SEED is None:
+    SEED = 7  # this suite's own seed; the CI matrix sets REPRO_FAULT_SEED
 
 N_RANKS = 4
 N_STEPS = 4
@@ -357,18 +357,18 @@ class TestShrinkDecomposition:
 # ---------------------------------------------------------------------------
 class TestPolicyResolution:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "shrink")
-        assert resolve_recovery_policy("respawn") == "respawn"
+        monkeypatch.setenv("REPRO_PARALLEL_RECOVERY", "shrink")
+        assert resolve("parallel_recovery", "respawn") == "respawn"
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "shrink")
-        assert resolve_recovery_policy(None) == "shrink"
-        monkeypatch.delenv(ENV_VAR)
-        assert resolve_recovery_policy(None) == "off"
+        monkeypatch.setenv("REPRO_PARALLEL_RECOVERY", "shrink")
+        assert resolve("parallel_recovery") == "shrink"
+        monkeypatch.delenv("REPRO_PARALLEL_RECOVERY")
+        assert resolve("parallel_recovery") == "off"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown parallel recovery"):
-            resolve_recovery_policy("retreat")
+        with pytest.raises(ValueError, match="unknown parallel_recovery"):
+            resolve("parallel_recovery", "retreat")
 
     def test_config_validates_policy(self):
         grid = Grid((16,), (1.0,), periodic=(True,))
@@ -377,7 +377,7 @@ class TestPolicyResolution:
         good.validate(grid)
         bad = SolverConfig(boundaries=periodic_boundaries(1),
                            parallel_recovery="retreat")
-        with pytest.raises(ValueError, match="unknown parallel recovery"):
+        with pytest.raises(ValueError, match="unknown parallel_recovery"):
             bad.validate(grid)
 
 
@@ -502,7 +502,7 @@ class TestLiveness:
         world.close()
 
     def test_heartbeat_env_and_validation(self, monkeypatch):
-        monkeypatch.setenv(shm.HEARTBEAT_ENV, "2.5")
+        monkeypatch.setenv("REPRO_HEARTBEAT", "2.5")
         world = MultiprocessingTransport(1)
         assert world.heartbeat == 2.5
         world.close()
@@ -653,9 +653,7 @@ class TestRecoveryMultiprocessing:
     def test_default_transport_from_env(self, u_ref):
         """The CI recovery lane's REPRO_TRANSPORT choice is honoured
         when no backend is named explicitly."""
-        from repro.parallel.comm import resolve_transport_name
-
-        expected = resolve_transport_name(None)
+        expected = resolve("transport")
         inj = _kill_injector("rank_failure")
         solver = _h2_solver(policy="respawn", transport_name=None,
                             faults=inj)

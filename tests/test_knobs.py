@@ -1,0 +1,369 @@
+"""The run-time knob table (``repro.core.config.KNOBS``) and its one
+``resolve()``: every check here is table-driven, so a new row is covered
+the moment it is added — and the source scans at the bottom keep private
+resolvers, stray ``os.environ`` reads and unlaned optional-package forks
+from growing back."""
+
+import dataclasses
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+from repro.core.config import (
+    KNOBS,
+    SolverConfig,
+    check_constraints,
+    knob_table_markdown,
+    periodic_boundaries,
+    resolve,
+)
+from repro.core.grid import Grid
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
+
+ALL = sorted(KNOBS)
+ENUMERATED = [n for n in ALL if KNOBS[n].parse is None]
+IN_CONFIG = [n for n in ALL if KNOBS[n].in_config]
+
+#: parsed (numeric) knobs: two valid (explicit, env text, resolved)
+#: settings and texts that must be rejected
+PARSED = {
+    "fixed_substeps": ((4, "4", 4), (7, " 7 ", 7), ("abc", "0", "-3", "2.5")),
+    "heartbeat": ((2.5, "2.5", 2.5), (1, "1e0", 1.0), ("abc", "-1", "nan")),
+    "fault_seed": ((42, "42", 42), (7, "7", 7), ("x7", "1.5")),
+}
+
+
+def _settings(name):
+    """Two distinct valid (explicit, env text, resolved) settings."""
+    knob = KNOBS[name]
+    if knob.parse is not None:
+        return PARSED[name][:2]
+    first, last = knob.choices[0], knob.choices[-1]
+    return (first, str(first), first), (last, str(last), last)
+
+
+def _bad_texts(name):
+    return PARSED[name][2] if KNOBS[name].parse is not None else ("bogus",)
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    for knob in KNOBS.values():
+        monkeypatch.delenv(knob.env, raising=False)
+
+
+class TestTable:
+    def test_every_parsed_knob_has_samples(self):
+        assert sorted(PARSED) == [n for n in ALL if KNOBS[n].parse is not None]
+
+    def test_config_fields_and_env_vars(self):
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert len(fields) == 17
+        assert set(IN_CONFIG) <= set(fields)
+        assert all(getattr(SolverConfig(), n) is None for n in IN_CONFIG)
+        envs = [k.env for k in KNOBS.values()]
+        assert len(set(envs)) == len(envs) == 13
+        assert all(e.startswith("REPRO_") for e in envs)
+
+    def test_defaults_are_valid_settings(self):
+        for name, knob in KNOBS.items():
+            if knob.default is not None:
+                assert resolve(name, knob.default) == knob.default
+
+    def test_modules_reexport_the_table_choices(self):
+        import repro.backend
+        import repro.observability
+        from repro.chemistry import implicit
+        from repro.core import rhs
+        from repro.parallel import chemlb, comm
+        from repro.resilience import distributed
+
+        assert rhs.ENGINES is KNOBS["rhs_engine"].choices
+        assert implicit.CHEMISTRY_MODES is KNOBS["chemistry_mode"].choices
+        assert implicit.METHODS is KNOBS["chemistry_method"].choices
+        assert chemlb.POLICIES is KNOBS["chem_load_balance"].choices
+        assert comm.TRANSPORTS is KNOBS["transport"].choices
+        assert (distributed.RECOVERY_POLICIES
+                is KNOBS["parallel_recovery"].choices)
+        assert repro.observability.MODES is KNOBS["observability"].choices
+        assert repro.backend.BACKEND_NAMES == KNOBS["rhs_backend"].choices
+
+    def test_committed_docs_table_is_the_rendered_table(self):
+        text = (REPO / "docs" / "CONFIG.md").read_text(encoding="utf-8")
+        assert knob_table_markdown() in text
+        for knob in KNOBS.values():
+            assert knob.env in knob_table_markdown()
+
+
+@pytest.mark.parametrize("name", ALL)
+class TestResolve:
+    def test_explicit_beats_env_beats_default(self, name, monkeypatch):
+        knob = KNOBS[name]
+        (exp_a, _, val_a), (_, env_b, val_b) = _settings(name)
+        assert val_a != val_b
+        assert resolve(name) == knob.default
+        monkeypatch.setenv(knob.env, env_b)
+        assert resolve(name) == val_b
+        assert resolve(name, exp_a) == val_a
+
+    def test_empty_env_means_default(self, name, monkeypatch):
+        knob = KNOBS[name]
+        for blank in ("", "   "):
+            monkeypatch.setenv(knob.env, blank)
+            assert resolve(name) == knob.default
+
+    def test_unknown_values_raise_naming_knob_env_and_forms(
+            self, name, monkeypatch):
+        knob = KNOBS[name]
+        expected = [name, knob.env]
+        expected += ([repr(c) for c in knob.choices] if knob.parse is None
+                     else [knob.accepts])
+        for bad in _bad_texts(name):
+            errors = []
+            with pytest.raises(ValueError) as exc:
+                resolve(name, bad)
+            errors.append(str(exc.value))
+            monkeypatch.setenv(knob.env, bad)
+            with pytest.raises(ValueError) as exc:
+                resolve(name)
+            errors.append(str(exc.value))
+            monkeypatch.delenv(knob.env)
+            for message in errors:
+                assert repr(bad) in message
+                for piece in expected:
+                    assert piece in message
+
+    def test_unhashable_explicit_value_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match=name):
+            resolve(name, ["not", "a", "setting"])
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_whitespace_and_case_are_accepted_identically(name, monkeypatch):
+    """Every spelling — choice or alias — resolves the same stripped,
+    case-folded, explicit or from the environment."""
+    knob = KNOBS[name]
+    spellings = {str(c): c for c in knob.choices}
+    spellings.update({a: c for a, c in knob.aliases.items()
+                      if a and isinstance(a, str)})
+    for text, canonical in spellings.items():
+        for variant in (text, text.upper(), text.title(), f"  {text}\t"):
+            assert resolve(name, variant) == canonical, variant
+            monkeypatch.setenv(knob.env, variant)
+            assert resolve(name) == canonical, variant
+            monkeypatch.delenv(knob.env)
+
+
+class TestMalformedEnvironmentFailsLoudly:
+    """The values the private parsers used to swallow or disagree on."""
+
+    @pytest.mark.parametrize("env,text", [
+        ("REPRO_HEARTBEAT", "abc"),        # used to turn hang detection off
+        ("REPRO_FAULT_SEED", "x7"),        # used to become seed 0
+        ("REPRO_TELEMETRY", "enabled"),    # used to mean off
+        ("REPRO_TRACING", "maybe"),
+        ("REPRO_CHEM_FIXED_SUBSTEPS", "abc"),
+    ])
+    def test_unparseable_value_raises_naming_variable_and_text(
+            self, env, text, monkeypatch):
+        name = next(n for n, k in KNOBS.items() if k.env == env)
+        monkeypatch.setenv(env, text)
+        with pytest.raises(ValueError) as exc:
+            resolve(name)
+        assert env in str(exc.value) and repr(text) in str(exc.value)
+        assert KNOBS[name].forms() in str(exc.value)
+
+    @pytest.mark.parametrize("env,text,value", [
+        ("REPRO_CHEMISTRY_MODE", " strang ", "strang"),
+        ("REPRO_PARALLEL_RECOVERY", " respawn", "respawn"),   # used to raise
+        ("REPRO_PARALLEL_RECOVERY", "Respawn", "respawn"),
+        ("REPRO_RHS_BACKEND", "numpy ", "numpy"),             # used to raise
+        ("REPRO_CHEM_LB", "Greedy", "greedy"),                # used to raise
+        ("REPRO_TELEMETRY", "0", False),
+        ("REPRO_TELEMETRY", "YES", True),
+    ])
+    def test_spellings_that_used_to_disagree(self, env, text, value,
+                                             monkeypatch):
+        name = next(n for n, k in KNOBS.items() if k.env == env)
+        monkeypatch.setenv(env, text)
+        assert resolve(name) == value
+
+    def test_consumers_see_the_error(self, monkeypatch):
+        from repro import telemetry
+        from repro.parallel.shm import MultiprocessingTransport
+
+        monkeypatch.setenv("REPRO_HEARTBEAT", "abc")
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT"):
+            MultiprocessingTransport(1)
+        with pytest.raises(ValueError, match="heartbeat"):
+            MultiprocessingTransport(1, heartbeat=-1.0)
+        monkeypatch.setenv("REPRO_TELEMETRY", "enabled")
+        telemetry.set_default(None)
+        try:
+            with pytest.raises(ValueError, match="REPRO_TELEMETRY"):
+                telemetry.get_telemetry()
+        finally:
+            monkeypatch.delenv("REPRO_TELEMETRY")
+            telemetry.set_default(None)
+
+    @pytest.mark.parametrize("env,bad", [
+        ("REPRO_RHS_BACKEND", "bogus"), ("REPRO_RHS_BACKEND", "torch"),
+        ("REPRO_TRANSPORT", "mpi4py"),
+    ])
+    def test_deleted_choices_list_the_two_that_remain(self, env, bad,
+                                                      monkeypatch):
+        name = next(n for n, k in KNOBS.items() if k.env == env)
+        assert len(KNOBS[name].choices) == 2
+        monkeypatch.setenv(env, bad)
+        with pytest.raises(ValueError) as exc:
+            resolve(name)
+        for choice in KNOBS[name].choices:
+            assert repr(choice) in str(exc.value)
+
+
+class TestConstraints:
+    def test_naive_engine_requires_the_reference_backend(self, monkeypatch):
+        with pytest.raises(ValueError, match="requires rhs_backend='numpy'"):
+            check_constraints({"rhs_engine": "naive", "rhs_backend": "numba"})
+        check_constraints({"rhs_engine": "naive", "rhs_backend": "numpy"})
+        check_constraints({"rhs_engine": "batched", "rhs_backend": "numba"})
+        check_constraints({"rhs_engine": "naive"})
+        # the other knob's environment setting counts
+        monkeypatch.setenv("REPRO_RHS_BACKEND", "numba")
+        with pytest.raises(ValueError, match="got 'numba'"):
+            check_constraints({"rhs_engine": "naive"})
+
+    def test_fixed_substeps_requires_strang(self, monkeypatch):
+        with pytest.raises(ValueError, match="requires chemistry_mode='strang'"):
+            check_constraints({"fixed_substeps": 3})
+        with pytest.raises(ValueError, match="got 'explicit'"):
+            check_constraints({"fixed_substeps": 3,
+                               "chemistry_mode": "explicit"})
+        check_constraints({"fixed_substeps": 3, "chemistry_mode": "strang"})
+        monkeypatch.setenv("REPRO_CHEMISTRY_MODE", "strang")
+        check_constraints({"fixed_substeps": 3})
+
+    def test_environment_fixed_substeps_is_ignored_outside_strang(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "4")
+        check_constraints({"fixed_substeps": None,
+                           "chemistry_mode": "explicit"})
+        grid = Grid((16,), (1.0,), periodic=(True,))
+        SolverConfig(boundaries=periodic_boundaries(1),
+                     chemistry_mode="explicit").validate(grid)
+
+    def test_config_validate_checks_both_constraints(self):
+        grid = Grid((16,), (1.0,), periodic=(True,))
+        bcs = periodic_boundaries(1)
+        with pytest.raises(ValueError, match="requires rhs_backend"):
+            SolverConfig(boundaries=bcs, rhs_engine=" Naive ",
+                         rhs_backend="numba").validate(grid)
+        with pytest.raises(ValueError, match="requires chemistry_mode"):
+            SolverConfig(boundaries=bcs, fixed_substeps=2).validate(grid)
+        SolverConfig(boundaries=bcs, fixed_substeps=2,
+                     chemistry_mode="strang").validate(grid)
+
+
+@pytest.mark.parametrize("name", IN_CONFIG)
+class TestSolverConfigValidate:
+    def test_rejects_a_bad_value_naming_the_knob(self, name):
+        grid = Grid((16,), (1.0,), periodic=(True,))
+        for bad in _bad_texts(name):
+            cfg = SolverConfig(boundaries=periodic_boundaries(1),
+                               **{name: bad})
+            with pytest.raises(ValueError, match=name):
+                cfg.validate(grid)
+
+    def test_accepts_every_valid_setting(self, name):
+        grid = Grid((16,), (1.0,), periodic=(True,))
+        for explicit, _, _ in _settings(name):
+            fields = {name: explicit}
+            if name == "fixed_substeps":
+                fields["chemistry_mode"] = "strang"
+            SolverConfig(boundaries=periodic_boundaries(1),
+                         **fields).validate(grid)
+
+
+class TestSchemeErrors:
+    """Both solvers build their ERK scheme through the same checked
+    constructor: a typed error that lists the choices."""
+
+    def test_serial_solver(self, air_mech, air_y):
+        from repro.core import S3DSolver, ic
+
+        grid = Grid((16,), (1.0,), periodic=(True,))
+        state = ic.uniform(air_mech, grid, p=101325.0, T=300.0, Y=air_y)
+        cfg = SolverConfig(boundaries=periodic_boundaries(1), scheme="bogus")
+        with pytest.raises(ValueError, match=r"unknown ERK scheme 'bogus'.*ck45"):
+            S3DSolver(state, cfg, reacting=False)
+
+    def test_parallel_solver(self, air_mech):
+        from repro.parallel import CartesianDecomposition
+        from repro.parallel.solver import ParallelPeriodicSolver
+
+        grid = Grid((32,), (1.0,), periodic=(True,))
+        decomp = CartesianDecomposition((32,), (2,), periodic=(True,))
+        with pytest.raises(ValueError, match=r"unknown ERK scheme 'bogus'.*ck45"):
+            ParallelPeriodicSolver(air_mech, grid, decomp, scheme="bogus")
+
+
+# ---------------------------------------------------------------------------
+# source scans: what was deleted stays deleted
+# ---------------------------------------------------------------------------
+def _sources():
+    return {p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8")
+            for p in sorted(SRC.rglob("*.py"))}
+
+
+class TestSourceGuards:
+    def test_environment_is_read_in_config_only(self):
+        hits = [name for name, text in _sources().items()
+                if re.search(r"\bos\.(environ|getenv)\b|\bfrom os import\b", text)]
+        assert hits == ["core/config.py"]
+
+    def test_every_repro_variable_in_the_source_is_a_table_row(self):
+        found = set()
+        for text in _sources().values():
+            found.update(re.findall(r"\bREPRO_[A-Z][A-Z_]*[A-Z]\b", text))
+        assert found == {k.env for k in KNOBS.values()}
+
+    def test_no_module_imports_torch_or_mpi4py(self):
+        pattern = re.compile(
+            r"^\s*(import|from)\s+(torch|mpi4py)\b"
+            r"|import_module\(\s*['\"](torch|mpi4py)", re.MULTILINE)
+        hits = [name for name, text in _sources().items()
+                if pattern.search(text)]
+        assert hits == []
+        assert not (SRC / "backend" / "torch_device.py").exists()
+        assert not (SRC / "parallel" / "mpi.py").exists()
+        assert not (SRC / "util" / "timers.py").exists()
+
+    def test_no_per_knob_resolver_survives(self):
+        allowed = {"resolve_backend", "resolve_injector", "resolve_face_value"}
+        pattern = re.compile(
+            r"^\s*def\s+(resolve_\w+|validate_backend_name|seed_from_env"
+            r"|_env_enabled)\b", re.MULTILINE)
+        found = {m.group(1) for text in _sources().values()
+                 for m in pattern.finditer(text)}
+        assert found <= allowed
+
+    @pytest.mark.parametrize("module", [
+        "repro.core.config", "repro.telemetry", "repro.backend",
+        "repro.chemistry.implicit", "repro.parallel.comm",
+        "repro.parallel.chemlb", "repro.parallel.shm",
+        "repro.resilience.distributed", "repro.observability",
+    ])
+    def test_knob_consumers_import_first_in_a_fresh_interpreter(self, module):
+        """``core/config.py`` sits under every layer; none of its
+        consumers may depend on ``repro.core`` having been imported."""
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(SRC.parent), "PATH": ""},
+        )
+        assert proc.returncode == 0, proc.stderr

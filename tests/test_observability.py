@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import Grid, S3DSolver, SolverConfig, ic
-from repro.core.config import periodic_boundaries
+from repro.core.config import periodic_boundaries, resolve
 from repro.core.state import State
 from repro.io import SimFileSystem, lustre
 from repro.observability import (
@@ -36,7 +36,6 @@ from repro.observability import (
     fuse_profiles,
     html_report,
     replay_report,
-    resolve_mode,
     sparkline,
     standard_watchdogs,
     worst_severity,
@@ -68,22 +67,22 @@ def solver(air_mech, air_y):
 class TestModeResolution:
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBSERVABILITY", raising=False)
-        assert resolve_mode(None) == "off"
+        assert resolve("observability") == "off"
 
     def test_env_selects(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBSERVABILITY", "full")
-        assert resolve_mode(None) == "full"
+        assert resolve("observability") == "full"
 
     @pytest.mark.parametrize("value,expected", [
         (True, "on"), (False, "off"), ("on", "on"), ("1", "on"),
         ("full", "full"), ("OFF", "off"), ("", "off"), ("0", "off"),
     ])
     def test_values(self, value, expected):
-        assert resolve_mode(value) == expected
+        assert resolve("observability", value) == expected
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="observability"):
-            resolve_mode("sometimes")
+            resolve("observability", "sometimes")
 
     def test_config_validate_rejects_typo(self, air_mech):
         grid = Grid((16,), (1.0,), periodic=(True,))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import Grid, S3DSolver, SolverConfig, ic
-from repro.core.config import periodic_boundaries
+from repro.core.config import periodic_boundaries, resolve
 from repro.io import SimFileSystem, lustre
 from repro.io.restart import (
     load_solver_state,
@@ -30,12 +30,11 @@ from repro.resilience import (
     TornWriteError,
     TransientIOError,
     run_resilient,
-    seed_from_env,
 )
 from repro.telemetry import Telemetry
 from repro.util.constants import P_ATM
 
-SEED = seed_from_env(0)
+SEED = resolve("fault_seed") or 0
 
 
 def _pulse_solver(mech, Y, n=32, **cfg_kwargs):

@@ -229,7 +229,9 @@ class TestSolverMachinery:
         mech, Y = air_mech_mod, air_y_mod
         grid = Grid((32,), (1.0,), periodic=(True,))
         state = ic.uniform(mech, grid, p=P_ATM, T=300.0, Y=Y)
-        cfg = SolverConfig(boundaries=periodic_boundaries(1), cfl=0.5)
+        cfg = SolverConfig(boundaries=periodic_boundaries(1), cfl=0.5,
+                           telemetry=True)
         solver = S3DSolver(state, cfg, transport=None, reacting=False)
         solver.run(2)
-        assert "integrate" in solver.performance_report()
+        report = solver.profile_report()
+        assert "INTEGRATE" in report and "FILTER" in report

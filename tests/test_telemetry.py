@@ -652,15 +652,23 @@ class TestProfilerIntegration:
         assert times["INNER"] == pytest.approx(3.0)
         assert "OUTER" in prof.report()
 
-    def test_simprofiler_without_telemetry_keeps_flat_totals(self):
+    def test_simprofiler_without_telemetry_is_still_exclusive(self):
+        """No backend given (or a null one): spans go to a private
+        recording backend, so nested kernels are not double-counted."""
+        import time
+
         from repro.perfmodel.profiler import SimProfiler
 
-        prof = SimProfiler()
-        f = prof.instrument("K", lambda: None)
-        f()
-        f()
-        assert prof.timers("K").count == 2
-        assert "K" in prof.report()
+        for prof in (SimProfiler(), SimProfiler(telemetry=NULL_TELEMETRY)):
+            inner = prof.instrument("INNER", lambda: time.sleep(0.002))
+            outer = prof.instrument("OUTER", inner)
+            outer()
+            outer()
+            times = prof.exclusive_times()
+            assert times["INNER"] >= 0.004
+            assert times["OUTER"] < times["INNER"]
+            assert prof.telemetry.tracer.stats["OUTER"].count == 2
+            assert "INNER" in prof.report()
 
     def test_rank_profile_from_telemetry(self, clock):
         from repro.perfmodel.profiler import class_means, rank_profile_from_telemetry
@@ -841,52 +849,12 @@ class TestMergeAndDelta:
             h_sum)
 
 
-class TestTimerTelemetryBridge:
-    """Satellite: the legacy util.timers registry forwards elapsed times
-    into telemetry histograms, healing the two-namespace drift."""
+class TestStepPhaseSpans:
+    """The solver's step phases are spans on its telemetry backend and
+    nothing else: no second timing namespace beside them."""
 
-    def test_timer_observes_into_histogram(self):
-        from repro.util.timers import TimerRegistry
-
-        tel = Telemetry()
-        reg = TimerRegistry(telemetry=tel)
-        with reg("chemistry"):
-            pass
-        h = tel.snapshot()["metrics"]["histograms"]["timer.chemistry"]
-        assert h["count"] == 1
-        assert h["sum"] >= 0.0
-
-    def test_no_telemetry_no_histograms(self):
-        from repro.util.timers import TimerRegistry
-
-        reg = TimerRegistry()
-        with reg("chemistry"):
-            pass
-        assert reg.report()  # legacy path still works
-
-    def test_null_telemetry_is_inert(self):
-        from repro.util.timers import TimerRegistry
-
-        reg = TimerRegistry(telemetry=NULL_TELEMETRY)
-        with reg("chemistry"):
-            pass
-        assert "chemistry" in reg.timers
-
-    def test_bind_telemetry_rebinds_existing_timers(self):
-        from repro.util.timers import TimerRegistry
-
-        reg = TimerRegistry()
-        with reg("integrate"):
-            pass
-        tel = Telemetry()
-        reg.bind_telemetry(tel)
-        with reg("integrate"):
-            pass
-        h = tel.snapshot()["metrics"]["histograms"]["timer.integrate"]
-        assert h["count"] == 1  # only the post-bind stop is forwarded
-
-    def test_solver_timers_forward_when_telemetry_on(self, h2_mech,
-                                                     h2_air_stoich):
+    def test_solver_phases_are_spans_not_timers(self, h2_mech,
+                                                h2_air_stoich):
         from repro.core import Grid, S3DSolver, SolverConfig, ic
         from repro.core.config import periodic_boundaries
         from repro.util.constants import P_ATM
@@ -897,6 +865,12 @@ class TestTimerTelemetryBridge:
         cfg = SolverConfig(boundaries=periodic_boundaries(1), dt=5e-8,
                            telemetry=True)
         s = S3DSolver(state, cfg, transport=None, reacting=False)
-        s.step()
+        s.checkpoint_hook = s.insitu_hook = lambda step, t, state: None
+        s.run(2, checkpoint_interval=1, insitu_interval=2)
+        stats = s.telemetry.tracer.stats
+        assert {name: stats[name].count for name in
+                ("INTEGRATE", "FILTER", "CHECKPOINT", "INSITU")} == {
+            "INTEGRATE": 2, "FILTER": 2, "CHECKPOINT": 2, "INSITU": 1}
         hists = s.telemetry.snapshot()["metrics"]["histograms"]
-        assert hists["timer.integrate"]["count"] == 1
+        assert not [name for name in hists if name.startswith("timer.")]
+        assert not hasattr(s, "timers")

@@ -24,6 +24,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.config import resolve
 from repro.observability import timeline
 from repro.observability.endpoint import (
     MetricsEndpoint,
@@ -38,7 +39,6 @@ from repro.telemetry.tracing import (
     TraceEvent,
     TraceLog,
     classify_tag,
-    resolve_tracing,
 )
 
 pytestmark = pytest.mark.tracing
@@ -138,18 +138,18 @@ class TestTraceLog:
 class TestResolution:
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACING", "1")
-        assert resolve_tracing(False) is False
+        assert resolve("tracing", False) is False
         monkeypatch.delenv("REPRO_TRACING")
-        assert resolve_tracing(True) is True
+        assert resolve("tracing", True) is True
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACING", raising=False)
-        assert resolve_tracing() is False
+        assert resolve("tracing") is False
         for raw in ("1", "on", "TRUE", "yes"):
             monkeypatch.setenv("REPRO_TRACING", raw)
-            assert resolve_tracing() is True
+            assert resolve("tracing") is True
         monkeypatch.setenv("REPRO_TRACING", "0")
-        assert resolve_tracing() is False
+        assert resolve("tracing") is False
 
     def test_classify_tag(self):
         assert classify_tag(0) == "halo"
@@ -581,19 +581,17 @@ class TestMetricsEndpoint:
 # ---------------------------------------------------------------------------
 class TestFixedSubstepsPlumbing:
     def test_resolver_explicit_env_default(self, monkeypatch):
-        from repro.chemistry.implicit import resolve_fixed_substeps
-
         monkeypatch.delenv("REPRO_CHEM_FIXED_SUBSTEPS", raising=False)
-        assert resolve_fixed_substeps() is None
-        assert resolve_fixed_substeps(4) == 4
+        assert resolve("fixed_substeps") is None
+        assert resolve("fixed_substeps", 4) == 4
         monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "6")
-        assert resolve_fixed_substeps() == 6
-        assert resolve_fixed_substeps(2) == 2  # explicit wins
+        assert resolve("fixed_substeps") == 6
+        assert resolve("fixed_substeps", 2) == 2  # explicit wins
         with pytest.raises(ValueError):
-            resolve_fixed_substeps(0)
+            resolve("fixed_substeps", 0)
         monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "many")
         with pytest.raises(ValueError):
-            resolve_fixed_substeps()
+            resolve("fixed_substeps")
 
     def test_config_validate_rejects_bad_count(self):
         from repro.core.config import SolverConfig, periodic_boundaries

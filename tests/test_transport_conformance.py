@@ -4,9 +4,8 @@ One shared battery — point-to-point ordering, tag matching, probe,
 collectives, gather_bytes, delayed delivery, rank failure, fault
 injection, message-log accounting, and the execution plane — runs
 against every registered transport backend. A new backend is done when
-this file passes for it; an unavailable backend (mpi4py without the
-package) skips with its reason, which is the CI transport lane's
-skip-with-reason output.
+this file passes for it. The CI transport lane fails on any skip here:
+a registered backend that no lane executes is deleted, not skipped.
 
 Also here:
 * hypothesis property tests — random message schedules produce
@@ -25,13 +24,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import resolve
 from repro.parallel.comm import (
     TRANSPORTS,
     InProcessTransport,
     TransportUnavailableError,
     available_transports,
     create_transport,
-    resolve_transport_name,
     transport_unavailable_reason,
 )
 from repro.parallel.programs import EchoProgram, make_echo, make_failing
@@ -230,8 +229,6 @@ class TestFaultInjection:
         inj = FaultInjector(seed=42)
         inj.add("mpi.send", mode="delay", probability=1.0)
         w = make_world(2, fault_injector=inj)
-        if w.name == "mpi4py":
-            pytest.skip("mpi4py delivers eagerly; no delay parking")
         w.comm(0).Send(np.arange(3.0), dest=1, tag=8)
         assert w.log.count == 1  # delayed messages are still logged
         assert not w.comm(1).probe(source=0, tag=8)
@@ -254,11 +251,7 @@ class TestExecutionPlane:
         w.start_programs(make_echo, [(float(r),) for r in range(3)])
         assert w.call_all("bump") == [1, 1, 1]
         assert w.call_all("bump") == [2, 2, 2]
-        idents = w.call_all("identity")
-        if getattr(w, "spmd", False):
-            assert len(idents) == 1
-        else:
-            assert idents == [(0, 0.0), (1, 1.0), (2, 2.0)]
+        assert w.call_all("identity") == [(0, 0.0), (1, 1.0), (2, 2.0)]
 
     def test_array_payloads_roundtrip(self, make_world):
         w = make_world(2)
@@ -271,9 +264,8 @@ class TestExecutionPlane:
     def test_call_one(self, make_world):
         w = make_world(2)
         w.start_programs(make_echo, [(0.0,), (5.0,)])
-        rank = 0 if getattr(w, "spmd", False) else 1
         a = np.random.default_rng(0).random(32)
-        out, checksum = w.call_one(rank, "roundtrip", a)
+        out, checksum = w.call_one(1, "roundtrip", a)
         np.testing.assert_array_equal(out, a)
         assert checksum == pytest.approx(float(a.sum()))
 
@@ -362,19 +354,18 @@ class TestMultiprocessingIsolation:
 
 class TestRegistry:
     def test_resolve_explicit(self):
-        assert resolve_transport_name("inprocess") == "inprocess"
+        assert resolve("transport", "inprocess") == "inprocess"
         with pytest.raises(ValueError, match="unknown transport"):
-            resolve_transport_name("carrier-pigeon")
+            resolve("transport", "carrier-pigeon")
 
     def test_resolve_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRANSPORT", "multiprocessing")
-        assert resolve_transport_name() == "multiprocessing"
+        assert resolve("transport") == "multiprocessing"
         monkeypatch.delenv("REPRO_TRANSPORT")
-        assert resolve_transport_name() == "inprocess"
+        assert resolve("transport") == "inprocess"
 
     def test_available_contains_reference(self):
-        names = available_transports()
-        assert "inprocess" in names and "multiprocessing" in names
+        assert available_transports() == ["inprocess", "multiprocessing"]
 
     def test_default_is_inprocess(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
@@ -382,12 +373,9 @@ class TestRegistry:
             assert isinstance(w, InProcessTransport)
             assert w.name == "inprocess"
 
-    def test_mpi4py_reason_or_available(self):
-        reason = transport_unavailable_reason("mpi4py")
-        if reason is not None:
-            assert "mpi4py" in reason
-        else:  # pragma: no cover - environment-dependent
-            assert "mpi4py" in available_transports()
+    def test_deleted_mpi4py_transport_is_unknown(self):
+        with pytest.raises(ValueError, match="'inprocess', 'multiprocessing'"):
+            create_transport("mpi4py", size=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Tests for repro.util: constants, validation, timers."""
-
-import time
+"""Tests for repro.util: constants, validation."""
 
 import numpy as np
 import pytest
@@ -8,8 +6,6 @@ import pytest
 from repro.util import (
     RU,
     P_ATM,
-    Timer,
-    TimerRegistry,
     check_in_range,
     check_positive,
     check_probability_vector,
@@ -58,93 +54,3 @@ class TestValidation:
     def test_probability_vector_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             check_probability_vector("y", np.array([0.2, 0.2]))
-
-
-class TestTimers:
-    def test_accumulates(self):
-        t = Timer("t")
-        with t:
-            time.sleep(0.001)
-        with t:
-            time.sleep(0.001)
-        assert t.count == 2
-        assert t.total >= 0.002
-        assert t.mean == pytest.approx(t.total / 2)
-
-    def test_double_start_raises(self):
-        t = Timer("t")
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer("t").stop()
-
-    def test_registry_reuses(self):
-        reg = TimerRegistry()
-        assert reg("a") is reg("a")
-        assert reg("a") is not reg("b")
-
-    def test_registry_report(self):
-        reg = TimerRegistry()
-        with reg("kernel"):
-            pass
-        assert "kernel" in reg.report()
-
-    def test_mean_zero_when_unused(self):
-        assert Timer("t").mean == 0.0
-
-    def test_context_exit_on_exception_discards_interval(self):
-        """An exception inside the with-block must leave the timer
-        restartable and must not count the aborted interval."""
-        t = Timer("t")
-        with pytest.raises(ValueError, match="boom"):
-            with t:
-                raise ValueError("boom")
-        assert not t.running
-        assert t.count == 0
-        assert t.total == 0.0
-        # start() works again after the aborted context
-        with t:
-            pass
-        assert t.count == 1
-
-    def test_cancel_discards_running_interval(self):
-        t = Timer("t")
-        t.start()
-        t.cancel()
-        assert not t.running and t.count == 0
-        t.cancel()  # idempotent when not running
-        t.start()
-        t.stop()
-        assert t.count == 1
-
-    def test_running_property(self):
-        t = Timer("t")
-        assert not t.running
-        t.start()
-        assert t.running
-        t.stop()
-        assert not t.running
-
-    def test_registry_iteration_is_creation_order(self):
-        reg = TimerRegistry()
-        for name in ("zeta", "alpha", "mid"):
-            reg(name)
-        assert [t.name for t in reg] == ["zeta", "alpha", "mid"]
-        assert reg.names() == ["zeta", "alpha", "mid"]
-        assert len(reg) == 3
-        assert "alpha" in reg and "missing" not in reg
-
-    def test_registry_report_deterministic_for_ties(self):
-        """Timers with equal totals (e.g. all zero) sort by name, so the
-        report is stable across runs."""
-        reg1, reg2 = TimerRegistry(), TimerRegistry()
-        for name in ("c", "a", "b"):
-            reg1(name)
-        for name in ("b", "c", "a"):
-            reg2(name)
-        assert reg1.report() == reg2.report()
-        lines = [l.split()[0] for l in reg1.report().splitlines()[1:]]
-        assert lines == sorted(lines)
