@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse import lil_matrix
 
 from repro.chemistry.zerod import ConstPressureReactor
 
@@ -158,6 +156,8 @@ class FreeFlame:
         return block.T.ravel()
 
     def _sparsity(self):
+        from scipy.sparse import lil_matrix  # deferred: see chemistry/zerod.py
+
         nb = 1 + self.mech.n_species
         size = nb * (self.n - 1)
         s = lil_matrix((size, size), dtype=np.int8)
@@ -204,6 +204,8 @@ class FreeFlame:
         drift velocity, and corrects ``m <- m - relax rho_u v_drift``
         until |v_drift| < drift_tol * SL.
         """
+        from scipy.integrate import solve_ivp
+
         T, Y = self._initial_profile()
         m = self.rho_u * sl_guess
         sparsity = self._sparsity()

@@ -5,12 +5,16 @@ stabilization result of §6: the 1100 K vitiated coflow sits above the
 H2/air crossover temperature, so mixtures of cold fuel and hot coflow
 autoignite, fastest in hot fuel-lean compositions where ignition delays
 are shortest (Fig 11).
+
+SciPy's stiff integrators are imported by the functions that integrate,
+not by this module: ``repro.scenarios`` reaches it on the way to a
+solver, and no time step uses SciPy (``tests/test_scenarios.py`` pins
+that a solver build plus a step leaves ``scipy`` unimported).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.util.constants import RU
 
@@ -47,6 +51,8 @@ class ConstPressureReactor:
 
     def integrate(self, T0, Y0, t_end, n_out=200, rtol=1e-8, atol=1e-12):
         """Integrate to ``t_end``; returns (t, T(t), Y(t))."""
+        from scipy.integrate import solve_ivp
+
         y0 = np.concatenate(([float(T0)], np.asarray(Y0, dtype=float)))
         t_eval = np.linspace(0.0, t_end, n_out)
         sol = solve_ivp(
@@ -84,6 +90,8 @@ class ConstVolumeReactor:
 
     def integrate(self, T0, Y0, t_end, n_out=200, rtol=1e-8, atol=1e-12):
         """Integrate to ``t_end``; returns (t, T(t), Y(t))."""
+        from scipy.integrate import solve_ivp
+
         y0 = np.concatenate(([float(T0)], np.asarray(Y0, dtype=float)))
         t_eval = np.linspace(0.0, t_end, n_out)
         sol = solve_ivp(
@@ -109,6 +117,8 @@ def ignition_delay(mechanism, T0, p, Y0, t_end, delta_T=400.0, n_out=None,
     backward compatibility and ignored. Returns ``numpy.inf`` if no
     ignition within ``t_end``.
     """
+    from scipy.integrate import solve_ivp
+
     reactor = ConstPressureReactor(mechanism, p)
     target = float(T0) + float(delta_T)
 

@@ -18,13 +18,15 @@ point itself is left unfiltered. This keeps dissipation active where
 the one-sided derivative closures need it most, which is essential for
 long-time stability with characteristic boundary conditions.
 
-Like the derivative operator, the filter is allocation-free once warm:
-periodic axes accumulate the correction from a reusable ghost-padded
-buffer (replacing the ``np.roll`` temporaries), and results can land in
-a caller-supplied ``out`` — which may alias the input, since the
-correction is fully assembled before the final subtraction. Stacked
-``(nfields, ...)`` arrays filter in one sweep via the ``axis`` argument.
-All paths are bitwise identical to the original formulation.
+Like the derivative operator, the filter is allocation-free once warm
+and sweeps in the array's own layout, in cache-sized groups of fields
+(:mod:`repro.core.stencil`): no transposed copy of the stack, a ghost pad
+grown along the filtered axis only, the correction accumulated as long
+contiguous passes. Results can land in a caller-supplied ``out`` — which
+may alias the input, since a group's correction is fully assembled
+before the final subtraction. Stacked ``(nfields, ...)`` arrays filter
+via the ``axis`` argument. All paths are bitwise identical to the
+original formulation.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.core.stencil import (
+    SweepScratch, along, boundary_slab, field_groups, flat_source, leading,
+    staged_kernel_sweep, sweep_source,
+)
 
 #: filter stencil half-width
 FILTER_HALF_WIDTH = 5
@@ -75,7 +82,7 @@ class FilterOperator:
         )
         for j in range(1, FILTER_HALF_WIDTH):
             self._bweights_padded[j - 1, : 2 * j + 1] = self._boundary_weights[j - 1]
-        self._scratch: dict = {}
+        self._scratch = SweepScratch()
         # fused backend sweep (None -> generic reference path)
         self.backend = backend
         self._kernel = None
@@ -83,14 +90,6 @@ class FilterOperator:
             self._kernel = backend.kernel(
                 "filter_periodic" if self.periodic else "filter_boundary"
             )
-
-    def _buffer(self, name: str, shape) -> np.ndarray:
-        key = (name, shape)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(shape)
-            self._scratch[key] = buf
-        return buf
 
     def apply(self, f, axis: int = 0, out=None):
         """Filter ``f`` along ``axis``.
@@ -115,81 +114,77 @@ class FilterOperator:
     __call__ = apply
 
     def _dispatch(self, f, axis, out):
-        src = np.moveaxis(f, axis, 0)
-        dst = np.moveaxis(out, axis, 0)
-        if self._kernel is None:
-            return self._apply_axis0(src, dst)
-        # fused backend sweep on contiguous (n, m) views; the kernels read
-        # the whole source while writing the destination, so staging covers
-        # both strided moved views and the documented out-aliases-f case
-        n = self.n
-        if src.flags.c_contiguous:
-            f2 = src.reshape(n, -1)
-        else:
-            tmp = self._buffer("ksrc", src.shape)
-            np.copyto(tmp, src)
-            f2 = tmp.reshape(n, -1)
-        stage = not dst.flags.c_contiguous or np.may_share_memory(out, f)
-        if stage:
-            dbuf = self._buffer("kdst", dst.shape)
-            d2 = dbuf.reshape(n, -1)
-        else:
-            d2 = dst.reshape(n, -1)
-        if self.periodic:
-            self._kernel(f2, self.weights, d2)
-        else:
-            self._kernel(f2, self.weights, self._bweights_padded, d2)
-        if stage:
-            np.copyto(dst, dbuf)
-        return None
+        axis %= f.ndim
+        if self._kernel is not None:
+            consts = (self.weights,) if self.periodic else (self.weights, self._bweights_padded)
+            return staged_kernel_sweep(
+                self._scratch, f, out, axis,
+                lambda f2, d2: self._kernel(f2, *consts, d2),
+            )
+        src, aliased = sweep_source(f, out)
+        for f_group, out_group in field_groups(src, out, axis):
+            self._sweep(f_group, out_group, axis, aliased)
 
-    def _apply_axis0(self, f, out):
+    def _sweep(self, f, out, axis, aliased):
+        """One group of fields: ``out <- f - correction``.
+
+        The correction accumulates over the flat view of the source (see
+        :func:`~repro.core.stencil.flat_source`) and is fully assembled
+        before the one strided pass that subtracts it into ``out``.
+        """
         n, w = self.n, FILTER_HALF_WIDTH
-        rest = f.shape[1:]
-        corr = self._buffer("corr", (n,) + rest)
-        tmp = self._buffer("tmp", (n,) + rest)
-        if self.periodic:
-            # ghost-padded contiguous slicing: roll(f, -k)[i] == pad[w+i+k]
-            pad = self._buffer("pad", (n + 2 * w,) + rest)
-            pad[w : w + n] = f
-            pad[:w] = f[n - w :]
-            pad[w + n :] = f[:w]
-            np.multiply(pad[0:n], self.weights[0], out=corr)  # k = -w
-            for k in range(-w + 1, w + 1):
-                np.multiply(pad[w + k : w + n + k], self.weights[k + w], out=tmp)
-                corr += tmp
-            np.subtract(f, corr, out=out)
-            return
-        corr.fill(0.0)
-        ci = corr[w : n - w]
-        ti = tmp[: n - 2 * w]
-        first = True
+        sc = self._scratch
+        ghost = w if self.periodic else 0
+        src, flat, stride = flat_source(sc, f, axis, ghost, aliased)
+        reach = w * stride
+        size = flat.size
+        acc = sc.view("acc", src.shape)
+        corr = acc.reshape(-1)[reach : size - reach]
+        tmp = sc.view("tmp", corr.shape)
         for k in range(-w, w + 1):
-            seg = f[w + k : n - w + k]
-            if first:
-                np.multiply(seg, self.weights[k + w], out=ci)
-                first = False
-            else:
-                np.multiply(seg, self.weights[k + w], out=ti)
-                ci += ti
+            term = corr if k == -w else tmp
+            np.multiply(flat[reach + k * stride : size - reach + k * stride],
+                        self.weights[k + w], out=term)
+            if k > -w:
+                corr += tmp
+        if self.periodic:
+            centre = along(axis, w, w + n)
+            np.subtract(src[centre], acc[centre], out=out)
+            return
+        interior = along(axis, w, n - w)
+        np.subtract(src[interior], acc[interior], out=out[interior])
         # reduced-order rows at distance j = 1..w-1 from each boundary
-        # (rows 0 and n-1 keep a zero correction: unfiltered)
-        row = tmp[0:1]
+        # (rows 0 and n-1 keep a zero correction: unfiltered); rows[j] is
+        # the correction at distance j from the low end, rows[w + j] from
+        # the high end
+        span = 2 * w - 1
+        head = boundary_slab(sc, "head", src, axis, 0, span)
+        tail = boundary_slab(sc, "tail", src, axis, n - span, n)
+        rows = sc.view("rows", (2 * w,) + head.shape[1:])
+        rows.fill(0.0)
+        row = sc.view("row", (1,) + head.shape[1:])
         for j in range(1, w):
             bw = self._boundary_weights[j - 1]
             for k in range(-j, j + 1):
-                np.multiply(f[j + k : j + k + 1], bw[k + j], out=row)
-                corr[j : j + 1] += row
-                lo = n - 1 - j + k
-                np.multiply(f[lo : lo + 1], bw[k + j], out=row)
-                corr[n - 1 - j : n - j] += row
-        np.subtract(f, corr, out=out)
+                np.multiply(head[j + k : j + k + 1], bw[k + j], out=row)
+                rows[j : j + 1] += row
+                hi = span - 1 - j + k
+                np.multiply(tail[hi : hi + 1], bw[k + j], out=row)
+                rows[w + j : w + j + 1] += row
+        np.subtract(head[:w], rows[:w],
+                    out=leading(out[along(axis, 0, w)], axis))
+        np.subtract(tail[: span - w - 1 : -1], rows[w:],
+                    out=leading(out[along(axis, n - 1, n - w - 1, -1)], axis))
 
 
 def filter_operators(grid, alpha: float = 1.0, telemetry=None, backend=None):
-    """One :class:`FilterOperator` per grid direction."""
-    return [
+    """One :class:`FilterOperator` per grid direction (sharing one
+    :class:`~repro.core.stencil.SweepScratch`, like the derivatives)."""
+    filters = [
         FilterOperator(grid.shape[axis], periodic=grid.periodic[axis], alpha=alpha,
                        telemetry=telemetry, backend=backend)
         for axis in range(grid.ndim)
     ]
+    for filt in filters[1:]:
+        filt._scratch = filters[0]._scratch
+    return filters

@@ -184,11 +184,19 @@ class CompressibleRHS:
         fingerprint that catches in-place mutation (low-storage RK
         stages update ``u`` in place between evaluations).
 
-        Inside a solver step the memo does not bridge :meth:`stable_dt`
-        and the first integrator stage: ``LowStorageERK.step`` copies
-        ``u`` before stage 1, so the buffer identity differs and
-        ``rhs.props_cache_hits`` stays 0 over a run (see
-        docs/PERFORMANCE.md for why that is left alone).
+        Whether the memo bridges :meth:`stable_dt` and the first
+        integrator stage depends on the scheme. ``ButcherERK`` (the
+        default ``rkf45``, ``rk4``) evaluates stage 1 on the state array
+        itself, so a CFL-adaptive step, or the ``full``-mode CFL
+        watchdog's look at the finished step, shares its evaluation with
+        stage 1 — that sharing is also what keeps the watchdog bitwise
+        invisible, because a second warm Newton solve of the same state
+        is not idempotent in the last bit. ``LowStorageERK.step``
+        (``ck45``, every science scenario and ledger workload) copies
+        ``u`` first, so there ``rhs.props_cache_hits`` stays 0 and the
+        two evaluate separately; closing that gap needs an explicit
+        hand-off and moves the explicit goldens (docs/PERFORMANCE.md,
+        ROADMAP.md).
         """
         st = self.state
         u = np.asarray(u, dtype=float)
@@ -562,8 +570,8 @@ class CompressibleRHS:
         """Acoustic + diffusive stable time step estimate.
 
         Shares the memoized primitives/transport evaluation with an RHS
-        evaluation on the same buffer. The integrators copy ``u`` before
-        their first stage, so at the start of a solver step the
+        evaluation on the same buffer — stage 1 of the Butcher-form
+        schemes; the low-storage ones copy ``u`` first, so there the
         estimate and stage 1 each evaluate the properties (see
         :meth:`_eval_props`).
         """

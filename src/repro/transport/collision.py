@@ -15,60 +15,31 @@ def reduced_temperature(T, eps_over_k):
     return np.asarray(T, dtype=float) / eps_over_k
 
 
+#: The Neufeld fits as data, ``((c0, p0), (c1, b1), ...)`` for
+#: ``c0 * t**p0 + sum_k c_k * exp(b_k * t)``; the streamed evaluation
+#: kernel of :mod:`repro.transport.mixture` folds its per-species and
+#: per-pair constants from the same tables.
+OMEGA22_FIT = ((1.16145, -0.14874), (0.52487, -0.77320), (2.16178, -2.43787))
+OMEGA11_FIT = (
+    (1.06036, -0.15610), (0.19300, -0.47635),
+    (1.03587, -1.52996), (1.76474, -3.89411),
+)
+
+
+def _fit(t_star, fit):
+    t = np.asarray(t_star, dtype=float)
+    (c0, p0), *exps = fit
+    total = c0 * t**p0
+    for c, b in exps:
+        total = total + c * np.exp(b * t)
+    return total
+
+
 def omega22(t_star):
     """Reduced collision integral Omega^(2,2)* (viscosity/conductivity)."""
-    t = np.asarray(t_star, dtype=float)
-    return (
-        1.16145 * t**-0.14874
-        + 0.52487 * np.exp(-0.77320 * t)
-        + 2.16178 * np.exp(-2.43787 * t)
-    )
+    return _fit(t_star, OMEGA22_FIT)
 
 
 def omega11(t_star):
     """Reduced collision integral Omega^(1,1)* (diffusion)."""
-    t = np.asarray(t_star, dtype=float)
-    return (
-        1.06036 * t**-0.15610
-        + 0.19300 * np.exp(-0.47635 * t)
-        + 1.03587 * np.exp(-1.52996 * t)
-        + 1.76474 * np.exp(-3.89411 * t)
-    )
-
-
-def _fit_inplace(t, coeffs, out, scratch):
-    """Evaluate ``sum_k c_k * exp(b_k t)`` style fits without temporaries.
-
-    ``coeffs`` is ``[(c0, p0)] + [(c_k, b_k), ...]`` — a leading power
-    term ``c0 * t**p0`` plus exponential terms ``c_k * exp(b_k * t)``.
-    Term order and per-element operation order match the allocating
-    formulations above bitwise.
-    """
-    (c0, p0) = coeffs[0]
-    np.power(t, p0, out=out)
-    out *= c0
-    for c, b in coeffs[1:]:
-        np.multiply(t, b, out=scratch)
-        np.exp(scratch, out=scratch)
-        scratch *= c
-        out += scratch
-    return out
-
-
-def omega22_inplace(t_star, out, scratch):
-    """:func:`omega22` into preallocated storage (bitwise identical)."""
-    return _fit_inplace(
-        t_star,
-        [(1.16145, -0.14874), (0.52487, -0.77320), (2.16178, -2.43787)],
-        out, scratch,
-    )
-
-
-def omega11_inplace(t_star, out, scratch):
-    """:func:`omega11` into preallocated storage (bitwise identical)."""
-    return _fit_inplace(
-        t_star,
-        [(1.06036, -0.15610), (0.19300, -0.47635),
-         (1.03587, -1.52996), (1.76474, -3.89411)],
-        out, scratch,
-    )
+    return _fit(t_star, OMEGA11_FIT)

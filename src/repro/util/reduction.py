@@ -26,18 +26,22 @@ import numpy as np
 __all__ = ["axis0_sum"]
 
 
-def axis0_sum(a):
+def axis0_sum(a, out=None):
     """Sum ``a`` over axis 0 in strict index order.
 
     Equivalent to ``a.sum(axis=0)`` up to summation order; unlike the
     NumPy reduction the order never depends on the shape or memory
     layout of the trailing (batch) axes, so extracting one cell from a
-    batch and reducing it alone gives bitwise-identical results.
+    batch and reducing it alone gives bitwise-identical results. With
+    ``out`` the sum is accumulated there (it must not overlap ``a``).
     """
     a = np.asarray(a)
     if a.shape[0] == 0:
         return np.zeros(a.shape[1:], dtype=a.dtype)
-    acc = np.array(a[0], copy=True)
+    if out is None:
+        out = np.array(a[0], copy=True)
+    else:
+        np.copyto(out, a[0])
     for k in range(1, a.shape[0]):
-        acc += a[k]
-    return acc
+        out += a[k]
+    return out

@@ -2,6 +2,9 @@
 advancement; the full physics checks live in the benchmarks)."""
 
 import hashlib
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,3 +169,25 @@ class TestPremixedBox:
         _, _, T, _, _, _ = solver.state.primitives()
         assert np.isfinite(T).all()
         assert 600.0 < T.max() < 3200.0
+
+
+class TestSolverImportPath:
+    def test_a_time_step_never_imports_scipy(self):
+        """SciPy serves the 0-d reactors and the laminar-flame analysis;
+        importing it costs 0.45 s and 54 MB that no time step uses, so
+        it must stay off the path from ``import repro.scenarios`` through
+        a solver build to an explicit step (fresh interpreter)."""
+        code = (
+            "import sys\n"
+            "import repro.scenarios as sc\n"
+            "solver, _ = sc.lifted_jet(nx=24, ny=16)\n"
+            "solver.step()\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded[:5]\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=300, env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert proc.returncode == 0, proc.stderr
