@@ -1,7 +1,7 @@
 """Distributed-recovery overhead benchmark + regression gate.
 
-Measures the cost of the parallel run supervisor
-(:func:`repro.resilience.distributed.run_parallel_resilient`) on the
+Measures the cost of the run supervisor
+(:func:`repro.resilience.supervisor.run_resilient`) on the
 4-rank in-process H2/air hot-spot scenario the recovery test suite
 uses:
 
@@ -50,11 +50,9 @@ from repro.core.state import State  # noqa: E402
 from repro.io import SimFileSystem, lustre  # noqa: E402
 from repro.parallel.decomp import CartesianDecomposition  # noqa: E402
 from repro.parallel.solver import ParallelPeriodicSolver  # noqa: E402
-from repro.resilience.distributed import (  # noqa: E402
-    DistributedCheckpointRing,
-    run_parallel_resilient,
-)
+from repro.resilience.distributed import DistributedCheckpointRing  # noqa: E402
 from repro.resilience.faults import FaultInjector  # noqa: E402
+from repro.resilience.supervisor import run_resilient  # noqa: E402
 from repro.transport import ConstantLewisTransport  # noqa: E402
 from repro.util.constants import P_ATM  # noqa: E402
 
@@ -104,12 +102,10 @@ def build(policy="off", faults=None):
 class _StubSolver:
     """Counts steps; isolates the supervisor's dispatch machinery."""
 
-    class _Decomp:
-        size = 1
+    world_size = 1
 
     def __init__(self):
         self.step_count = 0
-        self.decomp = self._Decomp()
 
     def run(self, n_steps, dt):
         for _ in range(n_steps):
@@ -132,7 +128,7 @@ def measure_off_dispatch_ns(iters=200_000, repeats=9):
         stub.run(iters, DT)
         best_bare = min(best_bare, (time.perf_counter() - t0) / iters)
         t0 = time.perf_counter()
-        run_parallel_resilient(stub, None, iters, DT, policy="off")
+        run_resilient(stub, None, iters, dt=DT, policy="off")
         best_sup = min(best_sup, (time.perf_counter() - t0) / iters)
     return max(best_sup - best_bare, 0.0) * 1e9
 
@@ -183,8 +179,8 @@ def measure_recovery(steps):
     # off policy through the supervisor: must match bitwise
     solver = build(policy="off")
     try:
-        run_parallel_resilient(solver, SimFileSystem(lustre()), steps, DT,
-                               policy="off")
+        run_resilient(solver, SimFileSystem(lustre()), steps, dt=DT,
+                      policy="off")
         off_bitwise = bool(np.array_equal(solver.gather_state(), u_ref))
     finally:
         solver.close()
@@ -196,8 +192,8 @@ def measure_recovery(steps):
     solver = build(policy="respawn", faults=inj)
     try:
         t0 = time.perf_counter()
-        report = run_parallel_resilient(solver, SimFileSystem(lustre()),
-                                        steps, DT, policy="respawn")
+        report = run_resilient(solver, SimFileSystem(lustre()), steps, dt=DT,
+                               policy="respawn", checkpoint_interval=2)
         faulted_wall = time.perf_counter() - t0
         recovered_bitwise = bool(np.array_equal(solver.gather_state(), u_ref))
     finally:

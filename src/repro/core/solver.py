@@ -26,6 +26,16 @@ from repro import telemetry as _telemetry
 class S3DSolver:
     """Explicit compressible reacting-flow DNS solver.
 
+    The one time-step driver: :meth:`step`, :meth:`_strang_chemistry`,
+    :meth:`run` and :meth:`run_resilient` exist here and nowhere else. A
+    serial run is the one-rank case; a decomposed domain
+    (:class:`~repro.parallel.solver.ParallelPeriodicSolver`) overrides
+    the four hooks that genuinely differ — how an RHS is evaluated
+    (:meth:`_integrate`), how a filter pass is applied
+    (:meth:`apply_filter`), which blocks the Strang reactors see
+    (:meth:`_reactor_blocks`), who chooses ``dt`` (:meth:`compute_dt`)
+    — and the recovery plumbing the supervisor calls.
+
     Parameters
     ----------
     state:
@@ -43,11 +53,35 @@ class S3DSolver:
         the §4 inventory names (INTEGRATE, FILTER, DERIVATIVES, ...).
     """
 
+    #: the one-rank case: no rank to lose (a supervised run always rolls
+    #: back and replays) and nobody to ship chemistry cells to
+    recovery_policy = "rollback"
+    world_size = 1
+    chemlb = None
+
     def __init__(self, state, config, transport=None, reacting=True,
                  telemetry=None):
-        config.validate(state.grid)
+        reacting = self._setup(config, state.mech, state.grid, reacting,
+                               telemetry)
         self.state = state
+        self.rhs = CompressibleRHS(
+            state, transport=transport, boundaries=config.boundaries,
+            reacting=reacting, telemetry=self.telemetry,
+            engine=config.rhs_engine, backend=config.rhs_backend,
+        )
+        self.filters = filter_operators(state.grid, alpha=config.filter_alpha,
+                                        telemetry=self.telemetry,
+                                        backend=self.rhs.backend)
+        self._arm_health()
+
+    def _setup(self, config, mech, grid, reacting, telemetry) -> bool:
+        """What a solver is before it has a domain: validated config,
+        telemetry, Strang chemistry (if any), integrator, clock, hook
+        points. Returns whether the RHS itself carries the reactions."""
+        config.validate(grid)
         self.config = config
+        self.mech = mech
+        self.grid = grid
         self.telemetry = _telemetry.for_solver(
             telemetry, config.telemetry, config.tracing
         )
@@ -58,48 +92,65 @@ class S3DSolver:
         # it. A non-reacting solver (or an inert mechanism) has nothing
         # to split and keeps the plain transport path.
         split = (self.chemistry_mode == "strang" and reacting
-                 and state.mech.n_reactions > 0)
+                 and mech.n_reactions > 0)
         self._chem = None
         if split:
             from repro.chemistry.implicit import ImplicitChemistry
 
             self._chem = ImplicitChemistry(
-                state.mech, closure="constant-volume",
+                mech, closure="constant-volume",
                 method=config.chemistry_method,
                 fixed_substeps=config.fixed_substeps,
                 telemetry=self.telemetry,
             )
-        self.rhs = CompressibleRHS(
-            state, transport=transport, boundaries=config.boundaries,
-            reacting=reacting and not split, telemetry=self.telemetry,
-            engine=config.rhs_engine, backend=config.rhs_backend,
-        )
         self.integrator = ERKIntegrator(config.scheme)
-        self.filters = filter_operators(state.grid, alpha=config.filter_alpha,
-                                        telemetry=self.telemetry,
-                                        backend=self.rhs.backend)
         self.time = 0.0
         self.step_count = 0
-        self.health = self._resolve_health(config)
         self.checkpoint_hook = None
         self.insitu_hook = None
         self.monitor_history = []  # list of (step, time, {var: (min, max)})
         #: optional :class:`~repro.telemetry.MonitorWriter` fed by
         #: :meth:`record_monitor` (the §9 ASCII monitoring files)
         self.monitor_writer = None
+        return reacting and not split
 
-    def _resolve_health(self, config):
+    def _arm_health(self) -> None:
+        """Attach the health monitor the config asks for (last: the
+        watchdog set depends on what the finished solver offers)."""
         from repro.observability import for_solver
 
-        return for_solver(self, config.observability)
+        self.health = for_solver(self, self.config.observability)
 
-    # ------------------------------------------------------------------
+    # -- the four hooks a decomposed domain overrides ----------------------
     def compute_dt(self) -> float:
         """Stable time step from the configured CFL (or the fixed dt)."""
         if self.config.dt is not None:
             return self.config.dt
         return self.rhs.stable_dt(cfl=self.config.cfl)
 
+    def _integrate(self, dt: float) -> None:
+        """One ERK step of the RHS over the whole domain."""
+        self.state.u = self.integrator.step(self.rhs, self.time, self.state.u, dt)
+
+    def _reactor_blocks(self) -> list:
+        """The conserved blocks the Strang reactors advance in place
+        (declared modified, so memoized thermo/transport invalidate)."""
+        self.state.mark_modified()
+        return [self.state.u]
+
+    def apply_filter(self) -> None:
+        """Apply the 10th-order filter along every direction.
+
+        All variables are filtered in one stacked in-place sweep per
+        direction (the filter's ``out`` may alias its input); the state
+        is marked modified so memoized thermo/transport invalidate.
+        """
+        u = self.state.u
+        for axis, filt in enumerate(self.filters):
+            filt.apply(u, axis=1 + axis, out=u)
+        self.state.mark_modified()
+
+    # -- the one time-step driver ------------------------------------------
     def step(self, dt: float | None = None) -> float:
         """Advance one time step; returns the dt used.
 
@@ -112,7 +163,7 @@ class S3DSolver:
         if self._chem is not None:
             self._strang_chemistry(0.5 * dt)
         with self.telemetry.span("INTEGRATE"):
-            self.state.u = self.integrator.step(self.rhs, self.time, self.state.u, dt)
+            self._integrate(dt)
         if self._chem is not None:
             self._strang_chemistry(0.5 * dt)
         self.telemetry.gauge("solver.dt").set(dt)
@@ -127,36 +178,41 @@ class S3DSolver:
     def _strang_chemistry(self, half_dt: float) -> None:
         """Advance every cell's reactor by ``half_dt`` at fixed (rho, e).
 
-        Decodes ``(rho, e_int, Y)`` from the conserved array, runs the
+        Decodes ``(rho, e_int, Y)`` from each conserved block, runs the
         per-cell implicit constant-volume integration, and writes the
         new species densities back. Density, momentum, and total energy
         are untouched, so the split conserves them identically; the
         temperature change is implied by the new composition at fixed
-        internal energy.
+        internal energy. Per-cell results are bitwise independent of
+        batch shape, so neither a decomposition nor a load balancer
+        shipping whole cell solves between blocks (costed by their
+        measured substep counts) can perturb them.
         """
-        st = self.state
-        mech = st.mech
-        rho_f, e_f, Y_f = strang_reactor_inputs(st.u, st.ndim, mech.n_species)
+        ndim, ns = self.grid.ndim, self.mech.n_species
+        blocks = self._reactor_blocks()
+        states = [strang_reactor_inputs(b, ndim, ns) for b in blocks]
         with self.telemetry.span("CHEMISTRY_IMPLICIT"):
-            _, Y1, _ = self._chem.advance_energy(rho_f, e_f, Y_f, half_dt)
-        strang_apply_update(st.u, st.ndim, mech.n_species, Y1)
-        st.mark_modified()
+            if self.chemlb is not None:
+                results = self.chemlb.advance_states(states, half_dt,
+                                                     self._chem)
+            else:
+                tracelog = getattr(self.telemetry, "tracelog", None)
+                results = []
+                for lane, (rho, e, Y) in enumerate(states):
+                    sid = (tracelog.begin_span("CHEMISTRY_CELLS", lane)
+                           if tracelog is not None else None)
+                    results.append(
+                        self._chem.advance_energy(rho, e, Y, half_dt))
+                    if sid is not None:
+                        tracelog.end_span(sid, cells=int(rho.size))
+        for block, result in zip(blocks, results):
+            strang_apply_update(block, ndim, ns, result[1])
 
-    def apply_filter(self) -> None:
-        """Apply the 10th-order filter along every direction.
-
-        All variables are filtered in one stacked in-place sweep per
-        direction (the filter's ``out`` may alias its input); the state
-        is marked modified so memoized thermo/transport invalidate.
-        """
-        u = self.state.u
-        for axis, filt in enumerate(self.filters):
-            filt.apply(u, axis=1 + axis, out=u)
-        self.state.mark_modified()
-
-    def run(self, n_steps: int, monitor_interval: int = 0,
-            checkpoint_interval: int = 0, insitu_interval: int = 0):
-        """Advance ``n_steps`` steps, firing hooks at the given intervals.
+    def run(self, n_steps: int, dt: float | None = None,
+            monitor_interval: int = 0, checkpoint_interval: int = 0,
+            insitu_interval: int = 0):
+        """Advance ``n_steps`` steps (of ``dt``, or of the solver's own
+        choosing), firing hooks at the given intervals.
 
         With observability enabled (``config.observability`` or
         ``REPRO_OBSERVABILITY``), the health monitor checks its
@@ -165,51 +221,53 @@ class S3DSolver:
         disabled path costs a single attribute check per step.
         """
         health = self.health
+        hooks = [
+            (every, hook, span) for every, hook, span in (
+                (checkpoint_interval, self.checkpoint_hook, "CHECKPOINT"),
+                (insitu_interval, self.insitu_hook, "INSITU"))
+            if every and hook is not None
+        ]
         for _ in range(n_steps):
             if health.enabled:
                 t0 = health.clock()
-                dt = self.step()
-                health.on_step(dt, health.clock() - t0)
+                used = self.step(dt)
+                health.on_step(used, health.clock() - t0)
             else:
-                self.step()
+                self.step(dt)
             if monitor_interval and self.step_count % monitor_interval == 0:
                 self.record_monitor()
-            if (
-                checkpoint_interval
-                and self.checkpoint_hook is not None
-                and self.step_count % checkpoint_interval == 0
-            ):
-                with self.telemetry.span("CHECKPOINT"):
-                    self.checkpoint_hook(self.step_count, self.time, self.state)
-            if (
-                insitu_interval
-                and self.insitu_hook is not None
-                and self.step_count % insitu_interval == 0
-            ):
-                with self.telemetry.span("INSITU"):
-                    self.insitu_hook(self.step_count, self.time, self.state)
-        return self.state
+            for every, hook, span in hooks:
+                if self.step_count % every == 0:
+                    with self.telemetry.span(span):
+                        hook(self.step_count, self.time, self.state)
 
-    def run_resilient(self, fs, n_steps: int, checkpoint_interval: int = 5,
+    def run_resilient(self, fs, n_steps: int, dt: float | None = None,
                       **kwargs):
-        """Advance ``n_steps`` under the self-healing supervisor.
-
-        Checkpoints land in a verified ring on ``fs`` every
-        ``checkpoint_interval`` steps; recoverable faults (injected
-        crashes, I/O failures past their retry budget, corrupt
-        checkpoints) trigger rollback to the newest verified checkpoint
-        and a bit-exact replay. Returns the supervisor's
-        :class:`~repro.resilience.supervisor.RunReport`; further
-        keywords (``ring``, ``keep``, ``max_recoveries``, ``injector``,
-        ...) pass through to
-        :func:`~repro.resilience.supervisor.run_resilient`.
+        """Advance ``n_steps`` under the self-healing supervisor
+        (:func:`~repro.resilience.supervisor.run_resilient`, which takes
+        the keywords and returns the
+        :class:`~repro.resilience.supervisor.RunReport`): checkpoints
+        land in a verified ring on ``fs``, recoverable faults trigger a
+        recovery under :attr:`recovery_policy` and a bit-exact replay.
         """
         from repro.resilience.supervisor import run_resilient
 
-        return run_resilient(self, fs, n_steps,
-                             checkpoint_interval=checkpoint_interval,
-                             telemetry=kwargs.pop("telemetry", self.telemetry),
-                             **kwargs)
+        return run_resilient(self, fs, n_steps, dt=dt, **kwargs)
+
+    # -- recovery plumbing: what the supervisor asks of a solver -----------
+    def checkpoint_ring(self, fs, **kwargs):
+        """A fresh checkpoint ring of this solver's kind on ``fs``."""
+        from repro.resilience.checkpoint import CheckpointRing
+
+        return CheckpointRing(fs, **kwargs)
+
+    def failed_ranks(self) -> set:
+        return set()
+
+    def recover(self, action: str, ring, dead) -> dict:
+        """Carry out a recovery action; a serial solver only ever rolls
+        back to the newest checkpoint of ``ring`` that verifies."""
+        return ring.restore_state(self)
 
     def record_monitor(self) -> dict:
         """Record per-variable min/max (§9's ASCII monitoring data)."""

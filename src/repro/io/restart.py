@@ -11,6 +11,7 @@ system.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 
 import numpy as np
@@ -49,46 +50,22 @@ def read_rank_block(fs, path: str, layout: BlockLayout, rank: int) -> np.ndarray
     return block
 
 
-#: magic / version of a conserved-state restart file
-_RESTART_MAGIC = 0x53334452  # "S3DR"
+# ---------------------------------------------------------------------------
+# restart format v2: one codec, two magics
+# ---------------------------------------------------------------------------
+#: a whole solver's conserved state ("S3DR") / one rank's shard of a
+#: distributed conserved-state checkpoint ("S3DS")
+_STATE_MAGIC = 0x53334452
+_SHARD_MAGIC = 0x53334453
+_KIND = {_STATE_MAGIC: "restart file", _SHARD_MAGIC: "shard"}
 _RESTART_VERSION = 2
 #: fixed int64 prefix: magic, version, step, nvar, ndim
 _FIXED_HEAD = 5
 
 
-def save_solver_state(fs, solver, path: str, telemetry=None,
-                      retry=None) -> None:
-    """Write a solver's *conserved* state verbatim (bit-exact restart).
-
-    Unlike the primitive-variable checkpoint (which round-trips through
-    the EOS), this path serializes the raw conserved array plus the
-    solver clock, so a reload reproduces the run bitwise. Layout
-    (format version 2): int64 header ``[magic, version, step, nvar,
-    ndim, *shape, payload_nbytes, tcache_flag, crc32]``, float64 time,
-    the conserved array bytes in C order, then (when ``tcache_flag`` is
-    1) the cached Newton temperature field — replaying from a restart
-    must seed the temperature solve with the same initial guess the
-    uninterrupted run had, or the replay diverges in the last bit. The
-    CRC covers everything after the int64 header (time, payload, and
-    cache), so :func:`load_solver_state` detects truncation and silent
-    corruption before touching the solver.
-    """
-    tel = resolve_telemetry(telemetry)
-    u = solver.state.u
-    body = np.ascontiguousarray(u).tobytes()
-    t_cache = getattr(solver.state, "_t_cache", None)
-    if t_cache is not None and t_cache.shape == u.shape[1:]:
-        cache_bytes = np.ascontiguousarray(t_cache, dtype=np.float64).tobytes()
-    else:
-        cache_bytes = b""
-    blob = np.float64(solver.time).tobytes() + body + cache_bytes
-    header = np.array(
-        [_RESTART_MAGIC, _RESTART_VERSION, solver.step_count, u.shape[0],
-         u.ndim - 1] + list(u.shape[1:])
-        + [len(body), 1 if cache_bytes else 0, zlib.crc32(blob)],
-        dtype=np.int64,
-    )
-    payload = header.tobytes() + blob
+def _write_file(fs, path: str, payload: bytes, tel, retry) -> None:
+    """Open + one-request write of a whole file under the retry policy
+    (both phases are idempotent), backoff charged to the simulated FS."""
     policy = retry if retry is not None else DEFAULT_RETRY
     sleep = fs_backoff_sleep(fs)
     open_before = fs.time.open
@@ -97,192 +74,66 @@ def save_solver_state(fs, solver, path: str, telemetry=None,
     tel.histogram("io.open_time").observe(fs.time.open - open_before)
     policy.call(fs.phase_write, [WriteRequest(0, path, 0, payload)],
                 label=f"write:{path}", telemetry=tel, sleep=sleep)
-    tel.counter("io.restart.bytes").inc(len(payload))
 
 
-def load_solver_state(fs, solver, path: str) -> None:
-    """Restore a solver's conserved state written by
-    :func:`save_solver_state` — bit-identical, including time and step.
-
-    Validates magic, version, shape, payload length, and payload CRC
-    *before* deserializing, raising :class:`RestartCorruptionError`
-    (a ``ValueError``) with the failing field instead of surfacing a
-    bare numpy reshape/frombuffer error; the solver is untouched on any
-    failure.
-    """
-    u = solver.state.u
-    if not fs.exists(path):
-        raise FileNotFoundError(path)
-    fixed = np.frombuffer(fs.read(path, 0, 8 * _FIXED_HEAD), dtype=np.int64)
-    if fixed[0] != _RESTART_MAGIC:
-        raise RestartCorruptionError(
-            f"{path!r} is not a conserved-state restart file "
-            f"(magic {int(fixed[0]):#x})"
-        )
-    if fixed[1] != _RESTART_VERSION:
-        raise RestartCorruptionError(
-            f"{path!r}: unsupported restart format version {int(fixed[1])} "
-            f"(expected {_RESTART_VERSION})"
-        )
-    step, nvar, ndim = int(fixed[2]), int(fixed[3]), int(fixed[4])
-    if not 1 <= ndim <= 3:
-        raise RestartCorruptionError(
-            f"{path!r}: corrupt header (ndim = {ndim})"
-        )
-    n_head = _FIXED_HEAD + ndim + 3
-    header = np.frombuffer(fs.read(path, 0, 8 * n_head), dtype=np.int64)
-    shape = tuple(int(x) for x in header[_FIXED_HEAD:_FIXED_HEAD + ndim])
-    if (nvar, ndim) + shape != (u.shape[0], u.ndim - 1) + u.shape[1:]:
-        raise RestartCorruptionError(
-            f"restart shape {(nvar, ndim) + shape} does not match solver "
-            f"state {(u.shape[0], u.ndim - 1) + u.shape[1:]}"
-        )
-    nbytes, has_cache, crc = (int(header[n_head - 3]), int(header[n_head - 2]),
-                              int(header[n_head - 1]))
-    if nbytes != u.nbytes:
-        raise RestartCorruptionError(
-            f"{path!r}: payload length {nbytes} does not match solver "
-            f"state ({u.nbytes} bytes)"
-        )
-    if has_cache not in (0, 1):
-        raise RestartCorruptionError(
-            f"{path!r}: corrupt header (tcache flag = {has_cache})"
-        )
-    cache_nbytes = (nbytes // nvar) if has_cache else 0
-    total = 8 * (n_head + 1) + nbytes + cache_nbytes
-    if fs.file_size(path) < total:
-        raise RestartCorruptionError(
-            f"{path!r} is truncated: {fs.file_size(path)} bytes on disk, "
-            f"{total} expected"
-        )
-    raw = fs.read(path, 0, total)
-    blob = raw[8 * n_head:]
-    if zlib.crc32(blob) != crc & 0xFFFFFFFF:
-        raise RestartCorruptionError(
-            f"{path!r}: payload checksum mismatch "
-            f"(stored {crc:#010x}, computed {zlib.crc32(blob):#010x})"
-        )
-    solver.step_count = step
-    solver.time = float(np.frombuffer(blob[:8], dtype=np.float64)[0])
-    flat = np.frombuffer(blob[8:8 + nbytes], dtype=np.float64)
-    solver.state.u[...] = flat.reshape(u.shape)
-    solver.state.mark_modified()
-    if has_cache:
-        # restore the Newton temperature cache: the next temperature
-        # solve must start from the same guess the saved run would have
-        # used, or the replay is no longer bit-exact
-        cache = np.frombuffer(blob[8 + nbytes:], dtype=np.float64)
-        solver.state._t_cache = cache.reshape(u.shape[1:]).copy()
-    else:
-        solver.state._t_cache = None
-
-
-def verify_solver_state(fs, path: str) -> dict:
-    """Integrity-check a restart file without a solver: returns
-    ``{"step", "nvar", "shape", "nbytes"}`` or raises
-    :class:`RestartCorruptionError` / ``FileNotFoundError``."""
-    if not fs.exists(path):
-        raise FileNotFoundError(path)
-    fixed = np.frombuffer(fs.read(path, 0, 8 * _FIXED_HEAD), dtype=np.int64)
-    if fixed[0] != _RESTART_MAGIC:
-        raise RestartCorruptionError(
-            f"{path!r} is not a conserved-state restart file"
-        )
-    if fixed[1] != _RESTART_VERSION:
-        raise RestartCorruptionError(
-            f"{path!r}: unsupported restart format version {int(fixed[1])}"
-        )
-    ndim = int(fixed[4])
-    if not 1 <= ndim <= 3:
-        raise RestartCorruptionError(f"{path!r}: corrupt header (ndim = {ndim})")
-    n_head = _FIXED_HEAD + ndim + 3
-    header = np.frombuffer(fs.read(path, 0, 8 * n_head), dtype=np.int64)
-    nbytes, has_cache, crc = (int(header[n_head - 3]), int(header[n_head - 2]),
-                              int(header[n_head - 1]))
-    if has_cache not in (0, 1):
-        raise RestartCorruptionError(
-            f"{path!r}: corrupt header (tcache flag = {has_cache})"
-        )
-    nvar = int(fixed[3])
-    cache_nbytes = (nbytes // max(nvar, 1)) if has_cache else 0
-    total = 8 * (n_head + 1) + nbytes + cache_nbytes
-    if fs.file_size(path) < total:
-        raise RestartCorruptionError(
-            f"{path!r} is truncated: {fs.file_size(path)} bytes on disk, "
-            f"{total} expected"
-        )
-    blob = fs.read(path, 8 * n_head, 8 + nbytes + cache_nbytes)
-    if zlib.crc32(blob) != crc & 0xFFFFFFFF:
-        raise RestartCorruptionError(f"{path!r}: payload checksum mismatch")
-    return {
-        "step": int(fixed[2]),
-        "nvar": int(fixed[3]),
-        "shape": tuple(int(x) for x in header[_FIXED_HEAD:_FIXED_HEAD + ndim]),
-        "nbytes": nbytes,
-    }
-
-
-# ---------------------------------------------------------------------------
-# rank-sharded restart (distributed checkpointing, format v2 extension)
-# ---------------------------------------------------------------------------
-#: magic of one rank's shard of a distributed conserved-state checkpoint
-_SHARD_MAGIC = 0x53334453  # "S3DS"
-
-
-def save_state_shard(fs, path: str, step: int, time: float, u_block,
-                     cache_block=None, telemetry=None, retry=None) -> None:
-    """Write one rank's shard of a distributed conserved-state checkpoint.
-
-    The layout mirrors restart format v2 (:func:`save_solver_state`)
-    with a shard magic: int64 header ``[magic, version, step, nvar,
-    ndim, *local_shape, payload_nbytes, tcache_flag, crc32]``, float64
-    time, the rank's owned conserved block in C order, then (when
-    present) the rank's owned-interior Newton temperature cache. The
-    CRC covers everything after the header, so a torn shard write is
-    detected before any rank installs it.
+def _write_v2(fs, path: str, magic: int, step: int, time: float, u,
+              cache=None, telemetry=None, retry=None) -> None:
+    """The one v2 writer. Layout: int64 header ``[magic, version, step,
+    nvar, ndim, *shape, payload_nbytes, tcache_flag, crc32]``, float64
+    time, the conserved array bytes in C order, then (when
+    ``tcache_flag`` is 1) the cached Newton temperature field —
+    replaying from a restart must seed the temperature solve with the
+    same initial guess the uninterrupted run had, or the replay diverges
+    in the last bit. The CRC covers everything after the int64 header
+    (time, payload, and cache), so :func:`_read_v2` detects truncation
+    and silent corruption before anything is installed.
     """
     tel = resolve_telemetry(telemetry)
-    u = np.ascontiguousarray(u_block, dtype=np.float64)
+    u = np.ascontiguousarray(u, dtype=np.float64)
     body = u.tobytes()
-    if cache_block is not None:
-        cache = np.ascontiguousarray(cache_block, dtype=np.float64)
+    cache_bytes = b""
+    if cache is not None:
+        cache = np.ascontiguousarray(cache, dtype=np.float64)
         if cache.shape != u.shape[1:]:
             raise ValueError(
                 f"cache shape {cache.shape} does not match block interior "
                 f"{u.shape[1:]}"
             )
         cache_bytes = cache.tobytes()
-    else:
-        cache_bytes = b""
     blob = np.float64(time).tobytes() + body + cache_bytes
     header = np.array(
-        [_SHARD_MAGIC, _RESTART_VERSION, int(step), u.shape[0], u.ndim - 1]
-        + list(u.shape[1:])
-        + [len(body), 1 if cache_bytes else 0, zlib.crc32(blob)],
+        [magic, _RESTART_VERSION, int(step), u.shape[0], u.ndim - 1,
+         *u.shape[1:], len(body), 1 if cache_bytes else 0, zlib.crc32(blob)],
         dtype=np.int64,
     )
     payload = header.tobytes() + blob
-    policy = retry if retry is not None else DEFAULT_RETRY
-    sleep = fs_backoff_sleep(fs)
-    policy.call(fs.open, path, n_clients=1, label=f"open:{path}",
-                telemetry=tel, sleep=sleep)
-    policy.call(fs.phase_write, [WriteRequest(0, path, 0, payload)],
-                label=f"write:{path}", telemetry=tel, sleep=sleep)
+    _write_file(fs, path, payload, tel, retry)
     tel.counter("io.restart.bytes").inc(len(payload))
 
 
-def _parse_shard(fs, path: str, with_arrays: bool):
+def _read_v2(fs, path: str, magic: int, with_arrays: bool = True) -> dict:
+    """The one validating v2 reader; ``with_arrays=False`` is "verify".
+
+    Checks magic, version, header sanity, payload length against the
+    declared shape, truncation, and the CRC *before* deserializing,
+    raising :class:`RestartCorruptionError` (a ``ValueError``) naming
+    the failing field instead of a bare numpy reshape/frombuffer error.
+    Returns ``{"step", "nvar", "shape", "nbytes", "has_cache"}`` plus,
+    with arrays, ``"time"`` and read-only views ``"u"`` of shape
+    ``(nvar, *shape)`` and ``"cache"`` (or None).
+    """
+    kind = _KIND[magic]
     if not fs.exists(path):
         raise FileNotFoundError(path)
     fixed = np.frombuffer(fs.read(path, 0, 8 * _FIXED_HEAD), dtype=np.int64)
-    if len(fixed) < _FIXED_HEAD or fixed[0] != _SHARD_MAGIC:
+    if len(fixed) < _FIXED_HEAD or fixed[0] != magic:
         raise RestartCorruptionError(
-            f"{path!r} is not a conserved-state shard "
+            f"{path!r} is not a conserved-state {kind} "
             f"(magic {int(fixed[0]) if len(fixed) else 0:#x})"
         )
     if fixed[1] != _RESTART_VERSION:
         raise RestartCorruptionError(
-            f"{path!r}: unsupported shard format version {int(fixed[1])} "
+            f"{path!r}: unsupported {kind} format version {int(fixed[1])} "
             f"(expected {_RESTART_VERSION})"
         )
     step, nvar, ndim = int(fixed[2]), int(fixed[3]), int(fixed[4])
@@ -293,14 +144,13 @@ def _parse_shard(fs, path: str, with_arrays: bool):
     n_head = _FIXED_HEAD + ndim + 3
     header = np.frombuffer(fs.read(path, 0, 8 * n_head), dtype=np.int64)
     shape = tuple(int(x) for x in header[_FIXED_HEAD:_FIXED_HEAD + ndim])
-    nbytes, has_cache, crc = (int(header[n_head - 3]), int(header[n_head - 2]),
-                              int(header[n_head - 1]))
+    nbytes, has_cache, crc = (int(x) for x in header[n_head - 3:])
     if has_cache not in (0, 1):
         raise RestartCorruptionError(
             f"{path!r}: corrupt header (tcache flag = {has_cache})"
         )
-    expected = 8 * nvar * int(np.prod(shape))
-    if nbytes != expected:
+    expected = 8 * nvar * math.prod(shape)
+    if min(shape) < 1 or nbytes != expected:
         raise RestartCorruptionError(
             f"{path!r}: payload length {nbytes} does not match block shape "
             f"{(nvar,) + shape} ({expected} bytes)"
@@ -321,31 +171,81 @@ def _parse_shard(fs, path: str, with_arrays: bool):
     out = {"step": step, "nvar": nvar, "shape": shape, "nbytes": nbytes,
            "has_cache": bool(has_cache)}
     if with_arrays:
-        out["time"] = float(np.frombuffer(blob[:8], dtype=np.float64)[0])
-        flat = np.frombuffer(blob[8:8 + nbytes], dtype=np.float64)
-        out["u"] = flat.reshape((nvar,) + shape).copy()
-        if has_cache:
-            cache = np.frombuffer(blob[8 + nbytes:], dtype=np.float64)
-            out["cache"] = cache.reshape(shape).copy()
-        else:
-            out["cache"] = None
+        words = np.frombuffer(blob, dtype=np.float64)  # no payload copy
+        out["time"] = float(words[0])
+        out["u"] = words[1:1 + nbytes // 8].reshape((nvar,) + shape)
+        out["cache"] = (words[1 + nbytes // 8:].reshape(shape)
+                        if has_cache else None)
     return out
 
 
-def load_state_shard(fs, path: str) -> dict:
-    """Read back one shard written by :func:`save_state_shard`.
+def save_solver_state(fs, solver, path: str, telemetry=None,
+                      retry=None) -> None:
+    """Write a solver's *conserved* state verbatim (bit-exact restart).
 
-    Validates magic, version, shape consistency, truncation, and the
-    payload CRC before deserializing; returns ``{"step", "time", "u",
-    "cache", ...}`` with ``u`` of shape ``(nvar, *local_shape)`` and
-    ``cache`` the interior Newton temperature cache or None.
+    Unlike the primitive-variable checkpoint (which round-trips through
+    the EOS), this path serializes the raw conserved array, the solver
+    clock and the Newton temperature cache (:func:`_write_v2`), so a
+    reload reproduces the run bitwise.
     """
-    return _parse_shard(fs, path, with_arrays=True)
+    u = solver.state.u
+    t_cache = getattr(solver.state, "_t_cache", None)
+    if t_cache is not None and t_cache.shape != u.shape[1:]:
+        t_cache = None
+    _write_v2(fs, path, _STATE_MAGIC, solver.step_count, solver.time, u,
+              t_cache, telemetry, retry)
+
+
+def load_solver_state(fs, solver, path: str) -> None:
+    """Restore a solver's conserved state written by
+    :func:`save_solver_state` — bit-identical, including time, step and
+    the Newton temperature cache (the next temperature solve must start
+    from the guess the saved run would have used). The file is fully
+    validated and matched against the live solver's shape first; the
+    solver is untouched on any failure.
+    """
+    u = solver.state.u
+    got = _read_v2(fs, path, _STATE_MAGIC)
+    if (got["nvar"],) + got["shape"] != u.shape:
+        raise RestartCorruptionError(
+            f"restart shape {(got['nvar'],) + got['shape']} does not match "
+            f"solver state {u.shape}"
+        )
+    solver.step_count = got["step"]
+    solver.time = got["time"]
+    u[...] = got["u"]
+    solver.state.mark_modified()
+    cache = got["cache"]
+    solver.state._t_cache = None if cache is None else cache.copy()
+
+
+def verify_solver_state(fs, path: str) -> dict:
+    """Integrity-check a restart file without a solver: returns
+    ``{"step", "nvar", "shape", "nbytes", "has_cache"}`` or raises
+    :class:`RestartCorruptionError` / ``FileNotFoundError``."""
+    return _read_v2(fs, path, _STATE_MAGIC, with_arrays=False)
+
+
+def save_state_shard(fs, path: str, step: int, time: float, u_block,
+                     cache_block=None, telemetry=None, retry=None) -> None:
+    """Write one rank's shard of a distributed checkpoint: its owned
+    conserved block and (when warm) its owned-interior Newton
+    temperature cache, in the v2 layout under the shard magic."""
+    _write_v2(fs, path, _SHARD_MAGIC, step, time, u_block, cache_block,
+              telemetry, retry)
+
+
+def load_state_shard(fs, path: str) -> dict:
+    """Read back one validated shard: ``{"step", "time", "u", "cache",
+    ...}`` with ``u`` of shape ``(nvar, *local_shape)`` and ``cache``
+    the interior Newton temperature cache or None (read-only views of
+    the file's bytes; whoever installs them copies)."""
+    return _read_v2(fs, path, _SHARD_MAGIC)
 
 
 def verify_state_shard(fs, path: str) -> dict:
     """Integrity-check a shard without materializing its arrays."""
-    return _parse_shard(fs, path, with_arrays=False)
+    return _read_v2(fs, path, _SHARD_MAGIC, with_arrays=False)
 
 
 def write_checkpoint_manifest(fs, path: str, meta: dict, telemetry=None,
@@ -363,12 +263,7 @@ def write_checkpoint_manifest(fs, path: str, meta: dict, telemetry=None,
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     doc["crc"] = zlib.crc32(blob.encode())
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    policy = retry if retry is not None else DEFAULT_RETRY
-    sleep = fs_backoff_sleep(fs)
-    policy.call(fs.open, path, n_clients=1, label=f"open:{path}",
-                telemetry=tel, sleep=sleep)
-    policy.call(fs.phase_write, [WriteRequest(0, path, 0, payload)],
-                label=f"write:{path}", telemetry=tel, sleep=sleep)
+    _write_file(fs, path, payload, tel, retry)
 
 
 def read_checkpoint_manifest(fs, path: str) -> dict:
@@ -384,11 +279,11 @@ def read_checkpoint_manifest(fs, path: str) -> dict:
         raise RestartCorruptionError(
             f"{path!r}: manifest is not parseable JSON ({err})"
         ) from err
-    if not isinstance(doc, dict) or "crc" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("crc"), int):
         raise RestartCorruptionError(f"{path!r}: manifest has no CRC field")
     crc = doc.pop("crc")
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    if zlib.crc32(blob.encode()) != int(crc) & 0xFFFFFFFF:
+    if zlib.crc32(blob.encode()) != crc & 0xFFFFFFFF:
         raise RestartCorruptionError(
             f"{path!r}: manifest checksum mismatch"
         )

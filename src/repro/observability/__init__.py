@@ -32,7 +32,9 @@ dies:
 * :mod:`~repro.observability.endpoint` — the live metrics surface: a
   localhost HTTP endpoint serving the metrics registry in Prometheus
   text format plus the full telemetry snapshot, feeding the workflow
-  dashboard.
+  dashboard. Import it by its module path: it pulls in ``http.server``
+  and ``urllib``, which no run that does not serve metrics should pay
+  for, so this package does not re-export it.
 
 Mode selection is the ``observability`` knob of
 :data:`repro.core.config.KNOBS` (``REPRO_OBSERVABILITY`` or
@@ -84,11 +86,6 @@ from repro.observability.timeline import (
     stitch,
     validate_chrome_trace,
 )
-from repro.observability.endpoint import (
-    MetricsEndpoint,
-    parse_prometheus_text,
-    prometheus_text,
-)
 
 __all__ = [
     "Watchdog",
@@ -125,11 +122,7 @@ __all__ = [
     "critical_path",
     "critical_path_report",
     "reconcile_chemistry",
-    "MetricsEndpoint",
-    "prometheus_text",
-    "parse_prometheus_text",
     "MODES",
-    "standard_watchdogs",
     "for_solver",
 ]
 
@@ -137,39 +130,35 @@ __all__ = [
 MODES = KNOBS["observability"].choices
 
 
-def standard_watchdogs(solver, mode: str = "on", clock=None) -> list:
-    """The default watchdog set for a solver at the given mode.
-
-    ``"on"`` arms the NaN sentinel, CFL margin, physical bounds, and
-    wall-time anomaly detection. ``"full"`` additionally arms the
-    conservation-drift tracker — but only on all-periodic grids, where
-    the :mod:`tests.test_conservation` invariants actually hold (open
-    boundaries flux mass and energy through the domain by design).
-    """
-    dogs = [
-        NaNSentinel(),
-        CFLMarginWatchdog(),
-        BoundsWatchdog(),
-        WallTimeAnomalyWatchdog(),
-    ]
-    if mode == "full" and all(solver.state.grid.periodic):
-        dogs.append(ConservationWatchdog())
-    return dogs
-
-
 def for_solver(solver, mode=None, clock=None):
-    """Build the health monitor a solver's config/environment asks for.
+    """Build the health monitor a solver's config/environment asks for,
+    with the watchdog set picked from what the solver offers.
 
     Returns the shared :data:`NULL_HEALTH` when observability is off —
     the solver's hot loop then pays a single ``enabled`` attribute
-    check per step and nothing else.
+    check per step and nothing else. ``"on"`` arms the NaN sentinel,
+    physical bounds, and wall-time anomaly detection, plus the CFL
+    margin where the solver owns a ``stable_dt`` (a whole-domain RHS; a
+    decomposed solver is driven by an explicit ``dt``). ``"full"``
+    additionally arms the RK stage guard, per-step telemetry deltas and
+    the conservation-drift tracker — the last only on all-periodic
+    grids, where the :mod:`tests.test_conservation` invariants actually
+    hold (open boundaries flux mass and energy through the domain by
+    design). Watchdogs read ``solver.state``, which on a decomposed
+    solver is the gathered global view.
     """
     mode = resolve("observability", mode)
     if mode == "off":
         return NULL_HEALTH
+    dogs = [NaNSentinel()]
+    if hasattr(solver, "rhs"):
+        dogs.append(CFLMarginWatchdog())
+    dogs += [BoundsWatchdog(), WallTimeAnomalyWatchdog()]
+    if mode == "full" and all(solver.grid.periodic):
+        dogs.append(ConservationWatchdog())
     return HealthMonitor(
         solver,
-        watchdogs=standard_watchdogs(solver, mode=mode, clock=clock),
+        watchdogs=dogs,
         interval=1,
         recorder=FlightRecorder(capacity=256 if mode == "full" else 64),
         clock=clock,

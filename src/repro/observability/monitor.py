@@ -82,10 +82,10 @@ class HealthMonitor:
     def arm_stage_guard(self) -> None:
         """Catch NaN the RK stage it appears (not just end-of-step).
 
-        Installs a per-stage hook on the solver's integrator (serial
-        solver only — the parallel solver has no single integrator
-        object) that trips the moment a stage slope goes non-finite,
-        before the poisoned slope is blended into the state.
+        Installs a per-stage hook on the solver's integrator (on a
+        decomposed solver the slope it sees is the packed owned blocks
+        of every rank) that trips the moment a stage slope goes
+        non-finite, before the poisoned slope is blended into the state.
         """
         import numpy as np
 
@@ -111,11 +111,6 @@ class HealthMonitor:
                                         time=self.solver.time)
 
         integrator.stage_hook = guard
-
-    def disarm_stage_guard(self) -> None:
-        integrator = getattr(self.solver, "integrator", None)
-        if integrator is not None:
-            integrator.stage_hook = None
 
     # -- the per-step hook ----------------------------------------------
     def on_step(self, dt: float, wall_time: float = 0.0) -> list:
@@ -221,9 +216,6 @@ class NullHealthMonitor:
         pass
 
     def arm_stage_guard(self) -> None:
-        pass
-
-    def disarm_stage_guard(self) -> None:
         pass
 
     def dump(self, reason: str = "manual") -> None:

@@ -40,7 +40,7 @@ from repro.parallel.comm import (
 )
 from repro.parallel.decomp import CartesianDecomposition, block_range
 from repro.parallel.halo import HaloExchanger
-from repro.parallel.solver import ParallelField, parallel_derivative
+from repro.parallel.solver import parallel_derivative
 
 __all__ = [
     "SimMPI",
@@ -56,7 +56,6 @@ __all__ = [
     "CartesianDecomposition",
     "block_range",
     "HaloExchanger",
-    "ParallelField",
     "parallel_derivative",
     "ChemistryLoadBalancer",
     "CellCostModel",

@@ -13,24 +13,27 @@ Two levels of fidelity to S3D's parallelization (§2.6):
   boxes using extended-block evaluation: each rank exchanges a deep halo
   of the conserved state once per RK stage, evaluates the *serial* RHS
   on its ghost-extended block, and keeps the owned interior. With halo
-  width >= 2x the derivative stencil half-width the owned results are
-  bitwise identical to the serial solver (gradients of gradients are
-  fully supported), which the test suite asserts.
+  width >= 2x the derivative stencil half-width the owned results match
+  the serial solver to round-off (gradients of gradients are fully
+  supported; a rank's ghost-extended grid recomputes its spacing, so
+  the match is 1e-16-relative, not bitwise), which the test suite
+  asserts for every registered ERK scheme.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.chemistry.implicit import ImplicitChemistry
-from repro.core.config import check_constraints, resolve
+from repro.core.config import SolverConfig, periodic_boundaries, resolve
 from repro.core.derivatives import DerivativeOperator, HALF_WIDTH
-from repro.core.filters import FilterOperator, FILTER_HALF_WIDTH
-from repro.core.erk import ERKIntegrator
+from repro.core.filters import FILTER_HALF_WIDTH, FilterOperator, filter_operators
 from repro.core.grid import Grid
 from repro.core.rhs import CompressibleRHS
-from repro.core.state import State, strang_apply_update, strang_reactor_inputs
+from repro.core.solver import S3DSolver
+from repro.core.state import State
 from repro.parallel import chemlb
 from repro.parallel.comm import create_transport
 from repro.parallel.halo import HaloExchanger
@@ -85,11 +88,9 @@ class SolverRankProgram:
                                    telemetry=telemetry, engine=rhs_engine,
                                    reaction_delegate=delegate,
                                    backend=rhs_backend)
-        self.filters = [
-            FilterOperator(n, periodic=False, alpha=filter_alpha,
-                           telemetry=telemetry, backend=self.rhs.backend)
-            for n in ext_shape
-        ]
+        self.filters = filter_operators(g, alpha=filter_alpha,
+                                        telemetry=telemetry,
+                                        backend=self.rhs.backend)
         self.interior = tuple(interior)
         self.interior1 = (slice(None),) + tuple(interior)
 
@@ -143,63 +144,59 @@ class SolverRankProgram:
         return self.telemetry.snapshot()
 
 
-class ParallelField:
-    """Per-rank owned blocks of a global field plus exchange machinery."""
-
-    def __init__(self, decomp, world, global_array=None, leading_axes: int = 0,
-                 width: int = HALF_WIDTH):
-        self.decomp = decomp
-        self.world = world
-        self.leading_axes = int(leading_axes)
-        self.halo = HaloExchanger(decomp, world, width=width)
-        self.locals: list = (
-            decomp.scatter(np.asarray(global_array, dtype=float), leading_axes)
-            if global_array is not None
-            else [None] * decomp.size
-        )
-
-    def exchange(self) -> list:
-        """Ghost-extended per-rank arrays."""
-        return self.halo.exchange(self.locals, self.leading_axes)
-
-    def gather(self) -> np.ndarray:
-        return self.decomp.gather(self.locals, self.leading_axes)
+def _parallel_stencil(global_f, decomp, world, axis: int, width: int,
+                      make_op) -> np.ndarray:
+    """The S3D derivative-module pattern: scatter, exchange a
+    ``width``-deep halo, apply ``make_op(n)`` along ``axis`` of each
+    ghost-extended block, gather the owned interiors."""
+    halo = HaloExchanger(decomp, world, width=width)
+    extended = halo.exchange(decomp.scatter(np.asarray(global_f, dtype=float)))
+    return decomp.gather([
+        make_op(ext.shape[axis]).apply(ext, axis=axis)[halo.interior_slices(rank)]
+        for rank, ext in enumerate(extended)
+    ])
 
 
-def parallel_derivative(global_f, decomp, world, axis: int, spacing: float,
-                        periodic: bool = True) -> np.ndarray:
-    """Distributed 8th-order derivative of a global field.
-
-    Scatters, exchanges a width-4 halo, differentiates each block
-    locally, and gathers the owned interiors — the S3D derivative-module
-    pattern. Valid for periodic axes or interior-only comparisons.
-    """
-    field = ParallelField(decomp, world, global_f, width=HALF_WIDTH)
-    extended = field.exchange()
-    out_locals = []
-    for rank in range(decomp.size):
-        ext = extended[rank]
-        op = DerivativeOperator(ext.shape[axis], spacing, periodic=False)
-        d = op.apply(ext, axis=axis)
-        out_locals.append(d[field.halo.interior_slices(rank)])
-    return decomp.gather(out_locals)
+def parallel_derivative(global_f, decomp, world, axis: int,
+                        spacing: float) -> np.ndarray:
+    """Distributed 8th-order derivative of a global field (width-4
+    halo). Valid for periodic axes or interior-only comparisons."""
+    return _parallel_stencil(
+        global_f, decomp, world, axis, HALF_WIDTH,
+        lambda n: DerivativeOperator(n, spacing, periodic=False))
 
 
-def parallel_filter(global_f, decomp, world, axis: int, alpha: float = 1.0) -> np.ndarray:
+def parallel_filter(global_f, decomp, world, axis: int,
+                    alpha: float = 1.0) -> np.ndarray:
     """Distributed 10th-order filter along ``axis`` (periodic axes)."""
-    field = ParallelField(decomp, world, global_f, width=FILTER_HALF_WIDTH)
-    extended = field.exchange()
-    out_locals = []
-    for rank in range(decomp.size):
-        ext = extended[rank]
-        op = FilterOperator(ext.shape[axis], periodic=False, alpha=alpha)
-        d = op.apply(ext, axis=axis)
-        out_locals.append(d[field.halo.interior_slices(rank)])
-    return decomp.gather(out_locals)
+    return _parallel_stencil(
+        global_f, decomp, world, axis, FILTER_HALF_WIDTH,
+        lambda n: FilterOperator(n, periodic=False, alpha=alpha))
 
 
-class ParallelPeriodicSolver:
-    """Rank-parallel DNS on an all-periodic box, bitwise-matching serial.
+def _pack(blocks) -> np.ndarray:
+    """Per-rank blocks end to end in one flat buffer."""
+    return np.concatenate([np.ravel(b) for b in blocks])
+
+
+def _unpack(flat: np.ndarray, shapes) -> list:
+    """Per-rank views of a :func:`_pack`-ed buffer."""
+    blocks, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        blocks.append(flat[at:at + n].reshape(shape))
+        at += n
+    return blocks
+
+
+class ParallelPeriodicSolver(S3DSolver):
+    """Rank-parallel DNS on an all-periodic box, matching serial to
+    round-off.
+
+    The time-step driver, the run loops and the supervisor are
+    :class:`~repro.core.solver.S3DSolver`'s; this class is what a
+    decomposed domain adds — the four hooks, the recovery plumbing, and
+    profile / trace gathering.
 
     Parameters
     ----------
@@ -210,15 +207,18 @@ class ParallelPeriodicSolver:
         Decomposition and transport world. ``world=None`` builds one
         via :func:`repro.parallel.comm.create_transport` from
         ``comm_transport``, and :meth:`close` releases it.
-    comm_transport, rhs_engine, rhs_backend, chemistry_mode,
-    chemistry_method, fixed_substeps, chem_load_balance,
-    parallel_recovery, observability, tracing:
-        The run-time knobs of :data:`repro.core.config.KNOBS`;
-        ``None`` defers to each knob's ``REPRO_*`` variable and default.
-        ``comm_transport`` is the ``transport`` knob (``transport``
-        here is the *molecular* transport model); on an explicit
-        ``world`` it must agree with the world's backend.
-    transport, reacting, scheme, filter_alpha:
+    scheme, filter_alpha, filter_interval, comm_transport, rhs_engine,
+    rhs_backend, chemistry_mode, chemistry_method, fixed_substeps,
+    chem_load_balance, parallel_recovery, observability, tracing:
+        Folded into the :class:`~repro.core.config.SolverConfig` the
+        shared driver reads (:attr:`config`); for the run-time knobs of
+        :data:`repro.core.config.KNOBS`, ``None`` defers to each knob's
+        ``REPRO_*`` variable and default. ``comm_transport`` is the
+        ``transport`` knob (``transport`` here is the *molecular*
+        transport model); on an explicit ``world`` it must agree with
+        the world's backend. Every registered ERK scheme runs in
+        parallel, through the serial solver's own integrator.
+    transport, reacting:
         Passed through to per-rank RHS/filter construction.
     rhs_engine, rhs_backend:
         Forwarded to every per-rank
@@ -227,23 +227,16 @@ class ParallelPeriodicSolver:
         either. Backend names, not instances, cross the transport
         boundary — each rank process resolves its own backend and JIT
         caches.
-    chemistry_mode, chemistry_method:
-        With ``"strang"`` the rank RHS is built non-reacting and the
-        driver runs implicit chemistry half-steps around the RK
-        transport step, exactly as the serial solver does; per-cell
-        implicit results are bitwise independent of batch shape, so
-        serial equivalence survives the split.
     chem_load_balance:
         When active in explicit mode, per-rank RHS evaluations defer
         their reaction source terms and a
         :class:`~repro.parallel.chemlb.ChemistryLoadBalancer` evaluates
         the owned interior cells instead, shipping batches from
         over-threshold ranks to underloaded ones; in strang mode the
-        balancer ships whole per-cell implicit solves, costed by each
-        cell's measured substep count from the previous half-step.
-        Per-cell kinetics and implicit integration are
-        shape-independent, so conserved state stays bitwise identical to
-        ``"off"`` for every policy in either mode.
+        balancer ships whole per-cell implicit solves. Per-cell kinetics
+        and implicit integration are shape-independent, so conserved
+        state stays bitwise identical to ``"off"`` for every policy in
+        either mode.
     chemlb_threshold, chemlb_cost_model, chemlb_work_model:
         Forwarded to the balancer (imbalance trigger, per-cell cost
         model, optional stiffness work emulation).
@@ -256,9 +249,7 @@ class ParallelPeriodicSolver:
         per-rank data, exactly like TAU's per-process profiles.
     observability:
         Health-observatory mode (see :mod:`repro.observability`). The
-        parallel watchdog set runs on the gathered global state (NaN
-        sentinel, bounds, wall-time anomaly, plus conservation at
-        ``"full"`` — the grid is all-periodic by construction); the
+        watchdogs run on the gathered global :attr:`state`; the
         CFL-margin watchdog is omitted because this solver is driven by
         an explicit ``dt``.
     """
@@ -277,13 +268,18 @@ class ParallelPeriodicSolver:
             raise ValueError("ParallelPeriodicSolver requires an all-periodic grid")
         if grid.shape != decomp.global_shape:
             raise ValueError("grid and decomposition shapes disagree")
-        self.mech = mechanism
-        self.grid = grid
+        config = SolverConfig(
+            boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
+            filter_interval=int(filter_interval), filter_alpha=filter_alpha,
+            rhs_engine=rhs_engine, rhs_backend=rhs_backend, tracing=tracing,
+            observability=observability, chemistry_mode=chemistry_mode,
+            chemistry_method=chemistry_method, fixed_substeps=fixed_substeps,
+            chem_load_balance=chem_load_balance, transport=comm_transport,
+            parallel_recovery=parallel_recovery,
+        )
+        rank_reacting = self._setup(config, mechanism, grid, reacting,
+                                    telemetry)
         self.decomp = decomp
-        self.scheme = ERKIntegrator(scheme).scheme  # raises on unknown name
-        self.tracing = resolve("tracing", tracing)
-        self.telemetry = _telemetry.for_solver(telemetry,
-                                               tracing=self.tracing)
         self._owns_world = world is None
         if world is None:
             world = create_transport(comm_transport, size=decomp.size,
@@ -295,26 +291,10 @@ class ParallelPeriodicSolver:
                 f"comm_transport={comm_transport!r} was requested"
             )
         self.world = world
-        self.filter_interval = int(filter_interval)
         self.recovery_policy = resolve("parallel_recovery", parallel_recovery)
         self.halo = HaloExchanger(decomp, world, width=DEEP_HALO,
                                   telemetry=self.telemetry)
-        self.spacings = [grid.spacing(a) for a in range(grid.ndim)]
-        self.chemistry_mode = resolve("chemistry_mode", chemistry_mode)
-        check_constraints({"fixed_substeps": fixed_substeps,
-                           "chemistry_mode": self.chemistry_mode})
-        split = (self.chemistry_mode == "strang" and reacting
-                 and mechanism.n_reactions > 0)
-        self._strang_chem = None
-        if split:
-            self._strang_chem = ImplicitChemistry(
-                mechanism, closure="constant-volume",
-                method=chemistry_method,
-                fixed_substeps=fixed_substeps,
-                telemetry=self.telemetry,
-            )
         policy = resolve("chem_load_balance", chem_load_balance)
-        self.chemlb = None
         if policy != "off" and reacting and mechanism.n_reactions:
             self.chemlb = chemlb.ChemistryLoadBalancer(
                 mechanism, world, policy=policy,
@@ -327,27 +307,21 @@ class ParallelPeriodicSolver:
         # interior instead. In strang mode chemistry never enters the
         # RHS — the balancer (if any) ships whole implicit cell solves
         # from the driver-side half-steps instead.
-        self._defer = self.chemlb is not None and not split
+        self._defer = self.chemlb is not None and self._chem is None
         self._rank_telemetry = bool(rank_telemetry)
-        # kept so recovery can rebuild rank programs on a new or revived
+        # what every rank program is built from after its own geometry;
+        # kept so recovery can rebuild programs on a new or revived
         # world with exactly the original construction arguments
-        self._build_params = dict(transport=transport,
-                                  reacting=reacting and not split,
-                                  filter_alpha=filter_alpha,
-                                  rhs_engine=rhs_engine,
-                                  rhs_backend=rhs_backend)
-        # species layout of the conserved array, needed driver-side to
-        # add balanced reaction sources without per-rank State objects
-        self._n_transported = mechanism.n_species - 1
-        self._species_slice = slice(2 + grid.ndim,
-                                    2 + grid.ndim + self._n_transported)
+        self._program_args = (transport, rank_reacting, filter_alpha,
+                              rhs_engine, rhs_backend, self._defer,
+                              self._rank_telemetry,
+                              resolve("tracing", tracing))
         self._start_rank_programs()
+        #: per-rank owned conserved blocks, the solver's state of record
         self.locals: list = [None] * decomp.size
-        self.time = 0.0
-        self.step_count = 0
-        self._gstate = None  # lazy gathered-state view for health checks
+        self._gstate = None  # lazy gathered-state view, see :attr:`state`
         self._gstate_step = -1
-        self.health = self._resolve_health(observability)
+        self._arm_health()
 
     def _start_rank_programs(self) -> None:
         """(Re)start one rank program per rank on the current world.
@@ -357,12 +331,10 @@ class ParallelPeriodicSolver:
         driver's live telemetry backend through local_factory, which
         out-of-process backends ignore in favour of the pickled args).
         """
-        p = self._build_params
+        spacings = [self.grid.spacing(a) for a in range(self.grid.ndim)]
         per_rank_args = [
-            (self.mech, self.halo.extended_shape(rank), self.spacings,
-             self.halo.interior_slices(rank), p["transport"], p["reacting"],
-             p["filter_alpha"], p["rhs_engine"], p["rhs_backend"],
-             self._defer, self._rank_telemetry, self.tracing)
+            (self.mech, self.halo.extended_shape(rank), spacings,
+             self.halo.interior_slices(rank)) + self._program_args
             for rank in range(self.decomp.size)
         ]
         if self._rank_telemetry:
@@ -374,47 +346,35 @@ class ParallelPeriodicSolver:
         self.world.start_programs(SolverRankProgram, per_rank_args,
                                   local_factory=local_factory)
 
-    @classmethod
-    def from_config(cls, mechanism, grid, decomp, config, world=None,
-                    transport=None, reacting=True, **kwargs):
-        """Build from a :class:`~repro.core.config.SolverConfig`.
-
-        Maps the config fields the parallel solver understands —
-        ``scheme``, ``filter_interval``, ``filter_alpha``,
-        ``rhs_engine``, ``chemistry_mode``, ``chemistry_method``,
-        ``chem_load_balance``, ``observability``, and ``transport``
-        (the communication backend, forwarded as ``comm_transport``).
-        Extra keyword arguments override.
-        """
-        opts = dict(
-            scheme=config.scheme,
-            filter_interval=config.filter_interval,
-            filter_alpha=config.filter_alpha,
-            rhs_engine=config.rhs_engine,
-            rhs_backend=config.rhs_backend,
-            chemistry_mode=config.chemistry_mode,
-            chemistry_method=config.chemistry_method,
-            chem_load_balance=config.chem_load_balance,
-            observability=config.observability,
-            # the constructor applies config.tracing to this backend
-            telemetry=_telemetry.for_solver(enabled=config.telemetry,
-                                            tracing=False),
-            comm_transport=config.transport,
-            parallel_recovery=config.parallel_recovery,
-            tracing=config.tracing,
-            fixed_substeps=config.fixed_substeps,
-        )
-        opts.update(kwargs)
-        return cls(mechanism, grid, decomp, world, transport=transport,
-                   reacting=reacting, **opts)
-
     # ------------------------------------------------------------------
     def set_state(self, global_u: np.ndarray) -> None:
         """Scatter a global conserved array to the ranks."""
         self.locals = self.decomp.scatter(np.asarray(global_u, dtype=float), 1)
+        self._gstate_step = -1
 
     def gather_state(self) -> np.ndarray:
         return self.decomp.gather(self.locals, 1)
+
+    @property
+    def state(self) -> State:
+        """Gathered global :class:`~repro.core.state.State` view.
+
+        Re-gathered at most once per step (health checks, monitors and
+        the supervisor's fault sites share the same view); the returned
+        object is a snapshot for inspection, not a handle into the
+        per-rank blocks.
+        """
+        if self._gstate_step != self.step_count:
+            self._gstate = State(self.mech, self.grid, self.gather_state())
+            self._gstate_step = self.step_count
+        return self._gstate
+
+    # -- the four hooks: what a decomposed domain adds ---------------------
+    def compute_dt(self) -> float:
+        raise ValueError(
+            "ParallelPeriodicSolver is driven by an explicit dt: pass one "
+            "to step() / run() / run_resilient()"
+        )
 
     def _rhs_all(self, t, locals_) -> list:
         """Exchange + per-rank RHS; returns owned-interior dU/dt blocks.
@@ -433,73 +393,29 @@ class ParallelPeriodicSolver:
         # serial RHS would (du[species] += wdot_mass[:nt])
         results = self.world.call_all("rhs_block_deferred", payloads)
         out = [r[0] for r in results]
-        prims = [(r[1], r[2], r[3]) for r in results]
-        wdots = self.chemlb.production_rates(prims)
-        for rank in range(self.decomp.size):
-            out[rank][self._species_slice] += wdots[rank][:self._n_transported]
+        wdots = self.chemlb.production_rates([r[1:] for r in results])
+        nt, first = self.mech.n_species - 1, 2 + self.grid.ndim
+        for du, wdot in zip(out, wdots):
+            du[first:first + nt] += wdot[:nt]
         return out
 
-    def step(self, dt: float) -> None:
-        """One time step across all ranks.
+    def _integrate(self, dt: float) -> None:
+        """The rank-parallel RHS as one callable over the packed owned
+        blocks: element-wise stage updates on the packed buffer are
+        bitwise those on the blocks, so every scheme (and the RK stage
+        guard) works unchanged. ``locals`` stay per-rank arrays — views
+        of the packed result."""
+        shapes = [b.shape for b in self.locals]
 
-        With ``chemistry_mode="strang"``: chem(dt/2) → transport RK
-        step → chem(dt/2), mirroring the serial solver's split exactly
-        (the chemistry is per-cell and batch-shape independent, so the
-        rank decomposition cannot perturb it); otherwise one low-storage
-        RK step of the full RHS.
-        """
-        if self._strang_chem is not None:
-            self._strang_chemistry(0.5 * dt)
-        sch = self.scheme
-        with self.telemetry.span("INTEGRATE"):
-            u = [np.array(b, copy=True) for b in self.locals]
-            du = [np.zeros_like(b) for b in u]
-            for i in range(sch.stages):
-                rhs_blocks = self._rhs_all(self.time + sch.c[i] * dt, u)
-                for r in range(self.decomp.size):
-                    du[r] *= sch.a[i]
-                    du[r] += dt * rhs_blocks[r]
-                    u[r] += sch.b[i] * du[r]
-        self.locals = u
-        if self._strang_chem is not None:
-            self._strang_chemistry(0.5 * dt)
-        self.time += dt
-        self.step_count += 1
-        if self.filter_interval and self.step_count % self.filter_interval == 0:
-            self.apply_filter()
+        def rhs(t, packed):
+            return _pack(self._rhs_all(t, _unpack(packed, shapes)))
 
-    def _strang_chemistry(self, half_dt: float) -> None:
-        """Advance every rank block's reactors by ``half_dt``.
+        self.locals = _unpack(
+            self.integrator.step(rhs, self.time, _pack(self.locals), dt),
+            shapes)
 
-        Each block decodes ``(rho, e_int, Y)`` exactly as the serial
-        path does; with a load balancer the per-cell implicit solves are
-        planned and shipped between ranks using the *measured* substep
-        counts of the previous half-step as the cost signal, otherwise
-        every rank just integrates its own cells.
-        """
-        mech = self.mech
-        ndim = self.grid.ndim
-        states = [strang_reactor_inputs(b, ndim, mech.n_species)
-                  for b in self.locals]
-        with self.telemetry.span("CHEMISTRY_IMPLICIT"):
-            if self.chemlb is not None:
-                results = self.chemlb.advance_states(
-                    states, half_dt, self._strang_chem
-                )
-            else:
-                tracelog = getattr(self.telemetry, "tracelog", None)
-                results = []
-                for rank, (rho, e, Y) in enumerate(states):
-                    sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
-                           if tracelog is not None else None)
-                    results.append(
-                        self._strang_chem.advance_energy(rho, e, Y,
-                                                         half_dt)[:2]
-                    )
-                    if sid is not None:
-                        tracelog.end_span(sid, cells=int(rho.size))
-        for b, (_, Y1) in zip(self.locals, results):
-            strang_apply_update(b, ndim, mech.n_species, Y1)
+    def _reactor_blocks(self) -> list:
+        return self.locals
 
     def apply_filter(self) -> None:
         extended = self.halo.exchange(self.locals, leading_axes=1)
@@ -507,68 +423,44 @@ class ParallelPeriodicSolver:
             "filter_block", [(ext,) for ext in extended]
         )
 
-    # -- observability ---------------------------------------------------
-    @property
-    def state(self) -> State:
-        """Gathered global :class:`~repro.core.state.State` view.
-
-        Re-gathered at most once per step (health checks share the same
-        view); the returned object is a snapshot for inspection, not a
-        handle into the per-rank blocks.
-        """
-        if self._gstate is None:
-            self._gstate = State(self.mech, self.grid)
-        if self._gstate_step != self.step_count:
-            self._gstate.u = self.gather_state()
-            self._gstate.mark_modified()
-            self._gstate_step = self.step_count
-        return self._gstate
-
-    def _resolve_health(self, mode):
-        from repro import observability as obs
-
-        mode = resolve("observability", mode)
-        if mode == "off":
-            return obs.NULL_HEALTH
-        dogs = [obs.NaNSentinel(), obs.BoundsWatchdog(),
-                obs.WallTimeAnomalyWatchdog()]
-        if mode == "full":
-            dogs.append(obs.ConservationWatchdog())
-        return obs.HealthMonitor(
-            self, watchdogs=dogs, interval=1,
-            recorder=obs.FlightRecorder(capacity=256 if mode == "full" else 64),
-            record_telemetry_delta=(mode == "full" and self.telemetry.enabled),
-        )
-
-    def run(self, n_steps: int, dt: float) -> None:
-        """Advance ``n_steps`` fixed-dt steps with health monitoring.
-
-        With observability off this is exactly ``n_steps`` calls to
-        :meth:`step` (one attribute check per step of overhead).
-        """
-        health = self.health
-        for _ in range(n_steps):
-            if health.enabled:
-                t0 = health.clock()
-                self.step(dt)
-                health.on_step(dt, health.clock() - t0)
-            else:
-                self.step(dt)
-
-    def run_resilient(self, fs, n_steps: int, dt: float, **kwargs):
-        """Supervised :meth:`run`: coordinated parallel checkpoints plus
-        rank-failure recovery under :attr:`recovery_policy`.
-
-        Thin wrapper over
-        :func:`repro.resilience.distributed.run_parallel_resilient`;
-        see that module for checkpoint-ring and policy semantics.
-        """
-        from repro.resilience.distributed import run_parallel_resilient
-
-        return run_parallel_resilient(self, fs, n_steps, dt,
-                                      policy=self.recovery_policy, **kwargs)
-
     # -- recovery plumbing ------------------------------------------------
+    @property
+    def world_size(self) -> int:
+        return self.decomp.size
+
+    def checkpoint_ring(self, fs, **kwargs):
+        from repro.resilience.distributed import DistributedCheckpointRing
+
+        return DistributedCheckpointRing(fs, **kwargs)
+
+    def failed_ranks(self) -> set:
+        return self.world.failed_ranks
+
+    def recover(self, action: str, ring, dead) -> dict:
+        """Carry out the supervisor's recovery action: ``shrink`` gathers
+        the newest committed checkpoint, re-decomposes over the surviving
+        rank count (one rank is always legal) and re-scatters;
+        ``respawn`` revives the dead ranks (fresh worker + rank program),
+        then, as a plain ``rollback`` does, purges the abandoned
+        timeline's in-flight messages and reinstalls the newest
+        committed checkpoint."""
+        if action == "shrink":
+            from repro.resilience.distributed import shrink_decomposition
+
+            data = ring.load_global()
+            self.reconfigure(shrink_decomposition(
+                self.decomp, self.decomp.size - len(dead)))
+            cache = data["cache"]
+            self.install_shards(
+                data["step"], data["time"], self.decomp.scatter(data["u"], 1),
+                [None] * self.decomp.size if cache is None
+                else self.decomp.scatter(cache, 0))
+            return data
+        if action == "respawn":
+            self.world.revive_ranks(dead)
+        self.world.reset_channels()
+        return ring.restore(self)
+
     def capture_caches(self) -> list:
         """Owned-interior Newton temperature caches, one block per rank
         (``None`` for ranks whose cache is cold). One execution-plane
@@ -576,8 +468,9 @@ class ParallelPeriodicSolver:
         exact Newton starting points and stays bitwise."""
         return self.world.call_all("cache_block")
 
-    def _install_caches(self, interior_caches) -> None:
-        """Push per-rank interior caches back as extended-shape caches.
+    def install_shards(self, step: int, time: float, blocks, caches) -> None:
+        """Adopt per-rank checkpoint shards — owned conserved blocks and
+        owned-interior Newton caches — as the current solver state.
 
         Ghost cache values equal the owner's interior values (per-cell
         Newton is batch-shape independent), so a halo exchange of the
@@ -585,16 +478,6 @@ class ParallelPeriodicSolver:
         Any ``None`` block invalidates every cache: a cold start is
         always correct, a mixed hot/cold install is not.
         """
-        if any(c is None for c in interior_caches):
-            payloads = [(None,) for _ in range(self.decomp.size)]
-        else:
-            arrs = [np.asarray(c, dtype=float) for c in interior_caches]
-            extended = self.halo.exchange(arrs, leading_axes=0)
-            payloads = [(ext,) for ext in extended]
-        self.world.call_all("install_cache", payloads)
-
-    def install_shards(self, step: int, time: float, blocks, caches) -> None:
-        """Adopt per-rank checkpoint shards as the current solver state."""
         if len(blocks) != self.decomp.size:
             raise ValueError(
                 f"{len(blocks)} shard blocks for {self.decomp.size} ranks"
@@ -603,29 +486,12 @@ class ParallelPeriodicSolver:
         self.time = float(time)
         self.step_count = int(step)
         self._gstate_step = -1
-        self._install_caches(list(caches))
-
-    def install_checkpoint(self, data: dict) -> None:
-        """Adopt a *global* checkpoint dict (``u``/``time``/``step`` and
-        optional ``cache``) — the shrink path, where the shards were
-        gathered under the old decomposition and must be re-scattered
-        under the current one."""
-        self.set_state(data["u"])
-        self.time = float(data["time"])
-        self.step_count = int(data["step"])
-        self._gstate_step = -1
-        cache = data.get("cache")
-        if cache is None:
-            interior = [None] * self.decomp.size
+        if any(c is None for c in caches):
+            extended = [None] * self.decomp.size
         else:
-            interior = self.decomp.scatter(np.asarray(cache, dtype=float), 0)
-        self._install_caches(interior)
-
-    def respawn_ranks(self, ranks) -> None:
-        """Bring dead ranks back (fresh worker + rank program). The
-        caller is responsible for restoring state afterwards; a revived
-        program starts from the initial condition."""
-        self.world.revive_ranks(ranks)
+            extended = self.halo.exchange(
+                [np.asarray(c, dtype=float) for c in caches], leading_axes=0)
+        self.world.call_all("install_cache", [(ext,) for ext in extended])
 
     def reconfigure(self, decomp) -> None:
         """Re-decompose onto a new (smaller) world — the shrink policy.
@@ -633,8 +499,8 @@ class ParallelPeriodicSolver:
         Builds a fresh transport of the same backend with
         ``decomp.size`` ranks, rebuilds the halo exchanger and rank
         programs, and re-seeds the chemistry balancer's cost model.
-        State is *not* carried over; call :meth:`install_checkpoint`
-        after reconfiguring.
+        State is *not* carried over; install a checkpoint after
+        reconfiguring.
         """
         if decomp.global_shape != self.decomp.global_shape:
             raise ValueError(
@@ -646,30 +512,19 @@ class ParallelPeriodicSolver:
                       telemetry=self.telemetry)
         if old_world.name == "multiprocessing":
             kwargs["heartbeat"] = getattr(old_world, "heartbeat", None)
-        world = create_transport(old_world.name, size=decomp.size, **kwargs)
+        self.world = create_transport(old_world.name, size=decomp.size,
+                                      **kwargs)
         self.decomp = decomp
-        self.world = world
-        self.halo = HaloExchanger(decomp, world, width=DEEP_HALO,
+        self.halo = HaloExchanger(decomp, self.world, width=DEEP_HALO,
                                   telemetry=self.telemetry)
         if self.chemlb is not None:
-            self.chemlb.rebind(world)
+            self.chemlb.rebind(self.world)
         self._start_rank_programs()
         self.locals = [None] * decomp.size
         self._gstate_step = -1
         if self._owns_world:
             old_world.close()
         self._owns_world = True
-
-    @property
-    def rank_telemetries(self):
-        """Per-rank telemetry backends when reachable from the driver
-        (in-process transport with ``rank_telemetry=True``), else None —
-        on out-of-process transports use :meth:`fused_profile`, which
-        ships snapshots instead of live objects."""
-        programs = self.world.programs
-        if not self._rank_telemetry or programs is None:
-            return None
-        return [p.telemetry for p in programs]
 
     def fused_profile(self, root: int = 0):
         """Cross-rank fused profile of the per-rank kernel telemetry.

@@ -13,21 +13,23 @@ and every consumer knows how to survive it.
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` with
   exponential backoff and deterministic jitter, applied to the I/O
   write paths.
-* :mod:`repro.resilience.checkpoint` — :class:`CheckpointRing`:
-  CRC-verified, atomically-renamed conserved-state checkpoints with
-  fallback to the previous good one on corruption.
-* :mod:`repro.resilience.supervisor` — :func:`run_resilient`:
-  rollback-and-replay driving a solver through injected faults to a
-  bit-identical final state.
-* :mod:`repro.resilience.distributed` — :func:`run_parallel_resilient`:
-  the rank-parallel counterpart — coordinated two-phase distributed
+* :mod:`repro.resilience.checkpoint` — the ring core and
+  :class:`CheckpointRing`: CRC-verified, atomically-renamed
+  conserved-state checkpoints with fallback to the previous good one on
+  corruption.
+* :mod:`repro.resilience.distributed` —
+  :class:`DistributedCheckpointRing`: coordinated two-phase distributed
   checkpoints (one CRC-guarded shard per rank, manifest as commit
-  record) plus ``respawn``/``shrink`` rank-failure recovery policies.
+  record) on the same ring core, plus :func:`shrink_decomposition`.
+* :mod:`repro.resilience.supervisor` — :func:`run_resilient`: the one
+  supervised loop, driving a serial or rank-parallel solver through
+  injected faults and rank failures (rollback / ``respawn`` /
+  ``shrink``) to a bit-identical final state.
 
 Telemetry counters: ``resilience.faults_injected``,
 ``resilience.retries``, ``resilience.recoveries``,
-``resilience.parallel_recoveries``, ``resilience.ranks_respawned``,
-``resilience.replayed_steps``, ``resilience.checkpoints_written``,
+``resilience.ranks_respawned``, ``resilience.replayed_steps``,
+``resilience.checkpoints_written``,
 ``resilience.checkpoint_fallbacks`` (see docs/RESILIENCE.md).
 """
 
@@ -74,10 +76,7 @@ __all__ = [
     "RunReport",
     "run_resilient",
     "DistributedCheckpointRing",
-    "DistributedRunReport",
-    "ParallelRecoveryEvent",
     "RECOVERY_POLICIES",
-    "run_parallel_resilient",
     "shrink_decomposition",
 ]
 
@@ -90,10 +89,7 @@ _LAZY = {
     "RunReport": "repro.resilience.supervisor",
     "run_resilient": "repro.resilience.supervisor",
     "DistributedCheckpointRing": "repro.resilience.distributed",
-    "DistributedRunReport": "repro.resilience.distributed",
-    "ParallelRecoveryEvent": "repro.resilience.distributed",
     "RECOVERY_POLICIES": "repro.resilience.distributed",
-    "run_parallel_resilient": "repro.resilience.distributed",
     "shrink_decomposition": "repro.resilience.distributed",
 }
 

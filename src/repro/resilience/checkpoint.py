@@ -33,27 +33,106 @@ from repro.resilience.errors import (
 from repro.resilience.retry import RetryPolicy, fs_backoff_sleep
 from repro.telemetry import resolve as resolve_telemetry
 
-__all__ = ["CheckpointRing"]
+__all__ = ["CheckpointRing", "VerifiedRing"]
+
+#: what a ring entry may fail with and still leave an older one usable
+UNUSABLE = (RestartCorruptionError, TransientIOError, FileNotFoundError)
 
 
-class CheckpointRing:
-    """Ring of the last ``keep`` verified solver checkpoints."""
+class VerifiedRing:
+    """What every checkpoint ring does, whatever one entry is made of.
 
-    def __init__(self, fs, prefix: str = "resilient", keep: int = 3,
+    Entries are tuples ``(step, path, ...)``, oldest first. The core
+    owns the bookkeeping (verified writes, keep-k eviction,
+    replace-don't-duplicate, the newest-to-oldest walk of a restore); a
+    ring kind supplies what one entry *is*: how it is written
+    (``save``), loaded (the ``load(entry)`` it hands to
+    :meth:`_newest_usable`) and unlinked (:meth:`_unlink_entry`).
+    """
+
+    #: file-name prefix of a ring built without one
+    default_prefix = "ring"
+
+    def __init__(self, fs, prefix: str | None = None, keep: int = 3,
                  retry: RetryPolicy | None = None, telemetry=None):
         if keep < 1:
             raise ValueError("checkpoint ring must keep at least 1 entry")
         self.fs = fs
-        self.prefix = prefix
+        self.prefix = prefix if prefix is not None else self.default_prefix
         self.keep = int(keep)
         self.retry = retry if retry is not None else RetryPolicy()
         self.telemetry = resolve_telemetry(telemetry)
         self._c_written = self.telemetry.counter("resilience.checkpoints_written")
         self._c_fallbacks = self.telemetry.counter("resilience.checkpoint_fallbacks")
-        #: (step, path) of verified checkpoints, oldest first
         self._entries: list = []
 
-    # ------------------------------------------------------------------
+    def entries(self) -> list:
+        """Ring contents (verified / committed entries), oldest first."""
+        return list(self._entries)
+
+    @property
+    def newest_step(self) -> int | None:
+        return self._entries[-1][0] if self._entries else None
+
+    def _write_verified(self, write, verify, label: str) -> None:
+        """Write + read-back verification as one retryable unit: a
+        transient or torn write fault simply reissues the attempt."""
+        def attempt():
+            write()
+            with self.telemetry.span("CHECKPOINT_VERIFY"):
+                verify()
+
+        self.retry.call(attempt, label=label, telemetry=self.telemetry,
+                        sleep=fs_backoff_sleep(self.fs))
+
+    def _commit(self, entry: tuple) -> None:
+        """Enter a written checkpoint into the ring.
+
+        A rollback-and-replay pass re-saves steps the abandoned timeline
+        already checkpointed: replace, don't duplicate (a same-step
+        entry was just overwritten in place). Then evict down to
+        ``keep``.
+        """
+        step = entry[0]
+        for old in self._entries:
+            if old[0] > step:
+                self._unlink_entry(old)
+        self._entries = [e for e in self._entries if e[0] < step] + [entry]
+        while len(self._entries) > self.keep:
+            self._unlink_entry(self._entries.pop(0))
+        self._c_written.inc()
+
+    def _unlink(self, path: str) -> None:
+        if self.fs.exists(path):
+            self.fs.unlink(path)
+
+    def _newest_usable(self, load):
+        """Walk the ring newest to oldest; returns ``(entry, load(entry),
+        skipped)`` for the first entry whose ``load`` does not raise one
+        of :data:`UNUSABLE`. Skipped entries are counted as fallbacks
+        and listed as ``(path, reason)``; when nothing loads,
+        :class:`ResilienceExhaustedError` carries the whole list."""
+        skipped: list = []
+        for entry in reversed(self._entries):
+            try:
+                return entry, load(entry), skipped
+            except UNUSABLE as err:
+                skipped.append((entry[1], f"{type(err).__name__}: {err}"))
+                self._c_fallbacks.inc()
+        raise ResilienceExhaustedError(
+            f"no usable checkpoint in ring {self.prefix!r}: "
+            + (f"all {len(skipped)} candidates failed: {skipped}"
+               if skipped else "ring is empty")
+        )
+
+
+class CheckpointRing(VerifiedRing):
+    """Ring of the last ``keep`` verified solver checkpoints: entries
+    ``(step, path)``, each one ``.ckpt`` file written to a ``.tmp`` slot,
+    verified, then renamed."""
+
+    default_prefix = "resilient"
+
     def path_for(self, step: int) -> str:
         return f"{self.prefix}.{step:08d}.ckpt"
 
@@ -61,102 +140,51 @@ class CheckpointRing:
     def tmp_path(self) -> str:
         return f"{self.prefix}.tmp"
 
-    def entries(self) -> list:
-        """Verified ring contents: list of (step, path), oldest first."""
-        return list(self._entries)
-
-    @property
-    def newest_step(self) -> int | None:
-        return self._entries[-1][0] if self._entries else None
-
-    # ------------------------------------------------------------------
     def save(self, solver) -> str:
         """Checkpoint ``solver`` into the ring; returns the final path.
-
-        The write + read-back verification runs as one retryable unit:
-        a transient or torn write fault simply reissues the attempt.
-        Only a checkpoint that verifies is renamed into the ring.
-        """
+        Only a checkpoint that verifies is renamed into the ring."""
         from repro.io.restart import save_solver_state, verify_solver_state
 
-        tmp = self.tmp_path
-
-        def attempt():
-            save_solver_state(self.fs, solver, tmp, telemetry=self.telemetry)
-            with self.telemetry.span("CHECKPOINT_VERIFY"):
-                verify_solver_state(self.fs, tmp)
-
-        self.retry.call(
-            attempt, label=f"ckpt.{solver.step_count}",
-            telemetry=self.telemetry, sleep=fs_backoff_sleep(self.fs),
-        )
-        step = solver.step_count
+        tmp, step = self.tmp_path, solver.step_count
+        self._write_verified(
+            lambda: save_solver_state(self.fs, solver, tmp,
+                                      telemetry=self.telemetry),
+            lambda: verify_solver_state(self.fs, tmp), f"ckpt.{step}")
         final = self.path_for(step)
         self.fs.rename(tmp, final)
-        # a rollback-and-replay pass re-saves steps the abandoned
-        # timeline already checkpointed: replace, don't duplicate
-        for _, stale in [e for e in self._entries if e[0] >= step]:
-            if stale != final and self.fs.exists(stale):
-                self.fs.unlink(stale)
-        self._entries = [e for e in self._entries if e[0] < step]
-        self._entries.append((step, final))
-        while len(self._entries) > self.keep:
-            _, old = self._entries.pop(0)
-            if self.fs.exists(old):
-                self.fs.unlink(old)
-        self._c_written.inc()
+        self._commit((step, final))
         return final
 
-    # ------------------------------------------------------------------
+    def _unlink_entry(self, entry) -> None:
+        self._unlink(entry[1])
+
     def restore_state(self, solver) -> dict:
         """Restore the newest checkpoint that passes validation.
 
-        Walks the ring newest to oldest; corrupt or unreadable entries
-        are skipped (and counted as fallbacks). Returns a report
-        ``{"step", "path", "fallbacks", "skipped"}`` naming the
-        checkpoint actually used, or raises
+        Returns a report ``{"step", "path", "fallbacks", "skipped"}``
+        naming the checkpoint actually used and the corrupt or
+        unreadable ones skipped on the way, or raises
         :class:`ResilienceExhaustedError` when nothing verifies.
         """
         from repro.io.restart import load_solver_state
 
-        skipped: list = []
-        for step, path in reversed(self._entries):
-            try:
-                load_solver_state(self.fs, solver, path)
-            except (RestartCorruptionError, TransientIOError,
-                    FileNotFoundError) as err:
-                skipped.append((path, f"{type(err).__name__}: {err}"))
-                self._c_fallbacks.inc()
-                continue
-            return {
-                "step": step,
-                "path": path,
-                "fallbacks": len(skipped),
-                "skipped": skipped,
-            }
-        raise ResilienceExhaustedError(
-            f"no verified checkpoint in ring {self.prefix!r}: "
-            + (f"all {len(skipped)} candidates failed: {skipped}"
-               if skipped else "ring is empty")
-        )
-
-    #: alias matching the supervisor's vocabulary
-    restore_latest = restore_state
+        (step, path), _, skipped = self._newest_usable(
+            lambda entry: load_solver_state(self.fs, solver, entry[1]))
+        return {"step": step, "path": path, "fallbacks": len(skipped),
+                "skipped": skipped}
 
     def drop_corrupt(self) -> int:
         """Prune ring entries that no longer verify; returns the count
         removed (a scrub pass a maintenance window would run)."""
         from repro.io.restart import verify_solver_state
 
-        kept, removed = [], 0
-        for step, path in self._entries:
+        kept = []
+        for entry in self._entries:
             try:
-                verify_solver_state(self.fs, path)
-                kept.append((step, path))
-            except (RestartCorruptionError, FileNotFoundError,
-                    TransientIOError):
-                removed += 1
-                if self.fs.exists(path):
-                    self.fs.unlink(path)
+                verify_solver_state(self.fs, entry[1])
+                kept.append(entry)
+            except UNUSABLE:
+                self._unlink_entry(entry)
+        removed = len(self._entries) - len(kept)
         self._entries = kept
         return removed

@@ -69,6 +69,8 @@ if SEED is None:
 N_RANKS = 4
 N_STEPS = 4
 DT = 2e-8
+#: checkpoint every other step, so a kill replays from mid-run
+CKPT = 2
 
 
 def _h2_solver(nprocs=N_RANKS, policy="off", chem="off",
@@ -393,7 +395,8 @@ class TestRecoveryInProcess:
         solver = _h2_solver(policy=policy, chem=chem, faults=inj)
         try:
             fs = SimFileSystem(lustre())
-            report = solver.run_resilient(fs, N_STEPS, DT)
+            report = solver.run_resilient(fs, N_STEPS, DT,
+                                          checkpoint_interval=CKPT)
             assert report.recoveries >= 1
             assert report.steps_completed == N_STEPS
             if policy == "shrink":
@@ -412,7 +415,8 @@ class TestRecoveryInProcess:
         solver = _h2_solver(policy="off")
         try:
             fs = SimFileSystem(lustre())
-            report = solver.run_resilient(fs, N_STEPS, DT)
+            report = solver.run_resilient(fs, N_STEPS, DT,
+                                          checkpoint_interval=CKPT)
             assert report.clean
             assert report.checkpoints_written == 0
             assert not fs.listdir("parallel")  # zero checkpoint traffic
@@ -428,7 +432,8 @@ class TestRecoveryInProcess:
         try:
             fs = SimFileSystem(lustre())
             with pytest.raises(ResilienceExhaustedError, match="budget"):
-                solver.run_resilient(fs, N_STEPS, DT, max_recoveries=2)
+                solver.run_resilient(fs, N_STEPS, DT, checkpoint_interval=CKPT,
+                                     max_recoveries=2)
         finally:
             solver.close()
 
@@ -438,8 +443,9 @@ class TestRecoveryInProcess:
         solver = _h2_solver(policy="respawn", faults=inj, telemetry=tel)
         try:
             fs = SimFileSystem(lustre())
-            report = solver.run_resilient(fs, N_STEPS, DT)
-            assert (tel.counter("resilience.parallel_recoveries").value
+            report = solver.run_resilient(fs, N_STEPS, DT,
+                                          checkpoint_interval=CKPT)
+            assert (tel.counter("resilience.recoveries").value
                     == report.recoveries)
             assert (tel.counter("resilience.ranks_respawned").value
                     == report.ranks_respawned)
@@ -629,7 +635,8 @@ class TestRecoveryMultiprocessing:
                             transport_name="multiprocessing", faults=inj)
         try:
             fs = SimFileSystem(lustre())
-            report = solver.run_resilient(fs, N_STEPS, DT)
+            report = solver.run_resilient(fs, N_STEPS, DT,
+                                          checkpoint_interval=CKPT)
             assert report.recoveries >= 1
             assert report.steps_completed == N_STEPS
             self._assert_close(solver.gather_state(), u_ref)
@@ -643,7 +650,8 @@ class TestRecoveryMultiprocessing:
                             heartbeat=1.0)
         try:
             fs = SimFileSystem(lustre())
-            report = solver.run_resilient(fs, N_STEPS, DT)
+            report = solver.run_resilient(fs, N_STEPS, DT,
+                                          checkpoint_interval=CKPT)
             assert report.recoveries >= 1
             assert "RankUnresponsiveError" in report.history[0].error
             self._assert_close(solver.gather_state(), u_ref)
@@ -660,7 +668,8 @@ class TestRecoveryMultiprocessing:
         try:
             assert solver.world.name == expected
             fs = SimFileSystem(lustre())
-            report = solver.run_resilient(fs, N_STEPS, DT)
+            report = solver.run_resilient(fs, N_STEPS, DT,
+                                          checkpoint_interval=CKPT)
             assert report.recoveries >= 1
             if expected == "inprocess":
                 assert np.array_equal(solver.gather_state(), u_ref)

@@ -37,7 +37,6 @@ from repro.observability import (
     html_report,
     replay_report,
     sparkline,
-    standard_watchdogs,
     worst_severity,
     write_html_report,
 )
@@ -648,6 +647,38 @@ class TestParallelHealth:
         with pytest.raises(WatchdogTripError) as err:
             par.health.check(2e-8)
         assert err.value.events[0].watchdog == "nan_sentinel"
+
+
+    def test_parallel_stage_guard_catches_mid_stage_nan(self, h2_mech,
+                                                        h2_air_stoich):
+        """``full`` arms the RK stage guard on the one integrator both
+        solvers step through: a NaN in one rank's slope at one stage
+        trips before the stage is blended into the state."""
+        grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
+        Yf = h2_air_stoich[:, None, None] * np.ones((1, 24, 24))
+        T = 900.0 * np.ones((24, 24))
+        rho = h2_mech.density(P_ATM, T, Yf)
+        state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
+        d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
+        par = ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2),
+                                     reacting=False, observability="full")
+        par.set_state(state.u)
+        par.step(2e-8)  # a clean step passes the guard
+        rhs_all, calls = par._rhs_all, []
+
+        def poisoned(t, blocks):
+            out = rhs_all(t, blocks)
+            calls.append(t)
+            if len(calls) == 3:
+                out[1][0, 0, 0] = np.nan
+            return out
+
+        par._rhs_all = poisoned
+        with pytest.raises(WatchdogTripError) as err:
+            par.step(2e-8)
+        assert err.value.events[0].watchdog == "rk_stage_guard"
+        assert "stage 2" in err.value.events[0].message
+        assert len(calls) == 3 and par.step_count == 1
 
 
 class TestRender:

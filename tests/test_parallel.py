@@ -205,7 +205,14 @@ class TestDistributedOperators:
 
 
 class TestParallelSolverEquivalence:
-    def test_matches_serial_reacting_viscous(self, h2_mech, h2_air_stoich):
+    @pytest.mark.parametrize("scheme", ["ck45", "rk4", "rkf45"])
+    def test_matches_serial_reacting_viscous(self, h2_mech, h2_air_stoich,
+                                             scheme):
+        """Every registered ERK scheme: both solvers step through the
+        one ``ERKIntegrator`` (the parallel solver used to re-implement
+        the 2N loop inline, so ``rk4`` / ``rkf45`` built without
+        complaint and died at their first step). The bound is round-off,
+        not zero: a rank's ghost-extended grid recomputes its spacing."""
         grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
         xx, yy = grid.meshgrid()
         T = 900.0 + 500.0 * np.exp(
@@ -216,24 +223,75 @@ class TestParallelSolverEquivalence:
         state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
         tr = ConstantLewisTransport(h2_mech)
         cfg = SolverConfig(boundaries=periodic_boundaries(2), dt=2e-8,
-                           filter_interval=1, filter_alpha=0.2, scheme="ck45")
+                           filter_interval=1, filter_alpha=0.2, scheme=scheme)
         serial = S3DSolver(state.copy(), cfg, transport=tr, reacting=True)
-        for _ in range(3):
-            serial.step()
-        world = SimMPI(4)
+        serial.run(3)
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
-        par = ParallelPeriodicSolver(h2_mech, grid, d, world, transport=tr,
-                                     reacting=True, scheme="ck45",
+        par = ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(4), transport=tr,
+                                     reacting=True, scheme=scheme,
                                      filter_alpha=0.2)
         par.set_state(state.u)
-        for _ in range(3):
-            par.step(2e-8)
+        par.run(3, 2e-8)
+        assert (par.time, par.step_count) == (serial.time, 3)
         up = par.gather_state()
         ref = serial.state.u
         scale = np.abs(ref).reshape(ref.shape[0], -1).max(axis=1)
         rel = (np.abs(up - ref).reshape(ref.shape[0], -1).max(axis=1)
                / np.maximum(scale, 1e-300))
         assert rel.max() < 1e-10
+
+    def test_packed_2n_update_is_bitwise_the_per_block_loop(self, h2_mech,
+                                                            h2_air_stoich):
+        """The integrator sees the rank blocks packed end to end; its
+        element-wise 2N updates must be bitwise the per-block loop the
+        parallel solver used to carry inline (frozen here)."""
+        from repro.core.erk import ERKIntegrator
+
+        grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
+        xx, yy = grid.meshgrid()
+        T = 900.0 + 500.0 * np.exp(
+            -((xx - 1e-3) ** 2 + (yy - 1e-3) ** 2) / (2 * (3e-4) ** 2))
+        Yf = h2_air_stoich[:, None, None] * np.ones((1, 24, 24))
+        state = State.from_primitive(h2_mech, grid,
+                                     h2_mech.density(P_ATM, T, Yf),
+                                     [1.0, 0.5], T, Yf)
+        d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
+
+        def build():
+            par = ParallelPeriodicSolver(
+                h2_mech, grid, d, SimMPI(2), reacting=True, scheme="ck45",
+                transport=ConstantLewisTransport(h2_mech), filter_interval=0)
+            par.set_state(state.u)
+            return par
+
+        new, old = build(), build()
+        sch, dt = ERKIntegrator("ck45").scheme, 2e-8
+        for _ in range(2):
+            new.step(dt)
+            u = [np.array(b, copy=True) for b in old.locals]
+            du = [np.zeros_like(b) for b in u]
+            for i in range(sch.stages):
+                f = old._rhs_all(old.time + sch.c[i] * dt, u)
+                for r in range(d.size):
+                    du[r] *= sch.a[i]
+                    du[r] += dt * f[r]
+                    u[r] += sch.b[i] * du[r]
+            old.locals, old.time = u, old.time + dt
+        for got, want in zip(new.locals, old.locals):
+            assert np.array_equal(got, want)
+
+    def test_unknown_scheme_raises_at_construction(self, h2_mech):
+        grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
+        d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
+        with pytest.raises(ValueError, match="unknown ERK scheme"):
+            ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2), scheme="rk5")
+
+    def test_has_no_dt_of_its_own(self, h2_mech):
+        grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
+        d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
+        par = ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2))
+        with pytest.raises(ValueError, match="explicit dt"):
+            par.step()
 
     def test_requires_periodic(self, h2_mech):
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, False))

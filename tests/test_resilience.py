@@ -6,6 +6,8 @@ every recovery path must hold for *any* seed: specs are bounded with
 ``count`` so retry budgets cover the worst case deterministically.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -512,6 +514,127 @@ class TestResilientRun:
         assert "FaultInjectedError" in ev.error
         assert tel.tracer.call_counts().get("RECOVERY") == 1
         assert tel.metrics.counter("resilience.replayed_steps").value == 1
+
+
+# ---------------------------------------------------------------------------
+# one supervisor, one contract: the same battery over the serial solver
+# and the rank-parallel one, under the CI lanes' fault seeds
+# ---------------------------------------------------------------------------
+N_SUPERVISED = 6
+
+
+def _serial_jet(observability="off", telemetry=None):
+    """The NSCBC lifted jet (adaptive dt)."""
+    from repro import scenarios
+
+    jet, _ = scenarios.lifted_jet(nx=24, ny=16, seed=0)
+    jet.config.observability = observability
+    return S3DSolver(jet.state, jet.config, transport=jet.rhs.transport,
+                     reacting=True, telemetry=telemetry), None
+
+
+def _parallel_box(observability="off", telemetry=None):
+    """Reacting H2 box on 2 in-process ranks (fixed dt)."""
+    from repro.chemistry import h2_li2004
+    from repro.core.state import State
+    from repro.parallel.decomp import CartesianDecomposition
+    from repro.parallel.solver import ParallelPeriodicSolver
+    from repro.transport import ConstantLewisTransport
+
+    mech = h2_li2004()
+    grid = Grid((24, 12), (2e-3, 1e-3), periodic=(True, True))
+    xx, yy = grid.meshgrid()
+    T = 900.0 + 500.0 * np.exp(
+        -((xx - 1e-3) ** 2 + (yy - 5e-4) ** 2) / (2 * (3e-4) ** 2))
+    Y = np.zeros((mech.n_species,) + grid.shape)
+    names = list(mech.species_names)
+    Y[names.index("H2")], Y[names.index("O2")] = 0.028, 0.226
+    Y[names.index("N2")] = 1.0 - 0.028 - 0.226
+    state = State.from_primitive(mech, grid, mech.density(P_ATM, T, Y),
+                                 [1.0, 0.5], T, Y)
+    decomp = CartesianDecomposition(grid.shape, (2, 1), periodic=grid.periodic)
+    solver = ParallelPeriodicSolver(
+        mech, grid, decomp, transport=ConstantLewisTransport(mech),
+        reacting=True, comm_transport="inprocess",
+        parallel_recovery="respawn", observability=observability,
+        telemetry=telemetry)
+    solver.set_state(state.u)
+    return solver, 2e-8
+
+
+_SUPERVISED = {"serial-jet": _serial_jet, "parallel-box": _parallel_box}
+_FAULT_FREE: dict = {}
+
+
+def _fault_free(kind):
+    """Final state of ``N_SUPERVISED`` unsupervised steps (cached)."""
+    if kind not in _FAULT_FREE:
+        solver, dt = _SUPERVISED[kind]()
+        solver.run(N_SUPERVISED, dt)
+        _FAULT_FREE[kind] = solver.state.u.copy()
+    return _FAULT_FREE[kind]
+
+
+@pytest.mark.recovery
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("kind", sorted(_SUPERVISED))
+class TestSupervisorContract:
+    def test_replay_is_bitwise_and_report_matches_counters(self, kind, seed):
+        tel = Telemetry()
+        solver, dt = _SUPERVISED[kind](telemetry=tel)
+        inj = FaultInjector(seed=seed, telemetry=tel)
+        inj.add("solver.step", count=1,
+                after=1 + random.Random(seed).randrange(N_SUPERVISED - 1))
+        report = solver.run_resilient(SimFileSystem(lustre()), N_SUPERVISED,
+                                      dt, checkpoint_interval=2, injector=inj)
+        assert np.array_equal(solver.state.u, _fault_free(kind))
+        assert report.steps_completed == N_SUPERVISED
+        assert report.recoveries == len(report.history) == 1
+        assert report.final_world_size == solver.world_size
+        counters = tel.metrics.counters
+        assert counters["resilience.recoveries"].value == report.recoveries
+        assert (counters["resilience.replayed_steps"].value
+                == report.replayed_steps)
+        assert (counters["resilience.checkpoints_written"].value
+                == report.checkpoints_written)
+        assert tel.tracer.call_counts().get("RECOVERY") == report.recoveries
+        ev = report.history[0]
+        assert (ev.policy, ev.dead_ranks) == ("rollback", ())
+        assert ev.world_size == solver.world_size
+        assert ev.at_step - ev.restored_step == report.replayed_steps
+        assert ev.restored_path
+
+    def test_silent_nan_trips_a_watchdog_and_rolls_back(self, kind, seed):
+        solver, dt = _SUPERVISED[kind](observability="on")
+        inj = FaultInjector(seed=seed)
+        inj.add("solver.state", count=1,
+                after=random.Random(seed).randrange(N_SUPERVISED - 1))
+        fs = SimFileSystem(lustre())
+        report = solver.run_resilient(fs, N_SUPERVISED, dt,
+                                      checkpoint_interval=2, injector=inj)
+        assert report.recoveries == 1
+        assert "WatchdogTripError" in report.history[0].error
+        assert solver.health.trips == 1
+        assert fs.exists("flight_record.jsonl")  # dumped before the unwind
+        u, ref = solver.state.u, _fault_free(kind)
+        if kind == "parallel-box":
+            assert np.array_equal(u, ref)
+        else:
+            # known gap (docs/RESILIENCE.md): the CFL watchdog's
+            # stable_dt leaves a property memo behind that the next
+            # adaptive-dt step reuses and a restart cannot restore, so a
+            # *watched* adaptive-dt replay agrees to round-off only
+            np.testing.assert_allclose(u, ref, rtol=1e-7,
+                                       atol=1e-9 * np.abs(ref).max())
+
+    def test_budget_exhaustion_raises(self, kind, seed):
+        solver, dt = _SUPERVISED[kind]()
+        inj = FaultInjector(seed=seed)
+        inj.add("solver.step", count=None)  # every step faults, forever
+        with pytest.raises(ResilienceExhaustedError, match="budget"):
+            solver.run_resilient(SimFileSystem(lustre()), N_SUPERVISED, dt,
+                                 checkpoint_interval=2, max_recoveries=2,
+                                 injector=inj)
 
 
 class TestWorkflowFaultSchedule:

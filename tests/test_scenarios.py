@@ -171,18 +171,40 @@ class TestPremixedBox:
         assert 600.0 < T.max() < 3200.0
 
 
+#: (what runs in a fresh interpreter, what must not have been imported)
+_IMPORT_DIETS = {
+    # SciPy serves the 0-d reactors and the laminar-flame analysis;
+    # importing it costs 0.45 s and 54 MB that no time step uses
+    "time_step": (
+        "import repro.scenarios as sc\n"
+        "solver, _ = sc.lifted_jet(nx=24, ny=16)\n"
+        "solver.step()\n",
+        ("scipy",)),
+    # the metrics endpoint is urllib.request + http.server + ssl: 7.6 MB
+    # and ~30 ms that no supervised run starts, so the supervisor, both
+    # rings and both solvers must not drag it in through
+    # ``repro.observability``
+    "supervised_run": (
+        "import repro.scenarios as sc, repro.parallel.solver\n"
+        "import repro.resilience.distributed, repro.resilience.checkpoint\n"
+        "from repro.io import SimFileSystem, lustre\n"
+        "solver, _ = sc.lifted_jet(nx=24, ny=16)\n"
+        "solver.run_resilient(SimFileSystem(lustre()), 2)\n",
+        ("http.server", "urllib.request", "ssl", "scipy")),
+}
+
+
 class TestSolverImportPath:
-    def test_a_time_step_never_imports_scipy(self):
-        """SciPy serves the 0-d reactors and the laminar-flame analysis;
-        importing it costs 0.45 s and 54 MB that no time step uses, so
-        it must stay off the path from ``import repro.scenarios`` through
-        a solver build to an explicit step (fresh interpreter)."""
+    @pytest.mark.parametrize("case", sorted(_IMPORT_DIETS))
+    def test_a_time_step_never_imports_scipy(self, case):
+        """What a run does not use stays off its import path, from
+        ``import repro.scenarios`` through a solver build to the last
+        step (fresh interpreter)."""
+        body, banned = _IMPORT_DIETS[case]
         code = (
-            "import sys\n"
-            "import repro.scenarios as sc\n"
-            "solver, _ = sc.lifted_jet(nx=24, ny=16)\n"
-            "solver.step()\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import sys\n" + body +
+            f"loaded = sorted(m for m in sys.modules if any(\n"
+            f"    m == b or m.startswith(b + '.') for b in {banned!r}))\n"
             "assert not loaded, loaded[:5]\n"
         )
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
