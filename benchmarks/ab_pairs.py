@@ -11,7 +11,10 @@ change's ``BENCHMARK.json`` the tool makes ``--pairs`` pairs of
     python3 benchmarks/e2e/run.py --workload W --seed S --seconds T --trace 0
 
 one run from each checkout with the same fresh seed, alternating which
-side goes first, and prints per workload x end-to-end metric both
+side goes first — after one untimed smoke-size warm-up run per side and
+workload that fills a bytecode cache of that side's own
+(:func:`child_env`), so ``setup_s`` compares code, not who happened to
+have a ``__pycache__`` — and prints per workload x end-to-end metric both
 medians and quartiles, the pairs won, the regression check against the
 benchmark's bound, and the verdict of the sandbox rule (choosing-metrics
 section 8): a gain is claimable only when the change wins at least nine
@@ -34,6 +37,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 #: fraction of the pairs the change must win before a gain is claimable
 WIN_FRACTION = 0.9
@@ -90,8 +94,22 @@ def compare(parent, change, better: str = "lower", bound: float | None = None) -
     return out
 
 
+def child_env(pycache: str, base=None) -> dict:
+    """The environment of one side's runs: the caller's, but with a
+    bytecode cache of that side's own under ``pycache`` and bytecode
+    writing on. ``setup_s`` times imports, so a checkout that has a
+    ``__pycache__`` (the working tree the tests just ran in) would beat a
+    fresh clone that has none by tens of percent for no reason in the
+    code; this way both sides compile once, in their warm-up run, and
+    every timed run of either reads a warm cache."""
+    env = dict(os.environ if base is None else base)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float | None,
-             smoke: bool) -> dict:
+             smoke: bool, env=None) -> dict:
     """One untraced run of ``checkout``'s benchmark: its result line."""
     cmd = [sys.executable, os.path.join(checkout, "benchmarks", "e2e", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace", "0"]
@@ -100,7 +118,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float | None,
     if smoke:
         cmd.append("--smoke")
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+                          timeout=RUN_TIMEOUT_S, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -114,16 +132,24 @@ def run_pairs(parent: str, change: str, workloads, pairs: int, seed0: int,
     """``{workload: [{"seed", "first", "parent": result, "change": result}]}``."""
     sides = {"parent": parent, "change": change}
     runs = {w: [] for w in workloads}
-    for k in range(pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for w in workloads:
-            pair = {"seed": seed0 + k, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(sides[side], w, seed0 + k, seconds, smoke)
-            runs[w].append(pair)
-            log(f"pair {k + 1}/{pairs} {w} seed {seed0 + k} ({order[0]} first): " + "  ".join(
-                f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}"
-                for side in ("parent", "change")))
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_pycache_") as tmp:
+        envs = {side: child_env(os.path.join(tmp, side)) for side in sides}
+        # untimed: each side compiles its modules into its own cache
+        for side in sides:
+            for w in workloads:
+                run_once(sides[side], w, seed0, seconds, True, env=envs[side])
+            log(f"warm-up: {side} bytecode cache filled")
+        for k in range(pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for w in workloads:
+                pair = {"seed": seed0 + k, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(sides[side], w, seed0 + k, seconds,
+                                          smoke, env=envs[side])
+                runs[w].append(pair)
+                log(f"pair {k + 1}/{pairs} {w} seed {seed0 + k} ({order[0]} first): " + "  ".join(
+                    f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}"
+                    for side in ("parent", "change")))
     return runs
 
 

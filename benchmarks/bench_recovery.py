@@ -185,10 +185,11 @@ def measure_recovery(steps):
     finally:
         solver.close()
 
-    # seeded kill mid-run, respawn policy
+    # seeded kill mid-run, respawn policy (a ck45 step with its filter
+    # pass is 5 x 3 + 1 collective calls)
     inj = FaultInjector(seed=7)
     inj.add("exec.call", mode="rank_failure", count=1,
-            after=1 + 6 * (steps // 2), rank=2)
+            after=1 + 16 * (steps // 2), rank=2)
     solver = build(policy="respawn", faults=inj)
     try:
         t0 = time.perf_counter()

@@ -60,11 +60,8 @@ class FilterOperator:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("filter strength alpha must be in [0, 1]")
         self.alpha = float(alpha)
-        if self.n < 2 * FILTER_HALF_WIDTH + 1:
-            raise ValueError(
-                f"direction needs at least {2 * FILTER_HALF_WIDTH + 1} points "
-                f"for the 10th-order filter, got {self.n}"
-            )
+        if not self.periodic:
+            self._require_full_stencil()
         #: stencil weights for the correction term, k = -5..5
         self.weights = self.alpha * _DIFF10 / 2.0**10
         # reduced-order boundary filter rows: point j from the boundary
@@ -91,11 +88,24 @@ class FilterOperator:
                 "filter_periodic" if self.periodic else "filter_boundary"
             )
 
-    def apply(self, f, axis: int = 0, out=None):
+    def _require_full_stencil(self):
+        if self.n < 2 * FILTER_HALF_WIDTH + 1:
+            raise ValueError(
+                f"direction needs at least {2 * FILTER_HALF_WIDTH + 1} points "
+                f"for the 10th-order filter, got {self.n}"
+            )
+
+    def apply(self, f, axis: int = 0, out=None, ghosts=None):
         """Filter ``f`` along ``axis``.
 
         ``out``, when given, receives the result with no internal result
         allocation and may alias ``f`` (in-place filtering).
+
+        ``ghosts = (lo, hi)``, as for
+        :meth:`~repro.core.derivatives.DerivativeOperator.apply`: ``f``
+        is one block of a decomposed periodic axis and the
+        :data:`FILTER_HALF_WIDTH` rows beyond either end come from its
+        neighbours instead of the periodic wrap.
         """
         f = np.asarray(f, dtype=float)
         if f.shape[axis] != self.n:
@@ -104,28 +114,32 @@ class FilterOperator:
             out = np.empty_like(f)
         elif out.shape != f.shape:
             raise ValueError(f"out has shape {out.shape}, expected {f.shape}")
+        if ghosts is None:
+            self._require_full_stencil()
+        elif not self.periodic:
+            raise ValueError("ghost slabs fill the pad of a periodic operator")
         if self.telemetry is not None:
             with self.telemetry.span("FILTER", points=f.size):
-                self._dispatch(f, axis, out)
+                self._dispatch(f, axis, out, ghosts)
         else:
-            self._dispatch(f, axis, out)
+            self._dispatch(f, axis, out, ghosts)
         return out
 
     __call__ = apply
 
-    def _dispatch(self, f, axis, out):
+    def _dispatch(self, f, axis, out, ghosts):
         axis %= f.ndim
-        if self._kernel is not None:
+        if self._kernel is not None and ghosts is None:
             consts = (self.weights,) if self.periodic else (self.weights, self._bweights_padded)
             return staged_kernel_sweep(
                 self._scratch, f, out, axis,
                 lambda f2, d2: self._kernel(f2, *consts, d2),
             )
         src, aliased = sweep_source(f, out)
-        for f_group, out_group in field_groups(src, out, axis):
-            self._sweep(f_group, out_group, axis, aliased)
+        for f_group, out_group, g_group in field_groups(src, out, axis, ghosts):
+            self._sweep(f_group, out_group, axis, aliased, g_group)
 
-    def _sweep(self, f, out, axis, aliased):
+    def _sweep(self, f, out, axis, aliased, ghosts=None):
         """One group of fields: ``out <- f - correction``.
 
         The correction accumulates over the flat view of the source (see
@@ -135,7 +149,7 @@ class FilterOperator:
         n, w = self.n, FILTER_HALF_WIDTH
         sc = self._scratch
         ghost = w if self.periodic else 0
-        src, flat, stride = flat_source(sc, f, axis, ghost, aliased)
+        src, flat, stride = flat_source(sc, f, axis, ghost, aliased, ghosts)
         reach = w * stride
         size = flat.size
         acc = sc.view("acc", src.shape)

@@ -91,6 +91,29 @@ class Grid:
             float(np.min(np.diff(x))) if len(x) > 1 else np.inf for x in self.coords
         )
 
+    def block(self, slices) -> "Grid":
+        """The index sub-box ``slices`` of this grid, as a grid.
+
+        Coordinates and metric are *slices* of this grid's, so a
+        derivative on a block scales by the very numbers the global
+        operator uses (a grid rebuilt from the block's extent would
+        differ in the last bit). Periodicity is the global grid's: what
+        lies beyond an end the block does not reach is its neighbour's
+        rows, supplied to the sweeps as ghost slabs.
+        """
+        box = object.__new__(Grid)
+        box.coords = [x[s] for x, s in zip(self.coords, slices)]
+        box.inv_metric = [m[s] for m, s in zip(self.inv_metric, slices)]
+        box.shape = tuple(len(x) for x in box.coords)
+        box.ndim = self.ndim
+        box.periodic = self.periodic
+        box.lengths = tuple(
+            length * len(x) / n if wraps else float(x[-1] - x[0])
+            for length, x, n, wraps in zip(self.lengths, box.coords,
+                                           self.shape, self.periodic))
+        box.min_spacing = self.min_spacing
+        return box
+
     def spacing(self, axis: int) -> float:
         """Uniform spacing of direction ``axis`` (error if stretched)."""
         d = np.diff(self.coords[axis])

@@ -62,6 +62,14 @@ class _EvalProps:
                  "e0", "wbar", "props", "h_i")
 
 
+class _Eval:
+    """What one batched evaluation carries from phase to phase."""
+
+    __slots__ = ("t", "u", "out", "pc", "gstack", "grads", "idx_t", "idx_w",
+                 "idx_y", "idx_rho", "idx_p", "tmp_s", "hq", "tau", "flux_j",
+                 "flux_q", "fstacks")
+
+
 def _fingerprint(u: np.ndarray):
     """Cheap content fingerprint catching in-place buffer mutation."""
     return (float(u.flat[0]), float(u.flat[-1]), float(u.sum()))
@@ -150,6 +158,7 @@ class CompressibleRHS:
         self.telemetry.gauge(f"rhs.backend.{self.backend.name}").set(1.0)
         self.reaction_delegate = reaction_delegate
         self._props_cache = None
+        self._eval = None
         #: populated after every evaluation — kernel-level diagnostics
         self.last_heat_release = None
         #: (rho, T, Y) views from the last delegated evaluation
@@ -168,7 +177,9 @@ class CompressibleRHS:
                 out[...] = du
                 return out
             return du
-        return self._call_batched(t, u, out)
+        self.begin(t, u, out)
+        self.fluxes()
+        return self.finish()
 
     # ------------------------------------------------------------------
     # memoized thermo/transport properties
@@ -229,13 +240,27 @@ class CompressibleRHS:
         return pc
 
     # ------------------------------------------------------------------
-    # batched engine
+    # batched engine: one evaluation, three phases
     # ------------------------------------------------------------------
-    def _call_batched(self, t, u, out=None):
+    # An evaluation has two points where a stencil reaches beyond the
+    # block it runs on: the gradient sweeps read the primitive stack
+    # :meth:`begin` fills, the divergence sweeps read the flux stacks
+    # :meth:`fluxes` assembles. A serial evaluation runs the three phases
+    # back to back and every sweep wraps periodically or closes one-sided;
+    # a rank of a decomposed domain runs one phase per execution-plane
+    # call and hands each sweep of a decomposed direction the ghost slabs
+    # its neighbours produced in the phase before (``ghosts``: direction
+    # -> ``(lo, hi)``). Only faces are ever exchanged (every stencil is
+    # axis-aligned) and no ghost value is ever computed here.
+    def begin(self, t, u, out=None):
+        """Phase A: pointwise properties and the primitive-gradient stack.
+
+        Returns the ``(nfields,) + S`` stack the gradient sweeps of
+        :meth:`fluxes` differentiate, or ``None`` when nothing needs a
+        primitive gradient (periodic Euler).
+        """
         st = self.state
-        mech = self.mech
         ndim = self.ndim
-        tel = self.telemetry
         ws = self.workspace
         ws.begin_eval()
         u = np.asarray(u, dtype=float)
@@ -244,13 +269,11 @@ class CompressibleRHS:
                 raise ValueError(f"out has shape {out.shape}, expected {u.shape}")
             if np.may_share_memory(out, u):
                 raise ValueError("out must not alias the state array")
-        pc = self._eval_props(u)
-        rho, vel, T, p, Y, e0, wbar = (
-            pc.rho, pc.vel, pc.T, pc.p, pc.Y, pc.e0, pc.wbar
-        )
-        S = rho.shape
-        ns = mech.n_species
-        nt = st.n_transported
+        ev = self._eval = _Eval()
+        ev.t, ev.u, ev.out = t, u, out
+        pc = ev.pc = self._eval_props(u)
+        S = pc.rho.shape
+        ns = self.mech.n_species
         viscous = self.transport is not None
         needs_nscbc = self._needs_nscbc
 
@@ -258,34 +281,61 @@ class CompressibleRHS:
         # stack layout: [vel_0..vel_{ndim-1}, T] (+ [wbar, Y_0..Y_{ns-1}]
         # when viscous) (+ [rho, p] when characteristic boundaries need
         # them); pure-periodic Euler needs no primitive gradients at all
-        grads = None
-        idx_t = idx_w = idx_y = idx_rho = idx_p = None
+        ev.gstack = None
+        ev.idx_t = ev.idx_w = ev.idx_y = ev.idx_rho = ev.idx_p = None
         if viscous or needs_nscbc:
             nf = ndim + 1
-            idx_t = ndim
+            ev.idx_t = ndim
             if viscous:
-                idx_w = nf
-                idx_y = nf + 1
+                ev.idx_w = nf
+                ev.idx_y = nf + 1
                 nf += 1 + ns
             if needs_nscbc:
-                idx_rho = nf
-                idx_p = nf + 1
+                ev.idx_rho = nf
+                ev.idx_p = nf + 1
                 nf += 2
-            gstack = ws.array("rhs.gstack", (nf,) + S)
+            gstack = ev.gstack = ws.array("rhs.gstack", (nf,) + S)
             gstack[0:ndim] = ws.array("state.vel", (ndim,) + S)
-            gstack[idx_t] = T
+            gstack[ev.idx_t] = pc.T
             if viscous:
-                gstack[idx_w] = wbar
-                gstack[idx_y : idx_y + ns] = Y
+                gstack[ev.idx_w] = pc.wbar
+                gstack[ev.idx_y : ev.idx_y + ns] = pc.Y
             if needs_nscbc:
-                gstack[idx_rho] = rho
-                gstack[idx_p] = p
-            grads = ws.array("rhs.grads", (ndim, nf) + S)
-            for b in range(ndim):
-                self.ops[b].apply_stack(gstack, axis=b, out=grads[b])
+                gstack[ev.idx_rho] = pc.rho
+                gstack[ev.idx_p] = pc.p
+        return ev.gstack
 
-        tmp_s = ws.array("rhs.tmp_s", S)
-        if viscous:
+    def fluxes(self, ghosts=None) -> dict:
+        """Phase B: gradient sweeps, then stress, species-flux and
+        heat-flux assembly.
+
+        ``ghosts`` names the decomposed directions and carries the ghost
+        slabs of the gradient stack along each (``None`` when
+        :meth:`begin` had no stack). Returns the assembled flux stack of
+        every direction in ``ghosts`` — its edge slabs are what the
+        neighbours' divergence sweeps need; the other directions
+        assemble theirs in :meth:`finish`, one at a time in one buffer.
+        """
+        ev = self._eval
+        ghosts = ghosts or {}
+        mech = self.mech
+        ndim = self.ndim
+        tel = self.telemetry
+        ws = self.workspace
+        pc = ev.pc
+        rho, T, Y, wbar = pc.rho, pc.T, pc.Y, pc.wbar
+        S = rho.shape
+        ns = mech.n_species
+        idx_t, idx_w, idx_y = ev.idx_t, ev.idx_w, ev.idx_y
+        grads = ev.grads = None
+        if ev.gstack is not None:
+            grads = ev.grads = ws.array("rhs.grads", (ndim,) + ev.gstack.shape)
+            for b in range(ndim):
+                self.ops[b].apply_stack(ev.gstack, axis=b, out=grads[b],
+                                        ghosts=ghosts.get(b))
+
+        tmp_s = ev.tmp_s = ws.array("rhs.tmp_s", S)
+        if self.transport is not None:
             props = pc.props
             mu, lam, dcoef = props.viscosity, props.conductivity, props.diffusivities
             # divergence and stress tensor, eq. (14); tau is symmetric so
@@ -295,7 +345,7 @@ class CompressibleRHS:
             for a in range(1, ndim):
                 div_u += grads[a, a]
             tau_buf = ws.array("rhs.tau", (ndim * (ndim + 1) // 2,) + S)
-            tau = [[None] * ndim for _ in range(ndim)]
+            tau = ev.tau = [[None] * ndim for _ in range(ndim)]
             idx = 0
             for a in range(ndim):
                 for b in range(a, ndim):
@@ -313,7 +363,7 @@ class CompressibleRHS:
                     tau[b][a] = t_ab
             # species diffusive fluxes, eq. (19) + correction (eq. 15)
             with tel.span("COMPUTESPECIESDIFFFLUX"):
-                flux_j = ws.array("rhs.flux_j", (ns, ndim) + S)
+                flux_j = ev.flux_j = ws.array("rhs.flux_j", (ns, ndim) + S)
                 tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
                 neg_rho_d = ws.array("rhs.neg_rho_d", (ns,) + S)
                 np.negative(rho, out=tmp_s)
@@ -350,8 +400,8 @@ class CompressibleRHS:
             # heat flux, eq. (20)
             with tel.span("COMPUTEHEATFLUX"):
                 h_i = pc.h_i
-                flux_q = ws.array("rhs.flux_q", (ndim,) + S)
-                hq = ws.array("rhs.hq", S)
+                flux_q = ev.flux_q = ws.array("rhs.flux_q", (ndim,) + S)
+                hq = ev.hq = ws.array("rhs.hq", S)
                 neg_lam = ws.array("rhs.neg_lam", S)
                 np.negative(lam, out=neg_lam)
                 for b in range(ndim):
@@ -359,45 +409,82 @@ class CompressibleRHS:
                     np.sum(tmp_ns, axis=0, out=hq)
                     np.multiply(neg_lam, grads[b, idx_t], out=flux_q[b])
                     flux_q[b] += hq
+        ev.fstacks = {
+            b: self._flux_stack(b, ws.array(f"rhs.fstack.{b}",
+                                            (self.state.nvar,) + S))
+            for b in ghosts
+        }
+        return ev.fstacks
+
+    def _flux_stack(self, b: int, fstack):
+        """The convective + diffusive flux of every conserved variable
+        in direction ``b``, assembled into ``fstack``."""
+        st = self.state
+        ev = self._eval
+        pc = ev.pc
+        rho, vel, p, Y, e0 = pc.rho, pc.vel, pc.p, pc.Y, pc.e0
+        viscous = self.transport is not None
+        ub = vel[b]
+        np.multiply(rho, ub, out=fstack[st.i_rho])
+        for a in range(self.ndim):
+            fa = fstack[st.i_mom(a)]
+            np.multiply(rho, vel[a], out=fa)
+            fa *= ub
+            if a == b:
+                fa += p
+            if viscous:
+                fa -= ev.tau[a][b]
+        fe = fstack[st.i_energy]
+        np.multiply(rho, e0, out=fe)
+        fe += p
+        fe *= ub
+        if viscous:
+            tmp_s = ev.tmp_s
+            np.multiply(ev.tau[0][b], vel[0], out=tmp_s)
+            for a in range(1, self.ndim):
+                np.multiply(ev.tau[a][b], vel[a], out=ev.hq)
+                tmp_s += ev.hq
+            fe -= tmp_s
+            fe += ev.flux_q[b]
+        for k in range(st.n_transported):
+            fy = fstack[st.i_species(k)]
+            np.multiply(rho, Y[k], out=fy)
+            fy *= ub
+            if viscous:
+                fy += ev.flux_j[k, b]
+        return fstack
+
+    def finish(self, ghosts=None):
+        """Phase C: flux divergence in direction order, chemical sources
+        (or their deferral), characteristic boundaries; returns ``du``.
+
+        ``ghosts`` carries the ghost slabs of the flux stacks
+        :meth:`fluxes` returned, direction by direction.
+        """
+        ev = self._eval
+        ghosts = ghosts or {}
+        st = self.state
+        mech = self.mech
+        ndim = self.ndim
+        tel = self.telemetry
+        ws = self.workspace
+        t, u, pc = ev.t, ev.u, ev.pc
+        rho, vel, T, p, Y = pc.rho, pc.vel, pc.T, pc.p, pc.Y
+        S = rho.shape
+        ns = mech.n_species
+        nt = st.n_transported
 
         # -- flux divergence: one stacked sweep per direction ------------
-        if out is None:
+        if ev.out is None:
             du = np.empty_like(u)
         else:
-            du = out
+            du = ev.out
         du.fill(0.0)
         fstack = ws.array("rhs.fstack", (st.nvar,) + S)
         dstack = ws.array("rhs.dstack", (st.nvar,) + S)
-        ie = st.i_energy
         for b in range(ndim):
-            ub = vel[b]
-            np.multiply(rho, ub, out=fstack[st.i_rho])
-            for a in range(ndim):
-                fa = fstack[st.i_mom(a)]
-                np.multiply(rho, vel[a], out=fa)
-                fa *= ub
-                if a == b:
-                    fa += p
-                if viscous:
-                    fa -= tau[a][b]
-            fe = fstack[ie]
-            np.multiply(rho, e0, out=fe)
-            fe += p
-            fe *= ub
-            if viscous:
-                np.multiply(tau[0][b], vel[0], out=tmp_s)
-                for a in range(1, ndim):
-                    np.multiply(tau[a][b], vel[a], out=hq)
-                    tmp_s += hq
-                fe -= tmp_s
-                fe += flux_q[b]
-            for k in range(nt):
-                fy = fstack[st.i_species(k)]
-                np.multiply(rho, Y[k], out=fy)
-                fy *= ub
-                if viscous:
-                    fy += flux_j[k, b]
-            self.ops[b].apply_stack(fstack, axis=b, out=dstack)
+            fb = ev.fstacks[b] if b in ghosts else self._flux_stack(b, fstack)
+            self.ops[b].apply_stack(fb, axis=b, out=dstack, ghosts=ghosts.get(b))
             du -= dstack
 
         # -- chemical sources --------------------------------------------
@@ -423,12 +510,14 @@ class CompressibleRHS:
             self.last_heat_release = ws.zeros("rhs.heat_release", S)
 
         # -- characteristic boundary handling -----------------------------
-        if needs_nscbc:
+        if self._needs_nscbc:
+            grads = ev.grads
+            viscous = self.transport is not None
             grad_vel = [[grads[b, a] for b in range(ndim)] for a in range(ndim)]
-            grad_rho = [grads[b, idx_rho] for b in range(ndim)]
-            grad_p = [grads[b, idx_p] for b in range(ndim)]
+            grad_rho = [grads[b, ev.idx_rho] for b in range(ndim)]
+            grad_p = [grads[b, ev.idx_p] for b in range(ndim)]
             gy = (
-                np.moveaxis(grads[:, idx_y : idx_y + ns], 0, 1)
+                np.moveaxis(grads[:, ev.idx_y : ev.idx_y + ns], 0, 1)
                 if viscous else None
             )
             nscbc.apply_boundary_conditions(

@@ -74,8 +74,9 @@ def along(axis: int, start, stop=None, step=None):
     return (slice(None),) * axis + (slice(start, stop, step),)
 
 
-def field_groups(f, out, axis: int):
-    """Yield ``(f_group, out_group)`` views covering ``f`` and ``out``.
+def field_groups(f, out, axis: int, ghosts=None):
+    """Yield ``(f_group, out_group, ghosts_group)`` views covering ``f``,
+    ``out`` and the ``(lo, hi)`` ghost slabs of the sweep, if any.
 
     Groups run along the leading axis (the fields of a stack), or along
     the second axis when the sweep axis leads, and hold as many whole
@@ -83,13 +84,13 @@ def field_groups(f, out, axis: int):
     """
     gax = 0 if axis else 1
     if f.ndim <= gax or f.nbytes <= GROUP_BYTES:
-        yield f, out
+        yield f, out, ghosts
         return
     nfields = f.shape[gax]
     per = max(1, GROUP_BYTES * nfields // f.nbytes)
     for g in range(0, nfields, per):
         sel = along(gax, g, g + per)
-        yield f[sel], out[sel]
+        yield f[sel], out[sel], ghosts and (ghosts[0][sel], ghosts[1][sel])
 
 
 def sweep_source(f, out):
@@ -108,26 +109,34 @@ def sweep_source(f, out):
     return (f, True) if same else (f.copy(), False)
 
 
-def flat_source(scratch: SweepScratch, f, axis: int, ghost: int, copy: bool):
+def flat_source(scratch: SweepScratch, f, axis: int, ghost: int, copy: bool,
+                ghosts=None):
     """``(src, flat, stride)``: ``f`` as a C-contiguous array whose flat
     view turns a shift of ``k`` points along ``axis`` into a shift of
     ``k * stride`` elements — every stencil term is then one long
     contiguous 1-D pass, whichever axis is swept.
 
     ``ghost > 0`` (periodic axes) copies ``f`` into the ghost pad, grown
-    by ``ghost`` wrapped points at each end of ``axis`` only, so that
-    ``roll(f, -k)[i] == src[ghost + i + k]`` along it. Otherwise ``f``
-    itself serves when it is already C-contiguous and ``copy`` (the
-    caller's ``out`` is ``f``) does not ask for a private copy. Flat
-    positions within the stencil reach of a row end combine neighbouring
-    rows; callers never read them (ghost rows, boundary-closure rows).
+    by ``ghost`` points at each end of ``axis`` only. The pad ends have
+    two fillers: the periodic wrap of ``f`` itself, so that
+    ``roll(f, -k)[i] == src[ghost + i + k]`` along the axis, or — when
+    ``f`` is one block of a decomposed periodic axis — the ``(lo, hi)``
+    slabs ``ghosts``, the ``ghost`` rows its neighbours own beyond
+    either end. Everything after the pad is the same sweep, so a block's
+    result is bitwise the global operator's on the rows it owns.
+    Without a pad ``f`` itself serves when it is already C-contiguous
+    and ``copy`` (the caller's ``out`` is ``f``) does not ask for a
+    private copy. Flat positions within the stencil reach of a row end
+    combine neighbouring rows; callers never read them (ghost rows,
+    boundary-closure rows).
     """
     n = f.shape[axis]
     if ghost:
         src = scratch.view("pad", f.shape[:axis] + (n + 2 * ghost,) + f.shape[axis + 1:])
         src[along(axis, ghost, ghost + n)] = f
-        src[along(axis, 0, ghost)] = f[along(axis, n - ghost, n)]
-        src[along(axis, ghost + n, None)] = f[along(axis, 0, ghost)]
+        lo, hi = ghosts or (f[along(axis, n - ghost, n)], f[along(axis, 0, ghost)])
+        src[along(axis, 0, ghost)] = lo
+        src[along(axis, ghost + n, None)] = hi
     elif copy or not f.flags.c_contiguous:
         src = scratch.view("pad", f.shape)
         np.copyto(src, f)

@@ -7,8 +7,10 @@ hardware is out of reach here, so this package provides an in-process
 simulated MPI that preserves the *communication structure* — ranks,
 cartesian topology, point-to-point sends with byte accounting,
 collectives — which the performance model (§4) and the parallel I/O
-layer (§5) observe, plus a rank-parallel solver wrapper whose results
-are bitwise-reproducible against the serial solver, and a chemistry
+layer (§5) observe, plus a rank-parallel solver in which every rank
+runs the serial kernels on the points it owns and exchanges
+stencil-width ghost slabs (a one-rank run is the serial run, bit for
+bit), and a chemistry
 dynamic load balancer (:mod:`repro.parallel.chemlb`) that ships
 reaction-zone cell batches from over-threshold ranks to underloaded
 ones without changing a single bit of the answer.

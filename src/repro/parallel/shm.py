@@ -15,9 +15,9 @@ Data path
 ---------
 Program payloads and results move through per-worker
 :class:`~multiprocessing.shared_memory.SharedMemory` segments — the
-halo-extended conserved-state blocks are written into the worker's
-inbound segment and the owned-interior results come back through the
-worker's outbound segment, so no multi-megabyte array is ever pickled.
+owned conserved blocks and ghost slabs are written into the worker's
+inbound segment and the edge slabs and owned results come back through
+the worker's outbound segment, so no large array is ever pickled.
 The control plane is a pickled pipe protocol: small command tuples
 (method name, array shapes/dtypes/offsets, inline scalars) keep the
 per-call overhead to one ``send``/``recv`` pair per worker.
@@ -183,6 +183,19 @@ def _rebuild_exception(info: dict):
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
+def _pin_to_core(rank: int) -> None:
+    """One rank per core, as S3D runs (§2.6): confine this worker to the
+    ``rank``-th core of the mask it inherited (round-robin when ranks
+    outnumber cores). A rank's calls are short — a few ms, woken by the
+    driver each time — and the kernel's wake-affine placement otherwise
+    stacks the workers on the driver's core for whole stretches of a
+    run: measured on 2 cores, a 2-rank step was bimodal, 57 or 110 ms,
+    and is 57-60 ms pinned."""
+    if hasattr(os, "sched_setaffinity"):
+        cores = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cores[rank % len(cores)]})
+
+
 def _worker_main(rank: int, conn) -> None:
     """Worker loop: init a rank program, serve method calls over shm.
 
@@ -196,6 +209,7 @@ def _worker_main(rank: int, conn) -> None:
     program = None
     shm_in = None
     shm_out = None
+    _pin_to_core(rank)
     try:
         while True:
             msg = conn.recv()

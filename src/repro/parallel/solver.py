@@ -3,21 +3,23 @@
 Two levels of fidelity to S3D's parallelization (§2.6):
 
 * :func:`parallel_derivative` / :func:`parallel_filter` — the
-  per-operator pattern: exchange a stencil-width halo for the quantity
-  being differentiated, apply the local stencil, keep the owned block.
-  This is what S3D's derivative module does for every gradient, and the
+  per-operator pattern: exchange a stencil-width ghost zone for the
+  quantity being differentiated and sweep the owned block with it. This
+  is what S3D's derivative module does for every gradient, and the
   message traffic it generates (~80 kB messages for a 50^3 block) is the
   observable of the paper's communication discussion.
 
 * :class:`ParallelPeriodicSolver` — a full rank-parallel DNS on periodic
-  boxes using extended-block evaluation: each rank exchanges a deep halo
-  of the conserved state once per RK stage, evaluates the *serial* RHS
-  on its ghost-extended block, and keeps the owned interior. With halo
-  width >= 2x the derivative stencil half-width the owned results match
-  the serial solver to round-off (gradients of gradients are fully
-  supported; a rank's ghost-extended grid recomputes its spacing, so
-  the match is 1e-16-relative, not bitwise), which the test suite
-  asserts for every registered ERK scheme.
+  boxes built from that pattern: a rank runs the *serial*
+  :class:`~repro.core.rhs.CompressibleRHS` and filter stack on the block
+  it owns and nothing else. One RHS evaluation is three execution-plane
+  calls, split where a stencil reaches beyond the block (width-4 ghost
+  slabs of the primitive-gradient stack, then of the flux stacks, travel
+  in between); a filter pass exchanges width-5 slabs of the conserved
+  stack. Every sweep is bitwise the global operator's on the rows a rank
+  owns, so (1, 1) *is* the serial computation and more ranks match it to
+  the last bit whenever each rank's Newton temperature solve takes the
+  serial batch's iteration count (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
@@ -30,29 +32,28 @@ from repro import telemetry as _telemetry
 from repro.core.config import SolverConfig, periodic_boundaries, resolve
 from repro.core.derivatives import DerivativeOperator, HALF_WIDTH
 from repro.core.filters import FILTER_HALF_WIDTH, FilterOperator, filter_operators
-from repro.core.grid import Grid
 from repro.core.rhs import CompressibleRHS
 from repro.core.solver import S3DSolver
 from repro.core.state import State
 from repro.parallel import chemlb
 from repro.parallel.comm import create_transport
-from repro.parallel.halo import HaloExchanger
-
-#: halo depth for nested-gradient (viscous-flux) bitwise equivalence
-DEEP_HALO = 2 * HALF_WIDTH + 1  # 9 >= filter's 5 as well
+from repro.parallel.halo import HaloExchanger, edge_slabs
 
 
 class SolverRankProgram:
     """One rank's compute unit, living wherever the transport runs ranks.
 
-    Owns the rank's ghost-extended :class:`~repro.core.state.State`,
-    :class:`~repro.core.rhs.CompressibleRHS` evaluator, and filter
-    stack. The driver ships ghost-extended conserved blocks in and gets
-    owned-interior results back, so the program needs no knowledge of
-    the decomposition beyond its own interior slices — which is what
-    makes it picklable and transport-agnostic: the in-process backend
-    holds these objects directly, the multiprocessing backend
-    constructs them inside spawn workers from the same arguments.
+    Owns the :class:`~repro.core.state.State`,
+    :class:`~repro.core.rhs.CompressibleRHS` evaluator and filter stack
+    of the block the rank owns (``grid``: that block of the global
+    grid, :meth:`~repro.core.grid.Grid.block`). The driver ships the
+    owned conserved block and the neighbours' ghost slabs in and gets
+    edge slabs and owned results back; all the program knows of the
+    decomposition is ``axes``, the directions whose sweeps take ghosts —
+    which is what makes it picklable and transport-agnostic: the
+    in-process backend holds these objects directly, the multiprocessing
+    backend constructs them inside spawn workers from the same
+    arguments.
 
     ``telemetry=None`` resolves per the environment unless
     ``rank_telemetry`` asks for a private recording backend (the
@@ -61,9 +62,9 @@ class SolverRankProgram:
     ``local_factory`` path.
     """
 
-    def __init__(self, rank, mechanism, ext_shape, spacings, interior,
+    def __init__(self, rank, mechanism, grid, axes,
                  transport=None, reacting=True, filter_alpha=0.2,
-                 rhs_engine=None, rhs_backend=None, defer_reactions=False,
+                 rhs_backend=None, defer_reactions=False,
                  rank_telemetry=False, tracing=False, telemetry=None):
         self.rank = int(rank)
         if telemetry is None:
@@ -76,47 +77,65 @@ class SolverRankProgram:
             else:
                 telemetry = _telemetry.get_telemetry()
         self.telemetry = telemetry
-        ext_shape = tuple(int(n) for n in ext_shape)
-        lengths = tuple(dx * (n - 1) for dx, n in zip(spacings, ext_shape))
-        g = Grid(ext_shape, lengths, periodic=(False,) * len(ext_shape))
-        self.state = State(mechanism, g)
+        self.axes = tuple(axes)
+        self.state = State(mechanism, grid)
+        self._du = np.empty_like(self.state.u)
         # deferred-reaction delegate: the RHS skips its source terms and
         # stashes (rho, T, Y) for the driver-side chemistry balancer
+        self._defer = bool(defer_reactions)
         delegate = (lambda rhs, t, rho, T, Y: None) if defer_reactions else None
         self.rhs = CompressibleRHS(self.state, transport=transport,
                                    boundaries={}, reacting=reacting,
-                                   telemetry=telemetry, engine=rhs_engine,
+                                   telemetry=telemetry, engine="batched",
                                    reaction_delegate=delegate,
                                    backend=rhs_backend)
-        self.filters = filter_operators(g, alpha=filter_alpha,
+        self.filters = filter_operators(grid, alpha=filter_alpha,
                                         telemetry=telemetry,
                                         backend=self.rhs.backend)
-        self.interior = tuple(interior)
-        self.interior1 = (slice(None),) + tuple(interior)
 
-    def rhs_block(self, t, ext):
-        """RHS on the ghost-extended block; returns the owned interior."""
-        du_ext = self.rhs(t, ext)
-        return np.ascontiguousarray(du_ext[self.interior1])
+    def _edges(self, stacks) -> tuple:
+        """Flat ``(lo, hi)`` width-4 edge slabs of ``stacks[axis]`` along
+        each decomposed axis."""
+        return tuple(slab for axis in self.axes
+                     for slab in edge_slabs(stacks[axis], 1 + axis, HALF_WIDTH))
 
-    def rhs_block_deferred(self, t, ext):
-        """As :meth:`rhs_block` but with reactions deferred: also returns
-        the interior (rho, T, Y) the chemistry balancer needs."""
-        du = self.rhs_block(t, ext)
-        rho, T, Y = self.rhs.last_reaction_inputs
-        return (du,
-                np.ascontiguousarray(rho[self.interior]),
-                np.ascontiguousarray(T[self.interior]),
-                np.ascontiguousarray(Y[self.interior1]))
+    def _ghosts(self, slabs) -> dict:
+        """The flat slabs of a payload as ``axis -> (lo, hi)``."""
+        pairs = [slabs[i : i + 2] for i in range(0, len(slabs), 2)]
+        return dict(zip(self.axes, pairs or [None] * len(self.axes)))
 
-    def filter_block(self, ext):
-        """Filter the extended block along every axis; returns interior."""
-        for axis, filt in enumerate(self.filters):
-            filt.apply(ext, axis=1 + axis, out=ext)
-        return np.ascontiguousarray(ext[self.interior1])
+    def rhs_begin(self, t, u):
+        """RHS phase A on the owned block ``u`` (copied: a payload only
+        lives as long as its call); returns the edge slabs of the
+        primitive-gradient stack."""
+        np.copyto(self.state.u, u)
+        self.state.mark_modified()
+        gstack = self.rhs.begin(t, self.state.u, out=self._du)
+        return () if gstack is None else self._edges(
+            dict.fromkeys(self.axes, gstack))
+
+    def rhs_fluxes(self, *slabs):
+        """RHS phase B given the gradient stack's ghost slabs; returns
+        the edge slabs of each decomposed direction's flux stack."""
+        return self._edges(self.rhs.fluxes(self._ghosts(slabs)))
+
+    def rhs_finish(self, *slabs):
+        """RHS phase C given the flux stacks' ghost slabs; returns the
+        owned dU/dt — and, with reactions deferred, the (rho, T, Y) the
+        chemistry balancer needs."""
+        du = self.rhs.finish(self._ghosts(slabs))
+        return (du,) + self.rhs.last_reaction_inputs if self._defer else du
+
+    def filter_block(self, u, first, stop, lo, hi):
+        """Filter the owned block in place along axes ``first`` (with the
+        ghost slabs ``lo`` / ``hi``, if any) to ``stop - 1`` (which wrap)."""
+        for axis in range(first, stop):
+            ghosts = (lo, hi) if axis == first and lo is not None else None
+            self.filters[axis].apply(u, axis=1 + axis, out=u, ghosts=ghosts)
+        return u
 
     def cache_block(self):
-        """Owned-interior Newton temperature cache, or None when cold.
+        """The rank's Newton temperature cache, or None when cold.
 
         The cache is the only worker-resident numerical state a bit-
         exact restart needs (the conserved blocks live driver-side):
@@ -126,19 +145,12 @@ class SolverRankProgram:
         cache = getattr(self.state, "_t_cache", None)
         if cache is None or cache.shape != self.state.u.shape[1:]:
             return None
-        return np.ascontiguousarray(cache[self.interior])
+        return cache
 
-    def install_cache(self, ext_cache):
-        """Install a ghost-extended Newton temperature cache (or clear
-        it with None). Ghost values equal the owning rank's interior
-        values — per-cell Newton solves are batch-shape independent, so
-        a halo exchange of interior caches rebuilds the extended cache
-        bitwise."""
-        if ext_cache is None:
-            self.state._t_cache = None
-        else:
-            self.state._t_cache = np.array(ext_cache, dtype=float, copy=True)
-        return None
+    def install_cache(self, cache):
+        """Install a Newton temperature cache (or clear it with None)."""
+        self.state._t_cache = (None if cache is None
+                               else np.array(cache, dtype=float))
 
     def telemetry_snapshot(self) -> dict:
         return self.telemetry.snapshot()
@@ -147,23 +159,25 @@ class SolverRankProgram:
 def _parallel_stencil(global_f, decomp, world, axis: int, width: int,
                       make_op) -> np.ndarray:
     """The S3D derivative-module pattern: scatter, exchange a
-    ``width``-deep halo, apply ``make_op(n)`` along ``axis`` of each
-    ghost-extended block, gather the owned interiors."""
+    ``width``-deep ghost zone along ``axis``, sweep each owned block with
+    it (``make_op(n)`` builds a block's periodic operator), gather."""
     halo = HaloExchanger(decomp, world, width=width)
-    extended = halo.exchange(decomp.scatter(np.asarray(global_f, dtype=float)))
+    blocks = decomp.scatter(np.asarray(global_f, dtype=float))
+    ghosts = halo.exchange(blocks, axis=axis)
     return decomp.gather([
-        make_op(ext.shape[axis]).apply(ext, axis=axis)[halo.interior_slices(rank)]
-        for rank, ext in enumerate(extended)
+        make_op(block.shape[axis]).apply(
+            block, axis=axis, ghosts=None if lo is None else (lo, hi))
+        for block, (lo, hi) in zip(blocks, ghosts)
     ])
 
 
 def parallel_derivative(global_f, decomp, world, axis: int,
                         spacing: float) -> np.ndarray:
-    """Distributed 8th-order derivative of a global field (width-4
-    halo). Valid for periodic axes or interior-only comparisons."""
+    """Distributed 8th-order derivative of a global field along a
+    periodic axis (width-4 ghost slabs)."""
     return _parallel_stencil(
         global_f, decomp, world, axis, HALF_WIDTH,
-        lambda n: DerivativeOperator(n, spacing, periodic=False))
+        lambda n: DerivativeOperator(n, spacing, periodic=True))
 
 
 def parallel_filter(global_f, decomp, world, axis: int,
@@ -171,7 +185,7 @@ def parallel_filter(global_f, decomp, world, axis: int,
     """Distributed 10th-order filter along ``axis`` (periodic axes)."""
     return _parallel_stencil(
         global_f, decomp, world, axis, FILTER_HALF_WIDTH,
-        lambda n: FilterOperator(n, periodic=False, alpha=alpha))
+        lambda n: FilterOperator(n, periodic=True, alpha=alpha))
 
 
 def _pack(blocks) -> np.ndarray:
@@ -190,8 +204,8 @@ def _unpack(flat: np.ndarray, shapes) -> list:
 
 
 class ParallelPeriodicSolver(S3DSolver):
-    """Rank-parallel DNS on an all-periodic box, matching serial to
-    round-off.
+    """Rank-parallel DNS on an all-periodic box: every rank computes
+    the points it owns, and only those.
 
     The time-step driver, the run loops and the supervisor are
     :class:`~repro.core.solver.S3DSolver`'s; this class is what a
@@ -221,12 +235,14 @@ class ParallelPeriodicSolver(S3DSolver):
     transport, reacting:
         Passed through to per-rank RHS/filter construction.
     rhs_engine, rhs_backend:
-        Forwarded to every per-rank
-        :class:`~repro.core.rhs.CompressibleRHS`. Both engines are
-        bitwise identical, so the serial-equivalence guarantee holds for
-        either. Backend names, not instances, cross the transport
-        boundary — each rank process resolves its own backend and JIT
-        caches.
+        Rank programs run the batched engine's three phases, so an
+        explicit ``rhs_engine="naive"`` is rejected (the naive engine is
+        the serial bitwise oracle; an environment value is not consulted
+        here). The backend is forwarded to every per-rank
+        :class:`~repro.core.rhs.CompressibleRHS` by name, not instance —
+        each rank process resolves its own backend and JIT caches —
+        and ghost-filled sweeps take the NumPy reference path whatever
+        it is.
     chem_load_balance:
         When active in explicit mode, per-rank RHS evaluations defer
         their reaction source terms and a
@@ -264,10 +280,17 @@ class ParallelPeriodicSolver(S3DSolver):
                  rank_telemetry=False, observability=None,
                  comm_transport=None, parallel_recovery=None,
                  tracing=None, fixed_substeps=None):
-        if not all(grid.periodic):
-            raise ValueError("ParallelPeriodicSolver requires an all-periodic grid")
+        if not (all(grid.periodic) and all(decomp.periodic)):
+            raise ValueError("ParallelPeriodicSolver requires an all-periodic "
+                             "grid and decomposition")
         if grid.shape != decomp.global_shape:
             raise ValueError("grid and decomposition shapes disagree")
+        if rhs_engine is not None and resolve("rhs_engine", rhs_engine) != "batched":
+            raise ValueError(
+                f"rhs_engine={rhs_engine!r}: rank programs run the batched "
+                f"engine's three phases (the naive engine is the serial "
+                f"bitwise oracle)"
+            )
         config = SolverConfig(
             boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
             filter_interval=int(filter_interval), filter_alpha=filter_alpha,
@@ -292,8 +315,7 @@ class ParallelPeriodicSolver(S3DSolver):
             )
         self.world = world
         self.recovery_policy = resolve("parallel_recovery", parallel_recovery)
-        self.halo = HaloExchanger(decomp, world, width=DEEP_HALO,
-                                  telemetry=self.telemetry)
+        self._bind_halo()
         policy = resolve("chem_load_balance", chem_load_balance)
         if policy != "off" and reacting and mechanism.n_reactions:
             self.chemlb = chemlb.ChemistryLoadBalancer(
@@ -303,8 +325,8 @@ class ParallelPeriodicSolver(S3DSolver):
             )
         # when balancing in explicit mode, rank RHS defers its reaction
         # sources: the program stashes (rho, T, Y), returns them with
-        # the du block, and _rhs_all adds balanced wdot to the owned
-        # interior instead. In strang mode chemistry never enters the
+        # the du block, and _rhs_all adds balanced wdot to it
+        # instead. In strang mode chemistry never enters the
         # RHS — the balancer (if any) ships whole implicit cell solves
         # from the driver-side half-steps instead.
         self._defer = self.chemlb is not None and self._chem is None
@@ -313,7 +335,7 @@ class ParallelPeriodicSolver(S3DSolver):
         # kept so recovery can rebuild programs on a new or revived
         # world with exactly the original construction arguments
         self._program_args = (transport, rank_reacting, filter_alpha,
-                              rhs_engine, rhs_backend, self._defer,
+                              rhs_backend, self._defer,
                               self._rank_telemetry,
                               resolve("tracing", tracing))
         self._start_rank_programs()
@@ -323,6 +345,18 @@ class ParallelPeriodicSolver(S3DSolver):
         self._gstate_step = -1
         self._arm_health()
 
+    def _bind_halo(self) -> None:
+        """The exchanger of the current decomposition and world. A block
+        must be able to hand its neighbour a filter ghost zone."""
+        decomp = self.decomp
+        self.halo = HaloExchanger(decomp, self.world, telemetry=self.telemetry)
+        if any(decomp.global_shape[a] // decomp.proc_shape[a] < FILTER_HALF_WIDTH
+               for a in self.halo.axes):
+            raise ValueError(
+                f"{decomp.proc_shape} ranks over {decomp.global_shape} points: "
+                f"a decomposed axis needs at least {FILTER_HALF_WIDTH} points "
+                f"per rank")
+
     def _start_rank_programs(self) -> None:
         """(Re)start one rank program per rank on the current world.
 
@@ -331,10 +365,9 @@ class ParallelPeriodicSolver(S3DSolver):
         driver's live telemetry backend through local_factory, which
         out-of-process backends ignore in favour of the pickled args).
         """
-        spacings = [self.grid.spacing(a) for a in range(self.grid.ndim)]
         per_rank_args = [
-            (self.mech, self.halo.extended_shape(rank), spacings,
-             self.halo.interior_slices(rank)) + self._program_args
+            (self.mech, self.grid.block(self.decomp.local_slices(rank)),
+             self.halo.axes) + self._program_args
             for rank in range(self.decomp.size)
         ]
         if self._rank_telemetry:
@@ -377,21 +410,19 @@ class ParallelPeriodicSolver(S3DSolver):
         )
 
     def _rhs_all(self, t, locals_) -> list:
-        """Exchange + per-rank RHS; returns owned-interior dU/dt blocks.
-
-        The halo exchange stays in the driver (it is the communication
-        pattern under test); the per-rank RHS evaluations fan out over
-        the transport's execution plane — serial on the in-process
-        reference, one process per rank on the multiprocessing backend.
-        """
-        extended = self.halo.exchange(locals_, leading_axes=1)
-        payloads = [(t, ext) for ext in extended]
+        """One RHS evaluation over the owned blocks: three execution-
+        plane calls, the ghost slabs each next phase needs routed in
+        between (in the driver: the routing is the communication pattern
+        under test). Returns the owned dU/dt blocks."""
+        call, route = self.world.call_all, self.halo.route
+        edges = call("rhs_begin", [(t, u) for u in locals_])
+        edges = call("rhs_fluxes", route(edges))
+        results = call("rhs_finish", route(edges))
         if not self._defer:
-            return self.world.call_all("rhs_block", payloads)
-        # reaction sources were deferred: evaluate the owned interior
-        # cells through the balancer and add them exactly where the
-        # serial RHS would (du[species] += wdot_mass[:nt])
-        results = self.world.call_all("rhs_block_deferred", payloads)
+            return results
+        # reaction sources were deferred: evaluate the owned cells
+        # through the balancer and add them exactly where the serial RHS
+        # would (du[species] += wdot_mass[:nt])
         out = [r[0] for r in results]
         wdots = self.chemlb.production_rates([r[1:] for r in results])
         nt, first = self.mech.n_species - 1, 2 + self.grid.ndim
@@ -418,10 +449,18 @@ class ParallelPeriodicSolver(S3DSolver):
         return self.locals
 
     def apply_filter(self) -> None:
-        extended = self.halo.exchange(self.locals, leading_axes=1)
-        self.locals = self.world.call_all(
-            "filter_block", [(ext,) for ext in extended]
-        )
+        """The serial filter is sequential in place, axis by axis: the
+        conserved stack's ghost slabs are exchanged before each
+        decomposed axis' pass, and the local axes that follow it share
+        its call."""
+        ndim = self.grid.ndim
+        starts = sorted({0, *self.halo.axes})
+        for first, stop in zip(starts, starts[1:] + [ndim]):
+            ghosts = self.halo.exchange(self.locals, leading_axes=1, axis=first)
+            self.locals = self.world.call_all("filter_block", [
+                (u, first, stop, lo, hi)
+                for u, (lo, hi) in zip(self.locals, ghosts)
+            ])
 
     # -- recovery plumbing ------------------------------------------------
     @property
@@ -462,7 +501,7 @@ class ParallelPeriodicSolver(S3DSolver):
         return ring.restore(self)
 
     def capture_caches(self) -> list:
-        """Owned-interior Newton temperature caches, one block per rank
+        """The ranks' Newton temperature caches, one block per rank
         (``None`` for ranks whose cache is cold). One execution-plane
         collective; used by checkpointing so a restored run replays the
         exact Newton starting points and stays bitwise."""
@@ -470,13 +509,13 @@ class ParallelPeriodicSolver(S3DSolver):
 
     def install_shards(self, step: int, time: float, blocks, caches) -> None:
         """Adopt per-rank checkpoint shards — owned conserved blocks and
-        owned-interior Newton caches — as the current solver state.
+        Newton caches — as the current solver state.
 
-        Ghost cache values equal the owner's interior values (per-cell
-        Newton is batch-shape independent), so a halo exchange of the
-        interior blocks rebuilds each rank's extended cache bitwise.
-        Any ``None`` block invalidates every cache: a cold start is
-        always correct, a mixed hot/cold install is not.
+        The cache a rank holds is the cache of the block it owns, so a
+        shard installs as it was saved and the next temperature solve
+        starts where the uninterrupted run's did: restore-and-replay is
+        bitwise. Any ``None`` block invalidates every cache: a cold
+        start is always correct, a mixed hot/cold install is not.
         """
         if len(blocks) != self.decomp.size:
             raise ValueError(
@@ -487,11 +526,8 @@ class ParallelPeriodicSolver(S3DSolver):
         self.step_count = int(step)
         self._gstate_step = -1
         if any(c is None for c in caches):
-            extended = [None] * self.decomp.size
-        else:
-            extended = self.halo.exchange(
-                [np.asarray(c, dtype=float) for c in caches], leading_axes=0)
-        self.world.call_all("install_cache", [(ext,) for ext in extended])
+            caches = [None] * self.decomp.size
+        self.world.call_all("install_cache", [(c,) for c in caches])
 
     def reconfigure(self, decomp) -> None:
         """Re-decompose onto a new (smaller) world — the shrink policy.
@@ -515,8 +551,7 @@ class ParallelPeriodicSolver(S3DSolver):
         self.world = create_transport(old_world.name, size=decomp.size,
                                       **kwargs)
         self.decomp = decomp
-        self.halo = HaloExchanger(decomp, self.world, width=DEEP_HALO,
-                                  telemetry=self.telemetry)
+        self._bind_halo()
         if self.chemlb is not None:
             self.chemlb.rebind(self.world)
         self._start_rank_programs()

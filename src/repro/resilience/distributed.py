@@ -44,13 +44,13 @@ def shrink_decomposition(decomp, new_size: int):
     Only 1-D slab decompositions (at most one axis with more than one
     process) can shrink — redistributing a general Cartesian split
     over an arbitrary survivor count has no unique answer. The slab
-    axis keeps shrinking until every block is at least ``DEEP_HALO``
-    cells deep, the floor below which the deep halo exchange would read
-    unfilled ghosts; a grid too small to split at all continues on a
-    single rank.
+    axis keeps shrinking until every block is at least
+    ``FILTER_HALF_WIDTH`` cells deep — a block must be able to hand its
+    neighbour the five rows of a filter ghost zone; a grid too small to
+    split at all continues on a single rank.
     """
+    from repro.core.filters import FILTER_HALF_WIDTH
     from repro.parallel.decomp import CartesianDecomposition
-    from repro.parallel.solver import DEEP_HALO
 
     new_size = int(new_size)
     if new_size < 1:
@@ -63,7 +63,7 @@ def shrink_decomposition(decomp, new_size: int):
         )
     axis = split[0] if split else int(np.argmax(decomp.global_shape))
     n = decomp.global_shape[axis]
-    while new_size > 1 and n // new_size < DEEP_HALO:
+    while new_size > 1 and n // new_size < FILTER_HALF_WIDTH:
         new_size -= 1
     proc = [1] * decomp.ndim
     proc[axis] = new_size

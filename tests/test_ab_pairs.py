@@ -98,14 +98,23 @@ class TestSummarize:
     def test_alternation_and_failure_accounting(self, monkeypatch):
         calls = []
 
-        def fake_run(checkout, workload, seed, seconds, smoke):
-            calls.append((checkout, workload, seed))
+        def fake_run(checkout, workload, seed, seconds, smoke, env=None):
+            calls.append((checkout, workload, seed, smoke, env))
             return _result(10.0 if checkout == "P" else 8.0,
                            correct=not (checkout == "C" and seed == 102 and workload == "b"))
 
         monkeypatch.setattr(ab, "run_once", fake_run)
         runs = ab.run_pairs("P", "C", ["a", "b"], pairs=3, seed0=100, seconds=None,
-                            smoke=True, log=lambda line: None)
+                            smoke=False, log=lambda line: None)
+        # one untimed smoke-size warm-up per side and workload comes first
+        warm, calls = calls[:4], calls[4:]
+        assert [(c[0], c[1], c[3]) for c in warm] == [
+            ("P", "a", True), ("P", "b", True), ("C", "a", True), ("C", "b", True)]
+        assert not any(c[3] for c in calls)
+        # each side keeps one bytecode cache of its own through every run
+        caches = {c[0]: c[4]["PYTHONPYCACHEPREFIX"] for c in warm}
+        assert caches["P"] != caches["C"]
+        assert all(c[4]["PYTHONPYCACHEPREFIX"] == caches[c[0]] for c in calls)
         # both sides see the same seed; who goes first alternates per pair
         assert [c[0] for c in calls if c[1] == "a"] == ["P", "C", "C", "P", "P", "C"]
         assert [p["seed"] for p in runs["a"]] == [100, 101, 102]
@@ -115,3 +124,27 @@ class TestSummarize:
         assert m["wins"] == 3 and m["change"]["median"] == 8.0
         assert "setup_s" not in summary["a"]["metrics"]  # not in the fake result
         assert "us_per_point_step" in ab.render(summary)
+
+
+class TestChildEnvironment:
+    def test_both_sides_get_equal_bytecode_cache_conditions(self):
+        base = {"PATH": "/bin", "PYTHONDONTWRITEBYTECODE": "1",
+                "PYTHONPYCACHEPREFIX": "/somewhere/else"}
+        env = ab.child_env("/tmp/x/parent", base)
+        assert env["PYTHONPYCACHEPREFIX"] == "/tmp/x/parent"
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["PATH"] == "/bin"
+        assert base["PYTHONDONTWRITEBYTECODE"] == "1"  # the caller's is untouched
+
+    def test_run_once_hands_the_environment_to_the_child(self, monkeypatch):
+        seen = {}
+
+        def fake_subprocess_run(cmd, **kw):
+            seen.update(kw, cmd=cmd)
+            return type("P", (), {"stdout": '{"correct": true}', "stderr": ""})()
+
+        monkeypatch.setattr(ab.subprocess, "run", fake_subprocess_run)
+        env = ab.child_env("/tmp/x/change", {})
+        assert ab.run_once("/co", "w", 3, 1.5, True, env=env) == {"correct": True}
+        assert seen["env"] is env and seen["cwd"] == "/co"
+        assert seen["cmd"][-2:] == ["1.5", "--smoke"]

@@ -286,7 +286,8 @@ def _flame_front_state(mech, n=24):
 
 def _run_parallel(mech, grid, u0, policy, steps=3, injector=None, **kw):
     world = SimMPI(4, fault_injector=injector)
-    decomp = CartesianDecomposition(grid.shape, (2, 2))
+    decomp = CartesianDecomposition(grid.shape, (2, 2),
+                                    periodic=(True, True))
     solver = ParallelPeriodicSolver(mech, grid, decomp, world, reacting=True,
                                     chem_load_balance=policy, **kw)
     solver.set_state(u0)

@@ -134,6 +134,278 @@ class TestEngineBitExactness:
         assert dt_b == pytest.approx(dt_n, rel=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# the three-phase evaluation against the single function it was cut from
+# ---------------------------------------------------------------------------
+from repro.core import nscbc  # noqa: E402
+from repro.core.kernels import species_diffusive_flux_dir  # noqa: E402
+
+
+def _parent_call_batched(self, t, u, out=None):
+    """``CompressibleRHS._call_batched`` as it stood before it was split
+    into ``begin`` / ``fluxes`` / ``finish`` (frozen verbatim; ``self`` is
+    the evaluator): one function, one flux buffer, no ghosts."""
+    st = self.state
+    mech = self.mech
+    ndim = self.ndim
+    tel = self.telemetry
+    ws = self.workspace
+    ws.begin_eval()
+    u = np.asarray(u, dtype=float)
+    if out is not None:
+        if out.shape != u.shape:
+            raise ValueError(f"out has shape {out.shape}, expected {u.shape}")
+        if np.may_share_memory(out, u):
+            raise ValueError("out must not alias the state array")
+    pc = self._eval_props(u)
+    rho, vel, T, p, Y, e0, wbar = (
+        pc.rho, pc.vel, pc.T, pc.p, pc.Y, pc.e0, pc.wbar
+    )
+    S = rho.shape
+    ns = mech.n_species
+    nt = st.n_transported
+    viscous = self.transport is not None
+    needs_nscbc = self._needs_nscbc
+
+    # -- primitive gradients: one stacked sweep per direction --------
+    # stack layout: [vel_0..vel_{ndim-1}, T] (+ [wbar, Y_0..Y_{ns-1}]
+    # when viscous) (+ [rho, p] when characteristic boundaries need
+    # them); pure-periodic Euler needs no primitive gradients at all
+    grads = None
+    idx_t = idx_w = idx_y = idx_rho = idx_p = None
+    if viscous or needs_nscbc:
+        nf = ndim + 1
+        idx_t = ndim
+        if viscous:
+            idx_w = nf
+            idx_y = nf + 1
+            nf += 1 + ns
+        if needs_nscbc:
+            idx_rho = nf
+            idx_p = nf + 1
+            nf += 2
+        gstack = ws.array("rhs.gstack", (nf,) + S)
+        gstack[0:ndim] = ws.array("state.vel", (ndim,) + S)
+        gstack[idx_t] = T
+        if viscous:
+            gstack[idx_w] = wbar
+            gstack[idx_y : idx_y + ns] = Y
+        if needs_nscbc:
+            gstack[idx_rho] = rho
+            gstack[idx_p] = p
+        grads = ws.array("rhs.grads", (ndim, nf) + S)
+        for b in range(ndim):
+            self.ops[b].apply_stack(gstack, axis=b, out=grads[b])
+
+    tmp_s = ws.array("rhs.tmp_s", S)
+    if viscous:
+        props = pc.props
+        mu, lam, dcoef = props.viscosity, props.conductivity, props.diffusivities
+        # divergence and stress tensor, eq. (14); tau is symmetric so
+        # only the upper triangle is stored (shared views, no copies)
+        div_u = ws.array("rhs.div_u", S)
+        div_u[...] = grads[0, 0]
+        for a in range(1, ndim):
+            div_u += grads[a, a]
+        tau_buf = ws.array("rhs.tau", (ndim * (ndim + 1) // 2,) + S)
+        tau = [[None] * ndim for _ in range(ndim)]
+        idx = 0
+        for a in range(ndim):
+            for b in range(a, ndim):
+                t_ab = tau_buf[idx]
+                idx += 1
+                # grad_vel[a][b] + grad_vel[b][a] with
+                # grad_vel[a][b] = d(vel_a)/dx_b = grads[b, a]
+                np.add(grads[b, a], grads[a, b], out=t_ab)
+                t_ab *= mu
+                if a == b:
+                    np.multiply(mu, 2.0 / 3.0, out=tmp_s)
+                    tmp_s *= div_u
+                    t_ab -= tmp_s
+                tau[a][b] = t_ab
+                tau[b][a] = t_ab
+        # species diffusive fluxes, eq. (19) + correction (eq. 15)
+        with tel.span("COMPUTESPECIESDIFFFLUX"):
+            flux_j = ws.array("rhs.flux_j", (ns, ndim) + S)
+            tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
+            neg_rho_d = ws.array("rhs.neg_rho_d", (ns,) + S)
+            np.negative(rho, out=tmp_s)
+            np.multiply(tmp_s[None], dcoef, out=neg_rho_d)
+            gw = ws.array("rhs.gw", S)
+            soret = props.thermal_diffusion_ratios is not None
+            if soret:
+                # prefactor chain (((-rho·D)·theta)·W_i/wbar), grouped
+                # exactly as the reference engine's expression
+                soret_pref = ws.array("rhs.soret_pref", (ns,) + S)
+                np.multiply(neg_rho_d, props.thermal_diffusion_ratios,
+                            out=soret_pref)
+                np.divide(mech.weights.reshape((-1,) + (1,) * rho.ndim),
+                          wbar[None], out=tmp_ns)
+                soret_pref *= tmp_ns
+                glnt = ws.array("rhs.glnt", S)
+            for b in range(ndim):
+                np.divide(grads[b, idx_w], wbar, out=gw)
+                gy_b = grads[b, idx_y : idx_y + ns]
+                if soret:
+                    np.divide(grads[b, idx_t], T, out=glnt)
+                    species_diffusive_flux_dir(
+                        Y, gy_b, neg_rho_d, gw, out=flux_j[:, b],
+                        soret_pref=soret_pref, grad_lnT_dir=glnt,
+                        tmp=tmp_ns,
+                    )
+                else:
+                    species_diffusive_flux_dir(
+                        Y, gy_b, neg_rho_d, gw, out=flux_j[:, b],
+                    )
+                np.sum(flux_j[:, b], axis=0, out=tmp_s)
+                np.multiply(Y, tmp_s[None], out=tmp_ns)
+                flux_j[:, b] -= tmp_ns
+        # heat flux, eq. (20)
+        with tel.span("COMPUTEHEATFLUX"):
+            h_i = pc.h_i
+            flux_q = ws.array("rhs.flux_q", (ndim,) + S)
+            hq = ws.array("rhs.hq", S)
+            neg_lam = ws.array("rhs.neg_lam", S)
+            np.negative(lam, out=neg_lam)
+            for b in range(ndim):
+                np.multiply(h_i, flux_j[:, b], out=tmp_ns)
+                np.sum(tmp_ns, axis=0, out=hq)
+                np.multiply(neg_lam, grads[b, idx_t], out=flux_q[b])
+                flux_q[b] += hq
+
+    # -- flux divergence: one stacked sweep per direction ------------
+    if out is None:
+        du = np.empty_like(u)
+    else:
+        du = out
+    du.fill(0.0)
+    fstack = ws.array("rhs.fstack", (st.nvar,) + S)
+    dstack = ws.array("rhs.dstack", (st.nvar,) + S)
+    ie = st.i_energy
+    for b in range(ndim):
+        ub = vel[b]
+        np.multiply(rho, ub, out=fstack[st.i_rho])
+        for a in range(ndim):
+            fa = fstack[st.i_mom(a)]
+            np.multiply(rho, vel[a], out=fa)
+            fa *= ub
+            if a == b:
+                fa += p
+            if viscous:
+                fa -= tau[a][b]
+        fe = fstack[ie]
+        np.multiply(rho, e0, out=fe)
+        fe += p
+        fe *= ub
+        if viscous:
+            np.multiply(tau[0][b], vel[0], out=tmp_s)
+            for a in range(1, ndim):
+                np.multiply(tau[a][b], vel[a], out=hq)
+                tmp_s += hq
+            fe -= tmp_s
+            fe += flux_q[b]
+        for k in range(nt):
+            fy = fstack[st.i_species(k)]
+            np.multiply(rho, Y[k], out=fy)
+            fy *= ub
+            if viscous:
+                fy += flux_j[k, b]
+        self.ops[b].apply_stack(fstack, axis=b, out=dstack)
+        du -= dstack
+
+    # -- chemical sources --------------------------------------------
+    if self.reacting and mech.n_reactions:
+        if self.reaction_delegate is not None:
+            self.last_reaction_inputs = (rho, T, Y)
+            wdot_mass = self.reaction_delegate(self, t, rho, T, Y)
+        else:
+            with tel.span("REACTION_RATES"):
+                wdot_mass = self.backend.production_rates(mech, rho, T, Y)
+        if wdot_mass is not None:
+            du[st.species_slice] += wdot_mass[:nt]
+            hr = ws.array("rhs.heat_release", S)
+            tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
+            np.multiply(pc.h_i, wdot_mass, out=tmp_ns)
+            np.sum(tmp_ns, axis=0, out=hr)
+            np.negative(hr, out=hr)
+            self.last_heat_release = hr
+        else:
+            # deferred: the delegating caller owns the source terms
+            self.last_heat_release = None
+    else:
+        self.last_heat_release = ws.zeros("rhs.heat_release", S)
+
+    # -- characteristic boundary handling -----------------------------
+    if needs_nscbc:
+        grad_vel = [[grads[b, a] for b in range(ndim)] for a in range(ndim)]
+        grad_rho = [grads[b, idx_rho] for b in range(ndim)]
+        grad_p = [grads[b, idx_p] for b in range(ndim)]
+        gy = (
+            np.moveaxis(grads[:, idx_y : idx_y + ns], 0, 1)
+            if viscous else None
+        )
+        nscbc.apply_boundary_conditions(
+            self, t, u, du,
+            rho=rho, vel=vel, T=T, p=p, Y=Y,
+            grad_rho=grad_rho, grad_p=grad_p,
+            grad_vel=grad_vel, grad_y=gy,
+        )
+    if not self.backend.is_reference:
+        # JIT effort so far (first evaluation pays the compiles)
+        tel.gauge("rhs.backend.compile_count").set(
+            float(self.backend.compile_count)
+        )
+        tel.gauge("rhs.backend.compile_seconds").set(
+            self.backend.compile_seconds
+        )
+    ws.end_eval()
+    return du
+
+
+
+class TestThreePhasesAreTheOneFunction:
+    """Serial ``__call__`` runs ``begin`` / ``fluxes`` / ``finish`` back
+    to back: the same NumPy calls on the same buffers as the parent's
+    single function, so the same bits — through the arena's warm path
+    and the ``out=`` path too."""
+
+    def _check(self, mech, grid, transport, reacting, boundaries=None):
+        _, rhs, _, st = _engine_pair(mech, grid, transport, reacting,
+                                     boundaries=boundaries)
+        st_ref = State(mech, grid, st.u.copy())
+        st_ref._t_cache = st._t_cache.copy()
+        ref = CompressibleRHS(st_ref, transport=transport,
+                              boundaries=boundaries, reacting=reacting)
+        for k in range(3):  # cold arena, then warm arena and warm Newton
+            want = _parent_call_batched(ref, 0.1 * k, st_ref.u).copy()
+            out = np.empty_like(want) if k == 2 else None
+            got = rhs(0.1 * k, st.u, out=out)
+            assert np.array_equal(got, want)
+            assert np.array_equal(rhs.last_heat_release, ref.last_heat_release)
+            st.u[...] = st_ref.u[...] = _make_state(mech, grid, seed=4 + k).u
+
+    @pytest.mark.parametrize("grid", [G1, G2, G3], ids=["1d", "2d", "3d"])
+    def test_periodic_viscous_reacting(self, grid):
+        mech = h2_li2004()
+        self._check(mech, grid, MixtureAveragedTransport(mech), True)
+
+    def test_periodic_euler_and_soret(self):
+        mech = h2_li2004()
+        self._check(mech, G2, None, False)
+        self._check(mech, G2, MixtureAveragedTransport(mech, soret=True), True)
+
+    def test_nscbc(self):
+        mech = h2_li2004()
+        grid = Grid((24, 10), (0.01, 0.008), periodic=(False, True))
+        bcs = {(0, 0): BoundarySpec("nonreflecting_outflow", p_inf=P_ATM),
+               (0, 1): BoundarySpec("nonreflecting_outflow", p_inf=P_ATM),
+               (1, 0): BoundarySpec("periodic"),
+               (1, 1): BoundarySpec("periodic")}
+        self._check(mech, grid, MixtureAveragedTransport(mech), True,
+                    boundaries=bcs)
+        self._check(mech, grid, None, False, boundaries=bcs)
+
+
 class TestWorkspaceBehavior:
     def test_zero_allocation_when_warm(self):
         """After warmup, an RHS evaluation allocates nothing large."""

@@ -214,3 +214,97 @@ class TestBackendKernelStaging:
         h = rng.standard_normal((N, 4))
         assert np.array_equal(op.apply(h, axis=0), ref_d.apply_naive(h, axis=0))
         assert seen == ["d", "f", "d"]
+
+
+# ---------------------------------------------------------------------------
+# ghost-filled sweeps: one block of a decomposed periodic axis
+# ---------------------------------------------------------------------------
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def _decomposed_sweeps(draw):
+    """A global stack, a swept axis, and cut points splitting that axis
+    into blocks of at least 5 points (even and uneven, some narrower
+    than the 9- and 11-point stencils)."""
+    ndim = draw(st.integers(1, 4))
+    axis = draw(st.integers(0, ndim - 1))
+    shape = [draw(st.integers(1, 5)) for _ in range(ndim)]
+    nblocks = draw(st.integers(1, 4))
+    widths = [draw(st.integers(5, 12)) for _ in range(nblocks)]
+    if draw(st.booleans()):
+        widths = [widths[0]] * nblocks  # the even split
+    shape[axis] = max(sum(widths), 2 * FILTER_HALF_WIDTH + 1)
+    widths[-1] += shape[axis] - sum(widths)
+    cuts = np.concatenate([[0], np.cumsum(widths)])
+    return (tuple(shape), axis, cuts,
+            draw(st.sampled_from(["c", "strided", "inplace"])),
+            draw(st.sampled_from([1, 4096, 1 << 30])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestGhostFilledSweeps:
+    """A block swept with its neighbours' rows as ghost slabs gets the
+    rows the global periodic operator gives it — the same IEEE
+    operations on the same inputs: bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_decomposed_sweeps(), st.sampled_from(["derivative", "filter"]))
+    def test_block_is_the_slice_of_the_global_sweep(self, case, kind):
+        shape, axis, cuts, layout, group_bytes, seed = case
+        rng = np.random.default_rng(seed)
+        n = shape[axis]
+        f = rng.standard_normal(shape)
+        metric = 1.0 / (0.5 + rng.random(n))  # a stretched metric, sliced
+        if kind == "derivative":
+            w = 4
+
+            def make(lo, hi):
+                return DerivativeOperator(hi - lo, metric[lo:hi], periodic=True)
+            ref = DerivativeOperator(n, metric, periodic=True).apply(f, axis=axis)
+        else:
+            w = FILTER_HALF_WIDTH
+
+            def make(lo, hi):
+                return FilterOperator(hi - lo, periodic=True, alpha=0.3)
+            ref = FilterOperator(n, periodic=True, alpha=0.3).apply(f, axis=axis)
+        saved = stencil.GROUP_BYTES
+        stencil.GROUP_BYTES = group_bytes
+        try:
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                rows = np.arange(lo - w, hi + w) % n
+                padded = _relayout(np.take(f, rows, axis=axis), layout)
+                block = padded[stencil.along(axis, w, w + hi - lo)]
+                ghosts = (padded[stencil.along(axis, 0, w)],
+                          padded[stencil.along(axis, w + hi - lo, None)])
+                out = block if (layout, kind) == ("inplace", "filter") else None
+                got = make(lo, hi).apply(block, axis=axis, out=out, ghosts=ghosts)
+                want = np.take(ref, np.arange(lo, hi), axis=axis)
+                assert np.array_equal(got, want)
+        finally:
+            stencil.GROUP_BYTES = saved
+
+    def test_ghosts_need_a_periodic_operator_and_a_wrap_needs_the_stencil(self):
+        f = np.zeros(12)
+        with pytest.raises(ValueError, match="periodic operator"):
+            DerivativeOperator(12, 0.1).apply(f, ghosts=(f[:4], f[:4]))
+        with pytest.raises(ValueError, match="periodic operator"):
+            FilterOperator(12).apply(f, ghosts=(f[:5], f[:5]))
+        # a block narrower than the stencil can be built, and swept with
+        # ghosts; wrapping it onto itself is what the size floor forbids
+        with pytest.raises(ValueError, match="at least 9"):
+            DerivativeOperator(6, 0.1, periodic=True).apply(f[:6])
+        with pytest.raises(ValueError, match="at least 11"):
+            FilterOperator(6, periodic=True).apply(f[:6])
+
+
+def _relayout(a, layout):
+    """``a`` as a fresh C array, or as a view of every second element of
+    a larger one (``inplace`` keeps the C layout: the filter then writes
+    into its own input)."""
+    if layout != "strided":
+        return np.ascontiguousarray(a)
+    big = np.zeros(tuple(2 * s for s in a.shape))
+    view = big[tuple(slice(None, None, 2) for _ in a.shape)]
+    view[...] = a
+    return view

@@ -512,7 +512,7 @@ class TestParallelIntegration:
         from repro.parallel.solver import ParallelPeriodicSolver
         from repro.util.constants import P_ATM
 
-        # blocks must be at least DEEP_HALO (9) wide: 24/2 = 12
+        # a decomposed axis needs >= 5 points per rank: 24 / 2 = 12
         tel = Telemetry()
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))

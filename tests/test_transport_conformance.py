@@ -316,6 +316,18 @@ class TestMultiprocessingIsolation:
             assert len(set(pids)) == 3
             assert os.getpid() not in pids
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity interface on this platform")
+    def test_one_rank_per_core_round_robin(self):
+        """Each worker is confined to one core of the driver's mask
+        (short calls woken by the driver otherwise stack on its core)."""
+        cores = sorted(os.sched_getaffinity(0))
+        with create_transport("multiprocessing", size=3) as w:
+            w.start_programs(make_echo, [(0.0,)] * 3)
+            masks = [os.sched_getaffinity(pid) for pid in w.call_all("pid")]
+        assert masks == [{cores[r % len(cores)]} for r in range(3)]
+        assert os.sched_getaffinity(0) == set(cores)  # the driver floats
+
     def test_inprocess_runs_in_driver(self):
         with create_transport("inprocess", size=3) as w:
             w.start_programs(make_echo, [(0.0,)] * 3)
