@@ -185,11 +185,12 @@ def measure_recovery(steps):
     finally:
         solver.close()
 
-    # seeded kill mid-run, respawn policy (a ck45 step with its filter
-    # pass is 5 x 3 + 1 collective calls)
+    # seeded kill mid-run, respawn policy (set_state and the baseline
+    # checkpoint's pull are collective calls 1 and 2, a ck45 step with
+    # its filter pass is 2 x 5 + 2 more, and a checkpoint pulls once)
     inj = FaultInjector(seed=7)
     inj.add("exec.call", mode="rank_failure", count=1,
-            after=1 + 16 * (steps // 2), rank=2)
+            after=2 + 12 * (steps // 2) + steps // 4, rank=2)
     solver = build(policy="respawn", faults=inj)
     try:
         t0 = time.perf_counter()

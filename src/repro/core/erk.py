@@ -17,11 +17,50 @@ Integrators operate on arbitrary ndarray state and a callable
 engine does), stage evaluations land in persistent per-integrator stage
 buffers via ``rhs(t, u, out=...)``, eliminating one full state-sized
 allocation per stage; the arithmetic is unchanged bitwise.
+
+The stage loops are written once, as generators (``stepper``): an RHS
+that must wait for data it does not hold — a rank of a decomposed
+domain, whose stencils reach into its neighbours' blocks — is a
+generator function ``rhs(t, u, out)`` whose suspensions become the
+stage loop's. ``step`` drives the same loop to completion over a plain
+callable, which never suspends.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
+
+
+class NonFiniteStageError(FloatingPointError):
+    """A stage slope went non-finite: ``args`` are the stage index and
+    the number of non-finite entries."""
+
+
+def finite_guard(stage: int, k) -> None:
+    """The stage hook the health monitor's RK stage guard arms: raises
+    the moment a slope is not finite (the solver's step reports it)."""
+    bad = int(k.size - np.count_nonzero(np.isfinite(k)))
+    if bad:
+        raise NonFiniteStageError(stage, bad)
+
+
+def _evaluate(rhs, t, u, out):
+    """One RHS evaluation inside a stage loop: delegate to an RHS that
+    may suspend, call one that cannot."""
+    if inspect.isgeneratorfunction(rhs):
+        return (yield from rhs(t, u, out))
+    return rhs(t, u) if out is None else rhs(t, u, out=out)
+
+
+def _complete(stepper):
+    """Drive a stage loop whose RHS never suspends to its result."""
+    try:
+        next(stepper)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("the RHS suspended: drive the stepper, not step()")
 
 
 class ButcherERK:
@@ -48,7 +87,8 @@ class ButcherERK:
         return self._kbuf
 
     def _stages(self, rhs, t, u, dt, stage_hook=None):
-        """Evaluate all stage slopes k_i; returns the list of k arrays.
+        """Evaluate all stage slopes k_i (a generator returning the list
+        of k arrays).
 
         ``stage_hook(i, k_i)`` is called after each stage evaluation —
         the observability layer's per-stage NaN guard hangs here, so a
@@ -61,22 +101,25 @@ class ButcherERK:
             if i:
                 incr = sum(self.a[i][j] * k[j] for j in range(i) if self.a[i][j] != 0.0)
                 ui = u + dt * incr
-            if kbuf is None:
-                k.append(rhs(t + self.c[i] * dt, ui))
-            else:
-                k.append(rhs(t + self.c[i] * dt, ui, out=kbuf[i]))
+            k.append((yield from _evaluate(
+                rhs, t + self.c[i] * dt, ui,
+                None if kbuf is None else kbuf[i])))
             if stage_hook is not None:
                 stage_hook(i, k[-1])
         return k
 
+    def stepper(self, rhs, t, u, dt, stage_hook=None):
+        """One step as a generator returning the updated state array."""
+        k = yield from self._stages(rhs, t, u, dt, stage_hook=stage_hook)
+        return u + dt * sum(bi * ki for bi, ki in zip(self.b, k) if bi != 0.0)
+
     def step(self, rhs, t, u, dt, stage_hook=None):
         """One step; returns the updated state array."""
-        k = self._stages(rhs, t, u, dt, stage_hook=stage_hook)
-        return u + dt * sum(bi * ki for bi, ki in zip(self.b, k) if bi != 0.0)
+        return _complete(self.stepper(rhs, t, u, dt, stage_hook))
 
     def step_with_error(self, rhs, t, u, dt, stage_hook=None):
         """One step plus the embedded-scheme error estimate (or None)."""
-        k = self._stages(rhs, t, u, dt, stage_hook=stage_hook)
+        k = _complete(self._stages(rhs, t, u, dt, stage_hook=stage_hook))
         unew = u + dt * sum(bi * ki for bi, ki in zip(self.b, k) if bi != 0.0)
         err = None
         if self.b_embedded is not None:
@@ -102,28 +145,37 @@ class LowStorageERK:
         self.stages = len(self.b)
         self._fbuf = None
 
-    def step(self, rhs, t, u, dt, stage_hook=None):
-        """One step; in low-storage form (two registers)."""
+    def stepper(self, rhs, t, u, dt, stage_hook=None):
+        """One step in low-storage form (two registers), as a generator
+        returning the updated state array. ``u`` is updated in place
+        between evaluations, so an RHS that memoizes on the buffer it is
+        handed is told after each update (``rhs.mark_modified()``): no
+        checksum of a conservative update is guaranteed to move."""
         u = np.array(u, dtype=float, copy=True)
         du = np.zeros_like(u)
         use_out = getattr(rhs, "supports_out", False)
         if use_out and (self._fbuf is None or self._fbuf.shape != u.shape):
             self._fbuf = np.empty_like(u)
+        mark_modified = getattr(rhs, "mark_modified", None)
         for i in range(self.stages):
             du *= self.a[i]
+            f = yield from _evaluate(rhs, t + self.c[i] * dt, u,
+                                     self._fbuf if use_out else None)
+            if stage_hook is not None:
+                stage_hook(i, f)
             if use_out:
-                f = rhs(t + self.c[i] * dt, u, out=self._fbuf)
-                if stage_hook is not None:
-                    stage_hook(i, f)
                 f *= dt
                 du += f
             else:
-                f = rhs(t + self.c[i] * dt, u)
-                if stage_hook is not None:
-                    stage_hook(i, f)
                 du += dt * f
             u += self.b[i] * du
+            if mark_modified is not None:
+                mark_modified()
         return u
+
+    def step(self, rhs, t, u, dt, stage_hook=None):
+        """One step; returns the updated state array."""
+        return _complete(self.stepper(rhs, t, u, dt, stage_hook))
 
     def step_with_error(self, rhs, t, u, dt, stage_hook=None):
         return self.step(rhs, t, u, dt, stage_hook=stage_hook), None
@@ -224,6 +276,10 @@ class ERKIntegrator:
     def step(self, rhs, t, u, dt):
         """Advance ``u`` from ``t`` to ``t + dt``."""
         return self.scheme.step(rhs, t, u, dt, stage_hook=self.stage_hook)
+
+    def stepper(self, rhs, t, u, dt):
+        """The same step as a generator, for an RHS that suspends."""
+        return self.scheme.stepper(rhs, t, u, dt, stage_hook=self.stage_hook)
 
     def integrate(self, rhs, t0, u0, t1, n_steps: int):
         """Fixed-step integration; returns the final state."""

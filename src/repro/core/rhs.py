@@ -67,7 +67,7 @@ class _Eval:
 
     __slots__ = ("t", "u", "out", "pc", "gstack", "grads", "idx_t", "idx_w",
                  "idx_y", "idx_rho", "idx_p", "tmp_s", "hq", "tau", "flux_j",
-                 "flux_q", "fstacks")
+                 "flux_q", "fstacks", "dstacks", "sourced", "wdot")
 
 
 def _fingerprint(u: np.ndarray):
@@ -110,18 +110,6 @@ class CompressibleRHS:
     workspace:
         Optional shared :class:`~repro.core.workspace.Workspace`; by
         default each RHS owns a private arena.
-    reaction_delegate:
-        Optional hook taking over the chemical source-term evaluation:
-        called as ``delegate(rhs, t, rho, T, Y)`` in place of the
-        internal ``mech.production_rates`` call. Returning a mass
-        production-rate array ``(Ns,) + S`` applies it exactly as the
-        internal path would; returning ``None`` *defers* the reaction
-        terms entirely — the caller adds them later (the chemistry
-        load balancer of :mod:`repro.parallel.chemlb` does this to ship
-        per-cell reaction work between ranks). Whenever the delegate is
-        consulted, the primitive inputs it saw are stashed on
-        :attr:`last_reaction_inputs` as ``(rho, T, Y)`` views (valid
-        until the next evaluation).
 
     Notes
     -----
@@ -132,8 +120,7 @@ class CompressibleRHS:
     """
 
     def __init__(self, state, transport=None, boundaries=None, reacting=True,
-                 telemetry=None, engine=None, workspace=None,
-                 reaction_delegate=None, backend=None):
+                 telemetry=None, engine=None, workspace=None, backend=None):
         self.state = state
         self.mech = state.mech
         self.grid = state.grid
@@ -156,18 +143,20 @@ class CompressibleRHS:
             telemetry=self.telemetry
         )
         self.telemetry.gauge(f"rhs.backend.{self.backend.name}").set(1.0)
-        self.reaction_delegate = reaction_delegate
         self._props_cache = None
         self._eval = None
         #: populated after every evaluation — kernel-level diagnostics
         self.last_heat_release = None
-        #: (rho, T, Y) views from the last delegated evaluation
-        self.last_reaction_inputs = None
 
     @property
     def supports_out(self) -> bool:
         """Whether ``__call__`` computes directly into an ``out`` array."""
         return self.engine == "batched"
+
+    def mark_modified(self) -> None:
+        """The buffer last evaluated was updated in place (a low-storage
+        RK stage): memoized properties of it are stale."""
+        self.state.mark_modified()
 
     # ------------------------------------------------------------------
     def __call__(self, t, u, out=None):
@@ -190,10 +179,13 @@ class CompressibleRHS:
         One evaluation is shared between the diffusive-flux, heat-flux,
         and reaction consumers of a single RHS call, and with a
         :meth:`stable_dt` on the *same buffer* right after it. The cache
-        key is the buffer object, the state's version token (bumped by
-        :meth:`~repro.core.state.State.mark_modified`), and a content
-        fingerprint that catches in-place mutation (low-storage RK
-        stages update ``u`` in place between evaluations).
+        key is the buffer object and the state's version token, which
+        whoever updates a buffer in place bumps (:meth:`mark_modified`:
+        the low-storage RK stage update, the filter, the Strang
+        reactors); the content fingerprint is a second line against an
+        update nobody declared and proves nothing by itself — a
+        conservative update of a quiescent far field moves neither the
+        corner values nor, to rounding, the sum.
 
         Whether the memo bridges :meth:`stable_dt` and the first
         integrator stage depends on the scheme. ``ButcherERK`` (the
@@ -251,7 +243,11 @@ class CompressibleRHS:
     # call and hands each sweep of a decomposed direction the ghost slabs
     # its neighbours produced in the phase before (``ghosts``: direction
     # -> ``(lo, hi)``). Only faces are ever exchanged (every stencil is
-    # axis-aligned) and no ghost value is ever computed here.
+    # axis-aligned) and no ghost value is ever computed here. What needs
+    # no ghost can run while the slabs travel: :meth:`sources` any time
+    # after :meth:`begin`, :meth:`local_divergence` after :meth:`fluxes`;
+    # :meth:`finish` runs whichever of the two nobody ran, and adds every
+    # term in the one fixed order either way.
     def begin(self, t, u, out=None):
         """Phase A: pointwise properties and the primitive-gradient stack.
 
@@ -271,6 +267,7 @@ class CompressibleRHS:
                 raise ValueError("out must not alias the state array")
         ev = self._eval = _Eval()
         ev.t, ev.u, ev.out = t, u, out
+        ev.dstacks, ev.sourced, ev.wdot = {}, False, None
         pc = ev.pc = self._eval_props(u)
         S = pc.rho.shape
         ns = self.mech.n_species
@@ -416,6 +413,54 @@ class CompressibleRHS:
         }
         return ev.fstacks
 
+    def reaction_inputs(self) -> tuple:
+        """``(rho, T, Y)`` of the evaluation in progress (views, valid
+        until the next one) — for a caller that built this RHS
+        non-reacting because it owns the source terms (the chemistry
+        load balancer ships them between ranks)."""
+        pc = self._eval.pc
+        return pc.rho, pc.T, pc.Y
+
+    def sources(self) -> None:
+        """Chemical source terms and heat release of this evaluation;
+        :meth:`finish` adds them to ``du``."""
+        ev = self._eval
+        mech = self.mech
+        pc = ev.pc
+        ws = self.workspace
+        ev.sourced = True
+        if not (self.reacting and mech.n_reactions):
+            self.last_heat_release = ws.zeros("rhs.heat_release", pc.rho.shape)
+            return
+        with self.telemetry.span("REACTION_RATES"):
+            ev.wdot = self.backend.production_rates(mech, pc.rho, pc.T, pc.Y)
+        hr = ws.array("rhs.heat_release", pc.rho.shape)
+        tmp_ns = ws.array("rhs.tmp_ns", (mech.n_species,) + pc.rho.shape)
+        np.multiply(pc.h_i, ev.wdot, out=tmp_ns)
+        np.sum(tmp_ns, axis=0, out=hr)
+        np.negative(hr, out=hr)
+        self.last_heat_release = hr
+
+    def _divergence(self, b: int, ghosts, fstack, out):
+        """Divergence sweep into ``out`` of direction ``b``'s flux stack
+        (assembled in ``fstack`` unless :meth:`fluxes` kept it)."""
+        fb = self._eval.fstacks.get(b)
+        if fb is None:
+            fb = self._flux_stack(b, fstack)
+        self.ops[b].apply_stack(fb, axis=b, out=out, ghosts=ghosts)
+        return out
+
+    def local_divergence(self) -> None:
+        """Sweep, each into a buffer of its own, the directions whose
+        flux stack :meth:`fluxes` did not hand out: they need no ghosts."""
+        ev, ws = self._eval, self.workspace
+        shape = ev.u.shape
+        for b in range(self.ndim):
+            if b not in ev.fstacks:
+                ev.dstacks[b] = self._divergence(
+                    b, None, ws.array("rhs.fstack", shape),
+                    ws.array(f"rhs.dstack.{b}", shape))
+
     def _flux_stack(self, b: int, fstack):
         """The convective + diffusive flux of every conserved variable
         in direction ``b``, assembled into ``fstack``."""
@@ -455,8 +500,8 @@ class CompressibleRHS:
         return fstack
 
     def finish(self, ghosts=None):
-        """Phase C: flux divergence in direction order, chemical sources
-        (or their deferral), characteristic boundaries; returns ``du``.
+        """Phase C: flux divergence in direction order, chemical sources,
+        characteristic boundaries; returns ``du``.
 
         ``ghosts`` carries the ghost slabs of the flux stacks
         :meth:`fluxes` returned, direction by direction.
@@ -483,31 +528,17 @@ class CompressibleRHS:
         fstack = ws.array("rhs.fstack", (st.nvar,) + S)
         dstack = ws.array("rhs.dstack", (st.nvar,) + S)
         for b in range(ndim):
-            fb = ev.fstacks[b] if b in ghosts else self._flux_stack(b, fstack)
-            self.ops[b].apply_stack(fb, axis=b, out=dstack, ghosts=ghosts.get(b))
-            du -= dstack
+            swept = ev.dstacks.get(b)
+            if swept is None:
+                swept = self._divergence(b, ghosts.get(b), fstack, dstack)
+            du -= swept
 
         # -- chemical sources --------------------------------------------
-        if self.reacting and mech.n_reactions:
-            if self.reaction_delegate is not None:
-                self.last_reaction_inputs = (rho, T, Y)
-                wdot_mass = self.reaction_delegate(self, t, rho, T, Y)
-            else:
-                with tel.span("REACTION_RATES"):
-                    wdot_mass = self.backend.production_rates(mech, rho, T, Y)
-            if wdot_mass is not None:
-                du[st.species_slice] += wdot_mass[:nt]
-                hr = ws.array("rhs.heat_release", S)
-                tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
-                np.multiply(pc.h_i, wdot_mass, out=tmp_ns)
-                np.sum(tmp_ns, axis=0, out=hr)
-                np.negative(hr, out=hr)
-                self.last_heat_release = hr
-            else:
-                # deferred: the delegating caller owns the source terms
-                self.last_heat_release = None
-        else:
-            self.last_heat_release = ws.zeros("rhs.heat_release", S)
+        if not ev.sourced:
+            self.sources()
+        if ev.wdot is not None:
+            du[st.species_slice] += ev.wdot[:nt]
+            ev.wdot = None  # not kept alive into the next evaluation
 
         # -- characteristic boundary handling -----------------------------
         if self._needs_nscbc:
@@ -623,21 +654,13 @@ class CompressibleRHS:
 
         # -- chemical sources --------------------------------------------
         if self.reacting and mech.n_reactions:
-            if self.reaction_delegate is not None:
-                self.last_reaction_inputs = (rho, T, Y)
-                wdot_mass = self.reaction_delegate(self, t, rho, T, Y)
-            else:
-                with tel.span("REACTION_RATES"):
-                    wdot_mass = mech.production_rates(rho, T, Y)
-            if wdot_mass is not None:
-                for k in range(st.n_transported):
-                    du[st.i_species(k)] += wdot_mass[k]
-                if h_i is None:
-                    h_i = mech.species_enthalpy_mass(T)
-                self.last_heat_release = -(h_i * wdot_mass).sum(axis=0)
-            else:
-                # deferred: the delegating caller owns the source terms
-                self.last_heat_release = None
+            with tel.span("REACTION_RATES"):
+                wdot_mass = mech.production_rates(rho, T, Y)
+            for k in range(st.n_transported):
+                du[st.i_species(k)] += wdot_mass[k]
+            if h_i is None:
+                h_i = mech.species_enthalpy_mass(T)
+            self.last_heat_release = -(h_i * wdot_mass).sum(axis=0)
         else:
             self.last_heat_release = np.zeros_like(rho)
 

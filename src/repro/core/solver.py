@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import resolve
-from repro.core.erk import ERKIntegrator
+from repro.core.erk import ERKIntegrator, NonFiniteStageError
 from repro.core.filters import filter_operators
 from repro.core.rhs import CompressibleRHS
 from repro.core.state import strang_apply_update, strang_reactor_inputs
@@ -30,10 +30,11 @@ class S3DSolver:
     :meth:`run` and :meth:`run_resilient` exist here and nowhere else. A
     serial run is the one-rank case; a decomposed domain
     (:class:`~repro.parallel.solver.ParallelPeriodicSolver`) overrides
-    the four hooks that genuinely differ — how an RHS is evaluated
+    the four hooks that genuinely differ — how a step is integrated
     (:meth:`_integrate`), how a filter pass is applied
     (:meth:`apply_filter`), which blocks the Strang reactors see
-    (:meth:`_reactor_blocks`), who chooses ``dt`` (:meth:`compute_dt`)
+    (:meth:`_reactor_blocks` / :meth:`_reactors_advanced`), who chooses
+    ``dt`` (:meth:`compute_dt`)
     — and the recovery plumbing the supervisor calls.
 
     Parameters
@@ -133,10 +134,13 @@ class S3DSolver:
         self.state.u = self.integrator.step(self.rhs, self.time, self.state.u, dt)
 
     def _reactor_blocks(self) -> list:
-        """The conserved blocks the Strang reactors advance in place
-        (declared modified, so memoized thermo/transport invalidate)."""
-        self.state.mark_modified()
+        """The conserved blocks the Strang reactors advance in place."""
         return [self.state.u]
+
+    def _reactors_advanced(self, blocks) -> None:
+        """The reactors wrote ``blocks``: declare the state modified, so
+        memoized thermo/transport invalidate."""
+        self.state.mark_modified()
 
     def apply_filter(self) -> None:
         """Apply the 10th-order filter along every direction.
@@ -163,7 +167,10 @@ class S3DSolver:
         if self._chem is not None:
             self._strang_chemistry(0.5 * dt)
         with self.telemetry.span("INTEGRATE"):
-            self._integrate(dt)
+            try:
+                self._integrate(dt)
+            except NonFiniteStageError as err:  # the armed RK stage guard
+                self.health.stage_trip(*err.args)
         if self._chem is not None:
             self._strang_chemistry(0.5 * dt)
         self.telemetry.gauge("solver.dt").set(dt)
@@ -207,6 +214,7 @@ class S3DSolver:
                         tracelog.end_span(sid, cells=int(rho.size))
         for block, result in zip(blocks, results):
             strang_apply_update(block, ndim, ns, result[1])
+        self._reactors_advanced(blocks)
 
     def run(self, n_steps: int, dt: float | None = None,
             monitor_interval: int = 0, checkpoint_interval: int = 0,

@@ -82,35 +82,34 @@ class HealthMonitor:
     def arm_stage_guard(self) -> None:
         """Catch NaN the RK stage it appears (not just end-of-step).
 
-        Installs a per-stage hook on the solver's integrator (on a
-        decomposed solver the slope it sees is the packed owned blocks
-        of every rank) that trips the moment a stage slope goes
-        non-finite, before the poisoned slope is blended into the state.
+        Arms the solver's integrator with the per-stage finiteness check
+        (:func:`repro.core.erk.finite_guard`; a decomposed solver's
+        ranks check their own slopes while it is armed). The solver
+        reports a failure through :meth:`stage_trip` — before the
+        poisoned slope is blended into the state.
         """
-        import numpy as np
+        from repro.core.erk import finite_guard
 
         integrator = getattr(self.solver, "integrator", None)
-        if integrator is None:
-            return
+        if integrator is not None:
+            integrator.stage_hook = finite_guard
 
-        def guard(stage: int, k) -> None:
-            if not np.isfinite(k).all():
-                from repro.observability.watchdogs import WatchdogEvent
+    def stage_trip(self, stage: int, bad: int) -> None:
+        """Trip on ``bad`` non-finite entries in the slope of ``stage``."""
+        from repro.observability.watchdogs import WatchdogEvent
 
-                event = WatchdogEvent(
-                    watchdog="rk_stage_guard", severity="trip",
-                    message=f"non-finite RK stage slope at stage {stage}",
-                    value=float((~np.isfinite(k)).sum()),
-                    step=self.solver.step_count, time=self.solver.time,
-                )
-                self.trips += 1
-                self._c_trips.inc()
-                self.last_events = [event]
-                self._dump(f"rk stage guard trip (stage {stage})")
-                raise WatchdogTripError([event], step=self.solver.step_count,
-                                        time=self.solver.time)
-
-        integrator.stage_hook = guard
+        event = WatchdogEvent(
+            watchdog="rk_stage_guard", severity="trip",
+            message=f"non-finite RK stage slope at stage {stage}",
+            value=float(bad),
+            step=self.solver.step_count, time=self.solver.time,
+        )
+        self.trips += 1
+        self._c_trips.inc()
+        self.last_events = [event]
+        self._dump(f"rk stage guard trip (stage {stage})")
+        raise WatchdogTripError([event], step=self.solver.step_count,
+                                time=self.solver.time)
 
     # -- the per-step hook ----------------------------------------------
     def on_step(self, dt: float, wall_time: float = 0.0) -> list:

@@ -38,6 +38,7 @@ is the contract any new backend must pass.
 
 from __future__ import annotations
 
+import inspect
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -176,6 +177,24 @@ def _annotate_rank(exc: BaseException, rank: int) -> None:
         pass
 
 
+def _reply_early(result) -> tuple:
+    """``(reply, remainder)`` of what a program method returned; a
+    plain method has no remainder (``None``)."""
+    if inspect.isgenerator(result):
+        return next(result), result
+    return result, None
+
+
+def _expire(args) -> None:
+    """Poison the array arguments of a reply-early method once it has
+    replied (an out-of-process backend reuses their memory for the next
+    command): a remainder that still reads one computes NaN on every
+    backend instead of racing on one."""
+    for a in args:
+        if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+            a.fill(np.nan)
+
+
 class Transport:
     """Abstract communication + execution backend for a world of ranks.
 
@@ -209,6 +228,15 @@ class Transport:
     order; exceptions raised inside a program propagate to the caller
     with their original type where the type is importable. A failed
     rank's program raises :class:`RankFailedError` instead of running.
+
+    *Reply early*: a program method written as a generator replies with
+    the first value it yields and does the rest of its work — the
+    remainder — after the reply has left: an out-of-process backend runs
+    it before the rank reads its next command (overlapping whatever the
+    driver and the other ranks do with the reply), the in-process
+    reference on the spot. Array arguments are valid until the reply
+    only (:func:`_expire`) and a reply must not alias them; an exception
+    raised in a remainder surfaces in place of that rank's *next* reply.
     """
 
     #: registry name of the backend
@@ -378,6 +406,7 @@ class InProcessTransport(Transport):
         self.dropped = 0
         self._programs: list | None = None
         self._build = None  # per-rank program builder, kept for revival
+        self._late: dict = {}  # rank -> exception its last remainder raised
 
     def _tracelog(self):
         """The attached trace log, or None (looked up per call so
@@ -406,6 +435,7 @@ class InProcessTransport(Transport):
                 raise ValueError(f"rank {rank} out of range [0, {self.size})")
         for rank in sorted(set(int(r) for r in ranks)):
             self._failed_ranks.discard(rank)
+            self._late.pop(rank, None)
             if self._programs is not None and self._build is not None:
                 self._programs[rank] = self._build(rank)
 
@@ -536,6 +566,7 @@ class InProcessTransport(Transport):
             lambda rank: factory(rank, *args[rank])
         )
         self._build = build
+        self._late.clear()
         self._programs = [build(rank) for rank in range(self.size)]
 
     def _require_programs(self) -> list:
@@ -544,6 +575,42 @@ class InProcessTransport(Transport):
                 "no rank programs started; call start_programs() first"
             )
         return self._programs
+
+    def _invoke(self, rank: int, method: str, args):
+        """Run one program method to its reply, then its remainder."""
+        late = self._late.pop(rank, None)
+        if late is not None:
+            raise late
+        fn = getattr(self._programs[rank], method)
+        if inspect.isgeneratorfunction(fn):
+            # the caller's arrays must survive the reply; the method's
+            # own copies expire with it
+            args = [a.copy() if isinstance(a, np.ndarray) else a
+                    for a in args]
+        tracer = self.telemetry.tracer if self._tracelog() is not None else None
+        home = tracer.trace_rank if tracer is not None else None
+        try:
+            if tracer is not None:
+                # retarget the shared tracer's event lane so spans
+                # recorded inside the rank's program land on its own
+                # timeline row instead of the driver's
+                tracer.trace_rank = rank
+            reply, remainder = _reply_early(fn(*args))
+            if remainder is not None:
+                _expire(args)
+                try:
+                    for _ in remainder:
+                        pass
+                except Exception as exc:
+                    _annotate_rank(exc, rank)
+                    self._late[rank] = exc
+            return reply
+        except BaseException as exc:
+            _annotate_rank(exc, rank)
+            raise
+        finally:
+            if tracer is not None:
+                tracer.trace_rank = home
 
     def _decide_exec_fault(self):
         """Consult the ``exec.call`` fault site once per collective call.
@@ -572,7 +639,7 @@ class InProcessTransport(Transport):
     def call_all(self, method: str, payloads=None) -> list:
         """Invoke ``method`` on every rank's program, serially in rank
         order; returns per-rank results."""
-        programs = self._require_programs()
+        self._require_programs()
         if payloads is None:
             payloads = [() for _ in range(self.size)]
         if len(payloads) != self.size:
@@ -582,45 +649,15 @@ class InProcessTransport(Transport):
         for rank in range(self.size):
             self._check_alive(rank, "executing")
         self._decide_exec_fault()
-        out = []
-        tracelog = self._tracelog()
-        tracer = self.telemetry.tracer if tracelog is not None else None
-        home = tracer.trace_rank if tracer is not None else None
-        try:
-            for rank in range(self.size):
-                if tracer is not None:
-                    # retarget the shared tracer's event lane so spans
-                    # recorded inside the rank's program land on its own
-                    # timeline row instead of the driver's
-                    tracer.trace_rank = rank
-                try:
-                    out.append(getattr(programs[rank], method)(*payloads[rank]))
-                except BaseException as exc:
-                    _annotate_rank(exc, rank)
-                    raise
-        finally:
-            if tracer is not None:
-                tracer.trace_rank = home
-        return out
+        return [self._invoke(rank, method, payloads[rank])
+                for rank in range(self.size)]
 
     def call_one(self, rank: int, method: str, *args):
-        programs = self._require_programs()
+        self._require_programs()
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         self._check_alive(rank, "executing")
-        tracelog = self._tracelog()
-        tracer = self.telemetry.tracer if tracelog is not None else None
-        home = tracer.trace_rank if tracer is not None else None
-        try:
-            if tracer is not None:
-                tracer.trace_rank = rank
-            return getattr(programs[rank], method)(*args)
-        except BaseException as exc:
-            _annotate_rank(exc, rank)
-            raise
-        finally:
-            if tracer is not None:
-                tracer.trace_rank = home
+        return self._invoke(rank, method, args)
 
     @property
     def programs(self):

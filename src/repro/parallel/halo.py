@@ -93,20 +93,19 @@ class HaloExchanger:
         with self.telemetry.span("HALO_EXCHANGE"):
             return self._route(axis, edges)
 
-    def route(self, edges: list) -> list:
+    def route(self, edges: list, axis=None) -> list:
         """Deliver every rank's edge slabs to its neighbours.
 
         ``edges[rank]`` is flat — ``(lo, hi)`` of the first decomposed
-        axis, then of the next — or empty when the rank had nothing to
-        differentiate; the result has the same layout and holds, per
-        axis, the slabs lying beyond the rank's low and high face.
+        axis, then of the next, or of ``axis`` alone when one is named;
+        the result has the same layout and holds, per axis, the slabs
+        lying beyond the rank's low and high face.
         """
-        if not edges[0]:
-            return edges
+        axes = self.axes if axis is None else (axis,)
         with self.telemetry.span("HALO_EXCHANGE"):
             ghosts = [
                 self._route(axis, [e[2 * i : 2 * i + 2] for e in edges])
-                for i, axis in enumerate(self.axes)
+                for i, axis in enumerate(axes)
             ]
         return [sum(per_rank, ()) for per_rank in zip(*ghosts)]
 

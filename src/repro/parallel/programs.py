@@ -21,6 +21,7 @@ __all__ = [
     "ChainedFailingProgram",
     "EchoProgram",
     "FailingProgram",
+    "ReplyEarlyProgram",
     "SleeperProgram",
     "make_chained",
     "make_echo",
@@ -123,6 +124,34 @@ class SleeperProgram:
         if self.rank == self.sleeping_rank:
             time.sleep(self.seconds)
         return self.rank
+
+
+class ReplyEarlyProgram:
+    """Replies early: ``work(arr)`` yields its reply — the sum — and
+    works on in the remainder, on the copy it took of ``arr``; ``arr``
+    itself expired with the reply, and reading it anyway (``stale``, a
+    deliberate bug) gives NaN on every backend. On ``late_rank`` the
+    remainder takes ``seconds`` and fails, with no reply left to carry
+    the failure."""
+
+    def __init__(self, rank: int, late_rank: int = -1, seconds: float = 0.0):
+        self.rank = rank
+        self.late_rank = late_rank
+        self.seconds = float(seconds)
+        self.remainders = 0
+        self.kept = self.stale = None
+
+    def work(self, arr):
+        kept = arr.copy()
+        yield float(arr.sum())
+        if self.rank == self.late_rank:
+            time.sleep(self.seconds)
+            raise ValueError(f"rank {self.rank} deliberate late failure")
+        self.kept, self.stale = float(kept.sum()), float(arr.sum())
+        self.remainders += 1
+
+    def report(self):
+        return self.remainders, self.kept, self.stale
 
 
 def make_echo(rank: int, base: float = 0.0) -> EchoProgram:

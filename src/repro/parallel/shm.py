@@ -22,6 +22,13 @@ The control plane is a pickled pipe protocol: small command tuples
 (method name, array shapes/dtypes/offsets, inline scalars) keep the
 per-call overhead to one ``send``/``recv`` pair per worker.
 
+Array arguments reach a program method as *views into the inbound
+segment*, which the driver overwrites with the next command's payload:
+they are valid until the method's reply only. A method that replies
+early (:class:`~repro.parallel.comm.Transport`) copies what its
+remainder needs before it yields; the worker poisons the views as the
+reply leaves, like the in-process reference does its copies.
+
 Failure semantics
 -----------------
 Exceptions raised inside a rank program are shipped back as a typed
@@ -31,7 +38,11 @@ type when that type is importable (the resilience taxonomy —
 :class:`~repro.resilience.errors.RankFailedError`,
 :class:`~repro.resilience.errors.MessageNotFoundError`, … — always is),
 so fault handling code behaves identically on every transport and sees
-the real failure site (``exc.rank``) and root cause. A worker process
+the real failure site (``exc.rank``) and root cause. An exception raised
+in a remainder is held and shipped as the rank's next reply (the call it
+displaces is not run: one reply per command, always); a worker killed
+inside a remainder is found dead by the next dispatch or collect, whose
+heartbeat deadline also covers a remainder still running. A worker process
 that dies marks its rank failed and raises :class:`WorkerCrashedError`,
 a :class:`RankFailedError` subclass; a worker that misses the optional
 heartbeat deadline (``heartbeat=`` / ``REPRO_HEARTBEAT``) is killed and
@@ -52,7 +63,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core.config import resolve
-from repro.parallel.comm import InProcessTransport, _annotate_rank
+from repro.parallel.comm import (
+    InProcessTransport,
+    _annotate_rank,
+    _expire,
+    _reply_early,
+)
 from repro.resilience.errors import RankFailedError, RankUnresponsiveError
 
 __all__ = [
@@ -144,6 +160,9 @@ def _exc_info(exc: BaseException, rank: int, depth: int = 0) -> dict:
         "module": type(exc).__module__,
         "qualname": type(exc).__qualname__,
         "message": str(exc),
+        # scalar arguments (a typed error's fields) travel as they are
+        "args": (exc.args if all(isinstance(a, (int, float, str))
+                                 for a in exc.args) else None),
         "rank": rank,
         "cause": None,
     }
@@ -168,7 +187,8 @@ def _rebuild_exception(info: dict):
             for part in qualname.split("."):
                 obj = getattr(obj, part)
             if isinstance(obj, type) and issubclass(obj, BaseException):
-                exc = obj(message)
+                args = info.get("args")
+                exc = obj(message) if args is None else obj(*args)
         except Exception:
             exc = None
     if exc is None:
@@ -204,9 +224,11 @@ def _worker_main(rank: int, conn) -> None:
     ``("call", method, specs)``, ``("hang", seconds)`` (sleep without
     replying — the injected-hang probe the heartbeat deadline must
     catch), ``("close",)``. Replies: ``("ok", kind, specs, out_name)``
-    or ``("error", info)`` with the exception identity record.
+    or ``("error", info)`` with the exception identity record. A
+    remainder runs right after its reply is sent.
     """
     program = None
+    late = None  # identity record of what the last remainder raised
     shm_in = None
     shm_out = None
     _pin_to_core(rank)
@@ -234,9 +256,14 @@ def _worker_main(rank: int, conn) -> None:
                     continue
                 if kind != "call":
                     raise RuntimeError(f"unknown worker command {kind!r}")
+                if late is not None:
+                    late, info = None, late
+                    conn.send(("error", info))
+                    continue
                 _, method, specs = msg
                 args = _read_specs(specs, shm_in, copy=False)
-                result = getattr(program, method)(*args)
+                result, remainder = _reply_early(
+                    getattr(program, method)(*args))
                 if isinstance(result, tuple):
                     out_kind, parts = "tuple", result
                 else:
@@ -255,9 +282,20 @@ def _worker_main(rank: int, conn) -> None:
                         )
                     _write_packs(shm_out, packs)
                     name = shm_out.name
+                if remainder is not None:
+                    # before the reply leaves: after it the segment is
+                    # the driver's to fill with the next command
+                    _expire(args)
                 conn.send(("ok", out_kind, out_specs, name))
             except BaseException as exc:  # ship to driver, keep serving
                 conn.send(("error", _exc_info(exc, rank)))
+                continue
+            if remainder is not None:
+                try:
+                    for _ in remainder:
+                        pass
+                except Exception as exc:
+                    late = _exc_info(exc, rank)
     finally:
         if shm_in is not None:
             shm_in.close()

@@ -10,27 +10,28 @@ Two levels of fidelity to S3D's parallelization (§2.6):
   observable of the paper's communication discussion.
 
 * :class:`ParallelPeriodicSolver` — a full rank-parallel DNS on periodic
-  boxes built from that pattern: a rank runs the *serial*
-  :class:`~repro.core.rhs.CompressibleRHS` and filter stack on the block
-  it owns and nothing else. One RHS evaluation is three execution-plane
-  calls, split where a stencil reaches beyond the block (width-4 ghost
-  slabs of the primitive-gradient stack, then of the flux stacks, travel
-  in between); a filter pass exchanges width-5 slabs of the conserved
-  stack. Every sweep is bitwise the global operator's on the rows a rank
-  owns, so (1, 1) *is* the serial computation and more ranks match it to
-  the last bit whenever each rank's Newton temperature solve takes the
-  serial batch's iteration count (docs/PARALLEL.md).
+  boxes built from that pattern: a rank keeps the block it owns and its
+  RK registers and runs the *serial* stage loop,
+  :class:`~repro.core.rhs.CompressibleRHS` and filter stack on them
+  (:class:`SolverRankProgram`); only ghost slabs travel. The step
+  suspends where a stencil reaches beyond the block — twice per RHS
+  evaluation (width-4 slabs of the primitive-gradient stack, then of the
+  flux stacks), once per decomposed filter axis (width-5 slabs of the
+  conserved stack) — and the driver routes what the ranks posted and
+  resumes them. Every sweep is bitwise the global operator's on the rows
+  a rank owns, so (1, 1) *is* the serial computation and more ranks
+  match it to the last bit whenever each rank's Newton temperature solve
+  takes the serial batch's iteration count (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.core.config import SolverConfig, periodic_boundaries, resolve
 from repro.core.derivatives import DerivativeOperator, HALF_WIDTH
+from repro.core.erk import ERKIntegrator, finite_guard
 from repro.core.filters import FILTER_HALF_WIDTH, FilterOperator, filter_operators
 from repro.core.rhs import CompressibleRHS
 from repro.core.solver import S3DSolver
@@ -41,19 +42,25 @@ from repro.parallel.halo import HaloExchanger, edge_slabs
 
 
 class SolverRankProgram:
-    """One rank's compute unit, living wherever the transport runs ranks.
+    """One rank of the SPMD time step, living wherever the transport
+    runs ranks.
 
-    Owns the :class:`~repro.core.state.State`,
-    :class:`~repro.core.rhs.CompressibleRHS` evaluator and filter stack
-    of the block the rank owns (``grid``: that block of the global
-    grid, :meth:`~repro.core.grid.Grid.block`). The driver ships the
-    owned conserved block and the neighbours' ghost slabs in and gets
-    edge slabs and owned results back; all the program knows of the
-    decomposition is ``axes``, the directions whose sweeps take ghosts —
-    which is what makes it picklable and transport-agnostic: the
-    in-process backend holds these objects directly, the multiprocessing
-    backend constructs them inside spawn workers from the same
-    arguments.
+    Owns its block of the conserved state (``grid``: that block of the
+    global grid, :meth:`~repro.core.grid.Grid.block`), the serial
+    :class:`~repro.core.rhs.CompressibleRHS`, stage loop (with its RK
+    registers) and filter stack, and runs one whole step over them as a
+    generator that suspends where a stencil reaches beyond the block: it
+    *posts* the edge slabs its neighbours need (the reply of
+    :meth:`advance` / :meth:`resume`, ``(tag, *arrays)``; ``None`` once
+    the step is done), does behind the post what needs no incoming ghost
+    (the remainder of a reply-early method,
+    :class:`~repro.parallel.comm.Transport`) and waits to be resumed
+    with the slabs beyond its own faces (docs/PARALLEL.md has the call
+    sequence). All it knows of the decomposition is ``axes``, the
+    directions whose sweeps take ghosts — which makes it picklable and
+    transport-agnostic: the in-process backend holds these objects, the
+    multiprocessing backend builds them inside spawn workers from the
+    same arguments.
 
     ``telemetry=None`` resolves per the environment unless
     ``rank_telemetry`` asks for a private recording backend (the
@@ -62,7 +69,7 @@ class SolverRankProgram:
     ``local_factory`` path.
     """
 
-    def __init__(self, rank, mechanism, grid, axes,
+    def __init__(self, rank, mechanism, grid, axes, scheme="ck45",
                  transport=None, reacting=True, filter_alpha=0.2,
                  rhs_backend=None, defer_reactions=False,
                  rank_telemetry=False, tracing=False, telemetry=None):
@@ -79,78 +86,134 @@ class SolverRankProgram:
         self.telemetry = telemetry
         self.axes = tuple(axes)
         self.state = State(mechanism, grid)
-        self._du = np.empty_like(self.state.u)
-        # deferred-reaction delegate: the RHS skips its source terms and
-        # stashes (rho, T, Y) for the driver-side chemistry balancer
+        self.integrator = ERKIntegrator(scheme)
+        # deferred reactions: the RHS is built without its source terms
+        # and the driver-side chemistry balancer supplies them
         self._defer = bool(defer_reactions)
-        delegate = (lambda rhs, t, rho, T, Y: None) if defer_reactions else None
         self.rhs = CompressibleRHS(self.state, transport=transport,
-                                   boundaries={}, reacting=reacting,
+                                   boundaries={},
+                                   reacting=reacting and not self._defer,
                                    telemetry=telemetry, engine="batched",
-                                   reaction_delegate=delegate,
                                    backend=rhs_backend)
         self.filters = filter_operators(grid, alpha=filter_alpha,
                                         telemetry=telemetry,
                                         backend=self.rhs.backend)
+        self._run = None  # the suspended step, if any
 
-    def _edges(self, stacks) -> tuple:
-        """Flat ``(lo, hi)`` width-4 edge slabs of ``stacks[axis]`` along
-        each decomposed axis."""
-        return tuple(slab for axis in self.axes
-                     for slab in edge_slabs(stacks[axis], 1 + axis, HALF_WIDTH))
+    # -- the step ----------------------------------------------------------
+    def _exchange(self, tag, edges, behind=None):
+        """Post ``edges`` under ``tag`` (``None``: ``(lo, hi)`` slabs
+        along every decomposed axis; an axis: along that one; ``"chem"``:
+        deferred reaction inputs), run ``behind`` while they travel,
+        and wait for what the driver resumes with."""
+        yield (tag,) + tuple(edges)
+        if behind is not None:
+            behind()
+        return (yield)
 
-    def _ghosts(self, slabs) -> dict:
-        """The flat slabs of a payload as ``axis -> (lo, hi)``."""
-        pairs = [slabs[i : i + 2] for i in range(0, len(slabs), 2)]
-        return dict(zip(self.axes, pairs or [None] * len(self.axes)))
+    def _stack_ghosts(self, stacks, behind):
+        """Exchange the width-4 edge slabs of ``stacks[axis]`` along
+        every decomposed axis; returns ``axis -> (lo, hi)`` ghosts."""
+        if not self.axes:
+            return {}
+        slabs = yield from self._exchange(
+            None, (slab for axis in self.axes for slab in
+                   edge_slabs(stacks[axis], 1 + axis, HALF_WIDTH)), behind)
+        return {axis: slabs[2 * i : 2 * i + 2]
+                for i, axis in enumerate(self.axes)}
 
-    def rhs_begin(self, t, u):
-        """RHS phase A on the owned block ``u`` (copied: a payload only
-        lives as long as its call); returns the edge slabs of the
-        primitive-gradient stack."""
-        np.copyto(self.state.u, u)
+    def _evaluate(self, t, u, out):
+        """One RHS evaluation on the owned block: the serial three
+        phases, suspended where the gradient and the divergence sweeps
+        need the neighbours' rows; the reaction sources run behind the
+        first post, the undecomposed directions' divergence sweeps
+        behind the second."""
+        rhs = self.rhs
+        self.state.mark_modified()  # a stage update wrote ``u`` in place
+        gstack = rhs.begin(t, u, out)
+        ghosts = dict.fromkeys(self.axes)
+        if gstack is not None:
+            ghosts = yield from self._stack_ghosts(
+                dict.fromkeys(self.axes, gstack), rhs.sources)
+        ghosts = yield from self._stack_ghosts(rhs.fluxes(ghosts),
+                                               rhs.local_divergence)
+        du = rhs.finish(ghosts)
+        if self._defer:
+            # add the balanced sources exactly where the RHS would have
+            (wdot,) = yield from self._exchange(
+                "chem", rhs.reaction_inputs())
+            du[self.state.species_slice] += wdot[:self.state.n_transported]
+        return du
+
+    _evaluate.supports_out = True
+
+    def _filter(self):
+        """The serial filter, in place axis by axis: a decomposed axis'
+        pass takes the block's width-5 ghost slabs as the passes before
+        it left them."""
+        u = self.state.u
+        for axis, filt in enumerate(self.filters):
+            ghosts = None
+            if axis in self.axes:
+                ghosts = yield from self._exchange(
+                    axis, edge_slabs(u, 1 + axis, FILTER_HALF_WIDTH))
+            filt.apply(u, axis=1 + axis, out=u, ghosts=ghosts)
         self.state.mark_modified()
-        gstack = self.rhs.begin(t, self.state.u, out=self._du)
-        return () if gstack is None else self._edges(
-            dict.fromkeys(self.axes, gstack))
 
-    def rhs_fluxes(self, *slabs):
-        """RHS phase B given the gradient stack's ghost slabs; returns
-        the edge slabs of each decomposed direction's flux stack."""
-        return self._edges(self.rhs.fluxes(self._ghosts(slabs)))
+    def _step(self, t, dt, filtered):
+        self.state.u = yield from self.integrator.stepper(
+            self._evaluate, t, self.state.u, dt)
+        if filtered:
+            yield from self._filter()
 
-    def rhs_finish(self, *slabs):
-        """RHS phase C given the flux stacks' ghost slabs; returns the
-        owned dU/dt — and, with reactions deferred, the (rho, T, Y) the
-        chemistry balancer needs."""
-        du = self.rhs.finish(self._ghosts(slabs))
-        return (du,) + self.rhs.last_reaction_inputs if self._defer else du
+    def _pump(self, slabs):
+        """Run the step to its next post and reply with it (``None``
+        when the step is done); the remainder runs on to the wait."""
+        try:
+            reply = self._run.send(slabs)
+        except StopIteration:
+            reply = self._run = None
+        yield reply
+        if reply is not None:
+            next(self._run)
 
-    def filter_block(self, u, first, stop, lo, hi):
-        """Filter the owned block in place along axes ``first`` (with the
-        ghost slabs ``lo`` / ``hi``, if any) to ``stop - 1`` (which wrap)."""
-        for axis in range(first, stop):
-            ghosts = (lo, hi) if axis == first and lo is not None else None
-            self.filters[axis].apply(u, axis=1 + axis, out=u, ghosts=ghosts)
-        return u
+    def advance(self, t, dt, filtered, guarded):
+        """Start a step from ``t`` (dropping a suspended one), the
+        filter pass behind it if ``filtered``, stage slopes checked for
+        finiteness if ``guarded``."""
+        self.integrator.stage_hook = finite_guard if guarded else None
+        self._run = self._step(t, dt, filtered)
+        yield from self._pump(None)
 
-    def cache_block(self):
-        """The rank's Newton temperature cache, or None when cold.
+    def filter(self):
+        """Start a filter pass on its own."""
+        self._run = self._filter()
+        yield from self._pump(None)
 
-        The cache is the only worker-resident numerical state a bit-
-        exact restart needs (the conserved blocks live driver-side):
-        the next temperature solve must start from the same initial
-        guess the uninterrupted run would have used.
-        """
-        cache = getattr(self.state, "_t_cache", None)
-        if cache is None or cache.shape != self.state.u.shape[1:]:
-            return None
-        return cache
+    def resume(self, *slabs):
+        """Continue the suspended step with what it waits for."""
+        yield from self._pump(slabs)
 
-    def install_cache(self, cache):
-        """Install a Newton temperature cache (or clear it with None)."""
-        self.state._t_cache = (None if cache is None
-                               else np.array(cache, dtype=float))
+    # -- the state, pulled and pushed ----------------------------------------
+    def snapshot(self):
+        """Copies of the owned block and the Newton temperature cache
+        (``None`` when cold): all a bit-exact restart needs — the next
+        temperature solve must start from the uninterrupted run's guess."""
+        cache = self.state._t_cache
+        if cache is not None and cache.shape != self.state.u.shape[1:]:
+            cache = None
+        return self.state.u.copy(), None if cache is None else cache.copy()
+
+    def install(self, u, *cache):
+        """Adopt ``u`` as the owned block and, when given, ``cache``
+        (``None``: cold) as the Newton cache; a step still held
+        suspended belongs to an abandoned timeline and is dropped."""
+        self._run = None
+        self.state.u = np.array(u, dtype=float)
+        self.state.mark_modified()
+        if cache:
+            self.state._t_cache = (None if cache[0] is None
+                                   else np.array(cache[0], dtype=float))
 
     def telemetry_snapshot(self) -> dict:
         return self.telemetry.snapshot()
@@ -186,21 +249,6 @@ def parallel_filter(global_f, decomp, world, axis: int,
     return _parallel_stencil(
         global_f, decomp, world, axis, FILTER_HALF_WIDTH,
         lambda n: FilterOperator(n, periodic=True, alpha=alpha))
-
-
-def _pack(blocks) -> np.ndarray:
-    """Per-rank blocks end to end in one flat buffer."""
-    return np.concatenate([np.ravel(b) for b in blocks])
-
-
-def _unpack(flat: np.ndarray, shapes) -> list:
-    """Per-rank views of a :func:`_pack`-ed buffer."""
-    blocks, at = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        blocks.append(flat[at:at + n].reshape(shape))
-        at += n
-    return blocks
 
 
 class ParallelPeriodicSolver(S3DSolver):
@@ -324,9 +372,8 @@ class ParallelPeriodicSolver(S3DSolver):
                 work_model=chemlb_work_model, telemetry=self.telemetry,
             )
         # when balancing in explicit mode, rank RHS defers its reaction
-        # sources: the program stashes (rho, T, Y), returns them with
-        # the du block, and _rhs_all adds balanced wdot to it
-        # instead. In strang mode chemistry never enters the
+        # sources: the program posts (rho, T, Y) and is resumed with the
+        # balanced wdot. In strang mode chemistry never enters the
         # RHS — the balancer (if any) ships whole implicit cell solves
         # from the driver-side half-steps instead.
         self._defer = self.chemlb is not None and self._chem is None
@@ -334,15 +381,11 @@ class ParallelPeriodicSolver(S3DSolver):
         # what every rank program is built from after its own geometry;
         # kept so recovery can rebuild programs on a new or revived
         # world with exactly the original construction arguments
-        self._program_args = (transport, rank_reacting, filter_alpha,
+        self._program_args = (scheme, transport, rank_reacting, filter_alpha,
                               rhs_backend, self._defer,
                               self._rank_telemetry,
                               resolve("tracing", tracing))
         self._start_rank_programs()
-        #: per-rank owned conserved blocks, the solver's state of record
-        self.locals: list = [None] * decomp.size
-        self._gstate = None  # lazy gathered-state view, see :attr:`state`
-        self._gstate_step = -1
         self._arm_health()
 
     def _bind_halo(self) -> None:
@@ -378,12 +421,46 @@ class ParallelPeriodicSolver(S3DSolver):
                                          telemetry=self.telemetry)
         self.world.start_programs(SolverRankProgram, per_rank_args,
                                   local_factory=local_factory)
+        self._snapshot = None  # (blocks, caches) as of the ranks' state
+        self._gstate = None  # gathered view of them, see :attr:`state`
+        self._held = None  # a filter pass the ranks posted at step end
 
-    # ------------------------------------------------------------------
+    # -- the state lives on the ranks: pulled and pushed ----------------------
+    def _pull(self) -> tuple:
+        """``(blocks, caches)`` of the ranks, one execution-plane call
+        when the ranks have moved since the last one."""
+        if self._snapshot is None:
+            blocks, caches = zip(*self.world.call_all("snapshot"))
+            for block in blocks:
+                block.flags.writeable = False
+            self._snapshot = blocks, caches
+        return self._snapshot
+
+    def _push(self, blocks, caches=None) -> None:
+        """Install owned blocks on the ranks (their Newton caches too,
+        when given); drops whatever step a rank still holds suspended."""
+        self._held = None
+        self._start("install", [(b,) for b in blocks] if caches is None
+                    else list(zip(blocks, caches)))
+
+    @property
+    def locals(self) -> list:
+        """Per-rank owned conserved blocks: a read-only snapshot of the
+        ranks' state, not a handle into it — write through
+        :meth:`set_state` or :meth:`install_shards`."""
+        return list(self._pull()[0])
+
+    @property
+    def caches(self) -> list:
+        """The ranks' Newton temperature caches as of :attr:`locals`
+        (``None`` for a rank whose cache is cold): what a checkpoint
+        saves so a restored run replays the exact Newton starting
+        points and stays bitwise."""
+        return list(self._pull()[1])
+
     def set_state(self, global_u: np.ndarray) -> None:
         """Scatter a global conserved array to the ranks."""
-        self.locals = self.decomp.scatter(np.asarray(global_u, dtype=float), 1)
-        self._gstate_step = -1
+        self._push(self.decomp.scatter(np.asarray(global_u, dtype=float), 1))
 
     def gather_state(self) -> np.ndarray:
         return self.decomp.gather(self.locals, 1)
@@ -392,14 +469,13 @@ class ParallelPeriodicSolver(S3DSolver):
     def state(self) -> State:
         """Gathered global :class:`~repro.core.state.State` view.
 
-        Re-gathered at most once per step (health checks, monitors and
-        the supervisor's fault sites share the same view); the returned
-        object is a snapshot for inspection, not a handle into the
-        per-rank blocks.
+        Re-gathered only after the ranks have moved (health checks,
+        monitors and the supervisor's fault sites share the same view);
+        the returned object is a snapshot for inspection, not a handle
+        into the per-rank blocks.
         """
-        if self._gstate_step != self.step_count:
+        if self._gstate is None:
             self._gstate = State(self.mech, self.grid, self.gather_state())
-            self._gstate_step = self.step_count
         return self._gstate
 
     # -- the four hooks: what a decomposed domain adds ---------------------
@@ -409,58 +485,56 @@ class ParallelPeriodicSolver(S3DSolver):
             "to step() / run() / run_resilient()"
         )
 
-    def _rhs_all(self, t, locals_) -> list:
-        """One RHS evaluation over the owned blocks: three execution-
-        plane calls, the ghost slabs each next phase needs routed in
-        between (in the driver: the routing is the communication pattern
-        under test). Returns the owned dU/dt blocks."""
-        call, route = self.world.call_all, self.halo.route
-        edges = call("rhs_begin", [(t, u) for u in locals_])
-        edges = call("rhs_fluxes", route(edges))
-        results = call("rhs_finish", route(edges))
-        if not self._defer:
-            return results
-        # reaction sources were deferred: evaluate the owned cells
-        # through the balancer and add them exactly where the serial RHS
-        # would (du[species] += wdot_mass[:nt])
-        out = [r[0] for r in results]
-        wdots = self.chemlb.production_rates([r[1:] for r in results])
-        nt, first = self.mech.n_species - 1, 2 + self.grid.ndim
-        for du, wdot in zip(out, wdots):
-            du[first:first + nt] += wdot[:nt]
-        return out
+    def _start(self, method, payloads=None) -> list:
+        """Call ``method`` on every rank; the ranks leave the state the
+        snapshots were taken of."""
+        self._snapshot = self._gstate = None
+        return self.world.call_all(method, payloads)
+
+    def _drive(self, replies, hold_filter=False) -> list:
+        """Serve the ranks until they report done: route the slabs they
+        posted to their neighbours (in the driver: the routing is the
+        communication pattern under test) — or hand deferred reaction
+        inputs to the chemistry balancer — and resume them with what
+        they wait for. Returns the last replies: all ``None``, or with
+        ``hold_filter`` the posts of the filter pass the ranks ran into
+        behind their last stage."""
+        while replies[0] is not None:
+            tag = replies[0][0]
+            posted = [reply[1:] for reply in replies]
+            if tag == "chem":
+                payloads = [(w,) for w in self.chemlb.production_rates(posted)]
+            elif hold_filter and tag is not None:
+                break
+            else:
+                payloads = self.halo.route(posted, axis=tag)
+            replies = self._start("resume", payloads)
+        return replies
 
     def _integrate(self, dt: float) -> None:
-        """The rank-parallel RHS as one callable over the packed owned
-        blocks: element-wise stage updates on the packed buffer are
-        bitwise those on the blocks, so every scheme (and the RK stage
-        guard) works unchanged. ``locals`` stay per-rank arrays — views
-        of the packed result."""
-        shapes = [b.shape for b in self.locals]
-
-        def rhs(t, packed):
-            return _pack(self._rhs_all(t, _unpack(packed, shapes)))
-
-        self.locals = _unpack(
-            self.integrator.step(rhs, self.time, _pack(self.locals), dt),
-            shapes)
+        """One ERK step on the ranks. When this step ends in a filter
+        pass with nothing in between (no Strang half-step), the ranks
+        run straight into it and :meth:`apply_filter` picks up there."""
+        interval = self.config.filter_interval
+        filtered = bool(self._chem is None and interval
+                        and (self.step_count + 1) % interval == 0)
+        guarded = self.integrator.stage_hook is not None
+        held = self._drive(self._start(
+            "advance", [(self.time, dt, filtered, guarded)]
+            * self.decomp.size), hold_filter=True)
+        self._held = held if filtered else None
 
     def _reactor_blocks(self) -> list:
-        return self.locals
+        return [block.copy() for block in self.locals]
+
+    def _reactors_advanced(self, blocks) -> None:
+        self._push(blocks)
 
     def apply_filter(self) -> None:
-        """The serial filter is sequential in place, axis by axis: the
-        conserved stack's ghost slabs are exchanged before each
-        decomposed axis' pass, and the local axes that follow it share
-        its call."""
-        ndim = self.grid.ndim
-        starts = sorted({0, *self.halo.axes})
-        for first, stop in zip(starts, starts[1:] + [ndim]):
-            ghosts = self.halo.exchange(self.locals, leading_axes=1, axis=first)
-            self.locals = self.world.call_all("filter_block", [
-                (u, first, stop, lo, hi)
-                for u, (lo, hi) in zip(self.locals, ghosts)
-            ])
+        """One filter pass on the ranks: the one they ran into behind
+        the step, or a fresh one."""
+        held, self._held = self._held, None
+        self._drive(self._start("filter") if held is None else held)
 
     # -- recovery plumbing ------------------------------------------------
     @property
@@ -500,13 +574,6 @@ class ParallelPeriodicSolver(S3DSolver):
         self.world.reset_channels()
         return ring.restore(self)
 
-    def capture_caches(self) -> list:
-        """The ranks' Newton temperature caches, one block per rank
-        (``None`` for ranks whose cache is cold). One execution-plane
-        collective; used by checkpointing so a restored run replays the
-        exact Newton starting points and stays bitwise."""
-        return self.world.call_all("cache_block")
-
     def install_shards(self, step: int, time: float, blocks, caches) -> None:
         """Adopt per-rank checkpoint shards — owned conserved blocks and
         Newton caches — as the current solver state.
@@ -521,13 +588,11 @@ class ParallelPeriodicSolver(S3DSolver):
             raise ValueError(
                 f"{len(blocks)} shard blocks for {self.decomp.size} ranks"
             )
-        self.locals = [np.array(b, dtype=float, copy=True) for b in blocks]
         self.time = float(time)
         self.step_count = int(step)
-        self._gstate_step = -1
         if any(c is None for c in caches):
             caches = [None] * self.decomp.size
-        self.world.call_all("install_cache", [(c,) for c in caches])
+        self._push(blocks, caches)
 
     def reconfigure(self, decomp) -> None:
         """Re-decompose onto a new (smaller) world — the shrink policy.
@@ -555,8 +620,6 @@ class ParallelPeriodicSolver(S3DSolver):
         if self.chemlb is not None:
             self.chemlb.rebind(self.world)
         self._start_rank_programs()
-        self.locals = [None] * decomp.size
-        self._gstate_step = -1
         if self._owns_world:
             old_world.close()
         self._owns_world = True

@@ -109,12 +109,12 @@ class DistributedCheckpointRing(VerifiedRing):
         )
 
         step, size = solver.step_count, solver.decomp.size
-        caches = solver.capture_caches()
+        blocks, caches = solver.locals, solver.caches
         for rank in range(size):
             tmp = self.tmp_path(step, rank)
             self._write_verified(
                 lambda: save_state_shard(
-                    self.fs, tmp, step, solver.time, solver.locals[rank],
+                    self.fs, tmp, step, solver.time, blocks[rank],
                     cache_block=caches[rank], telemetry=self.telemetry,
                     retry=self.retry),
                 lambda: verify_state_shard(self.fs, tmp),

@@ -120,10 +120,11 @@ def u_ref():
 
 def _kill_injector(mode: str, seed: int = SEED):
     """Seeded single-shot rank kill/hang somewhere in the first ~2 steps
-    (a ``ck45`` step with its filter pass is 16 collective calls)."""
+    (``set_state`` and the baseline checkpoint's pull are collective
+    calls 1 and 2; a ``ck45`` step with its filter pass is 12 more)."""
     rng = random.Random(seed)
     inj = FaultInjector(seed=seed)
-    inj.add("exec.call", mode=mode, count=1, after=1 + rng.randrange(32),
+    inj.add("exec.call", mode=mode, count=1, after=2 + rng.randrange(24),
             rank=rng.randrange(N_RANKS))
     return inj
 
@@ -391,6 +392,54 @@ class TestRestoreReplayIsBitwise:
             case.close()
 
 
+@pytest.mark.transport
+@pytest.mark.parametrize("transport_name", ["inprocess", "multiprocessing"])
+class TestAbandonedAdvance:
+    """The state lives on the ranks and a step is a suspended generator
+    there: recovery must not trip over one the failure left behind."""
+
+    def test_rollback_drops_the_step_a_survivor_holds(self, u_ref,
+                                                      transport_name):
+        solver = _h2_solver(transport_name=transport_name)
+        try:
+            ring = DistributedCheckpointRing(SimFileSystem(lustre()))
+            solver.step(DT)
+            ring.save(solver)
+            # a step every rank is in the middle of: posted, suspended
+            posted = solver.world.call_all(
+                "advance", [(solver.time, DT, True, False)] * N_RANKS)
+            assert all(reply is not None for reply in posted)
+            programs = solver.world.programs  # None when out of process
+            if programs is not None:
+                assert all(p._run is not None for p in programs)
+            assert solver.recover("rollback", ring, ())["step"] == 1
+            if programs is not None:
+                assert all(p._run is None for p in programs)
+            solver.run(N_STEPS - 1, DT)
+            assert np.array_equal(solver.gather_state(), u_ref)
+        finally:
+            solver.close()
+
+    def test_kill_inside_a_remainder_recovers(self, u_ref, transport_name):
+        """Calls 1-3 are ``set_state``, the baseline checkpoint's pull
+        and ``advance``, whose reply left rank 2 computing its reaction
+        sources behind the post: the fault strikes as the first
+        ``resume`` is dispatched."""
+        inj = FaultInjector(seed=SEED)
+        inj.add("exec.call", mode="rank_failure", count=1, after=3, rank=2)
+        solver = _h2_solver(policy="respawn", transport_name=transport_name,
+                            faults=inj)
+        try:
+            report = solver.run_resilient(SimFileSystem(lustre()), N_STEPS,
+                                          DT, checkpoint_interval=CKPT)
+            assert report.recoveries == 1
+            assert report.history[0].dead_ranks == (2,)
+            assert report.history[0].at_step == 0
+            assert np.array_equal(solver.gather_state(), u_ref)
+        finally:
+            solver.close()
+
+
 # ---------------------------------------------------------------------------
 class TestShrinkDecomposition:
     def _decomp(self, n=64, p=4):
@@ -491,7 +540,7 @@ class TestRecoveryInProcess:
 
     def test_recovery_budget_exhausts(self):
         inj = FaultInjector(seed=SEED)
-        inj.add("exec.call", mode="rank_failure", count=50, after=1,
+        inj.add("exec.call", mode="rank_failure", count=50, after=2,
                 rank=0)
         solver = _h2_solver(policy="respawn", faults=inj)
         try:

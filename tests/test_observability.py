@@ -643,7 +643,12 @@ class TestParallelHealth:
                                      observability="on")
         par.set_state(state.u)
         par.step(2e-8)
-        par.locals[2][0, 0, 0] = np.nan  # poison one rank's block
+        with pytest.raises(ValueError, match="read-only"):
+            par.locals[2][0, 0, 0] = np.nan  # a snapshot, not a handle
+        u = par.gather_state()
+        u[0, 18, 6] = np.nan  # poison one rank's block
+        par.set_state(u)
+        assert np.isnan(par.locals[2][0, 6, 6])
         with pytest.raises(WatchdogTripError) as err:
             par.health.check(2e-8)
         assert err.value.events[0].watchdog == "nan_sentinel"
@@ -651,9 +656,10 @@ class TestParallelHealth:
 
     def test_parallel_stage_guard_catches_mid_stage_nan(self, h2_mech,
                                                         h2_air_stoich):
-        """``full`` arms the RK stage guard on the one integrator both
-        solvers step through: a NaN in one rank's slope at one stage
-        trips before the stage is blended into the state."""
+        """``full`` arms the RK stage guard on the stage loop both
+        solvers step through — a rank checks its own slopes: a NaN in
+        one rank's slope at one stage trips, through the driver's
+        monitor, before the stage is blended into the state."""
         grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
         Yf = h2_air_stoich[:, None, None] * np.ones((1, 24, 24))
         T = 900.0 * np.ones((24, 24))
@@ -664,16 +670,17 @@ class TestParallelHealth:
                                      reacting=False, observability="full")
         par.set_state(state.u)
         par.step(2e-8)  # a clean step passes the guard
-        rhs_all, calls = par._rhs_all, []
+        prog, calls = par.world.programs[1], []
+        finish = prog.rhs.finish
 
-        def poisoned(t, blocks):
-            out = rhs_all(t, blocks)
-            calls.append(t)
+        def poisoned(ghosts=None):
+            du = finish(ghosts)
+            calls.append(ghosts)
             if len(calls) == 3:
-                out[1][0, 0, 0] = np.nan
-            return out
+                du[0, 0, 0] = np.nan
+            return du
 
-        par._rhs_all = poisoned
+        prog.rhs.finish = poisoned
         with pytest.raises(WatchdogTripError) as err:
             par.step(2e-8)
         assert err.value.events[0].watchdog == "rk_stage_guard"

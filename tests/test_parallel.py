@@ -305,6 +305,23 @@ class TestParallelSolverEquivalence:
                                        3 if len(shape) == 2 else 2)
         assert _rel(up, ref) <= SERIAL_RTOL
 
+    def test_quiescent_far_field_matches_serial(self, h2_mech,
+                                                h2_air_stoich):
+        """A hot spot in *uniform* flow — the state whose RK stages the
+        serial property memo used to confuse (tests/test_rhs_engine.py):
+        a rank keeps its block and stage-updates it in place like the
+        serial integrator does, and must not reuse a property either."""
+        grid = Grid((48, 24), (4e-3, 2e-3), periodic=(True, True))
+        xx, yy = grid.meshgrid()
+        T = 900.0 + 500.0 * np.exp(
+            -((xx - 1.5e-3) ** 2 + (yy - 1e-3) ** 2) / (2 * (3e-4) ** 2))
+        Yf = h2_air_stoich[:, None, None] * np.ones((1, 48, 24))
+        u0 = State.from_primitive(h2_mech, grid,
+                                  h2_mech.density(P_ATM, T, Yf),
+                                  [1.0, 0.5], T, Yf).u
+        ref, up = _serial_and_parallel(h2_mech, grid, u0, (2, 1), "ck45", 2)
+        assert _rel(up, ref) <= SERIAL_RTOL
+
     def test_a_rank_computes_only_the_points_it_owns(self, h2_mech,
                                                      h2_air_stoich):
         """The count: property and rate arrays of a rank have the shape
@@ -331,6 +348,50 @@ class TestParallelSolverEquivalence:
             assert pc.h_i.shape[1:] == pc.props.diffusivities.shape[1:] == owned
             assert prog.rhs.last_heat_release.shape == owned
 
+    @pytest.mark.parametrize("procs", [(2, 1), (2, 2)])
+    @pytest.mark.parametrize("scheme", ["ck45", "rk4"])
+    def test_only_ghost_slabs_cross_the_execution_plane(
+            self, h2_mech, h2_air_stoich, scheme, procs):
+        """Counts, not timings: one step is ``advance`` plus one
+        ``resume`` per suspension — two per RHS evaluation, one per
+        decomposed filter axis: 2 x stages + 2 calls on (2, 1) — and the
+        only arrays in its payloads and replies are the slabs the
+        message plane logs (each crosses twice: out as a post, in as a
+        ghost). A block-sized payload fails this."""
+        from repro.core.erk import ERKIntegrator
+
+        grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (24, 24))
+        d = CartesianDecomposition((24, 24), procs, periodic=(True, True))
+        world = SimMPI(d.size)
+        par = ParallelPeriodicSolver(
+            h2_mech, grid, d, world, reacting=True, scheme=scheme,
+            transport=ConstantLewisTransport(h2_mech))
+        par.set_state(u0)
+        par.step(2e-8)
+        calls, nbytes, call_all = [], [0], world.call_all
+
+        def counted(method, payloads=None):
+            replies = call_all(method, payloads)
+            calls.append(method)
+            nbytes[0] += sum(a.nbytes for per_rank in (payloads, replies)
+                             for part in per_rank for a in part or ()
+                             if isinstance(a, np.ndarray))
+            return replies
+
+        world.call_all = counted
+        world.log.clear()
+        par.step(2e-8)
+        stages = ERKIntegrator(scheme).stages
+        assert calls == ["advance"] + ["resume"] * (
+            2 * stages + len(par.halo.axes))
+        assert nbytes[0] == 2 * world.log.total_bytes
+        nvar, nf = 12, 13  # conserved variables; gradient-stack fields
+        assert world.log.count == d.size * 2 * len(par.halo.axes) * (
+            2 * stages + 1)
+        cross = sum(24 // procs[1 - a] for a in par.halo.axes)  # slab rows
+        assert world.log.total_bytes == d.size * 2 * cross * 8 * (
+            stages * (nf + nvar) * 4 + nvar * 5)
+
     def test_naive_engine_is_rejected(self, h2_mech):
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
@@ -344,12 +405,16 @@ class TestParallelSolverEquivalence:
         with pytest.raises(ValueError, match="at least 5 points"):
             ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(6))
 
-    def test_packed_2n_update_is_bitwise_the_per_block_loop(self, h2_mech,
-                                                            h2_air_stoich):
-        """The integrator sees the rank blocks packed end to end; its
-        element-wise 2N updates must be bitwise the per-block loop the
-        parallel solver used to carry inline (frozen here)."""
+    def test_resident_2n_update_is_the_per_block_loop(
+            self, h2_mech, h2_air_stoich):
+        """The ranks keep their block and the two RK registers and run
+        the serial stage loop suspended at the ghost points; the result
+        must be bitwise the driver-side per-block loop over three-phase
+        RHS evaluations the parallel solver used to carry (frozen here,
+        on the rank programs' own RHS objects)."""
+        from repro.core.derivatives import HALF_WIDTH
         from repro.core.erk import ERKIntegrator
+        from repro.parallel.halo import edge_slabs
 
         grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
         xx, yy = grid.meshgrid()
@@ -368,20 +433,40 @@ class TestParallelSolverEquivalence:
             par.set_state(state.u)
             return par
 
+        def rhs_all(par, t, blocks):
+            progs, axes = par.world.programs, par.halo.axes
+
+            def routed(stacks):
+                ghosts = par.halo.route([
+                    tuple(slab for a in axes for slab in
+                          edge_slabs(stack[a], 1 + a, HALF_WIDTH))
+                    for stack in stacks])
+                return [{a: g[2 * i:2 * i + 2] for i, a in enumerate(axes)}
+                        for g in ghosts]
+
+            for prog in progs:
+                prog.state.mark_modified()
+            gstacks = [prog.rhs.begin(t, u) for prog, u in zip(progs, blocks)]
+            ghosts = routed([dict.fromkeys(axes, g) for g in gstacks])
+            ghosts = routed([prog.rhs.fluxes(g)
+                             for prog, g in zip(progs, ghosts)])
+            return [prog.rhs.finish(g) for prog, g in zip(progs, ghosts)]
+
         new, old = build(), build()
         sch, dt = ERKIntegrator("ck45").scheme, 2e-8
+        u = [np.array(b, copy=True) for b in old.locals]
+        t = 0.0
         for _ in range(2):
             new.step(dt)
-            u = [np.array(b, copy=True) for b in old.locals]
             du = [np.zeros_like(b) for b in u]
             for i in range(sch.stages):
-                f = old._rhs_all(old.time + sch.c[i] * dt, u)
+                f = rhs_all(old, t + sch.c[i] * dt, u)
                 for r in range(d.size):
                     du[r] *= sch.a[i]
                     du[r] += dt * f[r]
                     u[r] += sch.b[i] * du[r]
-            old.locals, old.time = u, old.time + dt
-        for got, want in zip(new.locals, old.locals):
+            t += dt
+        for got, want in zip(new.locals, u):
             assert np.array_equal(got, want)
 
     def test_unknown_scheme_raises_at_construction(self, h2_mech):
@@ -402,3 +487,109 @@ class TestParallelSolverEquivalence:
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, False))
         with pytest.raises(ValueError, match="periodic"):
             ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(4))
+
+
+# ---------------------------------------------------------------------------
+# the rank program on both transports
+# ---------------------------------------------------------------------------
+def _front_state(mech, n=24):
+    """A hot, radical-seeded front in the low-x quarter of a periodic
+    box at rest plus a shear: the chemistry is skewed towards the ranks
+    that own the front, so a balancer ships cells."""
+    grid = Grid((n, n), (0.01, 0.01), periodic=(True, True))
+    xx, yy = grid.meshgrid()
+    front = np.exp(-(((xx / 0.01 - 0.25) / 0.08) ** 2))
+    T = 400.0 + 1400.0 * front
+    Y = np.zeros((mech.n_species, n, n))
+    Y[mech.index("H2")], Y[mech.index("O2")] = 0.028, 0.226
+    Y[mech.index("H")] = 0.001 * front
+    Y[mech.index("N2")] = 1.0 - Y.sum(axis=0)
+    k = 2 * np.pi / 0.01
+    vel = [1.0 + 0.5 * np.sin(k * yy + 0.3), 0.5 * np.cos(k * xx)]
+    return grid, State.from_primitive(
+        mech, grid, mech.density(P_ATM, T, Y), vel, T, Y).u
+
+
+def _front_run(mech, procs, comm_transport, steps=2, **kw):
+    """``(final u, cells shipped)`` of the front on ``procs`` ranks."""
+    grid, u0 = _front_state(mech)
+    d = CartesianDecomposition(grid.shape, procs, periodic=(True, True))
+    with ParallelPeriodicSolver(
+            mech, grid, d, transport=ConstantLewisTransport(mech),
+            reacting=True, scheme="ck45", comm_transport=comm_transport,
+            **kw) as par:
+        par.set_state(u0)
+        par.run(steps, 1e-8)
+        shipped = (par.chemlb.last_plan.cells_shipped
+                   if par.chemlb is not None else 0)
+        return par.gather_state(), shipped
+
+
+@pytest.mark.transport
+@pytest.mark.slow
+class TestRankProgramOnBothTransports:
+    """A worker process runs the rank program the in-process reference
+    runs, remainders and all: every mode, bit for bit."""
+
+    @pytest.mark.parametrize("procs", [(2, 1), (1, 2), (2, 2)])
+    def test_multiprocessing_is_bitwise_inprocess(self, h2_mech, procs):
+        ref, _ = _front_run(h2_mech, procs, "inprocess")
+        got, _ = _front_run(h2_mech, procs, "multiprocessing")
+        assert np.array_equal(got, ref)
+
+    def test_load_balanced_is_bitwise_off(self, h2_mech):
+        """Deferred reaction sources: the rank posts ``(rho, T, Y)`` and
+        is resumed with the balanced ``wdot``."""
+        ref, _ = _front_run(h2_mech, (2, 1), "inprocess")
+        for name in ("inprocess", "multiprocessing"):
+            got, shipped = _front_run(h2_mech, (2, 1), name,
+                                      chem_load_balance="greedy")
+            assert shipped > 0
+            assert np.array_equal(got, ref), name
+
+    def test_strang_pulls_and_pushes(self, h2_mech, h2_air_stoich):
+        """Strang mode: the driver pulls the blocks, advances the
+        reactors and pushes them back around every transport step (the
+        Newton caches stay where they are). Decomposed == serial is
+        tests/test_implicit.py's."""
+        grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (16, 16))
+        d = CartesianDecomposition((16, 16), (2, 1), periodic=(True, True))
+        out = []
+        for name in ("inprocess", "multiprocessing"):
+            with ParallelPeriodicSolver(
+                    h2_mech, grid, d, reacting=True, scheme="ck45",
+                    transport=ConstantLewisTransport(h2_mech),
+                    chemistry_mode="strang", comm_transport=name) as par:
+                par.set_state(u0)
+                par.run(2, 1e-7)
+                out.append(par.gather_state())
+        assert np.array_equal(*out)
+        assert not np.array_equal(out[0], u0)
+
+    @pytest.mark.parametrize("name", ["inprocess", "multiprocessing"])
+    def test_locals_are_a_coherent_snapshot(self, h2_mech, name):
+        """``set_state`` -> steps -> ``locals`` -> ``install_shards`` ->
+        steps: a pull sees what the ranks hold, survives their moving
+        on, and pushed back (with the Newton caches) replays the same
+        bits."""
+        grid, u0 = _front_state(h2_mech)
+        d = CartesianDecomposition(grid.shape, (2, 1), periodic=(True, True))
+        with ParallelPeriodicSolver(
+                h2_mech, grid, d, transport=ConstantLewisTransport(h2_mech),
+                reacting=True, scheme="ck45", comm_transport=name) as par:
+            par.set_state(u0)
+            assert np.array_equal(par.gather_state(), u0)
+            par.run(2, 1e-8)
+            blocks, caches = par.locals, par.caches
+            assert par.locals[0] is blocks[0]  # no second pull
+            held = [b.copy() for b in blocks]
+            par.run(2, 1e-8)
+            live = par.gather_state()
+            assert all(np.array_equal(b, h) for b, h in zip(blocks, held))
+            assert not np.array_equal(par.locals[0], held[0])
+            par.install_shards(2, 2e-8, blocks, caches)
+            assert (par.step_count, par.time) == (2, 2e-8)
+            assert all(np.array_equal(b, h)
+                       for b, h in zip(par.locals, held))
+            par.run(2, 1e-8)
+            assert np.array_equal(par.gather_state(), live)

@@ -172,7 +172,8 @@ class _Target:
     def locals(self):
         return self.decomp.scatter(self.state.u, 1)
 
-    def capture_caches(self):
+    @property
+    def caches(self):
         return self.decomp.scatter(self.state._t_cache, 0)
 
     def install_shards(self, step, time, blocks, caches):

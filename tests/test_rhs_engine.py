@@ -11,7 +11,7 @@ import pytest
 
 from repro.chemistry import ch4_twostep, h2_li2004
 from repro.chemistry.mechanisms import air
-from repro.core.config import BoundarySpec, SolverConfig
+from repro.core.config import BoundarySpec, SolverConfig, periodic_boundaries
 from repro.core.grid import Grid
 from repro.core.rhs import ENGINES, CompressibleRHS
 from repro.core.solver import S3DSolver
@@ -315,23 +315,15 @@ def _parent_call_batched(self, t, u, out=None):
 
     # -- chemical sources --------------------------------------------
     if self.reacting and mech.n_reactions:
-        if self.reaction_delegate is not None:
-            self.last_reaction_inputs = (rho, T, Y)
-            wdot_mass = self.reaction_delegate(self, t, rho, T, Y)
-        else:
-            with tel.span("REACTION_RATES"):
-                wdot_mass = self.backend.production_rates(mech, rho, T, Y)
-        if wdot_mass is not None:
-            du[st.species_slice] += wdot_mass[:nt]
-            hr = ws.array("rhs.heat_release", S)
-            tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
-            np.multiply(pc.h_i, wdot_mass, out=tmp_ns)
-            np.sum(tmp_ns, axis=0, out=hr)
-            np.negative(hr, out=hr)
-            self.last_heat_release = hr
-        else:
-            # deferred: the delegating caller owns the source terms
-            self.last_heat_release = None
+        with tel.span("REACTION_RATES"):
+            wdot_mass = self.backend.production_rates(mech, rho, T, Y)
+        du[st.species_slice] += wdot_mass[:nt]
+        hr = ws.array("rhs.heat_release", S)
+        tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
+        np.multiply(pc.h_i, wdot_mass, out=tmp_ns)
+        np.sum(tmp_ns, axis=0, out=hr)
+        np.negative(hr, out=hr)
+        self.last_heat_release = hr
     else:
         self.last_heat_release = ws.zeros("rhs.heat_release", S)
 
@@ -539,6 +531,39 @@ class TestPropsMemo:
         du1 = rhs(0.0, st.u)
         assert hits.value == 0
         assert not np.array_equal(du0, du1)
+
+
+    def test_a_quiescent_far_field_does_not_fool_the_memo(self):
+        """A hot spot in uniform flow: a conservative periodic stage
+        update moves neither corner of the buffer nor, to rounding, its
+        sum, and ``ck45`` updates the buffer in place — so the content
+        fingerprint alone let stage 2 reuse stage 1's properties
+        (batched != naive by 3e-8 after one step). The stage update
+        declares itself now (``rhs.mark_modified()``)."""
+        mech = h2_li2004()
+        shape = (48, 24)
+        grid = Grid(shape, (4e-3, 2e-3), periodic=(True, True))
+        xx, yy = grid.meshgrid()
+        T = 900.0 + 500.0 * np.exp(
+            -((xx - 2e-3) ** 2 + (yy - 1e-3) ** 2) / (2 * (3e-4) ** 2))
+        Y = np.zeros((mech.n_species,) + shape)
+        names = list(mech.species_names)
+        Y[names.index("H2")], Y[names.index("O2")] = 0.028, 0.226
+        Y[names.index("N2")] = 1.0 - 0.028 - 0.226
+        u0 = State.from_primitive(mech, grid, mech.density(P_ATM, T, Y),
+                                  [1.0, 0.5], T, Y).u
+        out = {}
+        for engine in ENGINES:
+            tel = Telemetry()
+            cfg = SolverConfig(dt=2e-8, scheme="ck45", rhs_engine=engine,
+                               boundaries=periodic_boundaries(2))
+            solver = S3DSolver(State(mech, grid, u0.copy()), cfg,
+                               transport=ConstantLewisTransport(mech),
+                               reacting=True, telemetry=tel)
+            solver.step()
+            assert tel.counter("rhs.props_cache_hits").value == 0
+            out[engine] = solver.state.u
+        assert np.array_equal(out["batched"], out["naive"])
 
 
 class TestEngineSelection:

@@ -18,6 +18,7 @@ Also here:
 """
 
 import os
+import time
 import zlib
 
 import numpy as np
@@ -33,8 +34,17 @@ from repro.parallel.comm import (
     create_transport,
     transport_unavailable_reason,
 )
-from repro.parallel.programs import EchoProgram, make_echo, make_failing
-from repro.resilience.errors import MessageNotFoundError, RankFailedError
+from repro.parallel.programs import (
+    EchoProgram,
+    ReplyEarlyProgram,
+    make_echo,
+    make_failing,
+)
+from repro.resilience.errors import (
+    MessageNotFoundError,
+    RankFailedError,
+    RankUnresponsiveError,
+)
 from repro.resilience.faults import FaultInjector
 
 pytestmark = pytest.mark.transport
@@ -298,6 +308,37 @@ class TestExecutionPlane:
         with pytest.raises(ValueError, match="per-rank args"):
             w.start_programs(make_echo, [(0.0,)])
 
+    def test_reply_early_runs_the_remainder_before_the_next_call(
+            self, make_world):
+        """The reply is what the method yields; the remainder has run
+        by the time the rank answers again. The arguments expired with
+        the reply: what the remainder copied is intact, what it reads
+        through the stale view is NaN — on every backend — and the
+        caller's own arrays are untouched."""
+        w = make_world(2)
+        w.start_programs(ReplyEarlyProgram, [()] * 2)
+        arrs = [np.arange(6.0) + r for r in range(2)]
+        for n in (1, 2):
+            assert w.call_all("work", [(a,) for a in arrs]) == [15.0, 21.0]
+            for r, (done, kept, stale) in enumerate(w.call_all("report")):
+                assert (done, kept) == (n, 15.0 + 6 * r)
+                assert np.isnan(stale)
+        np.testing.assert_array_equal(arrs[1], np.arange(6.0) + 1)
+
+    def test_late_failure_is_the_next_reply(self, make_world):
+        """An exception raised after the reply left surfaces, typed and
+        with its rank, in place of that rank's next call — once — and
+        the pipes stay in sync."""
+        w = make_world(2)
+        w.start_programs(ReplyEarlyProgram, [(1,)] * 2)
+        arr = np.ones(4)
+        assert w.call_all("work", [(arr,)] * 2) == [4.0, 4.0]
+        with pytest.raises(ValueError, match="late failure") as err:
+            w.call_all("report")
+        assert err.value.rank == 1
+        survivor, failed = w.call_all("report")
+        assert survivor[:2] == (1, 4.0) and failed == (0, None, None)
+
 
 class TestMultiprocessingIsolation:
     """Properties specific to the out-of-process backend: ranks really
@@ -356,6 +397,28 @@ class TestMultiprocessingIsolation:
             big = np.random.default_rng(3).random((256, 256, 4))  # 2 MiB
             out, _ = w.call_one(0, "roundtrip", big)
             np.testing.assert_array_equal(out, big)
+
+    def test_the_reply_does_not_wait_for_the_remainder(self):
+        """...and a worker killed inside a remainder is found dead by
+        the next call."""
+        with create_transport("multiprocessing", size=2) as w:
+            w.start_programs(ReplyEarlyProgram, [(1, 30.0)] * 2)
+            t0 = time.perf_counter()
+            assert w.call_all("work", [(np.ones(3),)] * 2) == [3.0, 3.0]
+            assert time.perf_counter() - t0 < 5.0
+            w._workers[1].proc.kill()
+            with pytest.raises(RankFailedError) as err:
+                w.call_all("report")
+            assert err.value.rank == 1 and w.failed_ranks == {1}
+
+    def test_heartbeat_covers_a_remainder_still_running(self):
+        with create_transport("multiprocessing", size=2,
+                              heartbeat=0.5) as w:
+            w.start_programs(ReplyEarlyProgram, [(0, 30.0)] * 2)
+            assert w.call_all("work", [(np.ones(3),)] * 2) == [3.0, 3.0]
+            with pytest.raises(RankUnresponsiveError, match="heartbeat"):
+                w.call_all("report")
+            assert w.failed_ranks == {0}
 
     def test_message_plane_spawns_no_workers(self):
         with create_transport("multiprocessing", size=4) as w:
