@@ -13,9 +13,9 @@ production rates — through a small execution protocol,
     are untouched by construction.
 ``numba``
     JIT-compiles the ghost-padded stencil sweeps and the per-cell
-    NASA-7/Newton-temperature and Arrhenius/falloff production-rate
-    loops into fused ``nopython`` kernels operating on the same NumPy
-    arena buffers. Importability-gated: resolving it without the
+    Arrhenius/falloff production-rate loops into fused ``nopython``
+    kernels operating on the same NumPy arena buffers (the Newton
+    temperature inversion stays the host solve). Importability-gated: resolving it without the
     ``numba`` package raises :class:`BackendUnavailable` naming the
     missing package, and conformance tests skip with that reason.
 

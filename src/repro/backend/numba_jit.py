@@ -2,11 +2,11 @@
 
 The kernels fuse exactly the loops NumPy cannot: the ghost-padded
 stencil sweeps become single passes over ``(n, m)`` views (instead of
-~8 whole-array slice operations), and the per-cell NASA-7 Newton
-inversion and Arrhenius/falloff/third-body production-rate chains run as
-one pass per cell over the packed mechanism arrays from
-:mod:`repro.backend.packs` — no ``(Nr,)+S`` or ``(Ns,)+S`` temporaries
-at all.
+~8 whole-array slice operations), and the Arrhenius/falloff/third-body
+production-rate chains run as one pass per cell over the packed
+mechanism arrays from :mod:`repro.backend.packs` — no ``(Nr,)+S`` or
+``(Ns,)+S`` temporaries at all. The Newton temperature inversion is the
+host solve (:meth:`~repro.backend.ArrayBackend.temperature_from_energy`).
 
 Arrays stay plain NumPy (the arena is shared with the reference
 backend); only execution changes. Results are *not* bitwise identical to
@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.backend import ArrayBackend, register_backend
-from repro.backend.packs import KineticsPack, ThermoPack
+from repro.backend.packs import KineticsPack
 from repro.util.constants import RU, P_ATM
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -121,52 +121,6 @@ if HAVE_NUMBA:  # pragma: no cover - compiled/executed only with numba
                     for k in range(-w, w + 1):
                         corr += weights[k + w] * f[i + k, j]
                     out[i, j] = f[i, j] - corr
-
-    @njit(cache=True, parallel=True)
-    def _newton_temperature(e, Y, w, lo, hi, tmid, T, tol, max_iter):
-        m = e.shape[0]
-        ns = w.shape[0]
-        fails = 0
-        for c in prange(m):
-            t = T[c]
-            s = 0.0
-            for i in range(ns):
-                s += Y[i, c] / w[i]
-            r = RU * s
-            ok = False
-            for _ in range(max_iter):
-                hsum = 0.0
-                cpsum = 0.0
-                for i in range(ns):
-                    if t < tmid[i]:
-                        a = lo[i]
-                    else:
-                        a = hi[i]
-                    poly = a[0] + t * (
-                        a[1] / 2 + t * (a[2] / 3 + t * (a[3] / 4 + t * a[4] / 5))
-                    )
-                    h = RU * (t * poly + a[5])
-                    cp = RU * (
-                        a[0] + t * (a[1] + t * (a[2] + t * (a[3] + t * a[4])))
-                    )
-                    hsum += h / w[i] * Y[i, c]
-                    cpsum += cp / w[i] * Y[i, c]
-                resid = hsum - r * t - e[c]
-                cv = cpsum - r
-                dt = resid / cv
-                t -= dt
-                if t < 50.0:
-                    t = 50.0
-                elif t > 6000.0:
-                    t = 6000.0
-                floor = t if t > 1.0 else 1.0
-                if abs(dt) < tol * floor:
-                    ok = True
-                    break
-            T[c] = t
-            if not ok:
-                fails += 1
-        return fails
 
     @njit(cache=True, parallel=True)
     def _production_rates(
@@ -300,7 +254,6 @@ if HAVE_NUMBA:  # pragma: no cover - compiled/executed only with numba
         "deriv_boundary": _deriv_boundary,
         "filter_periodic": _filter_periodic,
         "filter_boundary": _filter_boundary,
-        "newton_temperature": _newton_temperature,
         "production_rates": _production_rates,
     }
 else:
@@ -318,7 +271,6 @@ class NumbaBackend(ArrayBackend):
     def __init__(self):
         super().__init__()
         self._timed: dict = {}
-        self._thermo_packs: dict = {}
         self._kin_packs: dict = {}
 
     @classmethod
@@ -359,13 +311,6 @@ class NumbaBackend(ArrayBackend):
         return call
 
     # ------------------------------------------------------------------
-    def _thermo_pack(self, mech) -> ThermoPack:
-        entry = self._thermo_packs.get(id(mech))
-        if entry is None:
-            entry = (mech, ThermoPack.from_table(mech.thermo))
-            self._thermo_packs[id(mech)] = entry
-        return entry[1]
-
     def _kin_pack(self, mech) -> KineticsPack:
         entry = self._kin_packs.get(id(mech))
         if entry is None:
@@ -374,23 +319,6 @@ class NumbaBackend(ArrayBackend):
         return entry[1]
 
     # ------------------------------------------------------------------
-    def temperature_from_energy(self, mech, e, Y, T_guess=None):
-        tp = self._thermo_pack(mech)
-        e = np.ascontiguousarray(np.asarray(e, dtype=float))
-        Y = np.ascontiguousarray(np.asarray(Y, dtype=float))
-        if T_guess is None:
-            T = np.full(e.shape, 1000.0)
-        else:
-            T = np.array(np.broadcast_to(T_guess, e.shape), dtype=float, copy=True)
-        kern = self.kernel("newton_temperature")
-        fails = kern(
-            e.reshape(-1), Y.reshape(mech.n_species, -1), mech.weights,
-            tp.lo, tp.hi, tp.tmid, T.reshape(-1), 1e-9, 100,
-        )
-        if fails:
-            raise RuntimeError("temperature_from_energy failed to converge")
-        return T
-
     def production_rates(self, mech, rho, T, Y):
         if mech.kinetics is None:
             return np.zeros_like(np.asarray(Y, dtype=float))

@@ -69,7 +69,6 @@ import numpy as np
 from repro.chemistry.jacobian import SourceTermJacobian
 from repro.core.config import KNOBS, resolve
 from repro.telemetry import resolve as resolve_telemetry
-from repro.util.constants import RU
 from repro.util.reduction import axis0_sum
 
 #: Solver-level chemistry coupling modes (SolverConfig.chemistry_mode).
@@ -145,52 +144,6 @@ def batched_lu_solve(lu, piv, b):
                 x[:, k] -= (lu[:, k, k + 1 :] * x[:, k + 1 :]).sum(axis=1)
             x[:, k] /= lu[:, k, k]
     return x
-
-
-# ----------------------------------------------------------------------
-# per-cell temperature recovery (batch-independent variant)
-# ----------------------------------------------------------------------
-def temperature_from_energy_cells(
-    mech, e, Y, T_guess=None, tol=1e-10, max_iter=100
-):
-    """Invert e(T, Y) = e per cell with *per-cell* Newton termination.
-
-    :meth:`Mechanism.temperature_from_energy` iterates until the whole
-    batch converges, so a converged cell keeps receiving (tiny) updates
-    while its neighbours finish — its bits then depend on what else is
-    in the batch. Here each cell leaves the iteration the moment its own
-    update passes the tolerance, making the recovered temperature a pure
-    function of that cell's ``(e, Y, T_guess)``. The Strang chemistry
-    step uses this so the whole split update is bitwise batch-shape
-    independent (serial and rank-parallel solvers agree exactly).
-    """
-    e = np.asarray(e, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if e.ndim != 1 or Y.ndim != 2 or Y.shape[1] != e.shape[0]:
-        raise ValueError(f"expected e (N,) and Y (Ns, N); got {e.shape}, {Y.shape}")
-    w = mech.weights[:, None]
-    if T_guess is None:
-        T = np.full(e.shape, 1000.0)
-    else:
-        T = np.array(np.broadcast_to(np.asarray(T_guess, dtype=float), e.shape),
-                     copy=True)
-    r = RU * axis0_sum(Y / w)
-    active = np.arange(e.shape[0])
-    for _ in range(max_iter):
-        Ts = T[active]
-        hm, cpm = mech.thermo.enthalpy_cp_mass(Ts, Y[:, active], mech.weights)
-        resid = hm - r[active] * Ts - e[active]
-        cv = cpm - r[active]
-        dT = resid / cv
-        Tn = np.clip(Ts - dT, 50.0, 6000.0)
-        T[active] = Tn
-        conv = np.abs(dT) < tol * np.maximum(Tn, 1.0)
-        active = active[~conv]
-        if active.size == 0:
-            break
-    else:
-        raise RuntimeError("temperature_from_energy_cells failed to converge")
-    return T
 
 
 # ----------------------------------------------------------------------
@@ -362,11 +315,11 @@ class ImplicitChemistry:
             raise ValueError("advance_energy requires the constant-volume closure")
         rho = np.asarray(rho, dtype=float)
         e_int = np.asarray(e_int, dtype=float)
-        T0 = temperature_from_energy_cells(self.mech, e_int, Y, T_guess=T_guess)
+        T0 = self.mech.temperature_from_energy(e_int, Y, T_guess=T_guess)
         T1, Y1, stats = self.advance(
             T0, Y, dt, rho=rho, fixed_steps=fixed_steps
         )
-        T1 = temperature_from_energy_cells(self.mech, e_int, Y1, T_guess=T1)
+        T1 = self.mech.temperature_from_energy(e_int, Y1, T_guess=T1)
         return T1, Y1, stats
 
     def stiffness_estimate(self, T, Y, p=None, rho=None):

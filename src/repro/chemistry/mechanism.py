@@ -160,47 +160,18 @@ class Mechanism:
 
         This is the inner solve of the DNS primitive-variable recovery; it
         converges in a handful of iterations from the previous step's
-        temperature.
+        temperature, and every cell stops at its own convergence
+        (:meth:`ThermoTable.temperature
+        <repro.chemistry.thermo.ThermoTable.temperature>`): the result
+        is a pure function of the cell, whatever batch it is solved in.
         """
-        e = np.asarray(e, dtype=float)
-        T = np.full(e.shape, 1000.0) if T_guess is None else np.array(T_guess, dtype=float, copy=True)
-        T = np.broadcast_to(T, e.shape).copy() if T.shape != e.shape else T
-        # Y is loop-invariant: hoist the gas constant (a full mean-weight
-        # reduction otherwise recomputed twice per iteration)
-        w, Y = self._wshape(Y)
-        r = RU / (1.0 / axis0_sum(Y / w))
-        for _ in range(max_iter):
-            # resid = int_energy_mass - e = (enthalpy_mass - r T) - e
-            resid, cv = self.thermo.enthalpy_cp_mass(T, Y, self.weights)
-            resid -= r * T
-            resid -= e
-            # cv = cp_mass - r
-            cv -= r
-            if self._newton_update(T, resid, cv, tol):
-                return T
-        raise RuntimeError("temperature_from_energy failed to converge")
+        return self.thermo.temperature(e, Y, self.weights, T_guess, energy=True,
+                                       tol=tol, max_iter=max_iter)
 
     def temperature_from_enthalpy(self, h, Y, T_guess=None, tol=1e-9, max_iter=100):
-        """Invert h(T, Y) = h for T by Newton iteration."""
-        h = np.asarray(h, dtype=float)
-        T = np.full(h.shape, 1000.0) if T_guess is None else np.array(T_guess, dtype=float, copy=True)
-        T = np.broadcast_to(T, h.shape).copy() if T.shape != h.shape else T
-        Y = np.asarray(Y, dtype=float)
-        for _ in range(max_iter):
-            resid, cp = self.thermo.enthalpy_cp_mass(T, Y, self.weights)
-            resid -= h
-            if self._newton_update(T, resid, cp, tol):
-                return T
-        raise RuntimeError("temperature_from_enthalpy failed to converge")
-
-    @staticmethod
-    def _newton_update(T, resid, slope, tol):
-        """``T -= resid / slope`` in place, clipped; True once the whole batch converged."""
-        dT = resid
-        dT /= slope
-        T -= dT
-        np.clip(T, 50.0, 6000.0, out=T)
-        return bool(np.all(np.abs(dT) < tol * np.maximum(T, 1.0)))
+        """Invert h(T, Y) = h for T by Newton iteration (same solve)."""
+        return self.thermo.temperature(h, Y, self.weights, T_guess, energy=False,
+                                       tol=tol, max_iter=max_iter)
 
     def sound_speed(self, T, Y):
         """Frozen sound speed a = sqrt(gamma R T) [m/s]."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.constants import RU
-from repro.util.reduction import axis0_sum
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,29 @@ def _horner(T, c, div, out, logT=None):
     return out
 
 
+#: Newton temperature iterates are clipped into this band [K]
+T_BOUNDS = (50.0, 6000.0)
+
+#: cells per tile of the temperature solve (18 scratch rows of this length)
+TILE_CELLS = 8192
+
+#: h / Ru = T (a0 + T (a1/2 + T (a2/3 + T (a3/4 + T a4/5)))) + a5
+_H_DIVISORS = np.array([2.0, 3.0, 4.0, 5.0])[:, None]
+
+
+def _fold_range(tab, members, Yf, out, tmp):
+    """``out`` (6, n) <- ``sum_i Yf[i] * tab[i]`` over ``members``, in order.
+
+    ``tab[i]`` is a (6, 1) coefficient column: one broadcast product
+    (into ``tmp``, shaped like ``out``) and one accumulation per species.
+    """
+    first, *rest = members
+    np.multiply(Yf[first], tab[first], out=out)
+    for i in rest:
+        np.multiply(Yf[i], tab[i], out=tmp)
+        out += tmp
+
+
 #: property -> (Horner coefficients of an (Ns, 7) table ``a``, divisor of
 #: the leading term, has a ln T term): the operation sequence of the
 #: textbook expressions, e.g. h = RU (T (a0 + T (a1/2 + T (a2/3 +
@@ -200,6 +222,8 @@ class ThermoTable:
             self._prog[name] = (div, has_log, scalars, columns)
         # single-slot per-field property memo: (T, fingerprint, {prop: value})
         self._prop_cache = None
+        # grow-only scratch of :meth:`temperature`
+        self._solve_rows = np.empty(0)
 
     #: only memoize property evaluations for fields at least this large
     _MEMO_MIN_SIZE = 512
@@ -326,46 +350,140 @@ class ThermoTable:
         """
         return tuple(self._evaluate(T, ("h", "cp")))
 
-    def enthalpy_cp_mass(self, T, Y, weights):
-        """Mixture ``(sum_i h_i Y_i / W_i, sum_i cp_i Y_i / W_i)``, each shape S.
+    # -- the caloric equation of a cell is one polynomial ------------------
+    def temperature(self, target, Y, weights, T_guess=None, *, energy,
+                    tol=1e-9, max_iter=100):
+        """Invert the mixture's ``h(T) = target`` (``energy``: ``e(T)``) per cell.
 
-        The residual/slope pair of the Newton temperature inversions
-        [J/kg, J/(kg K)], returned fresh and writable. Each term is
-        ``(x_i / W_i) * Y_i`` and the sum runs in species-index order
-        (:func:`~repro.util.reduction.axis0_sum`'s), so this is bitwise
-        the mass-weighted reduction of :meth:`enthalpy_cp_molar` — but a
-        large field is consumed one species at a time through one scratch
-        pair, never materializing the ``(Ns,) + S`` arrays.
+        ``h = sum_i (Y_i / W_i) h_i(T)`` is itself a NASA-7 polynomial
+        whose coefficients are ``sum_i (Y_i / W_i) a_ik`` (and ``e = h -
+        Ru T sum_i Y_i / W_i`` only lowers ``a_i0`` by one), so the
+        tables are folded with the composition once (:meth:`_fold`) and
+        Newton iterates on one Horner pair per cell instead of one per
+        species. A cell stops at its own convergence — the update is
+        applied, then tested against ``tol`` relative, and a converged
+        cell is taken out of the iteration — so its temperature is a
+        pure function of its own ``(target, Y, T_guess)``, bit for bit
+        the same alone, in any batch and on any rank, and accurate to
+        round-off (the update that passed the test has been applied).
+        Iterates stay inside :data:`T_BOUNDS`; a cell whose iterate
+        changes side of a ``t_mid`` gets that range's polynomial before
+        its next evaluation. ``target`` has any shape ``S``, ``Y`` is
+        ``(Ns,) + S``; returns a fresh array of shape ``S``.
         """
-        T = np.asarray(T, dtype=float)
-        if T.size <= self._SMALL or len(self._groups) > 1:
-            # small batches, and tables mixing t_mid values, reduce the
-            # materialized pair
-            w = weights.reshape((-1,) + (1,) * T.ndim)
-            h, cp = self.enthalpy_cp_molar(T)
-            for x in (h, cp):
-                x /= w
-                x *= Y
-            return axis0_sum(h), axis0_sum(cp)
-        Tf = T.reshape(-1)
-        names = ("h", "cp")
-        # one group holding every species: patch rows are species indices
-        ((major, minor, patches),) = self._plan(names, Tf, None)
-        programs = [(self._prog[n][2][major], self._prog[n][0]) for n in names]
-        sums = np.empty((2,) + T.shape)
-        scratch = np.empty((2,) + T.shape)
-        for i in range(self.n_species):
-            terms = sums if i == 0 else scratch
-            for j, row in enumerate(terms.reshape(2, -1)):
-                scalars, div = programs[j]
-                _horner(Tf, scalars[i], div, row)
-                if minor is not None:
-                    row[minor] = patches[j][i]
-            terms /= weights[i]
-            terms *= Y[i]
-            if i:
-                sums += terms
-        return sums[0], sums[1]
+        target = np.asarray(target, dtype=float)
+        T = np.empty(target.shape)
+        T[...] = 1000.0 if T_guess is None else T_guess
+        Tf, goal = T.reshape(-1), target.reshape(-1)
+        Y = np.broadcast_to(np.asarray(Y, dtype=float), (self.n_species,) + T.shape)
+        Yf = Y.reshape(self.n_species, -1)
+        tabs = np.stack((self._lo[:, :6], self._hi[:, :6]))  # (range, Ns, 6)
+        if energy:
+            tabs[:, :, 0] -= 1.0
+        tabs *= (RU / np.asarray(weights, dtype=float))[:, None]
+        tabs = tabs[..., None]  # columns against (n,) rows of Y
+        # cells are independent: solve them in even, cache-sized tiles
+        tiles = -(-Tf.size // TILE_CELLS) or 1
+        edges = np.linspace(0, Tf.size, tiles + 1).astype(int)
+        for a, b in zip(edges[:-1], edges[1:]):
+            self._newton(tabs, Yf[:, a:b], Tf[a:b], goal[a:b], tol, max_iter)
+        return T
+
+    def _newton(self, tabs, Yf, Tf, goal, tol, max_iter):
+        """:meth:`temperature` of one tile, in place in ``Tf``."""
+        n = Tf.size
+        # 18 rows: the polynomial (10), Newton's residual and slope (2),
+        # the fold's product block (6) -- kept between solves, since a
+        # fresh allocation of this size is paged in at every call
+        if self._solve_rows.size < 18 * n:
+            self._solve_rows = np.empty(18 * n)
+        coef, scratch, tmp = np.split(
+            self._solve_rows[: 18 * n].reshape(18, n), (10, 12))
+        self._fold(tabs, Yf, Tf, goal, coef, tmp)
+        cells = None  # indices of the cells still iterating; None: all
+        frozen = None  # converged cells riding along until a compaction
+        Ta = Tf
+        for _ in range(max_iter):
+            f, slope = scratch[:, : Ta.size]
+            # residual T (c0 + T (c1/2 + T (c2/3 + T (c3/4 + T c4/5)))) + (c5 - target)
+            np.multiply(Ta, coef[9], out=f)
+            for k in (8, 7, 6, 0):
+                f += coef[k]
+                f *= Ta
+            f += coef[5]
+            # slope c0 + T (c1 + T (c2 + T (c3 + T c4)))
+            np.multiply(Ta, coef[4], out=slope)
+            for k in (3, 2, 1):
+                slope += coef[k]
+                slope *= Ta
+            slope += coef[0]
+            f /= slope
+            if frozen is not None:
+                f[frozen] = 0.0  # T - 0 is T: they stay where they converged
+            was_low = [Ta < tmid for tmid, _, _ in self._groups]
+            Ta -= f
+            np.clip(Ta, *T_BOUNDS, out=Ta)
+            if cells is not None:
+                Tf[cells] = Ta
+            np.abs(f, out=f)
+            np.multiply(Ta, tol, out=slope)
+            done = f < slope  # NaN never converges
+            live = np.flatnonzero(~done)
+            if not live.size:
+                return
+            moved = np.flatnonzero(np.logical_or.reduce(
+                [(Ta < tmid) != low
+                 for low, (tmid, _, _) in zip(was_low, self._groups)]))
+            if moved.size:  # onto the other side of a t_mid: re-fold them
+                at = moved if cells is None else cells[moved]
+                patch = np.empty((10, moved.size))
+                self._fold(tabs, Yf[:, at], Ta[moved], goal[at], patch,
+                           np.empty((6, moved.size)))
+                coef[:, moved] = patch
+            if 2 * live.size > Ta.size:
+                # gathering most of the batch costs more than carrying
+                # the converged cells through one more evaluation
+                frozen = np.flatnonzero(done) if live.size < Ta.size else None
+            else:
+                frozen = None
+                cells = live if cells is None else cells[live]
+                Ta, coef = Ta[live], coef[:, live]
+        stuck = Ta.size - (0 if frozen is None else frozen.size)
+        raise RuntimeError(
+            f"Newton temperature solve failed to converge in {stuck} "
+            f"cells after {max_iter} iterations"
+        )
+
+    def _fold(self, tabs, Yf, Tf, goal, coef, tmp):
+        """``coef`` (10, n) <- the cells' mixture polynomials at ``Tf``.
+
+        Rows 0-5 are ``sum_i Y_i tabs[range_i][i, k]``, each species on
+        the side of its ``t_mid`` the cell's temperature is on, summed
+        in species-index order within a ``t_mid`` group (explicit
+        elementwise passes: which cells share a pass never enters the
+        arithmetic); row 5 has ``goal`` subtracted, rows 6-9 are rows
+        1-4 over 2..5, the enthalpy's Horner coefficients. The majority
+        range of a group is folded over the whole batch, the minority
+        cells are gathered, folded on their own range and scattered
+        back, as :meth:`_plan` does for the species properties.
+        """
+        n = Tf.size
+        for g, (tmid, _, members) in enumerate(self._groups):
+            part = coef[:6] if g == 0 else np.empty((6, n))
+            low = Tf < tmid
+            n_low = np.count_nonzero(low)
+            major = int(2 * n_low < n)  # range 0 is T < t_mid
+            _fold_range(tabs[major], members, Yf, part, tmp)
+            if 0 < n_low < n:
+                minor = np.flatnonzero(low if major else ~low)
+                patch, tmp_minor = np.empty((2, 6, minor.size))
+                _fold_range(tabs[1 - major], members, Yf[:, minor], patch,
+                            tmp_minor)
+                part[:, minor] = patch
+            if g:
+                coef[:6] += part
+        coef[5] -= goal
+        np.divide(coef[1:5], _H_DIVISORS, out=coef[6:])
 
     def gibbs_over_rt(self, T):
         """Dimensionless Gibbs energies g_i/(Ru T), shape (Ns,)+S."""

@@ -147,11 +147,16 @@ class LowStorageERK:
 
     def stepper(self, rhs, t, u, dt, stage_hook=None):
         """One step in low-storage form (two registers), as a generator
-        returning the updated state array. ``u`` is updated in place
-        between evaluations, so an RHS that memoizes on the buffer it is
-        handed is told after each update (``rhs.mark_modified()``): no
-        checksum of a conservative update is guaranteed to move."""
-        u = np.array(u, dtype=float, copy=True)
+        returning the updated state array (a fresh one: ``u`` is left
+        untouched). Stage 1 is evaluated on ``u`` itself, as
+        :class:`ButcherERK` does, so whatever the RHS memoized on that
+        buffer — the property bundle of a ``stable_dt`` just before the
+        step — is what stage 1 consumes; the working copy is taken
+        afterwards. The copy is then updated in place between
+        evaluations, so an RHS that memoizes on the buffer it is handed
+        is told after each update (``rhs.mark_modified()``): no checksum
+        of a conservative update is guaranteed to move."""
+        u = np.asarray(u, dtype=float)
         du = np.zeros_like(u)
         use_out = getattr(rhs, "supports_out", False)
         if use_out and (self._fbuf is None or self._fbuf.shape != u.shape):
@@ -168,6 +173,8 @@ class LowStorageERK:
                 du += f
             else:
                 du += dt * f
+            if i == 0:
+                u = u.copy()
             u += self.b[i] * du
             if mark_modified is not None:
                 mark_modified()

@@ -187,19 +187,16 @@ class CompressibleRHS:
         conservative update of a quiescent far field moves neither the
         corner values nor, to rounding, the sum.
 
-        Whether the memo bridges :meth:`stable_dt` and the first
-        integrator stage depends on the scheme. ``ButcherERK`` (the
-        default ``rkf45``, ``rk4``) evaluates stage 1 on the state array
-        itself, so a CFL-adaptive step, or the ``full``-mode CFL
-        watchdog's look at the finished step, shares its evaluation with
-        stage 1 — that sharing is also what keeps the watchdog bitwise
-        invisible, because a second warm Newton solve of the same state
-        is not idempotent in the last bit. ``LowStorageERK.step``
-        (``ck45``, every science scenario and ledger workload) copies
-        ``u`` first, so there ``rhs.props_cache_hits`` stays 0 and the
-        two evaluate separately; closing that gap needs an explicit
-        hand-off and moves the explicit goldens (docs/PERFORMANCE.md,
-        ROADMAP.md).
+        The memo bridges :meth:`stable_dt` and the first integrator
+        stage: every scheme evaluates stage 1 on the state array itself
+        (``LowStorageERK`` takes its working copy after it), so a
+        CFL-adaptive step, or the ``full``-mode CFL watchdog's look at
+        the finished step, shares its evaluation with stage 1 — five
+        property evaluations per adaptive ``ck45`` step, not six. That
+        sharing is also what keeps the watchdog bitwise invisible,
+        because a second warm Newton solve of the same state is not
+        idempotent in the last bit. A fixed-``dt`` step has no estimate
+        to share, and a Strang half-step in between bumps the version.
         """
         st = self.state
         u = np.asarray(u, dtype=float)
@@ -682,15 +679,16 @@ class CompressibleRHS:
         """Acoustic + diffusive stable time step estimate.
 
         Shares the memoized primitives/transport evaluation with an RHS
-        evaluation on the same buffer — stage 1 of the Butcher-form
-        schemes; the low-storage ones copy ``u`` first, so there the
-        estimate and stage 1 each evaluate the properties (see
-        :meth:`_eval_props`).
+        evaluation on the same buffer: stage 1 of the step it sizes,
+        whatever the scheme (see :meth:`_eval_props`).
         """
         st = self.state
         pc = self._eval_props(st.u if u is None else u)
-        rho, vel, T, p, Y = pc.rho, pc.vel, pc.T, pc.p, pc.Y
-        a = self.mech.sound_speed(T, Y)
+        rho, vel, T, Y = pc.rho, pc.vel, pc.T, pc.Y
+        # frozen sound speed sqrt(gamma R T), gamma = cp / (cp - R)
+        cp = self.mech.cp_mass(T, Y)
+        r = self.mech.gas_constant(Y)
+        a = np.sqrt(cp / (cp - r) * r * T)
         dt = np.inf
         for axis in range(self.ndim):
             dx = 1.0 / np.abs(self.grid.inv_metric[axis]).max()
@@ -699,9 +697,7 @@ class CompressibleRHS:
         if self.transport is not None:
             props = pc.props
             nu = float((props.viscosity / rho).max())
-            alpha = float(
-                (props.conductivity / (rho * self.mech.cp_mass(T, Y))).max()
-            )
+            alpha = float((props.conductivity / (rho * cp)).max())
             dmax = max(nu, alpha, float(props.diffusivities.max()))
             dx = self.grid.min_spacing
             if dmax > 0:

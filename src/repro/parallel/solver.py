@@ -19,9 +19,9 @@ Two levels of fidelity to S3D's parallelization (§2.6):
   flux stacks), once per decomposed filter axis (width-5 slabs of the
   conserved stack) — and the driver routes what the ranks posted and
   resumes them. Every sweep is bitwise the global operator's on the rows
-  a rank owns, so (1, 1) *is* the serial computation and more ranks
-  match it to the last bit whenever each rank's Newton temperature solve
-  takes the serial batch's iteration count (docs/PARALLEL.md).
+  a rank owns and every pointwise kernel — the Newton temperature solve
+  included — is a pure function of the cell, so any decomposition *is*
+  the serial computation, to the last bit (docs/PARALLEL.md).
 """
 
 from __future__ import annotations

@@ -56,11 +56,9 @@ from repro.resilience.faults import FaultInjector
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.transport import ConstantLewisTransport
 from repro.util.constants import P_ATM
+from tests.tolerances import MP_TRANSPORT_RTOL
 
 pytestmark = pytest.mark.recovery
-
-#: multiprocessing contract bound (in practice the backends agree bitwise)
-MP_RTOL = 1e-12
 
 #: per-lane fault schedule seed (CI sweeps REPRO_FAULT_SEED in {1, 7, 42})
 SEED = resolve("fault_seed")
@@ -740,7 +738,8 @@ class TestRecoveryMultiprocessing:
     def _assert_close(self, u, u_ref):
         scale = np.max(np.abs(u_ref))
         err = np.max(np.abs(u - u_ref)) / scale
-        assert err <= MP_RTOL, f"relative error {err:.3e} > {MP_RTOL}"
+        assert err <= MP_TRANSPORT_RTOL, (
+            f"relative error {err:.3e} > {MP_TRANSPORT_RTOL}")
 
     @pytest.mark.parametrize("policy", ["respawn", "shrink"])
     def test_worker_kill_recovers(self, u_ref, policy):

@@ -3,9 +3,9 @@
 Re-runs the tiny lifted-jet and Bunsen-box configurations of
 :mod:`repro.analysis.golden` and compares their summary statistics
 against the committed JSON under ``tests/goldens/``. Tolerances are
-tight (1e-9 relative): loose enough to absorb run-to-run library
-differences across NumPy builds, tight enough that any genuine change
-to the numerics fails. Regenerate intentionally with
+tight (``GOLDEN_SUMMARY_RTOL``, 1e-9 relative): loose enough to absorb
+run-to-run library differences across NumPy builds, tight enough that
+any genuine change to the numerics fails. Regenerate intentionally with
 ``python benchmarks/regen_goldens.py`` (see that script's docstring for
 when that is and is not appropriate).
 """
@@ -15,13 +15,12 @@ import pathlib
 import pytest
 
 from repro.analysis.golden import GOLDEN_SCENARIOS, GOLDEN_VERSION, load_golden
+from tests.tolerances import GOLDEN_SUMMARY_RTOL
 
 pytestmark = pytest.mark.golden
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
-#: relative tolerance on every scalar statistic
-RTOL = 1e-9
 #: statistics compared against zero get this absolute floor, scaled by
 #: the golden field's magnitude range
 ATOL_FLOOR = 1e-300
@@ -37,7 +36,7 @@ def _compare(got, want, path=""):
         for key in want:
             _compare(got[key], want[key], f"{path}/{key}")
     elif isinstance(want, float):
-        assert got == pytest.approx(want, rel=RTOL, abs=ATOL_FLOOR), (
+        assert got == pytest.approx(want, rel=GOLDEN_SUMMARY_RTOL, abs=ATOL_FLOOR), (
             f"{path}: {got!r} != golden {want!r}"
         )
     else:

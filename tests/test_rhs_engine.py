@@ -25,6 +25,7 @@ from repro.transport import (
     PowerLawTransport,
 )
 from repro.util.constants import P_ATM
+from tests.tolerances import STABLE_DT_ENGINES_RTOL
 
 
 def _make_state(mech, grid, seed=3):
@@ -131,7 +132,42 @@ class TestEngineBitExactness:
         dt_b = rhs_b.stable_dt()
         # the naive path re-runs the Newton solve from a converged guess,
         # the batched path memoizes — agreement is to roundoff, not bits
-        assert dt_b == pytest.approx(dt_n, rel=1e-10)
+        assert dt_b == pytest.approx(dt_n, rel=STABLE_DT_ENGINES_RTOL)
+
+    @pytest.mark.parametrize("viscous", [True, False])
+    def test_stable_dt_is_the_parent_expression(self, viscous):
+        """``stable_dt`` forms the mixture cp once and derives gamma and
+        alpha from it: the float is the one the three-evaluation
+        expression gave (frozen here as it stood before PR 23)."""
+        mech = h2_li2004()
+        st = _make_state(mech, G2)
+        rhs = CompressibleRHS(
+            st, transport=MixtureAveragedTransport(mech) if viscous else None,
+            reacting=True, engine="batched")
+
+        def parent_stable_dt(cfl=0.8, fourier=0.4):
+            pc = rhs._eval_props(st.u)
+            rho, vel, T, Y = pc.rho, pc.vel, pc.T, pc.Y
+            a = mech.sound_speed(T, Y)
+            dt = np.inf
+            for axis in range(rhs.ndim):
+                dx = 1.0 / np.abs(rhs.grid.inv_metric[axis]).max()
+                vmax = float((np.abs(vel[axis]) + a).max())
+                dt = min(dt, cfl * dx / vmax)
+            if rhs.transport is not None:
+                props = pc.props
+                nu = float((props.viscosity / rho).max())
+                alpha = float(
+                    (props.conductivity / (rho * mech.cp_mass(T, Y))).max()
+                )
+                dmax = max(nu, alpha, float(props.diffusivities.max()))
+                dx = rhs.grid.min_spacing
+                if dmax > 0:
+                    dt = min(dt, fourier * dx * dx / dmax)
+            return dt
+
+        assert rhs.stable_dt() == parent_stable_dt()
+        assert rhs.stable_dt(cfl=0.3, fourier=0.1) == parent_stable_dt(0.3, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,35 +523,36 @@ class TestPropsMemo:
         rhs.stable_dt()  # same state buffer, same version -> memo hit
         assert hits.value == 1
 
-    def test_no_hit_inside_a_solver_step(self):
+    @staticmethod
+    def _jet_hits(steps, **config):
+        """``rhs.props_cache_hits`` after ``steps`` self-timed steps of
+        the small lifted jet under ``config`` overrides."""
+        tel = Telemetry()
+        jet, _ = lifted_jet(nx=24, ny=16)
+        solver = S3DSolver(jet.state, dataclasses.replace(jet.config, **config),
+                           transport=jet.rhs.transport, reacting=True,
+                           telemetry=tel)
+        for _ in range(steps):
+            solver.step()
+        return tel.counter("rhs.props_cache_hits").value
+
+    def test_stable_dt_hands_stage_one_its_properties(self):
         """What happens in a science run (every scenario uses the
         low-storage ``ck45``): ``stable_dt`` evaluates the properties on
-        ``state.u``, then ``LowStorageERK.step`` copies ``u`` before its
-        first stage, and the memo is keyed on buffer identity — so the
-        time-step estimate and stage 1 do *not* share an evaluation, and
-        ``rhs.props_cache_hits`` stays 0 over whole steps. (Making it hit
-        skips a warm Newton solve that is not idempotent in the last
-        bit; see docs/PERFORMANCE.md.)"""
-        tel = Telemetry()
-        jet, _ = lifted_jet(nx=24, ny=16)
-        solver = S3DSolver(jet.state, jet.config, transport=jet.rhs.transport,
-                           reacting=True, telemetry=tel)
-        for _ in range(2):
-            solver.step(solver.compute_dt())
-        assert tel.counter("rhs.props_cache_hits").value == 0
+        ``state.u``, and ``LowStorageERK.stepper`` evaluates stage 1 on
+        that very array before it takes its working copy — one hit per
+        CFL-adaptive step, five property evaluations instead of six. A
+        fixed ``dt`` has no estimate to share; under Strang splitting
+        the first half-step rewrites the state (and bumps its version)
+        between the estimate and stage 1."""
+        assert self._jet_hits(2) == 2
+        assert self._jet_hits(2, dt=2e-8) == 0
+        assert self._jet_hits(2, chemistry_mode="strang") == 0
 
     def test_one_hit_per_step_under_a_butcher_scheme(self):
-        """The other half of the story, and why the memo is not dead
-        code: ``ButcherERK`` (the default ``rkf45``) evaluates stage 1 on
-        ``state.u`` itself, so a CFL-adaptive step shares the time-step
-        estimate's evaluation with stage 1 — one evaluation in seven."""
-        tel = Telemetry()
-        jet, _ = lifted_jet(nx=24, ny=16)
-        solver = S3DSolver(jet.state, dataclasses.replace(jet.config, scheme="rkf45"),
-                           transport=jet.rhs.transport, reacting=True, telemetry=tel)
-        for _ in range(3):
-            solver.step()
-        assert tel.counter("rhs.props_cache_hits").value == 3
+        """``ButcherERK`` (the default ``rkf45``) has always evaluated
+        stage 1 on ``state.u`` itself: one evaluation in seven."""
+        assert self._jet_hits(3, scheme="rkf45") == 3
 
     def test_cache_invalidated_by_content_change(self):
         mech = h2_li2004()

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.chemistry.thermo import Nasa7, ThermoTable
+from repro.chemistry.thermo import T_BOUNDS, TILE_CELLS, Nasa7, ThermoTable
 from repro.chemistry.mechanisms.thermo_data import nasa7, available
 from repro.util.constants import RU, T_STANDARD
 from repro.util.reduction import axis0_sum
+from tests.tolerances import NEWTON_VS_ORACLE_RTOL
 
 
 class TestNasa7:
@@ -334,34 +335,23 @@ class TestKernelOutputs:
         # below the memo threshold every call returns a fresh writable array
         assert table.cp_molar(T[:8]).flags.writeable
 
-    def test_mixture_sums_match_the_materialised_reduction(self, rng):
-        """enthalpy_cp_mass == axis0_sum((x / w) * Y), both size regimes."""
-        for kind in ("h2", "synthetic"):
-            fits = _fits(kind)
-            table, oracle = ThermoTable(fits), BlendOracle(fits)
-            w = rng.uniform(1e-3, 4e-2, len(fits))
-            for shape in ((), (1,), (_SMALL,), (_SMALL + 1,), (30, 50), (6, 7, 40)):
-                T = rng.uniform(300.0, 2500.0, shape)
-                Y = rng.random((len(fits),) + shape)
-                wb = w.reshape((-1,) + (1,) * len(shape))
-                hm, cpm = table.enthalpy_cp_mass(T, Y, w)
-                assert np.array_equal(hm, axis0_sum(oracle.h(T) / wb * Y))
-                assert np.array_equal(cpm, axis0_sum(oracle.cp(T) / wb * Y))
-                assert hm.flags.writeable and cpm.flags.writeable
-
 
 # ----------------------------------------------------------------------
-# the Newton temperature inversions built on the kernel
+# the Newton temperature inversion: one folded polynomial per cell
 # ----------------------------------------------------------------------
-def _frozen_newton(mech, oracle, target, Y, T_guess, *, energy, tol=1e-9, max_iter=100):
+def _frozen_newton(weights, oracle, target, Y, T_guess, *, energy, tol=1e-9, max_iter=100):
     """Frozen copy of ``Mechanism.temperature_from_energy/_enthalpy`` as
-    they stood on the blend (whole-batch termination); returns (T, iterations)."""
+    they stood on the blend before the fold: every species' (h, cp)
+    evaluated at every iteration, whole-batch termination. The oracle
+    the folded per-cell solve is held to (:data:`NEWTON_VS_ORACLE_RTOL`);
+    do not "tidy" the arithmetic."""
     target = np.asarray(target, dtype=float)
     T = np.full(target.shape, 1000.0) if T_guess is None else np.array(T_guess, dtype=float, copy=True)
     T = np.broadcast_to(T, target.shape).copy() if T.shape != target.shape else T
-    w, Y = mech._wshape(Y)
+    Y = np.asarray(Y, dtype=float)
+    w = np.asarray(weights).reshape((-1,) + (1,) * (Y.ndim - 1))
     r = RU / (1.0 / axis0_sum(Y / w))
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         h, cp = oracle.h(T), oracle.cp(T)
         h /= w
         h *= Y
@@ -379,112 +369,187 @@ def _frozen_newton(mech, oracle, target, Y, T_guess, *, energy, tol=1e-9, max_it
         T -= dT
         np.clip(T, 50.0, 6000.0, out=T)
         if np.all(np.abs(dT) < tol * np.maximum(T, 1.0)):
-            return T, it
+            return T
     raise RuntimeError("frozen Newton failed to converge")
 
 
-def _frozen_newton_cells(mech, oracle, e, Y, T_guess, tol=1e-10, max_iter=100):
-    """Frozen copy of ``implicit.temperature_from_energy_cells`` (per-cell
-    termination); returns (T, iterations)."""
-    w = mech.weights[:, None]
-    T = np.array(np.broadcast_to(np.asarray(T_guess, dtype=float), e.shape), copy=True)
-    r = RU * axis0_sum(Y / w)
-    active = np.arange(e.shape[0])
-    for it in range(1, max_iter + 1):
-        Ts = T[active]
-        h, cp = oracle.h(Ts), oracle.cp(Ts)
-        Ysub = Y[:, active]
-        resid = axis0_sum(h / w * Ysub) - r[active] * Ts - e[active]
-        cv = axis0_sum(cp / w * Ysub) - r[active]
-        dT = resid / cv
-        Tn = np.clip(Ts - dT, 50.0, 6000.0)
-        T[active] = Tn
-        conv = np.abs(dT) < tol * np.maximum(Tn, 1.0)
-        active = active[~conv]
-        if active.size == 0:
-            return T, it
-    raise RuntimeError("frozen per-cell Newton failed to converge")
+def _targets(weights, oracle, T, Y):
+    """Mixture (e, h) [J/kg] at ``T`` from the species sums."""
+    w = np.asarray(weights).reshape((-1,) + (1,) * (Y.ndim - 1))
+    h = axis0_sum(oracle.h(T) / w * Y)
+    return h - RU * axis0_sum(Y / w) * T, h
 
 
-def _counting(mech, monkeypatch):
-    """Count Newton iterations: each one asks the kernel for one (h, cp) pair."""
-    calls = []
-    inner = mech.thermo.enthalpy_cp_mass
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(mech.thermo, "enthalpy_cp_mass", counted)
-    return calls
-
-
-def _newton_batch(mech, rng, shape):
-    """Random (T_true, Y, T_guess) with guesses on both sides of t_mid."""
+def _newton_batch(ns, rng, shape, tmids=(1000.0,)):
+    """Random (T_true, Y, T_guess) with guesses on both sides of t_mid;
+    no true temperature within 2 K of a range switch, where the fits'
+    small jump gives the caloric equation two roots."""
     T_true = rng.uniform(320.0, 2800.0, shape)
-    Y = rng.random((mech.n_species,) + shape) + 1e-3
+    for tm in tmids:
+        T_true = np.where(np.abs(T_true - tm) < 2.0, tm + 2.0, T_true)
+    Y = rng.random((ns,) + shape) + 1e-3
     Y /= Y.sum(axis=0)
     T_guess = np.clip(T_true + rng.normal(0.0, 150.0, shape), 250.0, 3200.0)
     return T_true, Y, T_guess
 
 
+def _rel(got, want):
+    return np.max(np.abs(got - want) / np.abs(want), initial=0.0)
+
+
 @pytest.mark.parametrize("mech_name", ["h2_mech", "ch4_mech"])
 class TestNewtonPins:
-    SHAPES = [(1,), (37,), (_SMALL,), (_SMALL + 1,), (2 * _SMALL + 5,), (24, 60), ()]
+    """``Mechanism.temperature_from_energy / _enthalpy``: round-off
+    agreement with the whole-batch species-sum iteration, and a cell's
+    temperature a pure function of the cell."""
 
-    def test_energy_and_enthalpy_inversions(self, mech_name, request, rng, monkeypatch):
+    SHAPES = [(), (1,), (37,), (_SMALL - 1,), (_SMALL + 1,), (24, 60)]
+
+    def test_energy_and_enthalpy_inversions(self, mech_name, request, rng):
         mech = request.getfixturevalue(mech_name)
         oracle = BlendOracle(mech.thermo.fits)
-        calls = _counting(mech, monkeypatch)
         for shape in self.SHAPES:
-            T_true, Y, T_guess = _newton_batch(mech, rng, shape)
+            T_true, Y, T_guess = _newton_batch(mech.n_species, rng, shape)
             e = mech.int_energy_mass(T_true, Y)
             h = mech.enthalpy_mass(T_true, Y)
-            for guess in (T_guess, None):
+            warm = T_true * (1.0 + 1e-6 * rng.normal(size=shape))
+            off = T_true + rng.choice([-50.0, 50.0], size=shape)
+            for guess in (warm, None, off, T_guess):
                 for target, energy, solve in (
                     (e, True, mech.temperature_from_energy),
                     (h, False, mech.temperature_from_enthalpy),
                 ):
-                    want, iters = _frozen_newton(
-                        mech, oracle, target, Y, guess, energy=energy
+                    want = _frozen_newton(
+                        mech.weights, oracle, target, Y, guess, energy=energy
                     )
-                    del calls[:]
                     got = solve(target, Y, T_guess=guess)
-                    assert np.array_equal(got, want), (shape, energy)
-                    assert len(calls) == iters, (shape, energy)
-            if len(shape) == 1 and shape[0] > 1:
-                # a permuted batch is the same whole-batch iteration
-                perm = rng.permutation(shape[0])
-                want, iters = _frozen_newton(
-                    mech, oracle, e[perm], Y[:, perm], T_guess[perm], energy=True
-                )
-                del calls[:]
-                got = mech.temperature_from_energy(e[perm], Y[:, perm], T_guess=T_guess[perm])
-                assert np.array_equal(got, want) and len(calls) == iters
+                    assert got.shape == want.shape == shape
+                    assert _rel(got, want) <= NEWTON_VS_ORACLE_RTOL, (shape, energy)
+                    assert _rel(got, T_true) <= 1e-11, (shape, energy)
 
-    def test_per_cell_inversion(self, mech_name, request, rng, monkeypatch):
-        from repro.chemistry.implicit import temperature_from_energy_cells
-
+    def test_per_cell_inversion(self, mech_name, request, rng):
+        """Batch independence is bitwise: a cell alone == inside a batch
+        == in a permuted batch == in a sub-batch == in another shape,
+        across the solve's tile boundary too."""
         mech = request.getfixturevalue(mech_name)
-        oracle = BlendOracle(mech.thermo.fits)
-        calls = _counting(mech, monkeypatch)
-        for n in (1, 37, _SMALL + 1, 2 * _SMALL + 5):
-            T_true, Y, T_guess = _newton_batch(mech, rng, (n,))
-            e = mech.int_energy_mass(T_true, Y)
-            want, iters = _frozen_newton_cells(mech, oracle, e, Y, T_guess)
-            del calls[:]
-            got = temperature_from_energy_cells(mech, e, Y, T_guess=T_guess)
-            assert np.array_equal(got, want) and len(calls) == iters
-            # per-cell termination: permuted and single-cell batches agree
-            perm = rng.permutation(n)
-            assert np.array_equal(
-                temperature_from_energy_cells(mech, e[perm], Y[:, perm], T_guess=T_guess[perm]),
-                want[perm],
+        for n in (37, _SMALL + 1, TILE_CELLS + 5):
+            T_true, Y, T_guess = _newton_batch(mech.n_species, rng, (n,))
+            targets = (
+                (mech.int_energy_mass(T_true, Y), mech.temperature_from_energy),
+                (mech.enthalpy_mass(T_true, Y), mech.temperature_from_enthalpy),
             )
-            k = int(perm[0])
-            assert np.array_equal(
-                temperature_from_energy_cells(
-                    mech, e[k : k + 1], Y[:, k : k + 1], T_guess=T_guess[k : k + 1]
-                ),
-                want[k : k + 1],
-            )
+            for target, solve in targets:
+                whole = solve(target, Y, T_guess=T_guess)
+                perm = rng.permutation(n)
+                picks = [perm, perm[: n // 3], np.arange(5, n, 7),
+                         np.flatnonzero(T_guess < 1000.0)]
+                for idx in picks:
+                    part = solve(target[idx], Y[:, idx], T_guess=T_guess[idx])
+                    assert np.array_equal(part, whole[idx]), (n, idx.size)
+                for k in (0, int(perm[0]), n - 1):
+                    alone = solve(target[k : k + 1], Y[:, k : k + 1],
+                                  T_guess=T_guess[k : k + 1])
+                    assert alone[0] == whole[k]
+                    scalar = solve(target[k], Y[:, k], T_guess=T_guess[k])
+                    assert scalar.shape == () and scalar == whole[k]
+                m = n - n % 4
+                folded = solve(target[:m].reshape(4, -1), Y[:, :m].reshape(-1, 4, m // 4),
+                               T_guess=T_guess[:m].reshape(4, -1))
+                assert np.array_equal(folded.reshape(-1), whole[:m])
+
+    def test_inputs_are_left_alone_and_the_result_is_fresh(self, mech_name, request, rng):
+        mech = request.getfixturevalue(mech_name)
+        T_true, Y, T_guess = _newton_batch(mech.n_species, rng, (6, 7))
+        e = mech.int_energy_mass(T_true, Y)
+        kept = [a.copy() for a in (e, Y, T_guess)]
+        first = mech.temperature_from_energy(e, Y, T_guess=T_guess)
+        second = mech.temperature_from_energy(e, Y, T_guess=T_guess)
+        assert all(np.array_equal(a, b) for a, b in zip((e, Y, T_guess), kept))
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        # a scalar guess broadcasts
+        assert np.array_equal(mech.temperature_from_energy(e, Y, T_guess=1000.0),
+                              mech.temperature_from_energy(e, Y))
+
+
+@pytest.mark.parametrize("kind", ["h2", "ch4", "synthetic"])
+class TestFoldedNewton:
+    """``ThermoTable.temperature`` itself, on the shipped tables and on
+    one that mixes five ``t_mid`` values."""
+
+    @staticmethod
+    def _setup(kind):
+        fits = _fits(kind)
+        weights = np.linspace(2e-3, 4.4e-2, len(fits))
+        return ThermoTable(fits), BlendOracle(fits), weights, sorted({f.t_mid for f in fits})
+
+    def test_guesses_and_iterates_across_t_mid(self, kind, rng):
+        """Cells that start on the wrong side of a range switch, or
+        whose iterates cross one (or several), end where the oracle's
+        do (its iterate picks its range the same way)."""
+        table, oracle, w, tmids = self._setup(kind)
+        n = 400
+        _, Y, _ = _newton_batch(len(w), rng, (n,), tmids)
+        for tm in tmids:
+            near = tm + rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 120.0, n)
+            mirrored = 2.0 * tm - near  # the guess on the other side
+            far_below, far_above = np.full(n, 600.0), np.full(n, 1900.0)
+            for T_true, guess in ((near, mirrored), (near, far_below), (near, far_above),
+                                  (far_above, far_below), (far_below, far_above)):
+                for energy, target in zip((True, False), _targets(w, oracle, T_true, Y)):
+                    got = table.temperature(target, Y, w, guess, energy=energy)
+                    want = _frozen_newton(w, oracle, target, Y, guess, energy=energy)
+                    assert _rel(got, want) <= NEWTON_VS_ORACLE_RTOL
+                    assert np.any((got < tm) != (guess < tm))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_random_batches_and_sub_batches(self, kind, data):
+        table, oracle, w, tmids = self._setup(kind)
+        n = data.draw(hst.sampled_from([1, 3, 64, _SMALL + 2]))
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+        energy = data.draw(hst.booleans())
+        T_true, Y, T_guess = _newton_batch(len(w), rng, (n,), tmids)
+        target = _targets(w, oracle, T_true, Y)[0 if energy else 1]
+        whole = table.temperature(target, Y, w, T_guess, energy=energy)
+        want = _frozen_newton(w, oracle, target, Y, T_guess, energy=energy)
+        assert _rel(whole, want) <= NEWTON_VS_ORACLE_RTOL
+        idx = rng.permutation(n)[: data.draw(hst.integers(1, n))]
+        part = table.temperature(target[idx], Y[:, idx], w, T_guess[idx], energy=energy)
+        assert np.array_equal(part, whole[idx])
+
+    def test_iterates_are_clipped_into_the_bounds(self, kind, rng):
+        """Wild guesses come back: an iterate thrown outside
+        ``T_BOUNDS`` is clipped onto the bound and iterates on."""
+        table, oracle, w, tmids = self._setup(kind)
+        T_true, Y, _ = _newton_batch(len(w), rng, (50,), tmids)
+        e, _ = _targets(w, oracle, T_true, Y)
+        for guess in (1.0, 9000.0, 1e5):
+            try:
+                want = _frozen_newton(w, oracle, e, Y, guess, energy=True)
+            except RuntimeError:
+                # beyond their range some fits turn over and Newton cycles
+                with pytest.raises(RuntimeError, match="failed to converge"):
+                    table.temperature(e, Y, w, guess, energy=True)
+            else:
+                got = table.temperature(e, Y, w, guess, energy=True)
+                assert _rel(got, want) <= NEWTON_VS_ORACLE_RTOL
+        # a root beyond the upper bound is never reached: the cell sits
+        # on the bound, does not converge, and the solve says so
+        lo, hi = T_BOUNDS
+        e_hot, _ = _targets(w, oracle, np.full(50, hi + 500.0), Y)
+        e[7] = e_hot[7]
+        with pytest.raises(RuntimeError, match="failed to converge in 1 cells"):
+            table.temperature(e, Y, w, T_true, energy=True, max_iter=30)
+        assert lo < T_true.min() and T_true.max() < hi
+
+    def test_non_convergence_raises(self, kind, rng):
+        table, oracle, w, tmids = self._setup(kind)
+        T_true, Y, T_guess = _newton_batch(len(w), rng, (20,), tmids)
+        e, h = _targets(w, oracle, T_true, Y)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            table.temperature(e, Y, w, T_guess + 300.0, energy=True, max_iter=1)
+        h[3] = np.nan  # a NaN never passes the test
+        with pytest.raises(RuntimeError, match="failed to converge in 1 cells"):
+            table.temperature(h, Y, w, T_guess, energy=False)
+        assert table.temperature(np.empty(0), np.empty((len(w), 0)), w, energy=True).shape == (0,)

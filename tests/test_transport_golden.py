@@ -24,11 +24,9 @@ from repro.analysis.golden import (
     lifted_jet_parallel_solver,
 )
 from repro.parallel.comm import transport_unavailable_reason
+from tests.tolerances import MP_TRANSPORT_RTOL
 
 pytestmark = [pytest.mark.transport, pytest.mark.golden, pytest.mark.slow]
-
-#: contract bound for out-of-process backends (in-process is bitwise)
-MP_RTOL = 1e-12
 
 
 def _run(comm_transport: str):
@@ -82,7 +80,7 @@ def test_multiprocessing_matches_inprocess(inprocess_run):
                    keepdims=True)
     rel = np.abs(u_mp - u_ref) / np.where(scale == 0.0, 1.0, scale)
     worst = float(rel.max())
-    assert worst <= MP_RTOL, (
+    assert worst <= MP_TRANSPORT_RTOL, (
         f"multiprocessing deviates from in-process by {worst:.3e} "
-        f"relative (contract: {MP_RTOL:.0e})"
+        f"relative (contract: {MP_TRANSPORT_RTOL:.0e})"
     )
