@@ -39,7 +39,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.chemistry import h2_li2004  # noqa: E402
-from repro.parallel import SimMPI  # noqa: E402
+from repro.parallel import InProcessTransport  # noqa: E402
 from repro.parallel.chemlb import CellCostModel, ChemistryLoadBalancer  # noqa: E402
 
 #: default location of the committed baseline / output
@@ -104,7 +104,7 @@ def flame_front_prims(mech, ranks=RANKS, cells=CELLS_PER_RANK, seed=0):
 
 def measure_policy(mech, prims, policy, repeats):
     """Max/mean per-rank chemistry seconds and plan stats for a policy."""
-    world = SimMPI(RANKS)
+    world = InProcessTransport(RANKS)
     lb = ChemistryLoadBalancer(
         mech, world, policy=policy,
         cost_model=BinaryCostModel(reactive_extra=float(WORK_SPAN)),

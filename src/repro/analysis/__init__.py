@@ -15,7 +15,7 @@
 
 from repro.analysis.mixture_fraction import bilger_mixture_fraction, stoichiometric_mixture_fraction
 from repro.analysis.progress import progress_variable, gradient_magnitude
-from repro.analysis.conditional import conditional_mean, scatter_sample
+from repro.analysis.conditional import conditional_mean
 from repro.analysis.flame import (
     flame_contours,
     surface_length,
@@ -30,7 +30,6 @@ __all__ = [
     "progress_variable",
     "gradient_magnitude",
     "conditional_mean",
-    "scatter_sample",
     "flame_contours",
     "surface_length",
     "count_flame_pieces",

@@ -37,13 +37,3 @@ def conditional_mean(condition, value, bins=20, range_=None, min_count=2):
     std[bad] = np.nan
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, mean, std, count.astype(int)
-
-
-def scatter_sample(condition, value, n_max=5000, seed=0):
-    """Random subsample of (condition, value) pairs for scatter plots."""
-    cond = np.asarray(condition, dtype=float).ravel()
-    val = np.asarray(value, dtype=float).ravel()
-    if cond.size <= n_max:
-        return cond, val
-    idx = np.random.default_rng(seed).choice(cond.size, size=n_max, replace=False)
-    return cond[idx], val[idx]

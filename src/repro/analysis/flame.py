@@ -135,11 +135,3 @@ def liftoff_height(field, grid, threshold: float, axis: int = 0) -> float:
     if idx.size == 0:
         return float("nan")
     return float(grid.coords[axis][idx[0]])
-
-
-def flame_thickness_field(c_field, grid, floor=1e-12):
-    """1/|grad c| — the local flame-thickness measure of Fig 13."""
-    from repro.analysis.progress import gradient_magnitude
-
-    g = gradient_magnitude(c_field, grid)
-    return 1.0 / np.maximum(g, floor)

@@ -8,7 +8,7 @@ these numbers; ``tests/test_golden.py`` re-runs the scenarios and
 compares against them with tight tolerances, so any change to the
 discretization, chemistry, transport, boundary treatment, or time
 integration that shifts the solution shows up as a diff — while
-refactors that preserve the numbers (the batched RHS engine, chemistry
+refactors that preserve the numbers (stacked RHS sweeps, chemistry
 load balancing) pass untouched.
 
 Regenerate with ``python benchmarks/regen_goldens.py`` after an

@@ -105,9 +105,9 @@ class Knob:
     against ``choices`` and ``aliases`` (other accepted spellings,
     mapped to a choice), or handed to ``parse`` for numeric knobs, whose
     accepted form ``accepts`` describes. ``requires`` is the knob's
-    cross-knob constraint ``(trigger, other, needed, why)``: when this
-    knob is given as ``trigger`` (``None`` = given at all), knob
-    ``other`` must resolve to ``needed`` (:func:`check_constraints`).
+    cross-knob constraint ``(other, needed, why)``: when this knob is
+    given at all, knob ``other`` must resolve to ``needed``
+    (:func:`check_constraints`).
     """
 
     name: str
@@ -132,16 +132,6 @@ class Knob:
 
 #: every run-time knob, by name (docs/CONFIG.md is rendered from this)
 KNOBS = {k.name: k for k in (
-    Knob("rhs_engine", "REPRO_RHS_ENGINE", "batched",
-         "RHS assembly: fused stacked sweeps, or the one-sweep-per-variable "
-         "bitwise reference oracle",
-         choices=("batched", "naive"),
-         requires=("naive", "rhs_backend", "numpy",
-                   "the naive engine is the bitwise reference oracle")),
-    Knob("rhs_backend", "REPRO_RHS_BACKEND", "numpy",
-         "array backend of the hot RHS kernels: the bitwise-pinned "
-         "reference, or fused JIT kernels (needs the numba package)",
-         choices=("numpy", "numba")),
     Knob("transport", "REPRO_TRANSPORT", "inprocess",
          "communication backend of rank-parallel runs: the deterministic "
          "single-process reference, or one worker process per rank",
@@ -162,7 +152,7 @@ KNOBS = {k.name: k for k in (
          "adaptive controller (convergence studies); the environment "
          "value is ignored outside strang",
          parse=_positive_int, accepts="a positive integer",
-         requires=(None, "chemistry_mode", "strang",
+         requires=("chemistry_mode", "strang",
                    "there is no implicit integrator to apply it to")),
     Knob("parallel_recovery", "REPRO_PARALLEL_RECOVERY", "off",
          "rank-failure policy of supervised parallel runs: plain run, "
@@ -233,18 +223,16 @@ def check_constraints(given: dict) -> None:
     """Enforce the table's cross-knob constraints.
 
     ``given`` maps knob names to the values the caller holds, already
-    resolved (``None`` = not given). A constraint fires on its trigger
-    knob's *given* value only — an environment setting of the trigger
-    never trips it — and is checked against the other knob's given
+    resolved (``None`` = not given). A constraint fires on its knob's
+    *given* value only — an environment setting of it never trips it —
+    and is checked against the other knob's given
     value, or its environment/default resolution when that is not given.
     """
     for name, value in given.items():
         requires = KNOBS[name].requires
         if value is None or not requires:
             continue
-        trigger, other, needed, why = requires
-        if trigger is not None and value != trigger:
-            continue
+        other, needed, why = requires
         found = given.get(other)
         if found is None:
             found = resolve(other)
@@ -290,9 +278,8 @@ class SolverConfig:
         Filter strength in [0, 1].
     scheme:
         ERK scheme name (see :data:`repro.core.erk.SCHEMES`).
-    rhs_engine, rhs_backend, transport, chem_load_balance, chemistry_mode,
-    chemistry_method, fixed_substeps, parallel_recovery, observability,
-    telemetry, tracing:
+    transport, chem_load_balance, chemistry_mode, chemistry_method,
+    fixed_substeps, parallel_recovery, observability, telemetry, tracing:
         The run-time knobs: one row each of :data:`KNOBS` (rendered in
         docs/CONFIG.md), which gives the accepted values, the
         ``REPRO_*`` variable consulted when the field is ``None``, the
@@ -311,8 +298,6 @@ class SolverConfig:
     filter_interval: int = 1
     filter_alpha: float = 0.2
     scheme: str = "rkf45"
-    rhs_engine: str | None = None
-    rhs_backend: str | None = None
     telemetry: bool | None = None
     tracing: bool | None = None
     observability: object = None

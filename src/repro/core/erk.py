@@ -13,8 +13,8 @@ Runge-Kutta method in low-storage form (§2.6, refs [8, 9]). We provide:
 
 Integrators operate on arbitrary ndarray state and a callable
 ``rhs(t, u) -> du/dt``. When the callable advertises
-``supports_out = True`` (the batched :class:`~repro.core.rhs.CompressibleRHS`
-engine does), stage evaluations land in persistent per-integrator stage
+``supports_out = True`` (:class:`~repro.core.rhs.CompressibleRHS` does),
+stage evaluations land in persistent per-integrator stage
 buffers via ``rhs(t, u, out=...)``, eliminating one full state-sized
 allocation per stage; the arithmetic is unchanged bitwise.
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.stencil import (
     SweepScratch, along, boundary_slab, field_groups, flat_source, leading,
-    staged_kernel_sweep, sweep_source,
+    sweep_source,
 )
 
 #: filter stencil half-width
@@ -52,7 +52,7 @@ class FilterOperator:
     """Explicit 10th-order low-pass filter along one direction."""
 
     def __init__(self, n: int, periodic: bool = False, alpha: float = 1.0,
-                 telemetry=None, backend=None):
+                 telemetry=None):
         self.n = int(n)
         self.periodic = bool(periodic)
         # kernel tracing: None when disabled — one attribute test per apply
@@ -72,21 +72,7 @@ class FilterOperator:
             / 2.0 ** (2 * j)
             for j in range(1, FILTER_HALF_WIDTH)
         ]
-        # the boundary rows as one rectangular matrix (row j-1 holds the
-        # half-width-j filter left-aligned) — the layout fused kernels take
-        self._bweights_padded = np.zeros(
-            (FILTER_HALF_WIDTH - 1, 2 * FILTER_HALF_WIDTH + 1)
-        )
-        for j in range(1, FILTER_HALF_WIDTH):
-            self._bweights_padded[j - 1, : 2 * j + 1] = self._boundary_weights[j - 1]
         self._scratch = SweepScratch()
-        # fused backend sweep (None -> generic reference path)
-        self.backend = backend
-        self._kernel = None
-        if backend is not None and not backend.is_reference:
-            self._kernel = backend.kernel(
-                "filter_periodic" if self.periodic else "filter_boundary"
-            )
 
     def _require_full_stencil(self):
         if self.n < 2 * FILTER_HALF_WIDTH + 1:
@@ -129,12 +115,6 @@ class FilterOperator:
 
     def _dispatch(self, f, axis, out, ghosts):
         axis %= f.ndim
-        if self._kernel is not None and ghosts is None:
-            consts = (self.weights,) if self.periodic else (self.weights, self._bweights_padded)
-            return staged_kernel_sweep(
-                self._scratch, f, out, axis,
-                lambda f2, d2: self._kernel(f2, *consts, d2),
-            )
         src, aliased = sweep_source(f, out)
         for f_group, out_group, g_group in field_groups(src, out, axis, ghosts):
             self._sweep(f_group, out_group, axis, aliased, g_group)
@@ -191,12 +171,12 @@ class FilterOperator:
                     out=leading(out[along(axis, n - 1, n - w - 1, -1)], axis))
 
 
-def filter_operators(grid, alpha: float = 1.0, telemetry=None, backend=None):
+def filter_operators(grid, alpha: float = 1.0, telemetry=None):
     """One :class:`FilterOperator` per grid direction (sharing one
     :class:`~repro.core.stencil.SweepScratch`, like the derivatives)."""
     filters = [
         FilterOperator(grid.shape[axis], periodic=grid.periodic[axis], alpha=alpha,
-                       telemetry=telemetry, backend=backend)
+                       telemetry=telemetry)
         for axis in range(grid.ndim)
     ]
     for filt in filters[1:]:

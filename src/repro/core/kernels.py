@@ -1,9 +1,9 @@
-"""Shared fused array kernels for the batched RHS engine.
+"""Shared fused array kernels of the RHS evaluation.
 
 The species diffusive-flux kernel here is the §4.1 restructured loop
 nest in its final form: hoisted invariants, fused multiply-adds, and
 in-place accumulation into caller-owned storage. Both the production
-batched RHS (:mod:`repro.core.rhs`) and the loop-optimization study
+RHS (:mod:`repro.core.rhs`) and the loop-optimization study
 (:mod:`repro.loopopt.diffflux`) call this one implementation, so the
 Fig 4 kernel and the solver hot path can no longer drift apart.
 

@@ -13,46 +13,37 @@ eq. 15), and the heat flux of eq. (20). Body forces, radiation, Dufour
 effect, and barodiffusion are neglected per §2.2-2.5; the Soret term is
 optional via the transport model.
 
-Two engines assemble the identical arithmetic:
+One program evaluates it (:meth:`CompressibleRHS.__call__`). All scalars
+needing d/dx_b (velocity components, T, wbar, every Y_i, and later the
+per-variable flux fields) are packed into one ``(nfields, ...)`` stack
+and differentiated with a single vectorized stencil sweep per direction
+(~3 large sweeps per direction instead of ~2·ndim + 2·ns small ones).
+All intermediate storage comes from a
+:class:`~repro.core.workspace.Workspace` arena, thermo/transport
+properties are memoized per state buffer (shared between the flux
+assembly, the reaction heat release, and :meth:`stable_dt`), and results
+can land in a caller-supplied ``out`` array — a warm steady-state
+evaluation performs zero large allocations (``rhs.bytes_allocated``
+telemetry gauge reads 0).
 
-* ``"batched"`` (default) — the production path. All scalars needing
-  d/dx_b (velocity components, T, wbar, every Y_i, and later the
-  per-variable flux fields) are packed into one ``(nfields, ...)`` stack
-  and differentiated with a single vectorized stencil sweep per
-  direction (~3 large sweeps per direction instead of ~2·ndim + 2·ns
-  small ones). All intermediate storage comes from a
-  :class:`~repro.core.workspace.Workspace` arena, thermo/transport
-  properties are memoized per state buffer (shared between the flux
-  assembly, the reaction heat release, and :meth:`stable_dt`), and
-  results can land in a caller-supplied ``out`` array — a warm
-  steady-state evaluation performs zero large engine allocations
-  (``rhs.bytes_allocated`` telemetry gauge reads 0).
-* ``"naive"`` — the original one-sweep-per-(variable, direction)
-  formulation, kept as a bitwise reference and escape hatch
-  (``REPRO_RHS_ENGINE=naive``).
-
-The two are bit-exact against each other: same operator coefficients,
-same per-element operation order within every field (enforced by
+:meth:`CompressibleRHS.reference` is its oracle: the original
+one-sweep-per-(variable, direction) formulation, kept verbatim. The two
+are bit-exact against each other: same operator coefficients, same
+per-element operation order within every field (enforced by
 ``tests/test_rhs_engine.py``). The diffusive-flux assembly is the kernel
-§4.1 restructures; both the batched engine and
-:mod:`repro.loopopt.diffflux` call the shared fused implementation in
-:mod:`repro.core.kernels`.
+§4.1 restructures; both the program and :mod:`repro.loopopt.diffflux`
+call the shared fused implementation in :mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.core.config import KNOBS, check_constraints, resolve
 from repro.core.derivatives import gradient_operators
 from repro.core.kernels import species_diffusive_flux_dir
 from repro.core import nscbc
 from repro.core.workspace import Workspace
 from repro.telemetry import resolve as resolve_telemetry
-
-#: recognised RHS engine names
-ENGINES = KNOBS["rhs_engine"].choices
 
 
 class _EvalProps:
@@ -63,7 +54,7 @@ class _EvalProps:
 
 
 class _Eval:
-    """What one batched evaluation carries from phase to phase."""
+    """What one evaluation carries from phase to phase."""
 
     __slots__ = ("t", "u", "out", "pc", "gstack", "grads", "idx_t", "idx_w",
                  "idx_y", "idx_rho", "idx_p", "tmp_s", "hq", "tau", "flux_j",
@@ -95,32 +86,26 @@ class CompressibleRHS:
         traced under the §4 inventory names (THERMOPROPS,
         COMPUTESPECIESDIFFFLUX, COMPUTEHEATFLUX, REACTION_RATES), with
         derivative sweeps nesting their own DERIVATIVES spans so
-        exclusive times split out TAU-style. (With the batched engine
-        the species-gradient sweeps live in the shared stacked sweep, so
-        their DERIVATIVES time no longer nests inside
-        COMPUTESPECIESDIFFFLUX.)
-    engine:
-        The ``rhs_engine`` knob (:data:`repro.core.config.KNOBS`).
-    backend:
-        Array backend executing the hot kernels: an
-        :class:`~repro.backend.ArrayBackend` instance, or the
-        ``rhs_backend`` knob. Non-reference backends require the
-        batched engine (the naive engine is the reference oracle and
-        stays pure NumPy by definition).
+        exclusive times split out TAU-style. (The species-gradient
+        sweeps live in the shared stacked sweep, so their DERIVATIVES
+        time does not nest inside COMPUTESPECIESDIFFFLUX.)
     workspace:
         Optional shared :class:`~repro.core.workspace.Workspace`; by
         default each RHS owns a private arena.
 
     Notes
     -----
-    With the batched engine, ``__call__`` accepts an optional ``out``
-    array (advertised via :attr:`supports_out`) and diagnostic arrays
-    such as :attr:`last_heat_release` are workspace-owned — valid until
-    the next evaluation.
+    ``__call__`` accepts an optional ``out`` array (advertised via
+    :attr:`supports_out`) and diagnostic arrays such as
+    :attr:`last_heat_release` are workspace-owned — valid until the next
+    evaluation.
     """
 
+    #: ``__call__`` computes directly into an ``out`` array
+    supports_out = True
+
     def __init__(self, state, transport=None, boundaries=None, reacting=True,
-                 telemetry=None, engine=None, workspace=None, backend=None):
+                 telemetry=None, workspace=None):
         self.state = state
         self.mech = state.mech
         self.grid = state.grid
@@ -128,30 +113,18 @@ class CompressibleRHS:
         self.boundaries = dict(boundaries or {})
         self.reacting = bool(reacting)
         self.telemetry = resolve_telemetry(telemetry)
-        self.backend = resolve_backend(backend)
-        self.ops = gradient_operators(
-            self.grid, telemetry=self.telemetry, backend=self.backend
-        )
+        self.ops = gradient_operators(self.grid, telemetry=self.telemetry)
         self.ndim = self.grid.ndim
         self._needs_nscbc = any(
             spec.kind != "periodic" for spec in self.boundaries.values()
         )
-        self.engine = resolve("rhs_engine", engine)
-        check_constraints({"rhs_engine": self.engine,
-                           "rhs_backend": self.backend.name})
         self.workspace = workspace if workspace is not None else Workspace(
             telemetry=self.telemetry
         )
-        self.telemetry.gauge(f"rhs.backend.{self.backend.name}").set(1.0)
         self._props_cache = None
         self._eval = None
         #: populated after every evaluation — kernel-level diagnostics
         self.last_heat_release = None
-
-    @property
-    def supports_out(self) -> bool:
-        """Whether ``__call__`` computes directly into an ``out`` array."""
-        return self.engine == "batched"
 
     def mark_modified(self) -> None:
         """The buffer last evaluated was updated in place (a low-storage
@@ -160,12 +133,6 @@ class CompressibleRHS:
 
     # ------------------------------------------------------------------
     def __call__(self, t, u, out=None):
-        if self.engine == "naive":
-            du = self._call_naive(t, u)
-            if out is not None:
-                out[...] = du
-                return out
-            return du
         self.begin(t, u, out)
         self.fluxes()
         return self.finish()
@@ -212,9 +179,7 @@ class CompressibleRHS:
             return cache
         ws = self.workspace
         with self.telemetry.span("THERMOPROPS"):
-            rho, vel, T, p, Y, e0, wbar = st.primitives_ws(
-                u, ws, backend=self.backend
-            )
+            rho, vel, T, p, Y, e0, wbar = st.primitives_ws(u, ws)
             props = None
             if self.transport is not None:
                 props = self.transport.evaluate(T, p, Y, workspace=ws)
@@ -229,7 +194,7 @@ class CompressibleRHS:
         return pc
 
     # ------------------------------------------------------------------
-    # batched engine: one evaluation, three phases
+    # one evaluation, three phases
     # ------------------------------------------------------------------
     # An evaluation has two points where a stencil reaches beyond the
     # block it runs on: the gradient sweeps read the primitive stack
@@ -366,7 +331,7 @@ class CompressibleRHS:
                 soret = props.thermal_diffusion_ratios is not None
                 if soret:
                     # prefactor chain (((-rho·D)·theta)·W_i/wbar), grouped
-                    # exactly as the reference engine's expression
+                    # exactly as the expression in :meth:`reference`
                     soret_pref = ws.array("rhs.soret_pref", (ns,) + S)
                     np.multiply(neg_rho_d, props.thermal_diffusion_ratios,
                                 out=soret_pref)
@@ -430,7 +395,7 @@ class CompressibleRHS:
             self.last_heat_release = ws.zeros("rhs.heat_release", pc.rho.shape)
             return
         with self.telemetry.span("REACTION_RATES"):
-            ev.wdot = self.backend.production_rates(mech, pc.rho, pc.T, pc.Y)
+            ev.wdot = mech.production_rates(pc.rho, pc.T, pc.Y)
         hr = ws.array("rhs.heat_release", pc.rho.shape)
         tmp_ns = ws.array("rhs.tmp_ns", (mech.n_species,) + pc.rho.shape)
         np.multiply(pc.h_i, ev.wdot, out=tmp_ns)
@@ -508,7 +473,6 @@ class CompressibleRHS:
         st = self.state
         mech = self.mech
         ndim = self.ndim
-        tel = self.telemetry
         ws = self.workspace
         t, u, pc = ev.t, ev.u, ev.pc
         rho, vel, T, p, Y = pc.rho, pc.vel, pc.T, pc.p, pc.Y
@@ -554,21 +518,16 @@ class CompressibleRHS:
                 grad_rho=grad_rho, grad_p=grad_p,
                 grad_vel=grad_vel, grad_y=gy,
             )
-        if not self.backend.is_reference:
-            # JIT effort so far (first evaluation pays the compiles)
-            tel.gauge("rhs.backend.compile_count").set(
-                float(self.backend.compile_count)
-            )
-            tel.gauge("rhs.backend.compile_seconds").set(
-                self.backend.compile_seconds
-            )
         ws.end_eval()
         return du
 
     # ------------------------------------------------------------------
-    # naive (reference) engine — the original formulation, unbatched
+    # the oracle — the original formulation, unbatched
     # ------------------------------------------------------------------
-    def _call_naive(self, t, u):
+    def reference(self, t, u):
+        """``du/dt`` by the original one-sweep-per-(variable, direction)
+        formulation: the bitwise oracle of :meth:`__call__`
+        (``tests/test_rhs_engine.py``), never a path a run takes."""
         st = self.state
         mech = self.mech
         ndim = self.ndim

@@ -68,11 +68,9 @@ class S3DSolver:
         self.rhs = CompressibleRHS(
             state, transport=transport, boundaries=config.boundaries,
             reacting=reacting, telemetry=self.telemetry,
-            engine=config.rhs_engine, backend=config.rhs_backend,
         )
         self.filters = filter_operators(state.grid, alpha=config.filter_alpha,
-                                        telemetry=self.telemetry,
-                                        backend=self.rhs.backend)
+                                        telemetry=self.telemetry)
         self._arm_health()
 
     def _setup(self, config, mech, grid, reacting, telemetry) -> bool:

@@ -147,7 +147,7 @@ class State:
         Newton guess but leaves it untouched, so monitors, renders,
         checkpoints and summaries may look at a live solver without
         changing a bit of any later step. Only the RHS evaluations
-        (:meth:`primitives_ws`, the naive engine) refresh the cache.
+        (:meth:`primitives_ws`, the RHS oracle) refresh the cache.
         """
         u = self.u if u is None else u
         rho = u[self.i_rho]
@@ -163,19 +163,15 @@ class State:
         p = self.mech.pressure(rho, T, Y)
         return rho, vel, T, p, Y, e0
 
-    def primitives_ws(self, u, workspace, backend=None):
+    def primitives_ws(self, u, workspace):
         """Workspace-backed :meth:`primitives`, plus the mean weight.
 
         Decodes into pooled scratch arrays (zero large allocations once
         the arena is warm, apart from the Newton temperature solve) and
         returns ``(rho, vel, T, p, Y, e0, wbar)`` — ``wbar`` comes free
-        from the pressure evaluation and the batched RHS needs it for
+        from the pressure evaluation and the RHS needs it for
         the diffusion-driving d(ln wbar)/dx sweeps. Bitwise identical to
         :meth:`primitives`.
-
-        ``backend``, when given, routes the Newton temperature inversion
-        through :meth:`~repro.backend.ArrayBackend.temperature_from_energy`
-        (the reference backend's hook is the host solve itself).
         """
         ws = workspace
         u = self.u if u is None else u
@@ -210,10 +206,7 @@ class State:
         guess = self._t_cache if (
             self._t_cache is not None and self._t_cache.shape == S
         ) else None
-        if backend is None:
-            T = self.mech.temperature_from_energy(e_int, Y, T_guess=guess)
-        else:
-            T = backend.temperature_from_energy(self.mech, e_int, Y, T_guess=guess)
+        T = self.mech.temperature_from_energy(e_int, Y, T_guess=guess)
         self._t_cache = T
         # p = rho Ru T / wbar with wbar = 1 / sum(Y_i / W_i)
         w = self.mech.weights.reshape((-1,) + (1,) * len(S))

@@ -164,24 +164,3 @@ def boundary_slab(scratch: SweepScratch, name: str, a, axis: int, start: int, st
 def column(values, ndim: int, axis: int):
     """1-D per-point ``values`` shaped to broadcast along ``axis``."""
     return values.reshape((-1,) + (1,) * (ndim - 1 - axis))
-
-
-def staged_kernel_sweep(scratch: SweepScratch, f, out, axis: int, kernel) -> None:
-    """Run a backend's fused sweep ``kernel(f2, d2)`` on contiguous
-    ``(n, m)`` views with the sweep axis leading.
-
-    The compiled kernels read the whole source while writing the whole
-    destination, so staging through scratch covers both strided moved
-    views and ``out`` aliasing ``f``.
-    """
-    src, dst = leading(f, axis), leading(out, axis)
-    n = src.shape[0]
-    if not src.flags.c_contiguous:
-        staged = scratch.view("ksrc", src.shape)
-        np.copyto(staged, src)
-        src = staged
-    stage = not dst.flags.c_contiguous or np.may_share_memory(out, f)
-    dbuf = scratch.view("kdst", dst.shape) if stage else dst
-    kernel(src.reshape(n, -1), dbuf.reshape(n, -1))
-    if stage:
-        np.copyto(dst, dbuf)

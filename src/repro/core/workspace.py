@@ -1,4 +1,4 @@
-"""Preallocated scratch-array arena for the batched RHS engine.
+"""Preallocated scratch-array arena for the RHS evaluation.
 
 The paper's §4.1 identifies the diffusive-flux kernel as memory-bound;
 on the Python side the analogous tax is allocator traffic — every
@@ -22,7 +22,7 @@ from repro.telemetry import resolve as resolve_telemetry
 
 
 class Workspace:
-    """Shape-keyed arena of reusable scratch arrays.
+    """Name-keyed arena of reusable scratch arrays.
 
     Parameters
     ----------
@@ -33,10 +33,10 @@ class Workspace:
 
     Notes
     -----
-    Arrays are keyed by ``(name, dtype)``; requesting the same
-    key with a different shape reallocates that slot (the old buffer is
-    dropped). Contents are *not* cleared between evaluations — callers
-    own initialization, exactly like Fortran work arrays.
+    Arrays are keyed by name; requesting the same name with a
+    different shape reallocates that slot (the old buffer is dropped).
+    Contents are *not* cleared between evaluations — callers own
+    initialization, exactly like Fortran work arrays.
     """
 
     def __init__(self, telemetry=None):
@@ -48,22 +48,21 @@ class Workspace:
         self.eval_bytes_allocated = 0
 
     # ------------------------------------------------------------------
-    def array(self, name: str, shape, dtype=np.float64):
-        """A persistent scratch array of the given shape and dtype."""
+    def array(self, name: str, shape):
+        """A persistent float scratch array of the given shape."""
         shape = tuple(int(s) for s in shape)
-        key = (name, np.dtype(dtype).name)
-        arr = self._arrays.get(key)
+        arr = self._arrays.get(name)
         if arr is None or arr.shape != shape:
-            arr = np.empty(shape, dtype=dtype)
-            self._arrays[key] = arr
+            arr = np.empty(shape)
+            self._arrays[name] = arr
             self.total_bytes_allocated += arr.nbytes
             self.eval_bytes_allocated += arr.nbytes
             self.telemetry.counter("workspace.allocations").inc()
         return arr
 
-    def zeros(self, name: str, shape, dtype=np.float64):
+    def zeros(self, name: str, shape):
         """Like :meth:`array` but zero-filled on every request."""
-        arr = self.array(name, shape, dtype=dtype)
+        arr = self.array(name, shape)
         arr.fill(0.0)
         return arr
 

@@ -30,7 +30,7 @@ from repro.io.fortranio import fortran_write_checkpoint
 from repro.io.mpiio import independent_write, collective_write
 from repro.io.caching import MPIIOCache
 from repro.io.writebehind import TwoStageWriteBehind
-from repro.io.s3dio import S3DCheckpoint, run_checkpoint_benchmark
+from repro.io.s3dio import S3DCheckpoint
 from repro.io.restart import (
     load_solver_state,
     save_solver_state,
@@ -49,7 +49,6 @@ __all__ = [
     "MPIIOCache",
     "TwoStageWriteBehind",
     "S3DCheckpoint",
-    "run_checkpoint_benchmark",
     "save_solver_state",
     "load_solver_state",
     "verify_solver_state",

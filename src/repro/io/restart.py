@@ -1,11 +1,9 @@
-"""Checkpoint read-back and solver restart.
+"""Solver restart.
 
 The §9 workflow moves S3D restart files precisely because runs resume
-from them. This module closes the loop on the I/O substrate: the four
-checkpoint variables written by :mod:`repro.io.s3dio` can be read back
-from the shared canonical files (any rank's block or the full arrays),
-and a solver state can be round-tripped through the simulated file
-system.
+from them. This module closes the loop on the I/O substrate: a solver's
+conserved state is round-tripped, bit for bit, through the simulated
+file system.
 """
 
 from __future__ import annotations
@@ -17,38 +15,9 @@ import zlib
 import numpy as np
 
 from repro.io.filesystem import WriteRequest
-from repro.io.layout import BlockLayout
-from repro.io.s3dio import CHECKPOINT_VARS
 from repro.resilience.errors import RestartCorruptionError
 from repro.resilience.retry import DEFAULT_RETRY, fs_backoff_sleep
 from repro.telemetry import resolve as resolve_telemetry
-
-
-def read_global_array(fs, path: str, layout: BlockLayout) -> np.ndarray:
-    """Reconstruct the full array from a canonical shared file.
-
-    Returns shape ``(nx, ny, nz)`` for 3D variables or
-    ``(nx, ny, nz, m)`` for 4D ones.
-    """
-    raw = fs.read(path, 0, layout.total_bytes)
-    flat = np.frombuffer(raw, dtype=np.float64)
-    nx, ny, nz = layout.global_shape
-    m = layout.fourth_dim
-    arr = flat.reshape(m, nz, ny, nx).transpose(3, 2, 1, 0)
-    out = np.ascontiguousarray(arr)
-    return out[..., 0] if m == 1 else out
-
-
-def read_rank_block(fs, path: str, layout: BlockLayout, rank: int) -> np.ndarray:
-    """Read only one rank's block (the runs it would have written)."""
-    block = np.empty(layout.local_shape(rank))
-    sx, sy, sz = layout.decomp.local_slices(rank)
-    for off, x0, y, z, m, lx in layout.local_runs(rank):
-        data = fs.read(path, off, lx * layout.itemsize)
-        line = np.frombuffer(data, dtype=np.float64)
-        block[:, y - sy.start, z - sz.start, m] = line
-    return block
-
 
 # ---------------------------------------------------------------------------
 # restart format v2: one codec, two magics
@@ -288,64 +257,3 @@ def read_checkpoint_manifest(fs, path: str) -> dict:
             f"{path!r}: manifest checksum mismatch"
         )
     return doc
-
-
-def checkpoint_state(fs, checkpoint, solver, checkpoint_id: int,
-                     method: str = "collective") -> dict:
-    """Write a solver's primitive fields as an S3D checkpoint.
-
-    The 2D solver state is embedded as an nz = 1 slab. Returns the
-    primitive arrays written (for verification).
-    """
-    rho, vel, T, p, Y, _ = solver.state.primitives()
-    shape3 = checkpoint.global_shape
-    if rho.shape != shape3[:rho.ndim] or np.prod(rho.shape) != np.prod(shape3):
-        raise ValueError(
-            f"solver grid {rho.shape} does not embed into checkpoint "
-            f"shape {shape3}"
-        )
-
-    def as3d(f):
-        return np.ascontiguousarray(f.reshape(shape3))
-
-    n_mass = CHECKPOINT_VARS[0][1]
-    ns = Y.shape[0]
-    if ns > n_mass:
-        raise ValueError(f"too many species ({ns}) for the mass slot ({n_mass})")
-    mass = np.zeros(shape3 + (n_mass,))
-    for k in range(ns):
-        mass[..., k] = as3d(Y[k])
-    velocity = np.zeros(shape3 + (CHECKPOINT_VARS[1][1],))
-    for a, v in enumerate(vel):
-        velocity[..., a] = as3d(v)
-    arrays = [mass, velocity, as3d(p), as3d(T)]
-    checkpoint.write_checkpoint(fs, method, arrays, checkpoint_id)
-    return {"mass": mass, "velocity": velocity, "pressure": arrays[2],
-            "temperature": arrays[3]}
-
-
-def restore_state(fs, checkpoint, mechanism, grid, checkpoint_id: int):
-    """Rebuild a :class:`~repro.core.state.State` from a checkpoint.
-
-    Reads the four canonical files, recovers (Y, u, p, T), and
-    reconstructs the conserved variables through the EOS — the restart
-    path of a production run.
-    """
-    from repro.core.state import State
-
-    fields = {}
-    for (name, m), layout in zip(CHECKPOINT_VARS, checkpoint.layouts):
-        path = f"{name}.{checkpoint_id:04d}"
-        fields[name] = read_global_array(fs, path, layout)
-    ns = mechanism.n_species
-    gshape = grid.shape
-    Y = np.stack([
-        fields["mass"][..., k].reshape(gshape) for k in range(ns)
-    ])
-    total = Y.sum(axis=0)
-    Y = Y / np.maximum(total, 1e-300)[None]
-    vel = [fields["velocity"][..., a].reshape(gshape) for a in range(grid.ndim)]
-    p = fields["pressure"].reshape(gshape)
-    T = fields["temperature"].reshape(gshape)
-    rho = mechanism.density(p, T, Y)
-    return State.from_primitive(mechanism, grid, rho, vel, T, Y)

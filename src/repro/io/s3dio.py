@@ -6,10 +6,6 @@ Each checkpoint writes four global arrays — mass (4D, fourth dimension
 dimension unpartitioned. The per-process block is 50x50x50 by default
 (~15.26 MB per process per checkpoint), and the shared-file methods
 write one file per checkpoint in canonical order.
-
-:func:`run_checkpoint_benchmark` drives any of the four write paths for
-N checkpoints and reports Fig 9's two observables: aggregate write
-bandwidth and total file-open time.
 """
 
 from __future__ import annotations
@@ -158,33 +154,3 @@ class S3DCheckpoint:
             if fs.file_bytes(path) != layout.pack_global(arr):
                 return False
         return True
-
-
-def run_checkpoint_benchmark(fs_factory, method: str, proc_shape, n_checkpoints=10,
-                             block=(50, 50, 50), seed=0, telemetry=None):
-    """Fig 9 driver: N checkpoints through one method on a fresh FS.
-
-    Returns a dict with aggregate bandwidth [B/s], open time [s], total
-    elapsed [s], and the FS/diagnostic counters.
-    """
-    fs = fs_factory()
-    ck = S3DCheckpoint(proc_shape=tuple(proc_shape), block=tuple(block),
-                       telemetry=telemetry)
-    arrays = ck.synthetic_arrays(seed=seed)
-    t0 = fs.elapsed()
-    for cid in range(n_checkpoints):
-        ck.write_checkpoint(fs, method, arrays, cid)
-    elapsed = fs.elapsed() - t0
-    total_bytes = ck.bytes_per_checkpoint * n_checkpoints
-    return {
-        "method": method,
-        "fs": fs.config.name,
-        "n_ranks": ck.n_ranks,
-        "bandwidth": total_bytes / elapsed if elapsed > 0 else float("inf"),
-        "open_time": fs.time.open,
-        "elapsed": elapsed,
-        "lock_wait": fs.time.lock_wait,
-        "conflict_units": fs.conflict_units,
-        "requests": fs.requests,
-        "bytes": total_bytes,
-    }

@@ -18,7 +18,7 @@ dies:
   the solver loops, with a zero-cost :data:`NULL_HEALTH` path matching
   the telemetry ``NullTelemetry`` convention.
 * :mod:`~repro.observability.fusion` — cross-rank profile fusion: per
-  rank ``Telemetry.snapshot()``s shipped over ``SimMPI`` and merged
+  rank ``Telemetry.snapshot()``s shipped over the transport and merged
   into Fig 2-style per-kernel min/median/max/imbalance tables and a
   Fig 3-style load-imbalance report.
 * :mod:`~repro.observability.render` — the §9 in-situ view: ASCII
@@ -66,21 +66,17 @@ from repro.observability.monitor import HealthMonitor, NullHealthMonitor, NULL_H
 from repro.observability.fusion import (
     FusedKernelRow,
     FusedProfile,
-    collect_snapshots,
     fuse_profiles,
-    fuse_solver_profiles,
 )
 from repro.observability.render import (
     RunMonitor,
     html_report,
     replay_report,
     sparkline,
-    write_html_report,
 )
 from repro.observability.timeline import (
     breakdown,
     critical_path,
-    critical_path_report,
     export_chrome_trace,
     reconcile_chemistry,
     stitch,
@@ -107,20 +103,16 @@ __all__ = [
     "NULL_HEALTH",
     "FusedKernelRow",
     "FusedProfile",
-    "collect_snapshots",
     "fuse_profiles",
-    "fuse_solver_profiles",
     "RunMonitor",
     "sparkline",
     "html_report",
-    "write_html_report",
     "replay_report",
     "stitch",
     "export_chrome_trace",
     "validate_chrome_trace",
     "breakdown",
     "critical_path",
-    "critical_path_report",
     "reconcile_chemistry",
     "MODES",
     "for_solver",

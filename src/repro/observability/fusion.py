@@ -3,7 +3,7 @@
 The paper's TAU methodology reduces thousands of per-rank profiles to
 per-kernel statistics (Fig 2) and a load-imbalance story (Fig 3). This
 module does the same with live data: every rank serializes its
-``Telemetry.snapshot()`` and ships it over ``SimMPI`` to a root rank,
+``Telemetry.snapshot()`` and ships it over the transport to a root rank,
 which fuses them into a :class:`FusedProfile` — per-kernel
 min/median/max/mean exclusive times plus the max/mean imbalance factor
 (the same statistic :func:`repro.perfmodel.loadbalance.chemistry_imbalance`
@@ -25,9 +25,7 @@ __all__ = [
     "FusedKernelRow",
     "FusedProfile",
     "collect_snapshot_dicts",
-    "collect_snapshots",
     "fuse_profiles",
-    "fuse_solver_profiles",
 ]
 
 #: message tag for snapshot shipping (off the halo/chemlb tag ranges)
@@ -69,23 +67,6 @@ def collect_snapshot_dicts(world, snapshots, root: int = 0,
                 tel.counter("fusion.messages").inc()
             out.append(json.loads(payload.decode()))
     return out
-
-
-def collect_snapshots(world, telemetries, root: int = 0) -> list:
-    """Gather every rank's telemetry snapshot at ``root`` over SimMPI.
-
-    ``telemetries`` holds one live backend per rank (the in-process
-    view); accounting goes to the root rank's backend. See
-    :func:`collect_snapshot_dicts` for the transport-agnostic core.
-    """
-    if len(telemetries) != world.size:
-        raise ValueError(
-            f"need one telemetry per rank ({world.size}), got {len(telemetries)}"
-        )
-    return collect_snapshot_dicts(
-        world, [t.snapshot() for t in telemetries], root=root,
-        telemetry=telemetries[root],
-    )
 
 
 @dataclass
@@ -244,8 +225,3 @@ def fuse_profiles(snapshots) -> FusedProfile:
         calls = sum(p.get(name, (0.0, 0))[1] for p in per_rank)
         rows[name] = FusedKernelRow(name=name, per_rank=values, calls=calls)
     return FusedProfile(rows, n_ranks=len(snapshots))
-
-
-def fuse_solver_profiles(world, telemetries, root: int = 0) -> FusedProfile:
-    """Collect over SimMPI and fuse in one call (the job-end reduce)."""
-    return fuse_profiles(collect_snapshots(world, telemetries, root=root))

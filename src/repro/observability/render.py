@@ -22,7 +22,6 @@ __all__ = [
     "render_dashboard",
     "RunMonitor",
     "html_report",
-    "write_html_report",
     "replay_report",
 ]
 
@@ -329,25 +328,6 @@ def html_report(rows, recoveries=(), summary=None, fused=None,
         parts.append("<pre>" + esc(fused.load_balance_report()) + "</pre>")
     parts.append("</body></html>")
     return "\n".join(parts)
-
-
-def write_html_report(fs, path, recorder=None, rows=None, recoveries=None,
-                      summary=None, fused=None,
-                      title: str = "simulation health observatory",
-                      telemetry=None) -> str:
-    """Render and write ``observatory.html`` through the file system."""
-    if rows is None:
-        if recorder is None:
-            raise ValueError("need a recorder or explicit rows")
-        rows = [r.as_dict() for r in recorder.records]
-        recoveries = recorder.recoveries if recoveries is None else recoveries
-        summary = recorder.summary("report") if summary is None else summary
-    if telemetry is None and recorder is not None:
-        telemetry = getattr(recorder, "telemetry", None)
-    text = html_report(rows, recoveries=recoveries or (), summary=summary,
-                       fused=fused, title=title, telemetry=telemetry)
-    fs.write_bytes(path, text.encode())
-    return path
 
 
 def replay_report(fs, jsonl_path: str, fused=None) -> dict:

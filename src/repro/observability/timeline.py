@@ -33,7 +33,6 @@ __all__ = [
     "chemistry_shares",
     "classify_kernel",
     "critical_path",
-    "critical_path_report",
     "export_chrome_trace",
     "reconcile_chemistry",
     "stitch",
@@ -408,39 +407,3 @@ def reconcile_chemistry(events, rank_seconds) -> dict:
         "max_share_deviation": float(np.abs(t_share - r_share).max())
         if reference.size else 0.0,
     }
-
-
-def critical_path_report(events, rank_seconds=None) -> str:
-    """Human-readable critical-path + breakdown report.
-
-    One table of per-rank category seconds, the critical-path category
-    split, and — when a reference ``rank_seconds`` vector is given —
-    the chemistry-share reconciliation line.
-    """
-    events = [_as_dict(e) for e in events]
-    parts = []
-    bd = breakdown(events)
-    cats = [c for c in _CATEGORIES if bd["total"].get(c)]
-    header = "rank".ljust(8) + "".join(c.rjust(14) for c in cats)
-    parts.append("== wall-time breakdown (exclusive seconds) ==")
-    parts.append(header)
-    for rank, row in bd["ranks"].items():
-        label = "driver" if rank < 0 else f"rank {rank}"
-        parts.append(label.ljust(8) + "".join(
-            f"{row.get(c, 0.0):14.6f}" for c in cats))
-    parts.append("total".ljust(8) + "".join(
-        f"{bd['total'].get(c, 0.0):14.6f}" for c in cats))
-    cp = critical_path(events)
-    parts.append("")
-    parts.append(f"== critical path: {cp['seconds']:.6f} s over "
-                 f"{len(cp['steps'])} events ==")
-    for cat, sec in sorted(cp["by_category"].items(), key=lambda kv: -kv[1]):
-        parts.append(f"  {cat.ljust(12)} {sec:12.6f} s")
-    if rank_seconds is not None:
-        rec = reconcile_chemistry(events, rank_seconds)
-        parts.append("")
-        parts.append(
-            "chemistry share, trace vs reference: max deviation "
-            f"{rec['max_share_deviation']:.4f}"
-        )
-    return "\n".join(parts) + "\n"

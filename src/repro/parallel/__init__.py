@@ -33,10 +33,8 @@ from repro.parallel.comm import (
     InProcessTransport,
     MessageLog,
     SimComm,
-    SimMPI,
     Transport,
     TransportUnavailableError,
-    available_transports,
     create_transport,
     transport_unavailable_reason,
 )
@@ -45,14 +43,12 @@ from repro.parallel.halo import HaloExchanger
 from repro.parallel.solver import parallel_derivative
 
 __all__ = [
-    "SimMPI",
     "SimComm",
     "MessageLog",
     "Transport",
     "InProcessTransport",
     "TransportUnavailableError",
     "TRANSPORTS",
-    "available_transports",
     "create_transport",
     "transport_unavailable_reason",
     "CartesianDecomposition",

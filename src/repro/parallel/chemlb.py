@@ -23,7 +23,7 @@ Pieces
   a permutation of the original cell set — every cell is evaluated
   exactly once, on exactly one rank.
 * :class:`ChemistryLoadBalancer` — executes a plan over
-  :class:`~repro.parallel.comm.SimMPI`: over-threshold ranks pack cell
+  :class:`~repro.parallel.comm.Transport`: over-threshold ranks pack cell
   batches (rho, T, Y) with a CRC header, ship them to underloaded
   ranks, helpers evaluate them through the shape-independent cell-list
   kinetics entry point and ship results back; lost/corrupt/delayed
@@ -291,14 +291,14 @@ def plan_assignment(costs_per_rank, policy: str = "greedy",
 # the balancer
 # ---------------------------------------------------------------------------
 class ChemistryLoadBalancer:
-    """Ships per-cell reaction evaluations between SimMPI ranks.
+    """Ships per-cell reaction evaluations between transport ranks.
 
     Parameters
     ----------
     mech:
         The chemistry :class:`~repro.chemistry.mechanism.Mechanism`.
     world:
-        The :class:`~repro.parallel.comm.SimMPI` world; its fault
+        The :class:`~repro.parallel.comm.Transport` world; its fault
         injector governs shipping faults (sites ``chemlb.ship`` and
         ``chemlb.reply``, plus whatever ``mpi.send`` does underneath).
     policy:

@@ -15,8 +15,7 @@ Backends
 * :class:`InProcessTransport` (name ``"inprocess"``, the default) — the
   deterministic single-process reference. All ranks execute
   cooperatively in the driver process; results are bit-exact and every
-  fault schedule replays deterministically. ``SimMPI`` is a
-  backward-compatible alias.
+  fault schedule replays deterministically.
 * :class:`~repro.parallel.shm.MultiprocessingTransport`
   (``"multiprocessing"``) — persistent spawn-safe worker processes, one
   per rank; program payloads move through ``SharedMemory`` buffers and
@@ -61,9 +60,7 @@ __all__ = [
     "SimComm",
     "Transport",
     "InProcessTransport",
-    "SimMPI",
     "TransportUnavailableError",
-    "available_transports",
     "create_transport",
     "transport_unavailable_reason",
 ]
@@ -667,10 +664,6 @@ class InProcessTransport(Transport):
         self._programs = None
 
 
-#: historical name for the in-process world (back-compat)
-SimMPI = InProcessTransport
-
-
 # ---------------------------------------------------------------------------
 # registry / selection
 # ---------------------------------------------------------------------------
@@ -683,11 +676,6 @@ def transport_unavailable_reason(name: str) -> str | None:
         except ImportError as exc:
             return f"multiprocessing transport cannot be imported: {exc}"
     return None
-
-
-def available_transports() -> list:
-    """Registered transport names usable in this environment."""
-    return [n for n in TRANSPORTS if transport_unavailable_reason(n) is None]
 
 
 def create_transport(name: str | None = None, size: int = 1,

@@ -37,7 +37,7 @@ class HaloExchanger:
     decomp:
         A :class:`~repro.parallel.decomp.CartesianDecomposition`.
     world:
-        A :class:`~repro.parallel.comm.SimMPI` world of matching size.
+        A :class:`~repro.parallel.comm.Transport` world of matching size.
     width:
         Ghost-layer count per face of :meth:`exchange` (default: the
         filter's 5, which covers the derivative's 4).

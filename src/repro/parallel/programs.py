@@ -4,8 +4,8 @@ Execution-plane factories must be picklable *by reference* so
 out-of-process backends (multiprocessing) can ship them to
 workers — hence these live at module level rather than inside tests.
 They double as minimal examples of the rank-program protocol: a
-factory ``f(rank, *args) -> program`` plus ordinary methods invoked via
-:meth:`~repro.parallel.comm.Transport.call_all`.
+factory ``f(rank, *args) -> program`` (the class itself) plus ordinary
+methods invoked via :meth:`~repro.parallel.comm.Transport.call_all`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ __all__ = [
     "FailingProgram",
     "ReplyEarlyProgram",
     "SleeperProgram",
-    "make_chained",
-    "make_echo",
-    "make_failing",
-    "make_sleeper",
 ]
 
 
@@ -152,21 +148,3 @@ class ReplyEarlyProgram:
 
     def report(self):
         return self.remainders, self.kept, self.stale
-
-
-def make_echo(rank: int, base: float = 0.0) -> EchoProgram:
-    return EchoProgram(rank, base)
-
-
-def make_failing(rank: int, failing_rank: int = 0,
-                 kind: str = "value") -> FailingProgram:
-    return FailingProgram(rank, failing_rank, kind)
-
-
-def make_chained(rank: int, failing_rank: int = 0) -> ChainedFailingProgram:
-    return ChainedFailingProgram(rank, failing_rank)
-
-
-def make_sleeper(rank: int, sleeping_rank: int = 0,
-                 seconds: float = 30.0) -> SleeperProgram:
-    return SleeperProgram(rank, sleeping_rank, seconds)

@@ -71,7 +71,7 @@ class SolverRankProgram:
 
     def __init__(self, rank, mechanism, grid, axes, scheme="ck45",
                  transport=None, reacting=True, filter_alpha=0.2,
-                 rhs_backend=None, defer_reactions=False,
+                 defer_reactions=False,
                  rank_telemetry=False, tracing=False, telemetry=None):
         self.rank = int(rank)
         if telemetry is None:
@@ -93,11 +93,9 @@ class SolverRankProgram:
         self.rhs = CompressibleRHS(self.state, transport=transport,
                                    boundaries={},
                                    reacting=reacting and not self._defer,
-                                   telemetry=telemetry, engine="batched",
-                                   backend=rhs_backend)
+                                   telemetry=telemetry)
         self.filters = filter_operators(grid, alpha=filter_alpha,
-                                        telemetry=telemetry,
-                                        backend=self.rhs.backend)
+                                        telemetry=telemetry)
         self._run = None  # the suspended step, if any
 
     # -- the step ----------------------------------------------------------
@@ -269,9 +267,9 @@ class ParallelPeriodicSolver(S3DSolver):
         Decomposition and transport world. ``world=None`` builds one
         via :func:`repro.parallel.comm.create_transport` from
         ``comm_transport``, and :meth:`close` releases it.
-    scheme, filter_alpha, filter_interval, comm_transport, rhs_engine,
-    rhs_backend, chemistry_mode, chemistry_method, fixed_substeps,
-    chem_load_balance, parallel_recovery, observability, tracing:
+    scheme, filter_alpha, filter_interval, comm_transport,
+    chemistry_mode, chemistry_method, fixed_substeps, chem_load_balance,
+    parallel_recovery, observability, tracing:
         Folded into the :class:`~repro.core.config.SolverConfig` the
         shared driver reads (:attr:`config`); for the run-time knobs of
         :data:`repro.core.config.KNOBS`, ``None`` defers to each knob's
@@ -282,15 +280,6 @@ class ParallelPeriodicSolver(S3DSolver):
         parallel, through the serial solver's own integrator.
     transport, reacting:
         Passed through to per-rank RHS/filter construction.
-    rhs_engine, rhs_backend:
-        Rank programs run the batched engine's three phases, so an
-        explicit ``rhs_engine="naive"`` is rejected (the naive engine is
-        the serial bitwise oracle; an environment value is not consulted
-        here). The backend is forwarded to every per-rank
-        :class:`~repro.core.rhs.CompressibleRHS` by name, not instance —
-        each rank process resolves its own backend and JIT caches —
-        and ghost-filled sweeps take the NumPy reference path whatever
-        it is.
     chem_load_balance:
         When active in explicit mode, per-rank RHS evaluations defer
         their reaction source terms and a
@@ -320,8 +309,7 @@ class ParallelPeriodicSolver(S3DSolver):
 
     def __init__(self, mechanism, grid, decomp, world=None, transport=None,
                  reacting=True, scheme="ck45", filter_alpha=0.2,
-                 filter_interval=1, telemetry=None, rhs_engine=None,
-                 rhs_backend=None,
+                 filter_interval=1, telemetry=None,
                  chemistry_mode=None, chemistry_method=None,
                  chem_load_balance=None, chemlb_threshold=1.1,
                  chemlb_cost_model=None, chemlb_work_model=None,
@@ -333,17 +321,11 @@ class ParallelPeriodicSolver(S3DSolver):
                              "grid and decomposition")
         if grid.shape != decomp.global_shape:
             raise ValueError("grid and decomposition shapes disagree")
-        if rhs_engine is not None and resolve("rhs_engine", rhs_engine) != "batched":
-            raise ValueError(
-                f"rhs_engine={rhs_engine!r}: rank programs run the batched "
-                f"engine's three phases (the naive engine is the serial "
-                f"bitwise oracle)"
-            )
         config = SolverConfig(
             boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
             filter_interval=int(filter_interval), filter_alpha=filter_alpha,
-            rhs_engine=rhs_engine, rhs_backend=rhs_backend, tracing=tracing,
-            observability=observability, chemistry_mode=chemistry_mode,
+            tracing=tracing, observability=observability,
+            chemistry_mode=chemistry_mode,
             chemistry_method=chemistry_method, fixed_substeps=fixed_substeps,
             chem_load_balance=chem_load_balance, transport=comm_transport,
             parallel_recovery=parallel_recovery,
@@ -382,8 +364,7 @@ class ParallelPeriodicSolver(S3DSolver):
         # kept so recovery can rebuild programs on a new or revived
         # world with exactly the original construction arguments
         self._program_args = (scheme, transport, rank_reacting, filter_alpha,
-                              rhs_backend, self._defer,
-                              self._rank_telemetry,
+                              self._defer, self._rank_telemetry,
                               resolve("tracing", tracing))
         self._start_rank_programs()
         self._arm_health()

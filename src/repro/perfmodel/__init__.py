@@ -23,20 +23,14 @@ peak FLOP rate, memory bandwidth — §3):
 
 from repro.perfmodel.machine import NodeModel, XT3, XT4, HybridSystem
 from repro.perfmodel.kernels import KernelSpec, s3d_kernel_inventory
-from repro.perfmodel.roofline import kernel_time, roofline_report
+from repro.perfmodel.roofline import kernel_time
 from repro.perfmodel.weakscaling import weak_scaling_curve, hybrid_weak_scaling
 from repro.perfmodel.loadbalance import (
     balance_curve,
     chemistry_imbalance,
-    predicted_chemistry_profile,
-    predicted_chemistry_speedup,
     rebalanced_cost,
 )
-from repro.perfmodel.profiler import (
-    SimProfiler,
-    profile_hybrid_run,
-    rank_profile_from_telemetry,
-)
+from repro.perfmodel.profiler import profile_hybrid_run
 from repro.perfmodel.transportmodel import (
     predicted_transport_speedup,
     transport_comparison,
@@ -51,17 +45,12 @@ __all__ = [
     "KernelSpec",
     "s3d_kernel_inventory",
     "kernel_time",
-    "roofline_report",
     "weak_scaling_curve",
     "hybrid_weak_scaling",
     "rebalanced_cost",
     "balance_curve",
     "chemistry_imbalance",
-    "predicted_chemistry_profile",
-    "predicted_chemistry_speedup",
-    "SimProfiler",
     "profile_hybrid_run",
-    "rank_profile_from_telemetry",
     "predicted_transport_speedup",
     "transport_comparison",
     "transport_comparison_table",

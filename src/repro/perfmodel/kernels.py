@@ -51,18 +51,3 @@ def s3d_kernel_inventory() -> list:
                    category="mixed", flop_efficiency=0.27),
         KernelSpec("INTEGRATE", flops=1.4e3, bytes=6.3e3, category="memory"),
     ]
-
-
-def measured_kernel_weights(tracer) -> dict:
-    """Relative kernel weights from a real solver run.
-
-    ``tracer`` is anything with ``exclusive_times()`` — a telemetry
-    :class:`~repro.telemetry.spans.Tracer` or a
-    :class:`~repro.perfmodel.profiler.SimProfiler`. Used to
-    sanity-check the inventory's proportions against the Python
-    implementation (tests assert diffusive-flux assembly dominates the
-    memory kernels, mirroring §4.1's finding).
-    """
-    times = tracer.exclusive_times()
-    total = sum(times.values()) or 1.0
-    return {name: v / total for name, v in times.items()}

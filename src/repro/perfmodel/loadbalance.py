@@ -65,58 +65,3 @@ def chemistry_imbalance(loads) -> float:
     if mean <= 0.0:
         return 1.0
     return float(loads.max() / mean)
-
-
-def predicted_chemistry_profile(cell_costs_per_rank, policy: str = "greedy",
-                                threshold: float = 1.1, sweeps: int = 3):
-    """Per-rank chemistry loads before/after dynamic balancing.
-
-    ``cell_costs_per_rank`` holds one 1-D per-cell cost array per rank
-    (e.g. from :meth:`repro.parallel.chemlb.CellCostModel.cell_costs`
-    on a stiffness field). Runs the *same* planner as the runtime
-    balancer, so this Fig-3-style prediction stays consistent with the
-    implementation by construction. Returns ``(before, after)`` arrays.
-    """
-    from repro.parallel.chemlb import plan_assignment
-
-    plan = plan_assignment(cell_costs_per_rank, policy=policy,
-                           threshold=threshold, sweeps=sweeps)
-    return plan.loads_before, plan.loads_after
-
-
-def predicted_chemistry_speedup(cell_costs_per_rank, policy: str = "greedy",
-                                threshold: float = 1.1, sweeps: int = 3) -> float:
-    """Predicted max-rank chemistry-time reduction factor (>= 1)."""
-    before, after = predicted_chemistry_profile(
-        cell_costs_per_rank, policy=policy, threshold=threshold, sweeps=sweeps
-    )
-    if after.max() <= 0.0:
-        return 1.0
-    return float(before.max() / after.max())
-
-
-def measured_imbalance(profile, kernel: str = "REACTION_RATES") -> float:
-    """Imbalance factor from *measured* per-rank loads.
-
-    ``profile`` is anything exposing ``loads(kernel)`` — e.g. the fused
-    cross-rank profile of :mod:`repro.observability.fusion` — or a
-    plain per-rank load array. This closes the Fig 3 loop: the same
-    max/mean statistic the cost model predicts, evaluated on live
-    telemetry instead of modeled cell costs.
-    """
-    loads = profile.loads(kernel) if hasattr(profile, "loads") else profile
-    return chemistry_imbalance(loads)
-
-
-def measured_speedup(loads_before, loads_after) -> float:
-    """Measured max-rank time reduction factor between two runs (>= 0).
-
-    The observed counterpart of :func:`predicted_chemistry_speedup`:
-    feed it the per-rank chemistry loads fused from an unbalanced and a
-    balanced run of the same problem.
-    """
-    before = np.asarray(loads_before, dtype=float)
-    after = np.asarray(loads_after, dtype=float)
-    if after.max() <= 0.0:
-        return 1.0
-    return float(before.max() / after.max())

@@ -6,10 +6,6 @@ memory-bound loops early and wait for XT3 ranks at the bulk-synchronous
 communication points), while XT3 ranks spend that time in the
 memory-intensive loops instead. Compute-bound kernels take identical
 time in both classes.
-
-:class:`SimProfiler` also instruments *real* Python kernel callables so
-the same breakdown methodology can be applied to this repository's
-solver (used by the §4.1 loop-optimization study).
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import numpy as np
 from repro.perfmodel.kernels import s3d_kernel_inventory
 from repro.perfmodel.machine import XT3, XT4, HybridSystem
 from repro.perfmodel.roofline import kernel_time
-from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -84,48 +79,3 @@ def class_means(profiles):
         keys = rows[0].exclusive.keys()
         out[cls] = {k: float(np.mean([r.exclusive[k] for r in rows])) for k in keys}
     return out
-
-
-class SimProfiler:
-    """Instrument real Python callables, TAU-style.
-
-    Wrap kernels with :meth:`instrument`; every call runs under a span
-    named after the kernel, so instrumented callables that invoke each
-    other get *true* exclusive times (child time subtracted) rather
-    than double-counted flat totals. Spans go to the recording
-    :class:`~repro.telemetry.Telemetry` supplied, or to a private one.
-    """
-
-    def __init__(self, telemetry=None):
-        recording = telemetry is not None and telemetry.enabled
-        self.telemetry = telemetry if recording else Telemetry()
-
-    def instrument(self, name: str, fn):
-        tel = self.telemetry
-
-        def wrapped(*args, **kwargs):
-            with tel.span(name):
-                return fn(*args, **kwargs)
-
-        wrapped.__name__ = f"profiled_{name}"
-        return wrapped
-
-    def exclusive_times(self) -> dict:
-        return self.telemetry.tracer.exclusive_times()
-
-    def report(self) -> str:
-        return self.telemetry.profile_report()
-
-
-def rank_profile_from_telemetry(telemetry, rank: int = 0,
-                                node_type: str = "measured") -> RankProfile:
-    """A :class:`RankProfile` from *measured* span data.
-
-    This closes the loop on the Fig 2 methodology: the per-kernel
-    exclusive times come from a real instrumented run (a
-    :class:`~repro.core.solver.S3DSolver` with telemetry enabled)
-    instead of the machine model, and slot into :func:`class_means` /
-    load-balance analyses unchanged.
-    """
-    exclusive = telemetry.tracer.exclusive_times()
-    return RankProfile(rank=rank, node_type=node_type, exclusive=dict(exclusive))

@@ -20,14 +20,6 @@ def kernel_time(kernel, node) -> float:
     return max(t_flops, t_bytes)
 
 
-def is_memory_bound(kernel, node) -> bool:
-    """True when the roofline puts this kernel on the bandwidth ceiling."""
-    return (
-        kernel.bytes / node.usable_bandwidth_per_core
-        > kernel.flops / (kernel.flop_efficiency * node.peak_flops_per_core)
-    )
-
-
 def total_time(inventory, node) -> float:
     """Cost per grid point per step [s] summed over the inventory."""
     return sum(kernel_time(k, node) for k in inventory)
@@ -42,24 +34,3 @@ def achieved_flops_fraction(inventory, node) -> float:
     flops = sum(k.flops for k in inventory)
     time = total_time(inventory, node)
     return (flops / time) / node.peak_flops_per_core
-
-
-def roofline_report(inventory, nodes) -> str:
-    """Tabular per-kernel roofline comparison across node types."""
-    header = f"{'kernel':<26s}" + "".join(f"{n.name + ' [us]':>14s}" for n in nodes)
-    header += f"{'AI [f/B]':>12s}  bound"
-    lines = [header]
-    for k in inventory:
-        row = f"{k.name:<26s}"
-        for n in nodes:
-            row += f"{kernel_time(k, n) * 1e6:>14.2f}"
-        bound = "/".join(
-            "mem" if is_memory_bound(k, n) else "cpu" for n in nodes
-        )
-        row += f"{k.arithmetic_intensity:>12.2f}  {bound}"
-        lines.append(row)
-    totals = f"{'TOTAL':<26s}" + "".join(
-        f"{total_time(inventory, n) * 1e6:>14.2f}" for n in nodes
-    )
-    lines.append(totals)
-    return "\n".join(lines)

@@ -1,7 +1,7 @@
 """Deterministic, seedable fault injection.
 
 A :class:`FaultInjector` holds a list of :class:`FaultSpec` arming
-rules. Instrumented components (``SimMPI``, ``SimFileSystem``,
+rules. Instrumented components (``InProcessTransport``, ``SimFileSystem``,
 ``Environment``, the resilient run supervisor) call
 :meth:`FaultInjector.decide` at named *sites* — e.g. ``"fs.write"``,
 ``"mpi.send"``, ``"workflow.transfer"``, ``"solver.step"`` — and apply

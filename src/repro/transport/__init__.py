@@ -12,14 +12,13 @@ Implements mixture-averaged molecular transport from kinetic theory:
   for the performance model problems (:mod:`repro.transport.simple`).
 """
 
-from repro.transport.collision import omega11, omega22, reduced_temperature
+from repro.transport.collision import omega11, omega22
 from repro.transport.mixture import MixtureAveragedTransport
 from repro.transport.simple import ConstantLewisTransport, PowerLawTransport
 
 __all__ = [
     "omega11",
     "omega22",
-    "reduced_temperature",
     "MixtureAveragedTransport",
     "ConstantLewisTransport",
     "PowerLawTransport",

@@ -10,11 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def reduced_temperature(T, eps_over_k):
-    """Reduced temperature T* = T / (eps/k)."""
-    return np.asarray(T, dtype=float) / eps_over_k
-
-
 #: The Neufeld fits as data, ``((c0, p0), (c1, b1), ...)`` for
 #: ``c0 * t**p0 + sum_k c_k * exp(b_k * t)``; the streamed evaluation
 #: kernel of :mod:`repro.transport.mixture` folds its per-species and

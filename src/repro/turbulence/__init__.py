@@ -4,8 +4,8 @@ The paper's jet configurations specify synthetic turbulence at the
 inflow whose scales then evolve downstream (Table 1 footnote d). This
 package provides:
 
-* :mod:`repro.turbulence.spectra` — model energy spectra
-  (Passot-Pouquet, von Karman-Pao) and spectral analysis of fields,
+* :mod:`repro.turbulence.spectra` — the Passot-Pouquet model energy
+  spectrum,
 * :mod:`repro.turbulence.synthetic` — divergence-free random velocity
   fields synthesized from a target spectrum,
 * :mod:`repro.turbulence.statistics` — u', dissipation, integral and
@@ -13,7 +13,7 @@ package provides:
   Damkohler).
 """
 
-from repro.turbulence.spectra import passot_pouquet, von_karman_pao, energy_spectrum
+from repro.turbulence.spectra import passot_pouquet
 from repro.turbulence.synthetic import synthetic_velocity_field
 from repro.turbulence.statistics import (
     TurbulenceScales,
@@ -24,8 +24,6 @@ from repro.turbulence.statistics import (
 
 __all__ = [
     "passot_pouquet",
-    "von_karman_pao",
-    "energy_spectrum",
     "synthetic_velocity_field",
     "TurbulenceScales",
     "rms_fluctuation",

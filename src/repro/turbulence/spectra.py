@@ -1,4 +1,4 @@
-"""Model turbulence energy spectra and spectral analysis."""
+"""Model turbulence energy spectra."""
 
 from __future__ import annotations
 
@@ -17,60 +17,3 @@ def passot_pouquet(k, u_rms: float, k_peak: float):
     norm = q2 / (k_peak * 3.0 * np.sqrt(np.pi / 2.0) / 32.0)
     x = k / k_peak
     return norm * x**4 * np.exp(-2.0 * x**2)
-
-
-def von_karman_pao(k, u_rms: float, l_integral: float, eta: float):
-    """Von Karman-Pao spectrum with near-dissipation cutoff."""
-    k = np.asarray(k, dtype=float)
-    ke = 1.0 / l_integral
-    q2 = 1.5 * u_rms**2
-    a = (k / ke) ** 4 / (1.0 + (k / ke) ** 2) ** (17.0 / 6.0)
-    cutoff = np.exp(-1.5 * (k * eta) ** (4.0 / 3.0))
-    raw = a * cutoff
-    # numeric normalization on a fine grid
-    kk = np.linspace(1e-6, 40.0 / max(eta, 1e-12), 4000) if eta > 0 else np.linspace(
-        1e-6, 100.0 * ke, 4000
-    )
-    aa = (kk / ke) ** 4 / (1.0 + (kk / ke) ** 2) ** (17.0 / 6.0)
-    cc = np.exp(-1.5 * (kk * eta) ** (4.0 / 3.0))
-    integral = np.trapezoid(aa * cc, kk)
-    return q2 * raw / integral
-
-
-def energy_spectrum(velocity, lengths):
-    """Radial kinetic-energy spectrum of a periodic velocity field.
-
-    Parameters
-    ----------
-    velocity:
-        Sequence of ndim arrays (the velocity components) on a periodic
-        grid.
-    lengths:
-        Domain lengths per direction.
-
-    Returns (k_bins, E) with sum(E * dk) ~ (1/2) <u_i u_i>.
-    """
-    vel = [np.asarray(v, dtype=float) for v in velocity]
-    shape = vel[0].shape
-    ndim = len(shape)
-    n_total = np.prod(shape)
-    # wavenumber magnitudes
-    ks = [
-        2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-        for n, L in zip(shape, lengths)
-    ]
-    kmag = np.sqrt(sum(np.meshgrid(*[k**2 for k in ks], indexing="ij")))
-    # spectral energy density per mode
-    e_mode = sum(np.abs(np.fft.fftn(v)) ** 2 for v in vel) / (2.0 * n_total**2)
-    k_min = 2.0 * np.pi / max(lengths)
-    k_max = float(kmag.max())
-    n_bins = max(8, min(shape) // 2)
-    edges = np.linspace(0.0, k_max, n_bins + 1)
-    which = np.digitize(kmag.ravel(), edges) - 1
-    e_flat = e_mode.ravel()
-    spec = np.zeros(n_bins)
-    for b in range(n_bins):
-        spec[b] = e_flat[which == b].sum()
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    dk = edges[1] - edges[0]
-    return centers, spec / dk

@@ -1,4 +1,4 @@
-"""Shared utilities: physical constants, validation helpers."""
+"""Shared utilities: physical constants."""
 
 from repro.util.constants import (
     RU,
@@ -8,12 +8,6 @@ from repro.util.constants import (
     BOLTZMANN,
     CAL_TO_J,
 )
-from repro.util.validation import (
-    check_positive,
-    check_in_range,
-    check_shape,
-    check_probability_vector,
-)
 
 __all__ = [
     "RU",
@@ -22,8 +16,4 @@ __all__ = [
     "AVOGADRO",
     "BOLTZMANN",
     "CAL_TO_J",
-    "check_positive",
-    "check_in_range",
-    "check_shape",
-    "check_probability_vector",
 ]

@@ -9,9 +9,7 @@
 * :mod:`repro.viz.parallel_coords` — the parallel-coordinates brushing
   interface of Fig 15,
 * :mod:`repro.viz.time_histogram` — per-variable time histograms
-  (Fig 15's temporal view),
-* :mod:`repro.viz.insitu` — in-situ rendering hooks with cost
-  accounting (§8.3).
+  (Fig 15's temporal view).
 """
 
 from repro.viz.transfer import TransferFunction, ColorMap
@@ -19,7 +17,6 @@ from repro.viz.volume import VolumeRenderer, render_isosurface_mask
 from repro.viz.fusion import fuse_fields, simultaneous_render
 from repro.viz.parallel_coords import ParallelCoordinates
 from repro.viz.time_histogram import TimeHistogram
-from repro.viz.insitu import InSituRenderer
 from repro.viz.image import save_ppm
 
 __all__ = [
@@ -31,6 +28,5 @@ __all__ = [
     "simultaneous_render",
     "ParallelCoordinates",
     "TimeHistogram",
-    "InSituRenderer",
     "save_ppm",
 ]

@@ -14,24 +14,3 @@ def save_ppm(path: str, image) -> None:
     with open(path, "wb") as f:
         f.write(f"P6 {img.shape[1]} {img.shape[0]} 255\n".encode())
         f.write(data.tobytes())
-
-
-def load_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM back into a float RGB image in [0, 1]."""
-    with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic != b"P6":
-            raise ValueError("not a binary PPM file")
-        fields = []
-        while len(fields) < 3:
-            tok = b""
-            ch = f.read(1)
-            while ch.isspace():
-                ch = f.read(1)
-            while ch and not ch.isspace():
-                tok += ch
-                ch = f.read(1)
-            fields.append(int(tok))
-        w, h, maxval = fields
-        data = np.frombuffer(f.read(w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3).astype(float) / maxval

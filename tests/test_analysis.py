@@ -12,7 +12,6 @@ from repro.analysis import (
     gradient_magnitude,
     liftoff_height,
     progress_variable,
-    scatter_sample,
     stoichiometric_mixture_fraction,
     surface_length,
 )
@@ -134,17 +133,6 @@ class TestConditional:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             conditional_mean(np.zeros(3), np.zeros(4))
-
-    def test_scatter_sample_bounds(self):
-        x = np.arange(100.0)
-        a, b = scatter_sample(x, x, n_max=10, seed=1)
-        assert len(a) == 10
-        np.testing.assert_array_equal(a, b)
-
-    def test_scatter_sample_small_passthrough(self):
-        x = np.arange(5.0)
-        a, b = scatter_sample(x, 2 * x, n_max=10)
-        np.testing.assert_array_equal(a, x)
 
 
 class TestFlameGeometry:

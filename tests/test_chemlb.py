@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import SolverConfig, resolve
 from repro.core.grid import Grid
 from repro.core.state import State
-from repro.parallel import CartesianDecomposition, SimMPI
+from repro.parallel import CartesianDecomposition, InProcessTransport
 from repro.parallel.chemlb import (
     POLICIES,
     CellCostModel,
@@ -199,7 +199,7 @@ class TestBalancerBitExactness:
     def _rates(self, h2_mech, policy, seed, injector=None, telemetry=None):
         rng = np.random.default_rng(seed)
         prims = _skewed_prims(h2_mech, rng)
-        world = SimMPI(len(prims), fault_injector=injector)
+        world = InProcessTransport(len(prims), fault_injector=injector)
         lb = ChemistryLoadBalancer(h2_mech, world, policy=policy,
                                    telemetry=telemetry)
         lb.production_rates(prims)  # warmup builds the stiffness proxy
@@ -285,7 +285,7 @@ def _flame_front_state(mech, n=24):
 
 
 def _run_parallel(mech, grid, u0, policy, steps=3, injector=None, **kw):
-    world = SimMPI(4, fault_injector=injector)
+    world = InProcessTransport(4, fault_injector=injector)
     decomp = CartesianDecomposition(grid.shape, (2, 2),
                                     periodic=(True, True))
     solver = ParallelPeriodicSolver(mech, grid, decomp, world, reacting=True,
@@ -324,22 +324,3 @@ class TestSolverBitExactness:
         assert solver.chemlb is None
 
 
-# ---------------------------------------------------------------------------
-# perfmodel consistency
-# ---------------------------------------------------------------------------
-class TestPerfmodelPrediction:
-    def test_profile_matches_runtime_planner(self):
-        from repro.perfmodel import (
-            chemistry_imbalance,
-            predicted_chemistry_profile,
-            predicted_chemistry_speedup,
-        )
-
-        rng = np.random.default_rng(3)
-        costs = [1.0 + 9.0 * (r == 1) * rng.random(50) for r in range(4)]
-        before, after = predicted_chemistry_profile(costs, policy="greedy")
-        plan = plan_assignment(costs, policy="greedy")
-        assert np.array_equal(before, plan.loads_before)
-        assert np.array_equal(after, plan.loads_after)
-        assert chemistry_imbalance(after) < chemistry_imbalance(before)
-        assert predicted_chemistry_speedup(costs, policy="greedy") > 1.0

@@ -39,7 +39,7 @@ from repro.io.restart import (
 from repro.parallel import shm
 from repro.parallel.comm import InProcessTransport, create_transport
 from repro.parallel.decomp import CartesianDecomposition
-from repro.parallel.programs import make_chained, make_sleeper
+from repro.parallel.programs import ChainedFailingProgram, SleeperProgram
 from repro.parallel.shm import MultiprocessingTransport
 from repro.parallel.solver import ParallelPeriodicSolver
 from repro.resilience import (
@@ -585,7 +585,7 @@ class TestExceptionFidelity:
 
     def test_inprocess_preserves_cause_and_rank(self):
         world = InProcessTransport(3)
-        world.start_programs(make_chained, [(1,)] * 3)
+        world.start_programs(ChainedFailingProgram, [(1,)] * 3)
         with pytest.raises(ValueError, match="reaction rates") as excinfo:
             world.call_all("work")
         assert excinfo.value.rank == 1
@@ -596,7 +596,7 @@ class TestExceptionFidelity:
     def test_multiprocessing_preserves_cause_and_rank(self):
         world = MultiprocessingTransport(2)
         try:
-            world.start_programs(make_chained, [(1,)] * 2)
+            world.start_programs(ChainedFailingProgram, [(1,)] * 2)
             with pytest.raises(ValueError, match="reaction rates") as excinfo:
                 world.call_all("work")
             assert excinfo.value.rank == 1
@@ -613,7 +613,7 @@ class TestLiveness:
         inj = FaultInjector(seed=SEED)
         inj.add("exec.call", mode="hang", count=1, rank=2)
         world = InProcessTransport(3, fault_injector=inj)
-        world.start_programs(make_chained, [(99,)] * 3)  # no rank fails
+        world.start_programs(ChainedFailingProgram, [(99,)] * 3)  # no rank fails
         with pytest.raises(RankUnresponsiveError, match="stopped responding"):
             world.call_all("work")
         assert 2 in world.failed_ranks
@@ -633,7 +633,7 @@ class TestLiveness:
         and surfaced as RankUnresponsiveError by the deadline."""
         world = MultiprocessingTransport(2, heartbeat=0.5)
         try:
-            world.start_programs(make_sleeper, [(0, 30.0)] * 2)
+            world.start_programs(SleeperProgram, [(0, 30.0)] * 2)
             with pytest.raises(RankUnresponsiveError, match="heartbeat"):
                 world.call_all("work")
             assert 0 in world.failed_ranks
@@ -645,7 +645,7 @@ class TestLiveness:
 class TestReviveAndReset:
     def test_inprocess_revive_restarts_program(self):
         world = InProcessTransport(3)
-        world.start_programs(make_chained, [(99,)] * 3)
+        world.start_programs(ChainedFailingProgram, [(99,)] * 3)
         world.fail_rank(1)
         with pytest.raises(RankFailedError):
             world.call_all("work")
@@ -676,7 +676,7 @@ class TestReviveAndReset:
                 rank=1)
         world = MultiprocessingTransport(2, fault_injector=inj)
         try:
-            world.start_programs(make_chained, [(99,)] * 2)
+            world.start_programs(ChainedFailingProgram, [(99,)] * 2)
             with pytest.raises(RankFailedError):
                 world.call_all("work")
             assert 1 in world.failed_ranks
@@ -699,7 +699,7 @@ class TestOversubscription:
         world = MultiprocessingTransport(2, telemetry=tel)
         try:
             with pytest.warns(RuntimeWarning, match="oversubscribed"):
-                world.start_programs(make_chained, [(99,)] * 2)
+                world.start_programs(ChainedFailingProgram, [(99,)] * 2)
             assert tel.gauge("transport.oversubscribed").value == 1
         finally:
             world.close()
@@ -710,7 +710,7 @@ class TestOversubscription:
         try:
             with _warnings.catch_warnings():
                 _warnings.simplefilter("error", RuntimeWarning)
-                world2.start_programs(make_chained, [(99,)] * 2)
+                world2.start_programs(ChainedFailingProgram, [(99,)] * 2)
         finally:
             world2.close()
 
@@ -725,7 +725,7 @@ class TestOversubscription:
         try:
             with _warnings.catch_warnings():
                 _warnings.simplefilter("error", RuntimeWarning)
-                world.start_programs(make_chained, [(99,)] * 2)
+                world.start_programs(ChainedFailingProgram, [(99,)] * 2)
         finally:
             world.close()
 

@@ -20,15 +20,14 @@ from repro.chemistry import Mechanism, SourceTermJacobian
 from repro.chemistry.kinetics import Arrhenius, Falloff, Reaction, ThirdBody
 from repro.chemistry.mechanisms.builders import make_species
 from repro.util.constants import P_ATM
+from tests.tolerances import FD_JACOBIAN_RTOL
 
 pytestmark = pytest.mark.jacobian
 
-#: max |J_analytical - J_fd| / max(|J_analytical|) per cell
-FD_RTOL = 1e-6
-
 #: relative central-difference step — large enough that the O(h^2)
 #: truncation error and the O(eps/h) roundoff error are both well below
-#: FD_RTOL for these well-scaled states (smaller steps go roundoff-bound)
+#: FD_JACOBIAN_RTOL for these well-scaled states (smaller steps go
+#: roundoff-bound)
 FD_REL_STEP = 1e-5
 
 
@@ -101,7 +100,7 @@ class TestFiniteDifferenceExactness:
         kw = closure_kwargs(mode, h2_mech, T, Y, rng)
         j_an = stj.jacobian(T, Y, **kw)
         j_fd = fd_jacobian(stj, T, Y, **kw)
-        assert max_rel_error(j_an, j_fd) < FD_RTOL
+        assert max_rel_error(j_an, j_fd) < FD_JACOBIAN_RTOL
 
     def test_ch4_twostep(self, ch4_mech, rng, mode):
         stj = SourceTermJacobian(ch4_mech, mode=mode)
@@ -109,7 +108,7 @@ class TestFiniteDifferenceExactness:
         kw = closure_kwargs(mode, ch4_mech, T, Y, rng)
         j_an = stj.jacobian(T, Y, **kw)
         j_fd = fd_jacobian(stj, T, Y, **kw)
-        assert max_rel_error(j_an, j_fd) < FD_RTOL
+        assert max_rel_error(j_an, j_fd) < FD_JACOBIAN_RTOL
 
     def test_fused_source_matches_plain_source(self, h2_mech, rng, mode):
         # the fused path accumulates wdot per reaction (alongside its
@@ -158,7 +157,7 @@ class TestTroeFalloff:
         kw = closure_kwargs(mode, troe_mech, T, Y, rng)
         j_an = stj.jacobian(T, Y, **kw)
         j_fd = fd_jacobian(stj, T, Y, **kw)
-        assert max_rel_error(j_an, j_fd) < FD_RTOL
+        assert max_rel_error(j_an, j_fd) < FD_JACOBIAN_RTOL
 
     def test_fd_exact_across_pressure_range(self, troe_mech, rng):
         # sweep the falloff transition: Pr spans low to high pressure
@@ -167,7 +166,7 @@ class TestTroeFalloff:
         p = np.exp(rng.uniform(np.log(1e3), np.log(1e7), T.shape))
         j_an = stj.jacobian(T, Y, p=p)
         j_fd = fd_jacobian(stj, T, Y, p=p)
-        assert max_rel_error(j_an, j_fd) < FD_RTOL
+        assert max_rel_error(j_an, j_fd) < FD_JACOBIAN_RTOL
 
 
 class TestSparsityPattern:

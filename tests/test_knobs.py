@@ -63,11 +63,11 @@ class TestTable:
 
     def test_config_fields_and_env_vars(self):
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert len(fields) == 17
+        assert len(fields) == 15
         assert set(IN_CONFIG) <= set(fields)
         assert all(getattr(SolverConfig(), n) is None for n in IN_CONFIG)
         envs = [k.env for k in KNOBS.values()]
-        assert len(set(envs)) == len(envs) == 13
+        assert len(set(envs)) == len(envs) == len(KNOBS) == 11
         assert all(e.startswith("REPRO_") for e in envs)
 
     def test_defaults_are_valid_settings(self):
@@ -76,14 +76,11 @@ class TestTable:
                 assert resolve(name, knob.default) == knob.default
 
     def test_modules_reexport_the_table_choices(self):
-        import repro.backend
         import repro.observability
         from repro.chemistry import implicit
-        from repro.core import rhs
         from repro.parallel import chemlb, comm
         from repro.resilience import distributed
 
-        assert rhs.ENGINES is KNOBS["rhs_engine"].choices
         assert implicit.CHEMISTRY_MODES is KNOBS["chemistry_mode"].choices
         assert implicit.METHODS is KNOBS["chemistry_method"].choices
         assert chemlb.POLICIES is KNOBS["chem_load_balance"].choices
@@ -91,7 +88,6 @@ class TestTable:
         assert (distributed.RECOVERY_POLICIES
                 is KNOBS["parallel_recovery"].choices)
         assert repro.observability.MODES is KNOBS["observability"].choices
-        assert repro.backend.BACKEND_NAMES == KNOBS["rhs_backend"].choices
 
     def test_committed_docs_table_is_the_rendered_table(self):
         text = (REPO / "docs" / "CONFIG.md").read_text(encoding="utf-8")
@@ -182,7 +178,6 @@ class TestMalformedEnvironmentFailsLoudly:
         ("REPRO_CHEMISTRY_MODE", " strang ", "strang"),
         ("REPRO_PARALLEL_RECOVERY", " respawn", "respawn"),   # used to raise
         ("REPRO_PARALLEL_RECOVERY", "Respawn", "respawn"),
-        ("REPRO_RHS_BACKEND", "numpy ", "numpy"),             # used to raise
         ("REPRO_CHEM_LB", "Greedy", "greedy"),                # used to raise
         ("REPRO_TELEMETRY", "0", False),
         ("REPRO_TELEMETRY", "YES", True),
@@ -211,10 +206,7 @@ class TestMalformedEnvironmentFailsLoudly:
             monkeypatch.delenv("REPRO_TELEMETRY")
             telemetry.set_default(None)
 
-    @pytest.mark.parametrize("env,bad", [
-        ("REPRO_RHS_BACKEND", "bogus"), ("REPRO_RHS_BACKEND", "torch"),
-        ("REPRO_TRANSPORT", "mpi4py"),
-    ])
+    @pytest.mark.parametrize("env,bad", [("REPRO_TRANSPORT", "mpi4py")])
     def test_deleted_choices_list_the_two_that_remain(self, env, bad,
                                                       monkeypatch):
         name = next(n for n, k in KNOBS.items() if k.env == env)
@@ -227,17 +219,6 @@ class TestMalformedEnvironmentFailsLoudly:
 
 
 class TestConstraints:
-    def test_naive_engine_requires_the_reference_backend(self, monkeypatch):
-        with pytest.raises(ValueError, match="requires rhs_backend='numpy'"):
-            check_constraints({"rhs_engine": "naive", "rhs_backend": "numba"})
-        check_constraints({"rhs_engine": "naive", "rhs_backend": "numpy"})
-        check_constraints({"rhs_engine": "batched", "rhs_backend": "numba"})
-        check_constraints({"rhs_engine": "naive"})
-        # the other knob's environment setting counts
-        monkeypatch.setenv("REPRO_RHS_BACKEND", "numba")
-        with pytest.raises(ValueError, match="got 'numba'"):
-            check_constraints({"rhs_engine": "naive"})
-
     def test_fixed_substeps_requires_strang(self, monkeypatch):
         with pytest.raises(ValueError, match="requires chemistry_mode='strang'"):
             check_constraints({"fixed_substeps": 3})
@@ -257,12 +238,9 @@ class TestConstraints:
         SolverConfig(boundaries=periodic_boundaries(1),
                      chemistry_mode="explicit").validate(grid)
 
-    def test_config_validate_checks_both_constraints(self):
+    def test_config_validate_checks_the_constraint(self):
         grid = Grid((16,), (1.0,), periodic=(True,))
         bcs = periodic_boundaries(1)
-        with pytest.raises(ValueError, match="requires rhs_backend"):
-            SolverConfig(boundaries=bcs, rhs_engine=" Naive ",
-                         rhs_backend="numba").validate(grid)
         with pytest.raises(ValueError, match="requires chemistry_mode"):
             SolverConfig(boundaries=bcs, fixed_substeps=2).validate(grid)
         SolverConfig(boundaries=bcs, fixed_substeps=2,
@@ -339,12 +317,12 @@ class TestSourceGuards:
         hits = [name for name, text in _sources().items()
                 if pattern.search(text)]
         assert hits == []
-        assert not (SRC / "backend" / "torch_device.py").exists()
+        assert not (SRC / "backend").exists()
         assert not (SRC / "parallel" / "mpi.py").exists()
         assert not (SRC / "util" / "timers.py").exists()
 
     def test_no_per_knob_resolver_survives(self):
-        allowed = {"resolve_backend", "resolve_injector", "resolve_face_value"}
+        allowed = {"resolve_injector", "resolve_face_value"}
         pattern = re.compile(
             r"^\s*def\s+(resolve_\w+|validate_backend_name|seed_from_env"
             r"|_env_enabled)\b", re.MULTILINE)
@@ -353,8 +331,7 @@ class TestSourceGuards:
         assert found <= allowed
 
     @pytest.mark.parametrize("module", [
-        "repro.core.config", "repro.telemetry", "repro.backend",
-        "repro.chemistry.implicit", "repro.parallel.comm",
+        "repro.core.config", "repro.telemetry", "repro.chemistry.implicit", "repro.parallel.comm",
         "repro.parallel.chemlb", "repro.parallel.shm",
         "repro.resilience.distributed", "repro.observability",
     ])

@@ -62,7 +62,7 @@ class TestResidentMemoryOfTheExplicitStep:
         st = solver.state
         ns, ndim = st.mech.n_species, st.ndim
         field = st.grid.n_points * 8
-        slots = {name: arr for (name, _), arr in solver.rhs.workspace._arrays.items()}
+        slots = dict(solver.rhs.workspace._arrays)
         assert (N**3) > mixture.TILE_POINTS  # the kernel really tiles here
         tile = slots.pop("tr.tile")
         # the tile is a fixed number of bytes, whatever the grid
@@ -79,7 +79,7 @@ class TestResidentMemoryOfTheExplicitStep:
         solver, _ = box
         u = solver.state.u.nbytes
         ws = solver.rhs.workspace
-        tile = ws._arrays[("tr.tile", "float64")].nbytes
+        tile = ws._arrays["tr.tile"].nbytes
         # measured 13.9 x the conserved stack + the tile (parent commit:
         # 42 x, 31 of them transport pair storage)
         assert ws.nbytes <= 16 * u + tile

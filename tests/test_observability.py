@@ -38,9 +38,8 @@ from repro.observability import (
     replay_report,
     sparkline,
     worst_severity,
-    write_html_report,
 )
-from repro.parallel.comm import SimMPI
+from repro.parallel.comm import InProcessTransport
 from repro.parallel.decomp import CartesianDecomposition
 from repro.parallel.solver import ParallelPeriodicSolver
 from repro.resilience import FaultInjector
@@ -527,24 +526,13 @@ class TestFusion:
 
     def test_matches_perfmodel_imbalance(self):
         """The fused imbalance IS chemistry_imbalance — same statistic."""
-        from repro.perfmodel.loadbalance import (
-            chemistry_imbalance,
-            measured_imbalance,
-        )
+        from repro.perfmodel.loadbalance import chemistry_imbalance
 
         loads = [0.5, 1.0, 1.5, 2.0]
         snaps = [self._snapshot({"REACTION_RATES": v}) for v in loads]
         fused = fuse_profiles(snaps)
         expected = chemistry_imbalance(loads)
         assert fused.imbalance("REACTION_RATES") == pytest.approx(expected)
-        assert measured_imbalance(fused) == pytest.approx(expected)
-        assert measured_imbalance(loads) == pytest.approx(expected)
-
-    def test_measured_speedup(self):
-        from repro.perfmodel.loadbalance import measured_speedup
-
-        assert measured_speedup([4.0, 1.0], [2.5, 2.5]) == pytest.approx(1.6)
-        assert measured_speedup([1.0], [0.0]) == 1.0
 
     def test_to_rank_profiles(self):
         from repro.perfmodel.profiler import RankProfile
@@ -555,7 +543,7 @@ class TestFusion:
         assert profiles[1].exclusive["A"] == 3.0
 
     def test_gather_bytes_round_trip(self):
-        world = SimMPI(3)
+        world = InProcessTransport(3)
         payloads = [b"rank0", b"rank1-data", b"r2"]
         out = world.gather_bytes(payloads, root=0, tag=99)
         assert out == payloads
@@ -563,16 +551,13 @@ class TestFusion:
 
     def test_gather_bytes_size_mismatch(self):
         with pytest.raises(ValueError, match="one payload per rank"):
-            SimMPI(2).gather_bytes([b"x"])
+            InProcessTransport(2).gather_bytes([b"x"])
 
     def test_parallel_run_fusion_consistent_with_loadbalance(
             self, h2_mech, h2_air_stoich):
         """Acceptance: fused profile of a 2x2x1 parallel run agrees with
         the perfmodel imbalance statistic on the same loads."""
-        from repro.perfmodel.loadbalance import (
-            chemistry_imbalance,
-            measured_imbalance,
-        )
+        from repro.perfmodel.loadbalance import chemistry_imbalance
 
         grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
         xx, yy = grid.meshgrid()
@@ -581,7 +566,7 @@ class TestFusion:
         Yf = h2_air_stoich[:, None, None] * np.ones((1, 24, 24))
         rho = h2_mech.density(P_ATM, T, Yf)
         state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
-        world = SimMPI(4)
+        world = InProcessTransport(4)
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
         par = ParallelPeriodicSolver(h2_mech, grid, d, world, reacting=True,
                                      rank_telemetry=True)
@@ -594,8 +579,6 @@ class TestFusion:
         assert (loads > 0.0).all()
         assert fused.imbalance("REACTION_RATES") == pytest.approx(
             chemistry_imbalance(loads))
-        assert measured_imbalance(fused) == pytest.approx(
-            chemistry_imbalance(loads))
         # the fusion gather shipped one snapshot per non-root rank
         fusion_msgs = [r for r in world.log.records if r.tag == 9102]
         assert len(fusion_msgs) == 3
@@ -607,7 +590,7 @@ class TestFusion:
     def test_fused_profile_requires_rank_telemetry(self, h2_mech):
         grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
-        par = ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(4),
+        par = ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(4),
                                      reacting=False)
         with pytest.raises(ValueError, match="rank_telemetry"):
             par.fused_profile()
@@ -621,7 +604,7 @@ class TestParallelHealth:
         T = 900.0 * np.ones((24, 24))
         rho = h2_mech.density(P_ATM, T, Yf)
         state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
-        world = SimMPI(4)
+        world = InProcessTransport(4)
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
         par = ParallelPeriodicSolver(h2_mech, grid, d, world, reacting=False,
                                      observability="on")
@@ -637,7 +620,7 @@ class TestParallelHealth:
         T = 900.0 * np.ones((24, 24))
         rho = h2_mech.density(P_ATM, T, Yf)
         state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
-        world = SimMPI(4)
+        world = InProcessTransport(4)
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
         par = ParallelPeriodicSolver(h2_mech, grid, d, world, reacting=False,
                                      observability="on")
@@ -666,7 +649,7 @@ class TestParallelHealth:
         rho = h2_mech.density(P_ATM, T, Yf)
         state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
         d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
-        par = ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2),
+        par = ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(2),
                                      reacting=False, observability="full")
         par.set_state(state.u)
         par.step(2e-8)  # a clean step passes the guard
@@ -726,14 +709,6 @@ class TestRender:
         assert "<svg" in html and "<style>" in html
         assert "http://" not in html and "https://" not in html  # no CDN
         assert "nan_sentinel" in html
-
-    def test_write_html_through_filesystem(self, air_mech, air_y):
-        s = _pulse_solver(air_mech, air_y, observability="on")
-        s.run(3)
-        fs = SimFileSystem(lustre())
-        write_html_report(fs, "observatory.html", recorder=s.health.recorder)
-        assert fs.exists("observatory.html")
-        assert "<!doctype html>" in fs.read_text("observatory.html")
 
     def test_offline_replay_from_dump(self, air_mech, air_y):
         """Acceptance: the crash dump replays into ASCII + HTML offline."""

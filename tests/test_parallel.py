@@ -10,7 +10,7 @@ from repro.core.filters import FilterOperator
 from repro.parallel import (
     CartesianDecomposition,
     HaloExchanger,
-    SimMPI,
+    InProcessTransport,
     block_range,
 )
 from repro.parallel.solver import (
@@ -22,15 +22,15 @@ from repro.transport import ConstantLewisTransport
 from repro.util.constants import P_ATM
 
 
-class TestSimMPI:
+class TestInProcessTransport:
     def test_send_recv(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         world.comm(0).Send(np.arange(4.0), dest=1, tag=7)
         out = world.comm(1).Recv(source=0, tag=7)
         np.testing.assert_array_equal(out, np.arange(4.0))
 
     def test_message_ordering_fifo(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         c0 = world.comm(0)
         c0.Send(np.array([1.0]), dest=1, tag=0)
         c0.Send(np.array([2.0]), dest=1, tag=0)
@@ -39,25 +39,25 @@ class TestSimMPI:
         assert c1.Recv(source=0, tag=0)[0] == 2.0
 
     def test_recv_without_message_raises(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         with pytest.raises(RuntimeError, match="no pending message"):
             world.comm(0).Recv(source=1, tag=0)
 
     def test_send_copies_buffer(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         buf = np.zeros(3)
         world.comm(0).Send(buf, dest=1)
         buf[:] = 9.0
         np.testing.assert_array_equal(world.comm(1).Recv(source=0), np.zeros(3))
 
     def test_probe(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         assert not world.comm(1).probe(source=0)
         world.comm(0).Send(np.zeros(1), dest=1)
         assert world.comm(1).probe(source=0)
 
     def test_log_accounting(self):
-        world = SimMPI(3)
+        world = InProcessTransport(3)
         world.comm(0).Send(np.zeros(10), dest=1)
         world.comm(1).Send(np.zeros(5), dest=2)
         assert world.log.count == 2
@@ -65,14 +65,14 @@ class TestSimMPI:
         assert world.log.by_pair()[(0, 1)] == 80
 
     def test_invalid_rank(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         with pytest.raises(ValueError):
             world.comm(5)
         with pytest.raises(ValueError):
             world.comm(0).Send(np.zeros(1), dest=9)
 
     def test_allreduce(self):
-        world = SimMPI(3)
+        world = InProcessTransport(3)
         results = [world.comm(r).allreduce_sum(r + 1) for r in range(3)]
         assert results[:2] == [None, None]
         assert results[2] == 6
@@ -141,7 +141,7 @@ class TestHaloExchange:
         """A rank's ghost slabs along an axis are the rows of the global
         periodic array just beyond its block's two faces."""
         d = CartesianDecomposition((16, 12), (2, 2), periodic=(True, True))
-        h = HaloExchanger(d, SimMPI(4), width=3)
+        h = HaloExchanger(d, InProcessTransport(4), width=3)
         a = np.random.default_rng(2).random((16, 12))
         for axis in (0, 1):
             ghosts = h.exchange(d.scatter(a), axis=axis)
@@ -159,7 +159,7 @@ class TestHaloExchange:
 
     def test_wall_boundaries_no_ghosts(self):
         d = CartesianDecomposition((8,), (2,), periodic=(False,))
-        h = HaloExchanger(d, SimMPI(2), width=2)
+        h = HaloExchanger(d, InProcessTransport(2), width=2)
         a = np.arange(8.0)
         (lo0, hi0), (lo1, hi1) = h.exchange(d.scatter(a))
         assert lo0 is None and hi1 is None  # nothing beyond a wall
@@ -169,7 +169,7 @@ class TestHaloExchange:
     def test_own_neighbour_sends_nothing(self):
         """An undecomposed periodic axis wraps inside the sweep."""
         d = CartesianDecomposition((16, 12), (2, 1), periodic=(True, True))
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         h = HaloExchanger(d, world)
         assert h.axes == (0,)
         ghosts = h.exchange(d.scatter(np.zeros((16, 12))), axis=1)
@@ -177,7 +177,7 @@ class TestHaloExchange:
 
     def test_message_size_matches_halo(self):
         d = CartesianDecomposition((16,), (2,), periodic=(True,))
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         h = HaloExchanger(d, world, width=4)
         h.exchange(d.scatter(np.zeros(16)))
         sizes = set(world.log.message_sizes())
@@ -186,7 +186,7 @@ class TestHaloExchange:
     def test_world_size_mismatch(self):
         d = CartesianDecomposition((8,), (2,))
         with pytest.raises(ValueError, match="world size"):
-            HaloExchanger(d, SimMPI(3))
+            HaloExchanger(d, InProcessTransport(3))
 
 
 class TestDistributedOperators:
@@ -196,7 +196,7 @@ class TestDistributedOperators:
         op = DerivativeOperator(32, 0.1, periodic=True)
         ref = op.apply(f, axis=0)
         d = CartesianDecomposition((32, 24), (4, 2), periodic=(True, True))
-        par = parallel_derivative(f, d, SimMPI(8), axis=0, spacing=0.1)
+        par = parallel_derivative(f, d, InProcessTransport(8), axis=0, spacing=0.1)
         np.testing.assert_array_equal(par, ref)
 
     def test_parallel_filter_bitwise(self):
@@ -204,14 +204,14 @@ class TestDistributedOperators:
         f = rng.random((20, 30))
         ref = FilterOperator(30, periodic=True, alpha=0.5).apply(f, axis=1)
         d = CartesianDecomposition((20, 30), (2, 3), periodic=(True, True))
-        par = parallel_filter(f, d, SimMPI(6), axis=1, alpha=0.5)
+        par = parallel_filter(f, d, InProcessTransport(6), axis=1, alpha=0.5)
         np.testing.assert_array_equal(par, ref)
 
     def test_s3d_message_scale(self):
         """A 50^3 block exchanging 4 ghost layers of one variable moves
         ~80 kB per face message — the figure quoted in §2.6."""
         d = CartesianDecomposition((100, 50, 50), (2, 1, 1), periodic=(True, True, True))
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         h = HaloExchanger(d, world, width=4)
         h.exchange(d.scatter(np.zeros((100, 50, 50))))
         per_face = [r for r in world.log.records if r.tag in (0, 1)]
@@ -347,7 +347,7 @@ class TestParallelSolverEquivalence:
 
         grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (96, 48))
         d = CartesianDecomposition((96, 48), (2, 1), periodic=(True, True))
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         par = ParallelPeriodicSolver(
             h2_mech, grid, d, world, reacting=True, scheme="ck45",
             transport=MixtureAveragedTransport(h2_mech))
@@ -377,7 +377,7 @@ class TestParallelSolverEquivalence:
 
         grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (24, 24))
         d = CartesianDecomposition((24, 24), procs, periodic=(True, True))
-        world = SimMPI(d.size)
+        world = InProcessTransport(d.size)
         par = ParallelPeriodicSolver(
             h2_mech, grid, d, world, reacting=True, scheme=scheme,
             transport=ConstantLewisTransport(h2_mech))
@@ -407,18 +407,11 @@ class TestParallelSolverEquivalence:
         assert world.log.total_bytes == d.size * 2 * cross * 8 * (
             stages * (nf + nvar) * 4 + nvar * 5)
 
-    def test_naive_engine_is_rejected(self, h2_mech):
-        grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
-        d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
-        with pytest.raises(ValueError, match="three phases"):
-            ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2),
-                                   rhs_engine="naive")
-
     def test_block_must_hold_a_filter_ghost_zone(self, h2_mech):
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (6, 1), periodic=(True, True))
         with pytest.raises(ValueError, match="at least 5 points"):
-            ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(6))
+            ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(6))
 
     def test_resident_2n_update_is_the_per_block_loop(
             self, h2_mech, h2_air_stoich):
@@ -443,7 +436,7 @@ class TestParallelSolverEquivalence:
 
         def build():
             par = ParallelPeriodicSolver(
-                h2_mech, grid, d, SimMPI(2), reacting=True, scheme="ck45",
+                h2_mech, grid, d, InProcessTransport(2), reacting=True, scheme="ck45",
                 transport=ConstantLewisTransport(h2_mech), filter_interval=0)
             par.set_state(state.u)
             return par
@@ -488,12 +481,12 @@ class TestParallelSolverEquivalence:
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
         with pytest.raises(ValueError, match="unknown ERK scheme"):
-            ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2), scheme="rk5")
+            ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(2), scheme="rk5")
 
     def test_has_no_dt_of_its_own(self, h2_mech):
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
-        par = ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2))
+        par = ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(2))
         with pytest.raises(ValueError, match="explicit dt"):
             par.step()
 
@@ -501,7 +494,7 @@ class TestParallelSolverEquivalence:
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, False))
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, False))
         with pytest.raises(ValueError, match="periodic"):
-            ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(4))
+            ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(4))
 
 
 # ---------------------------------------------------------------------------

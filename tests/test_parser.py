@@ -83,6 +83,21 @@ class TestParser:
         parsed = mech.reactions[0].rate(T)
         np.testing.assert_allclose(parsed, built, rtol=1e-12)
 
+    def test_parser_ford_keyword(self):
+        text = (
+            "SPECIES\nCH4 O2 CO2 H2O N2\nEND\n"
+            "REACTIONS\n"
+            "CH4+2O2=>CO2+2H2O  1.0E10 0.0 30000.\n"
+            "    FORD /CH4 0.5/\n"
+            "    FORD /O2 1.25/\n"
+            "END\n"
+        )
+        mech = parse_mechanism(text)
+        rxn = mech.reactions[0]
+        assert rxn.orders == (("CH4", 0.5), ("O2", 1.25))
+        # unit conversion uses the FORD total order (1.75)
+        assert rxn.rate.A == pytest.approx(1.0e10 * (1e-6) ** 0.75)
+
 
 class TestParserErrors:
     def test_missing_species_section(self):

@@ -19,7 +19,7 @@ from repro.io.restart import (
     save_solver_state,
     verify_solver_state,
 )
-from repro.parallel.comm import SimMPI
+from repro.parallel.comm import InProcessTransport
 from repro.resilience import (
     CheckpointRing,
     FaultInjector,
@@ -234,9 +234,9 @@ class TestFilesystemFaults:
         assert ck.verify(fs, "independent", arrays, 0)
 
 
-class TestSimMPIFaults:
+class TestInProcessTransportFaults:
     def test_recv_error_names_pending_queue_state(self):
-        world = SimMPI(4)
+        world = InProcessTransport(4)
         world.comm(1).Send(np.arange(3.0), dest=0, tag=7)
         with pytest.raises(MessageNotFoundError) as err:
             world.comm(0).Recv(source=2, tag=9)
@@ -245,14 +245,14 @@ class TestSimMPIFaults:
         assert "from rank 1 tag 7: 1 queued" in msg
 
     def test_recv_error_on_empty_mailbox(self):
-        world = SimMPI(2)
+        world = InProcessTransport(2)
         with pytest.raises(MessageNotFoundError, match="mailbox empty"):
             world.comm(0).Recv(source=1)
 
     def test_dropped_message(self):
         inj = FaultInjector(seed=SEED)
         inj.add("mpi.send", mode="drop", count=1)
-        world = SimMPI(2, fault_injector=inj)
+        world = InProcessTransport(2, fault_injector=inj)
         world.comm(0).Send(np.ones(4), dest=1)
         assert world.dropped == 1
         assert not world.comm(1).probe(source=0)
@@ -262,7 +262,7 @@ class TestSimMPIFaults:
     def test_corrupted_message(self):
         inj = FaultInjector(seed=SEED)
         inj.add("mpi.send", mode="corrupt", count=1)
-        world = SimMPI(2, fault_injector=inj)
+        world = InProcessTransport(2, fault_injector=inj)
         payload = np.arange(16.0)
         world.comm(0).Send(payload, dest=1)
         received = world.comm(1).Recv(source=0)
@@ -272,7 +272,7 @@ class TestSimMPIFaults:
     def test_delayed_message(self):
         inj = FaultInjector(seed=SEED)
         inj.add("mpi.send", mode="delay", count=1)
-        world = SimMPI(2, fault_injector=inj)
+        world = InProcessTransport(2, fault_injector=inj)
         world.comm(0).Send(np.ones(2), dest=1, tag=3)
         assert not world.comm(1).probe(source=0, tag=3)
         with pytest.raises(MessageNotFoundError, match="delayed message"):
@@ -284,7 +284,7 @@ class TestSimMPIFaults:
     def test_rank_failure(self):
         inj = FaultInjector(seed=SEED)
         inj.add("mpi.send", mode="rank_failure", count=1, rank=1)
-        world = SimMPI(4, fault_injector=inj)
+        world = InProcessTransport(4, fault_injector=inj)
         with pytest.raises(RankFailedError, match="rank 1 failed"):
             world.comm(1).Send(np.ones(2), dest=2)
         assert world.failed_ranks == {1}

@@ -1,9 +1,8 @@
-"""Batched-sweep RHS engine: bit-exactness vs the naive reference,
-workspace allocation behavior, property memoization, and engine
-selection plumbing."""
+"""The RHS program: bit-exactness vs its in-tree oracle
+(``CompressibleRHS.reference``), workspace allocation behavior and
+property memoization."""
 
 import dataclasses
-import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ from repro.chemistry import ch4_twostep, h2_li2004
 from repro.chemistry.mechanisms import air
 from repro.core.config import BoundarySpec, SolverConfig, periodic_boundaries
 from repro.core.grid import Grid
-from repro.core.rhs import ENGINES, CompressibleRHS
+from repro.core.rhs import CompressibleRHS
 from repro.core.solver import S3DSolver
 from repro.core.state import State
 from repro.core.workspace import Workspace
@@ -28,6 +27,15 @@ from repro.util.constants import P_ATM
 from tests.tolerances import STABLE_DT_ENGINES_RTOL
 
 
+class ReferenceRHS(CompressibleRHS):
+    """Drives a solver through the oracle."""
+
+    supports_out = False
+
+    def __call__(self, t, u):
+        return self.reference(t, u)
+
+
 def _make_state(mech, grid, seed=3):
     rng = np.random.default_rng(seed)
     S = grid.shape
@@ -40,16 +48,18 @@ def _make_state(mech, grid, seed=3):
 
 
 def _engine_pair(mech, grid, transport, reacting, boundaries=None):
+    """Two RHS objects on equal states: the first is only ever asked for
+    its ``reference``, the second is called."""
     st_n = _make_state(mech, grid)
     st_b = State(mech, grid, st_n.u.copy())
     # same Newton warm start, else the two temperature solves converge
-    # to last-bit-different roots before the engines even run
+    # to last-bit-different roots before either path even runs
     if st_n._t_cache is not None:
         st_b._t_cache = st_n._t_cache.copy()
     rhs_n = CompressibleRHS(st_n, transport=transport, boundaries=boundaries,
-                            reacting=reacting, engine="naive")
+                            reacting=reacting)
     rhs_b = CompressibleRHS(st_b, transport=transport, boundaries=boundaries,
-                            reacting=reacting, engine="batched")
+                            reacting=reacting)
     return rhs_n, rhs_b, st_n, st_b
 
 
@@ -64,7 +74,7 @@ G3 = _periodic((12, 0.01), (10, 0.01), (9, 0.01))
 
 
 class TestEngineBitExactness:
-    """The batched engine must reproduce the naive engine bit for bit."""
+    """``__call__`` must reproduce ``reference`` bit for bit."""
 
     @pytest.mark.parametrize("grid", [G1, G2, G3], ids=["1d", "2d", "3d"])
     def test_h2_mixture_reacting(self, grid):
@@ -113,7 +123,7 @@ class TestEngineBitExactness:
         rhs_n, rhs_b, st_n, st_b = _engine_pair(
             mech, grid, transport, reacting, boundaries=boundaries
         )
-        du_n = rhs_n(0.0, st_n.u)
+        du_n = rhs_n.reference(0.0, st_n.u)
         du_b = rhs_b(0.0, st_b.u)
         assert np.array_equal(du_n, du_b)
         assert np.array_equal(rhs_n.last_heat_release, rhs_b.last_heat_release)
@@ -128,10 +138,13 @@ class TestEngineBitExactness:
         rhs_n, rhs_b, _, _ = _engine_pair(
             mech, G2, MixtureAveragedTransport(mech), True
         )
+        rhs_n.reference(0.0, rhs_n.state.u)
+        rhs_b(0.0, rhs_b.state.u)
         dt_n = rhs_n.stable_dt()
         dt_b = rhs_b.stable_dt()
-        # the naive path re-runs the Newton solve from a converged guess,
-        # the batched path memoizes — agreement is to roundoff, not bits
+        # after the oracle, stable_dt re-runs the Newton solve from a
+        # converged guess; after a call it is a memo hit — agreement is
+        # to roundoff, not bits
         assert dt_b == pytest.approx(dt_n, rel=STABLE_DT_ENGINES_RTOL)
 
     @pytest.mark.parametrize("viscous", [True, False])
@@ -143,7 +156,7 @@ class TestEngineBitExactness:
         st = _make_state(mech, G2)
         rhs = CompressibleRHS(
             st, transport=MixtureAveragedTransport(mech) if viscous else None,
-            reacting=True, engine="batched")
+            reacting=True)
 
         def parent_stable_dt(cfl=0.8, fourier=0.4):
             pc = rhs._eval_props(st.u)
@@ -271,7 +284,7 @@ def _parent_call_batched(self, t, u, out=None):
             soret = props.thermal_diffusion_ratios is not None
             if soret:
                 # prefactor chain (((-rho·D)·theta)·W_i/wbar), grouped
-                # exactly as the reference engine's expression
+                # exactly as the oracle's expression
                 soret_pref = ws.array("rhs.soret_pref", (ns,) + S)
                 np.multiply(neg_rho_d, props.thermal_diffusion_ratios,
                             out=soret_pref)
@@ -352,7 +365,7 @@ def _parent_call_batched(self, t, u, out=None):
     # -- chemical sources --------------------------------------------
     if self.reacting and mech.n_reactions:
         with tel.span("REACTION_RATES"):
-            wdot_mass = self.backend.production_rates(mech, rho, T, Y)
+            wdot_mass = mech.production_rates(rho, T, Y)
         du[st.species_slice] += wdot_mass[:nt]
         hr = ws.array("rhs.heat_release", S)
         tmp_ns = ws.array("rhs.tmp_ns", (ns,) + S)
@@ -378,17 +391,8 @@ def _parent_call_batched(self, t, u, out=None):
             grad_rho=grad_rho, grad_p=grad_p,
             grad_vel=grad_vel, grad_y=gy,
         )
-    if not self.backend.is_reference:
-        # JIT effort so far (first evaluation pays the compiles)
-        tel.gauge("rhs.backend.compile_count").set(
-            float(self.backend.compile_count)
-        )
-        tel.gauge("rhs.backend.compile_seconds").set(
-            self.backend.compile_seconds
-        )
     ws.end_eval()
     return du
-
 
 
 class TestThreePhasesAreTheOneFunction:
@@ -441,7 +445,7 @@ class TestWorkspaceBehavior:
         tel = Telemetry()
         st = _make_state(mech, G2)
         rhs = CompressibleRHS(st, transport=MixtureAveragedTransport(mech),
-                              reacting=True, engine="batched", telemetry=tel)
+                              reacting=True, telemetry=tel)
         rhs(0.0, st.u)
         gauge = tel.gauge("rhs.bytes_allocated")
         assert gauge.value > 0  # cold evaluation built the arena
@@ -457,11 +461,11 @@ class TestWorkspaceBehavior:
         # (Nr,)+S result, the shared factors, Kc) — persistent arena
         # slots for them would remove no pass and raise peak RSS, see
         # docs/PERFORMANCE.md "Known remaining allocation sources".
-        # The ratios were 0.05 / 0.22 while the naive engine's transport
-        # still materialised its (Ns, Ns)+S pair arrays (naive peak 6.8 MB
-        # here); both engines now share the streamed kernel, the naive
-        # peak is 2.2 MB and the batched peaks are what they were
-        # (0.13 MB / 1.33 MB), so the batched engine is also held to an
+        # The ratios were 0.05 / 0.22 while the oracle's transport still
+        # materialised its (Ns, Ns)+S pair arrays (oracle peak 6.8 MB
+        # here); both paths now share the streamed kernel, the oracle's
+        # peak is 2.2 MB and the program's peaks are what they were
+        # (0.13 MB / 1.33 MB), so the program is also held to an
         # absolute bound in units of the conserved state.
         [(False, 0.08, 1.0), (True, 0.70, 8.0)],
         ids=["viscous", "reacting"],
@@ -475,12 +479,10 @@ class TestWorkspaceBehavior:
         grid = _periodic((48, 0.01), (40, 0.008))
         st_n = _make_state(mech, grid)
         st_b = State(mech, grid=grid, u=st_n.u.copy())
-        rhs_n = CompressibleRHS(st_n, transport=tr, reacting=reacting,
-                                engine="naive")
-        rhs_b = CompressibleRHS(st_b, transport=tr, reacting=reacting,
-                                engine="batched")
+        rhs_n = CompressibleRHS(st_n, transport=tr, reacting=reacting)
+        rhs_b = CompressibleRHS(st_b, transport=tr, reacting=reacting)
         out = np.empty_like(st_b.u)
-        rhs_n(0.0, st_n.u)
+        rhs_n.reference(0.0, st_n.u)
         rhs_b(0.0, st_b.u, out=out)
 
         def peak(fn):
@@ -491,9 +493,9 @@ class TestWorkspaceBehavior:
             return p
 
         peak_b = peak(lambda: rhs_b(0.0, st_b.u, out=out))
-        peak_n = peak(lambda: rhs_n(0.0, st_n.u))
-        # the warm batched engine allocates no field-sized temporaries:
-        # its transient peak must be a small fraction of the naive one
+        peak_n = peak(lambda: rhs_n.reference(0.0, st_n.u))
+        # a warm call allocates no field-sized temporaries: its
+        # transient peak must be a small fraction of the oracle's
         assert peak_b < max_ratio * peak_n
         assert peak_b < max_state_multiples * st_b.u.nbytes
 
@@ -516,7 +518,7 @@ class TestPropsMemo:
         tel = Telemetry()
         st = _make_state(mech, G2)
         rhs = CompressibleRHS(st, transport=MixtureAveragedTransport(mech),
-                              reacting=True, engine="batched", telemetry=tel)
+                              reacting=True, telemetry=tel)
         hits = tel.counter("rhs.props_cache_hits")
         rhs(0.0, st.u)
         assert hits.value == 0
@@ -559,7 +561,7 @@ class TestPropsMemo:
         tel = Telemetry()
         st = _make_state(mech, G2)
         rhs = CompressibleRHS(st, transport=MixtureAveragedTransport(mech),
-                              reacting=True, engine="batched", telemetry=tel)
+                              reacting=True, telemetry=tel)
         hits = tel.counter("rhs.props_cache_hits")
         du0 = rhs(0.0, st.u).copy()
         # in-place mutation without mark_modified: the content fingerprint
@@ -575,7 +577,7 @@ class TestPropsMemo:
         update moves neither corner of the buffer nor, to rounding, its
         sum, and ``ck45`` updates the buffer in place — so the content
         fingerprint alone let stage 2 reuse stage 1's properties
-        (batched != naive by 3e-8 after one step). The stage update
+        (program != oracle by 3e-8 after one step). The stage update
         declares itself now (``rhs.mark_modified()``)."""
         mech = h2_li2004()
         shape = (48, 24)
@@ -590,60 +592,26 @@ class TestPropsMemo:
         u0 = State.from_primitive(mech, grid, mech.density(P_ATM, T, Y),
                                   [1.0, 0.5], T, Y).u
         out = {}
-        for engine in ENGINES:
+        for rhs_class in (CompressibleRHS, ReferenceRHS):
             tel = Telemetry()
-            cfg = SolverConfig(dt=2e-8, scheme="ck45", rhs_engine=engine,
+            cfg = SolverConfig(dt=2e-8, scheme="ck45",
                                boundaries=periodic_boundaries(2))
             solver = S3DSolver(State(mech, grid, u0.copy()), cfg,
                                transport=ConstantLewisTransport(mech),
                                reacting=True, telemetry=tel)
+            solver.rhs = rhs_class(solver.state, solver.rhs.transport,
+                                   cfg.boundaries, telemetry=tel)
             solver.step()
             assert tel.counter("rhs.props_cache_hits").value == 0
-            out[engine] = solver.state.u
-        assert np.array_equal(out["batched"], out["naive"])
+            out[rhs_class] = solver.state.u
+        assert np.array_equal(out[CompressibleRHS], out[ReferenceRHS])
 
 
-class TestEngineSelection:
-    def test_default_is_batched(self):
-        mech = h2_li2004()
-        st = _make_state(mech, G1)
-        rhs = CompressibleRHS(st, reacting=False)
-        assert rhs.engine == "batched"
-        assert rhs.supports_out
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RHS_ENGINE", "naive")
-        mech = h2_li2004()
-        st = _make_state(mech, G1)
-        rhs = CompressibleRHS(st, reacting=False)
-        assert rhs.engine == "naive"
-        assert not rhs.supports_out
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RHS_ENGINE", "naive")
-        mech = h2_li2004()
-        st = _make_state(mech, G1)
-        rhs = CompressibleRHS(st, reacting=False, engine="batched")
-        assert rhs.engine == "batched"
-
-    def test_unknown_engine_rejected(self):
-        mech = h2_li2004()
-        st = _make_state(mech, G1)
-        with pytest.raises(ValueError, match="engine"):
-            CompressibleRHS(st, reacting=False, engine="vectorized")
-
-    def test_config_engine_validation(self):
-        grid = Grid((16,), (0.01,), periodic=(True,))
-        bcs = {(0, 0): BoundarySpec("periodic"), (0, 1): BoundarySpec("periodic")}
-        with pytest.raises(ValueError, match="rhs_engine"):
-            SolverConfig(boundaries=bcs, rhs_engine="bogus").validate(grid)
-        for eng in ENGINES:
-            SolverConfig(boundaries=bcs, rhs_engine=eng).validate(grid)
-
+class TestOutArray:
     def test_out_aliasing_state_rejected(self):
         mech = h2_li2004()
         st = _make_state(mech, G1)
-        rhs = CompressibleRHS(st, reacting=False, engine="batched")
+        rhs = CompressibleRHS(st, reacting=False)
         with pytest.raises(ValueError, match="alias"):
             rhs(0.0, st.u, out=st.u)
 

@@ -17,10 +17,7 @@ from repro.scenarios import (
 )
 from repro.analysis.golden import summarize_solver
 from repro.chemistry import ch4_twostep
-from repro.io import S3DCheckpoint, SimFileSystem, lustre
-from repro.io.restart import checkpoint_state
 from repro.util.constants import P_ATM
-from repro.viz.insitu import InSituRenderer
 
 
 class TestStreams:
@@ -125,8 +122,6 @@ class TestObserversLeaveNoTrace:
             solver.step()
             if observe and step == 1:
                 summarize_solver(solver, ("H2", "OH"))
-                InSituRenderer(fields=("T", "OH"))(
-                    solver.step_count, solver.time, solver.state)
                 solver.primitives()
         return solver.state.u
 
@@ -134,16 +129,6 @@ class TestObserversLeaveNoTrace:
     def test_observed_run_is_bitwise_the_undisturbed_run(self, kwargs):
         assert np.array_equal(self._run(True, **kwargs),
                               self._run(False, **kwargs))
-
-    def test_primitive_checkpoint_leaves_the_cache(self):
-        solver, _ = lifted_jet(nx=36, ny=24, seed=0)
-        solver.step()
-        cache = solver.state._t_cache
-        before = cache.copy()
-        ck = S3DCheckpoint(proc_shape=(2, 2, 1), block=(18, 12, 1))
-        checkpoint_state(SimFileSystem(lustre()), ck, solver, 0)
-        assert solver.state._t_cache is cache
-        assert np.array_equal(cache, before)
 
 
 class TestPremixedBox:

@@ -178,44 +178,6 @@ class TestSweepScratch:
         assert DerivativeOperator(16, 0.1)._scratch is not ops[0]._scratch
 
 
-class TestBackendKernelStaging:
-    """The compiled-kernel path (numba, CI ``backend`` lane only) stages
-    through contiguous ``(n, m)`` views; a NumPy stand-in with the
-    kernels' signatures checks the staging here."""
-
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_derivative_and_filter(self, rng, periodic):
-        ref_d = DerivativeOperator(N, 0.1, periodic=periodic)
-        ref_f = FilterOperator(N, periodic=periodic, alpha=0.6)
-        op = DerivativeOperator(N, 0.1, periodic=periodic)
-        filt = FilterOperator(N, periodic=periodic, alpha=0.6)
-        seen = []
-
-        def deriv_kernel(f2, *consts_and_out):
-            *consts, d2 = consts_and_out
-            assert len(consts) == (2 if periodic else 4)
-            assert f2.flags.c_contiguous and d2.flags.c_contiguous and f2.ndim == 2
-            seen.append("d")
-            d2[...] = ref_d.apply_naive(f2, axis=0)
-
-        def filter_kernel(f2, *consts_and_out):
-            *consts, d2 = consts_and_out
-            assert len(consts) == (1 if periodic else 2)
-            assert f2.flags.c_contiguous and d2.flags.c_contiguous
-            seen.append("f")
-            d2[...] = filter_naive(ref_f, f2, 0)
-
-        op._kernel, filt._kernel = deriv_kernel, filter_kernel
-        f = rng.standard_normal((3, N, 5))
-        assert np.array_equal(op.apply(f, axis=1), ref_d.apply_naive(f, axis=1))
-        g = f.copy()
-        filt.apply(g, axis=1, out=g)  # aliased and strided: staged both ways
-        assert np.array_equal(g, filter_naive(ref_f, f, 1))
-        h = rng.standard_normal((N, 4))
-        assert np.array_equal(op.apply(h, axis=0), ref_d.apply_naive(h, axis=0))
-        assert seen == ["d", "f", "d"]
-
-
 # ---------------------------------------------------------------------------
 # ghost-filled sweeps: one block of a decomposed periodic axis
 # ---------------------------------------------------------------------------

@@ -493,11 +493,11 @@ class TestSolverIntegration:
 
 class TestParallelIntegration:
     def test_halo_bytes_counter_matches_message_log(self):
-        from repro.parallel import CartesianDecomposition, HaloExchanger, SimMPI
+        from repro.parallel import CartesianDecomposition, HaloExchanger, InProcessTransport
 
         tel = Telemetry()
         d = CartesianDecomposition((16, 12), (2, 2), periodic=(True, True))
-        world = SimMPI(4)
+        world = InProcessTransport(4)
         h = HaloExchanger(d, world, width=3, telemetry=tel)
         a = np.random.default_rng(0).random((16, 12))
         h.exchange(d.scatter(a))
@@ -508,7 +508,7 @@ class TestParallelIntegration:
     def test_parallel_solver_traces_integrate(self, h2_mech):
         from repro.core import Grid
         from repro.core.ic import uniform
-        from repro.parallel import CartesianDecomposition, SimMPI
+        from repro.parallel import CartesianDecomposition, InProcessTransport
         from repro.parallel.solver import ParallelPeriodicSolver
         from repro.util.constants import P_ATM
 
@@ -516,7 +516,7 @@ class TestParallelIntegration:
         tel = Telemetry()
         grid = Grid((24, 24), (1e-3, 1e-3), periodic=(True, True))
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
-        world = SimMPI(4)
+        world = InProcessTransport(4)
         par = ParallelPeriodicSolver(h2_mech, grid, d, world, telemetry=tel)
         Y = np.zeros(h2_mech.n_species)
         Y[h2_mech.index("N2")] = 1.0
@@ -627,75 +627,6 @@ class TestWorkflowIntegration:
         assert tel.tracer.stats["actor.src"].count >= 3
         assert tel.metrics.counter("workflow.firings").value == director.firings
         assert tel.metrics.counter("workflow.rounds").value == director.rounds
-
-
-class TestProfilerIntegration:
-    def test_simprofiler_nested_exclusive(self, clock):
-        from repro.perfmodel.profiler import SimProfiler
-
-        tel = Telemetry(clock=clock)
-        prof = SimProfiler(telemetry=tel)
-
-        def inner_fn():
-            clock.tick(3.0)
-
-        inner = prof.instrument("INNER", inner_fn)
-
-        def outer_fn():
-            clock.tick(1.0)
-            inner()
-
-        outer = prof.instrument("OUTER", outer_fn)
-        outer()
-        times = prof.exclusive_times()
-        assert times["OUTER"] == pytest.approx(1.0)
-        assert times["INNER"] == pytest.approx(3.0)
-        assert "OUTER" in prof.report()
-
-    def test_simprofiler_without_telemetry_is_still_exclusive(self):
-        """No backend given (or a null one): spans go to a private
-        recording backend, so nested kernels are not double-counted."""
-        import time
-
-        from repro.perfmodel.profiler import SimProfiler
-
-        for prof in (SimProfiler(), SimProfiler(telemetry=NULL_TELEMETRY)):
-            inner = prof.instrument("INNER", lambda: time.sleep(0.002))
-            outer = prof.instrument("OUTER", inner)
-            outer()
-            outer()
-            times = prof.exclusive_times()
-            assert times["INNER"] >= 0.004
-            assert times["OUTER"] < times["INNER"]
-            assert prof.telemetry.tracer.stats["OUTER"].count == 2
-            assert "INNER" in prof.report()
-
-    def test_rank_profile_from_telemetry(self, clock):
-        from repro.perfmodel.profiler import class_means, rank_profile_from_telemetry
-
-        tel = Telemetry(clock=clock)
-        with tel.span("INTEGRATE"):
-            clock.tick(1.0)
-            with tel.span("DERIVATIVES"):
-                clock.tick(4.0)
-        p = rank_profile_from_telemetry(tel, rank=5)
-        assert p.rank == 5 and p.node_type == "measured"
-        assert p.exclusive["DERIVATIVES"] == pytest.approx(4.0)
-        assert p.total == pytest.approx(5.0)
-        means = class_means([p])
-        assert means["measured"]["INTEGRATE"] == pytest.approx(1.0)
-
-    def test_measured_kernel_weights_accepts_tracer(self, clock):
-        from repro.perfmodel.kernels import measured_kernel_weights
-
-        tel = Telemetry(clock=clock)
-        with tel.span("A"):
-            clock.tick(3.0)
-        with tel.span("B"):
-            clock.tick(1.0)
-        w = measured_kernel_weights(tel.tracer)
-        assert w["A"] == pytest.approx(0.75)
-        assert w["B"] == pytest.approx(0.25)
 
 
 class TestMergeAndDelta:

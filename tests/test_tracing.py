@@ -482,13 +482,6 @@ class TestAnalysis:
         rec = timeline.reconcile_chemistry(events, [2.0, 2.0])
         assert rec["max_share_deviation"] == pytest.approx(0.5)
 
-    def test_report_renders(self):
-        text = timeline.critical_path_report(self._two_rank_chain(),
-                                             rank_seconds=[0.0, 2.0])
-        assert "critical path" in text
-        assert "chemistry share" in text
-        assert "rank 1" in text
-
 
 # ---------------------------------------------------------------------------
 # metrics endpoint

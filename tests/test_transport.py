@@ -9,7 +9,6 @@ from repro.transport import (
     PowerLawTransport,
     omega11,
     omega22,
-    reduced_temperature,
 )
 from repro.util.constants import P_ATM
 
@@ -31,9 +30,6 @@ class TestCollisionIntegrals:
     def test_approach_unity_at_high_t(self):
         assert 0.5 < omega22(100.0) < 1.0
         assert 0.5 < omega11(100.0) < 1.0
-
-    def test_reduced_temperature(self):
-        assert reduced_temperature(300.0, 100.0) == pytest.approx(3.0)
 
 
 class TestMixtureAveraged:

@@ -30,15 +30,13 @@ from repro.parallel.comm import (
     TRANSPORTS,
     InProcessTransport,
     TransportUnavailableError,
-    available_transports,
     create_transport,
     transport_unavailable_reason,
 )
 from repro.parallel.programs import (
     EchoProgram,
+    FailingProgram,
     ReplyEarlyProgram,
-    make_echo,
-    make_failing,
 )
 from repro.resilience.errors import (
     MessageNotFoundError,
@@ -258,14 +256,14 @@ class TestFaultInjection:
 class TestExecutionPlane:
     def test_programs_run_and_keep_state(self, make_world):
         w = make_world(3)
-        w.start_programs(make_echo, [(float(r),) for r in range(3)])
+        w.start_programs(EchoProgram, [(float(r),) for r in range(3)])
         assert w.call_all("bump") == [1, 1, 1]
         assert w.call_all("bump") == [2, 2, 2]
         assert w.call_all("identity") == [(0, 0.0), (1, 1.0), (2, 2.0)]
 
     def test_array_payloads_roundtrip(self, make_world):
         w = make_world(2)
-        w.start_programs(make_echo, [(1.0,), (2.0,)])
+        w.start_programs(EchoProgram, [(1.0,), (2.0,)])
         arrs = [np.arange(6.0).reshape(2, 3) + r for r in range(2)]
         res = w.call_all("scale", [(a, 3.0) for a in arrs])
         for r, out in enumerate(res):
@@ -273,7 +271,7 @@ class TestExecutionPlane:
 
     def test_call_one(self, make_world):
         w = make_world(2)
-        w.start_programs(make_echo, [(0.0,), (5.0,)])
+        w.start_programs(EchoProgram, [(0.0,), (5.0,)])
         a = np.random.default_rng(0).random(32)
         out, checksum = w.call_one(1, "roundtrip", a)
         np.testing.assert_array_equal(out, a)
@@ -290,14 +288,14 @@ class TestExecutionPlane:
                                ("rank", RankFailedError),
                                ("message", MessageNotFoundError)]:
             w = make_world(2)
-            w.start_programs(make_failing, [(0, kind), (0, kind)])
+            w.start_programs(FailingProgram, [(0, kind), (0, kind)])
             with pytest.raises(exc_type, match="deliberate"):
                 w.call_all("work")
             w.close()
 
     def test_failed_rank_program_refuses(self, make_world):
         w = make_world(2)
-        w.start_programs(make_echo, [(0.0,), (0.0,)])
+        w.start_programs(EchoProgram, [(0.0,), (0.0,)])
         w.call_all("bump")
         w.fail_rank(0)
         with pytest.raises(RankFailedError):
@@ -306,7 +304,7 @@ class TestExecutionPlane:
     def test_per_rank_args_size_mismatch(self, make_world):
         w = make_world(3)
         with pytest.raises(ValueError, match="per-rank args"):
-            w.start_programs(make_echo, [(0.0,)])
+            w.start_programs(EchoProgram, [(0.0,)])
 
     def test_reply_early_runs_the_remainder_before_the_next_call(
             self, make_world):
@@ -352,7 +350,7 @@ class TestMultiprocessingIsolation:
 
     def test_ranks_run_in_distinct_processes(self):
         with create_transport("multiprocessing", size=3) as w:
-            w.start_programs(make_echo, [(0.0,)] * 3)
+            w.start_programs(EchoProgram, [(0.0,)] * 3)
             pids = w.call_all("pid")
             assert len(set(pids)) == 3
             assert os.getpid() not in pids
@@ -364,19 +362,19 @@ class TestMultiprocessingIsolation:
         (short calls woken by the driver otherwise stack on its core)."""
         cores = sorted(os.sched_getaffinity(0))
         with create_transport("multiprocessing", size=3) as w:
-            w.start_programs(make_echo, [(0.0,)] * 3)
+            w.start_programs(EchoProgram, [(0.0,)] * 3)
             masks = [os.sched_getaffinity(pid) for pid in w.call_all("pid")]
         assert masks == [{cores[r % len(cores)]} for r in range(3)]
         assert os.sched_getaffinity(0) == set(cores)  # the driver floats
 
     def test_inprocess_runs_in_driver(self):
         with create_transport("inprocess", size=3) as w:
-            w.start_programs(make_echo, [(0.0,)] * 3)
+            w.start_programs(EchoProgram, [(0.0,)] * 3)
             assert set(w.call_all("pid")) == {os.getpid()}
 
     def test_worker_death_is_rank_failure(self):
         with create_transport("multiprocessing", size=2) as w:
-            w.start_programs(make_echo, [(0.0,), (0.0,)])
+            w.start_programs(EchoProgram, [(0.0,), (0.0,)])
             w._workers[1].proc.terminate()
             w._workers[1].proc.join()
             with pytest.raises(RankFailedError):
@@ -385,15 +383,15 @@ class TestMultiprocessingIsolation:
 
     def test_pool_survives_program_exception(self):
         with create_transport("multiprocessing", size=2) as w:
-            w.start_programs(make_failing, [(0, "value"), (0, "value")])
+            w.start_programs(FailingProgram, [(0, "value"), (0, "value")])
             with pytest.raises(ValueError):
                 w.call_all("work")
-            w.start_programs(make_echo, [(0.0,), (0.0,)])
+            w.start_programs(EchoProgram, [(0.0,), (0.0,)])
             assert w.call_all("bump") == [1, 1]
 
     def test_large_payload_growth(self):
         with create_transport("multiprocessing", size=1) as w:
-            w.start_programs(make_echo, [(0.0,)])
+            w.start_programs(EchoProgram, [(0.0,)])
             big = np.random.default_rng(3).random((256, 256, 4))  # 2 MiB
             out, _ = w.call_one(0, "roundtrip", big)
             np.testing.assert_array_equal(out, big)
@@ -440,7 +438,9 @@ class TestRegistry:
         assert resolve("transport") == "inprocess"
 
     def test_available_contains_reference(self):
-        assert available_transports() == ["inprocess", "multiprocessing"]
+        assert [n for n in TRANSPORTS
+                if transport_unavailable_reason(n) is None] == [
+                    "inprocess", "multiprocessing"]
 
     def test_default_is_inprocess(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
@@ -603,7 +603,7 @@ class TestFaultMatrix:
         for name in ("inprocess", "multiprocessing"):
             w = create_transport(name, size=2)
             try:
-                w.start_programs(make_failing, [(1, kind), (1, kind)])
+                w.start_programs(FailingProgram, [(1, kind), (1, kind)])
                 with pytest.raises(Exception) as excinfo:
                     w.call_all("work")
                 raised.append((type(excinfo.value).__name__,

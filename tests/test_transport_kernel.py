@@ -20,6 +20,7 @@ from repro.core.workspace import Workspace
 from repro.transport import MixtureAveragedTransport
 from repro.transport.collision import omega11, omega22
 from repro.util.constants import P_ATM, RU
+from tests.tolerances import TRANSPORT_KERNEL_RTOL
 
 
 class PairArrayOracle:
@@ -110,7 +111,8 @@ class TestAgainstThePairArrayOracle:
             assert len(got) == len(want)
             for g, w_ in zip(got, want):
                 assert g.shape == w_.shape
-                np.testing.assert_allclose(g, w_, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(g, w_, rtol=TRANSPORT_KERNEL_RTOL,
+                                           atol=0.0)
 
     def test_reference_formulas_agree_with_the_kernel(self, rng, mech):
         # the readable per-property methods are a second, independent
@@ -120,10 +122,13 @@ class TestAgainstThePairArrayOracle:
         Y = _mixture(rng, mech, (6,), "generic")
         X = mech.mass_to_mole(Y)
         props = tr.evaluate(T, P_ATM, Y)
-        np.testing.assert_allclose(props.viscosity, tr.mixture_viscosity(T, X), rtol=1e-13)
-        np.testing.assert_allclose(props.conductivity, tr.mixture_conductivity(T, X), rtol=1e-13)
+        np.testing.assert_allclose(props.viscosity, tr.mixture_viscosity(T, X),
+                                   rtol=TRANSPORT_KERNEL_RTOL)
+        np.testing.assert_allclose(props.conductivity, tr.mixture_conductivity(T, X),
+                                   rtol=TRANSPORT_KERNEL_RTOL)
         np.testing.assert_allclose(
-            props.diffusivities, tr.mixture_diffusivities(T, P_ATM, X, Y=Y), rtol=1e-13)
+            props.diffusivities, tr.mixture_diffusivities(T, P_ATM, X, Y=Y),
+            rtol=TRANSPORT_KERNEL_RTOL)
 
 
 class TestOneKernelForEveryCaller:

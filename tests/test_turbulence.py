@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.turbulence import (
-    energy_spectrum,
     integral_length_scale,
     passot_pouquet,
     rms_fluctuation,
     synthetic_velocity_field,
     turbulence_scales,
-    von_karman_pao,
 )
 from repro.turbulence.synthetic import divergence
 
@@ -29,22 +27,6 @@ class TestSpectra:
         # E ~ k^4 exp(-2(k/kp)^2) peaks at k = kp
         assert k[np.argmax(e)] == pytest.approx(10.0, rel=0.02)
 
-    def test_von_karman_pao_normalization(self):
-        k = np.linspace(1e-3, 4000.0, 40000)
-        e = von_karman_pao(k, 1.5, 0.1, 0.01)
-        assert np.trapezoid(e, k) == pytest.approx(1.5 * 1.5**2, rel=0.05)
-
-    def test_spectrum_of_single_mode(self):
-        n, L = 64, 2 * np.pi
-        x = np.arange(n) * L / n
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        u = np.sin(4 * xx)
-        v = np.zeros_like(u)
-        k, e = energy_spectrum([u, v], (L, L))
-        dk = k[1] - k[0]
-        total = (e * dk).sum()
-        assert total == pytest.approx(0.25, rel=1e-6)  # <u^2>/2 of sin
-        assert abs(k[np.argmax(e)] - 4.0) < 2 * dk
 
 
 class TestSyntheticField:

@@ -14,7 +14,6 @@ from repro.viz import (
     save_ppm,
     simultaneous_render,
 )
-from repro.viz.image import load_ppm
 
 
 class TestTransfer:
@@ -125,8 +124,9 @@ class TestImageIO:
         img = np.random.default_rng(1).random((12, 10, 3))
         path = str(tmp_path / "x.ppm")
         save_ppm(path, img)
-        back = load_ppm(path)
-        assert back.shape == (12, 10, 3)
+        header, raw = (tmp_path / "x.ppm").read_bytes().split(b"\n", 1)
+        assert header == b"P6 10 12 255"
+        back = np.frombuffer(raw, dtype=np.uint8).reshape(12, 10, 3) / 255
         np.testing.assert_allclose(back, img, atol=1 / 255)
 
     def test_bad_shape(self, tmp_path):

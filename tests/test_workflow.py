@@ -46,6 +46,12 @@ class _Counter(Actor):
 
 
 class TestEngine:
+    def test_function_actor(self):
+        actor = FunctionActor("inc", lambda x: x + 1)
+        out = actor.fire({"in": Token(41)})
+        assert out["out"].value == 42
+        assert out["out"].provenance[0][0] == "inc"
+
     def test_linear_pipeline(self):
         wf = Workflow()
         wf.add(_Counter("src", 3))
