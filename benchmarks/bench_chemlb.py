@@ -8,12 +8,12 @@ over a simulated 4-rank (2x2) decomposition.
 Per-cell cost realism: the vectorized NumPy kinetics spends the same
 time on every cell, unlike the per-cell stiff integrators of production
 DNS codes whose iteration counts concentrate in the reaction zone. The
-benchmark therefore runs the balancer with a stiffness-proportional
-*work model*: cells are re-evaluated in proportion to their normalized
-stiffness (results discarded), which skews measured wall time the way a
-stiff integrator would while leaving every returned value bitwise
-unchanged. The balancer itself is policy-identical with or without the
-work model.
+benchmark therefore hands the balancer a mechanism stand-in
+(:class:`StiffKinetics`) whose cell-list kernel re-evaluates reactive
+cells ``WORK_SPAN`` extra times (results discarded), which skews
+measured wall time the way a stiff integrator would while leaving every
+returned value bitwise unchanged. The balancer itself is
+policy-identical with or without the emulation.
 
 Results land in ``BENCH_chemlb.json``. The committed baseline gates CI:
 ``--check-regression`` fails when the best policy's max-rank chemistry
@@ -63,23 +63,43 @@ WORK_SPAN = 9
 REACTIVE_CUT = 1e-6
 
 
-def work_model(stiffness):
-    """Reaction-zone cells cost ``1 + WORK_SPAN`` evaluations, cold cells 1.
+class StiffKinetics:
+    """The mechanism as the balancer sees it, with a stiff per-cell cost.
 
-    The binary profile mirrors production stiff integrators, whose
-    iteration counts jump inside the ignition kernel; it also matches
-    :class:`BinaryCostModel` below, so the planner's modeled loads agree
-    with the emulated wall time.
+    Reaction-zone cells (normalized stiffness above ``REACTIVE_CUT``, the
+    stiffness relative to the hottest cell of ``prims``) cost
+    ``1 + WORK_SPAN`` evaluations, cold cells 1. The binary profile
+    mirrors production stiff integrators, whose iteration counts jump
+    inside the ignition kernel; it also matches :class:`BinaryCostModel`
+    below, so the planner's modeled loads agree with the emulated wall
+    time.
     """
-    return 1 + WORK_SPAN * (np.asarray(stiffness) > REACTIVE_CUT)
+
+    def __init__(self, mech, prims):
+        self.mech = mech
+        self.n_species = mech.n_species
+        self.scale = max(
+            float(np.abs(mech.production_rates_cells(rho, T, Y)).max())
+            for rho, T, Y in prims
+        )
+
+    def production_rates_cells(self, rho, T, Y):
+        wdot = self.mech.production_rates_cells(rho, T, Y)
+        reactive = np.abs(wdot).max(axis=0) / self.scale > REACTIVE_CUT
+        subset = np.flatnonzero(reactive)
+        if subset.size:
+            for _ in range(WORK_SPAN):
+                self.mech.production_rates_cells(rho[subset], T[subset],
+                                                 Y[:, subset])
+        return wdot
 
 
 class BinaryCostModel(CellCostModel):
-    """Cost model consistent with :func:`work_model`."""
+    """Cost model consistent with :class:`StiffKinetics`."""
 
     def cell_costs(self, stiffness):
         s = np.asarray(stiffness, dtype=float)
-        return self.base_cost * (1.0 + self.reactive_extra * (s > REACTIVE_CUT))
+        return 1.0 + self.reactive_extra * (s > REACTIVE_CUT)
 
 
 def flame_front_prims(mech, ranks=RANKS, cells=CELLS_PER_RANK, seed=0):
@@ -106,9 +126,8 @@ def measure_policy(mech, prims, policy, repeats):
     """Max/mean per-rank chemistry seconds and plan stats for a policy."""
     world = InProcessTransport(RANKS)
     lb = ChemistryLoadBalancer(
-        mech, world, policy=policy,
+        StiffKinetics(mech, prims), world, policy=policy,
         cost_model=BinaryCostModel(reactive_extra=float(WORK_SPAN)),
-        work_model=work_model,
     )
     lb.production_rates(prims)  # warmup builds the stiffness proxy
     lb.reset_timing()

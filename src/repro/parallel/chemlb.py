@@ -11,10 +11,10 @@ al. 2021); this module implements it over the simulated-MPI substrate.
 
 Pieces
 ------
-* :class:`CellCostModel` — per-cell cost estimates seeded from the
-  telemetry ``REACTION_RATES`` timer and a per-cell stiffness proxy
-  (normalized max production-rate magnitude from the previous
-  evaluation): reaction-zone cells cost more than cold cells.
+* :class:`CellCostModel` — maps a per-cell cost signal normalized to
+  [0, 1] (the previous call's, relative to the hottest cell in the
+  domain) to modeled per-cell costs: reaction-zone cells cost more
+  than cold cells.
 * :func:`plan_moves_greedy` / :func:`plan_moves_pairwise` — policies
   turning per-rank loads into (src, dst, amount) transfers.
 * :func:`plan_assignment` — translates transfers into concrete cell
@@ -23,23 +23,25 @@ Pieces
   a permutation of the original cell set — every cell is evaluated
   exactly once, on exactly one rank.
 * :class:`ChemistryLoadBalancer` — executes a plan over
-  :class:`~repro.parallel.comm.Transport`: over-threshold ranks pack cell
-  batches (rho, T, Y) with a CRC header, ship them to underloaded
-  ranks, helpers evaluate them through the shape-independent cell-list
-  kinetics entry point and ship results back; lost/corrupt/delayed
-  batches (the PR 2 injector taxonomy, site ``chemlb.ship``/
-  ``chemlb.reply`` plus anything the ``mpi.send`` site does to the
-  transport underneath) fall back to local evaluation.
+  :class:`~repro.parallel.comm.Transport` in one bulk-synchronous
+  pipeline: over-threshold ranks *ship* cell batches ``(rho, x, Y)``
+  with a CRC header, underloaded ranks *serve* them through a per-cell
+  kernel and reply with its result rows, owners *collect* the replies;
+  a lost/corrupt/delayed batch (the fault injector's taxonomy, sites
+  ``chemlb.ship`` / ``chemlb.reply`` plus anything the ``mpi.send``
+  site does to the transport underneath) is evaluated locally instead.
 
-Two entry points share that machinery. ``production_rates`` serves the
-explicit path: helpers evaluate reaction rates, and the cost signal is
-the stiffness *proxy* (normalized max production-rate magnitude).
-``advance_states`` serves the Strang-split path
-(:class:`~repro.chemistry.implicit.ImplicitChemistry` half-steps):
-helpers run the per-cell implicit constant-volume integration, and the
-cost signal is *measured* work — each cell's accepted implicit substep
-count from the previous half-step, carried back with every shipment so
-the owner's history stays complete under any plan.
+The pipeline has two kernels. :meth:`~ChemistryLoadBalancer.production_rates`
+serves the explicit path: ``x`` is the temperature, the kernel the
+cell-list kinetics, the reply ``wdot``, and the cost signal the
+stiffness *proxy* (each cell's max production-rate magnitude).
+:meth:`~ChemistryLoadBalancer.advance_states` serves the Strang-split
+path (:class:`~repro.chemistry.implicit.ImplicitChemistry` half-steps):
+``x`` is the internal energy, the kernel the per-cell implicit
+constant-volume integration, the reply ``(T, Y, substeps)``, and the
+cost signal *measured* work — each cell's accepted implicit substep
+count, carried back with every shipment so the owner's history stays
+complete under any plan.
 
 Bit-exactness
 -------------
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,45 +97,19 @@ _TINY = 1e-300
 class CellCostModel:
     """Per-cell chemistry cost estimate.
 
-    ``cost(cell) = base_cost * (1 + reactive_extra * s)`` with ``s`` in
-    [0, 1] the normalized stiffness proxy (max production-rate magnitude
-    of the cell, relative to the hottest cell in the domain). Cold cells
-    cost ``base_cost``; the most reactive cell costs
-    ``base_cost * (1 + reactive_extra)`` — the cost profile of per-cell
-    implicit chemistry integrators, which spend their iterations in the
-    reaction zone.
-
-    ``base_cost`` only sets the unit; balancing decisions depend on the
-    *relative* profile, so the default of 1.0 is fine when no measured
-    timer is available.
+    ``cost(cell) = 1 + reactive_extra * s`` with ``s`` in [0, 1] the
+    normalized cost signal of the cell. Cold cells cost 1; the most
+    reactive cell costs ``1 + reactive_extra`` — the cost profile of
+    per-cell implicit chemistry integrators, which spend their
+    iterations in the reaction zone. Balancing decisions depend only on
+    this *relative* profile.
     """
 
-    base_cost: float = 1.0
     reactive_extra: float = 9.0
 
-    @classmethod
-    def from_telemetry(cls, telemetry, cells_per_rank: int = 1,
-                       reactive_extra: float = 9.0) -> "CellCostModel":
-        """Seed ``base_cost`` from the ``REACTION_RATES`` exclusive timer.
-
-        Uses seconds-per-call divided by ``cells_per_rank`` when the
-        tracer has observed reaction evaluations; otherwise keeps the
-        unit default. The stiffness weighting (``reactive_extra``) stays
-        a model parameter — the flat-profile NumPy kinetics here cannot
-        measure it, production stiff integrators can.
-        """
-        tel = resolve_telemetry(telemetry)
-        base = 1.0
-        excl = tel.tracer.exclusive_times().get("REACTION_RATES", 0.0)
-        calls = tel.tracer.call_counts().get("REACTION_RATES", 0)
-        if excl > 0.0 and calls > 0 and cells_per_rank > 0:
-            base = excl / calls / cells_per_rank
-        return cls(base_cost=base, reactive_extra=reactive_extra)
-
-    def cell_costs(self, stiffness: np.ndarray) -> np.ndarray:
-        """Costs for cells with normalized stiffness ``stiffness``."""
-        s = np.asarray(stiffness, dtype=float)
-        return self.base_cost * (1.0 + self.reactive_extra * s)
+    def cell_costs(self, signal: np.ndarray) -> np.ndarray:
+        """Costs for cells with normalized cost signal ``signal``."""
+        return 1.0 + self.reactive_extra * np.asarray(signal, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +171,9 @@ def plan_moves_greedy(loads, threshold: float = 1.1) -> list:
     return moves
 
 
-def plan_moves_pairwise(loads, threshold: float = 1.1, sweeps: int = 3) -> list:
-    """Pairwise diffusion: neighbouring ranks (in rank order) repeatedly
-    exchange half their load difference — the nearest-neighbour-only
+def plan_moves_pairwise(loads, threshold: float = 1.1) -> list:
+    """Pairwise diffusion: neighbouring ranks (in rank order) exchange
+    half their load difference, three sweeps — the nearest-neighbour-only
     variant matching the paper's communication topology. Opposite flows
     across a pair net out, so each adjacent pair yields at most one
     physical transfer. Returns ``[(src, dst, amount), ...]``.
@@ -209,7 +185,7 @@ def plan_moves_pairwise(loads, threshold: float = 1.1, sweeps: int = 3) -> list:
         return []
     trigger = (threshold - 1.0) * mean
     flow = np.zeros(n - 1)  # signed r -> r+1 transfer
-    for _ in range(max(1, int(sweeps))):
+    for _ in range(3):
         for r in range(n - 1):
             diff = cur[r] - cur[r + 1]
             if abs(diff) <= trigger:
@@ -235,7 +211,7 @@ _PLANNERS = {
 
 
 def plan_assignment(costs_per_rank, policy: str = "greedy",
-                    threshold: float = 1.1, sweeps: int = 3) -> AssignmentPlan:
+                    threshold: float = 1.1) -> AssignmentPlan:
     """Partition every rank's cells into retained cells and shipments.
 
     ``costs_per_rank`` is one 1-D cost array per rank. Transfers come
@@ -251,13 +227,11 @@ def plan_assignment(costs_per_rank, policy: str = "greedy",
     retained = [np.arange(c.size) for c in costs]
     if policy == "off" or len(costs) < 2:
         return AssignmentPlan(retained, [], loads_before, loads_before.copy())
-    moves = _PLANNERS[policy](loads_before, threshold=threshold) if policy != "pairwise-diffusion" \
-        else plan_moves_pairwise(loads_before, threshold=threshold, sweeps=sweeps)
     shipments = []
     loads_after = loads_before.copy()
     # group moves per source, preserving planner order
     by_src: dict = {}
-    for src, dst, amount in moves:
+    for src, dst, amount in _PLANNERS[policy](loads_before, threshold):
         by_src.setdefault(src, []).append((dst, amount))
     for src in sorted(by_src):
         c = costs[src]
@@ -291,12 +265,14 @@ def plan_assignment(costs_per_rank, policy: str = "greedy",
 # the balancer
 # ---------------------------------------------------------------------------
 class ChemistryLoadBalancer:
-    """Ships per-cell reaction evaluations between transport ranks.
+    """Ships per-cell chemistry work between transport ranks.
 
     Parameters
     ----------
     mech:
-        The chemistry :class:`~repro.chemistry.mechanism.Mechanism`.
+        The chemistry :class:`~repro.chemistry.mechanism.Mechanism`
+        (its ``n_species`` and the explicit kernel
+        ``production_rates_cells``).
     world:
         The :class:`~repro.parallel.comm.Transport` world; its fault
         injector governs shipping faults (sites ``chemlb.ship`` and
@@ -304,217 +280,54 @@ class ChemistryLoadBalancer:
     policy:
         The ``chem_load_balance`` knob (one of :data:`POLICIES`).
     cost_model:
-        A :class:`CellCostModel`; default unit model.
+        A :class:`CellCostModel` (or anything with its ``cell_costs``);
+        default the unit model.
     threshold:
         Imbalance trigger — ranks above ``threshold`` x mean load donate.
-    work_model:
-        Optional stiffness-cost emulation: a callable mapping the
-        normalized per-cell stiffness array of a batch to integer
-        per-cell evaluation counts (>= 1). Cells with count ``m`` are
-        re-evaluated ``m - 1`` extra times with the results discarded,
-        so measured per-rank chemistry seconds acquire the
-        reaction-zone-heavy profile of production stiff integrators
-        while every returned value stays bitwise identical. Used by the
-        chemlb benchmark; None (default) evaluates each batch once.
     telemetry:
         Telemetry backend for the ``CHEMLB`` span and gauges/counters.
 
     Notes
     -----
-    The first evaluation has no stiffness history, so every policy
-    degenerates to local evaluation; balancing starts on the second
-    evaluation once per-cell production-rate magnitudes are known.
+    The first call has no cost history, so every policy degenerates to
+    local evaluation; balancing starts on the second call, once the
+    per-cell cost signal of the first is known.
     """
 
     def __init__(self, mech, world, policy=None, cost_model=None,
-                 threshold: float = 1.1, sweeps: int = 3, work_model=None,
-                 telemetry=None):
+                 threshold: float = 1.1, telemetry=None):
         self.mech = mech
-        self.world = world
         self.policy = resolve("chem_load_balance", policy)
         self.cost_model = cost_model if cost_model is not None else CellCostModel()
         self.threshold = float(threshold)
-        self.sweeps = int(sweeps)
-        self.work_model = work_model
         self.telemetry = resolve_telemetry(telemetry)
         self._g_imbalance = self.telemetry.gauge("chemlb.imbalance")
         self._g_imbalance_after = self.telemetry.gauge("chemlb.imbalance_after")
         self._c_cells = self.telemetry.counter("chemlb.cells_shipped")
         self._c_batches = self.telemetry.counter("chemlb.batches")
         self._c_fallbacks = self.telemetry.counter("chemlb.fallbacks")
-        #: per-cell |wdot|_max history per rank (the stiffness proxy)
-        self._stiffness: list | None = None
-        self._stiff_scale = 0.0
-        #: per-cell measured implicit substep counts per rank (the
-        #: Strang-path cost signal; see :meth:`advance_states`)
-        self._work: list | None = None
-        self._work_scale = 0.0
-        self._eval_seq = 0
-        self.rank_seconds = np.zeros(world.size)
-        self.last_plan: AssignmentPlan | None = None
+        self.rebind(world)
 
-    # -- bookkeeping -----------------------------------------------------
     def reset_timing(self) -> None:
         self.rank_seconds[:] = 0.0
 
-    def reset_history(self) -> None:
-        self._stiffness = None
-        self._stiff_scale = 0.0
-        self._work = None
-        self._work_scale = 0.0
-
     def rebind(self, world) -> None:
-        """Re-attach to a new transport world (the shrink recovery
-        path): the cost model is re-seeded for the new rank count —
-        per-rank timings are resized and zeroed, the stiffness history
-        and the last plan are dropped — while the policy, threshold,
-        and per-cell cost model carry over. Every policy stays bitwise
-        identical to ``off``, so re-planning from a cold model after a
-        shrink cannot perturb the solution."""
+        """Attach to a transport world (also the shrink recovery path):
+        per-rank timings are sized and zeroed, the cost history and the
+        last plan are dropped, the policy, threshold and cost model
+        carry over. Every policy stays bitwise identical to ``off``, so
+        re-planning from a cold history cannot perturb the solution."""
         if world.size < 1:
             raise ValueError("world must have at least one rank")
         self.world = world
         self.rank_seconds = np.zeros(world.size)
-        self.reset_history()
-        self.last_plan = None
-        self._eval_seq = 0
+        #: per-rank per-cell cost signal of the previous call
+        self._history: list | None = None
+        self._scale = 0.0
+        self._seq = 0
+        self.last_plan: AssignmentPlan | None = None
 
-    def _normalized_stiffness(self, ncells: list) -> list:
-        if self._stiffness is None or [len(s) for s in self._stiffness] != ncells:
-            return [np.zeros(n) for n in ncells]
-        scale = max(self._stiff_scale, _TINY)
-        return [s / scale for s in self._stiffness]
-
-    def _normalized_work(self, ncells: list) -> list:
-        """Measured per-cell substep counts, normalized to [0, 1]."""
-        if self._work is None or [len(s) for s in self._work] != ncells:
-            return [np.zeros(n) for n in ncells]
-        scale = max(self._work_scale, _TINY)
-        return [s / scale for s in self._work]
-
-    # -- evaluation ------------------------------------------------------
-    def _evaluate(self, rank: int, rho, T, Y):
-        """Evaluate one cell batch, attributing wall time to ``rank``."""
-        tracelog = getattr(self.telemetry, "tracelog", None)
-        sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
-               if tracelog is not None else None)
-        t0 = time.perf_counter()
-        wdot = self.mech.production_rates_cells(rho, T, Y)
-        if self.work_model is not None and T.size:
-            # stiffness-cost emulation: re-evaluate reactive cells,
-            # discarding results (bitwise-neutral, time-proportional)
-            s = np.abs(wdot).max(axis=0) / max(self._stiff_scale, _TINY)
-            reps = np.maximum(np.asarray(self.work_model(np.minimum(s, 1.0)),
-                                         dtype=int), 1)
-            for k in range(2, int(reps.max()) + 1):
-                subset = np.flatnonzero(reps >= k)
-                if subset.size:
-                    self.mech.production_rates_cells(
-                        rho[subset], T[subset], Y[:, subset]
-                    )
-        self.rank_seconds[rank] += time.perf_counter() - t0
-        if sid is not None:
-            tracelog.end_span(sid, cells=int(T.size))
-        return wdot
-
-    # -- shipping --------------------------------------------------------
-    def _pack(self, body: np.ndarray, n: int) -> np.ndarray:
-        crc = float(zlib.crc32(body.tobytes()))
-        return np.concatenate(([crc, float(n), float(self._eval_seq)], body))
-
-    def _unpack(self, packet: np.ndarray, per_cell: int):
-        """(n, body) if the packet verifies, else None."""
-        if packet.ndim != 1 or packet.size < 3:
-            return None
-        crc, n, seq = packet[0], int(packet[1]), int(packet[2])
-        body = packet[3:]
-        if seq != self._eval_seq or n < 0 or body.size != n * per_cell:
-            return None
-        if float(zlib.crc32(body.tobytes())) != crc:
-            return None
-        return n, body
-
-    def _ship(self, seq: int, sh: Shipment, flat) -> bool:
-        """Source side: pack and send one batch; False if not sent."""
-        rho, T, Y = flat[sh.src]
-        idx = sh.indices
-        body = np.concatenate([rho[idx], T[idx], Y[:, idx].ravel()])
-        packet = self._pack(body, idx.size)
-        faults = self.world.faults
-        if faults.enabled:
-            spec = faults.decide("chemlb.ship")
-            if spec is not None:
-                if spec.mode == "drop":
-                    return False
-                if spec.mode == "corrupt":
-                    raw = faults.corrupt_bytes(packet[3:].tobytes())
-                    packet = np.concatenate(
-                        (packet[:3], np.frombuffer(raw, dtype=float))
-                    )
-        try:
-            self.world.comm(sh.src).Send(packet, dest=sh.dst, tag=TAG_SHIP + seq)
-        except RankFailedError:
-            return False
-        self._c_batches.inc()
-        self._c_cells.inc(idx.size)
-        return True
-
-    def _serve(self, seq: int, sh: Shipment) -> None:
-        """Helper side: evaluate an incoming batch and return results."""
-        ns = self.mech.n_species
-        comm = self.world.comm(sh.dst)
-        try:
-            while comm.probe(source=sh.src, tag=TAG_SHIP + seq):
-                packet = comm.Recv(source=sh.src, tag=TAG_SHIP + seq)
-                got = self._unpack(packet, per_cell=2 + ns)
-                if got is None:
-                    continue  # corrupt or stale: drain and keep looking
-                n, body = got
-                rho, T = body[:n], body[n : 2 * n]
-                Y = body[2 * n :].reshape(ns, n)
-                wdot = self._evaluate(sh.dst, rho, T, Y)
-                reply = self._pack(wdot.ravel(), n)
-                faults = self.world.faults
-                if faults.enabled:
-                    spec = faults.decide("chemlb.reply")
-                    if spec is not None:
-                        if spec.mode == "drop":
-                            return
-                        if spec.mode == "corrupt":
-                            raw = faults.corrupt_bytes(reply[3:].tobytes())
-                            reply = np.concatenate(
-                                (reply[:3], np.frombuffer(raw, dtype=float))
-                            )
-                comm.Send(reply, dest=sh.src, tag=TAG_RESULT + seq)
-                return
-        except (MessageNotFoundError, RankFailedError):
-            return
-
-    def _collect(self, seq: int, sh: Shipment, flat, wdot_flat) -> None:
-        """Source side: receive results or fall back to local evaluation."""
-        ns = self.mech.n_species
-        idx = sh.indices
-        comm = self.world.comm(sh.src)
-        try:
-            while comm.probe(source=sh.dst, tag=TAG_RESULT + seq):
-                reply = comm.Recv(source=sh.dst, tag=TAG_RESULT + seq)
-                got = self._unpack(reply, per_cell=ns)
-                if got is None:
-                    continue  # corrupt or stale: drain and keep looking
-                n, body = got
-                wdot_flat[sh.src][:, idx] = body.reshape(ns, n)
-                return
-        except (MessageNotFoundError, RankFailedError):
-            pass
-        # batch or reply lost/corrupt/delayed: evaluate locally —
-        # bitwise identical by kinetics shape independence
-        rho, T, Y = flat[sh.src]
-        wdot_flat[sh.src][:, idx] = self._evaluate(
-            sh.src, rho[idx], T[idx], Y[:, idx]
-        )
-        self._c_fallbacks.inc()
-
-    # -- the main entry point -------------------------------------------
+    # -- the two kernels -------------------------------------------------
     def production_rates(self, prims: list) -> list:
         """Balanced mass production rates for all ranks.
 
@@ -523,139 +336,10 @@ class ChemistryLoadBalancer:
         array per rank, bitwise identical for every policy.
         """
         ns = self.mech.n_species
-        with self.telemetry.span("CHEMLB"):
-            self._eval_seq += 1
-            shapes = [np.asarray(rho).shape for rho, _, _ in prims]
-            flat = [
-                (
-                    np.ascontiguousarray(np.asarray(rho, dtype=float).ravel()),
-                    np.ascontiguousarray(np.asarray(T, dtype=float).ravel()),
-                    np.ascontiguousarray(
-                        np.asarray(Y, dtype=float).reshape(ns, -1)
-                    ),
-                )
-                for rho, T, Y in prims
-            ]
-            ncells = [t[1].size for t in flat]
-            stiff = self._normalized_stiffness(ncells)
-            costs = [self.cost_model.cell_costs(s) for s in stiff]
-            plan = plan_assignment(
-                costs, policy=self.policy, threshold=self.threshold,
-                sweeps=self.sweeps,
-            )
-            self.last_plan = plan
-            mean = max(plan.loads_before.mean(), _TINY)
-            self._g_imbalance.set(float(plan.loads_before.max() / mean))
-            self._g_imbalance_after.set(float(plan.loads_after.max() / mean))
-            wdot_flat = [np.empty((ns, n)) for n in ncells]
-            # bulk-synchronous phases: ship, serve, local work, collect
-            for seq, sh in enumerate(plan.shipments):
-                self._ship(seq, sh, flat)
-            for seq, sh in enumerate(plan.shipments):
-                self._serve(seq, sh)
-            for rank, (rho, T, Y) in enumerate(flat):
-                keep = plan.retained[rank]
-                wdot_flat[rank][:, keep] = self._evaluate(
-                    rank, rho[keep], T[keep], Y[:, keep]
-                )
-            for seq, sh in enumerate(plan.shipments):
-                self._collect(seq, sh, flat, wdot_flat)
-            # refresh the stiffness proxy for the next evaluation
-            self._stiffness = [
-                np.abs(w).max(axis=0) if w.size else np.zeros(w.shape[1])
-                for w in wdot_flat
-            ]
-            self._stiff_scale = max(
-                (float(s.max()) for s in self._stiffness if s.size), default=0.0
-            )
-            return [
-                w.reshape((ns,) + shape)
-                for w, shape in zip(wdot_flat, shapes)
-            ]
-
-    # -- Strang-split implicit chemistry --------------------------------
-    def _advance_eval(self, rank: int, rho, e, Y, dt: float, integrator):
-        """Advance one reactor batch, attributing wall time to ``rank``.
-
-        Returns ``(T1, Y1, substeps)`` with the integrator's measured
-        per-cell accepted substep counts as float — the cost signal fed
-        back into the next plan.
-        """
-        if rho.size == 0:
-            ns = self.mech.n_species
-            return np.empty(0), np.empty((ns, 0)), np.empty(0)
-        tracelog = getattr(self.telemetry, "tracelog", None)
-        sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
-               if tracelog is not None else None)
-        t0 = time.perf_counter()
-        T1, Y1, stats = integrator.advance_energy(rho, e, Y, dt)
-        self.rank_seconds[rank] += time.perf_counter() - t0
-        if sid is not None:
-            tracelog.end_span(sid, cells=int(rho.size))
-        return T1, Y1, stats.substeps.astype(float)
-
-    def _serve_states(self, seq: int, sh: Shipment, dt: float, integrator) -> None:
-        """Helper side: advance an incoming reactor batch, return results."""
-        ns = self.mech.n_species
-        comm = self.world.comm(sh.dst)
-        try:
-            while comm.probe(source=sh.src, tag=TAG_SHIP + seq):
-                packet = comm.Recv(source=sh.src, tag=TAG_SHIP + seq)
-                got = self._unpack(packet, per_cell=2 + ns)
-                if got is None:
-                    continue  # corrupt or stale: drain and keep looking
-                n, body = got
-                rho, e = body[:n], body[n : 2 * n]
-                Y = body[2 * n :].reshape(ns, n)
-                T1, Y1, sub = self._advance_eval(sh.dst, rho, e, Y, dt, integrator)
-                reply = self._pack(
-                    np.concatenate([T1, Y1.ravel(), sub]), n
-                )
-                faults = self.world.faults
-                if faults.enabled:
-                    spec = faults.decide("chemlb.reply")
-                    if spec is not None:
-                        if spec.mode == "drop":
-                            return
-                        if spec.mode == "corrupt":
-                            raw = faults.corrupt_bytes(reply[3:].tobytes())
-                            reply = np.concatenate(
-                                (reply[:3], np.frombuffer(raw, dtype=float))
-                            )
-                comm.Send(reply, dest=sh.src, tag=TAG_RESULT + seq)
-                return
-        except (MessageNotFoundError, RankFailedError):
-            return
-
-    def _collect_states(self, seq: int, sh: Shipment, dt: float, integrator,
-                        flat, T_out, Y_out, sub_out) -> None:
-        """Source side: receive reactor results or fall back locally."""
-        ns = self.mech.n_species
-        idx = sh.indices
-        comm = self.world.comm(sh.src)
-        try:
-            while comm.probe(source=sh.dst, tag=TAG_RESULT + seq):
-                reply = comm.Recv(source=sh.dst, tag=TAG_RESULT + seq)
-                got = self._unpack(reply, per_cell=2 + ns)
-                if got is None:
-                    continue  # corrupt or stale: drain and keep looking
-                n, body = got
-                T_out[sh.src][idx] = body[:n]
-                Y_out[sh.src][:, idx] = body[n : n + ns * n].reshape(ns, n)
-                sub_out[sh.src][idx] = body[n + ns * n :]
-                return
-        except (MessageNotFoundError, RankFailedError):
-            pass
-        # batch or reply lost/corrupt/delayed: advance locally — bitwise
-        # identical by the integrator's batch-shape independence
-        rho, e, Y = flat[sh.src]
-        T1, Y1, sub = self._advance_eval(
-            sh.src, rho[idx], e[idx], Y[:, idx], dt, integrator
-        )
-        T_out[sh.src][idx] = T1
-        Y_out[sh.src][:, idx] = Y1
-        sub_out[sh.src][idx] = sub
-        self._c_fallbacks.inc()
+        wdot = self._balance(prims, self.mech.production_rates_cells, ns,
+                             lambda w: np.abs(w).max(axis=0))
+        return [w.reshape((ns,) + np.shape(rho))
+                for w, (rho, _, _) in zip(wdot, prims)]
 
     def advance_states(self, states: list, dt: float, integrator) -> list:
         """Balanced per-cell implicit chemistry advance for all ranks.
@@ -671,67 +355,157 @@ class ChemistryLoadBalancer:
         return to the owner. Returns one ``(T1, Y1)`` pair per rank —
         bitwise identical for every policy, because the implicit
         integrator's per-cell results are independent of the batch they
-        are evaluated in.
-
-        Unlike :meth:`production_rates`, the cost signal here is
-        *measured* work: each cell's accepted implicit substep count
-        from the previous half-step (normalized against the hottest
-        cell) feeds :meth:`CellCostModel.cell_costs`. Shipments carry
-        the helper-measured substep counts back with the results, so the
-        owner's work history stays complete under any plan. The first
-        call has no history, so every policy starts with local
-        evaluation — exactly the cold-start behaviour of the explicit
-        path's stiffness proxy.
+        are evaluated in. The next plan is costed by each cell's
+        accepted substep count, measured wherever the cell ran.
         """
+        def advance(rho, e, Y):
+            T1, Y1, stats = integrator.advance_energy(rho, e, Y, dt)
+            return np.vstack((T1, Y1, stats.substeps))
+
+        out = self._balance(states, advance, self.mech.n_species + 2,
+                            lambda rows: rows[-1])
+        return [(rows[0], rows[1:-1]) for rows in out]
+
+    # -- ship -> serve -> collect ----------------------------------------
+    def _balance(self, states, kernel, nrows: int, signal) -> list:
+        """Evaluate ``kernel(rho, x, Y) -> (nrows, n)`` on every cell of
+        every rank under this call's plan; returns one ``(nrows, n_r)``
+        array per rank and keeps ``signal(rows)`` (per-cell) as the cost
+        history the next plan is made from."""
         ns = self.mech.n_species
         with self.telemetry.span("CHEMLB"):
-            self._eval_seq += 1
+            self._seq += 1
             flat = [
                 (
                     np.ascontiguousarray(np.asarray(rho, dtype=float).ravel()),
-                    np.ascontiguousarray(np.asarray(e, dtype=float).ravel()),
+                    np.ascontiguousarray(np.asarray(x, dtype=float).ravel()),
                     np.ascontiguousarray(
                         np.asarray(Y, dtype=float).reshape(ns, -1)
                     ),
                 )
-                for rho, e, Y in states
+                for rho, x, Y in states
             ]
-            ncells = [t[0].size for t in flat]
-            work = self._normalized_work(ncells)
-            costs = [self.cost_model.cell_costs(w) for w in work]
-            plan = plan_assignment(
-                costs, policy=self.policy, threshold=self.threshold,
-                sweeps=self.sweeps,
-            )
-            self.last_plan = plan
-            mean = max(plan.loads_before.mean(), _TINY)
-            self._g_imbalance.set(float(plan.loads_before.max() / mean))
-            self._g_imbalance_after.set(float(plan.loads_after.max() / mean))
-            T_out = [np.empty(n) for n in ncells]
-            Y_out = [np.empty((ns, n)) for n in ncells]
-            sub_out = [np.zeros(n) for n in ncells]
+            plan = self._plan([rho.size for rho, _, _ in flat])
+            out = [np.empty((nrows, rho.size)) for rho, _, _ in flat]
             # bulk-synchronous phases: ship, serve, local work, collect
-            # (the ship body layout (rho, e, Y) matches the explicit
-            # path's (rho, T, Y), so _ship is shared verbatim)
             for seq, sh in enumerate(plan.shipments):
                 self._ship(seq, sh, flat)
             for seq, sh in enumerate(plan.shipments):
-                self._serve_states(seq, sh, dt, integrator)
-            for rank, (rho, e, Y) in enumerate(flat):
+                self._serve(seq, sh, kernel, nrows)
+            for rank, (rho, x, Y) in enumerate(flat):
                 keep = plan.retained[rank]
-                T1, Y1, sub = self._advance_eval(
-                    rank, rho[keep], e[keep], Y[:, keep], dt, integrator
-                )
-                T_out[rank][keep] = T1
-                Y_out[rank][:, keep] = Y1
-                sub_out[rank][keep] = sub
+                out[rank][:, keep] = self._run(
+                    rank, kernel, nrows, rho[keep], x[keep], Y[:, keep])
             for seq, sh in enumerate(plan.shipments):
-                self._collect_states(
-                    seq, sh, dt, integrator, flat, T_out, Y_out, sub_out
-                )
-            # refresh the measured-work history for the next plan
-            self._work = sub_out
-            self._work_scale = max(
-                (float(s.max()) for s in sub_out if s.size), default=0.0
+                self._collect(seq, sh, kernel, nrows, flat, out)
+            self._history = [signal(rows) for rows in out]
+            self._scale = max(
+                (float(s.max()) for s in self._history if s.size), default=0.0
             )
-            return [(T_out[r], Y_out[r]) for r in range(len(flat))]
+            return out
+
+    def _plan(self, ncells: list) -> AssignmentPlan:
+        """This call's plan, costed from the previous call's signal
+        normalized against the hottest cell (all cold without one)."""
+        if self._history is None or [s.size for s in self._history] != ncells:
+            signal = [np.zeros(n) for n in ncells]
+        else:
+            scale = max(self._scale, _TINY)
+            signal = [s / scale for s in self._history]
+        plan = plan_assignment([self.cost_model.cell_costs(s) for s in signal],
+                               policy=self.policy, threshold=self.threshold)
+        self.last_plan = plan
+        mean = max(plan.loads_before.mean(), _TINY)
+        self._g_imbalance.set(float(plan.loads_before.max() / mean))
+        self._g_imbalance_after.set(float(plan.loads_after.max() / mean))
+        return plan
+
+    def _run(self, rank: int, kernel, nrows: int, rho, x, Y) -> np.ndarray:
+        """Evaluate one cell batch, attributing wall time to ``rank``."""
+        if rho.size == 0:
+            return np.empty((nrows, 0))
+        tracelog = getattr(self.telemetry, "tracelog", None)
+        sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
+               if tracelog is not None else None)
+        t0 = time.perf_counter()
+        rows = kernel(rho, x, Y)
+        self.rank_seconds[rank] += time.perf_counter() - t0
+        if sid is not None:
+            tracelog.end_span(sid, cells=int(rho.size))
+        return rows
+
+    def _ship(self, seq: int, sh: Shipment, flat) -> None:
+        """Source side: pack and send one batch ``(rho, x, Y)``."""
+        rho, x, Y = flat[sh.src]
+        idx = sh.indices
+        body = np.concatenate([rho[idx], x[idx], Y[:, idx].ravel()])
+        if self._send("chemlb.ship", sh.src, sh.dst, TAG_SHIP + seq, body,
+                      idx.size):
+            self._c_batches.inc()
+            self._c_cells.inc(idx.size)
+
+    def _serve(self, seq: int, sh: Shipment, kernel, nrows: int) -> None:
+        """Helper side: evaluate an incoming batch and reply."""
+        ns = self.mech.n_species
+        got = self._receive(sh.dst, sh.src, TAG_SHIP + seq, 2 + ns)
+        if got is None:
+            return
+        n, body = got
+        rows = self._run(sh.dst, kernel, nrows, body[:n], body[n : 2 * n],
+                         body[2 * n :].reshape(ns, n))
+        self._send("chemlb.reply", sh.dst, sh.src, TAG_RESULT + seq,
+                   rows.ravel(), n)
+
+    def _collect(self, seq: int, sh: Shipment, kernel, nrows: int, flat,
+                 out) -> None:
+        """Source side: take the reply, or evaluate the batch locally."""
+        idx = sh.indices
+        got = self._receive(sh.src, sh.dst, TAG_RESULT + seq, nrows)
+        if got is not None:
+            n, body = got
+            out[sh.src][:, idx] = body.reshape(nrows, n)
+            return
+        # batch or reply lost/corrupt/delayed: evaluate locally — bitwise
+        # identical by the kernels' batch-shape independence
+        rho, x, Y = flat[sh.src]
+        out[sh.src][:, idx] = self._run(sh.src, kernel, nrows, rho[idx],
+                                        x[idx], Y[:, idx])
+        self._c_fallbacks.inc()
+
+    # -- the wire ----------------------------------------------------------
+    def _send(self, site: str, src: int, dst: int, tag: int, body, n: int) -> bool:
+        """Send ``body`` (``n`` cells) behind a ``(crc, n, seq)`` header,
+        under the injector's decision for ``site``; False if not sent."""
+        packet = np.concatenate(
+            ([float(zlib.crc32(body.tobytes())), float(n), float(self._seq)],
+             body))
+        faults = self.world.faults
+        spec = faults.decide(site) if faults.enabled else None
+        if spec is not None and spec.mode == "drop":
+            return False
+        if spec is not None and spec.mode == "corrupt":
+            raw = faults.corrupt_bytes(packet[3:].tobytes())
+            packet = np.concatenate((packet[:3], np.frombuffer(raw, dtype=float)))
+        try:
+            self.world.comm(src).Send(packet, dest=dst, tag=tag)
+        except RankFailedError:
+            return False
+        return True
+
+    def _receive(self, rank: int, source: int, tag: int, per_cell: int):
+        """``(n, body)`` of the first packet from ``source`` that
+        verifies (corrupt or stale ones are drained), else None."""
+        comm = self.world.comm(rank)
+        try:
+            while comm.probe(source=source, tag=tag):
+                packet = comm.Recv(source=source, tag=tag)
+                if packet.ndim != 1 or packet.size < 3:
+                    continue
+                crc, n, seq = packet[0], int(packet[1]), int(packet[2])
+                body = packet[3:]
+                if (seq == self._seq and n >= 0 and body.size == n * per_cell
+                        and float(zlib.crc32(body.tobytes())) == crc):
+                    return n, body
+        except (MessageNotFoundError, RankFailedError):
+            pass
+        return None

@@ -290,9 +290,9 @@ class ParallelPeriodicSolver(S3DSolver):
         and implicit integration are shape-independent, so conserved
         state stays bitwise identical to ``"off"`` for every policy in
         either mode.
-    chemlb_threshold, chemlb_cost_model, chemlb_work_model:
-        Forwarded to the balancer (imbalance trigger, per-cell cost
-        model, optional stiffness work emulation).
+    chemlb_threshold:
+        The balancer's imbalance trigger (ranks above this multiple of
+        the mean modeled load donate cells).
     rank_telemetry:
         Give every rank its *own* recording
         :class:`~repro.telemetry.Telemetry` backend for its RHS and
@@ -312,7 +312,6 @@ class ParallelPeriodicSolver(S3DSolver):
                  filter_interval=1, telemetry=None,
                  chemistry_mode=None, chemistry_method=None,
                  chem_load_balance=None, chemlb_threshold=1.1,
-                 chemlb_cost_model=None, chemlb_work_model=None,
                  rank_telemetry=False, observability=None,
                  comm_transport=None, parallel_recovery=None,
                  tracing=None, fixed_substeps=None):
@@ -349,9 +348,8 @@ class ParallelPeriodicSolver(S3DSolver):
         policy = resolve("chem_load_balance", chem_load_balance)
         if policy != "off" and reacting and mechanism.n_reactions:
             self.chemlb = chemlb.ChemistryLoadBalancer(
-                mechanism, world, policy=policy,
-                cost_model=chemlb_cost_model, threshold=chemlb_threshold,
-                work_model=chemlb_work_model, telemetry=self.telemetry,
+                mechanism, world, policy=policy, threshold=chemlb_threshold,
+                telemetry=self.telemetry,
             )
         # when balancing in explicit mode, rank RHS defers its reaction
         # sources: the program posts (rho, T, Y) and is resumed with the

@@ -7,10 +7,12 @@ here:
    policy, the cell assignment is a *partition* — every cell appears
    exactly once, either retained by its owner or in exactly one
    shipment — total load is conserved, and planning is deterministic.
-2. **Bit-exactness**: production rates and solver conserved state are
-   bitwise identical across ``off``/``greedy``/``pairwise-diffusion``,
-   including under injected shipping faults (the local-evaluation
-   fallback is exact by kinetics shape independence).
+2. **Bit-exactness**: production rates, implicit reactor results and
+   solver conserved state are bitwise identical across
+   ``off``/``greedy``/``pairwise-diffusion``, including under injected
+   shipping faults (the local-evaluation fallback is exact by the
+   kernels' batch-shape independence). Both kernels of the one
+   ship -> serve -> collect pipeline run every balancer-level case.
 3. **Effectiveness**: on a skewed flame-front profile the planner
    actually reduces the modeled max-rank load.
 """
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chemistry.implicit import ImplicitChemistry
 from repro.core.config import SolverConfig, resolve
 from repro.core.grid import Grid
 from repro.core.state import State
@@ -159,18 +162,12 @@ class TestPolicyResolution:
         with pytest.raises(ValueError, match="unknown chem_load_balance"):
             bad.validate(grid)
 
-    def test_cost_model_from_telemetry(self):
-        tel = Telemetry()
-        with tel.span("RHS"):
-            with tel.span("REACTION_RATES"):
-                pass
-        model = CellCostModel.from_telemetry(tel, cells_per_rank=100)
-        assert model.base_cost > 0.0
-        # cold cell costs base, hottest costs base * (1 + extra)
+    def test_cost_model_profile(self):
+        # a cold cell costs 1, the hottest 1 + reactive_extra
+        model = CellCostModel()
         costs = model.cell_costs(np.array([0.0, 1.0]))
-        assert costs[1] == pytest.approx(
-            costs[0] * (1.0 + model.reactive_extra)
-        )
+        assert costs[0] == 1.0
+        assert costs[1] == 1.0 + model.reactive_extra
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +192,68 @@ def _skewed_prims(mech, rng, ranks=4, cells=24):
     return prims
 
 
+def _balanced(mech, kernel, policy, seed, injector=None, telemetry=None):
+    """Second call of a balancer on the skewed profile (the first builds
+    the cost history): per-rank result arrays, and the balancer."""
+    prims = _skewed_prims(mech, np.random.default_rng(seed))
+    world = InProcessTransport(len(prims), fault_injector=injector)
+    lb = ChemistryLoadBalancer(mech, world, policy=policy,
+                               telemetry=telemetry)
+    if kernel == "rates":
+        def call():
+            return lb.production_rates(prims)
+    else:
+        # radical-free, so a hot cell takes a handful of implicit
+        # substeps (not thousands) and a cold one takes one
+        integrator = ImplicitChemistry(mech, closure="constant-volume")
+        states = []
+        for rho, T, Y in prims:
+            Y = Y.copy()
+            Y[mech.index("N2")] += Y[mech.index("H")]
+            Y[mech.index("H")] = 0.0
+            states.append((rho, mech.int_energy_mass(T, Y), Y))
+
+        def call():
+            return [np.vstack(r) for r in lb.advance_states(states, 1e-8,
+                                                            integrator)]
+    call()
+    return call(), lb
+
+
+def _assert_matches_off(mech, kernel, seed, policy):
+    off, _ = _balanced(mech, kernel, "off", seed)
+    bal, lb = _balanced(mech, kernel, policy, seed)
+    assert lb.last_plan.cells_shipped > 0, "skewed case must ship cells"
+    for a, b in zip(off, bal):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def _assert_deterministic(mech, kernel, seed, policy):
+    a, _ = _balanced(mech, kernel, policy, seed)
+    b, _ = _balanced(mech, kernel, policy, seed)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
 class TestBalancerBitExactness:
-    def _rates(self, h2_mech, policy, seed, injector=None, telemetry=None):
-        rng = np.random.default_rng(seed)
-        prims = _skewed_prims(h2_mech, rng)
-        world = InProcessTransport(len(prims), fault_injector=injector)
-        lb = ChemistryLoadBalancer(h2_mech, world, policy=policy,
-                                   telemetry=telemetry)
-        lb.production_rates(prims)  # warmup builds the stiffness proxy
-        return lb.production_rates(prims), lb
+    """The shipping pipeline on the explicit kernel (production rates);
+    :class:`TestStrangBalancerBitExactness` runs every case again on the
+    implicit one."""
+
+    KERNEL = "rates"
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           policy=st.sampled_from(BALANCED))
+    @given(seed=SEEDS, policy=st.sampled_from(BALANCED))
     def test_balanced_matches_off_bitwise(self, h2_mech, seed, policy):
-        off, _ = self._rates(h2_mech, "off", seed)
-        bal, lb = self._rates(h2_mech, policy, seed)
-        assert lb.last_plan.cells_shipped > 0, "skewed case must ship cells"
-        for a, b in zip(off, bal):
-            assert np.array_equal(a, b) and a.dtype == b.dtype
+        _assert_matches_off(h2_mech, self.KERNEL, seed, policy)
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           policy=st.sampled_from(BALANCED))
+    @given(seed=SEEDS, policy=st.sampled_from(BALANCED))
     def test_determinism_across_runs(self, h2_mech, seed, policy):
-        a, _ = self._rates(h2_mech, policy, seed)
-        b, _ = self._rates(h2_mech, policy, seed)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        _assert_deterministic(h2_mech, self.KERNEL, seed, policy)
 
     @pytest.mark.parametrize("site,mode", [
         ("chemlb.ship", "drop"),
@@ -233,12 +264,12 @@ class TestBalancerBitExactness:
         ("mpi.send", "corrupt"),
     ])
     def test_faulty_shipping_falls_back_bitwise(self, h2_mech, site, mode):
-        off, _ = self._rates(h2_mech, "off", seed=7)
+        off, _ = _balanced(h2_mech, self.KERNEL, "off", seed=7)
         inj = FaultInjector(seed=11)
         inj.add(site, mode=mode, probability=1.0)
         tel = Telemetry()
-        bal, lb = self._rates(h2_mech, "greedy", seed=7, injector=inj,
-                              telemetry=tel)
+        bal, lb = _balanced(h2_mech, self.KERNEL, "greedy", seed=7,
+                            injector=inj, telemetry=tel)
         assert lb.last_plan.cells_shipped > 0
         # every batch was lost or corrupted, so every one fell back
         assert tel.metrics.counter("chemlb.fallbacks").value > 0
@@ -247,7 +278,7 @@ class TestBalancerBitExactness:
 
     def test_telemetry_instruments(self, h2_mech):
         tel = Telemetry()
-        _, lb = self._rates(h2_mech, "greedy", seed=0, telemetry=tel)
+        _balanced(h2_mech, self.KERNEL, "greedy", seed=0, telemetry=tel)
         assert tel.metrics.counter("chemlb.cells_shipped").value > 0
         assert tel.metrics.counter("chemlb.batches").value > 0
         before = tel.metrics.gauge("chemlb.imbalance").value
@@ -257,9 +288,28 @@ class TestBalancerBitExactness:
         assert "CHEMLB" in tel.tracer.exclusive_times()
 
     def test_balancing_reduces_modeled_max_load(self, h2_mech):
-        _, lb = self._rates(h2_mech, "greedy", seed=0)
+        _, lb = _balanced(h2_mech, self.KERNEL, "greedy", seed=0)
         plan = lb.last_plan
         assert plan.loads_after.max() < plan.loads_before.max()
+
+
+class TestStrangBalancerBitExactness(TestBalancerBitExactness):
+    """The same pipeline on the implicit kernel (Strang half-steps): the
+    reply is ``(T, Y, substeps)`` and the cost signal measured work.
+    (Hypothesis wants one test function per class, hence the two
+    re-declared property tests.)"""
+
+    KERNEL = "strang"
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=SEEDS, policy=st.sampled_from(BALANCED))
+    def test_balanced_matches_off_bitwise(self, h2_mech, seed, policy):
+        _assert_matches_off(h2_mech, self.KERNEL, seed, policy)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=SEEDS, policy=st.sampled_from(BALANCED))
+    def test_determinism_across_runs(self, h2_mech, seed, policy):
+        _assert_deterministic(h2_mech, self.KERNEL, seed, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,7 @@ class TestParallelStrang:
         u_lb, par = self._run_parallel(setup_2d, policy)
         np.testing.assert_array_equal(u_lb, u_off)
         # and work actually moved: the hot spot makes rank loads uneven
-        assert par.chemlb.last_plan is not None
-        assert par.chemlb._work is not None
+        assert par.chemlb.last_plan.cells_shipped > 0
 
 
 # ----------------------------------------------------------------------
