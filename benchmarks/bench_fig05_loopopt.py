@@ -24,7 +24,13 @@ from repro.loopopt import (
 from repro.loopopt.transforms import looptool_pipeline
 
 
-def _measure_kernels(n=44, ns=9, repeats=3):
+def _elapsed(kernel, args):
+    t0 = time.perf_counter()
+    kernel(**args)
+    return time.perf_counter() - t0
+
+
+def _measure_kernels(n=44, ns=9, pairs=5):
     rng = np.random.default_rng(0)
     S = (n, n, n)
     args = dict(
@@ -36,14 +42,13 @@ def _measure_kernels(n=44, ns=9, repeats=3):
     f_ref = naive_diffusive_flux(**args)
     f_opt = optimized_diffusive_flux(**args)
     assert np.allclose(f_ref, f_opt, rtol=1e-12, atol=1e-14)
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        naive_diffusive_flux(**args)
-    t_naive = (time.perf_counter() - t0) / repeats
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        optimized_diffusive_flux(**args)
-    t_opt = (time.perf_counter() - t0) / repeats
+    # naive and restructured runs alternate, so machine drift over the
+    # measurement lands on both kernels; each kernel's time is its
+    # fastest run
+    t_naive = t_opt = np.inf
+    for _ in range(pairs):
+        t_naive = min(t_naive, _elapsed(naive_diffusive_flux, args))
+        t_opt = min(t_opt, _elapsed(optimized_diffusive_flux, args))
     return t_naive, t_opt
 
 

@@ -21,7 +21,8 @@ import json
 
 import numpy as np
 
-from repro.scenarios import bunsen_mixture, lifted_jet, premixed_flame_box
+from repro.scenarios import (BUNSEN_PHI, bunsen_mixture, lifted_jet,
+                             premixed_flame_box)
 
 #: golden schema version; bump when the summary layout changes
 GOLDEN_VERSION = 1
@@ -63,15 +64,15 @@ def summarize_solver(solver, species) -> dict:
     return out
 
 
-def burned_methane_state(mech, phi: float = 0.7, t_burned: float = 2000.0):
-    """Complete-combustion products of a lean CH4/air mixture.
+def burned_methane_state(mech, t_burned: float = 2000.0):
+    """Complete-combustion products of the lean Bunsen CH4/air mixture.
 
     Synthesizes the burned side of the premixed box from stoichiometry
     alone (CH4 + 2 O2 -> CO2 + 2 H2O with the lean O2 excess retained),
     avoiding the expensive laminar-flame solve the production scenario
     builder uses for its normalization.
     """
-    y_u = bunsen_mixture(mech, phi)
+    y_u = bunsen_mixture(mech, BUNSEN_PHI)
     moles = y_u / mech.weights  # mol per kg of mixture
     n_ch4 = moles[mech.index("CH4")]
     prod = np.zeros(mech.n_species)

@@ -62,6 +62,13 @@ class FreeFlame:
         Grid points (uniform).
     """
 
+    #: mass-flux rounds :meth:`solve` takes at most; the front drift (a
+    #: fraction of SL) that ends them; the under-relaxation of each
+    #: mass-flux correction
+    MAX_ROUNDS = 12
+    DRIFT_TOL = 0.02
+    RELAX = 0.8
+
     def __init__(self, mechanism, transport, pressure, t_unburned, y_unburned,
                  length=8e-3, n_points=128):
         self.mech = mechanism
@@ -196,13 +203,12 @@ class FreeFlame:
         return T2, Y2
 
     # ------------------------------------------------------------------
-    def solve(self, sl_guess=0.5, rtol=1e-5, atol=1e-8, max_rounds=12,
-              drift_tol=0.02, relax=0.8):
+    def solve(self, sl_guess=0.5, rtol=1e-5, atol=1e-8):
         """Find the steady flame; returns :class:`LaminarFlameProperties`.
 
         Each round integrates with fixed mass flux m, measures the front
-        drift velocity, and corrects ``m <- m - relax rho_u v_drift``
-        until |v_drift| < drift_tol * SL.
+        drift velocity, and corrects ``m <- m - RELAX rho_u v_drift``
+        until |v_drift| < DRIFT_TOL * SL.
         """
         from scipy.integrate import solve_ivp
 
@@ -210,7 +216,7 @@ class FreeFlame:
         m = self.rho_u * sl_guess
         sparsity = self._sparsity()
         sl = sl_guess
-        for round_ in range(max_rounds):
+        for round_ in range(self.MAX_ROUNDS):
             T, Y = self._recenter(T, Y)
             y0 = self._pack(T, Y)
             x0 = self._front_position(T)
@@ -228,9 +234,9 @@ class FreeFlame:
             x1 = self._front_position(T)
             v_drift = (x1 - x0) / horizon
             sl = m / self.rho_u
-            if abs(v_drift) < drift_tol * max(sl, 1e-3):
+            if abs(v_drift) < self.DRIFT_TOL * max(sl, 1e-3):
                 break
-            m = m - relax * self.rho_u * v_drift
+            m = m - self.RELAX * self.rho_u * v_drift
             m = max(m, 1e-4 * self.rho_u)
         self.solution = self._pack(T, Y)
         self.m_flux = m

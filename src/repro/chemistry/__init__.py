@@ -16,7 +16,7 @@ This package reimplements the parts S3D uses:
   (:mod:`repro.chemistry.zerod`),
 * the analytical sparse source-term Jacobian
   (:mod:`repro.chemistry.jacobian`) and the per-cell implicit stiff
-  integrators behind Strang splitting
+  integrator behind Strang splitting
   (:mod:`repro.chemistry.implicit`).
 
 All public interfaces are SI (kg, m, s, K, J, mol); concentrations are
@@ -41,7 +41,6 @@ from repro.chemistry.zerod import ConstPressureReactor, ConstVolumeReactor, igni
 from repro.chemistry.jacobian import JacobianPattern, SourceTermJacobian
 from repro.chemistry.implicit import (
     CHEMISTRY_MODES,
-    METHODS,
     ImplicitChemistry,
     ImplicitStats,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "JacobianPattern",
     "SourceTermJacobian",
     "CHEMISTRY_MODES",
-    "METHODS",
     "ImplicitChemistry",
     "ImplicitStats",
 ]

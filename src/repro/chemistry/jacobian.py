@@ -13,31 +13,18 @@ term through the mechanism reaction graph: mass-action products
 (including fractional CHEMKIN ``FORD`` orders), Arrhenius temperature
 sensitivity, reverse rates via van 't Hoff differentiation of the
 equilibrium constant, third-body enhancement, and Lindemann/Troe/
-constant-``F_cent`` pressure-falloff blending. Two thermodynamic closures
-are supported:
-
-``"constant-pressure"``
-    The classical constant-pressure reactor used by the 0-D ignition
-    problems (:mod:`repro.chemistry.zerod`):
-    :math:`\\dot T = -\\sum_i h_i \\dot\\omega_i / (\\rho c_p)` with
-    :math:`\\rho = p \\bar W / (R_u T)`. The ideal-gas density couples
-    every concentration to every mass fraction
-    (:math:`\\partial\\rho/\\partial Y_j = -\\rho\\bar W/W_j`), so rows of
-    *reactive* species are structurally dense in Y; species that
-    participate in no reaction keep exactly-zero rows.
-
-``"constant-volume"``
-    The fixed-density closure used inside the Strang reaction fractional
-    step of the compressible solver (the split sub-ODE holds ``rho`` and
-    the conserved energy fixed, so the physically consistent reactor is
-    constant-volume): :math:`\\dot T = -\\sum_i e_i \\dot\\omega_i /
-    (\\rho c_v)` with :math:`e_i = h_i - R_u T`. Here
-    :math:`\\partial C_i/\\partial Y_j = \\delta_{ij}\\rho/W_i`, so the
-    species block inherits the genuine reaction-graph sparsity.
+constant-``F_cent`` pressure-falloff blending. The thermodynamic
+closure is ``"constant-volume"``, the fixed-density reactor of the
+Strang reaction fractional step of the compressible solver (the split
+sub-ODE holds ``rho`` and the conserved energy fixed):
+:math:`\\dot T = -\\sum_i e_i \\dot\\omega_i / (\\rho c_v)` with
+:math:`e_i = h_i - R_u T`. Here
+:math:`\\partial C_i/\\partial Y_j = \\delta_{ij}\\rho/W_i`, so the species
+block inherits the genuine reaction-graph sparsity.
 
 Sparsity is declared structurally (:class:`JacobianPattern`, CSR) from
 reactant/product participation, third-body efficiency support, and the
-mode's mixture-coupling channels; ``tests/test_jacobian.py`` pins that
+T row's mixture coupling; ``tests/test_jacobian.py`` pins that
 every numerically nonzero entry lies inside the declared pattern (no
 silent dense fill-in) and that the analytical entries match central
 finite differences of the source term.
@@ -46,7 +33,7 @@ Everything here is evaluated as fixed-order elementwise NumPy over a
 flat cell batch (no BLAS contractions), so per-cell Jacobian entries are
 bitwise independent of the batch they are evaluated in — the same
 invariance contract as :mod:`repro.chemistry.kinetics`, which the
-implicit integrators (:mod:`repro.chemistry.implicit`) and the chemistry
+implicit integrator (:mod:`repro.chemistry.implicit`) and the chemistry
 load balancer rely on.
 """
 
@@ -61,9 +48,6 @@ from repro.util.reduction import axis0_sum
 _TINY = 1e-300
 
 _LN10 = np.log(10.0)
-
-#: Supported thermodynamic closures.
-MODES = ("constant-pressure", "constant-volume")
 
 
 class JacobianPattern:
@@ -136,32 +120,32 @@ def _pow_deriv(cpos, positive, e):
 
 
 class SourceTermJacobian:
-    """Analytical source term and Jacobian for one mechanism and closure.
+    """Analytical source term and Jacobian of the constant-volume reactor.
 
     Parameters
     ----------
     mech:
         A reacting :class:`~repro.chemistry.mechanism.Mechanism`.
     mode:
-        ``"constant-pressure"`` or ``"constant-volume"`` (see module
-        docstring).
+        ``"constant-volume"``, the one closure (see module docstring);
+        any other value raises ``ValueError``.
 
     All batched entry points take flat cell batches: ``T`` of shape
-    ``(N,)``, ``Y`` of shape ``(Ns, N)``, and the closure parameter
-    (``p`` or ``rho``) scalar or ``(N,)``. The source is returned as
+    ``(N,)``, ``Y`` of shape ``(Ns, N)``, and the density ``rho``
+    scalar or ``(N,)``. The source is returned as
     ``(Ns+1, N)`` (states-first, like every field in this repo); the
     Jacobian as ``(N, n, n)`` with ``n = Ns + 1`` (batched-linear-algebra
     layout, ready for the LU kernels in
     :mod:`repro.chemistry.implicit`).
     """
 
-    def __init__(self, mech, mode: str = "constant-pressure"):
-        if mode not in MODES:
-            raise ValueError(f"unknown jacobian mode {mode!r}; expected one of {MODES}")
+    def __init__(self, mech, mode: str = "constant-volume"):
+        if mode != "constant-volume":
+            raise ValueError(f"unknown jacobian mode {mode!r}; the one closure "
+                             "is 'constant-volume'")
         if mech.kinetics is None:
             raise ValueError("SourceTermJacobian requires a reacting mechanism")
         self.mech = mech
-        self.mode = mode
         self.kin = mech.kinetics
         self.ns = mech.n_species
         self.n = self.ns + 1
@@ -184,42 +168,15 @@ class SourceTermJacobian:
                 }
             )
         self.pattern = self._build_pattern()
-        self.concentration_pattern = self._build_conc_pattern()
 
     # ------------------------------------------------------------------
     # structural sparsity
     # ------------------------------------------------------------------
-    def _build_conc_pattern(self):
-        """Reaction-graph dependence of (ω̇, T-sensitivity) on (C, T).
-
-        Returns a :class:`JacobianPattern` over ``(C_1..C_Ns, T)`` — the
-        genuinely sparse stage of the chain rule, before the closure's
-        mixture coupling is applied.
-        """
-        ns = self.ns
-        mask = np.zeros((ns + 1, ns + 1), dtype=bool)
-        for data in self._rxns:
-            cols = {k for k, _ in data["fwd"]}
-            cols |= {k for k, _ in data["rev"]}
-            if data["eff"] is not None:
-                cols |= {int(k) for k in np.nonzero(data["eff"])[0]}
-            for i, _ in data["net"]:
-                for k in cols:
-                    mask[i, k] = True
-                mask[i, ns] = True  # Arrhenius T sensitivity
-        # T row of the reactor couples to every structurally reactive
-        # column (through Σ e_i ω̇_i) and to T itself.
-        reactive_rows = mask[:ns].any(axis=1)
-        if reactive_rows.any():
-            mask[ns, :ns] = mask[:ns, :].any(axis=0)[:ns]
-            mask[ns, ns] = True
-        return JacobianPattern(mask)
-
     def _build_pattern(self):
-        """State-space ``(Y, T)`` pattern for the selected closure."""
+        """State-space ``(Y, T)`` pattern of the constant-volume closure."""
         ns = self.ns
         mask = np.zeros((self.n, self.n), dtype=bool)
-        # concentration-stage dependence, recomputed here (cheap)
+        # reaction-graph dependence of each rate on C and T
         depC = np.zeros((ns, ns), dtype=bool)
         depT = np.zeros(ns, dtype=bool)
         for data in self._rxns:
@@ -231,56 +188,38 @@ class SourceTermJacobian:
                 for k in cols:
                     depC[i, k] = True
                 depT[i] = True
-        reactive = depT  # rows with any reaction participation
-        if self.mode == "constant-volume":
-            # ∂C_k/∂Y_j = δ_kj ρ/W_k: graph sparsity survives verbatim.
-            mask[:ns, :ns] = depC
-            mask[:ns, ns] = depT
-        else:
-            # ρ(Y, T) couples every C_k to every Y_j: reactive rows are
-            # structurally dense in Y; inert rows stay exactly zero.
-            mask[:ns, :ns] = reactive[:, None]
-            mask[:ns, ns] = reactive
-        if reactive.any():
-            # Ṫ depends on every Y_j through cp/cv (and ρ in const-p).
+        # ∂C_k/∂Y_j = δ_kj ρ/W_k: graph sparsity survives verbatim.
+        mask[:ns, :ns] = depC
+        mask[:ns, ns] = depT
+        if depT.any():
+            # Ṫ depends on every Y_j through cv.
             mask[ns, :] = True
         return JacobianPattern(mask)
 
     # ------------------------------------------------------------------
-    # closure helpers
+    # inputs
     # ------------------------------------------------------------------
-    def _density(self, T, Y, p=None, rho=None):
-        if self.mode == "constant-pressure":
-            if p is None:
-                raise ValueError("constant-pressure mode requires p")
-            wbar = 1.0 / axis0_sum(Y / self._w[:, None])
-            return np.asarray(p, dtype=float) * wbar / (RU * T), wbar
-        if rho is None:
-            raise ValueError("constant-volume mode requires rho")
-        rho = np.broadcast_to(np.asarray(rho, dtype=float), T.shape)
-        return rho, None
-
-    def _check_shapes(self, T, Y):
+    def _check_shapes(self, T, Y, rho):
+        """``(T, Y, rho)`` as float arrays, ``rho`` broadcast to ``T``."""
         T = np.asarray(T, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if T.ndim != 1 or Y.ndim != 2 or Y.shape != (self.ns, T.shape[0]):
             raise ValueError(
                 f"expected T (N,) and Y (Ns, N); got {T.shape} and {Y.shape}"
             )
-        return T, Y
+        return T, Y, np.broadcast_to(np.asarray(rho, dtype=float), T.shape)
 
     # ------------------------------------------------------------------
     # source term
     # ------------------------------------------------------------------
-    def source(self, T, Y, p=None, rho=None):
+    def source(self, T, Y, rho):
         """Reactor source f(z) = (Ẏ_1..Ẏ_Ns, Ṫ), shape (Ns+1, N).
 
         The species rates reuse :class:`KineticsEvaluator` verbatim, so
         they are bitwise consistent with the explicit RHS path for the
         same (T, C).
         """
-        T, Y = self._check_shapes(T, Y)
-        rho, _ = self._density(T, Y, p=p, rho=rho)
+        T, Y, rho = self._check_shapes(T, Y, rho)
         w = self._w[:, None]
         C = rho[None] * Y / w
         wdot = self.kin.production_rates_cells(T, C)  # mol/(m^3 s)
@@ -289,27 +228,23 @@ class SourceTermJacobian:
         # one range partition serves both properties [J/mol, J/(mol K)]
         h_m, cp_m = self.mech.thermo.enthalpy_cp_molar(T)
         cp = axis0_sum(cp_m / w * Y)
-        if self.mode == "constant-pressure":
-            f[self.ns] = -axis0_sum(h_m * wdot) / (rho * cp)
-        else:
-            e_m = h_m - RU * T[None]
-            cv = cp - self.mech.gas_constant(Y)
-            f[self.ns] = -axis0_sum(e_m * wdot) / (rho * cv)
+        e_m = h_m - RU * T[None]
+        cv = cp - self.mech.gas_constant(Y)
+        f[self.ns] = -axis0_sum(e_m * wdot) / (rho * cv)
         return f
 
     # ------------------------------------------------------------------
     # Jacobian
     # ------------------------------------------------------------------
-    def jacobian(self, T, Y, p=None, rho=None):
+    def jacobian(self, T, Y, rho):
         """Analytical J = ∂f/∂z, shape (N, Ns+1, Ns+1)."""
-        return self.source_and_jacobian(T, Y, p=p, rho=rho)[1]
+        return self.source_and_jacobian(T, Y, rho)[1]
 
-    def source_and_jacobian(self, T, Y, p=None, rho=None):
-        """Fused (f, J) evaluation for the implicit integrators."""
-        T, Y = self._check_shapes(T, Y)
+    def source_and_jacobian(self, T, Y, rho):
+        """Fused (f, J) evaluation."""
+        T, Y, rho = self._check_shapes(T, Y, rho)
         ns, N = self.ns, T.shape[0]
         w = self._w
-        rho, wbar = self._density(T, Y, p=p, rho=rho)
         C = rho[None] * Y / w[:, None]
         cpos = np.maximum(C, 0.0)
         positive = np.where(cpos > 0.0, 1.0, 0.0)
@@ -420,26 +355,15 @@ class SourceTermJacobian:
                     sel = data["eff_sel"]
                     dwC[i, sel] += (nui * eff[sel])[:, None] * dq_dm
 
-        # chain rule to the state z = (Y, T) for the selected closure
+        # chain rule to the state z = (Y, T)
         jac = np.zeros((self.n, self.n, N))
-        if self.mode == "constant-volume":
-            self._assemble_cv(jac, T, Y, rho, C, wdot, dwC, dwT, h_m, cp_m, dcp_m)
-        else:
-            self._assemble_cp(
-                jac, T, Y, rho, wbar, C, wdot, dwC, dwT, h_m, cp_m, dcp_m
-            )
+        self._assemble_cv(jac, T, Y, rho, wdot, dwC, dwT, h_m, cp_m, dcp_m)
 
         f = np.empty((self.n, N))
         f[:ns] = wdot * w[:, None] / rho[None]
-        if self.mode == "constant-pressure":
-            cp = axis0_sum(cp_m * Y / w[:, None])
-            f[ns] = -axis0_sum(h_m * wdot) / (rho * cp)
-        else:
-            e_m = h_m - RU * T[None]
-            cv = axis0_sum(cp_m * Y / w[:, None]) - RU * axis0_sum(
-                Y / w[:, None]
-            )
-            f[ns] = -axis0_sum(e_m * wdot) / (rho * cv)
+        e_m = h_m - RU * T[None]
+        cv = axis0_sum(cp_m * Y / w[:, None]) - RU * axis0_sum(Y / w[:, None])
+        f[ns] = -axis0_sum(e_m * wdot) / (rho * cv)
         return f, np.ascontiguousarray(np.moveaxis(jac, 2, 0))
 
     # -- reaction-level pieces -----------------------------------------
@@ -537,7 +461,7 @@ class SourceTermJacobian:
         return F, dF_dpr, dF_dT
 
     # -- closure assembly ----------------------------------------------
-    def _assemble_cv(self, jac, T, Y, rho, C, wdot, dwC, dwT, h_m, cp_m, dcp_m):
+    def _assemble_cv(self, jac, T, Y, rho, wdot, dwC, dwT, h_m, cp_m, dcp_m):
         ns = self.ns
         w = self._w
         e_m = h_m - RU * T[None]
@@ -560,38 +484,3 @@ class SourceTermJacobian:
             dS_dYj = axis0_sum(e_m * dwC[:, j]) * (rho / w[j])
             jac[ns, j] = -dS_dYj / rcv + S * ((cv_m[j] / w[j]) / rcv2)
         jac[ns, ns] = -dS_dT / rcv + S * dcv_dT / rcv2
-
-    def _assemble_cp(self, jac, T, Y, rho, wbar, C, wdot, dwC, dwT, h_m, cp_m, dcp_m):
-        ns = self.ns
-        w = self._w
-        cp = axis0_sum(cp_m * Y / w[:, None])
-        rcp = rho * cp
-        rcp2 = rcp * rcp
-        Q = axis0_sum(h_m * wdot)
-        # ∂C_k/∂Y_j = δ_kj ρ/W_k − C_k W̄/W_j ;  ∂C_k/∂T = −C_k/T
-        rowdot = np.empty((ns, T.shape[0]))
-        for i in range(ns):
-            rowdot[i] = axis0_sum(dwC[i] * C)
-        dwTtot = dwT - rowdot / T[None]
-        # species rows: Ẏ_i = W_i ω̇_i/ρ with ρ = ρ(Y, T)
-        dwY = np.empty((ns, T.shape[0]))  # scratch per column j
-        for j in range(ns):
-            for i in range(ns):
-                dwY[i] = (dwC[i, j] * rho - rowdot[i] * wbar) / w[j]
-            for i in range(ns):
-                if self.pattern.mask[i, j]:
-                    jac[i, j] = (w[i] / rho) * (dwY[i] + wdot[i] * wbar / w[j])
-            # T-row contribution for this column
-            dQ_dYj = axis0_sum(h_m * dwY)
-            drcp_dYj = rho * (cp_m[j] - cp * wbar) / w[j]
-            jac[ns, j] = -dQ_dYj / rcp + Q * drcp_dYj / rcp2
-        for i in range(ns):
-            jac[i, ns] = (w[i] / rho) * (dwTtot[i] + wdot[i] / T)
-        dQ_dT = axis0_sum(cp_m * wdot + h_m * dwTtot)
-        dcpmix_dT = axis0_sum(dcp_m * Y / w[:, None])
-        drcp_dT = rho * (dcpmix_dT - cp / T)
-        jac[ns, ns] = -dQ_dT / rcp + Q * drcp_dT / rcp2
-
-    # ------------------------------------------------------------------
-    # stiffness estimation
-    # ------------------------------------------------------------------

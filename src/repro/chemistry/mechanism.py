@@ -87,9 +87,9 @@ class Mechanism:
         w, Y = self._wshape(Y)
         return np.asarray(rho, dtype=float)[None] * Y / w
 
-    def mass_fractions_from(self, mapping, shape=()):
-        """Build a (Ns,)+shape mass-fraction array from a name->Y dict."""
-        Y = np.zeros((self.n_species,) + tuple(shape))
+    def mass_fractions_from(self, mapping):
+        """Build a (Ns,) mass-fraction array from a name->Y dict."""
+        Y = np.zeros(self.n_species)
         for name, value in mapping.items():
             Y[self.index(name)] = value
         total = Y.sum(axis=0)

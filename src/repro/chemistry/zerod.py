@@ -103,24 +103,25 @@ class ConstVolumeReactor:
         return sol.t, sol.y[0], sol.y[1:]
 
 
-def ignition_delay(mechanism, T0, p, Y0, t_end, delta_T=400.0, n_out=None,
-                   rtol=1e-8, atol=1e-12):
+#: temperature rise [K] that marks ignition in :func:`ignition_delay`
+IGNITION_DELTA_T = 400.0
+
+
+def ignition_delay(mechanism, T0, p, Y0, t_end, rtol=1e-8, atol=1e-12):
     """Constant-pressure ignition delay [s].
 
-    Defined as the first time the temperature exceeds ``T0 + delta_T``,
-    located by a terminal :func:`scipy.integrate.solve_ivp` event — the
-    integrator root-finds the crossing inside the step that brackets it,
-    so the result is resolved to the solver tolerances rather than
-    quantized by an output-sampling grid (the old implementation
-    interpolated between ``n_out`` equispaced samples, which biased the
-    delay by up to half a sample interval). ``n_out`` is accepted for
-    backward compatibility and ignored. Returns ``numpy.inf`` if no
-    ignition within ``t_end``.
+    Defined as the first time the temperature exceeds
+    ``T0 + IGNITION_DELTA_T``, located by a terminal
+    :func:`scipy.integrate.solve_ivp` event — the integrator root-finds
+    the crossing inside the step that brackets it, so the result is
+    resolved to the solver tolerances rather than quantized by an
+    output-sampling grid. Returns ``numpy.inf`` if no ignition within
+    ``t_end``.
     """
     from scipy.integrate import solve_ivp
 
     reactor = ConstPressureReactor(mechanism, p)
-    target = float(T0) + float(delta_T)
+    target = float(T0) + IGNITION_DELTA_T
 
     def crossing(t, state):
         return state[0] - target

@@ -144,9 +144,6 @@ KNOBS = {k.name: k for k in (
          "chemistry inside the ERK right-hand side, or Strang-split "
          "implicit half-steps around a non-reacting transport step",
          choices=("explicit", "strang")),
-    Knob("chemistry_method", "REPRO_CHEMISTRY_METHOD", "rosw2",
-         "implicit integrator of the Strang half-steps",
-         choices=("bdf2", "rosw2")),
     Knob("fixed_substeps", "REPRO_CHEM_FIXED_SUBSTEPS", None,
          "equal implicit substeps per Strang half-step instead of the "
          "adaptive controller (convergence studies); the environment "
@@ -279,7 +276,12 @@ class SolverConfig:
     scheme:
         ERK scheme name: ``"ck45"``, the one scheme
         (:class:`repro.core.erk.ERKIntegrator`).
-    transport, chem_load_balance, chemistry_mode, chemistry_method,
+    chemistry_method:
+        Implicit integrator of the Strang half-steps: ``None`` or
+        ``"rosw2"``, the one integrator
+        (:class:`repro.chemistry.implicit.ImplicitChemistry`); any other
+        value fails :meth:`validate`.
+    transport, chem_load_balance, chemistry_mode,
     fixed_substeps, parallel_recovery, observability, telemetry, tracing:
         The run-time knobs: one row each of :data:`KNOBS` (rendered in
         docs/CONFIG.md), which gives the accepted values, the
@@ -326,6 +328,9 @@ class SolverConfig:
             raise ValueError("cfl must be in (0, 2]")
         if not 0.0 <= self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must be in [0, 1]")
+        if self.chemistry_method not in (None, "rosw2"):
+            raise ValueError(f"unknown chemistry_method {self.chemistry_method!r}; "
+                             "the one method is 'rosw2'")
         given = {}
         for knob in KNOBS.values():
             if knob.in_config:

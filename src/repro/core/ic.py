@@ -16,15 +16,15 @@ import numpy as np
 from repro.core.state import State
 
 
-def pressure_pulse(mechanism, grid, *, p0, T0, Y, amplitude=0.01, width=None, center=None):
-    """Gaussian pressure pulse in a quiescent gas (§4.1 model problem).
+def pressure_pulse(mechanism, grid, *, p0, T0, Y, amplitude=0.01, width=None):
+    """Gaussian pressure pulse at the centre of a quiescent gas (§4.1
+    model problem).
 
     ``amplitude`` is the relative overpressure; entropy is uniform, so
     temperature follows isentropically: T = T0 (p/p0)^((gamma-1)/gamma).
     """
     mesh = grid.meshgrid()
-    if center is None:
-        center = [0.5 * L for L in grid.lengths]
+    center = [0.5 * L for L in grid.lengths]
     if width is None:
         width = 0.08 * min(grid.lengths)
     r2 = sum((x - c) ** 2 for x, c in zip(mesh, center))
@@ -48,8 +48,7 @@ def tanh_profile(y, center_low, center_high, thickness):
 
 
 def slot_jet(mechanism, grid, *, p, jet, coflow, slot_width, shear_thickness,
-             jet_velocity, coflow_velocity, axis=0, transverse_axis=1,
-             fluctuations=None):
+             jet_velocity, coflow_velocity, axis=0, fluctuations=None):
     """Two-stream slot-burner initial condition (§6.2 / §7.2 geometry).
 
     Parameters
@@ -59,7 +58,7 @@ def slot_jet(mechanism, grid, *, p, jet, coflow, slot_width, shear_thickness,
         central jet and the surrounding coflow.
     slot_width:
         Physical width h of the central slot [m], centred in the
-        transverse direction.
+        transverse direction (axis 1).
     shear_thickness:
         Tanh shear-layer thickness [m].
     jet_velocity, coflow_velocity:
@@ -73,8 +72,8 @@ def slot_jet(mechanism, grid, *, p, jet, coflow, slot_width, shear_thickness,
     temperature profile, composition profile) for boundary conditions.
     """
     mesh = grid.meshgrid()
-    y = mesh[transverse_axis]
-    ly = grid.lengths[transverse_axis]
+    y = mesh[1]
+    ly = grid.lengths[1]
     lo = 0.5 * (ly - slot_width)
     hi = 0.5 * (ly + slot_width)
     blend = tanh_profile(y, lo, hi, shear_thickness)  # 1 in jet, 0 in coflow

@@ -48,7 +48,7 @@ def _face_index(ndim: int, axis: int, side: int):
     return tuple(idx)
 
 
-def apply_boundary_conditions(rhs, t, u, du, *, rho, vel, T, p, Y,
+def apply_boundary_conditions(rhs, t, du, *, rho, vel, T, p, Y,
                               grad_rho, grad_p, grad_vel, grad_y):
     """Apply all non-periodic boundary specs to the assembled RHS ``du``."""
     st = rhs.state
@@ -58,17 +58,17 @@ def apply_boundary_conditions(rhs, t, u, du, *, rho, vel, T, p, Y,
             continue
         face = _face_index(ndim, axis, side)
         if spec.kind == "hard_inflow":
-            _hard_inflow(rhs, t, du, face, spec, axis)
+            _hard_inflow(rhs, t, du, face, spec)
             continue
         _characteristic_face(
-            rhs, t, u, du, face, spec, axis, side,
+            rhs, t, du, face, spec, axis, side,
             rho=rho, vel=vel, T=T, p=p, Y=Y,
             grad_rho=grad_rho, grad_p=grad_p,
             grad_vel=grad_vel, grad_y=grad_y,
         )
 
 
-def _hard_inflow(rhs, t, du, face, spec, axis):
+def _hard_inflow(rhs, t, du, face, spec):
     """Pin u, T, Y at the face; density evolves with continuity."""
     st = rhs.state
     mech = rhs.mech
@@ -86,7 +86,7 @@ def _hard_inflow(rhs, t, du, face, spec, axis):
         du[st.i_species(k)][face] = Y_t[k] * drho
 
 
-def _characteristic_face(rhs, t, u, du, face, spec, axis, side, *,
+def _characteristic_face(rhs, t, du, face, spec, axis, side, *,
                          rho, vel, T, p, Y, grad_rho, grad_p, grad_vel, grad_y):
     st = rhs.state
     mech = rhs.mech

@@ -103,6 +103,8 @@ class CompressibleRHS:
 
     #: ``__call__`` computes directly into an ``out`` array
     supports_out = True
+    #: Fourier number of :meth:`stable_dt`'s diffusive limit
+    FOURIER = 0.4
 
     def __init__(self, state, transport=None, boundaries=None, reacting=True,
                  telemetry=None, workspace=None):
@@ -513,7 +515,7 @@ class CompressibleRHS:
                 if viscous else None
             )
             nscbc.apply_boundary_conditions(
-                self, t, u, du,
+                self, t, du,
                 rho=rho, vel=vel, T=T, p=p, Y=Y,
                 grad_rho=grad_rho, grad_p=grad_p,
                 grad_vel=grad_vel, grad_y=gy,
@@ -626,7 +628,7 @@ class CompressibleRHS:
             grad_rho = [self.ops[b].apply_naive(rho, axis=b) for b in range(ndim)]
             gy = grad_y if viscous else None
             nscbc.apply_boundary_conditions(
-                self, t, u, du,
+                self, t, du,
                 rho=rho, vel=vel, T=T, p=p, Y=Y,
                 grad_rho=grad_rho, grad_p=grad_p,
                 grad_vel=grad_vel, grad_y=gy,
@@ -634,15 +636,15 @@ class CompressibleRHS:
         return du
 
     # ------------------------------------------------------------------
-    def stable_dt(self, u=None, cfl=0.8, fourier=0.4):
-        """Acoustic + diffusive stable time step estimate.
+    def stable_dt(self, cfl=0.8):
+        """Acoustic + diffusive stable time step estimate of the state
+        (diffusive limit: Fourier number :attr:`FOURIER`).
 
         Shares the memoized primitives/transport evaluation with an RHS
         evaluation on the same buffer: stage 1 of the step it sizes,
         whatever the scheme (see :meth:`_eval_props`).
         """
-        st = self.state
-        pc = self._eval_props(st.u if u is None else u)
+        pc = self._eval_props(self.state.u)
         rho, vel, T, Y = pc.rho, pc.vel, pc.T, pc.Y
         # frozen sound speed sqrt(gamma R T), gamma = cp / (cp - R)
         cp = self.mech.cp_mass(T, Y)
@@ -660,5 +662,5 @@ class CompressibleRHS:
             dmax = max(nu, alpha, float(props.diffusivities.max()))
             dx = self.grid.min_spacing
             if dmax > 0:
-                dt = min(dt, fourier * dx * dx / dmax)
+                dt = min(dt, self.FOURIER * dx * dx / dmax)
         return dt

@@ -96,9 +96,7 @@ class S3DSolver:
             from repro.chemistry.implicit import ImplicitChemistry
 
             self._chem = ImplicitChemistry(
-                mech, closure="constant-volume",
-                method=config.chemistry_method,
-                fixed_substeps=config.fixed_substeps,
+                mech, fixed_substeps=config.fixed_substeps,
                 telemetry=self.telemetry,
             )
         self.integrator = ERKIntegrator(config.scheme)

@@ -27,7 +27,6 @@ import numpy as np
 from repro.io.filesystem import WriteRequest
 from repro.io.network import NetworkModel
 
-DEFAULT_CACHE_BOUND = 32 * 1024 * 1024  # 32 MB per process (paper default)
 
 
 @dataclass
@@ -51,18 +50,17 @@ class MPIIOCache:
     page_size:
         Cache page size; defaults to the FS lock unit (recommended by
         the paper to avoid false sharing).
-    cache_bound:
-        Per-process cache memory bound (default 32 MB).
     """
 
-    def __init__(self, fs, path: str, n_ranks: int, page_size: int | None = None,
-                 cache_bound: int = DEFAULT_CACHE_BOUND, network: NetworkModel | None = None):
+    #: per-process cache memory bound [bytes] (the paper's 32 MB)
+    CACHE_BOUND = 32 * 1024 * 1024
+
+    def __init__(self, fs, path: str, n_ranks: int, page_size: int | None = None):
         self.fs = fs
         self.path = path
         self.n_ranks = int(n_ranks)
         self.page_size = int(page_size or fs.config.lock_unit)
-        self.cache_bound = int(cache_bound)
-        self.net = network or NetworkModel()
+        self.net = NetworkModel()
         fs.open(path, n_clients=self.n_ranks)
         #: global page-owner table (the distributed metadata; owner of
         #: page p's *metadata* is p % n_ranks, tracked for cost only)
@@ -92,7 +90,7 @@ class MPIIOCache:
 
     def _evict_if_needed(self, rank: int, flush_requests: list) -> None:
         cache = self.caches[rank]
-        while len(cache) * self.page_size > self.cache_bound:
+        while len(cache) * self.page_size > self.CACHE_BOUND:
             page, entry = cache.popitem(last=False)  # LRU
             self.evictions += 1
             self._flush_page(rank, page, entry, flush_requests)

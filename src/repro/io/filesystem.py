@@ -196,8 +196,8 @@ class SimFileSystem:
     def file_bytes(self, path: str) -> bytes:
         return bytes(self._files[path])
 
-    def write_bytes(self, path: str, data: bytes, client: int = 0) -> str:
-        """Open-and-write a whole small file from one client.
+    def write_bytes(self, path: str, data: bytes) -> str:
+        """Open-and-write a whole small file from client 0.
 
         Convenience for single-writer artifacts (flight-recorder dumps,
         HTML reports): one :meth:`open` plus a one-request write phase,
@@ -205,7 +205,7 @@ class SimFileSystem:
         checkpoints. Returns ``path``.
         """
         self.open(path, n_clients=1, create=True)
-        self.phase_write([WriteRequest(client=client, path=path, offset=0,
+        self.phase_write([WriteRequest(client=0, path=path, offset=0,
                                        data=bytes(data))])
         return path
 
@@ -234,11 +234,11 @@ class SimFileSystem:
         self._meta_sizes.pop(path, None)
         self.time.open += self.config.open_base
 
-    def corrupt(self, path: str, offset: int = 0, n_bytes: int = 8) -> None:
-        """Flip ``n_bytes`` bytes in place (test/fault-drill helper —
-        models silent media corruption of a file at rest)."""
+    def corrupt(self, path: str, offset: int = 0) -> None:
+        """Flip 8 bytes in place from ``offset`` (test/fault-drill helper
+        — models silent media corruption of a file at rest)."""
         buf = self._files[path]
-        for i in range(offset, min(offset + n_bytes, len(buf))):
+        for i in range(offset, min(offset + 8, len(buf))):
             buf[i] ^= 0xFF
 
     def _tear(self, requests) -> int:

@@ -27,15 +27,15 @@ class BlockLayout:
         Process grid (px, py, pz).
     fourth_dim:
         Length of the unpartitioned 4th dimension (1 for 3D arrays).
-    itemsize:
-        Bytes per element (8 for S3D's double-precision data).
     """
 
-    def __init__(self, global_shape, proc_shape, fourth_dim: int = 1, itemsize: int = 8):
+    #: bytes per element: S3D's data is double precision
+    itemsize = 8
+
+    def __init__(self, global_shape, proc_shape, fourth_dim: int = 1):
         self.decomp = CartesianDecomposition(global_shape, proc_shape)
         self.global_shape = tuple(int(n) for n in global_shape)
         self.fourth_dim = int(fourth_dim)
-        self.itemsize = int(itemsize)
 
     @property
     def n_ranks(self) -> int:

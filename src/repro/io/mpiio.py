@@ -57,10 +57,10 @@ def independent_write(fs, layout, global_array, path: str, telemetry=None,
     return elapsed
 
 
-def collective_write(fs, layout, global_array, path: str,
-                     aggregators: int | None = None, telemetry=None,
+def collective_write(fs, layout, global_array, path: str, telemetry=None,
                      retry=None) -> float:
-    """Two-phase collective write (MPI_File_write_all).
+    """Two-phase collective write (MPI_File_write_all), every rank an
+    aggregator.
 
     Returns elapsed simulated time including the redistribution phase.
     Transient/torn FS faults retry under ``retry`` like
@@ -71,13 +71,12 @@ def collective_write(fs, layout, global_array, path: str,
     sleep = fs_backoff_sleep(fs)
     t0 = fs.elapsed()
     n_ranks = layout.n_ranks
-    n_agg = aggregators or n_ranks
     open_before = fs.time.open
     policy.call(fs.open, path, n_clients=n_ranks,
                 label=f"open:{path}", telemetry=tel, sleep=sleep)
     tel.histogram("io.open_time").observe(fs.time.open - open_before)
     total = layout.total_bytes
-    domain = -(-total // n_agg)  # ceil
+    domain = -(-total // n_ranks)  # ceil
 
     # phase 1: redistribute runs to file-domain owners (network cost)
     shuffle = defaultdict(list)  # aggregator -> [(offset, bytes)]
@@ -89,10 +88,10 @@ def collective_write(fs, layout, global_array, path: str,
             pos = off
             remaining = data
             while remaining:
-                agg = min(pos // domain, n_agg - 1)
+                agg = min(pos // domain, n_ranks - 1)
                 take = min(len(remaining), (agg + 1) * domain - pos)
                 shuffle[agg].append((pos, remaining[:take]))
-                if agg != rank % n_agg:
+                if agg != rank:
                     net_bytes[rank] += take
                     net_msgs[rank] += 1
                 pos += take

@@ -40,15 +40,14 @@ class TwoStageWriteBehind:
     """
 
     def __init__(self, fs, path: str, n_ranks: int, page_size: int | None = None,
-                 subbuffer_size: int = DEFAULT_SUBBUFFER,
-                 network: NetworkModel | None = None, telemetry=None,
+                 subbuffer_size: int = DEFAULT_SUBBUFFER, telemetry=None,
                  retry=None):
         self.fs = fs
         self.path = path
         self.n_ranks = int(n_ranks)
         self.page_size = int(page_size or fs.config.lock_unit)
         self.subbuffer_size = int(subbuffer_size)
-        self.net = network or NetworkModel()
+        self.net = NetworkModel()
         self.telemetry = resolve_telemetry(telemetry)
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self._c_bytes = self.telemetry.counter("io.writebehind.bytes")

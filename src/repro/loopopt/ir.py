@@ -162,7 +162,11 @@ def _run(nodes, env, store, flags):
 # ----------------------------------------------------------------------
 # memory-access tracing
 # ----------------------------------------------------------------------
-def trace_accesses(program: Program, word_bytes: int = 8):
+#: bytes per array element in :func:`trace_accesses` (double precision)
+WORD_BYTES = 8
+
+
+def trace_accesses(program: Program):
     """Byte-address access trace ``[(address, is_write), ...]``.
 
     Arrays are laid out contiguously one after another (C order), which
@@ -175,7 +179,7 @@ def trace_accesses(program: Program, word_bytes: int = 8):
         bases[name] = offset
         shape = tuple(shape)
         size = int(np.prod(shape))
-        offset += size * word_bytes
+        offset += size * WORD_BYTES
         s = []
         acc = 1
         for dim in reversed(shape):
@@ -188,7 +192,7 @@ def trace_accesses(program: Program, word_bytes: int = 8):
     def addr(ref: ArrayRef, env):
         idx = ref.resolve(env)
         flat = sum(i * s for i, s in zip(idx, strides[ref.name]))
-        return bases[ref.name] + flat * word_bytes
+        return bases[ref.name] + flat * WORD_BYTES
 
     def walk(nodes, env):
         for node in nodes:

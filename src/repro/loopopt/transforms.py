@@ -278,15 +278,15 @@ def apply_to_loops(nodes, var: str, fn):
     return tuple(out)
 
 
-def looptool_pipeline(program: Program, jam_var: str = "n", jam_factor: int = 2) -> Program:
+def looptool_pipeline(program: Program) -> Program:
     """The full Fig 5 transform sequence.
 
     unswitch (2 conditionals -> specialized nests) -> fuse (merge the
-    scalarized sweeps) -> unroll-and-jam the species loop -> fuse the
-    jammed copies. Semantics-preserving end to end.
+    scalarized sweeps) -> unroll-and-jam the species loop ``n`` by 2 ->
+    fuse the jammed copies. Semantics-preserving end to end.
     """
     p = unswitch(program)
     p = fuse_program(p)
-    body = apply_to_loops(p.body, jam_var, lambda l: unroll_and_jam(l, jam_factor))
+    body = apply_to_loops(p.body, "n", lambda l: unroll_and_jam(l, 2))
     p = Program(p.arrays, p.flags, body)
     return fuse_program(p)

@@ -19,8 +19,7 @@ dies:
   the telemetry ``NullTelemetry`` convention.
 * :mod:`~repro.observability.fusion` — cross-rank profile fusion: per
   rank ``Telemetry.snapshot()``s shipped over the transport and merged
-  into Fig 2-style per-kernel min/median/max/imbalance tables and a
-  Fig 3-style load-imbalance report.
+  into Fig 2-style per-kernel min/median/max/imbalance tables.
 * :mod:`~repro.observability.render` — the §9 in-situ view: ASCII
   dashboard with sparkline histories plus a static self-contained
   ``observatory.html`` report, both replayable offline from a flight
@@ -31,8 +30,8 @@ dies:
   arrows.
 * :mod:`~repro.observability.endpoint` — the live metrics surface: a
   localhost HTTP endpoint serving the metrics registry in Prometheus
-  text format plus the full telemetry snapshot, feeding the workflow
-  dashboard. Import it by its module path: it pulls in ``http.server``
+  text format plus the full telemetry snapshot. Import it by its
+  module path: it pulls in ``http.server``
   and ``urllib``, which no run that does not serve metrics should pay
   for, so this package does not re-export it.
 

@@ -1,7 +1,7 @@
 """Live metrics endpoint: the telemetry registry over localhost HTTP.
 
-The paper's runs are watched from outside the job: the workflow's
-dashboard and the humans behind it poll, they do not attach debuggers.
+The paper's runs are watched from outside the job: the workflow and
+the humans behind it poll, they do not attach debuggers.
 :class:`MetricsEndpoint` gives a running solver that surface with the
 standard library only — a daemon-thread ``ThreadingHTTPServer`` bound
 to localhost on an ephemeral port, serving
@@ -11,8 +11,6 @@ to localhost on an ephemeral port, serving
   scraper,
 * ``/snapshot.json`` — the full telemetry snapshot (spans + metrics +
   trace when tracing is on) as JSON,
-* ``/dashboard`` — the workflow :class:`~repro.workflow.dashboard.Dashboard`
-  text rendering, when one is attached,
 * ``/healthz`` — a liveness probe.
 
 The endpoint holds a reference to the telemetry backend and renders at
@@ -100,12 +98,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(ep.snapshot_json(), "application/json")
             elif path == "/healthz":
                 self._reply("ok\n", "text/plain")
-            elif path == "/dashboard":
-                if ep.dashboard is None:
-                    self._reply("no dashboard attached\n", "text/plain", 404)
-                else:
-                    self._reply(ep.dashboard.render_text() + "\n",
-                                "text/plain")
             else:
                 self._reply(f"unknown path {path}\n", "text/plain", 404)
         except BrokenPipeError:  # client went away mid-reply
@@ -127,19 +119,14 @@ class MetricsEndpoint:
     host, port:
         Bind address; ``port=0`` (default) picks an ephemeral port —
         read it back from :attr:`port` after :meth:`start`.
-    dashboard:
-        Optional workflow :class:`~repro.workflow.dashboard.Dashboard`
-        to expose at ``/dashboard``.
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`.
     """
 
-    def __init__(self, telemetry, host: str = "127.0.0.1", port: int = 0,
-                 dashboard=None):
+    def __init__(self, telemetry, host: str = "127.0.0.1", port: int = 0):
         self.telemetry = telemetry
         self.host = host
         self._requested_port = int(port)
-        self.dashboard = dashboard
         self._server = None
         self._thread = None
 

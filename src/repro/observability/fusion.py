@@ -100,7 +100,7 @@ class FusedKernelRow:
 
 
 class FusedProfile:
-    """Fused cross-rank profile: Fig 2 table + Fig 3 imbalance report."""
+    """Fused cross-rank profile: the Fig 2 table with per-kernel imbalance."""
 
     def __init__(self, rows: dict, n_ranks: int):
         self.rows = rows  # name -> FusedKernelRow
@@ -120,16 +120,6 @@ class FusedProfile:
     def imbalance(self, kernel: str) -> float:
         return self.rows[kernel].imbalance
 
-    def rank_totals(self) -> np.ndarray:
-        """Total fused exclusive seconds per rank."""
-        totals = np.zeros(self.n_ranks)
-        for row in self.rows.values():
-            totals += np.asarray(row.per_rank, dtype=float)
-        return totals
-
-    def overall_imbalance(self) -> float:
-        return chemistry_imbalance(self.rank_totals())
-
     # -- rendering -------------------------------------------------------
     def table(self, title: str = "cross-rank fused profile") -> str:
         """The Fig 2-style per-kernel table with imbalance columns."""
@@ -147,31 +137,6 @@ class FusedProfile:
                 f"{row.tmean * 1e3:>10.4f} {row.imbalance:>6.3f}"
             )
         lines.append(rule)
-        return "\n".join(lines)
-
-    def load_balance_report(self, kernels=None,
-                            title: str = "load-imbalance report") -> str:
-        """The Fig 3-style view: per-rank totals plus the imbalance
-        factor for the listed kernels (default: every kernel with a
-        factor above 1.01, heaviest first)."""
-        totals = self.rank_totals()
-        lines = [title, "-" * len(title)]
-        lines.append(
-            "rank totals [ms]: "
-            + " ".join(f"{t * 1e3:.3f}" for t in totals)
-        )
-        lines.append(
-            f"overall imbalance (max/mean): {self.overall_imbalance():.3f}"
-        )
-        names = list(kernels) if kernels is not None else [
-            k for k in self.kernels() if self.rows[k].imbalance > 1.01
-        ]
-        for name in names:
-            row = self.rows[name]
-            lines.append(
-                f"  {name:<26s} imbalance {row.imbalance:>6.3f}  "
-                f"(max {row.tmax * 1e3:.3f} ms over mean {row.tmean * 1e3:.3f} ms)"
-            )
         return "\n".join(lines)
 
     def as_dict(self) -> dict:

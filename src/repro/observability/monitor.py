@@ -150,7 +150,7 @@ class HealthMonitor:
             self._dump("watchdog trip")
             raise WatchdogTripError(events, step=ctx.step, time=ctx.time)
         if self.run_monitor is not None:
-            self.run_monitor.maybe_render(ctx.step, events=events)
+            self.run_monitor.maybe_render(ctx.step)
         return events
 
     # -- recovery / teardown --------------------------------------------

@@ -81,13 +81,12 @@ def state_rms(state) -> dict:
 class FlightRecorder:
     """Bounded ring of step records plus run-level context."""
 
-    def __init__(self, capacity: int = 256, telemetry=None, meta=None):
+    def __init__(self, capacity: int = 256, telemetry=None):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = int(capacity)
         self.records: deque = deque(maxlen=self.capacity)
         self.recoveries: list = []
-        self.meta: dict = dict(meta or {})
         self.telemetry = telemetry
         self.steps_seen = 0
         self.warns = 0
@@ -126,13 +125,11 @@ class FlightRecorder:
 
     # -- serialization ---------------------------------------------------
     def header(self) -> dict:
-        head = {
+        return {
             "kind": "header",
             "version": SCHEMA_VERSION,
             "capacity": self.capacity,
         }
-        head.update(self.meta)
-        return head
 
     def summary(self, reason: str = "") -> dict:
         return {

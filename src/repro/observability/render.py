@@ -186,7 +186,7 @@ class RunMonitor:
     def _rows(self) -> list:
         return [r.as_dict() for r in self.recorder.records]
 
-    def render(self, events=None) -> str:
+    def render(self) -> str:
         text = render_dashboard(
             self._rows(), recoveries=self.recorder.recoveries,
             table_rows=self.table_rows, spark_width=self.spark_width,
@@ -198,11 +198,11 @@ class RunMonitor:
             self.stream.write(text + "\n")
         return text
 
-    def maybe_render(self, step: int, events=None) -> str | None:
+    def maybe_render(self, step: int) -> str | None:
         """Render when ``step`` hits the interval; None otherwise."""
         if step % self.interval:
             return None
-        return self.render(events=events)
+        return self.render()
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def _svg_spark(values, width: int = 360, height: int = 48) -> str:
     )
 
 
-def html_report(rows, recoveries=(), summary=None, fused=None,
+def html_report(rows, recoveries=(), summary=None,
                 title: str = "simulation health observatory",
                 variables=None, telemetry=None) -> str:
     """Self-contained HTML observatory from flight-recorder rows."""
@@ -322,15 +322,11 @@ def html_report(rows, recoveries=(), summary=None, fused=None,
                                 if k != "kind")
             + "</p>"
         )
-    if fused is not None:
-        parts.append("<h2>cross-rank profile</h2><pre>"
-                     + esc(fused.table()) + "</pre>")
-        parts.append("<pre>" + esc(fused.load_balance_report()) + "</pre>")
     parts.append("</body></html>")
     return "\n".join(parts)
 
 
-def replay_report(fs, jsonl_path: str, fused=None) -> dict:
+def replay_report(fs, jsonl_path: str) -> dict:
     """Rebuild the observatory views offline from a flight-record dump.
 
     Returns ``{"parsed", "ascii", "html"}`` — the post-mortem a workflow
@@ -345,7 +341,6 @@ def replay_report(fs, jsonl_path: str, fused=None) -> dict:
     )
     html_view = html_report(
         parsed["steps"], recoveries=parsed["recoveries"],
-        summary=parsed.get("summary"), fused=fused,
-        title="flight-record replay",
+        summary=parsed.get("summary"), title="flight-record replay",
     )
     return {"parsed": parsed, "ascii": ascii_view, "html": html_view}

@@ -238,14 +238,10 @@ class CFLMarginWatchdog(Watchdog):
     """
 
     name = "cfl_margin"
-
-    def __init__(self, warn_margin: float = 1.0, trip_margin: float = 1.2):
-        if not 0.0 < warn_margin <= trip_margin:
-            raise ValueError("need 0 < warn_margin <= trip_margin")
-        self.warn_margin = float(warn_margin)
-        self.trip_margin = float(trip_margin)
-        #: relative slack so margin == limit (to roundoff) stays ok
-        self.rtol = 1e-9
+    warn_margin = 1.0
+    trip_margin = 1.2
+    #: relative slack so margin == limit (to roundoff) stays ok
+    rtol = 1e-9
 
     def check(self, ctx: StepContext) -> WatchdogEvent:
         if not ctx.finite:
@@ -289,14 +285,10 @@ class BoundsWatchdog(Watchdog):
     """
 
     name = "bounds"
-
-    def __init__(self, y_warn: float = 1e-2, y_trip: float = 5e-2,
-                 t_warn: tuple = (150.0, 3500.0),
-                 t_trip: tuple = (50.0, 5000.0)):
-        self.y_warn = float(y_warn)
-        self.y_trip = float(y_trip)
-        self.t_warn = (float(t_warn[0]), float(t_warn[1]))
-        self.t_trip = (float(t_trip[0]), float(t_trip[1]))
+    y_warn = 1e-2
+    y_trip = 5e-2
+    t_warn = (150.0, 3500.0)  # K
+    t_trip = (50.0, 5000.0)  # K
 
     def check(self, ctx: StepContext) -> WatchdogEvent:
         if not ctx.finite:
@@ -348,12 +340,10 @@ class ConservationWatchdog(Watchdog):
     """
 
     name = "conservation"
+    warn_rel = 1e-9
+    trip_rel = 1e-4
 
-    def __init__(self, warn_rel: float = 1e-9, trip_rel: float = 1e-4):
-        if not 0.0 < warn_rel <= trip_rel:
-            raise ValueError("need 0 < warn_rel <= trip_rel")
-        self.warn_rel = float(warn_rel)
-        self.trip_rel = float(trip_rel)
+    def __init__(self):
         self._baseline: dict | None = None
 
     def _measure(self, ctx) -> dict:
@@ -408,15 +398,14 @@ class WallTimeAnomalyWatchdog(Watchdog):
     """
 
     name = "walltime"
+    #: rolling-window length, and the samples it needs before judging
+    window = 32
+    min_samples = 8
+    #: robust deviations that warn / trip (``None``: never trip)
+    k_warn = 8.0
+    k_trip = None
 
-    def __init__(self, window: int = 32, k_warn: float = 8.0,
-                 k_trip: float | None = None, min_samples: int = 8):
-        if min_samples < 3:
-            raise ValueError("min_samples must be >= 3")
-        self.window = int(window)
-        self.k_warn = float(k_warn)
-        self.k_trip = None if k_trip is None else float(k_trip)
-        self.min_samples = int(min_samples)
+    def __init__(self):
         self.history: deque = deque(maxlen=self.window)
 
     def score(self, wall_time: float) -> float:

@@ -73,11 +73,11 @@ class HaloExchanger:
         self._bytes = self.telemetry.counter("halo.bytes")
         self._messages = self.telemetry.counter("halo.messages")
 
-    def extended_shape(self, rank: int, leading: tuple = ()) -> tuple:
+    def extended_shape(self, rank: int) -> tuple:
         """Shape of the block ``rank`` allocates and evaluates physics
         on: the block it owns — ghost slabs are message payloads and pad
         rows of a sweep, never resident array layers."""
-        return tuple(leading) + self.decomp.local_shape(rank)
+        return self.decomp.local_shape(rank)
 
     # ------------------------------------------------------------------
     def exchange(self, blocks: list, leading_axes: int = 0, axis=None) -> list:

@@ -228,7 +228,7 @@ class ParallelPeriodicSolver(S3DSolver):
         via :func:`repro.parallel.comm.create_transport` from
         ``comm_transport``, and :meth:`close` releases it.
     scheme, filter_alpha, filter_interval, comm_transport,
-    chemistry_mode, chemistry_method, fixed_substeps, chem_load_balance,
+    chemistry_mode, fixed_substeps, chem_load_balance,
     parallel_recovery, observability, tracing:
         Folded into the :class:`~repro.core.config.SolverConfig` the
         shared driver reads (:attr:`config`); for the run-time knobs of
@@ -270,7 +270,7 @@ class ParallelPeriodicSolver(S3DSolver):
     def __init__(self, mechanism, grid, decomp, world=None, transport=None,
                  reacting=True, scheme="ck45", filter_alpha=0.2,
                  filter_interval=1, telemetry=None,
-                 chemistry_mode=None, chemistry_method=None,
+                 chemistry_mode=None,
                  chem_load_balance=None, chemlb_threshold=1.1,
                  rank_telemetry=False, observability=None,
                  comm_transport=None, parallel_recovery=None,
@@ -284,8 +284,7 @@ class ParallelPeriodicSolver(S3DSolver):
             boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
             filter_interval=int(filter_interval), filter_alpha=filter_alpha,
             tracing=tracing, observability=observability,
-            chemistry_mode=chemistry_mode,
-            chemistry_method=chemistry_method, fixed_substeps=fixed_substeps,
+            chemistry_mode=chemistry_mode, fixed_substeps=fixed_substeps,
             chem_load_balance=chem_load_balance, transport=comm_transport,
             parallel_recovery=parallel_recovery,
         )

@@ -24,11 +24,11 @@ XT4_BLOCK = 50 * 50 * 50
 XT3_BLOCK = 50 * 50 * 40
 
 
-def rebalanced_cost(xt4_fraction: float, inventory=None) -> float:
+def rebalanced_cost(xt4_fraction: float) -> float:
     """Average cost per grid point per step [s] at an XT4 node fraction."""
     if not 0.0 <= xt4_fraction <= 1.0:
         raise ValueError("xt4_fraction must be in [0, 1]")
-    inv = inventory or s3d_kernel_inventory()
+    inv = s3d_kernel_inventory()
     t3 = total_time(inv, XT3)
     t4 = total_time(inv, XT4)
     # XT3 block shrunk so its wall time does not exceed the XT4 block:
@@ -41,17 +41,17 @@ def rebalanced_cost(xt4_fraction: float, inventory=None) -> float:
     return wall / mean_points
 
 
-def balance_curve(fractions=None, inventory=None):
+def balance_curve(fractions=None):
     """(fractions, cost) arrays for the Fig 3 sweep."""
     f = np.asarray(
         fractions if fractions is not None else np.linspace(0.0, 1.0, 21), dtype=float
     )
-    return f, np.array([rebalanced_cost(x, inventory) for x in f])
+    return f, np.array([rebalanced_cost(x) for x in f])
 
 
-def predicted_jaguar_cost(inventory=None) -> float:
+def predicted_jaguar_cost() -> float:
     """Cost at Jaguar's 46 % XT4 share (paper predicts ~61 us)."""
-    return rebalanced_cost(0.46, inventory)
+    return rebalanced_cost(0.46)
 
 
 # ---------------------------------------------------------------------------

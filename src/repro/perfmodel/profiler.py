@@ -32,8 +32,7 @@ class RankProfile:
         return sum(self.exclusive.values())
 
 
-def profile_hybrid_run(n_cores: int, system=None, inventory=None,
-                       sample_ranks=8, seed=0):
+def profile_hybrid_run(n_cores: int, sample_ranks=8, seed=0):
     """Per-rank kernel breakdown for a hybrid allocation (Fig 2).
 
     Returns a list of :class:`RankProfile` (a sample of ranks from each
@@ -41,8 +40,8 @@ def profile_hybrid_run(n_cores: int, system=None, inventory=None,
     the slow class's surplus loop time; a small deterministic jitter
     models per-rank variation.
     """
-    sys_ = system or HybridSystem()
-    inv = inventory or s3d_kernel_inventory()
+    sys_ = HybridSystem()
+    inv = s3d_kernel_inventory()
     xt4_cores, xt3_cores = sys_.allocation(n_cores)
     if xt3_cores == 0 or xt4_cores == 0:
         raise ValueError("a hybrid profile needs both node classes present")

@@ -41,22 +41,22 @@ def comm_time_per_point(n_cores: int) -> float:
     return per_step / POINTS_PER_CORE
 
 
-def weak_scaling_curve(node, cores, inventory=None):
+def weak_scaling_curve(node, cores):
     """Cost per grid point per step [s] at each core count, one node type."""
-    inv = inventory or s3d_kernel_inventory()
+    inv = s3d_kernel_inventory()
     base = total_time(inv, node)
     return [base + comm_time_per_point(p) for p in cores]
 
 
-def hybrid_weak_scaling(cores, system=None, inventory=None):
+def hybrid_weak_scaling(cores):
     """Fig 1's hybrid curve: XT4-preferred allocation, slowest-class pace.
 
     Returns cost per grid point per step [s] per core count. Runs that
     fit in the XT4 partition go at XT4 speed; anything spilling onto
     XT3 nodes is pinned to the XT3 rate (bulk-synchronous steps).
     """
-    sys_ = system or HybridSystem()
-    inv = inventory or s3d_kernel_inventory()
+    sys_ = HybridSystem()
+    inv = s3d_kernel_inventory()
     t3 = total_time(inv, XT3)
     t4 = total_time(inv, XT4)
     out = []

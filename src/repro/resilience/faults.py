@@ -96,10 +96,10 @@ class FaultInjector:
 
     enabled = True
 
-    def __init__(self, specs=(), seed: int = 0, telemetry=None):
+    def __init__(self, seed: int = 0, telemetry=None):
         self.seed = int(seed)
         self.rng = random.Random(self.seed)
-        self.specs: list = list(specs)
+        self.specs: list = []
         self.events: list = []
         self._site_ops: dict = {}
         self.telemetry = resolve_telemetry(telemetry)
@@ -142,12 +142,12 @@ class FaultInjector:
         """Total faults injected so far."""
         return len(self.events)
 
-    def corrupt_bytes(self, data: bytes, n_flips: int = 8) -> bytes:
-        """Deterministically flip ``n_flips`` bytes of ``data``."""
+    def corrupt_bytes(self, data: bytes) -> bytes:
+        """Deterministically flip 8 bytes of ``data``."""
         if not data:
             return data
         buf = bytearray(data)
-        for _ in range(max(1, n_flips)):
+        for _ in range(8):
             i = self.rng.randrange(len(buf))
             buf[i] ^= 0xFF
         return bytes(buf)

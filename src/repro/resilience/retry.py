@@ -86,12 +86,11 @@ class RetryPolicy:
 
     # ------------------------------------------------------------------
     def call(self, fn, *args, label: str = "", telemetry=None, sleep=None,
-             on_retry=None, **kwargs):
+             **kwargs):
         """Run ``fn(*args, **kwargs)`` under this policy.
 
         ``sleep(delay)`` is invoked before each reissue (no-op by
-        default — simulated environments charge their own clocks);
-        ``on_retry(attempt, err)`` observes each failure.
+        default — simulated environments charge their own clocks).
         """
         tel = resolve_telemetry(telemetry)
         c_retries = tel.counter("resilience.retries")
@@ -106,8 +105,6 @@ class RetryPolicy:
                 if attempt >= self.max_attempts:
                     raise
                 c_retries.inc()
-                if on_retry is not None:
-                    on_retry(attempt, err)
                 if sleep is not None:
                     sleep(self.delay(attempt, label or getattr(fn, "__name__", "")))
         raise last  # pragma: no cover — loop always returns or raises

@@ -35,6 +35,20 @@ from repro.transport import ConstantLewisTransport
 from repro.turbulence import synthetic_velocity_field
 from repro.util.constants import P_ATM
 
+#: §6.2 jet, scaled: domain (x, y) and slot width [m], jet and coflow
+#: velocities [m/s], fuel and coflow temperatures [K]
+JET_DOMAIN = (4.0e-3, 3.0e-3)
+JET_SLOT = 5.0e-4
+JET_VELOCITY, COFLOW_VELOCITY = 60.0, 4.0
+T_FUEL, T_COFLOW = 400.0, 1300.0
+
+#: §7.2 Bunsen mixture: equivalence ratio, unburned temperature [K], the
+#: transport thickening factor, and the box size in laminar thicknesses
+BUNSEN_PHI = 0.7
+T_UNBURNED = 800.0
+THICKEN = 3.0
+BOX_OVER_DELTA = 10.0
+
 #: per-species Lewis numbers for the H2 system (standard values)
 H2_LEWIS = {
     "H2": 0.30, "H": 0.18, "O2": 1.11, "O": 0.70, "OH": 0.73,
@@ -54,9 +68,7 @@ def fuel_and_coflow(mech):
     return y_fuel, y_air
 
 
-def lifted_jet(nx=72, ny=48, lx=4.0e-3, ly=3.0e-3, slot=5.0e-4,
-               jet_velocity=60.0, coflow_velocity=4.0, t_fuel=400.0,
-               t_coflow=1300.0, fluct=0.1, seed=0, filter_alpha=0.25,
+def lifted_jet(nx=72, ny=48, fluct=0.1, seed=0, filter_alpha=0.25,
                p=P_ATM, chemistry_mode=None):
     """Scaled 2D lifted H2/air jet in autoignitive hot coflow (§6.2).
 
@@ -72,19 +84,20 @@ def lifted_jet(nx=72, ny=48, lx=4.0e-3, ly=3.0e-3, slot=5.0e-4,
     """
     mech = h2_li2004()
     y_fuel, y_air = fuel_and_coflow(mech)
+    lx, ly = JET_DOMAIN
     grid = Grid((nx, ny), (lx, ly), periodic=(False, False))
     fluctuations = None
     if fluct > 0:
         fluctuations = synthetic_velocity_field(
-            (nx, ny), (lx, ly), u_rms=fluct * jet_velocity,
-            length_scale=slot, seed=seed,
+            (nx, ny), (lx, ly), u_rms=fluct * JET_VELOCITY,
+            length_scale=JET_SLOT, seed=seed,
         )
     state, inflow = ic.slot_jet(
         mech, grid, p=p,
-        jet={"T": t_fuel, "Y": y_fuel},
-        coflow={"T": t_coflow, "Y": y_air},
-        slot_width=slot, shear_thickness=0.12 * slot,
-        jet_velocity=jet_velocity, coflow_velocity=coflow_velocity,
+        jet={"T": T_FUEL, "Y": y_fuel},
+        coflow={"T": T_COFLOW, "Y": y_air},
+        slot_width=JET_SLOT, shear_thickness=0.12 * JET_SLOT,
+        jet_velocity=JET_VELOCITY, coflow_velocity=COFLOW_VELOCITY,
         fluctuations=fluctuations,
     )
     boundaries = {
@@ -109,9 +122,9 @@ def lifted_jet(nx=72, ny=48, lx=4.0e-3, ly=3.0e-3, slot=5.0e-4,
         "y_fuel": y_fuel,
         "y_air": y_air,
         "grid": grid,
-        "slot": slot,
-        "jet_velocity": jet_velocity,
-        "flow_through_time": lx / jet_velocity,
+        "slot": JET_SLOT,
+        "jet_velocity": JET_VELOCITY,
+        "flow_through_time": lx / JET_VELOCITY,
     }
     return solver, info
 
@@ -135,9 +148,7 @@ def bunsen_transport(mech, thicken=3.0):
 
 
 def premixed_flame_box(u_rms_over_sl, sl, delta_l, t_burned, y_burned,
-                       n=64, box_over_delta=10.0, lt_over_delta=1.0,
-                       phi=0.7, t_unburned=800.0, seed=0, thicken=3.0,
-                       filter_alpha=0.25):
+                       n=64, lt_over_delta=1.0, seed=0, filter_alpha=0.25):
     """Doubly periodic premixed flame pair + synthetic turbulence (§7.2).
 
     The box holds a band of fresh reactants between two flame fronts
@@ -151,15 +162,15 @@ def premixed_flame_box(u_rms_over_sl, sl, delta_l, t_burned, y_burned,
     Fig 13 is self-consistent.
     """
     mech = ch4_twostep()
-    y_u = bunsen_mixture(mech, phi)
-    L = box_over_delta * delta_l
+    y_u = bunsen_mixture(mech, BUNSEN_PHI)
+    L = BOX_OVER_DELTA * delta_l
     grid = Grid((n, n), (L, L), periodic=(True, True))
     xx, yy = grid.meshgrid()
     # fresh band in the middle: fronts at y = L/3 and 2L/3
     prof = 0.5 * (np.tanh((yy - L / 3.0) / (0.5 * delta_l))
                   - np.tanh((yy - 2.0 * L / 3.0) / (0.5 * delta_l)))
     # prof = 1 in reactants, 0 in products
-    T = t_burned + (t_unburned - t_burned) * prof
+    T = t_burned + (T_UNBURNED - t_burned) * prof
     Y = y_burned[:, None, None] + (y_u - y_burned)[:, None, None] * prof[None]
     vel = synthetic_velocity_field(
         (n, n), (L, L), u_rms=u_rms_over_sl * sl,
@@ -170,7 +181,7 @@ def premixed_flame_box(u_rms_over_sl, sl, delta_l, t_burned, y_burned,
     cfg = SolverConfig(boundaries=periodic_boundaries(2), cfl=0.8,
                        filter_interval=1, filter_alpha=filter_alpha,
                        scheme="ck45")
-    solver = S3DSolver(state, cfg, transport=bunsen_transport(mech, thicken),
+    solver = S3DSolver(state, cfg, transport=bunsen_transport(mech, THICKEN),
                        reacting=True)
     info = {
         "mech": mech,
@@ -183,8 +194,12 @@ def premixed_flame_box(u_rms_over_sl, sl, delta_l, t_burned, y_burned,
     return solver, info
 
 
-def bunsen_laminar_reference(phi=0.7, t_unburned=800.0, thicken=3.0,
-                             length=1.0e-2, n_points=160):
+#: the laminar reference's domain length [m] and points
+LAMINAR_LENGTH = 1.0e-2
+LAMINAR_POINTS = 160
+
+
+def bunsen_laminar_reference():
     """Laminar flame for the Bunsen chemistry/transport pair.
 
     Returns (properties, burned_T, burned_Y) — the normalization data
@@ -194,9 +209,10 @@ def bunsen_laminar_reference(phi=0.7, t_unburned=800.0, thicken=3.0,
     from repro.analysis.laminar import FreeFlame
 
     mech = ch4_twostep()
-    y_u = bunsen_mixture(mech, phi)
-    flame = FreeFlame(mech, bunsen_transport(mech, thicken), P_ATM,
-                      t_unburned, y_u, length=length, n_points=n_points)
+    y_u = bunsen_mixture(mech, BUNSEN_PHI)
+    flame = FreeFlame(mech, bunsen_transport(mech, THICKEN), P_ATM,
+                      T_UNBURNED, y_u, length=LAMINAR_LENGTH,
+                      n_points=LAMINAR_POINTS)
     props = flame.solve(sl_guess=1.5)
     x, T, Y, q = flame.profiles()
     return props, flame.t_b, flame.y_b, flame

@@ -17,6 +17,9 @@ from repro.transport.mixture import TransportProperties
 class ConstantLewisTransport:
     """Power-law viscosity/conductivity with per-species Lewis numbers."""
 
+    #: Prandtl number setting the conductivity from the viscosity
+    PRANDTL = 0.72
+
     def __init__(
         self,
         mechanism,
@@ -24,13 +27,11 @@ class ConstantLewisTransport:
         mu_ref=1.8e-5,
         t_ref=300.0,
         exponent=0.7,
-        prandtl=0.72,
     ):
         self.mech = mechanism
         self.mu_ref = float(mu_ref)
         self.t_ref = float(t_ref)
         self.exponent = float(exponent)
-        self.prandtl = float(prandtl)
         ns = mechanism.n_species
         if lewis is None:
             self.lewis = np.ones(ns)
@@ -51,7 +52,7 @@ class ConstantLewisTransport:
         T = np.asarray(T, dtype=float)
         mu = self.mu_ref * (T / self.t_ref) ** self.exponent
         cp = self.mech.cp_mass(T, Y)
-        lam = mu * cp / self.prandtl
+        lam = mu * cp / self.PRANDTL
         rho = self.mech.density(p, T, Y)
         alpha = lam / (rho * cp)
         le = self.lewis.reshape((-1,) + (1,) * T.ndim)

@@ -101,12 +101,13 @@ class TurbulenceScales:
 
 
 def turbulence_scales(velocity, lengths, nu: float, flame_speed: float,
-                      flame_thickness: float, spanwise_axis: int = -1) -> TurbulenceScales:
-    """Compute all Table 1 derived quantities for a fluctuation field."""
+                      flame_thickness: float) -> TurbulenceScales:
+    """Compute all Table 1 derived quantities for a fluctuation field
+    (integral scale along the last, spanwise, axis)."""
     u_rms = rms_fluctuation(velocity)
     eps = dissipation_rate(velocity, lengths, nu)
     lt = u_rms**3 / eps if eps > 0 else np.inf
-    l33 = integral_length_scale(velocity[-1], lengths[spanwise_axis], axis=spanwise_axis)
+    l33 = integral_length_scale(velocity[-1], lengths[-1], axis=-1)
     lk = (nu**3 / eps) ** 0.25 if eps > 0 else np.inf
     re_t = u_rms * l33 / nu
     ka = (flame_thickness / lk) ** 2 if np.isfinite(lk) else 0.0

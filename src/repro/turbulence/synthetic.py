@@ -15,7 +15,7 @@ from repro.turbulence.spectra import passot_pouquet
 
 
 def synthetic_velocity_field(shape, lengths, u_rms: float, length_scale: float,
-                             seed: int = 0, spectrum=None):
+                             seed: int = 0):
     """Generate a periodic, divergence-free random velocity field.
 
     Parameters
@@ -25,13 +25,10 @@ def synthetic_velocity_field(shape, lengths, u_rms: float, length_scale: float,
     u_rms:
         Target per-component RMS fluctuation [m/s].
     length_scale:
-        Energetic length scale; the spectrum peaks near
+        Energetic length scale; the Passot-Pouquet spectrum peaks near
         ``k_peak = 2 pi / length_scale``.
     seed:
         RNG seed (fields are reproducible).
-    spectrum:
-        Optional callable ``E(k)``; default Passot-Pouquet at the target
-        u_rms and k_peak.
 
     Returns a list of ``ndim`` velocity-component arrays. The field is
     solenoidal to spectral accuracy and rescaled so each component has
@@ -43,8 +40,6 @@ def synthetic_velocity_field(shape, lengths, u_rms: float, length_scale: float,
         raise ValueError("synthetic turbulence needs 2 or 3 dimensions")
     rng = np.random.default_rng(seed)
     k_peak = 2.0 * np.pi / length_scale
-    if spectrum is None:
-        spectrum = lambda k: passot_pouquet(k, u_rms, k_peak)  # noqa: E731
 
     ks = [
         2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
@@ -66,7 +61,8 @@ def synthetic_velocity_field(shape, lengths, u_rms: float, length_scale: float,
 
     # shape amplitudes by the target spectrum: |u_hat| ~ sqrt(E(k)/k^(d-1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.sqrt(spectrum(kmag_safe) / kmag_safe ** (ndim - 1))
+        amp = np.sqrt(passot_pouquet(kmag_safe, u_rms, k_peak)
+                      / kmag_safe ** (ndim - 1))
     amp = np.where(kmag > 0, amp, 0.0)
     current = np.sqrt(sum(np.abs(u) ** 2 for u in u_hat))
     scale = np.where(current > 0, amp / np.where(current > 0, current, 1.0), 0.0)

@@ -15,8 +15,9 @@ from repro.viz.transfer import ColorMap, TransferFunction
 from repro.viz.volume import VolumeRenderer
 
 
-def simultaneous_render(fields: dict, view_axis: int = 2):
-    """Render the canonical §6 pairs: OH (cool colors) + HO2 (fire).
+def simultaneous_render(fields: dict):
+    """Render the canonical §6 pairs: OH (cool colors) + HO2 (fire),
+    viewed along the last axis of a 3D field.
 
     ``fields`` maps names to arrays; known names get tuned transfer
     functions, others a generic gray ramp. Returns the RGB image.
@@ -38,5 +39,4 @@ def simultaneous_render(fields: dict, view_axis: int = 2):
                    [(0.0, 0.0), (1.0, 0.5)])
         )
         layers.append((f, TransferFunction(lo, hi, cmap, opacity=opacity)))
-    renderer = VolumeRenderer(axis=view_axis)
-    return renderer.render_multi(layers)
+    return VolumeRenderer().render_multi(layers)

@@ -71,23 +71,22 @@ class ParallelCoordinates:
         return mask.reshape(self.shape)
 
     # ------------------------------------------------------------------
-    def polylines(self, n_max: int = 200, selected_only: bool = True, seed: int = 0):
-        """Sampled polylines: array (n_lines, n_axes) of normalized
-        vertex heights — what the interface draws."""
-        mask = self.selection().ravel()
-        idx = np.nonzero(mask)[0] if selected_only else np.arange(self.n_points)
+    def polylines(self, n_max: int = 200, seed: int = 0):
+        """Sampled polylines of the selection: array (n_lines, n_axes) of
+        normalized vertex heights — what the interface draws."""
+        idx = np.nonzero(self.selection().ravel())[0]
         if idx.size > n_max:
             idx = np.random.default_rng(seed).choice(idx, size=n_max, replace=False)
         cols = [self.normalized(name)[idx] for name in self.names]
         return np.stack(cols, axis=1)
 
-    def correlation(self, name_a: str, name_b: str, within_selection: bool = True) -> float:
-        """Pearson correlation of two variables (over the selection).
+    def correlation(self, name_a: str, name_b: str) -> float:
+        """Pearson correlation of two variables over the selection.
 
         The Fig 15 use case: chi vs OH near the stoichiometric surface
         comes out negative.
         """
-        mask = self.selection().ravel() if within_selection else np.ones(self.n_points, bool)
+        mask = self.selection().ravel()
         a = self.data[name_a][mask]
         b = self.data[name_b][mask]
         if a.size < 2 or a.std() == 0 or b.std() == 0:

@@ -23,17 +23,13 @@ class VolumeRenderer:
     ----------
     axis:
         View direction: rays integrate along this array axis.
-    step_opacity_scale:
-        Global opacity multiplier per sample (tune for slab thickness).
-    background:
-        RGB background color.
     """
 
-    def __init__(self, axis: int = 2, step_opacity_scale: float = 1.0,
-                 background=(0.0, 0.0, 0.0)):
+    #: RGB color behind the volume
+    BACKGROUND = (0.0, 0.0, 0.0)
+
+    def __init__(self, axis: int = 2):
         self.axis = int(axis)
-        self.scale = float(step_opacity_scale)
-        self.background = np.asarray(background, dtype=float)
 
     def render(self, field, transfer) -> np.ndarray:
         """Render one scalar ``field`` through ``transfer``.
@@ -71,7 +67,6 @@ class VolumeRenderer:
             a_mix = np.zeros(base)
             for f, (_, tf) in zip(fields, layers):
                 rgb, a = tf(f[..., k])
-                a = a * self.scale
                 rgb_mix += rgb * a[..., None]
                 a_mix += a
             np.clip(a_mix, 0.0, 1.0, out=a_mix)
@@ -82,7 +77,7 @@ class VolumeRenderer:
             alpha += trans * a_mix
             if np.all(alpha > 0.999):
                 break
-        color += (1.0 - alpha)[..., None] * self.background
+        color += (1.0 - alpha)[..., None] * np.asarray(self.BACKGROUND)
         return np.clip(color, 0.0, 1.0)
 
 

@@ -74,9 +74,11 @@ class ProcessFile(Actor):
 
     inputs = ["file"]
     outputs = ["file", "errors"]
+    #: re-executions after a failed first attempt
+    MAX_RETRIES = 3
 
     def __init__(self, name: str, env, machine: str, command: str,
-                 checkpoint_store: dict | None = None, max_retries: int = 3,
+                 checkpoint_store: dict | None = None,
                  transform_path=None, telemetry=None):
         super().__init__(name)
         self.env = env
@@ -85,7 +87,6 @@ class ProcessFile(Actor):
         #: persistent record of completed inputs (survives restarts when
         #: the same dict is handed to the rebuilt workflow)
         self.checkpoint = checkpoint_store if checkpoint_store is not None else {}
-        self.max_retries = int(max_retries)
         self.transform_path = transform_path or (lambda p: p)
         self.log: list = []
         self.skipped = 0
@@ -103,7 +104,7 @@ class ProcessFile(Actor):
             self.log.append(("skip", path))
             return {"file": token.derive(out_path, f"{self.name}(cached)")}
         last_error = None
-        for attempt in range(1 + self.max_retries):
+        for attempt in range(1 + self.MAX_RETRIES):
             try:
                 self.env.execute(self.machine, self.command, path, out_path)
                 self.checkpoint[key] = "done"
@@ -124,17 +125,17 @@ class Transfer(Actor):
 
     inputs = ["file"]
     outputs = ["file"]
+    #: re-sends after a failed first attempt
+    MAX_RETRIES = 3
 
     def __init__(self, name: str, env, src: str, dst: str, streams: int = 4,
-                 checkpoint_store: dict | None = None, max_retries: int = 3,
-                 telemetry=None):
+                 checkpoint_store: dict | None = None, telemetry=None):
         super().__init__(name)
         self.env = env
         self.src = src
         self.dst = dst
         self.streams = int(streams)
         self.checkpoint = checkpoint_store if checkpoint_store is not None else {}
-        self.max_retries = int(max_retries)
         self.skipped = 0
         self.log: list = []
         tel = resolve_telemetry(telemetry)
@@ -148,7 +149,7 @@ class Transfer(Actor):
         if self.checkpoint.get(key) == "done":
             self.skipped += 1
             return {"file": token.derive(path, f"{self.name}(cached)")}
-        for attempt in range(1 + self.max_retries):
+        for attempt in range(1 + self.MAX_RETRIES):
             try:
                 self.env.transfer(self.src, path, self.dst, path,
                                   streams=self.streams)
@@ -174,14 +175,14 @@ class Morph(Actor):
 
     inputs = ["file"]
     outputs = ["file"]
+    #: output path of the ``index``-th merged file
+    OUT_PATTERN = "morph/{index:04d}.dat"
 
-    def __init__(self, name: str, env, machine: str, group_size: int,
-                 out_pattern: str = "morph/{index:04d}.dat"):
+    def __init__(self, name: str, env, machine: str, group_size: int):
         super().__init__(name)
         self.env = env
         self.machine = machine
         self.group_size = int(group_size)
-        self.out_pattern = out_pattern
         self._pending: list = []
         self._index = 0
 
@@ -192,7 +193,7 @@ class Morph(Actor):
             return None
         m = self.env[self.machine]
         data = b"".join(m.read(t.value) for t in self._pending)
-        out = self.out_pattern.format(index=self._index)
+        out = self.OUT_PATTERN.format(index=self._index)
         m.write(out, data)
         self._index += 1
         prov = tuple(

@@ -59,8 +59,8 @@ class Dashboard:
         return steps, [r[1] for r in s], [r[2] for r in s]
 
     # -- images --------------------------------------------------------------
-    def register_image(self, path: str, meta=None) -> None:
-        self.images[path] = meta or {}
+    def register_image(self, path: str) -> None:
+        self.images[path] = {}
 
     # -- rendering -----------------------------------------------------------
     def render_text(self) -> str:

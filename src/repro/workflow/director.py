@@ -8,23 +8,15 @@ The concurrency/pipelining the paper wants from Kepler (plotting one
 file while transferring the next) appears as interleaved firings within
 a round.
 
-Fault handling: an actor that raises no longer kills the director with
-an anonymous traceback. Every firing failure is recorded with the actor
-name and round and counted in telemetry; in the default ``"raise"``
-policy the director surfaces an :class:`ActorFiringError` naming the
-culprit, while ``on_error="degrade"`` keeps the pipeline running —
-failed firings are retried up to ``actor_retries`` times with the same
-inputs, and an actor failing ``max_actor_failures`` consecutive times
-has its circuit opened for ``breaker_cooldown`` rounds (it is skipped,
-its input tokens left queued), so one flaky actor degrades rather than
-halts the whole pipeline. A wall-clock ``actor_timeout`` marks firings
-that overran as failures post-hoc (cooperative actors cannot be
-preempted in-process).
+Fault handling: an actor that raises does not kill the director with
+an anonymous traceback. The failure is recorded with the actor name and
+round, counted in telemetry, and surfaced as an :class:`ActorFiringError`
+naming the culprit. Actors that talk to flaky machines retry on their
+own (:class:`~repro.workflow.actors.Transfer`,
+:class:`~repro.workflow.actors.ProcessFile`).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.telemetry import resolve as resolve_telemetry
 from repro.workflow.actor import Token
@@ -49,107 +41,38 @@ class ProcessNetworkDirector:
     Telemetry: every firing runs under a per-actor span
     (``actor.<name>``), and ``workflow.firings`` / ``workflow.rounds``
     counters accumulate, so a run of the §9 pipeline yields the same
-    exclusive-time breakdown the solver kernels get. Failures add
-    ``workflow.actor_errors`` / ``workflow.actor_retries`` /
-    ``workflow.breaker_opened``.
-
-    Parameters
-    ----------
-    on_error:
-        ``"raise"`` (default) — a failing actor aborts the run with an
-        :class:`ActorFiringError`; ``"degrade"`` — the failure is
-        recorded and the pipeline continues.
-    actor_retries:
-        Immediate re-firings of a failed actor with the same inputs
-        (on top of any retrying the actor does internally).
-    max_actor_failures:
-        Consecutive failures (after retries) before an actor's circuit
-        opens. Only meaningful under ``"degrade"``.
-    breaker_cooldown:
-        Rounds a tripped actor is skipped before a half-open trial
-        firing; a failure there reopens the circuit.
-    actor_timeout:
-        Wall-clock seconds; a firing exceeding it is recorded as a
-        failure (post-hoc) even if it returned.
+    exclusive-time breakdown the solver kernels get. A failing firing
+    adds ``workflow.actor_errors`` and aborts the run with an
+    :class:`ActorFiringError`.
     """
 
-    def __init__(self, workflow, max_rounds: int = 1000, max_firings_per_round: int = 10000,
-                 telemetry=None, on_error: str = "raise", actor_retries: int = 0,
-                 max_actor_failures: int = 3, breaker_cooldown: int = 2,
-                 actor_timeout: float | None = None):
-        if on_error not in ("raise", "degrade"):
-            raise ValueError(f"on_error must be 'raise' or 'degrade', got {on_error!r}")
+    #: rounds :meth:`run` takes at most when not told a count
+    MAX_ROUNDS = 1000
+    #: data-driven firings one round takes at most
+    MAX_FIRINGS_PER_ROUND = 10000
+
+    def __init__(self, workflow, telemetry=None):
         self.workflow = workflow
-        self.max_rounds = int(max_rounds)
-        self.max_firings = int(max_firings_per_round)
         self.telemetry = resolve_telemetry(telemetry)
-        self.on_error = on_error
-        self.actor_retries = int(actor_retries)
-        self.max_actor_failures = int(max_actor_failures)
-        self.breaker_cooldown = int(breaker_cooldown)
-        self.actor_timeout = actor_timeout
         self.rounds = 0
         self.firings = 0
         self.trace: list = []  # (round, actor_name) firing log
         #: (round, actor_name, error_repr) for every failed firing
         self.failures: list = []
-        #: consecutive-failure count per actor (resets on success)
-        self._strikes: dict = {}
-        #: actor_name -> round at which its circuit closes again
-        self._open_until: dict = {}
         self._c_errors = self.telemetry.counter("workflow.actor_errors")
-        self._c_retries = self.telemetry.counter("workflow.actor_retries")
-        self._c_breaker = self.telemetry.counter("workflow.breaker_opened")
 
     # ------------------------------------------------------------------
-    def circuit_open(self, actor_name: str) -> bool:
-        """True while ``actor_name``'s breaker keeps it out of rounds."""
-        return self._open_until.get(actor_name, -1) > self.rounds
-
-    def _record_failure(self, actor, err: BaseException) -> None:
-        self.failures.append((self.rounds, actor.name, f"{type(err).__name__}: {err}"))
-        self._c_errors.inc()
-        strikes = self._strikes.get(actor.name, 0) + 1
-        self._strikes[actor.name] = strikes
-        if self.on_error == "degrade" and strikes >= self.max_actor_failures:
-            self._open_until[actor.name] = self.rounds + 1 + self.breaker_cooldown
-            # half-open on expiry: one more failure re-trips immediately
-            self._strikes[actor.name] = self.max_actor_failures - 1
-            self._c_breaker.inc()
-
     def _fire(self, actor, inputs):
-        """One guarded firing: span, bounded retry, failure accounting.
-
-        Returns ``(fired, outputs)`` — ``fired`` False means the firing
-        failed terminally under the degrade policy (inputs consumed,
-        nothing produced).
-        """
-        attempts = 1 + max(0, self.actor_retries)
-        for attempt in range(attempts):
-            t0 = time.monotonic()
-            try:
-                with self.telemetry.span(f"actor.{actor.name}"):
-                    outputs = actor.fire(inputs)
-            except Exception as err:  # noqa: BLE001 — reported, not hidden
-                if attempt + 1 < attempts:
-                    self._c_retries.inc()
-                    continue
-                self._record_failure(actor, err)
-                if self.on_error == "raise":
-                    raise ActorFiringError(actor.name, self.rounds, err) from err
-                return False, None
-            if (self.actor_timeout is not None
-                    and time.monotonic() - t0 > self.actor_timeout):
-                self._record_failure(
-                    actor, TimeoutError(
-                        f"firing exceeded {self.actor_timeout}s wall clock"
-                    ))
-                # the outputs exist and cannot be retracted; deliver
-                # them, but the strike still counts toward the breaker
-                return True, outputs
-            self._strikes[actor.name] = 0
-            return True, outputs
-        return False, None  # pragma: no cover — loop always returns
+        """One guarded firing under the actor's span; a failure is
+        recorded and raised as :class:`ActorFiringError`."""
+        try:
+            with self.telemetry.span(f"actor.{actor.name}"):
+                return actor.fire(inputs)
+        except Exception as err:  # noqa: BLE001 — reported, not hidden
+            self.failures.append(
+                (self.rounds, actor.name, f"{type(err).__name__}: {err}"))
+            self._c_errors.inc()
+            raise ActorFiringError(actor.name, self.rounds, err) from err
 
     def _emit(self, actor, outputs: dict) -> None:
         for port, value in (outputs or {}).items():
@@ -162,10 +85,8 @@ class ProcessNetworkDirector:
         fired = 0
         # poll sources once per round
         for actor in wf.sources():
-            if self.circuit_open(actor.name):
-                continue
-            ok, outputs = self._fire(actor, {})
-            if ok and outputs:
+            outputs = self._fire(actor, {})
+            if outputs:
                 actor.fired += 1
                 fired += 1
                 self.firings += 1
@@ -173,21 +94,13 @@ class ProcessNetworkDirector:
                 self._emit(actor, outputs)
         # drain data-driven actors
         progress = True
-        while progress and fired < self.max_firings:
+        while progress and fired < self.MAX_FIRINGS_PER_ROUND:
             progress = False
             for actor in wf.actors.values():
                 if not actor.in_ports:
                     continue
-                if self.circuit_open(actor.name):
-                    continue
                 if actor.ready(wf.available(actor)):
-                    inputs = wf.consume(actor)
-                    ok, outputs = self._fire(actor, inputs)
-                    if not ok:
-                        # inputs are spent; count the failed firing as
-                        # progress so siblings keep draining
-                        progress = True
-                        continue
+                    outputs = self._fire(actor, wf.consume(actor))
                     actor.fired += 1
                     fired += 1
                     self.firings += 1
@@ -203,7 +116,7 @@ class ProcessNetworkDirector:
     def run(self, until_idle: bool = True, rounds: int | None = None) -> None:
         """Run rounds until quiescent (or for a fixed count)."""
         self.workflow.validate()
-        limit = rounds if rounds is not None else self.max_rounds
+        limit = rounds if rounds is not None else self.MAX_ROUNDS
         idle_rounds = 0
         for _ in range(limit):
             fired = self.step_round()

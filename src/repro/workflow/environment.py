@@ -65,6 +65,9 @@ class Environment:
     :class:`RemoteTimeoutError` instead of a plain failure.
     """
 
+    #: simulated seconds one remote command costs
+    COMMAND_COST = 0.01
+
     def __init__(self, link_bandwidth: float = 100e6, link_latency: float = 0.05,
                  fault_injector=None):
         self.machines: dict = {}
@@ -127,11 +130,12 @@ class Environment:
         self.transfer_bytes += len(data)
         return elapsed
 
-    def execute(self, machine: str, command: str, *args, cost: float = 0.01):
-        """Run a registered command remotely ("ssh machine command")."""
+    def execute(self, machine: str, command: str, *args):
+        """Run a registered command remotely ("ssh machine command"),
+        charging :attr:`COMMAND_COST` seconds."""
         self._maybe_fail(command)
         m = self.machines[machine]
         if command not in m.commands:
             raise RemoteError(f"{machine}: unknown command {command!r}")
-        self.command_time += cost
+        self.command_time += self.COMMAND_COST
         return m.commands[command](m, *args)

@@ -50,32 +50,38 @@ def make_environment() -> Environment:
     return env
 
 
+#: files per checkpoint of :func:`simulate_s3d_run`, and the bytes of
+#: a restart file (a netCDF file holds a quarter of that)
+NETCDF_PER_CHECKPOINT = 2
+RESTART_FILES_PER_DIR = 2
+PAYLOAD = 4096
+
+
 def simulate_s3d_run(env: Environment, n_checkpoints: int = 4,
-                     netcdf_per_checkpoint: int = 2, restart_files_per_dir: int = 2,
-                     payload: int = 4096, monitor_rows=None, seed: int = 0) -> dict:
+                     seed: int = 0) -> dict:
     """Write the files a (scaled) S3D production run produces on jaguar.
 
     Restart directories appear roughly hourly, netCDF analysis files
-    more often, and the ASCII min/max log continuously; the completion
-    log gets a COMPLETE entry only when a file is fully written.
-    Returns a manifest of what was created.
+    more often, and the ASCII min/max log continuously (two rows per
+    checkpoint); the completion log gets a COMPLETE entry only when a
+    file is fully written. Returns a manifest of what was created.
     """
     rng = np.random.default_rng(seed)
     jaguar = env["jaguar"]
     manifest = {"restart": [], "netcdf": [], "minmax": []}
     log_lines = []
     for cid in range(n_checkpoints):
-        for k in range(restart_files_per_dir):
+        for k in range(RESTART_FILES_PER_DIR):
             path = f"restart/{cid:04d}/part{k}.dat"
-            jaguar.write(path, rng.bytes(payload))
+            jaguar.write(path, rng.bytes(PAYLOAD))
             log_lines.append(f"COMPLETE {path}")
             manifest["restart"].append(path)
-        for k in range(netcdf_per_checkpoint):
+        for k in range(NETCDF_PER_CHECKPOINT):
             path = f"netcdf/{cid:04d}_{k}.nc"
-            jaguar.write(path, rng.bytes(payload // 4))
+            jaguar.write(path, rng.bytes(PAYLOAD // 4))
             log_lines.append(f"COMPLETE {path}")
             manifest["netcdf"].append(path)
-        rows = monitor_rows or [
+        rows = [
             (cid * 100, "T", 300.0 + cid, 1500.0 + 10 * cid),
             (cid * 100, "rho", 0.1, 1.2),
         ]

@@ -213,7 +213,10 @@ class TestMPIIOCache:
 
     def test_eviction_under_pressure(self):
         fs = small_fs(lock_unit=64)
-        cache = MPIIOCache(fs, "f", n_ranks=1, page_size=64, cache_bound=128)
+        class _TwoPages(MPIIOCache):
+            CACHE_BOUND = 128
+
+        cache = _TwoPages(fs, "f", n_ranks=1, page_size=64)
         cache.write(0, 0, b"a" * 64)
         cache.write(0, 64, b"b" * 64)
         cache.write(0, 128, b"c" * 64)  # exceeds 2-page bound -> evict

@@ -1,7 +1,7 @@
 """Analytical source-term Jacobian: FD exactness and sparsity pins.
 
-The battery the implicit integrators stand on: for every mechanism and
-both thermodynamic closures, the analytical Jacobian of
+The battery the implicit integrator stands on: for every mechanism, on
+the constant-volume closure, the analytical Jacobian of
 :class:`repro.chemistry.jacobian.SourceTermJacobian` must match a
 central finite difference of the source term to relative 1e-6 on random
 states spanning both NASA-7 polynomial branches, and every numerically
@@ -83,12 +83,10 @@ def max_rel_error(j_an, j_fd):
 
 
 def closure_kwargs(mode, mech, T, Y, rng):
-    if mode == "constant-pressure":
-        return {"p": np.full(T.shape, P_ATM)}
     return {"rho": np.asarray(mech.density(P_ATM, T, Y))}
 
 
-@pytest.fixture(params=["constant-pressure", "constant-volume"])
+@pytest.fixture(params=["constant-volume"])
 def mode(request):
     return request.param
 
@@ -161,11 +159,12 @@ class TestTroeFalloff:
 
     def test_fd_exact_across_pressure_range(self, troe_mech, rng):
         # sweep the falloff transition: Pr spans low to high pressure
-        stj = SourceTermJacobian(troe_mech, mode="constant-pressure")
+        stj = SourceTermJacobian(troe_mech, mode="constant-volume")
         T, Y = random_states(troe_mech, rng, 16)
         p = np.exp(rng.uniform(np.log(1e3), np.log(1e7), T.shape))
-        j_an = stj.jacobian(T, Y, p=p)
-        j_fd = fd_jacobian(stj, T, Y, p=p)
+        rho = troe_mech.density(p, T, Y)
+        j_an = stj.jacobian(T, Y, rho=rho)
+        j_fd = fd_jacobian(stj, T, Y, rho=rho)
         assert max_rel_error(j_an, j_fd) < FD_JACOBIAN_RTOL
 
 
@@ -188,7 +187,7 @@ class TestSparsityPattern:
 
     def test_inert_species_row_exactly_zero(self, h2_mech, rng, mode):
         # N2 participates in no H2/O2 reaction: its rate row must be
-        # structurally (and numerically, exactly) zero in both closures
+        # structurally (and numerically, exactly) zero
         stj = SourceTermJacobian(h2_mech, mode=mode)
         i_n2 = h2_mech.index("N2")
         assert not stj.pattern.mask[i_n2].any()
@@ -198,18 +197,17 @@ class TestSparsityPattern:
         np.testing.assert_array_equal(jac[:, i_n2, :], 0.0)
 
     def test_constant_volume_keeps_graph_sparsity(self, ch4_mech):
-        # const-v species block inherits reaction-graph sparsity; the
-        # const-p closure densifies reactive rows through rho(Y, T).
-        # (CH4 two-step has no third bodies, so the gap is strict — in
-        # H2/air the default third-body efficiencies already couple
-        # every reactive row to every concentration.)
-        cv = SourceTermJacobian(ch4_mech, mode="constant-volume")
-        cp = SourceTermJacobian(ch4_mech, mode="constant-pressure")
-        assert cv.pattern.indices.size < cp.pattern.indices.size
+        # the species block inherits reaction-graph sparsity: reactive
+        # rows are not dense in Y. (CH4 two-step has no third bodies, so
+        # this is strict — in H2/air the default third-body efficiencies
+        # already couple every reactive row to every concentration.)
+        pat = SourceTermJacobian(ch4_mech, mode="constant-volume").pattern
+        ns = ch4_mech.n_species
+        reactive = pat.mask[:ns].any(axis=1)
+        assert reactive.any() and not pat.mask[:ns, :ns][reactive].all()
         # and the CSR arrays are consistent with the mask
-        for pat in (cv.pattern, cv.concentration_pattern):
-            assert pat.indices.size == int(pat.mask.sum())
-            assert pat.indptr[-1] == pat.indices.size
+        assert pat.indices.size == int(pat.mask.sum())
+        assert pat.indptr[-1] == pat.indices.size
 
 
 class TestBatchShapeIndependence:
@@ -238,15 +236,9 @@ PARENT_DIGESTS = {
     ("h2", "constant-volume", 1): "7c340b88e0935b10ab5219343649679e51078965de65111b89ddb43c16786cf3",
     ("h2", "constant-volume", 2): "2a0b9e07d63fadd4dad3eb29bdff84e5f57a5f556379fd1c99316c4a6fc6bbb6",
     ("h2", "constant-volume", 68): "9707d4bc90e29dc76999723845d7d00c45b182b2576774d6b182368aa75d5ea3",
-    ("h2", "constant-pressure", 1): "b2dc35a4475ef91c71e35d85634c271b0bfd156b74a0b4987112c81b59208781",
-    ("h2", "constant-pressure", 2): "2d24bcdd57d57899c29352d912746247ce4bc4906f2fd3a7cdbac744ae11ee7a",
-    ("h2", "constant-pressure", 68): "5d997dc8bc867b81255081a7cd0bcad1a75a1b9489acd57e58e2abf6ad268e47",
     ("ch4", "constant-volume", 1): "de72c8330392432b6273ba88c0692cb8534bbdf8e77ad43ef6f36a9dffe91a28",
     ("ch4", "constant-volume", 2): "3e3415b7ccec7572d9482fc13fb558398180a65b9f08d03385317f25565cc921",
     ("ch4", "constant-volume", 68): "ef240d941aceae01a27384714a5afb89bf222eb14f6e3ed717e98fe2720f8231",
-    ("ch4", "constant-pressure", 1): "4ee354c27ec0e16dd780a2f1751cb33e4d8087a3da14b6a7074cdc8fa78fc8a8",
-    ("ch4", "constant-pressure", 2): "e13d118b64818f8b1bfe5b5d6b94ecd95429d95ca1617eb32422832bc735b4a7",
-    ("ch4", "constant-pressure", 68): "d914b03b7583f8c3d53e7d8417187b39de68ab2a7bf11c3f95564040eaf2d055",
 }
 
 
@@ -266,8 +258,7 @@ class TestBitwiseAgainstParentCommit:
         mech = {"h2": h2_mech, "ch4": ch4_mech}[name]
         stj = SourceTermJacobian(mech, mode=mode)
         T, Y = _pinned_states(mech, n_cells)
-        kw = ({"rho": mech.density(100.0 * P_ATM, T, Y)}
-              if mode == "constant-volume" else {"p": 100.0 * P_ATM})
+        kw = {"rho": mech.density(100.0 * P_ATM, T, Y)}
         f, J = stj.source_and_jacobian(T, Y, **kw)
         assert np.array_equal(J, stj.jacobian(T, Y, **kw))
         blob = J.tobytes() + stj.source(T, Y, **kw).tobytes()

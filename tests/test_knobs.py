@@ -68,7 +68,7 @@ class TestTable:
         assert set(IN_CONFIG) <= set(fields)
         assert all(getattr(SolverConfig(), n) is None for n in IN_CONFIG)
         envs = [k.env for k in KNOBS.values()]
-        assert len(set(envs)) == len(envs) == len(KNOBS) == 11
+        assert len(set(envs)) == len(envs) == len(KNOBS) == 10
         assert all(e.startswith("REPRO_") for e in envs)
 
     def test_defaults_are_valid_settings(self):
@@ -83,7 +83,6 @@ class TestTable:
         from repro.resilience import distributed
 
         assert implicit.CHEMISTRY_MODES is KNOBS["chemistry_mode"].choices
-        assert implicit.METHODS is KNOBS["chemistry_method"].choices
         assert chemlb.POLICIES is KNOBS["chem_load_balance"].choices
         assert comm.TRANSPORTS is KNOBS["transport"].choices
         assert (distributed.RECOVERY_POLICIES
@@ -289,6 +288,30 @@ class TestSchemeErrors:
         decomp = CartesianDecomposition((32,), (2,), periodic=(True,))
         with pytest.raises(ValueError, match=r"unknown ERK scheme 'bogus'.*ck45"):
             ParallelPeriodicSolver(air_mech, grid, decomp, scheme="bogus")
+
+
+class TestOneImplicitIntegrator:
+    """One Strang integrator on one closure: the names a caller may
+    still pass are accepted, any other raises naming it."""
+
+    def test_config_field(self):
+        grid = Grid((16,), (1.0,), periodic=(True,))
+        bcs = periodic_boundaries(1)
+        SolverConfig(boundaries=bcs, chemistry_method="rosw2").validate(grid)
+        with pytest.raises(ValueError, match=r"chemistry_method 'bdf2'"):
+            SolverConfig(boundaries=bcs, chemistry_method="bdf2").validate(grid)
+
+    def test_integrator_and_jacobian(self, h2_mech):
+        from repro.chemistry import ImplicitChemistry, SourceTermJacobian
+
+        ImplicitChemistry(h2_mech, closure="constant-volume", method="rosw2")
+        SourceTermJacobian(h2_mech, mode="constant-volume")
+        with pytest.raises(ValueError, match="'bdf2'"):
+            ImplicitChemistry(h2_mech, method="bdf2")
+        with pytest.raises(ValueError, match="'constant-pressure'"):
+            ImplicitChemistry(h2_mech, closure="constant-pressure")
+        with pytest.raises(ValueError, match="'constant-pressure'"):
+            SourceTermJacobian(h2_mech, mode="constant-pressure")
 
 
 # ---------------------------------------------------------------------------

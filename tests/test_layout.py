@@ -11,6 +11,14 @@ comment is not a driver, nor a definition of the same name elsewhere,
 nor a re-export (an ``import`` in a package's ``__init__`` or an
 ``__all__`` entry), nor a unit test: what only its own test reaches is
 deleted, or named below with the reason it stays.
+
+The same holds for keyword parameters — parameters with a default, and
+keyword-only ones — of public functions, public classes' ``__init__``
+and public methods: code in those roots, outside the callable's own
+body, passes the keyword by name (the callee is not resolved), calls the
+callable's name with enough positional arguments to reach it, or
+forwards ``*args`` / ``**kwargs`` into such a call. A keyword nothing
+passes is a constant.
 """
 
 import ast
@@ -63,6 +71,27 @@ UNDRIVEN = {
         "as deliver_delayed: what the fault tests count to see a parked "
         "message did not arrive",
 }
+
+
+#: keyword parameters nothing passes, kept on purpose.
+#: ``module:function(param)``, ``module:Class(param)`` (``__init__``) or
+#: ``module:Class.method(param)`` -> why.
+UNDRIVEN_KEYWORDS = {
+    "core/grid.py:Grid(stretch)":
+        "the section 6.2 / 7.2 transverse mesh stretching; folding the "
+        "metric to a scalar would touch the derivative hot path",
+    "transport/mixture.py:MixtureAveragedTransport(soret)":
+        "section 2.4 thermal diffusion, pinned by the RHS oracle tests",
+    "observability/endpoint.py:MetricsEndpoint(host)":
+        "deployment setting: the live endpoint's bind address",
+    "observability/endpoint.py:MetricsEndpoint(port)":
+        "as host",
+    "resilience/faults.py:FaultInjector.add(probability)":
+        "the seeded random-fault lanes of the resilience and transport "
+        "conformance suites; no benchmark injects faults at random yet",
+}
+
+ROOTS = ("src", "benchmarks", "examples")
 
 
 def _driver_tokens(source, package_init=False):
@@ -119,8 +148,7 @@ def _undriven_names(repo=REPO):
     src = repo / "src" / "repro"
     tokens = {p: _driver_tokens(p.read_text(encoding="utf-8"),
                                 p.name == "__init__.py")
-              for d in ("src", "benchmarks", "examples")
-              for p in sorted((repo / d).rglob("*.py"))}
+              for d in ROOTS for p in sorted((repo / d).rglob("*.py"))}
     found = set()
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -131,6 +159,74 @@ def _undriven_names(repo=REPO):
                 for p, t in tokens.items()
             ):
                 found.add(f"{path.relative_to(src).as_posix()}:{key}")
+    return found
+
+
+def _call_sites(source):
+    """``(name, line, n_positional, keywords, star, double_star)`` of
+    every call in ``source``; ``name`` is the called identifier (a bare
+    name or an attribute), the callee unresolved."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        star = any(isinstance(a, ast.Starred) for a in node.args)
+        sites.append((name, node.lineno, len(node.args) - star,
+                      {k.arg for k in node.keywords if k.arg}, star,
+                      any(k.arg is None for k in node.keywords)))
+    return sites
+
+
+def _public_callables(tree):
+    """``(key, called_name, node, binds_self)`` of every public function,
+    public class's ``__init__`` and public method of a public class."""
+    for key, node in _public_definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if getattr(member, "name", None) == "__init__":
+                    yield key, key, member, True
+        elif "." in key:
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            yield key, node.name, node, not static
+        else:
+            yield key, key, node, False
+
+
+def _keyword_parameters(node, binds_self):
+    """``(name, positional index or None)`` of ``node``'s parameters
+    with a default and its keyword-only ones."""
+    args = node.args
+    positional = (args.posonlyargs + args.args)[1 if binds_self else 0:]
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index
+    for arg in args.kwonlyargs:
+        yield arg.arg, None
+
+
+def _undriven_keywords(repo=REPO):
+    src = repo / "src" / "repro"
+    calls = {p: _call_sites(p.read_text(encoding="utf-8"))
+             for d in ROOTS for p in sorted((repo / d).rglob("*.py"))}
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for key, called, node, binds_self in _public_callables(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            for param, index in _keyword_parameters(node, binds_self):
+                if not any(
+                    param in kws or (name == called and (
+                        double or (index is not None
+                                   and (star or n_pos > index))))
+                    for p, sites in calls.items()
+                    for name, line, n_pos, kws, star, double in sites
+                    if p != path or line not in own
+                ):
+                    found.add(f"{path.relative_to(src).as_posix()}:"
+                              f"{key}({param})")
     return found
 
 
@@ -170,3 +266,31 @@ def test_only_code_is_a_driver(tmp_path):
         "m.Box().run()\n")
     assert _undriven_names(tmp_path) == {
         "mod.py:told_about", "mod.py:commented", "mod.py:Box.orphan"}
+
+
+def test_every_keyword_has_a_driver():
+    assert len(UNDRIVEN_KEYWORDS) <= 8
+    assert all(UNDRIVEN_KEYWORDS.values())
+    assert _undriven_keywords() == set(UNDRIVEN_KEYWORDS)
+
+
+def test_keywords_are_driven_by_name_position_or_forwarding(tmp_path):
+    """A keyword passed by name, reached positionally or forwarded
+    through ``**kwargs`` is driven; one passed only inside the
+    callable's own body, or never, is not."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (tmp_path / "examples").mkdir()
+    (pkg / "mod.py").write_text(
+        "def f(a, by_position=1, by_name=2, unpassed=3, *, kw_only=4):\n"
+        "    return f(a, unpassed=0, kw_only=0)\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour=None):\n        pass\n\n"
+        "    def grow(self, step=1):\n        pass\n")
+    (tmp_path / "examples" / "demo.py").write_text(
+        "import repro.mod as m\n\n"
+        "def make(**kwargs):\n    return m.Box(**kwargs)\n\n"
+        "m.f(0, 1, by_name=2)\n"
+        "make(size=2).grow()\n")
+    assert _undriven_keywords(tmp_path) == {
+        "mod.py:f(unpassed)", "mod.py:f(kw_only)", "mod.py:Box.grow(step)"}

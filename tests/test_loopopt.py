@@ -141,9 +141,9 @@ class TestTransforms:
         assert unroll_and_jam(loop, 1) == (loop,)
 
     def test_full_pipeline_semantics(self):
-        for flags in ((True, True), (True, False), (False, False)):
+        for thermdiff in (True, False):
             prog = diffflux_program(n_species=5, n_cells=30,
-                                    baro=flags[0], thermdiff=flags[1])
+                                    thermdiff=thermdiff)
             ref = interpret(prog)
             out = interpret(looptool_pipeline(prog))
             assert _stores_equal(ref, out)

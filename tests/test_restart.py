@@ -242,7 +242,7 @@ class _RingMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def corrupt_newest(self, data):
         path = data.draw(st.sampled_from(self._files_of(self.ring.entries()[-1])))
-        self.fs.corrupt(path, offset=self.fs.file_size(path) - 9, n_bytes=4)
+        self.fs.corrupt(path, offset=self.fs.file_size(path) - 9)
         self.model[-1][1] = True
 
     @precondition(lambda self: self.target.step_count

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import scenarios
 from repro.scenarios import (
     bunsen_mixture,
     fuel_and_coflow,
@@ -42,15 +43,19 @@ class TestStreams:
 
 
 class TestLiftedJet:
+    @pytest.fixture(autouse=True)
+    def _half_domain(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "JET_DOMAIN", (2e-3, 1.5e-3))
+
     def test_initial_state_sane(self):
-        solver, info = lifted_jet(nx=32, ny=24, lx=2e-3, ly=1.5e-3)
+        solver, info = lifted_jet(nx=32, ny=24)
         rho, vel, T, p, Y, _ = solver.state.primitives()
         assert T.min() > 350.0 and T.max() < 1350.0
         assert vel[0].max() > 30.0  # jet core
         np.testing.assert_allclose(Y.sum(axis=0), 1.0, atol=1e-12)
 
     def test_short_advance_stable(self):
-        solver, info = lifted_jet(nx=32, ny=24, lx=2e-3, ly=1.5e-3)
+        solver, info = lifted_jet(nx=32, ny=24)
         for _ in range(10):
             solver.step()
         _, _, T, p, _, _ = solver.state.primitives()
@@ -60,7 +65,7 @@ class TestLiftedJet:
     def test_inflow_holds(self):
         """The jet core at the inflow stays pinned; the transverse filter
         may smooth the shear layers slightly (bounded erosion)."""
-        solver, info = lifted_jet(nx=32, ny=24, lx=2e-3, ly=1.5e-3, fluct=0.0)
+        solver, info = lifted_jet(nx=32, ny=24, fluct=0.0)
         u_in = solver.state.primitives()[1][0][0].copy()
         for _ in range(10):
             solver.step()

@@ -105,14 +105,6 @@ class TestSweepsAreBitwiseTheReference:
 
 
 class TestSweepCorners:
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_narrow_boundary_closure_rows(self, rng, budget, periodic):
-        # boundary_width < HALF_WIDTH leaves zero-derivative rows between
-        # the closures and the first full interior stencil
-        op = DerivativeOperator(N, -0.3, periodic=periodic, boundary_width=2)
-        f = rng.standard_normal((3, 5, N))
-        assert np.array_equal(op.apply(f, axis=2), op.apply_naive(f, axis=2))
-
     @pytest.mark.parametrize("make", [
         lambda: DerivativeOperator(N, 0.1, periodic=False),
         lambda: FilterOperator(N, periodic=False),

@@ -469,17 +469,6 @@ class TestMetricsEndpoint:
                 self._get(ep, "/nope")
             assert err.value.code == 404
 
-    def test_dashboard_route_and_publish(self):
-        """An attached dashboard is rendered live at ``/dashboard``."""
-        from repro.workflow.dashboard import Dashboard
-
-        dash = Dashboard()
-        with MetricsEndpoint(Telemetry(), dashboard=dash) as ep:
-            dash.submit_job("jet-run", "jaguar", "obs")
-            status, body = self._get(ep, "/dashboard")
-            assert status == 200
-            assert "jet-run" in body and body == dash.render_text() + "\n"
-
     def test_dashboard_route_404_without_dashboard(self):
         with MetricsEndpoint(Telemetry()) as ep:
             with pytest.raises(urllib.error.HTTPError) as err:

@@ -149,7 +149,10 @@ class TestSimpleTransport:
             ConstantLewisTransport(h2_mech, lewis=np.ones(3))
 
     def test_prandtl_consistency(self, air_mech, air_y):
-        tr = ConstantLewisTransport(air_mech, prandtl=0.7)
+        class _Pr07(ConstantLewisTransport):
+            PRANDTL = 0.7
+
+        tr = _Pr07(air_mech)
         props = tr.evaluate(np.array(400.0), P_ATM, air_y)
         cp = air_mech.cp_mass(np.array(400.0), air_y)
         assert float(props.viscosity * cp / props.conductivity) == pytest.approx(0.7)

@@ -70,7 +70,10 @@ class TestVolumeRenderer:
     def test_transparent_volume_shows_background(self):
         field = np.zeros((4, 4))
         tf = TransferFunction(0, 1, ColorMap.fire(), opacity=0.0)
-        img = VolumeRenderer(background=(0.2, 0.3, 0.4)).render(field, tf)
+        class _Tinted(VolumeRenderer):
+            BACKGROUND = (0.2, 0.3, 0.4)
+
+        img = _Tinted().render(field, tf)
         np.testing.assert_allclose(img[0, 0], [0.2, 0.3, 0.4], atol=1e-12)
 
     def test_layers_must_match_shape(self):

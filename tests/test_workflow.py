@@ -1,7 +1,5 @@
 """Tests for the Kepler-style workflow substrate (§9)."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -275,7 +273,7 @@ class TestActorRetryBranches:
     def test_processfile_retries_then_succeeds(self):
         env = _two_machine_env()
         tel = Telemetry()
-        pf = ProcessFile("conv", env, "a", "op", max_retries=3, telemetry=tel)
+        pf = ProcessFile("conv", env, "a", "op", telemetry=tel)
         env.fail_next("op", 2)
         out = pf.fire({"file": Token("f.dat")})
         assert "file" in out and pf.checkpoint["conv:f.dat"] == "done"
@@ -286,7 +284,10 @@ class TestActorRetryBranches:
     def test_processfile_exhausts_retries_emits_error_token(self):
         env = _two_machine_env()
         tel = Telemetry()
-        pf = ProcessFile("conv", env, "a", "op", max_retries=2, telemetry=tel)
+        class _TwoRetries(ProcessFile):
+            MAX_RETRIES = 2
+
+        pf = _TwoRetries("conv", env, "a", "op", telemetry=tel)
         env.fail_next("op", 100)
         out = pf.fire({"file": Token("f.dat")})
         assert set(out) == {"errors"}
@@ -300,7 +301,7 @@ class TestActorRetryBranches:
     def test_transfer_retries_then_succeeds(self):
         env = _two_machine_env()
         tel = Telemetry()
-        mv = Transfer("move", env, "a", "b", max_retries=3, telemetry=tel)
+        mv = Transfer("move", env, "a", "b", telemetry=tel)
         env.fail_next("transfer", 2)
         out = mv.fire({"file": Token("f.dat")})
         assert out["file"].value == "f.dat"
@@ -311,7 +312,10 @@ class TestActorRetryBranches:
     def test_transfer_exhausts_retries_returns_none(self):
         env = _two_machine_env()
         tel = Telemetry()
-        mv = Transfer("move", env, "a", "b", max_retries=1, telemetry=tel)
+        class _OneRetry(Transfer):
+            MAX_RETRIES = 1
+
+        mv = _OneRetry("move", env, "a", "b", telemetry=tel)
         env.fail_next("transfer", 100)
         out = mv.fire({"file": Token("f.dat")})
         assert out is None
@@ -322,14 +326,14 @@ class TestActorRetryBranches:
 
 
 class TestDirectorFaultHandling:
-    def _pipeline(self, boom, n=3, **director_kwargs):
+    def _pipeline(self, boom, n=3):
         wf = Workflow()
         wf.add(_Counter("src", n))
         wf.add(boom)
         wf.add(Collector("sink"))
         wf.connect("src", "out", boom.name, "in")
         wf.connect(boom.name, "out", "sink", "in")
-        return wf, ProcessNetworkDirector(wf, **director_kwargs)
+        return wf, ProcessNetworkDirector(wf)
 
     def test_raise_mode_names_actor_and_round(self):
         boom = _Boom("boom", lambda v, calls: True)
@@ -351,70 +355,6 @@ class TestDirectorFaultHandling:
         with pytest.raises(ActorFiringError, match="watcher"):
             d.run()
         assert d.failures and d.failures[0][1] == "watcher"
-
-    def test_degrade_mode_keeps_pipeline_running(self):
-        tel = Telemetry()
-        boom = _Boom("boom", lambda v, calls: v == 2)
-        wf, d = self._pipeline(boom, on_error="degrade", telemetry=tel)
-        d.run()
-        assert [t.value for t in wf.actors["sink"].items] == [1, 3]
-        assert [(f[1], f[0]) for f in d.failures] == [("boom", 1)]
-        assert tel.metrics.counter("workflow.actor_errors").value == 1
-
-    def test_director_retry_refires_with_same_inputs(self):
-        tel = Telemetry()
-        boom = _Boom("boom", lambda v, calls: calls == 1)  # first attempt only
-        wf, d = self._pipeline(boom, n=2, actor_retries=1, telemetry=tel)
-        d.run()
-        assert [t.value for t in wf.actors["sink"].items] == [1, 2]
-        assert d.failures == []
-        assert tel.metrics.counter("workflow.actor_retries").value == 1
-        assert tel.metrics.counter("workflow.actor_errors").value == 0
-
-    def test_circuit_breaker_opens_and_half_opens(self):
-        tel = Telemetry()
-        boom = _Boom("boom", lambda v, calls: True)
-        wf, d = self._pipeline(boom, n=6, on_error="degrade",
-                               max_actor_failures=2, breaker_cooldown=2,
-                               telemetry=tel)
-        d.step_round()  # strike 1
-        assert not d.circuit_open("boom")
-        d.step_round()  # strike 2 -> breaker opens
-        assert d.circuit_open("boom")
-        assert boom.calls == 2
-        assert tel.metrics.counter("workflow.breaker_opened").value == 1
-        d.step_round()  # cooldown: skipped, tokens queue
-        d.step_round()
-        assert boom.calls == 2
-        d.step_round()  # half-open trial firing fails -> re-trips
-        assert boom.calls == 3
-        assert d.circuit_open("boom")
-        assert tel.metrics.counter("workflow.breaker_opened").value == 2
-
-    def test_actor_timeout_recorded_post_hoc(self):
-        tel = Telemetry()
-
-        class _Slow(Actor):
-            inputs = ["in"]
-            outputs = ["out"]
-
-            def fire(self, inputs):
-                time.sleep(0.05)
-                return {"out": inputs["in"]}
-
-        wf = Workflow()
-        wf.add(_Counter("src", 1))
-        wf.add(_Slow("slow"))
-        wf.add(Collector("sink"))
-        wf.connect("src", "out", "slow", "in")
-        wf.connect("slow", "out", "sink", "in")
-        d = ProcessNetworkDirector(wf, on_error="degrade", actor_timeout=0.01,
-                                   telemetry=tel)
-        d.run()
-        # the firing overran but its outputs were still delivered
-        assert len(wf.actors["sink"].items) == 1
-        assert any(f[1] == "slow" and "TimeoutError" in f[2] for f in d.failures)
-        assert tel.metrics.counter("workflow.actor_errors").value == 1
 
 
 class TestProvenance:

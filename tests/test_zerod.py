@@ -58,7 +58,7 @@ class TestIgnitionDelay:
     def test_monotone_decreasing_with_temperature(self, h2_mech, h2_air_stoich):
         """The autoignition physics behind §6: hotter mixtures ignite faster."""
         taus = [
-            ignition_delay(h2_mech, T0, P_ATM, h2_air_stoich, t_end=0.05, n_out=500)
+            ignition_delay(h2_mech, T0, P_ATM, h2_air_stoich, t_end=0.05)
             for T0 in (1000.0, 1100.0, 1300.0)
         ]
         assert taus[0] > taus[1] > taus[2]
@@ -66,7 +66,7 @@ class TestIgnitionDelay:
 
     def test_magnitude_at_1100k(self, h2_mech, h2_air_stoich):
         """Above crossover, H2/air ignites within ~30-300 us at 1 atm."""
-        tau = ignition_delay(h2_mech, 1100.0, P_ATM, h2_air_stoich, t_end=0.01, n_out=1000)
+        tau = ignition_delay(h2_mech, 1100.0, P_ATM, h2_air_stoich, t_end=0.01)
         assert 1e-5 < tau < 1e-3
 
     def test_no_ignition_returns_inf(self, h2_mech, h2_air_stoich):
@@ -93,26 +93,17 @@ class TestIgnitionDelay:
 
         t_lean, y_lean = mix(0.05)
         t_rich, y_rich = mix(0.4)
-        tau_lean = ignition_delay(h2_mech, t_lean, P_ATM, y_lean, t_end=0.05, n_out=2000)
-        tau_rich = ignition_delay(h2_mech, t_rich, P_ATM, y_rich, t_end=0.05, n_out=2000)
+        tau_lean = ignition_delay(h2_mech, t_lean, P_ATM, y_lean, t_end=0.05)
+        tau_rich = ignition_delay(h2_mech, t_rich, P_ATM, y_rich, t_end=0.05)
         assert tau_lean < tau_rich
 
     def test_delay_not_quantized_by_output_grid(self, h2_mech, h2_air_stoich):
         """Regression: the delay comes from a solve_ivp terminal event,
-        not interpolation on an ``n_out`` output grid.  The old
-        implementation sampled T(t) at ``n_out`` equispaced points and
-        interpolated the crossing, biasing the delay by up to half a
-        sample interval — so wildly different ``n_out`` values gave
-        measurably different answers.  Now ``n_out`` must be inert."""
-        taus = [
-            ignition_delay(h2_mech, 1100.0, P_ATM, h2_air_stoich,
-                           t_end=0.01, n_out=n)
-            for n in (None, 7, 100000)
-        ]
-        assert taus[0] == taus[1] == taus[2]
-        # and the event-located delay agrees with an independent tight
-        # trajectory to far better than the old grid's half-interval
-        # bias (t_end/2/500 = 1e-5 s at the historical default)
+        not interpolation on an output grid (which biased it by up to
+        half a sample interval). The event-located delay agrees with an
+        independent tight trajectory to far better than that bias
+        (t_end/2/500 = 1e-5 s at the historical 500-sample grid)."""
+        tau = ignition_delay(h2_mech, 1100.0, P_ATM, h2_air_stoich, t_end=0.01)
         reactor = ConstPressureReactor(h2_mech, P_ATM)
         t, T, _ = reactor.integrate(1100.0, h2_air_stoich, 2e-4,
                                     n_out=20001, rtol=1e-10, atol=1e-13)
@@ -120,7 +111,7 @@ class TestIgnitionDelay:
         k = int(np.argmax(T >= target))
         frac = (target - T[k - 1]) / (T[k] - T[k - 1])
         tau_grid = t[k - 1] + frac * (t[k] - t[k - 1])
-        assert abs(taus[0] - tau_grid) < 1e-7
+        assert abs(tau - tau_grid) < 1e-7
 
     def test_ho2_precedes_oh(self, h2_mech, h2_air_stoich):
         """HO2 is the autoignition precursor: it peaks before OH rises
