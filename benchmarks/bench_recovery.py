@@ -102,8 +102,6 @@ def build(policy="off", faults=None):
 class _StubSolver:
     """Counts steps; isolates the supervisor's dispatch machinery."""
 
-    world_size = 1
-
     def __init__(self):
         self.step_count = 0
 

@@ -39,11 +39,7 @@ from repro.chemistry.mechanisms import (
 )
 from repro.chemistry.zerod import ConstPressureReactor, ConstVolumeReactor, ignition_delay
 from repro.chemistry.jacobian import JacobianPattern, SourceTermJacobian
-from repro.chemistry.implicit import (
-    CHEMISTRY_MODES,
-    ImplicitChemistry,
-    ImplicitStats,
-)
+from repro.chemistry.implicit import ImplicitChemistry, ImplicitStats
 
 __all__ = [
     "Nasa7",
@@ -63,7 +59,6 @@ __all__ = [
     "ignition_delay",
     "JacobianPattern",
     "SourceTermJacobian",
-    "CHEMISTRY_MODES",
     "ImplicitChemistry",
     "ImplicitStats",
 ]

@@ -55,12 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chemistry.jacobian import SourceTermJacobian
-from repro.core.config import KNOBS, resolve
 from repro.telemetry import resolve as resolve_telemetry
 from repro.util.reduction import axis0_sum
-
-#: Solver-level chemistry coupling modes (SolverConfig.chemistry_mode).
-CHEMISTRY_MODES = KNOBS["chemistry_mode"].choices
 
 #: Rosenbrock-W gamma: L-stable second-order choice.
 _ROS_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
@@ -173,11 +169,6 @@ class ImplicitChemistry:
         Relative tolerance of the error test; the per-cell weighted RMS
         norm uses weights ``atol + rtol |z|`` (:attr:`ATOL_Y` on species
         rows, :attr:`ATOL_T` on the temperature row).
-    fixed_substeps:
-        When given, :meth:`advance` takes this many equal substeps
-        instead of the adaptive controller (the convergence-study knob);
-        ``None`` defers to the ``fixed_substeps`` knob's environment
-        switch.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; defaults to the
         process backend.
@@ -203,7 +194,6 @@ class ImplicitChemistry:
         closure: str = "constant-volume",
         method: str = "rosw2",
         rtol: float = 1e-6,
-        fixed_substeps: int | None = None,
         telemetry=None,
     ):
         if method != "rosw2":
@@ -217,7 +207,7 @@ class ImplicitChemistry:
         #: adaptive controller — the order-of-accuracy studies set it so
         #: the integration error scales smoothly with the step size rather
         #: than through the controller's discrete accept/reject decisions
-        self.fixed_substeps: int | None = resolve("fixed_substeps", fixed_substeps)
+        self.fixed_substeps: int | None = None
         ns = self.stj.ns
         self._atol = np.empty(ns + 1)
         self._atol[:ns] = self.ATOL_Y

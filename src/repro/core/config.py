@@ -18,7 +18,6 @@ import numpy as np
 BOUNDARY_KINDS = (
     "periodic",
     "nonreflecting_outflow",
-    "nonreflecting_inflow",
     "hard_inflow",
 )
 
@@ -42,8 +41,6 @@ class BoundarySpec:
         sequence of ndim components, ``mass_fractions`` has leading
         species axis. ``velocity`` may also be a callable ``f(t)``
         returning the face profile, enabling synthetic-turbulence inflow.
-    eta:
-        Relaxation coefficient for soft (nonreflecting) inflow.
     """
 
     kind: str
@@ -52,14 +49,13 @@ class BoundarySpec:
     velocity: object = None
     temperature: object = None
     mass_fractions: object = None
-    eta: float = 0.3
 
     def __post_init__(self):
         if self.kind not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}; choose from {BOUNDARY_KINDS}")
         if self.kind == "nonreflecting_outflow" and self.p_inf is None:
             raise ValueError("nonreflecting_outflow requires p_inf")
-        if self.kind in ("hard_inflow", "nonreflecting_inflow"):
+        if self.kind == "hard_inflow":
             for attr in ("velocity", "temperature", "mass_fractions"):
                 if getattr(self, attr) is None:
                     raise ValueError(f"{self.kind} requires {attr}")
@@ -81,13 +77,6 @@ _SWITCH = {"1": True, "on": True, "true": True, "yes": True,
            "0": False, "off": False, "false": False, "no": False}
 
 
-def _positive_int(value) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError(value)
-    return n
-
-
 def _seconds(value) -> float:
     x = float(value)
     if not x >= 0.0:
@@ -104,10 +93,7 @@ class Knob:
     consulted when no explicit value is given. A value is matched
     against ``choices`` and ``aliases`` (other accepted spellings,
     mapped to a choice), or handed to ``parse`` for numeric knobs, whose
-    accepted form ``accepts`` describes. ``requires`` is the knob's
-    cross-knob constraint ``(other, needed, why)``: when this knob is
-    given at all, knob ``other`` must resolve to ``needed``
-    (:func:`check_constraints`).
+    accepted form ``accepts`` describes.
     """
 
     name: str
@@ -118,7 +104,6 @@ class Knob:
     aliases: dict = field(default_factory=dict)
     parse: object = None
     accepts: str = ""
-    requires: tuple = ()
     in_config: bool = True
 
     def forms(self) -> str:
@@ -144,25 +129,14 @@ KNOBS = {k.name: k for k in (
          "chemistry inside the ERK right-hand side, or Strang-split "
          "implicit half-steps around a non-reacting transport step",
          choices=("explicit", "strang")),
-    Knob("fixed_substeps", "REPRO_CHEM_FIXED_SUBSTEPS", None,
-         "equal implicit substeps per Strang half-step instead of the "
-         "adaptive controller (convergence studies); the environment "
-         "value is ignored outside strang",
-         parse=_positive_int, accepts="a positive integer",
-         requires=("chemistry_mode", "strang",
-                   "there is no implicit integrator to apply it to")),
     Knob("parallel_recovery", "REPRO_PARALLEL_RECOVERY", "off",
-         "rank-failure policy of supervised parallel runs: plain run, "
-         "revive dead ranks and replay, or re-decompose over survivors",
-         choices=("off", "respawn", "shrink")),
+         "rank-failure policy of supervised parallel runs: plain run, or "
+         "revive dead ranks on the same decomposition and replay",
+         choices=("off", "respawn")),
     Knob("observability", "REPRO_OBSERVABILITY", "off",
          "health observatory: null monitor, standard watchdogs + flight "
          "recorder, or everything armed (conservation, RK stage guard)",
-         choices=("off", "on", "full"),
-         aliases={False: "off", "": "off", "0": "off", "none": "off",
-                  "false": "off", "no": "off",
-                  True: "on", "1": "on", "true": "on", "yes": "on",
-                  "basic": "on", "all": "full", "paranoid": "full"}),
+         choices=("off", "on", "full")),
     Knob("telemetry", "REPRO_TELEMETRY", False,
          "record spans and metrics (a fresh recording backend) instead of "
          "the zero-cost null backend",
@@ -216,30 +190,6 @@ def resolve(name: str, explicit=None):
     return knob.default
 
 
-def check_constraints(given: dict) -> None:
-    """Enforce the table's cross-knob constraints.
-
-    ``given`` maps knob names to the values the caller holds, already
-    resolved (``None`` = not given). A constraint fires on its knob's
-    *given* value only — an environment setting of it never trips it —
-    and is checked against the other knob's given
-    value, or its environment/default resolution when that is not given.
-    """
-    for name, value in given.items():
-        requires = KNOBS[name].requires
-        if value is None or not requires:
-            continue
-        other, needed, why = requires
-        found = given.get(other)
-        if found is None:
-            found = resolve(other)
-        if found != needed:
-            raise ValueError(
-                f"{name}={value!r} requires {other}={needed!r}, "
-                f"got {found!r} ({why})"
-            )
-
-
 def knob_table_markdown() -> str:
     """The "Configuration knobs" table of docs/CONFIG.md, from the table."""
     lines = [
@@ -282,7 +232,7 @@ class SolverConfig:
         (:class:`repro.chemistry.implicit.ImplicitChemistry`); any other
         value fails :meth:`validate`.
     transport, chem_load_balance, chemistry_mode,
-    fixed_substeps, parallel_recovery, observability, telemetry, tracing:
+    parallel_recovery, observability, telemetry, tracing:
         The run-time knobs: one row each of :data:`KNOBS` (rendered in
         docs/CONFIG.md), which gives the accepted values, the
         ``REPRO_*`` variable consulted when the field is ``None``, the
@@ -303,10 +253,9 @@ class SolverConfig:
     scheme: str = "ck45"
     telemetry: bool | None = None
     tracing: bool | None = None
-    observability: object = None
+    observability: str | None = None
     chemistry_mode: str | None = None
     chemistry_method: str | None = None
-    fixed_substeps: int | None = None
     chem_load_balance: str | None = None
     transport: str | None = None
     parallel_recovery: str | None = None
@@ -331,14 +280,9 @@ class SolverConfig:
         if self.chemistry_method not in (None, "rosw2"):
             raise ValueError(f"unknown chemistry_method {self.chemistry_method!r}; "
                              "the one method is 'rosw2'")
-        given = {}
         for knob in KNOBS.values():
-            if knob.in_config:
-                value = getattr(self, knob.name)
-                given[knob.name] = (
-                    None if value is None else resolve(knob.name, value)
-                )
-        check_constraints(given)
+            if knob.in_config and getattr(self, knob.name) is not None:
+                resolve(knob.name, getattr(self, knob.name))
 
 
 def resolve_face_value(value, t: float):

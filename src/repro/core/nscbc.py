@@ -1,6 +1,6 @@
 """Navier-Stokes characteristic boundary conditions (NSCBC).
 
-Implements the subsonic non-reflecting inflow/outflow treatment the
+Implements the subsonic non-reflecting outflow treatment the
 paper prescribes for its stationary DNS configurations (§2.6, refs
 [12, 13]): the locally one-dimensional inviscid (LODI) characteristic
 decomposition of the boundary-normal convective terms, with incoming
@@ -61,7 +61,7 @@ def apply_boundary_conditions(rhs, t, du, *, rho, vel, T, p, Y,
             _hard_inflow(rhs, t, du, face, spec)
             continue
         _characteristic_face(
-            rhs, t, du, face, spec, axis, side,
+            rhs, du, face, spec, axis, side,
             rho=rho, vel=vel, T=T, p=p, Y=Y,
             grad_rho=grad_rho, grad_p=grad_p,
             grad_vel=grad_vel, grad_y=grad_y,
@@ -86,8 +86,9 @@ def _hard_inflow(rhs, t, du, face, spec):
         du[st.i_species(k)][face] = Y_t[k] * drho
 
 
-def _characteristic_face(rhs, t, du, face, spec, axis, side, *,
+def _characteristic_face(rhs, du, face, spec, axis, side, *,
                          rho, vel, T, p, Y, grad_rho, grad_p, grad_vel, grad_y):
+    """The LODI correction swap on one ``nonreflecting_outflow`` face."""
     st = rhs.state
     mech = rhs.mech
     ndim = rhs.ndim
@@ -137,44 +138,19 @@ def _characteristic_face(rhs, t, du, face, spec, axis, side, *,
     Ls = [lam2 * d for d in dy_dn]
     L5 = lam5 * (dp_dn + roa * dun_dn)
 
-    # modified amplitudes
-    M1, M2, M5 = L1.copy(), L2.copy(), L5.copy()
-    Mt = [x.copy() for x in Lt]
-    Ms = [x.copy() for x in Ls]
-    s = 1.0 if side else -1.0  # outward normal sign
-
-    if spec.kind == "nonreflecting_outflow":
-        k_relax = spec.sigma * a_f * (1.0 - mach2) / length
-        if side == 1:
-            M1 = k_relax * (p_f - spec.p_inf)
-        else:
-            M5 = k_relax * (p_f - spec.p_inf)
-        # where the flow locally re-enters, damp the convected waves too
-        entering = (un * s) < 0.0
-        M2 = np.where(entering, 0.0, M2)
-        Mt = [np.where(entering, 0.0, x) for x in Mt]
-        Ms = [np.where(entering, 0.0, x) for x in Ms]
-    elif spec.kind == "nonreflecting_inflow":
-        vel_t = resolve_face_value(spec.velocity, t)
-        T_t = resolve_face_value(spec.temperature, t)
-        Y_t = resolve_face_value(spec.mass_fractions, t)
-        eta = spec.eta
-        beta = eta * rho_f * a_f**2 * (1.0 - mach2) / length
-        if side == 0:
-            M5 = beta * (un - np.asarray(vel_t[axis]))
-        else:
-            M1 = -beta * (un - np.asarray(vel_t[axis]))
-        M2 = eta * (a_f / length) * rho_f * a_f**2 * (np.asarray(T_t) - T_f) / T_f
-        Mt = [
-            eta * (a_f / length) * (vel[a][face] - np.asarray(vel_t[a]))
-            for a in transverse
-        ]
-        Ms = [
-            eta * (a_f / length) * (Y_f[k] - np.asarray(Y_t[k]))
-            for k in range(nk)
-        ]
-    else:  # pragma: no cover - guarded by BoundarySpec validation
-        raise ValueError(f"unhandled boundary kind {spec.kind!r}")
+    # modified amplitudes: relax the incoming acoustic wave towards the
+    # far-field pressure; where the flow locally re-enters, damp the
+    # convected waves too
+    k_relax = spec.sigma * a_f * (1.0 - mach2) / length
+    M1, M5 = L1, L5
+    if side == 1:
+        M1 = k_relax * (p_f - spec.p_inf)
+    else:
+        M5 = k_relax * (p_f - spec.p_inf)
+    entering = (un * (1.0 if side else -1.0)) < 0.0  # outward normal sign
+    M2 = np.where(entering, 0.0, L2)
+    Mt = [np.where(entering, 0.0, x) for x in Lt]
+    Ms = [np.where(entering, 0.0, x) for x in Ls]
 
     # LODI deltas: (physical - modified) source terms
     dd1 = ((L2 - M2) + 0.5 * ((L5 - M5) + (L1 - M1))) / a_f**2

@@ -56,7 +56,6 @@ class S3DSolver:
     #: the one-rank case: no rank to lose (a supervised run always rolls
     #: back and replays) and nobody to ship chemistry cells to
     recovery_policy = "rollback"
-    world_size = 1
     chemlb = None
 
     def __init__(self, state, config, transport=None, reacting=True,
@@ -95,10 +94,7 @@ class S3DSolver:
         if split:
             from repro.chemistry.implicit import ImplicitChemistry
 
-            self._chem = ImplicitChemistry(
-                mech, fixed_substeps=config.fixed_substeps,
-                telemetry=self.telemetry,
-            )
+            self._chem = ImplicitChemistry(mech, telemetry=self.telemetry)
         self.integrator = ERKIntegrator(config.scheme)
         self.time = 0.0
         self.step_count = 0

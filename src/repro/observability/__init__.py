@@ -46,7 +46,7 @@ stage guard, per-step telemetry deltas).
 
 from __future__ import annotations
 
-from repro.core.config import KNOBS, resolve
+from repro.core.config import resolve
 from repro.observability.watchdogs import (
     BoundsWatchdog,
     CFLMarginWatchdog,
@@ -107,13 +107,8 @@ __all__ = [
     "stitch",
     "export_chrome_trace",
     "validate_chrome_trace",
-    "MODES",
     "for_solver",
 ]
-
-#: recognized observability modes, least to most armed
-MODES = KNOBS["observability"].choices
-
 
 def for_solver(solver, mode=None, clock=None):
     """Build the health monitor a solver's config/environment asks for,

@@ -27,7 +27,7 @@ Pieces
   pipeline: over-threshold ranks *ship* cell batches ``(rho, x, Y)``
   with a CRC header, underloaded ranks *serve* them through a per-cell
   kernel and reply with its result rows, owners *collect* the replies;
-  a lost/corrupt/delayed batch (the fault injector's taxonomy, sites
+  a lost or corrupt batch (the fault injector's taxonomy, sites
   ``chemlb.ship`` / ``chemlb.reply`` plus anything the ``mpi.send``
   site does to the transport underneath) is evaluated locally instead.
 
@@ -306,17 +306,6 @@ class ChemistryLoadBalancer:
         self._c_cells = self.telemetry.counter("chemlb.cells_shipped")
         self._c_batches = self.telemetry.counter("chemlb.batches")
         self._c_fallbacks = self.telemetry.counter("chemlb.fallbacks")
-        self.rebind(world)
-
-    def reset_timing(self) -> None:
-        self.rank_seconds[:] = 0.0
-
-    def rebind(self, world) -> None:
-        """Attach to a transport world (also the shrink recovery path):
-        per-rank timings are sized and zeroed, the cost history and the
-        last plan are dropped, the policy, threshold and cost model
-        carry over. Every policy stays bitwise identical to ``off``, so
-        re-planning from a cold history cannot perturb the solution."""
         if world.size < 1:
             raise ValueError("world must have at least one rank")
         self.world = world
@@ -326,6 +315,9 @@ class ChemistryLoadBalancer:
         self._scale = 0.0
         self._seq = 0
         self.last_plan: AssignmentPlan | None = None
+
+    def reset_timing(self) -> None:
+        self.rank_seconds[:] = 0.0
 
     # -- the two kernels -------------------------------------------------
     def production_rates(self, prims: list) -> list:
@@ -465,7 +457,7 @@ class ChemistryLoadBalancer:
             n, body = got
             out[sh.src][:, idx] = body.reshape(nrows, n)
             return
-        # batch or reply lost/corrupt/delayed: evaluate locally — bitwise
+        # batch or reply lost or corrupt: evaluate locally — bitwise
         # identical by the kernels' batch-shape independence
         rho, x, Y = flat[sh.src]
         out[sh.src][:, idx] = self._run(sh.src, kernel, nrows, rho[idx],

@@ -181,9 +181,9 @@ class Transport:
       :class:`~repro.resilience.errors.RankFailedError`.
     * faults: the world owns a
       :class:`~repro.resilience.faults.FaultInjector`; sends consult the
-      ``mpi.send`` site (drop / corrupt / delay / rank_failure) and
-      delayed messages park until the backend's ``deliver_delayed``.
-    * accounting: every delivered-or-delayed send is recorded in
+      ``mpi.send`` site (drop / corrupt / rank_failure; any other mode
+      raises ``ValueError``).
+    * accounting: every delivered send is recorded in
       :attr:`log`, a :class:`MessageLog`, with identical records across
       backends for the same schedule.
 
@@ -242,10 +242,9 @@ class Transport:
         raise NotImplementedError
 
     def reset_channels(self) -> None:
-        """Purge in-flight message-plane state (mailboxes, parked
-        delayed messages) after a mid-exchange failure, so a recovered
-        run does not consume stale halo traffic from the abandoned
-        step."""
+        """Purge in-flight message-plane state (the mailboxes) after a
+        mid-exchange failure, so a recovered run does not consume stale
+        halo traffic from the abandoned step."""
         raise NotImplementedError
 
     # -- collectives built on the point-to-point plane ---------------------
@@ -309,8 +308,7 @@ class InProcessTransport(Transport):
     Fault injection (off by default, zero-cost when disabled): pass a
     :class:`~repro.resilience.faults.FaultInjector` and arm rules at
     the ``mpi.send`` site — ``drop`` loses the message, ``corrupt``
-    flips payload bytes, ``delay`` parks it until
-    :meth:`deliver_delayed`, ``rank_failure`` kills the sending rank
+    flips payload bytes, ``rank_failure`` kills the sending rank
     (or ``detail={"rank": r}``); a failed rank makes every subsequent
     operation touching it raise :class:`RankFailedError`.
 
@@ -331,7 +329,6 @@ class InProcessTransport(Transport):
         self._mailboxes: dict = defaultdict(deque)
         self.log = MessageLog()
         self._failed_ranks: set = set()
-        self._delayed: list = []  # (dest, source, tag, array, ctx)
         #: trace contexts riding beside the mailboxes, FIFO-aligned
         #: per (dest, source, tag) channel; only populated when the
         #: telemetry backend has a trace log attached, so the payload
@@ -375,7 +372,6 @@ class InProcessTransport(Transport):
 
     def reset_channels(self) -> None:
         self._mailboxes.clear()
-        self._delayed.clear()
         self._trace_ctx.clear()
 
     def _check_alive(self, rank: int, role: str) -> None:
@@ -402,35 +398,20 @@ class InProcessTransport(Transport):
                 if spec.mode == "drop":
                     self.dropped += 1
                     return
-                if spec.mode == "corrupt":
-                    raw = self.faults.corrupt_bytes(array.tobytes())
-                    array = np.frombuffer(raw, dtype=array.dtype).reshape(
-                        array.shape).copy()
-                elif spec.mode == "delay":
-                    ctx = None
-                    if tracelog is not None:
-                        ctx = tracelog.record_send(source, dest, tag,
-                                                   array.nbytes)
-                    self._delayed.append((dest, source, tag, array, ctx))
-                    self.log.record(source, dest, tag, array.nbytes)
-                    return
+                if spec.mode != "corrupt":
+                    raise ValueError(
+                        f"fault site 'mpi.send' has no mode {spec.mode!r}; "
+                        f"it implements 'drop', 'corrupt' and 'rank_failure'"
+                    )
+                raw = self.faults.corrupt_bytes(array.tobytes())
+                array = np.frombuffer(raw, dtype=array.dtype).reshape(
+                    array.shape).copy()
         if tracelog is not None:
             self._trace_ctx[(dest, source, tag)].append(
                 tracelog.record_send(source, dest, tag, array.nbytes)
             )
         self._mailboxes[(dest, source, tag)].append(array)
         self.log.record(source, dest, tag, array.nbytes)
-
-    def deliver_delayed(self) -> int:
-        """Deliver every delayed message (the late-packet flush);
-        returns how many arrived."""
-        n = len(self._delayed)
-        for dest, source, tag, array, ctx in self._delayed:
-            self._mailboxes[(dest, source, tag)].append(array)
-            if ctx is not None:
-                self._trace_ctx[(dest, source, tag)].append(ctx)
-        self._delayed.clear()
-        return n
 
     def _recv(self, rank: int, source: int, tag: int):
         self._check_alive(rank, "receiving")
@@ -447,9 +428,6 @@ class InProcessTransport(Transport):
                           for (s, t), n in sorted(pending.items()))
                 or "mailbox empty"
             )
-            delayed = sum(1 for d, *_ in self._delayed if d == rank)
-            if delayed:
-                state += f"; {delayed} delayed message(s) undelivered"
             raise MessageNotFoundError(
                 f"rank {rank}: no pending message from rank {source} with "
                 f"tag {tag} (pending for rank {rank}: {state})"
@@ -464,10 +442,6 @@ class InProcessTransport(Transport):
 
     def _probe(self, rank: int, source: int, tag: int) -> bool:
         return bool(self._mailboxes[(rank, source, tag)])
-
-    def pending_messages(self) -> int:
-        """Messages sitting in mailboxes, delivered but not received."""
-        return sum(len(q) for q in self._mailboxes.values())
 
     # -- execution plane ---------------------------------------------------
     def start_programs(self, factory, per_rank_args=None,

@@ -228,7 +228,7 @@ class ParallelPeriodicSolver(S3DSolver):
         via :func:`repro.parallel.comm.create_transport` from
         ``comm_transport``, and :meth:`close` releases it.
     scheme, filter_alpha, filter_interval, comm_transport,
-    chemistry_mode, fixed_substeps, chem_load_balance,
+    chemistry_mode, chem_load_balance,
     parallel_recovery, observability, tracing:
         Folded into the :class:`~repro.core.config.SolverConfig` the
         shared driver reads (:attr:`config`); for the run-time knobs of
@@ -274,7 +274,7 @@ class ParallelPeriodicSolver(S3DSolver):
                  chem_load_balance=None, chemlb_threshold=1.1,
                  rank_telemetry=False, observability=None,
                  comm_transport=None, parallel_recovery=None,
-                 tracing=None, fixed_substeps=None):
+                 tracing=None):
         if not (all(grid.periodic) and all(decomp.periodic)):
             raise ValueError("ParallelPeriodicSolver requires an all-periodic "
                              "grid and decomposition")
@@ -284,7 +284,7 @@ class ParallelPeriodicSolver(S3DSolver):
             boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
             filter_interval=int(filter_interval), filter_alpha=filter_alpha,
             tracing=tracing, observability=observability,
-            chemistry_mode=chemistry_mode, fixed_substeps=fixed_substeps,
+            chemistry_mode=chemistry_mode,
             chem_load_balance=chem_load_balance, transport=comm_transport,
             parallel_recovery=parallel_recovery,
         )
@@ -303,7 +303,14 @@ class ParallelPeriodicSolver(S3DSolver):
             )
         self.world = world
         self.recovery_policy = resolve("parallel_recovery", parallel_recovery)
-        self._bind_halo()
+        # a block must be able to hand its neighbour a filter ghost zone
+        self.halo = HaloExchanger(decomp, world, telemetry=self.telemetry)
+        if any(decomp.global_shape[a] // decomp.proc_shape[a] < FILTER_HALF_WIDTH
+               for a in self.halo.axes):
+            raise ValueError(
+                f"{decomp.proc_shape} ranks over {decomp.global_shape} points: "
+                f"a decomposed axis needs at least {FILTER_HALF_WIDTH} points "
+                f"per rank")
         policy = resolve("chem_load_balance", chem_load_balance)
         if policy != "off" and reacting and mechanism.n_reactions:
             self.chemlb = chemlb.ChemistryLoadBalancer(
@@ -315,53 +322,31 @@ class ParallelPeriodicSolver(S3DSolver):
         # balanced wdot. In strang mode chemistry never enters the
         # RHS — the balancer (if any) ships whole implicit cell solves
         # from the driver-side half-steps instead.
-        self._defer = self.chemlb is not None and self._chem is None
+        defer = self.chemlb is not None and self._chem is None
         self._rank_telemetry = bool(rank_telemetry)
-        # what every rank program is built from after its own geometry;
-        # kept so recovery can rebuild programs on a new or revived
-        # world with exactly the original construction arguments
-        self._program_args = (scheme, transport, rank_reacting, filter_alpha,
-                              self._defer, self._rank_telemetry,
-                              resolve("tracing", tracing))
-        self._start_rank_programs()
-        self._arm_health()
-
-    def _bind_halo(self) -> None:
-        """The exchanger of the current decomposition and world. A block
-        must be able to hand its neighbour a filter ghost zone."""
-        decomp = self.decomp
-        self.halo = HaloExchanger(decomp, self.world, telemetry=self.telemetry)
-        if any(decomp.global_shape[a] // decomp.proc_shape[a] < FILTER_HALF_WIDTH
-               for a in self.halo.axes):
-            raise ValueError(
-                f"{decomp.proc_shape} ranks over {decomp.global_shape} points: "
-                f"a decomposed axis needs at least {FILTER_HALF_WIDTH} points "
-                f"per rank")
-
-    def _start_rank_programs(self) -> None:
-        """(Re)start one rank program per rank on the current world.
-
-        Per-rank programs live wherever the transport runs ranks: the
-        in-process backend holds them in the driver (and may share the
-        driver's live telemetry backend through local_factory, which
-        out-of-process backends ignore in favour of the pickled args).
-        """
+        # one rank program per rank, living wherever the transport runs
+        # ranks: the in-process backend holds them in the driver (and
+        # shares the driver's live telemetry backend through
+        # local_factory, which out-of-process backends ignore in favour
+        # of the pickled args); a revived rank is rebuilt from the same
+        # arguments
         per_rank_args = [
-            (self.mech, self.grid.block(self.decomp.local_slices(rank)),
-             self.halo.axes) + self._program_args
-            for rank in range(self.decomp.size)
+            (mechanism, grid.block(decomp.local_slices(rank)), self.halo.axes,
+             scheme, transport, rank_reacting, filter_alpha, defer,
+             self._rank_telemetry, resolve("tracing", tracing))
+            for rank in range(decomp.size)
         ]
-        if self._rank_telemetry:
-            local_factory = None  # programs build their own recording backends
-        else:
+        local_factory = None  # rank_telemetry: programs build their own
+        if not self._rank_telemetry:
             def local_factory(rank):
                 return SolverRankProgram(rank, *per_rank_args[rank],
                                          telemetry=self.telemetry)
-        self.world.start_programs(SolverRankProgram, per_rank_args,
-                                  local_factory=local_factory)
+        world.start_programs(SolverRankProgram, per_rank_args,
+                             local_factory=local_factory)
         self._snapshot = None  # (blocks, caches) as of the ranks' state
         self._gstate = None  # gathered view of them, see :attr:`state`
         self._held = None  # a filter pass the ranks posted at step end
+        self._arm_health()
 
     # -- the state lives on the ranks: pulled and pushed ----------------------
     def _pull(self) -> tuple:
@@ -475,10 +460,6 @@ class ParallelPeriodicSolver(S3DSolver):
         self._drive(self._start("filter") if held is None else held)
 
     # -- recovery plumbing ------------------------------------------------
-    @property
-    def world_size(self) -> int:
-        return self.decomp.size
-
     def checkpoint_ring(self, fs, **kwargs):
         from repro.resilience.distributed import DistributedCheckpointRing
 
@@ -488,25 +469,11 @@ class ParallelPeriodicSolver(S3DSolver):
         return self.world.failed_ranks
 
     def recover(self, action: str, ring, dead) -> dict:
-        """Carry out the supervisor's recovery action: ``shrink`` gathers
-        the newest committed checkpoint, re-decomposes over the surviving
-        rank count (one rank is always legal) and re-scatters;
-        ``respawn`` revives the dead ranks (fresh worker + rank program),
-        then, as a plain ``rollback`` does, purges the abandoned
-        timeline's in-flight messages and reinstalls the newest
-        committed checkpoint."""
-        if action == "shrink":
-            from repro.resilience.distributed import shrink_decomposition
-
-            data = ring.load_global()
-            self.reconfigure(shrink_decomposition(
-                self.decomp, self.decomp.size - len(dead)))
-            cache = data["cache"]
-            self.install_shards(
-                data["step"], data["time"], self.decomp.scatter(data["u"], 1),
-                [None] * self.decomp.size if cache is None
-                else self.decomp.scatter(cache, 0))
-            return data
+        """Carry out the supervisor's recovery action: ``respawn``
+        revives the dead ranks (fresh worker + rank program); then, as a
+        plain ``rollback`` does, purge the abandoned timeline's
+        in-flight messages and reinstall the newest committed
+        checkpoint."""
         if action == "respawn":
             self.world.revive_ranks(dead)
         self.world.reset_channels()
@@ -531,36 +498,6 @@ class ParallelPeriodicSolver(S3DSolver):
         if any(c is None for c in caches):
             caches = [None] * self.decomp.size
         self._push(blocks, caches)
-
-    def reconfigure(self, decomp) -> None:
-        """Re-decompose onto a new (smaller) world — the shrink policy.
-
-        Builds a fresh transport of the same backend with
-        ``decomp.size`` ranks, rebuilds the halo exchanger and rank
-        programs, and re-seeds the chemistry balancer's cost model.
-        State is *not* carried over; install a checkpoint after
-        reconfiguring.
-        """
-        if decomp.global_shape != self.decomp.global_shape:
-            raise ValueError(
-                f"new decomposition covers {decomp.global_shape}, "
-                f"solver grid is {self.decomp.global_shape}"
-            )
-        old_world = self.world
-        kwargs = dict(fault_injector=old_world.faults,
-                      telemetry=self.telemetry)
-        if old_world.name == "multiprocessing":
-            kwargs["heartbeat"] = getattr(old_world, "heartbeat", None)
-        self.world = create_transport(old_world.name, size=decomp.size,
-                                      **kwargs)
-        self.decomp = decomp
-        self._bind_halo()
-        if self.chemlb is not None:
-            self.chemlb.rebind(self.world)
-        self._start_rank_programs()
-        if self._owns_world:
-            old_world.close()
-        self._owns_world = True
 
     def fused_profile(self, root: int = 0):
         """Cross-rank fused profile of the per-rank kernel telemetry.

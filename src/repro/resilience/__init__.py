@@ -20,11 +20,11 @@ and every consumer knows how to survive it.
 * :mod:`repro.resilience.distributed` —
   :class:`DistributedCheckpointRing`: coordinated two-phase distributed
   checkpoints (one CRC-guarded shard per rank, manifest as commit
-  record) on the same ring core, plus :func:`shrink_decomposition`.
+  record) on the same ring core.
 * :mod:`repro.resilience.supervisor` — :func:`run_resilient`: the one
   supervised loop, driving a serial or rank-parallel solver through
-  injected faults and rank failures (rollback / ``respawn`` /
-  ``shrink``) to a bit-identical final state.
+  injected faults and rank failures (rollback / ``respawn``) to a
+  bit-identical final state.
 
 Telemetry counters: ``resilience.faults_injected``,
 ``resilience.retries``, ``resilience.recoveries``,
@@ -76,8 +76,6 @@ __all__ = [
     "RunReport",
     "run_resilient",
     "DistributedCheckpointRing",
-    "RECOVERY_POLICIES",
-    "shrink_decomposition",
 ]
 
 #: names resolved lazily (PEP 562): these modules import repro.io, which
@@ -89,8 +87,6 @@ _LAZY = {
     "RunReport": "repro.resilience.supervisor",
     "run_resilient": "repro.resilience.supervisor",
     "DistributedCheckpointRing": "repro.resilience.distributed",
-    "RECOVERY_POLICIES": "repro.resilience.distributed",
-    "shrink_decomposition": "repro.resilience.distributed",
 }
 
 

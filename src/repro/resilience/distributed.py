@@ -1,74 +1,25 @@
-"""Distributed checkpoints and the shrink re-decomposition.
+"""Distributed checkpoints: what a decomposed domain adds to the
+resilience layer (the supervised loop itself is
+:func:`repro.resilience.supervisor.run_resilient`, shared with the
+serial solver).
 
-What a decomposed domain adds to the resilience layer (the supervised
-loop itself is :func:`repro.resilience.supervisor.run_resilient`, shared
-with the serial solver):
-
-* **coordinated distributed checkpointing** —
-  :class:`DistributedCheckpointRing`: every rank writes its owned
-  conserved block (plus the Newton temperature cache) as a CRC-guarded
-  shard (:func:`repro.io.restart.save_state_shard`), under a two-phase
-  commit: phase one writes and *verifies* every shard in a ``.tmp``
-  slot, phase two renames them into place and only then writes the
-  manifest — the commit record — so a checkpoint torn by a failure
-  mid-write is invisible to recovery and can never be loaded;
-* **the shrink policy's decomposition** — :func:`shrink_decomposition`
-  re-decomposes the domain over the surviving rank count, so the run
-  continues on a smaller world.
+:class:`DistributedCheckpointRing` is coordinated distributed
+checkpointing: every rank writes its owned conserved block (plus the
+Newton temperature cache) as a CRC-guarded shard
+(:func:`repro.io.restart.save_state_shard`), under a two-phase commit:
+phase one writes and *verifies* every shard in a ``.tmp`` slot, phase
+two renames them into place and only then writes the manifest — the
+commit record — so a checkpoint torn by a failure mid-write is
+invisible to recovery and can never be loaded. A failed job restarts
+from it on the same decomposition.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.config import KNOBS
 from repro.resilience.checkpoint import VerifiedRing
-from repro.resilience.errors import (
-    ResilienceExhaustedError,
-    RestartCorruptionError,
-)
+from repro.resilience.errors import RestartCorruptionError
 
-__all__ = [
-    "DistributedCheckpointRing",
-    "RECOVERY_POLICIES",
-    "shrink_decomposition",
-]
-
-#: recognised parallel-recovery policies, in documentation order
-RECOVERY_POLICIES = KNOBS["parallel_recovery"].choices
-
-
-def shrink_decomposition(decomp, new_size: int):
-    """A decomposition of the same grid over at most ``new_size`` ranks.
-
-    Only 1-D slab decompositions (at most one axis with more than one
-    process) can shrink — redistributing a general Cartesian split
-    over an arbitrary survivor count has no unique answer. The slab
-    axis keeps shrinking until every block is at least
-    ``FILTER_HALF_WIDTH`` cells deep — a block must be able to hand its
-    neighbour the five rows of a filter ghost zone; a grid too small to
-    split at all continues on a single rank.
-    """
-    from repro.core.filters import FILTER_HALF_WIDTH
-    from repro.parallel.decomp import CartesianDecomposition
-
-    new_size = int(new_size)
-    if new_size < 1:
-        raise ValueError("cannot shrink to an empty world")
-    split = [a for a, p in enumerate(decomp.proc_shape) if p > 1]
-    if len(split) > 1:
-        raise ResilienceExhaustedError(
-            f"shrink supports 1-D slab decompositions only; "
-            f"{decomp.proc_shape} splits {len(split)} axes"
-        )
-    axis = split[0] if split else int(np.argmax(decomp.global_shape))
-    n = decomp.global_shape[axis]
-    while new_size > 1 and n // new_size < FILTER_HALF_WIDTH:
-        new_size -= 1
-    proc = [1] * decomp.ndim
-    proc[axis] = new_size
-    return CartesianDecomposition(decomp.global_shape, tuple(proc),
-                                  periodic=decomp.periodic)
+__all__ = ["DistributedCheckpointRing"]
 
 
 class DistributedCheckpointRing(VerifiedRing):
@@ -146,12 +97,13 @@ class DistributedCheckpointRing(VerifiedRing):
         for rank in range(n_ranks):
             self._unlink(self.shard_path(step, rank))
 
-    def _load_entry(self, entry):
-        """Manifest + fully-verified shard arrays for one ring entry.
+    def _load_entry(self, entry, proc_shape):
+        """Manifest + fully-verified shard arrays for one ring entry
+        checkpointed on ``proc_shape``.
 
         Raises on any integrity failure so the walk can fall back: a
-        torn or corrupt entry — any bad shard, any bad manifest — is
-        skipped whole."""
+        torn or corrupt entry — any bad shard, any bad manifest, another
+        decomposition — is skipped whole."""
         from repro.io.restart import (
             load_state_shard,
             read_checkpoint_manifest,
@@ -171,52 +123,25 @@ class DistributedCheckpointRing(VerifiedRing):
                     f"{p!r}: shard step {s['step']} does not match "
                     f"manifest step {step}"
                 )
+        if tuple(meta["proc_shape"]) != proc_shape:
+            raise RestartCorruptionError(
+                f"{manifest_path!r}: checkpoint decomposition "
+                f"{tuple(meta['proc_shape'])} does not match the "
+                f"solver's {proc_shape}"
+            )
         return meta, shards
 
     def restore(self, solver) -> dict:
         """Install the newest committed checkpoint that fully verifies.
 
-        Requires the solver's decomposition to match the checkpoint's
-        (the rollback and respawn paths). Returns ``{"step", "path",
+        Requires the solver's decomposition to match the checkpoint's.
+        Returns ``{"step", "path",
         "fallbacks", "skipped"}``.
         """
-        def load(entry):
-            meta, shards = self._load_entry(entry)
-            if tuple(meta["proc_shape"]) != solver.decomp.proc_shape:
-                raise RestartCorruptionError(
-                    f"{entry[1]!r}: checkpoint decomposition "
-                    f"{tuple(meta['proc_shape'])} does not match the "
-                    f"solver's {solver.decomp.proc_shape}"
-                )
-            return meta, shards
-
-        (step, path, _), (meta, shards), skipped = self._newest_usable(load)
+        (step, path, _), (meta, shards), skipped = self._newest_usable(
+            lambda entry: self._load_entry(entry, solver.decomp.proc_shape))
         solver.install_shards(step, meta["time"],
                               [s["u"] for s in shards],
                               [s["cache"] for s in shards])
         return {"step": step, "path": path, "fallbacks": len(skipped),
                 "skipped": skipped}
-
-    def load_global(self) -> dict:
-        """Newest committed checkpoint gathered to a *global* state.
-
-        Rebuilds the checkpoint's own decomposition from its manifest
-        and gathers the shards, so the result can be re-scattered under
-        any new decomposition (the shrink path). Returns ``{"step",
-        "time", "u", "cache", "path", "fallbacks"}`` with ``cache``
-        None when any rank checkpointed cold.
-        """
-        from repro.parallel.decomp import CartesianDecomposition
-
-        (step, path, _), (meta, shards), skipped = self._newest_usable(
-            self._load_entry)
-        old = CartesianDecomposition(
-            tuple(meta["global_shape"]), tuple(meta["proc_shape"]),
-            periodic=tuple(meta["periodic"]),
-        )
-        caches = [s["cache"] for s in shards]
-        return {"step": step, "time": float(meta["time"]),
-                "u": old.gather([s["u"] for s in shards], leading_axes=1),
-                "cache": (None if any(c is None for c in caches)
-                          else old.gather(caches, leading_axes=0)),
-                "path": path, "fallbacks": len(skipped)}

@@ -49,7 +49,7 @@ class FaultSpec:
         wildcard (``"fs.*"`` matches every file-system site).
     mode:
         Effect selector interpreted by the site: ``"error"`` (default),
-        ``"torn"``, ``"stale"``, ``"drop"``, ``"corrupt"``, ``"delay"``,
+        ``"torn"``, ``"stale"``, ``"drop"``, ``"corrupt"``,
         ``"rank_failure"``, ``"timeout"``.
     probability:
         Chance of firing per eligible operation (1.0 = always).

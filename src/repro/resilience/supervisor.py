@@ -18,9 +18,6 @@ action       chosen when             what it does
                                      that verifies
 ``respawn``  ranks died              revive them on the same
                                      decomposition, then roll back
-``shrink``   ranks died and          gather the newest checkpoint,
-             ``policy="shrink"``     re-decompose over the survivors,
-                                     re-scatter
 ===========  ======================  ===================================
 
 Because the conserved-state restart is bit-exact, a recovered run
@@ -66,8 +63,8 @@ RECOVERABLE = (FaultInjectedError, TransientIOError, RestartCorruptionError,
 @dataclass
 class RecoveryEvent:
     """One recovery: what failed, which action answered, where the run
-    resumed from (``policy`` is the action taken: ``"rollback"``,
-    ``"respawn"`` or ``"shrink"``)."""
+    resumed from (``policy`` is the action taken: ``"rollback"`` or
+    ``"respawn"``)."""
 
     at_step: int
     error: str
@@ -76,7 +73,6 @@ class RecoveryEvent:
     fallbacks: int
     policy: str = "rollback"
     dead_ranks: tuple = ()
-    world_size: int = 1
 
 
 @dataclass
@@ -90,8 +86,6 @@ class RunReport:
     checkpoint_fallbacks: int = 0
     faults_seen: int = 0
     ranks_respawned: int = 0
-    shrinks: int = 0
-    final_world_size: int = 1
     history: list = field(default_factory=list)
     #: the checkpoint ring the run checkpointed into (inspect/restore)
     ring: object = None
@@ -157,8 +151,7 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
         policy = resolve("parallel_recovery", policy)
     if policy == "off":
         solver.run(n_steps, dt)
-        return RunReport(steps_completed=solver.step_count,
-                         final_world_size=solver.world_size)
+        return RunReport(steps_completed=solver.step_count)
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
     tel = resolve_telemetry(telemetry if telemetry is not None
@@ -233,9 +226,8 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
                         f"step {solver.step_count}; last fault: {err}"
                     ) from err
                 dead = tuple(sorted(solver.failed_ranks()))
-                action = ("rollback" if not dead
-                          else "shrink" if policy == "shrink" else "respawn")
-                if action == "respawn":
+                action = "respawn" if dead else "rollback"
+                if dead:
                     report.ranks_respawned += len(dead)
                     c_respawned.inc(len(dead))
                 try:
@@ -244,7 +236,6 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
                     break
                 except RECOVERABLE as again:
                     err = again
-            report.shrinks += action == "shrink"
             replay = max(0, failed_at - restored["step"])
             report.replayed_steps += replay
             report.checkpoint_fallbacks += restored["fallbacks"]
@@ -256,7 +247,6 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
                 fallbacks=restored["fallbacks"],
                 policy=action,
                 dead_ranks=dead,
-                world_size=solver.world_size,
             )
             report.history.append(event)
             c_recoveries.inc()
@@ -264,7 +254,6 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
             health.on_recovery(asdict(event))
 
     report.steps_completed = solver.step_count
-    report.final_world_size = solver.world_size
     if health.enabled and report.recoveries:
         # refresh the black box so the dump includes the recovery trail
         health._dump("run complete after recovery")

@@ -10,12 +10,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
     KNOBS,
+    BoundarySpec,
     SolverConfig,
-    check_constraints,
     knob_table_markdown,
     periodic_boundaries,
     resolve,
@@ -33,7 +34,6 @@ IN_CONFIG = [n for n in ALL if KNOBS[n].in_config]
 #: parsed (numeric) knobs: two valid (explicit, env text, resolved)
 #: settings and texts that must be rejected
 PARSED = {
-    "fixed_substeps": ((4, "4", 4), (7, " 7 ", 7), ("abc", "0", "-3", "2.5")),
     "heartbeat": ((2.5, "2.5", 2.5), (1, "1e0", 1.0), ("abc", "-1", "nan")),
     "fault_seed": ((42, "42", 42), (7, "7", 7), ("x7", "1.5")),
 }
@@ -64,11 +64,11 @@ class TestTable:
 
     def test_config_fields_and_env_vars(self):
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert len(fields) == 15
+        assert len(fields) == 14
         assert set(IN_CONFIG) <= set(fields)
         assert all(getattr(SolverConfig(), n) is None for n in IN_CONFIG)
         envs = [k.env for k in KNOBS.values()]
-        assert len(set(envs)) == len(envs) == len(KNOBS) == 10
+        assert len(set(envs)) == len(envs) == len(KNOBS) == 9
         assert all(e.startswith("REPRO_") for e in envs)
 
     def test_defaults_are_valid_settings(self):
@@ -77,17 +77,10 @@ class TestTable:
                 assert resolve(name, knob.default) == knob.default
 
     def test_modules_reexport_the_table_choices(self):
-        import repro.observability
-        from repro.chemistry import implicit
         from repro.parallel import chemlb, comm
-        from repro.resilience import distributed
 
-        assert implicit.CHEMISTRY_MODES is KNOBS["chemistry_mode"].choices
         assert chemlb.POLICIES is KNOBS["chem_load_balance"].choices
         assert comm.TRANSPORTS is KNOBS["transport"].choices
-        assert (distributed.RECOVERY_POLICIES
-                is KNOBS["parallel_recovery"].choices)
-        assert repro.observability.MODES is KNOBS["observability"].choices
 
     def test_committed_docs_table_is_the_rendered_table(self):
         text = (REPO / "docs" / "CONFIG.md").read_text(encoding="utf-8")
@@ -163,7 +156,6 @@ class TestMalformedEnvironmentFailsLoudly:
         ("REPRO_FAULT_SEED", "x7"),        # used to become seed 0
         ("REPRO_TELEMETRY", "enabled"),    # used to mean off
         ("REPRO_TRACING", "maybe"),
-        ("REPRO_CHEM_FIXED_SUBSTEPS", "abc"),
     ])
     def test_unparseable_value_raises_naming_variable_and_text(
             self, env, text, monkeypatch):
@@ -206,7 +198,8 @@ class TestMalformedEnvironmentFailsLoudly:
             monkeypatch.delenv("REPRO_TELEMETRY")
             set_default_telemetry(None)
 
-    @pytest.mark.parametrize("env,bad", [("REPRO_TRANSPORT", "mpi4py")])
+    @pytest.mark.parametrize("env,bad", [("REPRO_TRANSPORT", "mpi4py"),
+                                         ("REPRO_PARALLEL_RECOVERY", "shrink")])
     def test_deleted_choices_list_the_two_that_remain(self, env, bad,
                                                       monkeypatch):
         name = next(n for n, k in KNOBS.items() if k.env == env)
@@ -218,33 +211,40 @@ class TestMalformedEnvironmentFailsLoudly:
             assert repr(choice) in str(exc.value)
 
 
-class TestConstraints:
-    def test_fixed_substeps_requires_strang(self, monkeypatch):
-        with pytest.raises(ValueError, match="requires chemistry_mode='strang'"):
-            check_constraints({"fixed_substeps": 3})
-        with pytest.raises(ValueError, match="got 'explicit'"):
-            check_constraints({"fixed_substeps": 3,
-                               "chemistry_mode": "explicit"})
-        check_constraints({"fixed_substeps": 3, "chemistry_mode": "strang"})
-        monkeypatch.setenv("REPRO_CHEMISTRY_MODE", "strang")
-        check_constraints({"fixed_substeps": 3})
+class TestDeletedValues:
+    """Values nothing selected are gone, and say so by name."""
 
-    def test_environment_fixed_substeps_is_ignored_outside_strang(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "4")
-        check_constraints({"fixed_substeps": None,
-                           "chemistry_mode": "explicit"})
-        grid = Grid((16,), (1.0,), periodic=(True,))
-        SolverConfig(boundaries=periodic_boundaries(1),
-                     chemistry_mode="explicit").validate(grid)
+    @pytest.mark.parametrize("name,value", [
+        ("observability", "all"),
+        ("observability", "yes"),
+        ("observability", True),
+        ("observability", ""),
+    ])
+    def test_deleted_value_raises_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            resolve(name, value)
 
-    def test_config_validate_checks_the_constraint(self):
-        grid = Grid((16,), (1.0,), periodic=(True,))
-        bcs = periodic_boundaries(1)
-        with pytest.raises(ValueError, match="requires chemistry_mode"):
-            SolverConfig(boundaries=bcs, fixed_substeps=2).validate(grid)
-        SolverConfig(boundaries=bcs, fixed_substeps=2,
-                     chemistry_mode="strang").validate(grid)
+    def test_soft_inflow_is_not_a_boundary_kind(self):
+        with pytest.raises(ValueError, match="'nonreflecting_inflow'"):
+            BoundarySpec("nonreflecting_inflow", velocity=(1.0,),
+                         temperature=300.0, mass_fractions=(1.0,))
+
+    def test_fixed_substeps_is_not_a_knob(self, h2_mech, monkeypatch):
+        from repro.core.solver import S3DSolver
+        from repro.core.state import State
+
+        monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "5")
+        grid = Grid((8,), (1e-3,), periodic=(True,))
+        n = h2_mech.n_species
+        Y = np.full((n,) + grid.shape, 1.0 / n)
+        T = np.full(grid.shape, 1100.0)
+        state = State.from_primitive(h2_mech, grid,
+                                     h2_mech.density(101325.0, T, Y),
+                                     [0.0], T, Y)
+        cfg = SolverConfig(boundaries=periodic_boundaries(1), dt=1e-9,
+                           chemistry_mode="strang")
+        assert S3DSolver(state, cfg)._chem.fixed_substeps is None
+        assert "fixed_substeps" not in KNOBS
 
 
 @pytest.mark.parametrize("name", IN_CONFIG)
@@ -261,8 +261,6 @@ class TestSolverConfigValidate:
         grid = Grid((16,), (1.0,), periodic=(True,))
         for explicit, _, _ in _settings(name):
             fields = {name: explicit}
-            if name == "fixed_substeps":
-                fields["chemistry_mode"] = "strang"
             SolverConfig(boundaries=periodic_boundaries(1),
                          **fields).validate(grid)
 

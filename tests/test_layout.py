@@ -19,10 +19,26 @@ body, passes the keyword by name (the callee is not resolved), calls the
 callable's name with enough positional arguments to reach it, or
 forwards ``*args`` / ``**kwargs`` into such a call. A keyword nothing
 passes is a constant.
+
+And for the values those keywords and knobs take: every choice and
+alias of a :data:`~repro.core.config.KNOBS` row, every parsed knob as a
+whole, every kind in ``BOUNDARY_KINDS`` and every key of the chemistry
+balancer's planner table must be selected by code in those roots,
+outside its defining table — passed as a call argument, assigned, or
+listed in a literal — or by a CI workflow's environment setting of the
+knob's variable (matrix entries included). A comparison operand, a
+docstring, a comment or a test selects nothing; a knob's default counts
+as selected. The boolean knobs' shared text parser ``_SWITCH`` is exempt
+for the reason a parsed knob's accepted texts are. A value nothing
+selects is deleted with every branch only it reached, or named below.
 """
 
 import ast
 import pathlib
+import re
+
+from repro.core.config import _SWITCH, BOUNDARY_KINDS, KNOBS
+from repro.parallel.chemlb import _PLANNERS
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -63,13 +79,6 @@ UNDRIVEN = {
         "the run-record item's decision (ROADMAP)",
     "parallel/solver.py:ParallelPeriodicSolver.fused_profile":
         "the only reader of the rank_telemetry output; as export_timeline",
-    "parallel/comm.py:InProcessTransport.deliver_delayed":
-        "releases what the mpi.send 'delay' fault parked; no run releases "
-        "late packets yet, and dropping the delay fault is the resilience "
-        "item's decision (ROADMAP)",
-    "parallel/comm.py:InProcessTransport.pending_messages":
-        "as deliver_delayed: what the fault tests count to see a parked "
-        "message did not arrive",
 }
 
 
@@ -89,6 +98,15 @@ UNDRIVEN_KEYWORDS = {
     "resilience/faults.py:FaultInjector.add(probability)":
         "the seeded random-fault lanes of the resilience and transport "
         "conformance suites; no benchmark injects faults at random yet",
+}
+
+#: values nothing selects, kept on purpose. ``KNOBS:knob=value``,
+#: ``KNOBS:knob`` (a parsed knob), ``BOUNDARY_KINDS:kind`` or
+#: ``_PLANNERS:key`` -> why.
+UNDRIVEN_VALUES = {
+    "KNOBS:heartbeat":
+        "the multiprocessing liveness deadline: a safety setting, armed "
+        "only by the recovery tests that hang a worker on purpose",
 }
 
 ROOTS = ("src", "benchmarks", "examples")
@@ -294,3 +312,160 @@ def test_keywords_are_driven_by_name_position_or_forwarding(tmp_path):
         "make(size=2).grow()\n")
     assert _undriven_keywords(tmp_path) == {
         "mod.py:f(unpassed)", "mod.py:f(kw_only)", "mod.py:Box.grow(step)"}
+
+
+#: the defining tables, whose own entries select nothing
+_TABLES = {"KNOBS", "_SWITCH", "BOUNDARY_KINDS", "_PLANNERS"}
+
+
+def _selections(source):
+    """``(values, names)`` that ``source`` selects: the typed constants
+    it passes as call arguments, assigns, or lists in a literal —
+    comparisons and the defining tables skipped — and the keywords and
+    assignment targets it gives a constant other than ``None``."""
+    values, names, todo = set(), set(), [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Compare) or (
+                isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) in _TABLES
+                        for t in node.targets)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            picked = node.args + [k.value for k in node.keywords]
+            given = [(k.arg, k.value) for k in node.keywords]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            picked = [node.value]
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            given = [(getattr(t, "id", None) or getattr(t, "attr", None),
+                      node.value) for t in targets]
+        elif isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+            picked, given = node.elts, []
+        elif isinstance(node, ast.Dict):
+            picked, given = node.keys + node.values, []
+        else:
+            continue
+        values.update((type(v.value), v.value) for v in picked
+                      if isinstance(v, ast.Constant))
+        names.update(name for name, v in given if isinstance(v, ast.Constant)
+                     and v.value is not None)
+    return values, names
+
+
+def _ci_settings(repo):
+    """``REPRO_*`` variable -> the lower-cased values CI workflows set
+    it to, a ``${{ matrix.key }}`` reference expanded to the job's
+    matrix entries."""
+    found = {}
+    for path in sorted((repo / ".github" / "workflows").glob("*.y*ml")):
+        text = path.read_text(encoding="utf-8")
+        for job in re.split(r"^  [\w-]+:\s*$", text, flags=re.MULTILINE):
+            matrix = {key: re.findall(r"[\w.-]+", items) for key, items in
+                      re.findall(r"^\s+([\w-]+):\s*\[(.*)\]", job,
+                                 re.MULTILINE)}
+            for var, value in re.findall(r"^\s+(REPRO_\w+):\s*(.+?)\s*$",
+                                         job, re.MULTILINE):
+                ref = re.fullmatch(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}",
+                                   value)
+                found.setdefault(var, set()).update(
+                    matrix.get(ref.group(1), ()) if ref
+                    else [value.strip("'\"")])
+    return {var: {v.lower() for v in vals} for var, vals in found.items()}
+
+
+def _audited_values(knobs, kinds, planners):
+    """``(key, value, knob)`` of every value the rule audits; ``value``
+    is ``None`` for a parsed knob, audited as a whole, and ``knob`` is
+    ``None`` outside the knob table. A knob's default is left out."""
+    for name, knob in knobs.items():
+        if knob.parse is not None:
+            yield f"KNOBS:{name}", None, knob
+            continue
+        spellings = list(knob.choices)
+        if knob.aliases is not _SWITCH:
+            spellings += list(knob.aliases)
+        for value in spellings:
+            if (type(value), value) != (type(knob.default), knob.default):
+                yield f"KNOBS:{name}={value}", value, knob
+    for kind in kinds:
+        yield f"BOUNDARY_KINDS:{kind}", kind, None
+    for key in planners:
+        yield f"_PLANNERS:{key}", key, None
+
+
+def _undriven_values(repo=REPO, knobs=KNOBS, kinds=BOUNDARY_KINDS,
+                     planners=_PLANNERS):
+    values, names = set(), set()
+    for d in ROOTS:
+        for path in sorted((repo / d).rglob("*.py")):
+            got = _selections(path.read_text(encoding="utf-8"))
+            values |= got[0]
+            names |= got[1]
+    ci = _ci_settings(repo)
+    found = set()
+    for key, value, knob in _audited_values(knobs, kinds, planners):
+        set_by_ci = knob is not None and knob.env in ci
+        if value is None:
+            driven = knob.name in names or set_by_ci
+        else:
+            driven = (type(value), value) in values or (
+                set_by_ci and str(value).lower() in ci[knob.env])
+        if not driven:
+            found.add(key)
+    return found
+
+
+def test_every_value_has_a_driver():
+    assert len(UNDRIVEN_VALUES) <= 3
+    assert all(UNDRIVEN_VALUES.values())
+    assert _undriven_values() == set(UNDRIVEN_VALUES)
+
+
+def test_values_are_driven_by_code_or_ci(tmp_path):
+    """A value passed as a keyword in an example, listed in a literal,
+    or set by a CI env matrix is driven; one only compared against in
+    ``src/``, or named only in a docstring or in ``tests/``, is not —
+    and neither is a parsed knob only a test sets."""
+    from repro.core.config import Knob
+
+    for d in ("src", "examples", "tests", ".github/workflows"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src" / "mod.py").write_text(
+        '"""Pass mode="documented" to get the documented mode."""\n'
+        "def run(mode, kind):\n"
+        '    if mode == "compared" or kind in ("kind_compared",):\n'
+        "        return 1\n"
+        '    return [kind, "kind_listed"]\n')
+    (tmp_path / "examples" / "demo.py").write_text(
+        "import mod\n\n"
+        'mod.run(mode="by_keyword", kind="kind_passed")\n')
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "import mod\n\n"
+        'mod.run(mode="tested", kind="kind_tested")\n'
+        "deadline = 3.0\n")
+    (tmp_path / ".github" / "workflows" / "ci.yml").write_text(
+        "jobs:\n"
+        "  lane:\n"
+        "    strategy:\n"
+        "      matrix:\n"
+        '        m: ["in_matrix", "Also_Matrix"]\n'
+        "    steps:\n"
+        "      - run: pytest\n"
+        "        env:\n"
+        "          REPRO_MODE: ${{ matrix.m }}\n"
+        "          REPRO_SEED: 7\n")
+    knobs = {k.name: k for k in (
+        Knob("mode", "REPRO_MODE", "default", "",
+             choices=("default", "by_keyword", "in_matrix", "also_matrix",
+                      "compared", "documented", "tested"),
+             aliases={"alias_tested": "tested"}),
+        Knob("seed", "REPRO_SEED", None, "", parse=int),
+        Knob("deadline", "REPRO_DEADLINE", 0.0, "", parse=float),
+    )}
+    kinds = ("kind_passed", "kind_listed", "kind_compared", "kind_tested")
+    assert _undriven_values(tmp_path, knobs, kinds, {}) == {
+        "KNOBS:mode=compared", "KNOBS:mode=documented", "KNOBS:mode=tested",
+        "KNOBS:mode=alias_tested", "KNOBS:deadline",
+        "BOUNDARY_KINDS:kind_compared", "BOUNDARY_KINDS:kind_tested"}

@@ -269,18 +269,6 @@ class TestInProcessTransportFaults:
         assert received.shape == payload.shape
         assert not np.array_equal(received, payload)
 
-    def test_delayed_message(self):
-        inj = FaultInjector(seed=SEED)
-        inj.add("mpi.send", mode="delay", count=1)
-        world = InProcessTransport(2, fault_injector=inj)
-        world.comm(0).Send(np.ones(2), dest=1, tag=3)
-        assert not world.comm(1).probe(source=0, tag=3)
-        with pytest.raises(MessageNotFoundError, match="delayed message"):
-            world.comm(1).Recv(source=0, tag=3)
-        assert world.deliver_delayed() == 1
-        np.testing.assert_array_equal(world.comm(1).Recv(source=0, tag=3),
-                                      np.ones(2))
-
     def test_rank_failure(self):
         inj = FaultInjector(seed=SEED)
         inj.add("mpi.send", mode="rank_failure", count=1, rank=1)
@@ -579,7 +567,6 @@ class TestSupervisorContract:
         assert np.array_equal(solver.state.u, _fault_free(kind))
         assert report.steps_completed == N_SUPERVISED
         assert report.recoveries == len(report.history) == 1
-        assert report.final_world_size == solver.world_size
         counters = tel.metrics.counters
         assert counters["resilience.recoveries"].value == report.recoveries
         assert (counters["resilience.replayed_steps"].value
@@ -589,7 +576,6 @@ class TestSupervisorContract:
         assert tel.tracer.stats["RECOVERY"].count == report.recoveries
         ev = report.history[0]
         assert (ev.policy, ev.dead_ranks) == ("rollback", ())
-        assert ev.world_size == solver.world_size
         assert ev.at_step - ev.restored_step == report.replayed_steps
         assert ev.restored_path
 

@@ -13,9 +13,7 @@ The contract under test (ISSUE 10):
 * the trace-derived per-rank chemistry shares agree with the chemistry
   balancer's independently-measured ``rank_seconds`` within 5%,
 * the metrics registry is scrapable over localhost HTTP in Prometheus
-  text format,
-* ``fixed_substeps`` plumbs from ``SolverConfig`` /
-  ``REPRO_CHEM_FIXED_SUBSTEPS`` into the implicit integrator.
+  text format.
 """
 
 import json
@@ -261,20 +259,6 @@ class TestTransportPiggyback:
         assert np.array_equal(world.comm(1).Recv(source=0, tag=1), np.ones(3))
         assert not world._trace_ctx
 
-    def test_delayed_message_keeps_context(self):
-        from repro.resilience.faults import FaultInjector
-
-        inj = FaultInjector()
-        inj.add("mpi.send", mode="delay", probability=1.0, count=1)
-        tel = Telemetry(tracing=True)
-        world = self._world(telemetry=tel, injector=inj)
-        world.comm(0).Send(np.arange(4.0), dest=1, tag=2)
-        assert world.pending_messages() == 0  # parked, not delivered
-        assert world.deliver_delayed() == 1
-        world.comm(1).Recv(source=0, tag=2)
-        send, recv = tel.tracelog.events
-        assert recv.parent == send.id
-
     def test_dropped_message_not_traced(self):
         from repro.resilience.faults import FaultInjector
 
@@ -483,77 +467,6 @@ class TestMetricsEndpoint:
             _, snap = self._get(ep, "/snapshot.json")
         events = json.loads(snap)["trace"]["events"]
         assert [e["name"] for e in events] == ["STEP"]
-
-
-# ---------------------------------------------------------------------------
-# fixed_substeps plumbing (satellite: SolverConfig / env -> integrator)
-# ---------------------------------------------------------------------------
-class TestFixedSubstepsPlumbing:
-    def test_resolver_explicit_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHEM_FIXED_SUBSTEPS", raising=False)
-        assert resolve("fixed_substeps") is None
-        assert resolve("fixed_substeps", 4) == 4
-        monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "6")
-        assert resolve("fixed_substeps") == 6
-        assert resolve("fixed_substeps", 2) == 2  # explicit wins
-        with pytest.raises(ValueError):
-            resolve("fixed_substeps", 0)
-        monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "many")
-        with pytest.raises(ValueError):
-            resolve("fixed_substeps")
-
-    def test_config_validate_rejects_bad_count(self):
-        from repro.core.config import SolverConfig, periodic_boundaries
-        from repro.core.grid import Grid
-
-        grid = Grid((8, 8), (1.0, 1.0), periodic=(True, True))
-        cfg = SolverConfig(boundaries=periodic_boundaries(2), dt=1e-8,
-                           fixed_substeps=0)
-        with pytest.raises(ValueError):
-            cfg.validate(grid)
-
-    def _strang_solver(self, h2_mech, **cfg_kwargs):
-        from repro.core.config import SolverConfig, periodic_boundaries
-        from repro.core.grid import Grid
-        from repro.core.solver import S3DSolver
-        from repro.core.state import State
-        from repro.util.constants import P_ATM
-
-        grid = Grid((12, 12), (1e-3, 1e-3), periodic=(True, True))
-        n = h2_mech.n_species
-        Y = np.full((n,) + grid.shape, 1.0 / n)
-        T = np.full(grid.shape, 1100.0)
-        rho = h2_mech.density(P_ATM, T, Y)
-        state = State.from_primitive(h2_mech, grid, rho, [0.0, 0.0], T, Y)
-        cfg_kwargs.setdefault("chemistry_mode", "strang")
-        cfg = SolverConfig(boundaries=periodic_boundaries(2), dt=1e-9,
-                           **cfg_kwargs)
-        return S3DSolver(state, cfg, reacting=True)
-
-    def test_config_plumbs_to_integrator(self, h2_mech):
-        solver = self._strang_solver(h2_mech, fixed_substeps=3)
-        assert solver._chem.fixed_substeps == 3
-
-    def test_env_plumbs_to_integrator(self, h2_mech, monkeypatch):
-        monkeypatch.setenv("REPRO_CHEM_FIXED_SUBSTEPS", "5")
-        solver = self._strang_solver(h2_mech)
-        assert solver._chem.fixed_substeps == 5
-
-    def test_explicit_mode_rejects_fixed_substeps(self, h2_mech):
-        with pytest.raises(ValueError, match="strang"):
-            self._strang_solver(h2_mech, chemistry_mode="explicit",
-                                fixed_substeps=2)
-
-    def test_parallel_solver_rejects_outside_strang(self, h2_mech):
-        from repro.analysis.golden import lifted_jet_parallel_solver
-
-        with pytest.raises(ValueError, match="strang"):
-            lifted_jet_parallel_solver("inprocess", fixed_substeps=2)
-
-
-def _strang_solver_cfg_note():
-    """(The lifted-jet parallel scenario runs explicit chemistry, so the
-    rejection above exercises the parallel solver's guard.)"""
 
 
 # ---------------------------------------------------------------------------
