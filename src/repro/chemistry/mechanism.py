@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.chemistry.kinetics import KineticsEvaluator
 from repro.chemistry.species import element_weight
-from repro.chemistry.thermo import ThermoTable
+from repro.chemistry.thermo import ThermoTable, tiles
 from repro.util.constants import RU
 from repro.util.reduction import axis0_sum
 
@@ -176,18 +176,29 @@ class Mechanism:
     # ------------------------------------------------------------------
     # chemical source terms
     # ------------------------------------------------------------------
-    def production_rates(self, rho, T, Y):
-        """Mass production rates W_i ω̇_i [kg/(m^3 s)], shape (Ns,)+S.
+    def production_rates(self, rho, T, Y, out=None):
+        """Mass production rates W_i ω̇_i [kg/(m^3 s)], shape (Ns,)+S,
+        into ``out`` (C-contiguous, ``Y``'s shape) when given.
 
-        Returns zeros for inert mechanisms (no reactions).
+        Zeros for inert mechanisms (no reactions). The field is walked in
+        tiles (:func:`~repro.chemistry.thermo.tiles`): concentrations,
+        rates and the ``W_i`` product of one tile at a time, so no
+        ``(Nr,) + S`` or ``(Ns,) + S`` transient is formed; every step is
+        per cell, so the tiling moves no bits. The concentrations are
+        formed in ``out``, which the rates then overwrite.
         """
         Y = np.asarray(Y, dtype=float)
+        out = np.empty(Y.shape) if out is None else out
         if self.kinetics is None:
-            return np.zeros_like(Y)
-        C = self.concentrations(rho, Y)
-        wdot = self.kinetics.production_rates(np.asarray(T, dtype=float), C)
-        w = self.weights.reshape((-1,) + (1,) * (Y.ndim - 1))
-        return wdot * w
+            out.fill(0.0)
+            return out
+        T = np.asarray(T, dtype=float)
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), T.shape)
+        for rho_t, T_t, Y_t, out_t in tiles(T.shape, rho, T, Y, out):
+            w = self._wshape(Y_t)[0]
+            C = np.divide(np.multiply(rho_t, Y_t, out=out_t), w, out=out_t)
+            np.multiply(self.kinetics.production_rates(T_t, C), w, out=out_t)
+        return out
 
     def production_rates_cells(self, rho_cells, T_cells, Y_cells):
         """Mass production rates for a flat cell list, shape (Ns, ncells).

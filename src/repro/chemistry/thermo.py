@@ -130,8 +130,35 @@ def _horner(T, c, div, out, logT=None):
 #: Newton temperature iterates are clipped into this band [K]
 T_BOUNDS = (50.0, 6000.0)
 
-#: cells per tile of the temperature solve (18 scratch rows of this length)
+#: cells per tile of every pointwise kernel that walks a whole field: the
+#: temperature solve (18 scratch rows of this length), the production
+#: rates, the stable-dt reductions and the transport kernel (``10 Ns + 3``
+#: rows; measured fastest of 256 ... 32768 there: the ~330 ufunc calls
+#: of a tile amortised, its ``(Ns - 1, tile)`` pair blocks in L2)
 TILE_CELLS = 8192
+
+
+def tile_edges(n):
+    """``[(a, b), ...]``: ``n`` cells in even tiles of <= :data:`TILE_CELLS`."""
+    k = -(-n // TILE_CELLS) or 1
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
+def tiles(shape, *fields):
+    """The tiles of ``fields`` (arrays ``(...) + shape``), one tuple each.
+
+    A field of at most one tile is its own tile — the kernels see the
+    arrays themselves, which is what the property memo of
+    :class:`ThermoTable` is keyed on; a larger one is cut into flat
+    ``(..., m)`` views by :func:`tile_edges`. Outputs must be
+    C-contiguous, so that their views write through.
+    """
+    n = int(np.prod(shape))
+    if n <= TILE_CELLS:
+        return [fields]
+    flat = [f.reshape(f.shape[: f.ndim - len(shape)] + (n,)) for f in fields]
+    return [[f[..., a:b] for f in flat] for a, b in tile_edges(n)]
+
 
 #: h / Ru = T (a0 + T (a1/2 + T (a2/3 + T (a3/4 + T a4/5)))) + a5
 _H_DIVISORS = np.array([2.0, 3.0, 4.0, 5.0])[:, None]
@@ -189,9 +216,12 @@ class ThermoTable:
     (single slot, fingerprint-revalidated): one RHS evaluation asks for
     the same converged-T enthalpies several times (species enthalpies for
     the heat flux, Gibbs energies for equilibrium constants, heat
-    release), and the memo makes every repeat free. Memoized arrays are
-    returned read-only; callers that combine them (``h / w`` etc.) already
-    produce fresh arrays.
+    release), and the memo makes every repeat free. A view into a larger
+    array (a tile, a face) is never stored: a tile of the memoised field
+    reads its slice of the entry, anything else is evaluated, and walking
+    a field in tiles never evicts the field's entry. Memoized
+    arrays are returned read-only; callers that combine them (``h / w``
+    etc.) already produce fresh arrays.
     """
 
     def __init__(self, fits: list[Nasa7]):
@@ -241,8 +271,18 @@ class ThermoTable:
         T = np.asarray(T, dtype=float)
         if T.size < self._MEMO_MIN_SIZE:
             return compute(T)
-        fp = self._fingerprint(T)
         cache = self._prop_cache
+        if isinstance(T.base, np.ndarray) and T.base.size > T.size:
+            # a tile (:func:`tiles`): the slice of the field's entry, never stored
+            field = cache[0] if cache is not None else None
+            value = cache[2].get(key) if T.base is field else None
+            if (value is not None and T.strides == (8,)
+                    and field.flags.c_contiguous
+                    and self._fingerprint(field) == cache[1]):
+                a = (T.ctypes.data - field.ctypes.data) // 8
+                return value.reshape(self.n_species, -1)[:, a : a + T.size]
+            return compute(T)
+        fp = self._fingerprint(T)
         if cache is not None and cache[0] is T and cache[1] == fp:
             value = cache[2].get(key)
             if value is not None:
@@ -383,9 +423,7 @@ class ThermoTable:
         tabs *= (RU / np.asarray(weights, dtype=float))[:, None]
         tabs = tabs[..., None]  # columns against (n,) rows of Y
         # cells are independent: solve them in even, cache-sized tiles
-        tiles = -(-Tf.size // TILE_CELLS) or 1
-        edges = np.linspace(0, Tf.size, tiles + 1).astype(int)
-        for a, b in zip(edges[:-1], edges[1:]):
+        for a, b in tile_edges(Tf.size):
             self._newton(tabs, Yf[:, a:b], Tf[a:b], goal[a:b], tol, max_iter)
         return T
 

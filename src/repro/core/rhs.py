@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.chemistry.thermo import tiles
 from repro.core.derivatives import gradient_operators
 from repro.core.kernels import species_diffusive_flux_dir
 from repro.core import nscbc
 from repro.core.workspace import Workspace
+from repro.util.reduction import axis0_sum
 from repro.telemetry import resolve as resolve_telemetry
 
 
@@ -367,7 +369,7 @@ class CompressibleRHS:
                 np.negative(lam, out=neg_lam)
                 for b in range(ndim):
                     np.multiply(h_i, flux_j[:, b], out=tmp_ns)
-                    np.sum(tmp_ns, axis=0, out=hq)
+                    axis0_sum(tmp_ns, out=hq)
                     np.multiply(neg_lam, grads[b, idx_t], out=flux_q[b])
                     flux_q[b] += hq
         ev.fstacks = {
@@ -396,12 +398,14 @@ class CompressibleRHS:
         if not (self.reacting and mech.n_reactions):
             self.last_heat_release = ws.zeros("rhs.heat_release", pc.rho.shape)
             return
+        shape = (mech.n_species,) + pc.rho.shape
         with self.telemetry.span("REACTION_RATES"):
-            ev.wdot = mech.production_rates(pc.rho, pc.T, pc.Y)
+            ev.wdot = mech.production_rates(pc.rho, pc.T, pc.Y,
+                                            out=ws.array("rhs.wdot", shape))
         hr = ws.array("rhs.heat_release", pc.rho.shape)
-        tmp_ns = ws.array("rhs.tmp_ns", (mech.n_species,) + pc.rho.shape)
+        tmp_ns = ws.array("rhs.tmp_ns", shape)
         np.multiply(pc.h_i, ev.wdot, out=tmp_ns)
-        np.sum(tmp_ns, axis=0, out=hr)
+        axis0_sum(tmp_ns, out=hr)
         np.negative(hr, out=hr)
         self.last_heat_release = hr
 
@@ -501,7 +505,6 @@ class CompressibleRHS:
             self.sources()
         if ev.wdot is not None:
             du[st.species_slice] += ev.wdot[:nt]
-            ev.wdot = None  # not kept alive into the next evaluation
 
         # -- characteristic boundary handling -----------------------------
         if self._needs_nscbc:
@@ -645,20 +648,30 @@ class CompressibleRHS:
         whatever the scheme (see :meth:`_eval_props`).
         """
         pc = self._eval_props(self.state.u)
-        rho, vel, T, Y = pc.rho, pc.vel, pc.T, pc.Y
-        # frozen sound speed sqrt(gamma R T), gamma = cp / (cp - R)
-        cp = self.mech.cp_mass(T, Y)
-        r = self.mech.gas_constant(Y)
-        a = np.sqrt(cp / (cp - r) * r * T)
+        props = pc.props
+        fields = [pc.rho, pc.T, pc.Y, *pc.vel]
+        if props is not None:
+            fields += [props.viscosity, props.conductivity]
+        # per tile: max(|u_b| + a) per axis b (then max nu, max alpha);
+        # a max is exact, so the tiles' maxima are the field's
+        peaks = []
+        for rho, T, Y, *rest in tiles(pc.T.shape, *fields):
+            # frozen sound speed sqrt(gamma R T), gamma = cp / (cp - R)
+            cp = self.mech.cp_mass(T, Y)
+            r = self.mech.gas_constant(Y)
+            a = np.sqrt(cp / (cp - r) * r * T)
+            peak = [(np.abs(v) + a).max() for v in rest[: self.ndim]]
+            if props is not None:
+                mu, lam = rest[self.ndim :]
+                peak += [(mu / rho).max(), (lam / (rho * cp)).max()]
+            peaks.append(peak)
+        peaks = np.max(peaks, axis=0).tolist()
         dt = np.inf
         for axis in range(self.ndim):
             dx = 1.0 / np.abs(self.grid.inv_metric[axis]).max()
-            vmax = float((np.abs(vel[axis]) + a).max())
-            dt = min(dt, cfl * dx / vmax)
-        if self.transport is not None:
-            props = pc.props
-            nu = float((props.viscosity / rho).max())
-            alpha = float((props.conductivity / (rho * cp)).max())
+            dt = min(dt, cfl * dx / peaks[axis])
+        if props is not None:
+            nu, alpha = peaks[self.ndim :]
             dmax = max(nu, alpha, float(props.diffusivities.max()))
             dx = self.grid.min_spacing
             if dmax > 0:

@@ -33,19 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.chemistry.thermo import tiles
 from repro.transport.collision import OMEGA11_FIT, OMEGA22_FIT, omega11, omega22
 from repro.util.constants import AVOGADRO, BOLTZMANN, RU
 from repro.util.reduction import axis0_sum
 
 _ANGSTROM = 1e-10
-
-#: grid points per tile of the evaluation kernel: its ``10 Ns + 3``
-#: scratch rows are this wide. Large enough that the ~330 ufunc calls a
-#: tile issues are amortised (their fixed cost is a third of the time at
-#: 2048 points), small enough that the ``(Ns - 1, tile)`` pair blocks a
-#: pass streams through (0.5 MB for the 9-species H2 mechanism) stay in
-#: L2 — measured fastest of 256 ... 32768 on 4 356 and 32 768 points.
-TILE_POINTS = 8192
 
 #: CHEMKIN regularisation of eq. (17): D_i^mix stays finite as X_i -> 1
 _TINY = 1e-30
@@ -241,7 +234,8 @@ class MixtureAveragedTransport:
         warm); without one they are fresh arrays. Either way the values
         are the same bits, and — every operation being element-wise over
         points, with species sums in fixed index order — they do not
-        depend on the batch shape or on :data:`TILE_POINTS`.
+        depend on the batch shape or on the tiles
+        (:func:`~repro.chemistry.thermo.tiles`).
         """
         T = np.asarray(T, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -260,20 +254,21 @@ class MixtureAveragedTransport:
         if self.soret:
             theta = alloc("tr.theta", (ns,) + S)
             theta.fill(0.0)
-        # the tail tile reuses the same slot through views: requesting
-        # its own shape would reallocate the slot on every evaluation
-        width = max(1, min(n, TILE_POINTS))
-        tile = alloc("tr.tile", (10 * ns + 3, width))
-        # every operand with the points as one trailing axis (a scalar
-        # pressure as a stride-0 view), so a tile is one slice of each
-        flat = lambda a: a.reshape(a.shape[: a.ndim - T.ndim] + (n,))
-        operands = [flat(x) for x in (
-            T, np.broadcast_to(p, S), Y, self.mech.thermo.cp_molar(T), visc, cond, diff,
-        )]
-        if theta is not None:
-            operands.append(flat(theta))
-        for a in range(0, n, width):
-            self._evaluate_tile(tile, *(x[..., a : a + width] for x in operands))
+        # a scalar pressure joins as a stride-0 view
+        parts = tiles(S, T, np.broadcast_to(p, S), Y, visc, cond, diff,
+                      *([] if theta is None else [theta]))
+        # one slot for the widest tile, the narrower ones use views of
+        # it: requesting their own shape would reallocate every evaluation
+        tile = alloc("tr.tile", (10 * ns + 3, max(1, -(-n // len(parts)))))
+        for T_t, *rest in parts:
+            # per tile: cp never exists as an (Ns,) + S table; a field of
+            # one tile asks for it on the field itself, the memoised
+            # table stable_dt reads again
+            cp = self.mech.thermo.cp_molar(T_t)
+            m = T_t.size
+            self._evaluate_tile(tile, *(
+                x.reshape(x.shape[: x.ndim - T_t.ndim] + (m,))
+                for x in (T_t, rest[0], rest[1], cp, *rest[2:])))
         return TransportProperties(visc, cond, diff, theta)
 
     def _evaluate_tile(self, tile, T, p, Y, cp, visc, cond, diff, theta=None):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import repro.chemistry.thermo as thermo
 import repro.transport.mixture as mixture
 from repro.core.workspace import Workspace
 from repro.transport import MixtureAveragedTransport
@@ -136,7 +137,7 @@ class TestOneKernelForEveryCaller:
     @pytest.mark.parametrize("soret", [False, True])
     def test_plain_and_workspace_calls_are_the_same_bits(self, rng, h2_mech, soret,
                                                          monkeypatch):
-        monkeypatch.setattr(mixture, "TILE_POINTS", 16)  # 60 points: tail tile
+        monkeypatch.setattr(thermo, "TILE_CELLS", 16)  # 60 points: four tiles
         tr = MixtureAveragedTransport(h2_mech, soret=soret)
         T = 300.0 + 2000.0 * rng.random((6, 10))
         p = P_ATM * (0.5 + rng.random((6, 10)))
@@ -187,10 +188,9 @@ class TestBatchShapeIndependence:
 
     @settings(max_examples=25, deadline=None)
     @given(data=hst.data())
-    def test_sub_batches_permutations_and_tiles(self, data, h2_mech):
+    def test_sub_batches_and_permutations(self, data, h2_mech):
         n = data.draw(hst.integers(2, 40), label="points")
         seed = data.draw(hst.integers(0, 2**31 - 1), label="seed")
-        tile = data.draw(hst.sampled_from([1, 2, 3, 7, 16, 8192]), label="tile")
         rng = np.random.default_rng(seed)
         tr = MixtureAveragedTransport(h2_mech, soret=True)
         T = 250.0 + 3000.0 * rng.random(n)
@@ -200,18 +200,11 @@ class TestBatchShapeIndependence:
         whole = _fields(tr.evaluate(T, p, Y))
         perm = rng.permutation(n)
         cut = data.draw(hst.integers(1, n - 1), label="cut")
-        saved = mixture.TILE_POINTS
-        mixture.TILE_POINTS = tile
-        try:
-            tiled = _fields(tr.evaluate(T, p, Y))
-            permuted = _fields(tr.evaluate(T[perm], p[perm], Y[:, perm]))
-            parts = [_fields(tr.evaluate(T[s], p[s], Y[:, s]))
-                     for s in (slice(0, cut), slice(cut, n))]
-            one = _fields(tr.evaluate(T[cut], p[cut], Y[:, cut]))  # 0-d
-        finally:
-            mixture.TILE_POINTS = saved
+        permuted = _fields(tr.evaluate(T[perm], p[perm], Y[:, perm]))
+        parts = [_fields(tr.evaluate(T[s], p[s], Y[:, s]))
+                 for s in (slice(0, cut), slice(cut, n))]
+        one = _fields(tr.evaluate(T[cut], p[cut], Y[:, cut]))  # 0-d
         for k, ref in enumerate(whole):
-            assert np.array_equal(tiled[k], ref)
             assert np.array_equal(permuted[k], ref[..., perm])
             assert np.array_equal(np.concatenate([q[k] for q in parts], axis=-1), ref)
             assert np.array_equal(one[k], ref[..., cut])
