@@ -21,16 +21,6 @@ The committed gate enforces the design contract of the null path:
 * the final state under ``full`` is bitwise identical to ``off`` —
   watchdogs observe, they never perturb.
 
-A second section measures *distributed tracing* on a production-shaped
-step — a 2-D reacting H2 lifted-jet stripe on a 32x32 box — where the
-contract is:
-
-* tracing off leaves the step on the null-telemetry path (gated by the
-  null-path ceiling above, which tracing must not regress), and
-* tracing on (every kernel span becoming a timeline TraceEvent) costs
-  < 5 % of the reacting step, and leaves the solution bitwise
-  identical.
-
 Results land in ``BENCH_observability.json``.
 
 Usage::
@@ -64,9 +54,6 @@ DEFAULT_JSON = os.path.join(
 
 #: acceptance ceiling: the null path may cost at most this much
 OVERHEAD_CEILING = 0.01
-
-#: acceptance ceiling: full trace-event recording on the reacting case
-TRACING_OVERHEAD_CEILING = 0.05
 
 MODES = ("off", "on", "full")
 
@@ -122,106 +109,6 @@ def measure_null_overhead_ns(iters=200_000, repeats=9):
     return max(best_run - best_bare, 0.0) * 1e9
 
 
-#: grid edge of the reacting tracing case
-TRACING_N = 32
-
-
-def build_reacting(tracing=None, n=TRACING_N):
-    """2-D reacting H2 case for the tracing measurement: the golden
-    lifted-jet stripe (fuel band in hot coflow with an igniting hot
-    spot) on an ``n`` x ``n`` periodic box, serial solver."""
-    from repro.chemistry import h2_li2004
-    from repro.core.state import State
-    from repro.scenarios import H2_LEWIS, fuel_and_coflow
-    from repro.transport import ConstantLewisTransport
-
-    mech = h2_li2004()
-    y_fuel, y_air = fuel_and_coflow(mech)
-    grid = Grid((n, n), (2.0e-3, 2.0e-3), periodic=(True, True))
-    xx, yy = grid.meshgrid()
-    stripe = 0.5 * (np.tanh((yy - 0.6e-3) / 1.5e-4)
-                    - np.tanh((yy - 1.4e-3) / 1.5e-4))
-    Y = (y_fuel[:, None, None] * stripe[None]
-         + y_air[:, None, None] * (1.0 - stripe[None]))
-    spot = np.exp(-((xx - 0.5e-3) ** 2 + (yy - 0.6e-3) ** 2)
-                  / (2 * (2.0e-4) ** 2))
-    T = 400.0 * stripe + 1300.0 * (1.0 - stripe) + 500.0 * spot
-    rho = mech.density(P_ATM, T, Y)
-    state = State.from_primitive(mech, grid, rho, [0.0, 0.0], T, Y)
-    transport = ConstantLewisTransport(mech, lewis=H2_LEWIS, mu_ref=1.8e-5,
-                                       t_ref=300.0, exponent=0.7)
-    cfg = SolverConfig(boundaries=periodic_boundaries(2), dt=2e-8,
-                       tracing=tracing)
-    return S3DSolver(state, cfg, transport=transport, reacting=True)
-
-
-def measure_span_ns(tracing, iters=100_000, repeats=7):
-    """Absolute cost of one telemetry span, in ns, with or without
-    trace-event recording. Same rationale as
-    :func:`measure_null_overhead_ns`: the per-span cost is microseconds
-    against a tens-of-milliseconds reacting step, far below what
-    whole-step wall-clock ratios can resolve on a shared machine, so
-    the span path is timed directly and the min over repeats discards
-    scheduler noise."""
-    from repro.telemetry import Telemetry
-
-    tel = Telemetry(tracing=tracing)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            with tel.span("K"):
-                pass
-        best = min(best, (time.perf_counter() - t0) / iters)
-        if tracing:
-            tel.tracelog.reset()
-    return best * 1e9
-
-
-def time_tracing(steps, repeats):
-    """The tracing section: per-span trace cost scaled by the reacting
-    case's measured span rate, against its tracing-off step time.
-
-    ``overhead_fraction`` — the gated quantity — is
-    ``events_per_step * span cost / step seconds``: the precisely
-    measured marginal cost of turning every kernel span into a timeline
-    TraceEvent, as a fraction of the production-shaped step it rides
-    on. Whole-step wall clocks for both flags are reported
-    informationally, and the bitwise identity of the two solutions is
-    checked on the same runs."""
-    solvers = {flag: build_reacting(tracing=flag) for flag in (False, True)}
-    for s in solvers.values():
-        for _ in range(3):
-            s.step()
-    best = {flag: float("inf") for flag in solvers}
-    for _ in range(repeats):
-        for flag, s in solvers.items():
-            t0 = time.perf_counter()
-            s.run(steps)
-            best[flag] = min(best[flag], (time.perf_counter() - t0) / steps)
-    on = solvers[True]
-    events_per_step = len(on.telemetry.tracelog.events) / float(on.step_count)
-    bitwise = bool(np.array_equal(solvers[False].state.u, on.state.u))
-    span_on_ns = measure_span_ns(True)
-    span_off_ns = measure_span_ns(False)
-    return {
-        "case": f"2-D reacting H2 lifted-jet stripe, {TRACING_N}x"
-                f"{TRACING_N}, serial, {steps}-step blocks x {repeats} "
-                f"rounds (min), 3 warmup steps",
-        "off_step_seconds": best[False],
-        "on_step_seconds": best[True],
-        "span_ns_traced": span_on_ns,
-        "span_ns_untraced": span_off_ns,
-        "events_per_step": events_per_step,
-        # the gated quantity: measured trace-recording cost per step
-        # against the real tracing-off step time
-        "overhead_fraction": events_per_step * span_on_ns * 1e-9
-        / best[False],
-        "bitwise_identical_off_vs_on": bitwise,
-        "overhead_ceiling_on": TRACING_OVERHEAD_CEILING,
-    }
-
-
 def time_modes(steps, repeats):
     """Best (min over rounds) whole-step seconds per mode, round-robin
     on pre-warmed solvers. Informational: the on/full numbers are real
@@ -250,7 +137,7 @@ def bitwise_check(steps):
     return bool(np.array_equal(a.state.u, b.state.u))
 
 
-def run(steps, repeats, tracing_steps, tracing_repeats):
+def run(steps, repeats):
     null_ns = measure_null_overhead_ns()
     best = time_modes(steps, repeats)
     base = best["off"]
@@ -274,7 +161,6 @@ def run(steps, repeats, tracing_steps, tracing_repeats):
             "step_seconds": best[m],
             "overhead_vs_off": best[m] / base - 1.0,
         }
-    report["tracing"] = time_tracing(tracing_steps, tracing_repeats)
     return report
 
 
@@ -288,16 +174,6 @@ def check_regression(report, baseline_path):
         )
     if not report["bitwise_identical_off_vs_full"]:
         failures.append("full mode perturbed the solution (bitwise check)")
-    tr = report["tracing"]
-    if tr["overhead_fraction"] >= TRACING_OVERHEAD_CEILING:
-        failures.append(
-            f"tracing overhead {tr['overhead_fraction']:.3%} over the "
-            f"{TRACING_OVERHEAD_CEILING:.0%} ceiling on the reacting case"
-        )
-    if not tr["bitwise_identical_off_vs_on"]:
-        failures.append("tracing perturbed the solution (bitwise check)")
-    if tr["events_per_step"] <= 0:
-        failures.append("tracing-on recorded no trace events")
     if os.path.exists(baseline_path):
         with open(baseline_path) as fh:
             base = json.load(fh)
@@ -306,14 +182,6 @@ def check_regression(report, baseline_path):
             failures.append(
                 f"committed baseline null-path overhead {committed:.3%} "
                 f"over the ceiling"
-            )
-        committed_tr = base.get("tracing")
-        if committed_tr is None:
-            failures.append("committed baseline has no tracing section")
-        elif committed_tr["overhead_fraction"] >= TRACING_OVERHEAD_CEILING:
-            failures.append(
-                f"committed baseline tracing overhead "
-                f"{committed_tr['overhead_fraction']:.3%} over the ceiling"
             )
     else:
         failures.append(f"no committed baseline at {baseline_path}")
@@ -324,10 +192,7 @@ def check_regression(report, baseline_path):
             f"observability gate OK: null path costs "
             f"{report['null_path_overhead_ns_per_step']:.0f} ns/step = "
             f"{off:.4%} of a step (ceiling {OVERHEAD_CEILING:.0%}), "
-            f"full mode bitwise identical; tracing costs "
-            f"{tr['overhead_fraction']:.2%} of a reacting step (ceiling "
-            f"{TRACING_OVERHEAD_CEILING:.0%}, "
-            f"{tr['events_per_step']:.0f} events/step), bitwise identical"
+            f"full mode bitwise identical"
         )
     return 1 if failures else 0
 
@@ -340,8 +205,7 @@ def main():
     ap.add_argument("--output", default=DEFAULT_JSON)
     args = ap.parse_args()
     steps, repeats = (40, 6) if args.quick else (60, 20)
-    tracing_steps, tracing_repeats = (8, 3) if args.quick else (15, 6)
-    report = run(steps, repeats, tracing_steps, tracing_repeats)
+    report = run(steps, repeats)
     print(
         f"null-path machinery: "
         f"{report['null_path_overhead_ns_per_step']:.0f} ns/step "
@@ -354,15 +218,6 @@ def main():
             f"({res['overhead_vs_off']:+.2%} vs off)"
         )
     print(f"bitwise off==full: {report['bitwise_identical_off_vs_full']}")
-    tr = report["tracing"]
-    print(
-        f"tracing (32x32 reacting): {tr['span_ns_traced']:.0f} ns/span "
-        f"traced vs {tr['span_ns_untraced']:.0f} untraced, "
-        f"{tr['events_per_step']:.0f} events/step on a "
-        f"{tr['off_step_seconds'] * 1e3:.3f} ms step = "
-        f"{tr['overhead_fraction']:.4%} of a step; "
-        f"bitwise off==on: {tr['bitwise_identical_off_vs_on']}"
-    )
     if args.check_regression:
         return check_regression(report, args.baseline)
     with open(args.output, "w") as fh:

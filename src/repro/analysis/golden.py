@@ -132,8 +132,8 @@ def lifted_jet_parallel_solver(comm_transport: str = "inprocess", **kwargs):
     reaction work in one quadrant, so ``chem_load_balance="greedy"``
     genuinely ships cells. ``comm_transport`` picks the communication
     backend; the solver owns the created world (close it via
-    ``solver.close()``). Extra keywords (``tracing``,
-    ``rank_telemetry``, ...) pass through to the solver so tests can
+    ``solver.close()``). Extra keywords (``rank_telemetry``,
+    ``chem_load_balance``, ...) pass through to the solver so tests can
     re-run the pinned scenario with observability features armed.
     """
     from repro.core.state import State

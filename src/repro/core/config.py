@@ -141,10 +141,6 @@ KNOBS = {k.name: k for k in (
          "record spans and metrics (a fresh recording backend) instead of "
          "the zero-cost null backend",
          choices=(False, True), aliases=_SWITCH),
-    Knob("tracing", "REPRO_TRACING", False,
-         "causal trace events for every span and message (Perfetto "
-         "timeline); upgrades a null telemetry backend to a recording one",
-         choices=(False, True), aliases=_SWITCH),
     Knob("heartbeat", "REPRO_HEARTBEAT", 0.0,
          "multiprocessing worker liveness deadline in seconds; 0 disables "
          "hang detection",
@@ -232,7 +228,7 @@ class SolverConfig:
         (:class:`repro.chemistry.implicit.ImplicitChemistry`); any other
         value fails :meth:`validate`.
     transport, chem_load_balance, chemistry_mode,
-    parallel_recovery, observability, telemetry, tracing:
+    parallel_recovery, observability, telemetry:
         The run-time knobs: one row each of :data:`KNOBS` (rendered in
         docs/CONFIG.md), which gives the accepted values, the
         ``REPRO_*`` variable consulted when the field is ``None``, the
@@ -252,7 +248,6 @@ class SolverConfig:
     filter_alpha: float = 0.2
     scheme: str = "ck45"
     telemetry: bool | None = None
-    tracing: bool | None = None
     observability: str | None = None
     chemistry_mode: str | None = None
     chemistry_method: str | None = None

@@ -79,9 +79,7 @@ class S3DSolver:
         self.config = config
         self.mech = mech
         self.grid = grid
-        self.telemetry = _telemetry.for_solver(
-            telemetry, config.telemetry, config.tracing
-        )
+        self.telemetry = _telemetry.for_solver(telemetry, config.telemetry)
         self.chemistry_mode = resolve("chemistry_mode", config.chemistry_mode)
         # Strang splitting moves chemistry out of the ERK right-hand
         # side: the RHS is built non-reacting and an implicit per-cell
@@ -193,15 +191,8 @@ class S3DSolver:
                 results = self.chemlb.advance_states(states, half_dt,
                                                      self._chem)
             else:
-                tracelog = getattr(self.telemetry, "tracelog", None)
-                results = []
-                for lane, (rho, e, Y) in enumerate(states):
-                    sid = (tracelog.begin_span("CHEMISTRY_CELLS", lane)
-                           if tracelog is not None else None)
-                    results.append(
-                        self._chem.advance_energy(rho, e, Y, half_dt))
-                    if sid is not None:
-                        tracelog.end_span(sid, cells=int(rho.size))
+                results = [self._chem.advance_energy(rho, e, Y, half_dt)
+                           for rho, e, Y in states]
         for block, result in zip(blocks, results):
             strang_apply_update(block, ndim, ns, result[1])
         self._reactors_advanced(blocks)

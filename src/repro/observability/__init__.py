@@ -24,16 +24,6 @@ dies:
   dashboard with sparkline histories plus a static self-contained
   ``observatory.html`` report, both replayable offline from a flight
   recorder dump.
-* :mod:`~repro.observability.timeline` — stitched distributed-tracing
-  timelines: per-rank trace logs merged into one causally-ordered
-  stream, exported as Chrome-trace/Perfetto JSON with cross-rank flow
-  arrows.
-* :mod:`~repro.observability.endpoint` — the live metrics surface: a
-  localhost HTTP endpoint serving the metrics registry in Prometheus
-  text format plus the full telemetry snapshot. Import it by its
-  module path: it pulls in ``http.server``
-  and ``urllib``, which no run that does not serve metrics should pay
-  for, so this package does not re-export it.
 
 Mode selection is the ``observability`` knob of
 :data:`repro.core.config.KNOBS` (``REPRO_OBSERVABILITY`` or
@@ -73,11 +63,6 @@ from repro.observability.render import (
     replay_report,
     sparkline,
 )
-from repro.observability.timeline import (
-    export_chrome_trace,
-    stitch,
-    validate_chrome_trace,
-)
 
 __all__ = [
     "Watchdog",
@@ -104,9 +89,6 @@ __all__ = [
     "sparkline",
     "html_report",
     "replay_report",
-    "stitch",
-    "export_chrome_trace",
-    "validate_chrome_trace",
     "for_solver",
 ]
 

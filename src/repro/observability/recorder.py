@@ -182,6 +182,11 @@ class FlightRecorder:
                 raise ValueError(
                     f"flight record line {i + 1} is not JSON: {err}"
                 ) from err
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"flight record line {i + 1} is not a JSON object: "
+                    f"{line.strip()[:40]}"
+                )
             kind = obj.get("kind")
             if kind == "header":
                 header = obj

@@ -416,14 +416,9 @@ class ChemistryLoadBalancer:
         """Evaluate one cell batch, attributing wall time to ``rank``."""
         if rho.size == 0:
             return np.empty((nrows, 0))
-        tracelog = getattr(self.telemetry, "tracelog", None)
-        sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
-               if tracelog is not None else None)
         t0 = time.perf_counter()
         rows = kernel(rho, x, Y)
         self.rank_seconds[rank] += time.perf_counter() - t0
-        if sid is not None:
-            tracelog.end_span(sid, cells=int(rho.size))
         return rows
 
     def _ship(self, seq: int, sh: Shipment, flat) -> None:

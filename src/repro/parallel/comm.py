@@ -329,20 +329,10 @@ class InProcessTransport(Transport):
         self._mailboxes: dict = defaultdict(deque)
         self.log = MessageLog()
         self._failed_ranks: set = set()
-        #: trace contexts riding beside the mailboxes, FIFO-aligned
-        #: per (dest, source, tag) channel; only populated when the
-        #: telemetry backend has a trace log attached, so the payload
-        #: arrays themselves never change shape or content
-        self._trace_ctx: dict = defaultdict(deque)
         self.dropped = 0
         self._programs: list | None = None
         self._build = None  # per-rank program builder, kept for revival
         self._late: dict = {}  # rank -> exception its last remainder raised
-
-    def _tracelog(self):
-        """The attached trace log, or None (looked up per call so
-        ``enable_tracing()`` after construction takes effect)."""
-        return getattr(self.telemetry, "tracelog", None)
 
     # -- rank failure ------------------------------------------------------
     def fail_rank(self, rank: int) -> None:
@@ -372,7 +362,6 @@ class InProcessTransport(Transport):
 
     def reset_channels(self) -> None:
         self._mailboxes.clear()
-        self._trace_ctx.clear()
 
     def _check_alive(self, rank: int, role: str) -> None:
         if rank in self._failed_ranks:
@@ -384,7 +373,6 @@ class InProcessTransport(Transport):
             raise ValueError(f"destination rank {dest} out of range")
         self._check_alive(source, "source")
         self._check_alive(dest, "destination")
-        tracelog = self._tracelog()
         if self.faults.enabled:
             spec = self.faults.decide("mpi.send")
             if spec is not None:
@@ -406,10 +394,6 @@ class InProcessTransport(Transport):
                 raw = self.faults.corrupt_bytes(array.tobytes())
                 array = np.frombuffer(raw, dtype=array.dtype).reshape(
                     array.shape).copy()
-        if tracelog is not None:
-            self._trace_ctx[(dest, source, tag)].append(
-                tracelog.record_send(source, dest, tag, array.nbytes)
-            )
         self._mailboxes[(dest, source, tag)].append(array)
         self.log.record(source, dest, tag, array.nbytes)
 
@@ -432,13 +416,7 @@ class InProcessTransport(Transport):
                 f"rank {rank}: no pending message from rank {source} with "
                 f"tag {tag} (pending for rank {rank}: {state})"
             )
-        array = box.popleft()
-        tracelog = self._tracelog()
-        if tracelog is not None:
-            ctxq = self._trace_ctx.get((rank, source, tag))
-            ctx = ctxq.popleft() if ctxq else None
-            tracelog.record_recv(rank, source, tag, array.nbytes, ctx=ctx)
-        return array
+        return box.popleft()
 
     def _probe(self, rank: int, source: int, tag: int) -> bool:
         return bool(self._mailboxes[(rank, source, tag)])
@@ -485,14 +463,7 @@ class InProcessTransport(Transport):
             # own copies expire with it
             args = [a.copy() if isinstance(a, np.ndarray) else a
                     for a in args]
-        tracer = self.telemetry.tracer if self._tracelog() is not None else None
-        home = tracer.trace_rank if tracer is not None else None
         try:
-            if tracer is not None:
-                # retarget the shared tracer's event lane so spans
-                # recorded inside the rank's program land on its own
-                # timeline row instead of the driver's
-                tracer.trace_rank = rank
             reply, remainder = _reply_early(fn(*args))
             if remainder is not None:
                 _expire(args)
@@ -506,9 +477,6 @@ class InProcessTransport(Transport):
         except BaseException as exc:
             _annotate_rank(exc, rank)
             raise
-        finally:
-            if tracer is not None:
-                tracer.trace_rank = home
 
     def _decide_exec_fault(self):
         """Consult the ``exec.call`` fault site once per collective call.

@@ -701,28 +701,17 @@ class MultiprocessingTransport(InProcessTransport):
             )
         for rank in range(self.size):
             self._check_alive(rank, "executing")
-        # the driver's trace lane records the dispatch-to-drain window
-        # (the time the driver spends waiting on the worker pool); the
-        # per-rank view of the same work comes from the workers' own
-        # trace logs, stitched at run end
-        tracelog = self._tracelog()
-        sid = (tracelog.begin_span(f"EXEC:{method}")
-               if tracelog is not None else None)
-        try:
-            hang = self._decide_exec_fault()
-            results = [None] * self.size
-            for rank in range(self.size):
-                if rank in hang:
-                    results[rank] = self._hang_worker(rank)
-                else:
-                    results[rank] = self._dispatch(rank, method,
-                                                   tuple(payloads[rank]))
-            for rank in range(self.size):
-                if results[rank] is None:  # dispatched; drain the reply
-                    results[rank] = self._collect(rank)
-        finally:
-            if sid is not None:
-                tracelog.end_span(sid)
+        hang = self._decide_exec_fault()
+        results = [None] * self.size
+        for rank in range(self.size):
+            if rank in hang:
+                results[rank] = self._hang_worker(rank)
+            else:
+                results[rank] = self._dispatch(rank, method,
+                                               tuple(payloads[rank]))
+        for rank in range(self.size):
+            if results[rank] is None:  # dispatched; drain the reply
+                results[rank] = self._collect(rank)
         for got in results:
             if isinstance(got, BaseException):
                 raise got

@@ -64,17 +64,13 @@ class SolverRankProgram:
     def __init__(self, rank, mechanism, grid, axes, scheme="ck45",
                  transport=None, reacting=True, filter_alpha=0.2,
                  defer_reactions=False,
-                 rank_telemetry=False, tracing=False, telemetry=None):
+                 rank_telemetry=False, telemetry=None):
         self.rank = int(rank)
         if telemetry is None:
-            if rank_telemetry:
-                # a private per-rank backend; with tracing on its trace
-                # log records on this rank's own lane, and the driver
-                # stitches the shipped snapshots at run end
-                telemetry = _telemetry.Telemetry(tracing=bool(tracing),
-                                                 rank=rank)
-            else:
-                telemetry = _telemetry.get_telemetry()
+            # a private per-rank backend is the per-process profile
+            # that cross-rank fusion merges
+            telemetry = (_telemetry.Telemetry() if rank_telemetry
+                         else _telemetry.get_telemetry())
         self.telemetry = telemetry
         self.axes = tuple(axes)
         self.state = State(mechanism, grid)
@@ -216,7 +212,7 @@ class ParallelPeriodicSolver(S3DSolver):
     The time-step driver, the run loops and the supervisor are
     :class:`~repro.core.solver.S3DSolver`'s; this class is what a
     decomposed domain adds — the four hooks, the recovery plumbing, and
-    profile / trace gathering.
+    profile gathering.
 
     Parameters
     ----------
@@ -229,7 +225,7 @@ class ParallelPeriodicSolver(S3DSolver):
         ``comm_transport``, and :meth:`close` releases it.
     scheme, filter_alpha, filter_interval, comm_transport,
     chemistry_mode, chem_load_balance,
-    parallel_recovery, observability, tracing:
+    parallel_recovery, observability:
         Folded into the :class:`~repro.core.config.SolverConfig` the
         shared driver reads (:attr:`config`); for the run-time knobs of
         :data:`repro.core.config.KNOBS`, ``None`` defers to each knob's
@@ -273,8 +269,7 @@ class ParallelPeriodicSolver(S3DSolver):
                  chemistry_mode=None,
                  chem_load_balance=None, chemlb_threshold=1.1,
                  rank_telemetry=False, observability=None,
-                 comm_transport=None, parallel_recovery=None,
-                 tracing=None):
+                 comm_transport=None, parallel_recovery=None):
         if not (all(grid.periodic) and all(decomp.periodic)):
             raise ValueError("ParallelPeriodicSolver requires an all-periodic "
                              "grid and decomposition")
@@ -283,7 +278,7 @@ class ParallelPeriodicSolver(S3DSolver):
         config = SolverConfig(
             boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
             filter_interval=int(filter_interval), filter_alpha=filter_alpha,
-            tracing=tracing, observability=observability,
+            observability=observability,
             chemistry_mode=chemistry_mode,
             chem_load_balance=chem_load_balance, transport=comm_transport,
             parallel_recovery=parallel_recovery,
@@ -333,7 +328,7 @@ class ParallelPeriodicSolver(S3DSolver):
         per_rank_args = [
             (mechanism, grid.block(decomp.local_slices(rank)), self.halo.axes,
              scheme, transport, rank_reacting, filter_alpha, defer,
-             self._rank_telemetry, resolve("tracing", tracing))
+             self._rank_telemetry)
             for rank in range(decomp.size)
         ]
         local_factory = None  # rank_telemetry: programs build their own
@@ -522,56 +517,6 @@ class ParallelPeriodicSolver(S3DSolver):
         snapshots = collect_snapshot_dicts(self.world, snapshots, root=root,
                                            telemetry=self.telemetry)
         return fuse_profiles(snapshots)
-
-    # -- distributed tracing ---------------------------------------------
-    def trace_events(self) -> list:
-        """Stitched global trace-event stream (plain dicts).
-
-        Gathers the per-rank trace logs — worker-resident ones ship
-        home inside :meth:`SolverRankProgram.telemetry_snapshot`; the
-        driver's own log (spans, message sends/receives) joins them —
-        and stitches everything into one causally-ordered timeline via
-        :func:`repro.observability.timeline.stitch`. Requires
-        the ``tracing`` knob; empty otherwise.
-        """
-        from repro.observability import timeline
-
-        logs = []
-        # worker logs first: the gather itself records more driver-side
-        # events, which the driver snapshot below should include
-        if self._rank_telemetry:
-            for snap in self.world.call_all("telemetry_snapshot"):
-                trace = snap.get("trace")
-                if trace and trace.get("events"):
-                    logs.append(trace)
-        tracelog = getattr(self.telemetry, "tracelog", None)
-        if tracelog is not None:
-            logs.append(tracelog.snapshot())
-        world_log = getattr(getattr(self.world, "telemetry", None),
-                            "tracelog", None)
-        if world_log is not None and world_log is not tracelog:
-            logs.append(world_log.snapshot())
-        return timeline.stitch(logs)
-
-    def export_timeline(self, path=None):
-        """Chrome-trace-event (Perfetto) JSON of :meth:`trace_events`.
-
-        Returns the trace dict; with ``path`` also writes it as JSON —
-        load the file at https://ui.perfetto.dev or chrome://tracing.
-        """
-        import json
-
-        from repro.observability import timeline
-
-        trace = timeline.export_chrome_trace(
-            self.trace_events(),
-            title=f"parallel run ({self.world.name}, "
-                  f"{self.decomp.size} ranks)",
-        )
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(trace, fh)
-        return trace
 
     def close(self) -> None:
         """Release the transport when this solver created it."""

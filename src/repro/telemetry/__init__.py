@@ -1,4 +1,4 @@
-"""Unified telemetry: tracing spans + metrics + profiler export.
+"""Unified telemetry: timing spans + metrics + profiler export.
 
 The measurement substrate the paper's §3-§4 methodology needs: TAU-style
 hierarchical spans with exclusive-time accounting, a process-wide
@@ -31,11 +31,6 @@ from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
 )
 from repro.telemetry.spans import SpanStats, Tracer
-from repro.telemetry.tracing import (
-    TraceContext,
-    TraceEvent,
-    TraceLog,
-)
 from repro.telemetry import export
 from repro.telemetry.export import (
     MonitorWriter,
@@ -49,9 +44,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "Tracer",
     "SpanStats",
-    "TraceContext",
-    "TraceEvent",
-    "TraceLog",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -81,47 +73,21 @@ class Telemetry:
     clock:
         Injectable clock for the tracer (tests pass a fake).
     tracing:
-        Distributed-tracing mode. ``True`` attaches a
-        :class:`~repro.telemetry.tracing.TraceLog` so spans and
-        transport messages record causal trace events; ``None``
-        (default) defers to the ``tracing`` knob's environment switch;
-        ``False`` forces it off regardless of the environment.
-    rank:
-        Event lane for this backend's trace log (rank programs pass
-        their rank; the default is the driver lane).
+        Accepted only as a falsy value: distributed tracing was
+        removed, and ``True`` raises :class:`ValueError`.
     """
 
     enabled = True
 
-    def __init__(self, clock=None, tracing=None, rank=None):
+    def __init__(self, clock=None, tracing=False):
+        if tracing:
+            raise ValueError("Telemetry(tracing=True): distributed "
+                             "tracing was removed")
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=clock, metrics=self.metrics)
-        self.tracelog = None
         self._delta_base: dict | None = None
-        if _knob("tracing", tracing):
-            self.enable_tracing(rank=rank)
 
-    @property
-    def tracing(self) -> bool:
-        """Whether distributed tracing is attached."""
-        return self.tracelog is not None
-
-    def enable_tracing(self, rank=None):
-        """Attach a trace log (idempotent); returns it. Spans recorded
-        from now on also produce causal trace events, and transports
-        holding this backend start piggybacking trace contexts."""
-        if self.tracelog is None:
-            from repro.telemetry.tracing import DRIVER_RANK, TraceLog
-
-            self.tracelog = TraceLog(
-                clock=self.tracer.clock,
-                rank=DRIVER_RANK if rank is None else int(rank),
-            )
-            self.tracer.tracelog = self.tracelog
-            self.tracer.trace_rank = self.tracelog.rank
-        return self.tracelog
-
-    # -- tracing ---------------------------------------------------------
+    # -- spans -----------------------------------------------------------
     def span(self, name: str, **counters):
         """Context manager timing ``name``; kwargs increment counters
         named ``<name>.<key>`` on exit."""
@@ -180,8 +146,6 @@ class Telemetry:
     def reset(self) -> None:
         self.tracer.reset()
         self.metrics.reset()
-        if self.tracelog is not None:
-            self.tracelog.reset()
         self._delta_base = None
 
 
@@ -269,8 +233,6 @@ class NullTelemetry:
     """
 
     enabled = False
-    tracing = False
-    tracelog = None
 
     def __init__(self):
         self.metrics = _NullMetricsRegistry()
@@ -331,24 +293,16 @@ def resolve(telemetry=None):
     return telemetry if telemetry is not None else get_telemetry()
 
 
-def for_solver(telemetry=None, enabled=None, tracing=None):
+def for_solver(telemetry=None, enabled=None):
     """The backend a solver records into.
 
     An explicit ``telemetry`` instance wins; otherwise ``enabled``
     (``SolverConfig.telemetry``) picks a fresh recording backend
-    (``True``), the null backend regardless of tracing (``False``), or
-    the process default (``None``). The ``tracing`` knob then rides on
-    the result: a recording backend is upgraded in place, a null one is
-    replaced by a recording one — the transport built on it shares the
-    backend, so message-plane trace contexts flow immediately.
+    (``True``), the null backend (``False``), or the process default
+    (``None``).
     """
-    if telemetry is None:
-        if enabled is False:
-            return NULL_TELEMETRY
-        telemetry = Telemetry() if enabled else get_telemetry()
-    if _knob("tracing", tracing):
-        if telemetry.enabled:
-            telemetry.enable_tracing()
-        else:
-            telemetry = Telemetry(tracing=True)
-    return telemetry
+    if telemetry is not None:
+        return telemetry
+    if enabled is False:
+        return NULL_TELEMETRY
+    return Telemetry() if enabled else get_telemetry()

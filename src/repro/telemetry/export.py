@@ -46,18 +46,9 @@ def profile_report(tracer, title: str = "per-kernel exclusive time") -> str:
 
 
 def snapshot(telemetry) -> dict:
-    """Combined plain-data snapshot of a telemetry instance.
-
-    With distributed tracing attached the snapshot also carries the
-    raw event stream under ``"trace"`` — the unit
-    :func:`repro.observability.timeline.stitch` consumes; consumers of
-    the aggregate tables (profile fusion, flight recorder) ignore it.
-    """
+    """Combined plain-data snapshot of a telemetry instance."""
     out = telemetry.tracer.snapshot()
     out["metrics"] = telemetry.metrics.snapshot()
-    tracelog = getattr(telemetry, "tracelog", None)
-    if tracelog is not None:
-        out["trace"] = tracelog.snapshot()
     return out
 
 

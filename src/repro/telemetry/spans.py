@@ -1,4 +1,4 @@
-"""Hierarchical tracing spans with TAU-style exclusive-time accounting.
+"""Hierarchical timing spans with TAU-style exclusive-time accounting.
 
 A *span* is one timed region of code; spans nest, and the tracer keeps
 the two aggregates TAU's per-kernel profiles are built from (§4):
@@ -66,17 +66,10 @@ class Tracer:
     def __init__(self, clock=None, metrics=None):
         self.clock = clock or time.perf_counter
         self.metrics = metrics
-        #: active stack of [name, path, start, child_inclusive] — a
-        #: fifth slot (the trace-event id) appears when tracing is on
+        #: active stack of [name, path, start, child_inclusive]
         self._stack: list = []
         self.stats: dict = {}       # name -> SpanStats
         self.path_stats: dict = {}  # "a/b/c" -> SpanStats
-        #: optional :class:`~repro.telemetry.tracing.TraceLog`; when
-        #: set, every span also records a causal trace event on lane
-        #: ``trace_rank`` (the driver lane by default — transports
-        #: retarget it while running a rank's program)
-        self.tracelog = None
-        self.trace_rank = -1
 
     # -- recording -------------------------------------------------------
     def span(self, name: str, **counters) -> _SpanHandle:
@@ -86,18 +79,12 @@ class Tracer:
 
     def _begin(self, name: str) -> None:
         path = f"{self._stack[-1][1]}/{name}" if self._stack else name
-        entry = [name, path, self.clock(), 0.0]
-        if self.tracelog is not None:
-            entry.append(self.tracelog.begin_span(name, self.trace_rank))
-        self._stack.append(entry)
+        self._stack.append([name, path, self.clock(), 0.0])
 
     def _end(self, counters: dict | None = None) -> float:
         if not self._stack:
             raise RuntimeError("span end without matching begin")
-        entry = self._stack.pop()
-        name, path, start, child = entry[0], entry[1], entry[2], entry[3]
-        if len(entry) == 5 and self.tracelog is not None:
-            self.tracelog.end_span(entry[4])
+        name, path, start, child = self._stack.pop()
         duration = self.clock() - start
         for table, key in ((self.stats, name), (self.path_stats, path)):
             s = table.get(key)

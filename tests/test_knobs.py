@@ -64,11 +64,11 @@ class TestTable:
 
     def test_config_fields_and_env_vars(self):
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert len(fields) == 14
+        assert len(fields) == 13
         assert set(IN_CONFIG) <= set(fields)
         assert all(getattr(SolverConfig(), n) is None for n in IN_CONFIG)
         envs = [k.env for k in KNOBS.values()]
-        assert len(set(envs)) == len(envs) == len(KNOBS) == 9
+        assert len(set(envs)) == len(envs) == len(KNOBS) == 8
         assert all(e.startswith("REPRO_") for e in envs)
 
     def test_defaults_are_valid_settings(self):
@@ -155,7 +155,6 @@ class TestMalformedEnvironmentFailsLoudly:
         ("REPRO_HEARTBEAT", "abc"),        # used to turn hang detection off
         ("REPRO_FAULT_SEED", "x7"),        # used to become seed 0
         ("REPRO_TELEMETRY", "enabled"),    # used to mean off
-        ("REPRO_TRACING", "maybe"),
     ])
     def test_unparseable_value_raises_naming_variable_and_text(
             self, env, text, monkeypatch):

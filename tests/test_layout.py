@@ -7,10 +7,11 @@ outside its own definition somewhere in ``src/``, ``benchmarks/`` or
 has to reach it. Only code names it: an identifier (a name, an
 attribute, a keyword argument, an imported name) or a string constant
 equal to the name (a ``getattr`` or a registry key). A docstring or a
-comment is not a driver, nor a definition of the same name elsewhere,
-nor a re-export (an ``import`` in a package's ``__init__`` or an
-``__all__`` entry), nor a unit test: what only its own test reaches is
-deleted, or named below with the reason it stays.
+comment is not a driver, nor a string inside a type annotation
+(``x: "Cls"``, ``def f(a: "Cls") -> "Cls"``), nor a definition of the
+same name elsewhere, nor a re-export (an ``import`` in a package's
+``__init__`` or an ``__all__`` entry), nor a unit test: what only its
+own test reaches is deleted, or named below with the reason it stays.
 
 The same holds for keyword parameters — parameters with a default, and
 keyword-only ones — of public functions, public classes' ``__init__``
@@ -71,14 +72,9 @@ UNDRIVEN = {
         "as mixture_viscosity",
     "transport/mixture.py:MixtureAveragedTransport.mixture_diffusivities":
         "as mixture_viscosity",
-    "observability/timeline.py:validate_chrome_trace":
-        "schema check of the exported Perfetto trace, the inverse of the "
-        "driven export_chrome_trace",
-    "parallel/solver.py:ParallelPeriodicSolver.export_timeline":
-        "the only reader of the tracing output; whether tracing stays is "
-        "the run-record item's decision (ROADMAP)",
     "parallel/solver.py:ParallelPeriodicSolver.fused_profile":
-        "the only reader of the rank_telemetry output; as export_timeline",
+        "the only reader of the rank_telemetry output; the Figs 2-3 "
+        "per-rank chemistry-time item (ROADMAP) builds on it",
 }
 
 
@@ -91,10 +87,6 @@ UNDRIVEN_KEYWORDS = {
         "metric to a scalar would touch the derivative hot path",
     "transport/mixture.py:MixtureAveragedTransport(soret)":
         "section 2.4 thermal diffusion, pinned by the RHS oracle tests",
-    "observability/endpoint.py:MetricsEndpoint(host)":
-        "deployment setting: the live endpoint's bind address",
-    "observability/endpoint.py:MetricsEndpoint(port)":
-        "as host",
     "resilience/faults.py:FaultInjector.add(probability)":
         "the seeded random-fault lanes of the resilience and transport "
         "conformance suites; no benchmark injects faults at random yet",
@@ -115,13 +107,20 @@ ROOTS = ("src", "benchmarks", "examples")
 def _driver_tokens(source, package_init=False):
     """The names ``source`` drives, each with the lines it occurs on:
     identifiers and identifier-valued string constants, outside
-    ``__all__`` and (for a package ``__init__``) its imports."""
+    ``__all__`` and (for a package ``__init__``) its imports; a string
+    constant inside a type annotation drives nothing."""
     tree = ast.parse(source)
     skipped = {
         id(node) for node in tree.body
         if (isinstance(node, ast.Assign)
             and any(getattr(t, "id", None) == "__all__" for t in node.targets))
         or (package_init and isinstance(node, (ast.Import, ast.ImportFrom)))
+    }
+    annotations = {
+        id(sub) for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)) if ann is not None
+        for sub in ast.walk(ann)
     }
     found, todo = {}, [tree]
     while todo:
@@ -138,7 +137,7 @@ def _driver_tokens(source, package_init=False):
         elif isinstance(node, ast.alias):
             word = node.name.rpartition(".")[2]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
+              and node.value.isidentifier() and id(node) not in annotations):
             word = node.value
         else:
             continue
@@ -284,6 +283,26 @@ def test_only_code_is_a_driver(tmp_path):
         "m.Box().run()\n")
     assert _undriven_names(tmp_path) == {
         "mod.py:told_about", "mod.py:commented", "mod.py:Box.orphan"}
+
+
+def test_annotation_strings_are_not_drivers(tmp_path):
+    """A class that only string annotations in another module name —
+    of a variable, a parameter or a return — is undriven; one a
+    ``getattr`` string names is driven."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (tmp_path / "examples").mkdir()
+    (pkg / "mod.py").write_text(
+        "class Annotated:\n    pass\n\n"
+        "class LookedUp:\n    pass\n")
+    (pkg / "user.py").write_text(
+        "import repro.mod as m\n\n"
+        "class _Handler:\n"
+        '    owner: "Annotated" = None\n\n'
+        '    def adopt(self, other: "Annotated") -> "Annotated":\n'
+        "        return other\n\n"
+        'getattr(m, "LookedUp")\n')
+    assert _undriven_names(tmp_path) == {"mod.py:Annotated"}
 
 
 def test_every_keyword_has_a_driver():

@@ -182,10 +182,9 @@ _IMPORT_DIETS = {
         "solver, _ = sc.lifted_jet(nx=24, ny=16)\n"
         "solver.step()\n",
         ("scipy",)),
-    # the metrics endpoint is urllib.request + http.server + ssl: 7.6 MB
-    # and ~30 ms that no supervised run starts, so the supervisor, both
-    # rings and both solvers must not drag it in through
-    # ``repro.observability``
+    # urllib.request + http.server + ssl are 7.6 MB and ~30 ms that no
+    # supervised run uses, so the supervisor, both rings and both
+    # solvers must not drag them in through ``repro.observability``
     "supervised_run": (
         "import repro.scenarios as sc, repro.parallel.solver\n"
         "import repro.resilience.distributed, repro.resilience.checkpoint\n"

@@ -384,6 +384,11 @@ class TestBackendSelection:
         set_default(None)
         assert get_telemetry() is NULL_TELEMETRY
 
+    def test_tracing_is_refused(self):
+        assert Telemetry(tracing=False).enabled
+        with pytest.raises(ValueError, match="distributed tracing was removed"):
+            Telemetry(tracing=True)
+
     def test_resolve_explicit_wins(self):
         tel = Telemetry()
         assert resolve(tel) is tel

@@ -1,11 +1,11 @@
 """Cross-transport conformance suite: the contract every backend passes.
 
 One shared battery — point-to-point ordering, tag matching, probe,
-collectives, gather_bytes, delayed delivery, rank failure, fault
-injection, message-log accounting, and the execution plane — runs
-against every registered transport backend. A new backend is done when
-this file passes for it. The CI transport lane fails on any skip here:
-a registered backend that no lane executes is deleted, not skipped.
+collectives, gather_bytes, rank failure, fault injection, message-log
+accounting, and the execution plane — runs against every registered
+transport backend. A new backend is done when this file passes for
+it. The CI transport lane fails on any skip here: a registered backend
+that no lane executes is deleted, not skipped.
 
 Also here:
 * hypothesis property tests — random message schedules produce
