@@ -27,8 +27,8 @@ state and substep count — is a pure function of that
 cell's own data: results are bitwise independent of batch size, cell
 ordering, and co-batched cells. That is the contract that lets the
 chemistry load balancer (:mod:`repro.parallel.chemlb`) ship implicit
-cell work between ranks and fall back to local evaluation bit-exactly,
-and it is pinned by Hypothesis property tests.
+cell work between ranks bit-exactly, and it is pinned by Hypothesis
+property tests.
 
 One round of the batch loop does only the work that round needs. A
 rejected cell retries from the state it already stands at, so its

@@ -462,8 +462,7 @@ class KineticsEvaluator:
         is shape-independent, each cell's rates are bitwise identical to
         what a full-grid :meth:`production_rates` call produces for that
         cell, for any batch size and ordering — the property the
-        load balancer's bit-exactness guarantee (and its local-evaluation
-        fault fallback) is built on.
+        load balancer's bit-exactness guarantee is built on.
         """
         T_cells = np.asarray(T_cells, dtype=float)
         C_cells = np.asarray(C_cells, dtype=float)

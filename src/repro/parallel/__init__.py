@@ -32,7 +32,6 @@ from repro.parallel.comm import (
     TRANSPORTS,
     InProcessTransport,
     MessageLog,
-    SimComm,
     Transport,
     TransportUnavailableError,
     create_transport,
@@ -42,7 +41,6 @@ from repro.parallel.decomp import CartesianDecomposition, block_range
 from repro.parallel.halo import HaloExchanger
 
 __all__ = [
-    "SimComm",
     "MessageLog",
     "Transport",
     "InProcessTransport",

@@ -25,11 +25,12 @@ Pieces
 * :class:`ChemistryLoadBalancer` — executes a plan over
   :class:`~repro.parallel.comm.Transport` in one bulk-synchronous
   pipeline: over-threshold ranks *ship* cell batches ``(rho, x, Y)``
-  with a CRC header, underloaded ranks *serve* them through a per-cell
-  kernel and reply with its result rows, owners *collect* the replies;
-  a lost or corrupt batch (the fault injector's taxonomy, sites
-  ``chemlb.ship`` / ``chemlb.reply`` plus anything the ``mpi.send``
-  site does to the transport underneath) is evaluated locally instead.
+  as plain point-to-point messages, underloaded ranks *serve* them
+  through a per-cell kernel and reply with its result rows, owners
+  *collect* the replies. A message is delivered or its peer is dead:
+  a shipment to or from a failed rank raises
+  :class:`~repro.resilience.errors.RankFailedError` to the supervisor,
+  as a halo exchange does.
 
 The pipeline has two kernels. :meth:`~ChemistryLoadBalancer.production_rates`
 serves the explicit path: ``x`` is the temperature, the kernel the
@@ -53,14 +54,13 @@ the same contract for its per-cell solves
 reductions of :mod:`repro.util.reduction`). Every policy therefore
 produces bitwise identical production rates and reactor results — and
 the solver that consumes them produces bitwise identical conserved
-state — no matter how cells are shuffled between ranks, and the local
-fault fallback is exact as well.
+state — no matter how cells are shuffled between ranks.
 
 Telemetry
 ---------
 Gauges ``chemlb.imbalance`` (max/mean modeled load before balancing)
 and ``chemlb.imbalance_after``; counters ``chemlb.cells_shipped``,
-``chemlb.batches``, ``chemlb.fallbacks``; everything runs under a
+``chemlb.batches``; everything runs under a
 ``CHEMLB`` span. Per-rank chemistry seconds (work attributed to the
 executing rank, not the owner) accumulate in
 :attr:`ChemistryLoadBalancer.rank_seconds` — the observable
@@ -70,13 +70,11 @@ executing rank, not the owner) accumulate in
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import KNOBS, resolve
-from repro.resilience.errors import MessageNotFoundError, RankFailedError
 from repro.telemetry import resolve as resolve_telemetry
 
 #: recognised balancing policies
@@ -274,9 +272,8 @@ class ChemistryLoadBalancer:
         (its ``n_species`` and the explicit kernel
         ``production_rates_cells``).
     world:
-        The :class:`~repro.parallel.comm.Transport` world; its fault
-        injector governs shipping faults (sites ``chemlb.ship`` and
-        ``chemlb.reply``, plus whatever ``mpi.send`` does underneath).
+        The :class:`~repro.parallel.comm.Transport` world the batches
+        and replies travel through.
     policy:
         The ``chem_load_balance`` knob (one of :data:`POLICIES`).
     cost_model:
@@ -305,7 +302,6 @@ class ChemistryLoadBalancer:
         self._g_imbalance_after = self.telemetry.gauge("chemlb.imbalance_after")
         self._c_cells = self.telemetry.counter("chemlb.cells_shipped")
         self._c_batches = self.telemetry.counter("chemlb.batches")
-        self._c_fallbacks = self.telemetry.counter("chemlb.fallbacks")
         if world.size < 1:
             raise ValueError("world must have at least one rank")
         self.world = world
@@ -313,7 +309,6 @@ class ChemistryLoadBalancer:
         #: per-rank per-cell cost signal of the previous call
         self._history: list | None = None
         self._scale = 0.0
-        self._seq = 0
         self.last_plan: AssignmentPlan | None = None
 
     def reset_timing(self) -> None:
@@ -366,7 +361,6 @@ class ChemistryLoadBalancer:
         history the next plan is made from."""
         ns = self.mech.n_species
         with self.telemetry.span("CHEMLB"):
-            self._seq += 1
             flat = [
                 (
                     np.ascontiguousarray(np.asarray(rho, dtype=float).ravel()),
@@ -389,7 +383,7 @@ class ChemistryLoadBalancer:
                 out[rank][:, keep] = self._run(
                     rank, kernel, nrows, rho[keep], x[keep], Y[:, keep])
             for seq, sh in enumerate(plan.shipments):
-                self._collect(seq, sh, kernel, nrows, flat, out)
+                self._collect(seq, sh, out)
             self._history = [signal(rows) for rows in out]
             self._scale = max(
                 (float(s.max()) for s in self._history if s.size), default=0.0
@@ -422,77 +416,22 @@ class ChemistryLoadBalancer:
         return rows
 
     def _ship(self, seq: int, sh: Shipment, flat) -> None:
-        """Source side: pack and send one batch ``(rho, x, Y)``."""
+        """Source side: send one batch, rows ``(rho, x, Y...)``."""
         rho, x, Y = flat[sh.src]
         idx = sh.indices
-        body = np.concatenate([rho[idx], x[idx], Y[:, idx].ravel()])
-        if self._send("chemlb.ship", sh.src, sh.dst, TAG_SHIP + seq, body,
-                      idx.size):
-            self._c_batches.inc()
-            self._c_cells.inc(idx.size)
+        batch = np.vstack((rho[idx], x[idx], Y[:, idx]))
+        self.world.comm(sh.src).Send(batch, dest=sh.dst, tag=TAG_SHIP + seq)
+        self._c_batches.inc()
+        self._c_cells.inc(idx.size)
 
     def _serve(self, seq: int, sh: Shipment, kernel, nrows: int) -> None:
         """Helper side: evaluate an incoming batch and reply."""
-        ns = self.mech.n_species
-        got = self._receive(sh.dst, sh.src, TAG_SHIP + seq, 2 + ns)
-        if got is None:
-            return
-        n, body = got
-        rows = self._run(sh.dst, kernel, nrows, body[:n], body[n : 2 * n],
-                         body[2 * n :].reshape(ns, n))
-        self._send("chemlb.reply", sh.dst, sh.src, TAG_RESULT + seq,
-                   rows.ravel(), n)
+        comm = self.world.comm(sh.dst)
+        batch = comm.Recv(source=sh.src, tag=TAG_SHIP + seq)
+        rows = self._run(sh.dst, kernel, nrows, batch[0], batch[1], batch[2:])
+        comm.Send(rows, dest=sh.src, tag=TAG_RESULT + seq)
 
-    def _collect(self, seq: int, sh: Shipment, kernel, nrows: int, flat,
-                 out) -> None:
-        """Source side: take the reply, or evaluate the batch locally."""
-        idx = sh.indices
-        got = self._receive(sh.src, sh.dst, TAG_RESULT + seq, nrows)
-        if got is not None:
-            n, body = got
-            out[sh.src][:, idx] = body.reshape(nrows, n)
-            return
-        # batch or reply lost or corrupt: evaluate locally — bitwise
-        # identical by the kernels' batch-shape independence
-        rho, x, Y = flat[sh.src]
-        out[sh.src][:, idx] = self._run(sh.src, kernel, nrows, rho[idx],
-                                        x[idx], Y[:, idx])
-        self._c_fallbacks.inc()
-
-    # -- the wire ----------------------------------------------------------
-    def _send(self, site: str, src: int, dst: int, tag: int, body, n: int) -> bool:
-        """Send ``body`` (``n`` cells) behind a ``(crc, n, seq)`` header,
-        under the injector's decision for ``site``; False if not sent."""
-        packet = np.concatenate(
-            ([float(zlib.crc32(body.tobytes())), float(n), float(self._seq)],
-             body))
-        faults = self.world.faults
-        spec = faults.decide(site) if faults.enabled else None
-        if spec is not None and spec.mode == "drop":
-            return False
-        if spec is not None and spec.mode == "corrupt":
-            raw = faults.corrupt_bytes(packet[3:].tobytes())
-            packet = np.concatenate((packet[:3], np.frombuffer(raw, dtype=float)))
-        try:
-            self.world.comm(src).Send(packet, dest=dst, tag=tag)
-        except RankFailedError:
-            return False
-        return True
-
-    def _receive(self, rank: int, source: int, tag: int, per_cell: int):
-        """``(n, body)`` of the first packet from ``source`` that
-        verifies (corrupt or stale ones are drained), else None."""
-        comm = self.world.comm(rank)
-        try:
-            while comm.probe(source=source, tag=tag):
-                packet = comm.Recv(source=source, tag=tag)
-                if packet.ndim != 1 or packet.size < 3:
-                    continue
-                crc, n, seq = packet[0], int(packet[1]), int(packet[2])
-                body = packet[3:]
-                if (seq == self._seq and n >= 0 and body.size == n * per_cell
-                        and float(zlib.crc32(body.tobytes())) == crc):
-                    return n, body
-        except (MessageNotFoundError, RankFailedError):
-            pass
-        return None
+    def _collect(self, seq: int, sh: Shipment, out) -> None:
+        """Source side: place the reply's rows in the owner's result."""
+        out[sh.src][:, sh.indices] = self.world.comm(sh.src).Recv(
+            source=sh.dst, tag=TAG_RESULT + seq)

@@ -4,9 +4,9 @@ The communication backend of the parallel substrate is a swappable
 layer beneath a fixed message-pattern contract, the structure real DNS
 codes of this family use (Pencil Code, nekCRF): one halo/collective
 protocol, several executions. :class:`Transport` defines the contract —
-buffer-style point-to-point Send/Recv/Isend/probe matched by
-(source, tag), a root ``gather_bytes`` collective,
-rank-failure signaling, fault-injection hooks, and an *execution plane*
+buffer-style point-to-point Send/Recv/Isend matched by (source,
+tag), a root ``gather_bytes`` collective, rank-failure signaling, the
+``mpi.send`` rank-failure fault site, and an *execution plane*
 (:meth:`Transport.start_programs` / :meth:`Transport.call_all`) that
 runs per-rank stateful programs wherever the backend executes ranks.
 
@@ -29,9 +29,10 @@ driver that does not exist yet (docs/PARALLEL.md).
 Selection is the ``transport`` knob of
 :data:`repro.core.config.KNOBS` (:func:`create_transport`).
 
-Every transfer is recorded in a :class:`MessageLog` (source, dest, tag,
-bytes) — the observable the §4 performance model and the §5 I/O layer
-consume. The conformance suite (``tests/test_transport_conformance.py``)
+A message is delivered or its peer is dead: the plane models no loss
+and no corruption, as an MPI program sees none. Every transfer is
+recorded in a :class:`MessageLog` (source, dest, tag, bytes) — the
+observable the §4 performance model and the §5 I/O layer consume. The conformance suite (``tests/test_transport_conformance.py``)
 is the contract any new backend must pass.
 """
 
@@ -57,7 +58,6 @@ __all__ = [
     "MessageRecord",
     "MessageLog",
     "RankComm",
-    "SimComm",
     "Transport",
     "InProcessTransport",
     "TransportUnavailableError",
@@ -127,14 +127,6 @@ class RankComm:
         """Non-blocking send — same as Send under bulk-synchronous phases."""
         self.Send(array, dest, tag)
 
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """True if a matching message is waiting."""
-        return self.world._probe(self.rank, source, tag)
-
-
-#: historical name for the per-rank communicator handle
-SimComm = RankComm
-
 
 def _annotate_rank(exc: BaseException, rank: int) -> None:
     """Attach the originating rank to a program exception (best effort:
@@ -172,8 +164,8 @@ class Transport:
 
     * point-to-point: FIFO per (source, dest, tag) channel; ``Recv``
       with no matching pending message raises
-      :class:`~repro.resilience.errors.MessageNotFoundError`;
-      ``probe`` never blocks.
+      :class:`~repro.resilience.errors.MessageNotFoundError`; a
+      ``source`` or ``dest`` outside the world raises ``ValueError``.
     * collectives: :meth:`gather_bytes` root-gathers per-rank byte
       payloads in rank order.
     * failure: :meth:`fail_rank` marks a rank dead; every subsequent
@@ -181,8 +173,8 @@ class Transport:
       :class:`~repro.resilience.errors.RankFailedError`.
     * faults: the world owns a
       :class:`~repro.resilience.faults.FaultInjector`; sends consult the
-      ``mpi.send`` site (drop / corrupt / rank_failure; any other mode
-      raises ``ValueError``).
+      ``mpi.send`` site (``rank_failure`` only: a message is delivered
+      or its peer is dead; any other mode raises ``ValueError``).
     * accounting: every delivered send is recorded in
       :attr:`log`, a :class:`MessageLog`, with identical records across
       backends for the same schedule.
@@ -222,9 +214,6 @@ class Transport:
         raise NotImplementedError
 
     def _recv(self, rank: int, source: int, tag: int):
-        raise NotImplementedError
-
-    def _probe(self, rank: int, source: int, tag: int) -> bool:
         raise NotImplementedError
 
     # -- rank failure ------------------------------------------------------
@@ -307,8 +296,7 @@ class InProcessTransport(Transport):
 
     Fault injection (off by default, zero-cost when disabled): pass a
     :class:`~repro.resilience.faults.FaultInjector` and arm rules at
-    the ``mpi.send`` site — ``drop`` loses the message, ``corrupt``
-    flips payload bytes, ``rank_failure`` kills the sending rank
+    the ``mpi.send`` site — ``rank_failure`` kills the sending rank
     (or ``detail={"rank": r}``); a failed rank makes every subsequent
     operation touching it raise :class:`RankFailedError`.
 
@@ -329,7 +317,6 @@ class InProcessTransport(Transport):
         self._mailboxes: dict = defaultdict(deque)
         self.log = MessageLog()
         self._failed_ranks: set = set()
-        self.dropped = 0
         self._programs: list | None = None
         self._build = None  # per-rank program builder, kept for revival
         self._late: dict = {}  # rank -> exception its last remainder raised
@@ -376,31 +363,26 @@ class InProcessTransport(Transport):
         if self.faults.enabled:
             spec = self.faults.decide("mpi.send")
             if spec is not None:
-                if spec.mode == "rank_failure":
-                    victim = int(spec.detail.get("rank", source))
-                    self.fail_rank(victim)
-                    raise RankFailedError(
-                        f"rank {victim} failed during send "
-                        f"({source} -> {dest}, tag {tag})"
-                    )
-                if spec.mode == "drop":
-                    self.dropped += 1
-                    return
-                if spec.mode != "corrupt":
+                if spec.mode != "rank_failure":
                     raise ValueError(
                         f"fault site 'mpi.send' has no mode {spec.mode!r}; "
-                        f"it implements 'drop', 'corrupt' and 'rank_failure'"
+                        f"it implements 'rank_failure' only"
                     )
-                raw = self.faults.corrupt_bytes(array.tobytes())
-                array = np.frombuffer(raw, dtype=array.dtype).reshape(
-                    array.shape).copy()
+                victim = int(spec.detail.get("rank", source))
+                self.fail_rank(victim)
+                raise RankFailedError(
+                    f"rank {victim} failed during send "
+                    f"({source} -> {dest}, tag {tag})"
+                )
         self._mailboxes[(dest, source, tag)].append(array)
         self.log.record(source, dest, tag, array.nbytes)
 
     def _recv(self, rank: int, source: int, tag: int):
+        if not 0 <= source < self.size:
+            raise ValueError(f"source rank {source} out of range")
         self._check_alive(rank, "receiving")
         self._check_alive(source, "source")
-        box = self._mailboxes[(rank, source, tag)]
+        box = self._mailboxes.get((rank, source, tag))
         if not box:
             pending = {
                 (s, t): len(q)
@@ -417,9 +399,6 @@ class InProcessTransport(Transport):
                 f"tag {tag} (pending for rank {rank}: {state})"
             )
         return box.popleft()
-
-    def _probe(self, rank: int, source: int, tag: int) -> bool:
-        return bool(self._mailboxes[(rank, source, tag)])
 
     # -- execution plane ---------------------------------------------------
     def start_programs(self, factory, per_rank_args=None,

@@ -5,9 +5,10 @@ rules. Instrumented components (``InProcessTransport``, ``SimFileSystem``,
 ``Environment``, the resilient run supervisor) call
 :meth:`FaultInjector.decide` at named *sites* — e.g. ``"fs.write"``,
 ``"mpi.send"``, ``"workflow.transfer"``, ``"solver.step"`` — and apply
-the site-specific effect when a spec fires (raise, drop, corrupt,
-tear, ...). The injector only decides *whether and what*; the component
-owns *how*, so each layer's fault semantics stay local to that layer.
+the site-specific effect when a spec fires (raise, tear, serve stale
+bytes, fail a rank, ...). The injector only decides *whether and
+what*; the component owns *how*, so each layer's fault semantics stay
+local to that layer.
 
 Determinism: one ``random.Random(seed)`` drives every probabilistic
 decision in call order, and per-site operation counters implement
@@ -49,8 +50,8 @@ class FaultSpec:
         wildcard (``"fs.*"`` matches every file-system site).
     mode:
         Effect selector interpreted by the site: ``"error"`` (default),
-        ``"torn"``, ``"stale"``, ``"drop"``, ``"corrupt"``,
-        ``"rank_failure"``, ``"timeout"``.
+        ``"torn"``, ``"stale"``, ``"rank_failure"``, ``"hang"``,
+        ``"timeout"``.
     probability:
         Chance of firing per eligible operation (1.0 = always).
     count:

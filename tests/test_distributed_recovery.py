@@ -39,6 +39,7 @@ from repro.parallel.decomp import CartesianDecomposition
 from repro.parallel.shm import MultiprocessingTransport
 from repro.parallel.solver import ParallelPeriodicSolver
 from repro.resilience import (
+    MessageNotFoundError,
     RankFailedError,
     RankUnresponsiveError,
     ResilienceExhaustedError,
@@ -600,9 +601,9 @@ class TestReviveAndReset:
     def test_reset_channels_purges_mailboxes(self):
         world = InProcessTransport(2)
         world.comm(0).Send(np.arange(3.0), dest=1, tag=9)
-        assert world.comm(1).probe(source=0, tag=9)
         world.reset_channels()
-        assert not world.comm(1).probe(source=0, tag=9)
+        with pytest.raises(MessageNotFoundError):
+            world.comm(1).Recv(source=0, tag=9)
         world.close()
 
     @pytest.mark.slow

@@ -75,6 +75,9 @@ UNDRIVEN = {
     "parallel/solver.py:ParallelPeriodicSolver.fused_profile":
         "the only reader of the rank_telemetry output; the Figs 2-3 "
         "per-rank chemistry-time item (ROADMAP) builds on it",
+    "io/filesystem.py:SimFileSystem.corrupt":
+        "the at-rest media-corruption hook of the checkpoint and shard "
+        "corruption tests, which ROADMAP keeps",
 }
 
 

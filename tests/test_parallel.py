@@ -46,12 +46,6 @@ class TestInProcessTransport:
         buf[:] = 9.0
         np.testing.assert_array_equal(world.comm(1).Recv(source=0), np.zeros(3))
 
-    def test_probe(self):
-        world = InProcessTransport(2)
-        assert not world.comm(1).probe(source=0)
-        world.comm(0).Send(np.zeros(1), dest=1)
-        assert world.comm(1).probe(source=0)
-
     def test_log_accounting(self):
         world = InProcessTransport(3)
         world.comm(0).Send(np.zeros(10), dest=1)

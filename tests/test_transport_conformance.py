@@ -1,6 +1,6 @@
 """Cross-transport conformance suite: the contract every backend passes.
 
-One shared battery — point-to-point ordering, tag matching, probe,
+One shared battery — point-to-point ordering, tag and source matching,
 collectives, gather_bytes, rank failure, fault injection, message-log
 accounting, and the execution plane — runs against every registered
 transport backend. A new backend is done when this file passes for
@@ -12,15 +12,15 @@ Also here:
   identical :class:`~repro.parallel.comm.MessageLog` accounting and
   identical payloads across the in-process and multiprocessing
   backends,
-* the fault-injection matrix — drop/corrupt/rank-failure
-  schedules replay deterministically (seeds 1, 7, 42) and raise the
-  same typed exceptions through the multiprocessing control plane; a
-  mode the ``mpi.send`` site does not implement raises ``ValueError``.
+* the fault-injection matrix — rank-failure schedules (seeds 1, 7,
+  42) raise the same typed exceptions through the multiprocessing
+  control plane; ``rank_failure`` is the one mode of the ``mpi.send``
+  site, and any other (``drop`` and ``corrupt`` included) raises
+  ``ValueError``.
 """
 
 import os
 import time
-import zlib
 
 import numpy as np
 import pytest
@@ -120,13 +120,7 @@ class TestPointToPoint:
         w = make_world(2)
         with pytest.raises(MessageNotFoundError, match="no pending message"):
             w.comm(0).Recv(source=1, tag=0)
-
-    def test_probe_never_blocks(self, make_world):
-        w = make_world(2)
-        assert not w.comm(1).probe(source=0)
-        w.comm(0).Send(np.zeros(1), dest=1)
-        assert w.comm(1).probe(source=0)
-        assert not w.comm(1).probe(source=0, tag=4)
+        assert not w._mailboxes  # a miss creates no channel
 
     def test_invalid_ranks(self, make_world):
         w = make_world(2)
@@ -134,6 +128,8 @@ class TestPointToPoint:
             w.comm(5)
         with pytest.raises(ValueError):
             w.comm(0).Send(np.zeros(1), dest=9)
+        with pytest.raises(ValueError, match="source rank 7 out of range"):
+            w.comm(0).Recv(source=7)
 
     def test_preserves_dtype_and_shape(self, make_world):
         w = make_world(2)
@@ -206,34 +202,18 @@ class TestRankFailure:
 
 
 class TestFaultInjection:
-    def test_drop(self, make_world):
-        inj = FaultInjector(seed=1)
-        inj.add("mpi.send", mode="drop", probability=1.0)
-        w = make_world(2, fault_injector=inj)
-        w.comm(0).Send(np.zeros(4), dest=1)
-        assert w.dropped == 1
-        assert not w.comm(1).probe(source=0)
-
-    def test_corrupt_changes_payload(self, make_world):
-        inj = FaultInjector(seed=7)
-        inj.add("mpi.send", mode="corrupt", probability=1.0)
-        w = make_world(2, fault_injector=inj)
-        a = np.zeros(16)
-        w.comm(0).Send(a, dest=1)
-        out = w.comm(1).Recv(source=0)
-        assert out.shape == a.shape
-        assert not np.array_equal(out, a)
-
-    @pytest.mark.parametrize("mode", ["error", "delay"])
+    @pytest.mark.parametrize("mode", ["error", "delay", "drop", "corrupt"])
     def test_unimplemented_mode_raises(self, make_world, mode):
         """A spec armed with a mode the site does not implement is a
-        misarmed test, not a fault that fired and delivered anyway."""
+        misarmed test, not a fault that fired and delivered anyway: a
+        message is delivered or its peer is dead."""
         inj = FaultInjector(seed=1)
         inj.add("mpi.send", mode=mode, probability=1.0)
         w = make_world(2, fault_injector=inj)
         with pytest.raises(ValueError, match=f"'mpi.send'.*'{mode}'"):
             w.comm(0).Send(np.zeros(1), dest=1)
-        assert not w.comm(1).probe(source=0)
+        with pytest.raises(MessageNotFoundError):
+            w.comm(1).Recv(source=0)
         assert w.log.count == 0
 
     def test_rank_failure_fault(self, make_world):
@@ -448,12 +428,9 @@ _send_op = st.tuples(
 )
 
 
-def _both_worlds(size=3, seed=None):
-    worlds = []
-    for name in ("inprocess", "multiprocessing"):
-        inj = FaultInjector(seed=seed) if seed is not None else None
-        worlds.append(create_transport(name, size=size, fault_injector=inj))
-    return worlds
+def _both_worlds():
+    return [create_transport(name, size=3)
+            for name in ("inprocess", "multiprocessing")]
 
 
 class TestScheduleEquivalence:
@@ -472,87 +449,21 @@ class TestScheduleEquivalence:
                 got_mp = w_mp.comm(dst).Recv(source=src, tag=tag)
                 np.testing.assert_array_equal(got_in, got_mp)
             for w in (w_in, w_mp):  # every message received, none left
-                assert not any(w.comm(dst).probe(source=src, tag=tag)
-                               for src, dst, tag, _ in schedule)
-        finally:
-            w_in.close()
-            w_mp.close()
-
-    @given(
-        schedule=st.lists(_send_op, min_size=1, max_size=20),
-        seed=st.sampled_from([1, 7, 42]),
-        p_drop=st.sampled_from([0.0, 0.3, 0.7]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_faulty_schedules_identical(self, schedule, seed, p_drop):
-        w_in, w_mp = _both_worlds(seed=seed)
-        try:
-            for w in (w_in, w_mp):
-                w.faults.add("mpi.send", mode="drop", probability=p_drop)
-                w.faults.add("mpi.send", mode="corrupt",
-                             probability=0.5 * p_drop)
-            for i, (src, dst, tag, n) in enumerate(schedule):
-                payload = np.arange(n, dtype=float) + i
-                w_in.comm(src).Send(payload, dest=dst, tag=tag)
-                w_mp.comm(src).Send(payload, dest=dst, tag=tag)
-            assert w_in.dropped == w_mp.dropped
-            assert _log(w_in) == _log(w_mp)
-            for src, dst, tag, _ in schedule:
-                if w_in.comm(dst).probe(source=src, tag=tag):
-                    assert w_mp.comm(dst).probe(source=src, tag=tag)
-                    np.testing.assert_array_equal(
-                        w_in.comm(dst).Recv(source=src, tag=tag),
-                        w_mp.comm(dst).Recv(source=src, tag=tag))
-                else:
-                    assert not w_mp.comm(dst).probe(source=src, tag=tag)
+                for src, dst, tag, _ in schedule:
+                    with pytest.raises(MessageNotFoundError):
+                        w.comm(dst).Recv(source=src, tag=tag)
         finally:
             w_in.close()
             w_mp.close()
 
 
 # ---------------------------------------------------------------------------
-# fault-injection matrix: deterministic replay, seeds {1, 7, 42}
+# fault-injection matrix: typed failures agree, seeds {1, 7, 42}
 # ---------------------------------------------------------------------------
 FAULT_SEEDS = (1, 7, 42)
 
 
-def _faulty_run(name, seed):
-    """One fixed message schedule under a mixed fault recipe; returns
-    the observables a replay must reproduce exactly."""
-    inj = FaultInjector(seed=seed)
-    inj.add("mpi.send", mode="drop", probability=0.25)
-    inj.add("mpi.send", mode="corrupt", probability=0.2)
-    w = create_transport(name, size=4, fault_injector=inj)
-    try:
-        received = []
-        for i in range(40):
-            src, dst, tag = i % 4, (i + 1) % 4, i % 3
-            w.comm(src).Send(np.full(8, float(i)), dest=dst, tag=tag)
-        for i in range(40):
-            src, dst, tag = i % 4, (i + 1) % 4, i % 3
-            while w.comm(dst).probe(source=src, tag=tag):
-                received.append(w.comm(dst).Recv(source=src, tag=tag).copy())
-        return {
-            "log": _log(w),
-            "dropped": w.dropped,
-            # crc of raw bytes: corrupt faults can make NaN payloads,
-            # and NaN != NaN would break a float-sum digest
-            "payload_digest": [zlib.crc32(a.tobytes()) for a in received],
-        }
-    finally:
-        w.close()
-
-
 class TestFaultMatrix:
-    @pytest.mark.parametrize("seed", FAULT_SEEDS)
-    def test_replay_deterministic_inprocess(self, seed):
-        assert _faulty_run("inprocess", seed) == _faulty_run("inprocess", seed)
-
-    @pytest.mark.parametrize("seed", FAULT_SEEDS)
-    def test_replay_identical_across_backends(self, seed):
-        assert (_faulty_run("inprocess", seed)
-                == _faulty_run("multiprocessing", seed))
-
     @pytest.mark.parametrize("seed", FAULT_SEEDS)
     def test_rank_failure_same_typed_exception(self, seed):
         outcomes = []
