@@ -110,14 +110,15 @@ class ERKIntegrator:
         what stage 1 consumes; the working copy is taken afterwards.
         The copy is then updated in place between evaluations, so an RHS
         that memoizes on the buffer it is handed is told after each
-        update (``rhs.mark_modified()``): no checksum of a conservative
-        update is guaranteed to move."""
+        update (``rhs.mark_modified()``, or the method's object's): no
+        checksum of a conservative update is guaranteed to move."""
         u = np.asarray(u, dtype=float)
         du = np.zeros_like(u)
         use_out = getattr(rhs, "supports_out", False)
         if use_out and (self._fbuf is None or self._fbuf.shape != u.shape):
             self._fbuf = np.empty_like(u)
-        mark_modified = getattr(rhs, "mark_modified", None)
+        mark_modified = getattr(getattr(rhs, "__self__", rhs),
+                                "mark_modified", None)
         hook = self.stage_hook
         for i in range(self.stages):
             du *= self.a[i]

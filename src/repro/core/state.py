@@ -249,21 +249,18 @@ class State:
 
 
 # ---------------------------------------------------------------------------
-# Strang-split reactor coupling helpers
+# Strang-split reactor coupling
 # ---------------------------------------------------------------------------
 def strang_reactor_inputs(u, ndim: int, n_species: int):
     """Decode ``(rho_flat, e_int_flat, Y_flat)`` for a chemistry half-step.
 
-    ``u`` is a conserved block ``(nvar,) + S`` — the serial solver's full
-    state array or one rank's owned interior. Mass fractions follow
-    :meth:`State.mass_fractions` exactly (clip to [0, 1], last species
-    from the sum constraint); the specific internal energy is the total
-    energy minus resolved kinetic energy. All reductions are fixed-order
-    (:func:`~repro.util.reduction.axis0_sum`), so the decoded per-cell
-    values — and therefore the reactor results — are bitwise identical
-    whether a cell is decoded from the global array or from a rank
-    block. That is what makes the serial and parallel Strang paths (and
-    any chemistry-load-balance shipping in between) agree bit for bit.
+    ``u`` is a conserved block ``(nvar,) + S``, a rank's or a world of
+    one's. Mass fractions follow :meth:`State.mass_fractions` exactly
+    (clip to [0, 1], last species from the sum constraint); the specific
+    internal energy is the total energy minus resolved kinetic energy.
+    All reductions are fixed-order
+    (:func:`~repro.util.reduction.axis0_sum`), so a cell decodes — and
+    reacts — to the same bits on any block, balanced or not.
     """
     rho = u[0]
     S = rho.shape
@@ -285,17 +282,3 @@ def strang_reactor_inputs(u, ndim: int, n_species: int):
         np.ascontiguousarray(e_int.reshape(-1)),
         np.ascontiguousarray(Y.reshape(n_species, -1)),
     )
-
-
-def strang_apply_update(u, ndim: int, n_species: int, Y1) -> None:
-    """Write a chemistry half-step result back into a conserved block.
-
-    Only the transported species densities change: the reactor ran at
-    fixed ``(rho, e_int)`` and the resolved velocity is untouched, so
-    density, momentum, and total energy are conserved identically.
-    """
-    rho = u[0]
-    S = rho.shape
-    nt = n_species - 1
-    sl = slice(2 + ndim, 2 + ndim + nt)
-    u[sl] = (rho.reshape(-1)[None] * Y1[:nt]).reshape((nt,) + S)

@@ -90,9 +90,7 @@ class HealthMonitor:
         """
         from repro.core.erk import finite_guard
 
-        integrator = getattr(self.solver, "integrator", None)
-        if integrator is not None:
-            integrator.stage_hook = finite_guard
+        self.solver.integrator.stage_hook = finite_guard
 
     def stage_trip(self, stage: int, bad: int) -> None:
         """Trip on ``bad`` non-finite entries in the slope of ``stage``."""

@@ -7,8 +7,8 @@ protocol, several executions. :class:`Transport` defines the contract —
 buffer-style point-to-point Send/Recv/Isend matched by (source,
 tag), a root ``gather_bytes`` collective, rank-failure signaling, the
 ``mpi.send`` rank-failure fault site, and an *execution plane*
-(:meth:`Transport.start_programs` / :meth:`Transport.call_all`) that
-runs per-rank stateful programs wherever the backend executes ranks.
+(``start_programs`` / ``call_all``) that runs per-rank stateful
+programs wherever the backend executes ranks.
 
 Backends
 --------
@@ -22,9 +22,9 @@ Backends
   a pickled pipe control plane, so rank programs actually run on
   separate cores.
 
-Both are driver-owned: one process holds every rank's blocks and
-dispatches rank programs. A real-MPI backend is SPMD and needs a solver
-driver that does not exist yet (docs/PARALLEL.md).
+Both are driver-routed: the rank programs own their blocks and one
+driver process routes what they post. A real-MPI backend is SPMD and
+needs a launcher that does not exist yet (docs/PARALLEL.md).
 
 Selection is the ``transport`` knob of
 :data:`repro.core.config.KNOBS` (:func:`create_transport`).
@@ -157,7 +157,10 @@ def _expire(args) -> None:
 
 
 class Transport:
-    """Abstract communication + execution backend for a world of ranks.
+    """Communication + execution backend for a world of ranks: the
+    contract, and what every backend shares (:meth:`comm`,
+    :meth:`gather_bytes`); :class:`InProcessTransport` implements the
+    rest, and the multiprocessing backend specialises it.
 
     The message-plane contract (identical across backends, asserted by
     the conformance suite):
@@ -209,33 +212,6 @@ class Transport:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         return RankComm(self, rank)
 
-    # -- message-plane internals (backend-specific) ------------------------
-    def _send(self, source: int, dest: int, tag: int, array) -> None:
-        raise NotImplementedError
-
-    def _recv(self, rank: int, source: int, tag: int):
-        raise NotImplementedError
-
-    # -- rank failure ------------------------------------------------------
-    def fail_rank(self, rank: int) -> None:
-        raise NotImplementedError
-
-    @property
-    def failed_ranks(self) -> set:
-        raise NotImplementedError
-
-    def revive_ranks(self, ranks) -> None:
-        """Bring failed ranks back (the respawn recovery path): clear
-        their failed flags and restart their rank programs fresh —
-        callers must reinstall any program state from a checkpoint."""
-        raise NotImplementedError
-
-    def reset_channels(self) -> None:
-        """Purge in-flight message-plane state (the mailboxes) after a
-        mid-exchange failure, so a recovered run does not consume stale
-        halo traffic from the abandoned step."""
-        raise NotImplementedError
-
     # -- collectives built on the point-to-point plane ---------------------
     def gather_bytes(self, payloads, root: int = 0, tag: int = 0) -> list:
         """Root-gather of per-rank byte payloads.
@@ -265,17 +241,6 @@ class Transport:
             else:
                 out.append(comm.Recv(source=rank, tag=tag).tobytes())
         return out
-
-    # -- execution plane ---------------------------------------------------
-    def start_programs(self, factory, per_rank_args=None,
-                       local_factory=None) -> None:
-        raise NotImplementedError
-
-    def call_all(self, method: str, payloads=None) -> list:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (workers, shared memory). Idempotent."""
 
     def __enter__(self) -> "Transport":
         return self
@@ -348,6 +313,8 @@ class InProcessTransport(Transport):
                 self._programs[rank] = self._build(rank)
 
     def reset_channels(self) -> None:
+        """Purge the mailboxes after a mid-exchange failure, so a
+        recovered run does not consume the abandoned step's traffic."""
         self._mailboxes.clear()
 
     def _check_alive(self, rank: int, role: str) -> None:
@@ -457,34 +424,13 @@ class InProcessTransport(Transport):
             _annotate_rank(exc, rank)
             raise
 
-    def _decide_exec_fault(self):
-        """Consult the ``exec.call`` fault site once per collective call.
-
-        ``rank_failure`` kills the victim rank (``detail={"rank": r}``,
-        default 0) and raises :class:`RankFailedError`; ``hang`` models
-        a worker that stops answering — the victim is failed and a
-        :class:`RankUnresponsiveError` surfaces, the same typed error a
-        real missed heartbeat produces on out-of-process backends.
-        """
-        if not self.faults.enabled:
-            return ()
-        spec = self.faults.decide("exec.call")
-        if spec is None:
-            return ()
-        victim = int(spec.detail.get("rank", 0)) % self.size
-        self.fail_rank(victim)
-        if spec.mode == "hang":
-            raise RankUnresponsiveError(
-                f"rank {victim} stopped responding during a collective call"
-            )
-        raise RankFailedError(
-            f"rank {victim} died during a collective call"
-        )
-
-    def call_all(self, method: str, payloads=None) -> list:
-        """Invoke ``method`` on every rank's program, serially in rank
-        order; returns per-rank results."""
-        self._require_programs()
+    def _begin_call(self, payloads) -> tuple:
+        """What every backend's collective call checks first: one
+        payload per rank (``None``: none), every rank alive, then the
+        ``exec.call`` site, once. Returns the payloads and ``None`` or
+        the fault ``(mode, victim)`` (``rank=r``, default 0) for the
+        backend to carry out; a mode other than ``rank_failure`` or
+        ``hang`` raises ``ValueError`` before a rank is touched."""
         if payloads is None:
             payloads = [() for _ in range(self.size)]
         if len(payloads) != self.size:
@@ -493,11 +439,38 @@ class InProcessTransport(Transport):
             )
         for rank in range(self.size):
             self._check_alive(rank, "executing")
-        self._decide_exec_fault()
+        spec = self.faults.decide("exec.call") if self.faults.enabled else None
+        if spec is None:
+            return payloads, None
+        if spec.mode not in ("rank_failure", "hang"):
+            raise ValueError(
+                f"fault site 'exec.call' has no mode {spec.mode!r}; it "
+                f"implements 'rank_failure' and 'hang' only"
+            )
+        return payloads, (spec.mode, int(spec.detail.get("rank", 0)) % self.size)
+
+    def call_all(self, method: str, payloads=None) -> list:
+        """Invoke ``method`` on every rank's program, serially in rank
+        order; returns per-rank results. An ``exec.call`` fault fails
+        its victim: ``rank_failure`` raises :class:`RankFailedError`,
+        ``hang`` a :class:`RankUnresponsiveError` — the same typed error
+        a real missed heartbeat produces on out-of-process backends."""
+        self._require_programs()
+        payloads, fault = self._begin_call(payloads)
+        if fault is not None:
+            mode, victim = fault
+            self.fail_rank(victim)
+            if mode == "hang":
+                raise RankUnresponsiveError(
+                    f"rank {victim} stopped responding during a collective "
+                    f"call")
+            raise RankFailedError(
+                f"rank {victim} died during a collective call")
         return [self._invoke(rank, method, payloads[rank])
                 for rank in range(self.size)]
 
     def close(self) -> None:
+        """Release backend resources (workers, shared memory). Idempotent."""
         self._programs = None
 
 

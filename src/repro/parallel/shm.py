@@ -8,7 +8,7 @@ accounting — is the driver-owned deterministic machinery inherited from
 fault replay, and byte count is identical to the reference backend.
 The *execution plane* is where the backends diverge: rank programs run
 in persistent spawn-safe worker processes, one per rank, so
-:meth:`~repro.parallel.comm.Transport.call_all` fans per-rank compute
+``call_all`` fans per-rank compute
 (the RHS evaluations that dominate DNS wall-clock) out across cores.
 
 Data path
@@ -560,8 +560,9 @@ class MultiprocessingTransport(InProcessTransport):
         return tuple(parts) if kind == "tuple" else parts[0]
 
     # -- fault injection (real process-level effects) ----------------------
-    def _decide_exec_fault(self):
-        """``exec.call`` faults take their *real* effect here: a
+    def _carry_out(self, fault):
+        """``exec.call`` faults (``None`` or ``(mode, victim)``, decided
+        by :meth:`_begin_call`) take their *real* effect here: a
         ``rank_failure`` actually kills the victim's worker process (so
         the genuine crash-detection path fires), and a ``hang`` with an
         armed heartbeat makes the worker sleep through its deadline (so
@@ -569,13 +570,10 @@ class MultiprocessingTransport(InProcessTransport):
         armed heartbeat, fall back to the driver-raised simulation of
         the in-process reference.
         """
-        if not self.faults.enabled:
+        if fault is None:
             return ()
-        spec = self.faults.decide("exec.call")
-        if spec is None:
-            return ()
-        victim = int(spec.detail.get("rank", 0)) % self.size
-        if spec.mode == "hang":
+        mode, victim = fault
+        if mode == "hang":
             if self.heartbeat > 0 and self._workers is not None:
                 return (victim,)
             self.fail_rank(victim)
@@ -693,15 +691,8 @@ class MultiprocessingTransport(InProcessTransport):
         in sync for subsequent calls).
         """
         self._require_started()
-        if payloads is None:
-            payloads = [() for _ in range(self.size)]
-        if len(payloads) != self.size:
-            raise ValueError(
-                f"need one payload per rank ({self.size}), got {len(payloads)}"
-            )
-        for rank in range(self.size):
-            self._check_alive(rank, "executing")
-        hang = self._decide_exec_fault()
+        payloads, fault = self._begin_call(payloads)
+        hang = self._carry_out(fault)
         results = [None] * self.size
         for rank in range(self.size):
             if rank in hang:

@@ -104,9 +104,8 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
     Parameters
     ----------
     solver:
-        An :class:`~repro.core.solver.S3DSolver` or a
-        :class:`~repro.parallel.solver.ParallelPeriodicSolver`
-        (advanced in place).
+        An :class:`~repro.core.solver.S3DSolver`, a world of one or a
+        decomposed domain (advanced in place).
     fs:
         The :class:`~repro.io.filesystem.SimFileSystem` holding the
         checkpoint ring (and, when fault injection is armed on it, the
@@ -157,9 +156,8 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
     tel = resolve_telemetry(telemetry if telemetry is not None
                             else solver.telemetry)
     if injector is None:
-        world = getattr(solver, "world", None)
-        injector = (world.faults if world is not None and world.faults.enabled
-                    else getattr(fs, "faults", None))
+        faults = solver.world.faults
+        injector = faults if faults.enabled else getattr(fs, "faults", None)
     inj = resolve_injector(injector)
     if ring is None:
         ring = solver.checkpoint_ring(fs, keep=keep, telemetry=tel)

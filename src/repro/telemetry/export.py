@@ -95,7 +95,9 @@ class MonitorWriter:
 
 
 def parse_monitor_text(text: str) -> list:
-    """Parse monitor lines into dict rows (mirrors ``MinMaxParser``)."""
+    """Parse monitor lines into dict rows, the inverse of
+    :class:`MonitorWriter` (the workflow's ``MinMaxParser`` reads the
+    §9 files with it)."""
     rows = []
     for line in text.splitlines():
         parts = line.split()

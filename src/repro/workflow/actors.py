@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.export import parse_monitor_text
 from repro.workflow.actor import Actor, Port, Token
 from repro.workflow.environment import RemoteError
 
@@ -236,19 +237,7 @@ class MinMaxParser(Actor):
     def fire(self, inputs):
         token = inputs["file"]
         text = self.env[self.machine].read(token.value).decode()
-        rows = []
-        for line in text.splitlines():
-            parts = line.split()
-            if len(parts) >= 4:
-                rows.append(
-                    {
-                        "step": int(parts[0]),
-                        "variable": parts[1],
-                        "min": float(parts[2]),
-                        "max": float(parts[3]),
-                    }
-                )
-        return {"series": token.derive(rows, self.name)}
+        return {"series": token.derive(parse_monitor_text(text), self.name)}
 
 
 class PlotImages(Actor):

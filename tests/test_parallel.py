@@ -527,6 +527,19 @@ def _front_run(mech, procs, comm_transport, steps=2, **kw):
         return par.gather_state(), shipped
 
 
+def _counted(world) -> list:
+    """The names of the execution-plane calls ``world`` makes from now
+    on (a wrapper around its ``call_all``)."""
+    calls, call_all = [], world.call_all
+
+    def counted(method, payloads=None):
+        calls.append(method)
+        return call_all(method, payloads)
+
+    world.call_all = counted
+    return calls
+
+
 @pytest.mark.transport
 @pytest.mark.slow
 class TestRankProgramOnBothTransports:
@@ -541,19 +554,24 @@ class TestRankProgramOnBothTransports:
 
     def test_load_balanced_is_bitwise_off(self, h2_mech):
         """Deferred reaction sources: the rank posts ``(rho, T, Y)`` and
-        is resumed with the balanced ``wdot``."""
-        ref, _ = _front_run(h2_mech, (2, 1), "inprocess")
-        for name in ("inprocess", "multiprocessing"):
-            got, shipped = _front_run(h2_mech, (2, 1), name,
-                                      chem_load_balance="greedy")
-            assert shipped > 0
-            assert np.array_equal(got, ref), name
+        is resumed with the balanced ``wdot``; under Strang it posts its
+        half-steps' reactor inputs and is resumed with the advanced
+        composition."""
+        for mode in ("explicit", "strang"):
+            ref, _ = _front_run(h2_mech, (2, 1), "inprocess",
+                                chemistry_mode=mode)
+            for name in ("inprocess", "multiprocessing"):
+                got, shipped = _front_run(h2_mech, (2, 1), name,
+                                          chemistry_mode=mode,
+                                          chem_load_balance="greedy")
+                assert shipped > 0
+                assert np.array_equal(got, ref), (mode, name)
 
-    def test_strang_pulls_and_pushes(self, h2_mech, h2_air_stoich):
-        """Strang mode: the driver pulls the blocks, advances the
-        reactors and pushes them back around every transport step (the
-        Newton caches stay where they are). Decomposed == serial is
-        tests/test_implicit.py's."""
+    def test_strang_runs_on_the_ranks(self, h2_mech, h2_air_stoich):
+        """Strang mode: every rank advances its own cells' reactors
+        around its ERK stages, in its own step, and a worker process
+        does so bit for bit as the in-process reference. Decomposed ==
+        serial is tests/test_implicit.py's."""
         grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (16, 16))
         d = CartesianDecomposition((16, 16), (2, 1), periodic=(True, True))
         out = []
@@ -567,6 +585,57 @@ class TestRankProgramOnBothTransports:
                 out.append(par.gather_state())
         assert np.array_equal(*out)
         assert not np.array_equal(out[0], u0)
+
+    @pytest.mark.parametrize("mode", ["explicit", "strang"])
+    @pytest.mark.parametrize("name", ["inprocess", "multiprocessing"])
+    def test_a_step_on_a_world_of_one_is_one_call(self, h2_mech,
+                                                  h2_air_stoich, name, mode):
+        """A world of one never posts: a whole step — Strang half-steps,
+        ERK stages, filter pass — is one ``advance``, for the serial
+        solver's in-process default and for a (1, 1) decomposition on
+        either transport, and the two are the same bits."""
+        grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (16, 16))
+        tr = ConstantLewisTransport(h2_mech)
+        cfg = SolverConfig(boundaries=periodic_boundaries(2), dt=1e-8,
+                           chemistry_mode=mode)
+        serial = S3DSolver(State(h2_mech, grid, u0.copy()), cfg,
+                           transport=tr)
+        d = CartesianDecomposition((16, 16), (1, 1), periodic=(True, True))
+        with ParallelPeriodicSolver(h2_mech, grid, d, transport=tr,
+                                    chemistry_mode=mode,
+                                    comm_transport=name) as par:
+            par.set_state(u0)
+            for solver in (serial, par):
+                calls = _counted(solver.world)
+                solver.step(1e-8)
+                assert calls == ["advance"]
+            assert np.array_equal(par.gather_state(), serial.state.u)
+
+    @pytest.mark.parametrize("name", ["inprocess", "multiprocessing"])
+    def test_a_strang_step_pulls_and_pushes_nothing(self, h2_mech,
+                                                    h2_air_stoich, name):
+        """The Strang half-steps are phases of the rank step: a (2, 1)
+        step with chemlb off makes the explicit step's calls — no
+        ``snapshot`` or ``install`` (four per step when the driver ran
+        the reactors) — and on multiprocessing the driver's own ledger
+        holds no implicit-chemistry time."""
+        from repro.core.erk import ERKIntegrator
+        from repro.telemetry import Telemetry
+
+        grid, u0 = _hot_spot_state(h2_mech, h2_air_stoich, (16, 16))
+        d = CartesianDecomposition((16, 16), (2, 1), periodic=(True, True))
+        tel = Telemetry()
+        with ParallelPeriodicSolver(
+                h2_mech, grid, d, transport=ConstantLewisTransport(h2_mech),
+                chemistry_mode="strang", chem_load_balance="off",
+                comm_transport=name, telemetry=tel) as par:
+            par.set_state(u0)
+            calls = _counted(par.world)
+            par.step(1e-7)
+            assert calls == ["advance"] + ["resume"] * (
+                2 * ERKIntegrator().stages + len(par.halo.axes))
+            if name == "multiprocessing":
+                assert "CHEMISTRY_IMPLICIT" not in tel.tracer.stats
 
     @pytest.mark.parametrize("name", ["inprocess", "multiprocessing"])
     def test_locals_are_a_coherent_snapshot(self, h2_mech, name):

@@ -128,7 +128,7 @@ class TestObserversLeaveNoTrace:
             solver.step()
             if observe and step == 1:
                 summarize_solver(solver, ("H2", "OH"))
-                solver.primitives()
+                solver.state.primitives()
         return solver.state.u
 
     @pytest.mark.parametrize("kwargs", [{}, STRANG], ids=["explicit", "strang"])

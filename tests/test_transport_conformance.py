@@ -216,6 +216,20 @@ class TestFaultInjection:
             w.comm(1).Recv(source=0)
         assert w.log.count == 0
 
+    def test_exec_call_unimplemented_mode_raises(self, make_world):
+        """``exec.call`` implements ``rank_failure`` and ``hang``: any
+        other mode raises ``ValueError`` naming the site and the mode
+        before a rank is failed or a worker killed (it used to kill the
+        victim as a ``rank_failure``)."""
+        inj = FaultInjector(seed=1)
+        inj.add("exec.call", mode="drop", rank=1)
+        w = make_world(2, fault_injector=inj)
+        w.start_programs(EchoProgram, [(0.0,), (0.0,)])
+        with pytest.raises(ValueError, match="'exec.call'.*'drop'"):
+            w.call_all("bump")
+        assert w.failed_ranks == set()
+        assert w.call_all("bump") == [1, 1]
+
     def test_rank_failure_fault(self, make_world):
         inj = FaultInjector(seed=1)
         inj.add("mpi.send", mode="rank_failure", probability=1.0)
