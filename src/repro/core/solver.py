@@ -382,12 +382,15 @@ class S3DSolver:
     @property
     def state(self) -> State:
         """The global :class:`~repro.core.state.State`: a world of
-        one's own, live; on a decomposed domain a snapshot gathered once
-        after the ranks have moved, for inspection, not a handle."""
+        one's own, live; on a decomposed domain a read-only snapshot
+        gathered once after the ranks have moved, for inspection, not a
+        handle (write through :meth:`set_state`)."""
         if self._program is not None:
             return self._program.state
         if self._gstate is None:
-            self._gstate = State(self.mech, self.grid, self.gather_state())
+            u = self.gather_state()
+            u.flags.writeable = False
+            self._gstate = State(self.mech, self.grid, u)
         return self._gstate
 
     @property
@@ -585,25 +588,18 @@ class S3DSolver:
         """
         return self.telemetry.profile_report()
 
-    def fused_profile(self, root: int = 0):
+    def fused_profile(self):
         """Cross-rank fused profile of the per-rank kernel telemetry
-        (``rank_telemetry=True``): every rank's snapshot is gathered to
-        ``root`` over the transport, message-logged like a real TAU
-        merge, and fused (:mod:`repro.observability.fusion`)."""
+        (``rank_telemetry=True``): every rank's snapshot, merged like
+        TAU's per-process profiles (:mod:`repro.observability.fusion`)."""
         if not self._rank_telemetry:
             raise ValueError(
                 "fused_profile needs per-rank telemetry; construct the "
                 "solver with rank_telemetry=True"
             )
-        from repro.observability.fusion import (
-            collect_snapshot_dicts,
-            fuse_profiles,
-        )
+        from repro.observability.fusion import fuse_profiles
 
-        snapshots = self.world.call_all("telemetry_snapshot")
-        snapshots = collect_snapshot_dicts(self.world, snapshots, root=root,
-                                           telemetry=self.telemetry)
-        return fuse_profiles(snapshots)
+        return fuse_profiles(self.world.call_all("telemetry_snapshot"))
 
     def close(self) -> None:
         """Release the transport when this solver created it."""

@@ -17,13 +17,13 @@ dies:
   orchestrating watchdogs + recorder at a configurable cadence inside
   the solver loops, with a zero-cost :data:`NULL_HEALTH` path matching
   the telemetry ``NullTelemetry`` convention.
-* :mod:`~repro.observability.fusion` — cross-rank profile fusion: per
-  rank ``Telemetry.snapshot()``s shipped over the transport and merged
-  into Fig 2-style per-kernel min/median/max/imbalance tables.
-* :mod:`~repro.observability.render` — the §9 in-situ view: ASCII
-  dashboard with sparkline histories plus a static self-contained
-  ``observatory.html`` report, both replayable offline from a flight
-  recorder dump.
+* :mod:`~repro.observability.fusion` — cross-rank profile fusion: the
+  per-rank ``Telemetry.snapshot()``s a world's ranks return, merged
+  into the Fig 2 per-kernel table with a per-kernel imbalance factor.
+* :mod:`~repro.observability.render` — the §9 in-situ view: one view
+  of the flight recorder's rows, rendered as an ASCII dashboard with
+  sparkline histories or a static self-contained ``observatory.html``
+  report, both replayable offline from a flight recorder dump.
 
 Mode selection is the ``observability`` knob of
 :data:`repro.core.config.KNOBS` (``REPRO_OBSERVABILITY`` or
@@ -52,11 +52,7 @@ from repro.observability.watchdogs import (
 )
 from repro.observability.recorder import FlightRecorder, StepRecord, SCHEMA_VERSION
 from repro.observability.monitor import HealthMonitor, NullHealthMonitor, NULL_HEALTH
-from repro.observability.fusion import (
-    FusedKernelRow,
-    FusedProfile,
-    fuse_profiles,
-)
+from repro.observability.fusion import FusedProfile, fuse_profiles
 from repro.observability.render import (
     RunMonitor,
     html_report,
@@ -82,7 +78,6 @@ __all__ = [
     "HealthMonitor",
     "NullHealthMonitor",
     "NULL_HEALTH",
-    "FusedKernelRow",
     "FusedProfile",
     "fuse_profiles",
     "RunMonitor",

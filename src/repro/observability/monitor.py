@@ -105,7 +105,7 @@ class HealthMonitor:
         self.trips += 1
         self._c_trips.inc()
         self.last_events = [event]
-        self._dump(f"rk stage guard trip (stage {stage})")
+        self.dump(f"rk stage guard trip (stage {stage})")
         raise WatchdogTripError([event], step=self.solver.step_count,
                                 time=self.solver.time)
 
@@ -145,7 +145,7 @@ class HealthMonitor:
         elif worst == "trip":
             self.trips += 1
             self._c_trips.inc()
-            self._dump("watchdog trip")
+            self.dump("watchdog trip")
             raise WatchdogTripError(events, step=ctx.step, time=ctx.time)
         if self.run_monitor is not None:
             self.run_monitor.maybe_render(ctx.step)
@@ -159,21 +159,17 @@ class HealthMonitor:
         for w in self.watchdogs:
             w.on_recovery(int(info.get("restored_step", 0)))
 
-    def _dump(self, reason: str) -> None:
+    def dump(self, reason: str = "manual") -> None:
+        """Dump the black box to the attached sink, if any; a failed
+        write is kept in :attr:`dump_error`, not raised (the trip that
+        asked for the dump must still surface)."""
         if self.fs is None:
             return
         try:
             self.recorder.dump(self.fs, self.dump_path, reason=reason)
             self.dump_error = None
-        except Exception as err:  # the trip must still surface
+        except Exception as err:
             self.dump_error = f"{type(err).__name__}: {err}"
-
-    def dump(self, reason: str = "manual") -> str | None:
-        """Dump the black box now; returns the path (None if no sink)."""
-        if self.fs is None:
-            return None
-        self.recorder.dump(self.fs, self.dump_path, reason=reason)
-        return self.dump_path
 
     def status(self) -> dict:
         """Latest severity per watchdog (``{}`` before the first check)."""

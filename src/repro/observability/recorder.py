@@ -124,13 +124,6 @@ class FlightRecorder:
         return out
 
     # -- serialization ---------------------------------------------------
-    def header(self) -> dict:
-        return {
-            "kind": "header",
-            "version": SCHEMA_VERSION,
-            "capacity": self.capacity,
-        }
-
     def summary(self, reason: str = "") -> dict:
         return {
             "kind": "summary",
@@ -143,7 +136,9 @@ class FlightRecorder:
         }
 
     def to_jsonl(self, reason: str = "") -> str:
-        lines = [json.dumps(self.header(), sort_keys=True)]
+        header = {"kind": "header", "version": SCHEMA_VERSION,
+                  "capacity": self.capacity}
+        lines = [json.dumps(header, sort_keys=True)]
         lines += [json.dumps(r.as_dict(), sort_keys=True) for r in self.records]
         lines += [json.dumps(r, sort_keys=True) for r in self.recoveries]
         lines.append(json.dumps(self.summary(reason), sort_keys=True))

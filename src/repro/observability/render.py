@@ -7,15 +7,18 @@ step table, sparkline histories, and watchdog status — on an interval,
 and :func:`html_report` emits a static, self-contained
 ``observatory.html`` (inline CSS + SVG, no external assets) per run.
 
-Both renderers operate on the plain-dict step rows of the flight
-recorder's JSONL schema, so :func:`replay_report` can rebuild the
-exact same views offline from a crash dump.
+Both renderers mark up one view (:func:`_view`) of the plain-dict step
+rows of the flight recorder's JSONL schema, so they show the same
+content and :func:`replay_report` can rebuild them offline from a
+crash dump.
 """
 
 from __future__ import annotations
 
 import html as _html
 import math
+
+from repro.observability.watchdogs import worst_severity
 
 __all__ = [
     "sparkline",
@@ -58,19 +61,9 @@ def _series(rows, key: str) -> list:
     return [float(r.get(key, float("nan"))) for r in rows]
 
 
-def _extrema_series(rows, var: str, which: int = 1) -> list:
-    out = []
-    for r in rows:
-        ex = r.get("extrema", {}).get(var)
-        out.append(float(ex[which]) if ex else float("nan"))
-    return out
-
-
-def _row_status(row: dict) -> str:
-    from repro.observability.watchdogs import worst_severity
-
-    return worst_severity(row.get("watchdogs", {}).values()) if row.get(
-        "watchdogs") else "ok"
+def _max_series(rows, var: str) -> list:
+    return [float(r["extrema"][var][1]) if var in r.get("extrema", {})
+            else float("nan") for r in rows]
 
 
 def _oversubscription(rows, telemetry=None) -> int:
@@ -100,64 +93,74 @@ def _fmt_range(values) -> str:
     return f"[{min(finite):.4g}, {max(finite):.4g}]"
 
 
+def _view(rows, recoveries=(), variables=None, table_rows: int = 8,
+          telemetry=None) -> dict:
+    """The content of both dashboards, which differ only in markup: the
+    latest step row, its watchdog states, the oversubscription warning,
+    the history series (dt, wall time, CFL margin when recorded, and the
+    maxima of the requested or three leading variables), the recent
+    steps with their status, the recoveries and the run's counts."""
+    recoveries = list(recoveries)
+    status = [worst_severity(r.get("watchdogs", {}).values()) for r in rows]
+    last = rows[-1] if rows else {}
+    histories = []
+    if rows:
+        histories = [("dt", _series(rows, "dt")),
+                     ("wall[s]", _series(rows, "wall"))]
+        margin = _series(rows, "cfl_margin")
+        if any(math.isfinite(v) for v in margin):
+            histories.append(("cfl", margin))
+        for var in (variables if variables is not None
+                    else list(last.get("extrema", {}))[:3]):
+            histories.append((f"{var} max", _max_series(rows, var)))
+    oversub = _oversubscription(rows, telemetry)
+    return {
+        "last": last,
+        "watchdogs": sorted(last.get("watchdogs", {}).items()),
+        "warning": (f"transport oversubscribed: {oversub} rank(s) beyond "
+                    f"physical CPUs -- wall-time signals suspect"
+                    if oversub else ""),
+        "histories": histories,
+        "recent": [(r["step"], r["t"], r["dt"], r.get("wall", 0.0), st)
+                   for r, st in zip(rows[-table_rows:], status[-table_rows:])],
+        "recoveries": [f"step {rec.get('at_step', '?')} -> restored "
+                       f"{rec.get('restored_step', '?')} "
+                       f"({rec.get('error', '')})" for rec in recoveries],
+        "counts": (f"retained {len(rows)} steps  warns {status.count('warn')}"
+                   f"  trips {status.count('trip')}  recoveries "
+                   f"{len(recoveries)}" if rows else ""),
+    }
+
+
 def render_dashboard(rows, recoveries=(), title: str =
                      "simulation health observatory", table_rows: int = 8,
                      spark_width: int = 32, variables=None,
                      telemetry=None) -> str:
     """ASCII dashboard from flight-recorder step rows (dicts)."""
-    lines = []
-    if not rows:
-        return f"=== {title} ===\n(no steps recorded)"
-    last = rows[-1]
-    lines.append(
-        f"=== {title} ===  step {last['step']}  t={last['t']:.6e}s  "
-        f"dt={last['dt']:.3e}s"
-    )
-    dogs = last.get("watchdogs", {})
-    if dogs:
-        lines.append(
-            "watchdogs: "
-            + "  ".join(f"{k}={v}" for k, v in sorted(dogs.items()))
-        )
-    oversub = _oversubscription(rows, telemetry)
-    if oversub:
-        lines.append(
-            f"!! transport oversubscribed: {oversub} rank(s) beyond "
-            f"physical CPUs -- wall-time signals suspect"
-        )
-    # sparkline histories: dt, wall, then the requested (or leading)
-    # conserved-variable maxima
-    specs = [("dt", _series(rows, "dt")), ("wall[s]", _series(rows, "wall"))]
-    margin = _series(rows, "cfl_margin")
-    if any(math.isfinite(v) for v in margin):
-        specs.append(("cfl", margin))
-    all_vars = list(last.get("extrema", {}))
-    for var in (variables if variables is not None else all_vars[:3]):
-        specs.append((f"{var} max", _extrema_series(rows, var, 1)))
-    for label, values in specs:
+    view = _view(rows, recoveries, variables, table_rows, telemetry)
+    last = view["last"]
+    lines = [f"=== {title} ===  step {last['step']}  t={last['t']:.6e}s  "
+             f"dt={last['dt']:.3e}s" if last
+             else f"=== {title} ===\n(no steps recorded)"]
+    if view["watchdogs"]:
+        lines.append("watchdogs: " + "  ".join(
+            f"{k}={v}" for k, v in view["watchdogs"]))
+    if view["warning"]:
+        lines.append(f"!! {view['warning']}")
+    for label, values in view["histories"]:
         lines.append(
             f"{label:<12s} {sparkline(values, spark_width):<{spark_width}s} "
             f"{_fmt_range(values)}"
         )
-    # recent-step table
-    lines.append(f"{'step':>8s} {'t[s]':>12s} {'dt[s]':>11s} "
-                 f"{'wall[s]':>10s}  status")
-    for r in rows[-table_rows:]:
-        lines.append(
-            f"{r['step']:>8d} {r['t']:>12.5e} {r['dt']:>11.3e} "
-            f"{r.get('wall', 0.0):>10.4f}  {_row_status(r)}"
-        )
-    for rec in recoveries:
-        lines.append(
-            f"recovery: step {rec.get('at_step', '?')} -> restored "
-            f"{rec.get('restored_step', '?')} ({rec.get('error', '')})"
-        )
-    n_warn = sum(1 for r in rows if _row_status(r) == "warn")
-    n_trip = sum(1 for r in rows if _row_status(r) == "trip")
-    lines.append(
-        f"retained {len(rows)} steps  warns {n_warn}  trips {n_trip}  "
-        f"recoveries {len(list(recoveries))}"
-    )
+    if last:
+        lines.append(f"{'step':>8s} {'t[s]':>12s} {'dt[s]':>11s} "
+                     f"{'wall[s]':>10s}  status")
+    for step, t, dt, wall, status in view["recent"]:
+        lines.append(f"{step:>8d} {t:>12.5e} {dt:>11.3e} {wall:>10.4f}  "
+                     f"{status}")
+    lines += [f"recovery: {rec}" for rec in view["recoveries"]]
+    if view["counts"]:
+        lines.append(view["counts"])
     return "\n".join(lines)
 
 
@@ -183,12 +186,10 @@ class RunMonitor:
         self.renders = 0
         self.last_text = ""
 
-    def _rows(self) -> list:
-        return [r.as_dict() for r in self.recorder.records]
-
     def render(self) -> str:
         text = render_dashboard(
-            self._rows(), recoveries=self.recorder.recoveries,
+            [r.as_dict() for r in self.recorder.records],
+            recoveries=self.recorder.recoveries,
             table_rows=self.table_rows, spark_width=self.spark_width,
             variables=self.variables, telemetry=self.telemetry,
         )
@@ -249,71 +250,49 @@ def html_report(rows, recoveries=(), summary=None,
                 variables=None, telemetry=None) -> str:
     """Self-contained HTML observatory from flight-recorder rows."""
     esc = _html.escape
+    view = _view(rows, recoveries, variables, telemetry=telemetry)
+    last = view["last"]
     parts = [
         "<!doctype html>",
         f"<html><head><meta charset='utf-8'><title>{esc(title)}</title>",
         f"<style>{_CSS}</style></head><body>",
         f"<h1>{esc(title)}</h1>",
+        f"<p class='meta'>step {last['step']} &middot; t = {last['t']:.6e} s "
+        f"&middot; dt = {last['dt']:.3e} s</p>" if last
+        else "<p class='meta'>no steps recorded</p>",
     ]
-    oversub = _oversubscription(rows, telemetry)
-    if oversub:
-        parts.append(
-            f"<p class='warn'>transport oversubscribed: {oversub} rank(s) "
-            f"beyond physical CPUs &mdash; wall-time signals suspect</p>"
-        )
-    if not rows:
-        parts.append("<p class='meta'>no steps recorded</p>")
-    else:
-        last = rows[-1]
-        parts.append(
-            f"<p class='meta'>step {last['step']} &middot; "
-            f"t = {last['t']:.6e} s &middot; dt = {last['dt']:.3e} s &middot; "
-            f"{len(rows)} steps retained</p>"
-        )
-        dogs = last.get("watchdogs", {})
-        if dogs:
-            parts.append("<h2>watchdogs</h2><p>" + " &nbsp; ".join(
-                f"<span class='{esc(sev)}'>{esc(name)}: {esc(sev)}</span>"
-                for name, sev in sorted(dogs.items())
-            ) + "</p>")
+    if view["watchdogs"]:
+        parts.append("<h2>watchdogs</h2><p>" + " &nbsp; ".join(
+            f"<span class='{esc(sev)}'>{esc(name)}: {esc(sev)}</span>"
+            for name, sev in view["watchdogs"]) + "</p>")
+    if view["warning"]:
+        parts.append(f"<p class='warn'>{esc(view['warning'])}</p>")
+    if view["histories"]:
         parts.append("<h2>histories</h2>")
-        specs = [("dt [s]", _series(rows, "dt")),
-                 ("wall [s]", _series(rows, "wall"))]
-        margin = _series(rows, "cfl_margin")
-        if any(math.isfinite(v) for v in margin):
-            specs.append(("CFL margin", margin))
-        all_vars = list(last.get("extrema", {}))
-        for var in (variables if variables is not None else all_vars[:4]):
-            specs.append((f"{var} max", _extrema_series(rows, var, 1)))
-        for label, values in specs:
-            parts.append(
-                f"<div class='spark'>{_svg_spark(values)}<br>"
-                f"<span class='meta'>{esc(label)} {_fmt_range(values)}"
-                f"</span></div>"
-            )
-        parts.append("<h2>recent steps</h2><table>")
+    for label, values in view["histories"]:
         parts.append(
-            "<tr><th>step</th><th>t [s]</th><th>dt [s]</th>"
-            "<th>wall [s]</th><th class='name'>status</th></tr>"
+            f"<div class='spark'>{_svg_spark(values)}<br>"
+            f"<span class='meta'>{esc(label)} {_fmt_range(values)}"
+            f"</span></div>"
         )
-        for r in rows[-16:]:
-            status = _row_status(r)
-            parts.append(
-                f"<tr><td>{r['step']}</td><td>{r['t']:.5e}</td>"
-                f"<td>{r['dt']:.3e}</td><td>{r.get('wall', 0.0):.4f}</td>"
-                f"<td class='name {esc(status)}'>{esc(status)}</td></tr>"
-            )
+    if view["recent"]:
+        parts.append(
+            "<h2>recent steps</h2><table><tr><th>step</th><th>t [s]</th>"
+            "<th>dt [s]</th><th>wall [s]</th><th class='name'>status</th></tr>"
+        )
+        parts += [
+            f"<tr><td>{step}</td><td>{t:.5e}</td><td>{dt:.3e}</td>"
+            f"<td>{wall:.4f}</td><td class='name {esc(status)}'>"
+            f"{esc(status)}</td></tr>"
+            for step, t, dt, wall, status in view["recent"]
+        ]
         parts.append("</table>")
-    recs = list(recoveries)
-    if recs:
+    if view["recoveries"]:
         parts.append("<h2>recoveries</h2><ul>")
-        for rec in recs:
-            parts.append(
-                f"<li>step {rec.get('at_step', '?')} &rarr; restored "
-                f"{rec.get('restored_step', '?')} "
-                f"({esc(str(rec.get('error', '')))})</li>"
-            )
+        parts += [f"<li>{esc(rec)}</li>" for rec in view["recoveries"]]
         parts.append("</ul>")
+    if view["counts"]:
+        parts.append(f"<p class='meta'>{esc(view['counts'])}</p>")
     if summary:
         parts.append(
             "<h2>summary</h2><p class='meta'>"

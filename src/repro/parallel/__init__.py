@@ -5,8 +5,8 @@ communicating only with nearest neighbours via non-blocking ghost-zone
 exchange (§2.6); messages for a typical problem are ~80 kB. Jaguar-scale
 hardware is out of reach here, so this package provides an in-process
 simulated MPI that preserves the *communication structure* — ranks,
-cartesian topology, point-to-point sends with byte accounting,
-collectives — which the performance model (§4) and the parallel I/O
+cartesian topology, point-to-point sends with byte accounting —
+which the performance model (§4) and the parallel I/O
 layer (§5) observe, plus a rank-parallel solver in which every rank
 runs the serial kernels on the points it owns and exchanges
 stencil-width ghost slabs (a one-rank run is the serial run, bit for

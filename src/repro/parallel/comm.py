@@ -5,10 +5,10 @@ layer beneath a fixed message-pattern contract, the structure real DNS
 codes of this family use (Pencil Code, nekCRF): one halo/collective
 protocol, several executions. :class:`Transport` defines the contract —
 buffer-style point-to-point Send/Recv/Isend matched by (source,
-tag), a root ``gather_bytes`` collective, rank-failure signaling, the
-``mpi.send`` rank-failure fault site, and an *execution plane*
-(``start_programs`` / ``call_all``) that runs per-rank stateful
-programs wherever the backend executes ranks.
+tag), rank-failure signaling, the ``mpi.send`` rank-failure fault
+site, and an *execution plane* (``start_programs`` / ``call_all``)
+that runs per-rank stateful programs wherever the backend executes
+ranks.
 
 Backends
 --------
@@ -158,9 +158,9 @@ def _expire(args) -> None:
 
 class Transport:
     """Communication + execution backend for a world of ranks: the
-    contract, and what every backend shares (:meth:`comm`,
-    :meth:`gather_bytes`); :class:`InProcessTransport` implements the
-    rest, and the multiprocessing backend specialises it.
+    contract, and what every backend shares (:meth:`comm`);
+    :class:`InProcessTransport` implements the rest, and the
+    multiprocessing backend specialises it.
 
     The message-plane contract (identical across backends, asserted by
     the conformance suite):
@@ -169,8 +169,6 @@ class Transport:
       with no matching pending message raises
       :class:`~repro.resilience.errors.MessageNotFoundError`; a
       ``source`` or ``dest`` outside the world raises ``ValueError``.
-    * collectives: :meth:`gather_bytes` root-gathers per-rank byte
-      payloads in rank order.
     * failure: :meth:`fail_rank` marks a rank dead; every subsequent
       operation touching it raises
       :class:`~repro.resilience.errors.RankFailedError`.
@@ -211,36 +209,6 @@ class Transport:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         return RankComm(self, rank)
-
-    # -- collectives built on the point-to-point plane ---------------------
-    def gather_bytes(self, payloads, root: int = 0, tag: int = 0) -> list:
-        """Root-gather of per-rank byte payloads.
-
-        ``payloads`` holds one ``bytes``-like object per rank. Every
-        non-root rank ``Send``s its payload to ``root`` as a uint8
-        array; the root receives them in rank order. Returns the
-        per-rank payloads as ``bytes`` (the gather the cross-rank
-        profile fusion runs at job end). Traffic goes through the
-        normal send path, so message logging and armed ``mpi.send``
-        faults apply.
-        """
-        if len(payloads) != self.size:
-            raise ValueError(
-                f"need one payload per rank ({self.size}), got {len(payloads)}"
-            )
-        for rank in range(self.size):
-            if rank == root:
-                continue
-            arr = np.frombuffer(bytes(payloads[rank]), dtype=np.uint8)
-            self.comm(rank).Send(arr, dest=root, tag=tag)
-        comm = self.comm(root)
-        out = []
-        for rank in range(self.size):
-            if rank == root:
-                out.append(bytes(payloads[rank]))
-            else:
-                out.append(comm.Recv(source=rank, tag=tag).tobytes())
-        return out
 
     def __enter__(self) -> "Transport":
         return self

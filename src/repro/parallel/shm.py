@@ -2,7 +2,7 @@
 
 :class:`MultiprocessingTransport` is the ``"multiprocessing"`` backend
 of the pluggable transport layer (:mod:`repro.parallel.comm`). The
-message plane — mailboxes, collectives, fault injection, message-log
+message plane — mailboxes, fault injection, message-log
 accounting — is the driver-owned deterministic machinery inherited from
 :class:`~repro.parallel.comm.InProcessTransport`, so every schedule,
 fault replay, and byte count is identical to the reference backend.

@@ -193,11 +193,12 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
                 used = solver.step(dt)
                 wall = 0.0
             if inj.enabled and inj.decide("solver.state") is not None:
-                # silent data corruption: poison the conserved state
-                # with NaN and keep going — no exception is raised
-                # here; only a watchdog can catch this
-                solver.state.u.flat[0] = np.nan
-                solver.state.mark_modified()
+                # silent data corruption: poison the conserved state the
+                # ranks hold with NaN and keep going — no exception is
+                # raised here; only a watchdog can catch this
+                u = solver.state.u.copy()
+                u.flat[0] = np.nan
+                solver.set_state(u)
                 report.faults_seen += 1
             # watchdogs run before the checkpoint save, so a poisoned
             # state trips (and rolls back) instead of being archived
@@ -254,5 +255,5 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
     report.steps_completed = solver.step_count
     if health.enabled and report.recoveries:
         # refresh the black box so the dump includes the recovery trail
-        health._dump("run complete after recovery")
+        health.dump("run complete after recovery")
     return report

@@ -3,7 +3,8 @@
 The measurement substrate the paper's §3-§4 methodology needs: TAU-style
 hierarchical spans with exclusive-time accounting, a process-wide
 metrics registry (counters/gauges/histograms), and exporters for the
-per-kernel profile table, JSON snapshots, and §9 ASCII monitor files.
+per-kernel profile table, plain-data snapshots, and §9 ASCII monitor
+files.
 
 Two backends share one API:
 
@@ -20,8 +21,6 @@ which is the null backend unless the ``telemetry`` knob
 """
 
 from __future__ import annotations
-
-import functools
 
 from repro.telemetry.metrics import (
     Counter,
@@ -93,21 +92,6 @@ class Telemetry:
         named ``<name>.<key>`` on exit."""
         return self.tracer.span(name, **counters)
 
-    def trace(self, name: str | None = None):
-        """Decorator wrapping a callable in a span (default: its name)."""
-
-        def deco(fn):
-            span_name = name or fn.__name__
-
-            @functools.wraps(fn)
-            def wrapped(*args, **kwargs):
-                with self.tracer.span(span_name):
-                    return fn(*args, **kwargs)
-
-            return wrapped
-
-        return deco
-
     # -- metrics ---------------------------------------------------------
     def counter(self, name: str) -> Counter:
         return self.metrics.counter(name)
@@ -120,7 +104,8 @@ class Telemetry:
 
     # -- export ----------------------------------------------------------
     def profile_report(self, title: str = "per-kernel exclusive time") -> str:
-        return export.profile_report(self.tracer, title=title)
+        return export.profile_report(self.tracer.snapshot()["spans"],
+                                     title=title)
 
     def snapshot(self, delta: bool = False) -> dict:
         """Plain-data view of tracer + metrics state.
@@ -130,18 +115,12 @@ class Telemetry:
         the first call), which is what the flight recorder appends per
         step instead of an ever-growing full dump.
         """
+        full = export.snapshot(self)
         if not delta:
-            return export.snapshot(self)
-        base = self._delta_base or {"spans": {}, "paths": {},
-                                    "metrics": {"counters": {}, "gauges": {},
-                                                "histograms": {}}}
-        out = self.tracer.snapshot_delta(base)
-        out["metrics"] = self.metrics.snapshot_delta(base["metrics"])
-        self._delta_base = export.snapshot(self)
+            return full
+        out = export.delta(full, self._delta_base or NULL_TELEMETRY.snapshot())
+        self._delta_base = full
         return out
-
-    def to_json(self, indent: int | None = None) -> str:
-        return export.to_json(self, indent=indent)
 
     def reset(self) -> None:
         self.tracer.reset()
@@ -196,10 +175,6 @@ class _NullMetricsRegistry:
     def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
@@ -210,16 +185,11 @@ class _NullMetricsRegistry:
 class _NullTracer:
     """Tracer facade that records nothing."""
 
-    stats: dict = {}
-    path_stats: dict = {}
-    depth = 0
-    current_path = ""
-
     def span(self, name: str, **counters) -> _NullSpan:
         return _NULL_SPAN
 
     def snapshot(self) -> dict:
-        return {"spans": {}, "paths": {}}
+        return {"spans": {}}
 
     def reset(self) -> None:
         pass
@@ -241,12 +211,6 @@ class NullTelemetry:
     def span(self, name: str, **counters) -> _NullSpan:
         return _NULL_SPAN
 
-    def trace(self, name: str | None = None):
-        def deco(fn):
-            return fn
-
-        return deco
-
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
@@ -260,10 +224,7 @@ class NullTelemetry:
         return ""
 
     def snapshot(self, delta: bool = False) -> dict:
-        return {"spans": {}, "paths": {}, "metrics": self.metrics.snapshot()}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return export.to_json(self, indent=indent)
+        return {"spans": {}, "metrics": self.metrics.snapshot()}
 
     def reset(self) -> None:
         pass

@@ -1,12 +1,11 @@
-"""Telemetry exporters: TAU-style profiles, JSON, §9 monitor files.
-
-Three output formats:
+"""Telemetry exporters: TAU-style profiles, snapshots, §9 monitor files.
 
 * :func:`profile_report` — the per-kernel exclusive-time table the
   paper's TAU profiles reduce to (Fig 2): percent of traced time,
-  exclusive/inclusive milliseconds, call counts, one row per kernel.
-* :func:`to_json` — a lossless plain-data snapshot of tracer and
-  metrics state.
+  exclusive/inclusive milliseconds, call counts, one row per kernel;
+  the one formatter of a rank's profile and of a cross-rank fused one.
+* :func:`snapshot` / :func:`delta` — the plain-data state of a
+  telemetry backend, and what changed between two such states.
 * :class:`MonitorWriter` — per-step ASCII monitoring lines in the
   format of the paper's §9 min/max files; each data row is
   ``step variable min max time`` so the workflow's
@@ -15,33 +14,35 @@ Three output formats:
 
 from __future__ import annotations
 
-import json
 
-#: column layout of the TAU-style table
-_HEADER = f"{'%Time':>7s} {'excl[ms]':>12s} {'incl[ms]':>12s} {'calls':>10s}  name"
-_RULE = "-" * len(_HEADER)
-
-
-def profile_report(tracer, title: str = "per-kernel exclusive time") -> str:
-    """TAU-style flat profile from a :class:`~repro.telemetry.spans.Tracer`.
+def profile_report(spans: dict, title: str = "per-kernel exclusive time") -> str:
+    """TAU-style flat profile of a snapshot's ``"spans"`` table (kernel
+    name -> ``count``, ``exclusive`` and ``inclusive`` seconds).
 
     Rows are sorted by exclusive time (descending, name as tiebreak);
     percentages are of the total *exclusive* time, which — unlike
-    inclusive time — sums to the wall time actually traced.
+    inclusive time — sums to the wall time actually traced. Rows that
+    carry a cross-rank ``imbalance`` (a
+    :class:`~repro.observability.fusion.FusedProfile`'s) add an ``imb``
+    column.
     """
-    stats = tracer.stats
-    if not stats:
+    if not spans:
         return ""
-    total_excl = sum(s.exclusive for s in stats.values()) or 1.0
-    rows = sorted(stats.values(), key=lambda s: (-s.exclusive, s.name))
-    lines = [title, _RULE, _HEADER, _RULE]
-    for s in rows:
+    imb = all("imbalance" in row for row in spans.values())
+    header = (f"{'%Time':>7s} {'excl[ms]':>12s} {'incl[ms]':>12s} "
+              f"{'calls':>10s}" + (f" {'imb':>6s}" if imb else "") + "  name")
+    rule = "-" * len(header)
+    total_excl = sum(row["exclusive"] for row in spans.values()) or 1.0
+    lines = [title, rule, header, rule]
+    for name in sorted(spans, key=lambda k: (-spans[k]["exclusive"], k)):
+        row = spans[name]
         lines.append(
-            f"{100.0 * s.exclusive / total_excl:>6.1f}% "
-            f"{s.exclusive * 1e3:>12.4f} {s.inclusive * 1e3:>12.4f} "
-            f"{s.count:>10d}  {s.name}"
+            f"{100.0 * row['exclusive'] / total_excl:>6.1f}% "
+            f"{row['exclusive'] * 1e3:>12.4f} {row['inclusive'] * 1e3:>12.4f} "
+            f"{row['count']:>10d}"
+            + (f" {row['imbalance']:>6.3f}" if imb else "") + f"  {name}"
         )
-    lines.append(_RULE)
+    lines.append(rule)
     return "\n".join(lines)
 
 
@@ -52,9 +53,42 @@ def snapshot(telemetry) -> dict:
     return out
 
 
-def to_json(telemetry, indent: int | None = None) -> str:
-    """Serialize a telemetry snapshot to JSON (keys sorted)."""
-    return json.dumps(snapshot(telemetry), sort_keys=True, indent=indent)
+def _advanced(now: dict, then: dict) -> dict:
+    """Rows of ``now`` (span rows, histograms) whose ``count`` advanced
+    since ``then``, as increments; a histogram keeps its buckets."""
+    out = {}
+    for k, row in now.items():
+        prev = then.get(k)
+        if prev is None:
+            if row["count"]:
+                out[k] = row
+        elif row["count"] != prev["count"]:
+            out[k] = {f: v if f == "buckets"
+                      else [a - b for a, b in zip(v, prev[f])] if f == "counts"
+                      else v - prev[f]
+                      for f, v in row.items()}
+    return out
+
+
+def delta(current: dict, base: dict) -> dict:
+    """What changed from snapshot ``base`` to snapshot ``current``.
+
+    Spans, counters and histograms whose counts advanced appear as
+    increments, and a gauge at its current value when that value
+    changed, so the deltas of successive snapshots sum to the last one.
+    """
+    now, was = current["metrics"], base["metrics"]
+    return {
+        "spans": _advanced(current["spans"], base["spans"]),
+        "metrics": {
+            "counters": {k: v - was["counters"].get(k, 0.0)
+                         for k, v in now["counters"].items()
+                         if v != was["counters"].get(k, 0.0)},
+            "gauges": {k: v for k, v in now["gauges"].items()
+                       if was["gauges"].get(k) != v},
+            "histograms": _advanced(now["histograms"], was["histograms"]),
+        },
+    }
 
 
 class MonitorWriter:

@@ -153,39 +153,6 @@ class MetricsRegistry:
             },
         }
 
-    def snapshot_delta(self, baseline: dict) -> dict:
-        """Difference between the current :meth:`snapshot` and a prior
-        one — only instruments that changed appear, with counters and
-        histogram counts/sums as increments and gauges at their current
-        value (a gauge is included when its value differs)."""
-        cur = self.snapshot()
-        out = {"counters": {}, "gauges": {}, "histograms": {}}
-        base_c = baseline.get("counters", {})
-        for k, v in cur["counters"].items():
-            dv = v - base_c.get(k, 0.0)
-            if dv:
-                out["counters"][k] = dv
-        base_g = baseline.get("gauges", {})
-        for k, v in cur["gauges"].items():
-            if k not in base_g or base_g[k] != v:
-                out["gauges"][k] = v
-        base_h = baseline.get("histograms", {})
-        for k, h in cur["histograms"].items():
-            prev = base_h.get(k)
-            if prev is None:
-                if h["count"]:
-                    out["histograms"][k] = h
-                continue
-            dcount = h["count"] - prev["count"]
-            if dcount:
-                out["histograms"][k] = {
-                    "buckets": h["buckets"],
-                    "counts": [a - b for a, b in zip(h["counts"], prev["counts"])],
-                    "sum": h["sum"] - prev["sum"],
-                    "count": dcount,
-                }
-        return out
-
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()

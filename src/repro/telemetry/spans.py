@@ -7,9 +7,8 @@ the two aggregates TAU's per-kernel profiles are built from (§4):
 * **exclusive** time — inclusive time minus the inclusive time of the
   span's direct children (the time actually spent *in* the kernel).
 
-Aggregation happens twice: per span *name* (the flat per-kernel profile
-of Fig 2) and per call *path* (``integrate/DERIVATIVES``), so the report
-can show both the flat table and the call tree.
+Spans aggregate by *name* only: the flat per-kernel profile of Fig 2,
+not a call tree.
 
 The tracer takes an injectable clock so exclusive-time arithmetic is
 testable deterministically.
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 @dataclass
 class SpanStats:
-    """Aggregated timing for one span name (or call path)."""
+    """Aggregated timing for one span name."""
 
     name: str
     count: int = 0
@@ -66,10 +65,9 @@ class Tracer:
     def __init__(self, clock=None, metrics=None):
         self.clock = clock or time.perf_counter
         self.metrics = metrics
-        #: active stack of [name, path, start, child_inclusive]
+        #: active stack of [name, start, child_inclusive]
         self._stack: list = []
-        self.stats: dict = {}       # name -> SpanStats
-        self.path_stats: dict = {}  # "a/b/c" -> SpanStats
+        self.stats: dict = {}  # name -> SpanStats
 
     # -- recording -------------------------------------------------------
     def span(self, name: str, **counters) -> _SpanHandle:
@@ -78,23 +76,21 @@ class Tracer:
         return _SpanHandle(self, name, counters)
 
     def _begin(self, name: str) -> None:
-        path = f"{self._stack[-1][1]}/{name}" if self._stack else name
-        self._stack.append([name, path, self.clock(), 0.0])
+        self._stack.append([name, self.clock(), 0.0])
 
     def _end(self, counters: dict | None = None) -> float:
         if not self._stack:
             raise RuntimeError("span end without matching begin")
-        name, path, start, child = self._stack.pop()
+        name, start, child = self._stack.pop()
         duration = self.clock() - start
-        for table, key in ((self.stats, name), (self.path_stats, path)):
-            s = table.get(key)
-            if s is None:
-                s = table[key] = SpanStats(key)
-            s.count += 1
-            s.inclusive += duration
-            s.exclusive += duration - child
+        s = self.stats.get(name)
+        if s is None:
+            s = self.stats[name] = SpanStats(name)
+        s.count += 1
+        s.inclusive += duration
+        s.exclusive += duration - child
         if self._stack:
-            self._stack[-1][3] += duration
+            self._stack[-1][2] += duration
         if counters and self.metrics is not None:
             for key, amount in counters.items():
                 self.metrics.counter(f"{name}.{key}").inc(amount)
@@ -105,47 +101,15 @@ class Tracer:
     def depth(self) -> int:
         return len(self._stack)
 
-    @property
-    def current_path(self) -> str:
-        return self._stack[-1][1] if self._stack else ""
-
     def snapshot(self) -> dict:
         """Plain-data view (JSON-serializable), names sorted."""
-
-        def table(d):
-            return {
-                k: {
-                    "count": d[k].count,
-                    "inclusive": d[k].inclusive,
-                    "exclusive": d[k].exclusive,
-                }
-                for k in sorted(d)
-            }
-
-        return {"spans": table(self.stats), "paths": table(self.path_stats)}
-
-    def snapshot_delta(self, baseline: dict) -> dict:
-        """Difference between the current :meth:`snapshot` and a prior
-        one; only spans whose counts advanced appear."""
-        cur = self.snapshot()
-        out = {}
-        for table in ("spans", "paths"):
-            base = baseline.get(table, {})
-            diff = {}
-            for k, row in cur[table].items():
-                prev = base.get(k, {"count": 0, "inclusive": 0.0, "exclusive": 0.0})
-                dcount = row["count"] - prev["count"]
-                if dcount:
-                    diff[k] = {
-                        "count": dcount,
-                        "inclusive": row["inclusive"] - prev["inclusive"],
-                        "exclusive": row["exclusive"] - prev["exclusive"],
-                    }
-            out[table] = diff
-        return out
+        return {"spans": {
+            k: {"count": s.count, "inclusive": s.inclusive,
+                "exclusive": s.exclusive}
+            for k, s in sorted(self.stats.items())
+        }}
 
     def reset(self) -> None:
         if self._stack:
             raise RuntimeError("cannot reset tracer with active spans")
         self.stats.clear()
-        self.path_stats.clear()

@@ -1,7 +1,7 @@
 """Small builders the tests share and nothing in the package needs: a
 uniform state, mole fractions, the power-law transport model, the
-single-step methane mechanism, and a way to clear the process-default
-telemetry backend."""
+single-step methane mechanism, a way to clear the process-default
+telemetry backend, and a reader of the per-kernel profile table."""
 
 from __future__ import annotations
 
@@ -82,3 +82,26 @@ def set_default_telemetry(tel) -> None:
     """Install ``tel`` as the process-default telemetry backend;
     ``None`` resolves it from the environment again on next use."""
     telemetry._default = tel
+
+
+def parse_profile_report(text: str) -> dict:
+    """Read a :func:`~repro.telemetry.profile_report` table back (to
+    formatting precision): ``{name: {"percent", "exclusive",
+    "inclusive", "calls"}}`` with times in seconds, plus
+    ``"imbalance"`` when the table is a fused one."""
+    fused = any(line.split()[-2:] == ["imb", "name"]
+                for line in text.splitlines())
+    out: dict = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) < 5 or not parts[0].endswith("%"):
+            continue
+        row = out[" ".join(parts[4 + fused:])] = {
+            "percent": float(parts[0].rstrip("%")),
+            "exclusive": float(parts[1]) / 1e3,
+            "inclusive": float(parts[2]) / 1e3,
+            "calls": int(parts[3]),
+        }
+        if fused:
+            row["imbalance"] = float(parts[4])
+    return out

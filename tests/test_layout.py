@@ -70,8 +70,9 @@ UNDRIVEN = {
     "transport/mixture.py:MixtureAveragedTransport.mixture_diffusivities":
         "as mixture_viscosity",
     "core/solver.py:S3DSolver.fused_profile":
-        "the only reader of the rank_telemetry output; the Figs 2-3 "
-        "per-rank chemistry-time item (ROADMAP) builds on it",
+        "the only reader of the rank_telemetry output, a merge of the "
+        "snapshots the ranks return; the Figs 2-3 per-rank "
+        "chemistry-time item (ROADMAP) builds on it",
     "io/filesystem.py:SimFileSystem.corrupt":
         "the at-rest media-corruption hook of the checkpoint and shard "
         "corruption tests, which ROADMAP keeps",

@@ -44,6 +44,7 @@ from repro.parallel.solver import ParallelPeriodicSolver
 from repro.resilience import FaultInjector
 from repro.telemetry import Telemetry
 from repro.util.constants import P_ATM
+from tests.helpers import parse_profile_report
 
 
 def _pulse_solver(mech, Y, n=32, observability=None, **cfg_kwargs):
@@ -285,6 +286,19 @@ class TestWallTimeAnomaly:
         # the spike entered the window but the median absorbs it
         assert dog.check(self._ctx(solver, 0.01)).severity == "ok"
 
+    def test_host_jitter_stays_ok(self, solver):
+        """On a quiet history (+-2 %) the deviation floor is 10 % of the
+        median: a 1.3x step is jitter, a 2x step warns."""
+        def primed():
+            dog = WallTimeAnomalyWatchdog()
+            for i in range(16):
+                assert dog.check(self._ctx(
+                    solver, 0.027 * (1.0 + 0.02 * (-1) ** i))).severity == "ok"
+            return dog
+
+        assert primed().check(self._ctx(solver, 1.3 * 0.027)).severity == "ok"
+        assert primed().check(self._ctx(solver, 2.0 * 0.027)).severity == "warn"
+
     def test_trip_threshold_optional(self, solver):
         class _Tripping(WallTimeAnomalyWatchdog):
             window, min_samples, k_warn, k_trip = 8, 3, 4.0, 8.0
@@ -522,7 +536,7 @@ class TestTripRecoveryAcceptance:
 
 class TestFusion:
     def _snapshot(self, spans):
-        return {"spans": {k: {"exclusive": v, "count": 1}
+        return {"spans": {k: {"exclusive": v, "inclusive": v, "count": 1}
                           for k, v in spans.items()},
                 "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
 
@@ -530,10 +544,13 @@ class TestFusion:
         snaps = [self._snapshot({"REACTION": 1.0, "DERIV": 2.0}),
                  self._snapshot({"REACTION": 3.0, "DERIV": 2.0})]
         fused = fuse_profiles(snaps)
-        row = fused.rows["REACTION"]
-        assert row.tmin == 1.0 and row.tmax == 3.0 and row.tmean == 2.0
-        assert row.imbalance == pytest.approx(1.5)
-        assert fused.kernels()[0] == "DERIV" or fused.kernels()[0] == "REACTION"
+        assert list(fused.loads("REACTION")) == [1.0, 3.0]
+        assert fused.imbalance("REACTION") == pytest.approx(1.5)
+        assert fused.imbalance("DERIV") == pytest.approx(1.0)
+        rows = parse_profile_report(fused.profile_report())
+        assert rows["REACTION"]["exclusive"] == pytest.approx(2.0)
+        assert rows["REACTION"]["calls"] == 2
+        assert rows["REACTION"]["imbalance"] == pytest.approx(1.5)
 
     def test_absent_kernel_counts_as_zero(self):
         snaps = [self._snapshot({"REACTION": 2.0}), self._snapshot({})]
@@ -550,17 +567,6 @@ class TestFusion:
         fused = fuse_profiles(snaps)
         expected = chemistry_imbalance(loads)
         assert fused.imbalance("REACTION_RATES") == pytest.approx(expected)
-
-    def test_gather_bytes_round_trip(self):
-        world = InProcessTransport(3)
-        payloads = [b"rank0", b"rank1-data", b"r2"]
-        out = world.gather_bytes(payloads, root=0, tag=99)
-        assert out == payloads
-        assert world.log.count == 2  # non-root ranks only
-
-    def test_gather_bytes_size_mismatch(self):
-        with pytest.raises(ValueError, match="one payload per rank"):
-            InProcessTransport(2).gather_bytes([b"x"])
 
     def test_parallel_run_fusion_consistent_with_loadbalance(
             self, h2_mech, h2_air_stoich):
@@ -588,11 +594,14 @@ class TestFusion:
         assert (loads > 0.0).all()
         assert fused.imbalance("REACTION_RATES") == pytest.approx(
             chemistry_imbalance(loads))
-        # the fusion gather shipped one snapshot per non-root rank
-        fusion_msgs = [r for r in world.log.records if r.tag == 9102]
-        assert len(fusion_msgs) == 3
-        table = fused.table()
-        assert "REACTION_RATES" in table and "imb" in table
+        # fusion merges what the ranks return: no message on the wire
+        sent = world.log.count
+        table = par.fused_profile().profile_report()
+        assert world.log.count == sent
+        assert "(4 ranks)" in table
+        row = parse_profile_report(table)["REACTION_RATES"]
+        assert row["imbalance"] == pytest.approx(
+            chemistry_imbalance(loads), abs=1e-3)
 
     def test_fused_profile_requires_rank_telemetry(self, h2_mech):
         grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
@@ -643,6 +652,31 @@ class TestParallelHealth:
             par.health.check(2e-8)
         assert err.value.events[0].watchdog == "nan_sentinel"
 
+
+    def test_state_fault_reaches_the_ranks(self, h2_mech, h2_air_stoich):
+        """The supervisor's ``solver.state`` site poisons the blocks the
+        ranks hold, not the gathered copy, which is read-only (watched,
+        the trip and bitwise replay are
+        ``test_resilience.py::TestSupervisorContract::
+        test_silent_nan_trips_a_watchdog_and_rolls_back``)."""
+        grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
+        Yf = h2_air_stoich[:, None, None] * np.ones((1, 24, 24))
+        T = 900.0 * np.ones((24, 24))
+        rho = h2_mech.density(P_ATM, T, Yf)
+        state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
+        d = CartesianDecomposition((24, 24), (2, 1), periodic=(True, True))
+        par = ParallelPeriodicSolver(h2_mech, grid, d, InProcessTransport(2),
+                                     reacting=False, observability="off")
+        par.set_state(state.u)
+        with pytest.raises(ValueError, match="read-only"):
+            par.state.u[0, 0, 0] = np.nan
+        inj = FaultInjector(seed=1)
+        inj.add("solver.state", after=1)
+        report = par.run_resilient(SimFileSystem(lustre()), 2, 2e-8,
+                                   policy="respawn", checkpoint_interval=1,
+                                   injector=inj)
+        assert report.faults_seen == 1 and report.recoveries == 0
+        assert np.isnan(par.locals[0][0, 0, 0])
 
     def test_parallel_stage_guard_catches_mid_stage_nan(self, h2_mech,
                                                         h2_air_stoich):

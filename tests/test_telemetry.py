@@ -21,25 +21,11 @@ from repro.telemetry import (
     profile_report,
 )
 from repro.telemetry import get_telemetry, resolve
-from tests.helpers import set_default_telemetry as set_default, uniform_state
-
-
-def parse_profile_report(text: str) -> dict:
-    """Read a :func:`profile_report` table back (to formatting
-    precision): ``{name: {"percent", "exclusive", "inclusive",
-    "calls"}}`` with times in seconds."""
-    out: dict = {}
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) < 5 or not parts[0].endswith("%"):
-            continue
-        out[" ".join(parts[4:])] = {
-            "percent": float(parts[0].rstrip("%")),
-            "exclusive": float(parts[1]) / 1e3,
-            "inclusive": float(parts[2]) / 1e3,
-            "calls": int(parts[3]),
-        }
-    return out
+from tests.helpers import (
+    parse_profile_report,
+    set_default_telemetry as set_default,
+    uniform_state,
+)
 
 
 class FakeClock:
@@ -120,30 +106,13 @@ class TestSpans:
         assert tr.stats["f"].count == 2
         assert tr.stats["f"].inclusive == 5.0
         assert tr.stats["f"].exclusive == 3.0
-        # path table separates the recursion levels
-        assert tr.path_stats["f"].inclusive == 3.0
-        assert tr.path_stats["f/f"].inclusive == 2.0
 
-    def test_path_aggregation(self, clock):
+    def test_depth(self, clock):
         tr = Tracer(clock=clock)
-        for _ in range(2):
-            with tr.span("step"):
-                with tr.span("deriv"):
-                    clock.tick(1.0)
-        with tr.span("deriv"):
-            clock.tick(5.0)
-        assert tr.path_stats["step/deriv"].count == 2
-        assert tr.path_stats["step/deriv"].inclusive == 2.0
-        assert tr.path_stats["deriv"].inclusive == 5.0
-        assert tr.stats["deriv"].count == 3
-
-    def test_depth_and_current_path(self, clock):
-        tr = Tracer(clock=clock)
-        assert tr.depth == 0 and tr.current_path == ""
+        assert tr.depth == 0
         with tr.span("a"):
             with tr.span("b"):
                 assert tr.depth == 2
-                assert tr.current_path == "a/b"
         assert tr.depth == 0
 
     def test_span_exits_on_exception(self, clock):
@@ -157,7 +126,7 @@ class TestSpans:
         # a later span is not misattributed as a child of "x"
         with tr.span("y"):
             clock.tick(1.0)
-        assert tr.path_stats["y"].count == 1
+        assert tr.depth == 0 and tr.stats["y"].exclusive == 1.0
 
     def test_end_without_begin_raises(self):
         tr = Tracer()
@@ -170,7 +139,7 @@ class TestSpans:
             with tr.span("a"):
                 tr.reset()
         tr.reset()
-        assert tr.stats == {} and tr.path_stats == {}
+        assert tr.stats == {}
 
     def test_span_counters_reach_metrics(self, clock):
         tel = Telemetry(clock=clock)
@@ -188,26 +157,6 @@ class TestSpans:
         assert list(spans) == ["alpha", "mid", "zeta"]
         assert {k: row["count"] for k, row in spans.items()} == {
             "alpha": 1, "mid": 1, "zeta": 1}
-
-    def test_trace_decorator(self, clock):
-        tel = Telemetry(clock=clock)
-
-        @tel.trace()
-        def kernel():
-            clock.tick(2.0)
-            return 42
-
-        assert kernel() == 42
-        assert kernel.__name__ == "kernel"
-        assert tel.tracer.stats["kernel"].inclusive == 2.0
-
-        @tel.trace("renamed")
-        def other():
-            clock.tick(1.0)
-
-        other()
-        assert "renamed" in tel.tracer.stats
-
 
 class TestMetrics:
     def test_counter_accumulates(self):
@@ -310,15 +259,17 @@ class TestExporters:
         assert names == ["DERIVATIVES", "FILTER", "INTEGRATE"]
 
     def test_profile_report_empty_tracer(self):
-        assert profile_report(Tracer()) == ""
+        assert profile_report(Tracer().snapshot()["spans"]) == ""
 
     def test_json_round_trip(self, clock):
+        """A snapshot is plain data: JSON carries it without loss."""
         tel = self._traced(clock)
         tel.counter("halo.bytes").inc(1024)
-        back = json.loads(tel.to_json(indent=2))
+        back = json.loads(json.dumps(tel.snapshot(), indent=2))
         assert back == tel.snapshot()
+        assert set(back) == {"spans", "metrics"}
         assert back["spans"]["DERIVATIVES"]["exclusive"] == 3.0
-        assert back["paths"]["INTEGRATE/FILTER"]["inclusive"] == 2.0
+        assert back["spans"]["INTEGRATE"]["inclusive"] == 6.0
         assert back["metrics"]["counters"]["halo.bytes"] == 1024
 
     def test_monitor_writer_round_trip(self):
@@ -360,16 +311,9 @@ class TestBackendSelection:
         tel.histogram("h").observe(0.1)
         assert tel.profile_report() == ""
         assert tel.snapshot() == {
-            "spans": {}, "paths": {},
+            "spans": {},
             "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
         }
-        assert json.loads(tel.to_json()) == tel.snapshot()
-
-    def test_null_trace_returns_function_unchanged(self):
-        def f():
-            return 1
-
-        assert NULL_TELEMETRY.trace()(f) is f
 
     def test_env_variable_enables_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "on")
@@ -439,9 +383,10 @@ class TestSolverIntegration:
         solver = S3DSolver(state, cfg, transport=ConstantLewisTransport(h2_mech),
                            reacting=True)
         solver.monitor_writer = MonitorWriter()
-        for _ in range(3):
-            solver.step()
-            solver.record_monitor()
+        with solver.telemetry.span("RUN"):  # the root of every kernel span
+            for _ in range(3):
+                solver.step()
+                solver.record_monitor()
         return solver
 
     def test_kernel_set_matches_perfmodel_inventory(self, traced_run):
@@ -459,13 +404,12 @@ class TestSolverIntegration:
 
     def test_exclusive_sums_to_root_inclusive(self, traced_run):
         """Total exclusive time over all spans equals the inclusive time
-        of the top-level (root) paths — the TAU invariant that makes the
-        flat profile's percentages sum to the traced wall time."""
+        of the root span — the TAU invariant that makes the flat
+        profile's percentages sum to the traced wall time."""
         tr = traced_run.telemetry.tracer
         total_excl = sum(s.exclusive for s in tr.stats.values())
-        root_incl = sum(s.inclusive for path, s in tr.path_stats.items()
-                        if "/" not in path)
-        assert total_excl == pytest.approx(root_incl, rel=1e-9)
+        assert total_excl == pytest.approx(tr.stats["RUN"].inclusive,
+                                           rel=1e-9)
 
     def test_solver_metrics(self, traced_run):
         m = traced_run.telemetry.metrics
@@ -743,6 +687,43 @@ class TestMergeAndDelta:
         hists = [s["metrics"]["histograms"]["h"] for s in full]
         assert sum(h["count"] for h in hists) == h_count == 3
         assert sum(h["sum"] for h in hists) == pytest.approx(h_sum)
+
+
+    def test_summed_deltas_equal_full_snapshot(self, clock):
+        """Every interval's delta, summed field by field (a gauge at the
+        last value it reported), rebuilds the full snapshot exactly."""
+        tel = Telemetry(clock=clock)
+        total = {"spans": {}, "metrics": {"counters": {}, "gauges": {},
+                                          "histograms": {}}}
+
+        def add(into, d):
+            for k, v in d.items():
+                if isinstance(v, dict):
+                    add(into.setdefault(k, {}), v)
+                elif k == "buckets":
+                    into[k] = v
+                elif isinstance(v, list):
+                    into[k] = [a + b for a, b in
+                               zip(into.get(k, [0] * len(v)), v)]
+                else:
+                    into[k] = into.get(k, 0) + v
+
+        for i in range(5):
+            for _ in range(i % 3):
+                with tel.span("K"):
+                    clock.tick(0.5)
+                    with tel.span("L"):
+                        clock.tick(0.25)
+            if i != 2:
+                tel.counter("x").inc(i + 1.0)
+            tel.gauge("g").set(float(i // 2))
+            for v in (0.002, 0.2)[: i % 3]:
+                tel.histogram("h").observe(v)
+            d = tel.snapshot(delta=True)
+            gauges = d["metrics"].pop("gauges")
+            add(total, d)
+            total["metrics"]["gauges"].update(gauges)
+        assert total == tel.snapshot()
 
 
 class TestStepPhaseSpans:

@@ -1,10 +1,9 @@
 """Cross-transport conformance suite: the contract every backend passes.
 
 One shared battery — point-to-point ordering, tag and source matching,
-collectives, gather_bytes, rank failure, fault injection, message-log
-accounting, and the execution plane — runs against every registered
-transport backend. A new backend is done when this file passes for
-it. The CI transport lane fails on any skip here: a registered backend
+rank failure, fault injection, message-log accounting, and the
+execution plane — runs against every registered transport backend. A
+new backend is done when this file passes for it. The CI transport lane fails on any skip here: a registered backend
 that no lane executes is deleted, not skipped.
 
 Also here:
@@ -140,24 +139,6 @@ class TestPointToPoint:
         np.testing.assert_array_equal(out, a)
 
 
-class TestCollectives:
-
-    def test_gather_bytes_round_trip(self, make_world):
-        w = make_world(3)
-        payloads = [b"rank0", b"rank1-data", b"r2"]
-        assert w.gather_bytes(payloads, root=0, tag=99) == payloads
-
-    def test_gather_bytes_nonzero_root(self, make_world):
-        w = make_world(3)
-        payloads = [b"a", b"bb", b"ccc"]
-        assert w.gather_bytes(payloads, root=2) == payloads
-
-    def test_gather_bytes_size_mismatch(self, make_world):
-        w = make_world(2)
-        with pytest.raises(ValueError, match="one payload per rank"):
-            w.gather_bytes([b"x"])
-
-
 class TestAccounting:
     def test_log_totals(self, make_world):
         w = make_world(3)
@@ -172,12 +153,6 @@ class TestAccounting:
         w.comm(0).Send(np.zeros(2), dest=1, tag=4)
         w.comm(1).Send(np.zeros(3), dest=0, tag=6)
         assert _log(w) == [(0, 1, 4, 16), (1, 0, 6, 24)]
-
-    def test_gather_bytes_logged(self, make_world):
-        w = make_world(3)
-        w.gather_bytes([b"abc", b"de", b"f"], root=0, tag=11)
-        recs = [r for r in w.log.records if r.tag == 11]
-        assert len(recs) == 2  # non-root ranks only
 
 
 class TestRankFailure:
