@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from repro.core.stencil import (
-    SweepScratch, along, boundary_slab, field_groups, flat_source, leading,
+    SweepScratch, along, boundary_ends, field_groups, flat_source, leading,
     sweep_source,
 )
 
@@ -72,6 +72,11 @@ class FilterOperator:
             / 2.0 ** (2 * j)
             for j in range(1, FILTER_HALF_WIDTH)
         ]
+        #: term m's weight of rows j = 0..w-1 ((2w-1, w); row j has terms
+        #: m = 0..2j, the rest of the table is never read)
+        self._row_terms = np.zeros((2 * FILTER_HALF_WIDTH - 1, FILTER_HALF_WIDTH))
+        for j, bw in enumerate(self._boundary_weights, start=1):
+            self._row_terms[: 2 * j + 1, j] = bw
         self._scratch = SweepScratch()
 
     def _require_full_stencil(self):
@@ -148,26 +153,27 @@ class FilterOperator:
         interior = along(axis, w, n - w)
         np.subtract(src[interior], acc[interior], out=out[interior])
         # reduced-order rows at distance j = 1..w-1 from each boundary
-        # (rows 0 and n-1 keep a zero correction: unfiltered); rows[j] is
-        # the correction at distance j from the low end, rows[w + j] from
-        # the high end
+        # (rows 0 and n-1 keep a zero correction: unfiltered); rows[0, j]
+        # is the correction at distance j from the low end, rows[1, j]
+        # from the high end. Every row adds its own terms m = 0..2j in
+        # ascending order, all rows that have a term m at once: at the
+        # low end it reads head row m, at the high end tail row
+        # span - 1 - 2j + m
         span = 2 * w - 1
-        head = boundary_slab(sc, "head", src, axis, 0, span)
-        tail = boundary_slab(sc, "tail", src, axis, n - span, n)
-        rows = sc.view("rows", (2 * w,) + head.shape[1:])
+        head, tail = boundary_ends(sc, src, axis, span)
+        rows = sc.view("rows", (2, w) + head.shape[1:])
         rows.fill(0.0)
-        row = sc.view("row", (1,) + head.shape[1:])
-        for j in range(1, w):
-            bw = self._boundary_weights[j - 1]
-            for k in range(-j, j + 1):
-                np.multiply(head[j + k : j + k + 1], bw[k + j], out=row)
-                rows[j : j + 1] += row
-                hi = span - 1 - j + k
-                np.multiply(tail[hi : hi + 1], bw[k + j], out=row)
-                rows[w + j : w + j + 1] += row
-        np.subtract(head[:w], rows[:w],
+        row = sc.view("row", rows.shape)
+        wts = self._row_terms.reshape(self._row_terms.shape + (1,) * (f.ndim - 1))
+        for m in range(span):
+            j0 = max(1, (m + 1) // 2)  # the first row with a term m
+            np.multiply(head[m : m + 1], wts[m, j0:], out=row[0, j0:])
+            np.multiply(tail[m : span - 2 * j0 + m : 2][::-1], wts[m, j0:],
+                        out=row[1, j0:])
+            rows[:, j0:] += row[:, j0:]
+        np.subtract(head[:w], rows[0],
                     out=leading(out[along(axis, 0, w)], axis))
-        np.subtract(tail[: span - w - 1 : -1], rows[w:],
+        np.subtract(tail[: span - w - 1 : -1], rows[1],
                     out=leading(out[along(axis, n - 1, n - w - 1, -1)], axis))
 
 

@@ -31,15 +31,32 @@ transverse contributions untouched.
 ``hard_inflow`` faces instead pin the primitive state (u, T, Y) exactly
 while density floats with continuity — the treatment used for the
 prescribed jet inflows of §6.2/§7.2.
+
+Every characteristic face of a domain is one batch (:class:`BoundaryPass`).
+A face plan built once from ``boundaries`` and the grid holds the flat
+index of every face point with its face's axis, outward side, ``sigma``,
+``p_inf`` and axis length. An evaluation then takes the face primitives
+from the RHS's gradient stack in one gather and their normal derivatives
+from the swept gradients in one more, evaluates NASA-7 once for all
+faces, and runs the LODI algebra with face points and species as array
+axes. Only the scatter into ``du`` goes face by face, in the order of
+``boundaries``: a corner two faces share, and a hard inflow's read of
+``d(rho)/dt``, see every earlier face's correction, as they would face
+by face.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.core.config import resolve_face_value
 from repro.util.constants import RU
-from repro.util.reduction import axis0_sum
+
+
+#: ``u - a``, ``u + a``: the acoustic pair's signs
+_MINUS_PLUS = np.array([[-1.0], [1.0]])
 
 
 def _face_index(ndim: int, axis: int, side: int):
@@ -48,148 +65,165 @@ def _face_index(ndim: int, axis: int, side: int):
     return tuple(idx)
 
 
-def apply_boundary_conditions(rhs, t, du, *, rho, vel, T, p, Y,
-                              grad_rho, grad_p, grad_vel, grad_y):
-    """Apply all non-periodic boundary specs to the assembled RHS ``du``."""
-    st = rhs.state
-    ndim = rhs.ndim
-    for (axis, side), spec in rhs.boundaries.items():
-        if spec.kind == "periodic":
-            continue
-        face = _face_index(ndim, axis, side)
-        if spec.kind == "hard_inflow":
-            _hard_inflow(rhs, t, du, face, spec)
-            continue
-        _characteristic_face(
-            rhs, du, face, spec, axis, side,
-            rho=rho, vel=vel, T=T, p=p, Y=Y,
-            grad_rho=grad_rho, grad_p=grad_p,
-            grad_vel=grad_vel, grad_y=grad_y,
-        )
+def _fold(terms):
+    """``terms[0] + terms[1] + ...`` over the leading axis, term by term
+    in order (:func:`~repro.util.reduction.axis0_sum` in one call)."""
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _hard_inflow(rhs, t, du, face, spec):
-    """Pin u, T, Y at the face; density evolves with continuity."""
-    st = rhs.state
-    mech = rhs.mech
-    vel_t = resolve_face_value(spec.velocity, t)
-    T_t = resolve_face_value(spec.temperature, t)
-    Y_t = resolve_face_value(spec.mass_fractions, t)
-    drho = du[st.i_rho][face]
-    e_int = mech.int_energy_mass(T_t, Y_t)
-    ke = 0.5 * sum(np.asarray(vel_t[a]) ** 2 for a in range(rhs.ndim))
-    e0_t = e_int + ke
-    for a in range(rhs.ndim):
-        du[st.i_mom(a)][face] = np.asarray(vel_t[a]) * drho
-    du[st.i_energy][face] = e0_t * drho
-    for k in range(st.n_transported):
-        du[st.i_species(k)][face] = Y_t[k] * drho
+def _sum(terms):
+    """``sum(terms)``: Python's ``sum`` starts from 0, which changes the
+    fold only where every term is ``-0`` (``0 + -0`` is ``+0``), so adding
+    the 0 last gives the same bits."""
+    return _fold(terms) + 0.0 if len(terms) else 0.0
 
 
-def _characteristic_face(rhs, du, face, spec, axis, side, *,
-                         rho, vel, T, p, Y, grad_rho, grad_p, grad_vel, grad_y):
-    """The LODI correction swap on one ``nonreflecting_outflow`` face."""
-    st = rhs.state
-    mech = rhs.mech
-    ndim = rhs.ndim
-    length = rhs.grid.lengths[axis]
-    transverse = [a for a in range(ndim) if a != axis]
+def _components(value, face_ndim: int):
+    """A leading-axis target (constants or face profiles) shaped to
+    broadcast against a face."""
+    return value.reshape(value.shape + (1,) * (1 + face_ndim - value.ndim))
 
-    rho_f = rho[face]
-    un = vel[axis][face]
-    p_f = p[face]
-    T_f = T[face]
-    Y_f = Y[(slice(None),) + face]
-    # face thermodynamics from one fused NASA-7 pass: the same arithmetic
-    # as mech.sound_speed / cv_mass / int_energy_mass and the species
-    # internal energies, each of which would re-evaluate h or cp on T_f
-    w = mech.weights.reshape((-1,) + (1,) * T_f.ndim)
-    h_i, cp_i = mech.thermo.enthalpy_cp_molar(T_f)
-    h_i /= w
-    cp_i /= w
-    cp_i *= Y_f
-    cp_mix = axis0_sum(cp_i)
-    r_spec = mech.gas_constant(Y_f)
-    cv = cp_mix - r_spec
-    a_f = np.sqrt(cp_mix / cv * r_spec * T_f)
-    e_i = h_i - RU * T_f[None] / w
-    e_int_f = axis0_sum(h_i * Y_f) - r_spec * T_f
-    mach2 = np.minimum((un / a_f) ** 2, 0.99)
 
-    dp_dn = grad_p[axis][face]
-    drho_dn = grad_rho[axis][face]
-    dun_dn = grad_vel[axis][axis][face]
-    dut_dn = [grad_vel[a][axis][face] for a in transverse]
-    nk = st.n_transported
-    if grad_y is not None:
-        dy_dn = [grad_y[k, axis][face] for k in range(nk)]
-    else:
-        dy_dn = [rhs.ops[axis](Y[k], axis=axis)[face] for k in range(nk)]
+class BoundaryPass:
+    """The non-periodic faces of one :class:`~repro.core.rhs.CompressibleRHS`.
 
-    lam1 = un - a_f
-    lam2 = un
-    lam5 = un + a_f
-    roa = rho_f * a_f
+    ``fields`` are the gradient-stack rows of ``[vel_0 .. vel_{ndim-1},
+    Y_0 .. Y_{ns-1}, T, rho, p]`` and ``nf`` the stack's length.
+    """
 
-    # physical amplitudes
-    L1 = lam1 * (dp_dn - roa * dun_dn)
-    L2 = lam2 * (a_f**2 * drho_dn - dp_dn)
-    Lt = [lam2 * d for d in dut_dn]
-    Ls = [lam2 * d for d in dy_dn]
-    L5 = lam5 * (dp_dn + roa * dun_dn)
+    def __init__(self, rhs, fields, nf: int):
+        grid, self.state, self.mech = rhs.grid, rhs.state, rhs.mech
+        ndim = self.ndim = grid.ndim
+        npts = math.prod(grid.shape)
+        ids = np.arange(npts).reshape(grid.shape)
+        #: ``(face, spec, points)`` in ``boundaries`` order; ``points`` is
+        #: a characteristic face's slice of the batch, or a constant
+        #: inflow's folded internal energy (None when it varies in time)
+        self.faces = []
+        flat, axis_of, side_of, sigma, p_inf, length = [], [], [], [], [], []
+        start = 0
+        for (axis, side), spec in rhs.boundaries.items():
+            if spec.kind == "periodic":
+                continue
+            face = _face_index(ndim, axis, side)
+            if spec.kind == "hard_inflow":
+                fixed = not (callable(spec.temperature) or callable(spec.mass_fractions))
+                e_int = self.mech.int_energy_mass(
+                    resolve_face_value(spec.temperature, 0.0),
+                    resolve_face_value(spec.mass_fractions, 0.0)) if fixed else None
+                self.faces.append((face, spec, e_int))
+                continue
+            pts = ids[face].reshape(-1)
+            self.faces.append((face, spec, slice(start, start + pts.size)))
+            start += pts.size
+            flat.append(pts)
+            for col, value in ((axis_of, axis), (side_of, side), (sigma, spec.sigma),
+                               (p_inf, spec.p_inf), (length, grid.lengths[axis])):
+                col.append(np.full(pts.size, value))
+        self.n = start
+        if not start:
+            return
+        flat, axis_of = np.concatenate(flat), np.concatenate(axis_of)
+        high = np.concatenate(side_of) == 1
+        # rows of the batch: every field, then the face-normal velocity;
+        # the derivative of a row is the same row of the normal axis' sweep
+        rows = np.concatenate([np.asarray(fields)[:, None] * npts + flat,
+                               (axis_of * npts + flat)[None]])
+        self._take = (rows, axis_of * (nf * npts) + rows)
+        #: the relaxed (incoming) acoustic wave of each point: L1 at a
+        #: high face, L5 at a low one
+        self._incoming = np.array([high, ~high])
+        self._outward = np.where(high, 1.0, -1.0)
+        self._normal = np.arange(ndim)[:, None] == axis_of
+        self._sigma, self._p_inf, self._length = (
+            np.concatenate(sigma), np.concatenate(p_inf), np.concatenate(length))
+        w = self.mech.weights[:, None]
+        nk = self.state.n_transported
+        self._w = w
+        self._d_r = RU * (1.0 / w[:nk] - 1.0 / w[nk])
 
-    # modified amplitudes: relax the incoming acoustic wave towards the
-    # far-field pressure; where the flow locally re-enters, damp the
-    # convected waves too
-    k_relax = spec.sigma * a_f * (1.0 - mach2) / length
-    M1, M5 = L1, L5
-    if side == 1:
-        M1 = k_relax * (p_f - spec.p_inf)
-    else:
-        M5 = k_relax * (p_f - spec.p_inf)
-    entering = (un * (1.0 if side else -1.0)) < 0.0  # outward normal sign
-    M2 = np.where(entering, 0.0, L2)
-    Mt = [np.where(entering, 0.0, x) for x in Lt]
-    Ms = [np.where(entering, 0.0, x) for x in Ls]
+    def apply(self, t, du, stack, grads) -> None:
+        """Correct the assembled ``du`` on every face: ``stack`` is the
+        RHS's ``(nf,) + S`` gradient stack, ``grads`` its ``(ndim, nf) + S``
+        sweeps."""
+        corr = self._corrections(stack, grads) if self.n else None
+        for face, spec, points in self.faces:
+            if spec.kind == "hard_inflow":
+                self._hard_inflow(t, du, face, spec, points)
+            else:
+                view = du[(slice(None),) + face]
+                view += corr[:, points].reshape(view.shape)
 
-    # LODI deltas: (physical - modified) source terms
-    dd1 = ((L2 - M2) + 0.5 * ((L5 - M5) + (L1 - M1))) / a_f**2
-    dd2 = 0.5 * ((L5 - M5) + (L1 - M1))
-    dd3 = ((L5 - M5) - (L1 - M1)) / (2.0 * roa)
-    dd4 = [Lt[j] - Mt[j] for j in range(len(transverse))]
-    dd5 = [Ls[k] - Ms[k] for k in range(nk)]
+    def _hard_inflow(self, t, du, face, spec, e_int):
+        """Pin u, T, Y at the face; density evolves with continuity."""
+        st = self.state
+        Y_t = resolve_face_value(spec.mass_fractions, t)
+        if e_int is None:
+            e_int = self.mech.int_energy_mass(resolve_face_value(spec.temperature, t), Y_t)
+        drho = du[st.i_rho][face]
+        vel_t = _components(resolve_face_value(spec.velocity, t), drho.ndim)
+        e0_t = e_int + 0.5 * _sum(vel_t**2)
+        du[(slice(st.i_mom(0), st.i_energy),) + face] = vel_t * drho
+        du[st.i_energy][face] = e0_t * drho
+        du[(st.species_slice,) + face] = _components(Y_t, drho.ndim)[: st.n_transported] * drho
 
-    # primitive corrections (added to d/dt of each primitive)
-    c_rho = dd1
-    c_p = dd2
-    c_un = dd3
-    c_ut = dd4
-    c_y = dd5
+    def _corrections(self, stack, grads):
+        """The ``(nvar, n)`` LODI correction swap of every characteristic
+        face point."""
+        st, mech, ndim = self.state, self.mech, self.ndim
+        nk = st.n_transported
+        prim = np.take(stack, self._take[0])
+        grad = np.take(grads, self._take[1])
+        vel, Y, (T, rho, p, un) = prim[:ndim], prim[ndim:-4], prim[-4:]
+        drho, dp, dun = grad[-3:]
+        # face thermodynamics from one fused NASA-7 pass: the same arithmetic
+        # as mech.sound_speed / cv_mass / int_energy_mass / gas_constant and
+        # the species internal energies, each of which would re-evaluate
+        # h or cp on T
+        w = self._w
+        h_i, cp_i = mech.thermo.enthalpy_cp_molar(T)
+        h_i /= w
+        cp_i /= w
+        cp_i *= Y
+        cp_mix = _fold(cp_i)
+        r_spec = RU / (1.0 / _fold(Y / w))
+        cv = cp_mix - r_spec
+        a = np.sqrt(cp_mix / cv * r_spec * T)
+        e_i = h_i - RU * T[None] / w
+        e_int = _fold(h_i * Y) - r_spec * T
+        mach2 = np.minimum((un / a) ** 2, 0.99)
 
-    # convert to conservative corrections on the face
-    w = mech.weights
-    n_last = mech.n_species - 1
-    d_r = RU * np.array([1.0 / w[k] - 1.0 / w[n_last] for k in range(nk)])
+        # physical amplitudes: the acoustic pair [L1, L5]; L2; the
+        # convected [Lt of every velocity component (the normal one's is
+        # never used), Ls]
+        roa = rho * a
+        L15 = (un + _MINUS_PLUS * a) * (dp + _MINUS_PLUS * (roa * dun))
+        L2 = un * (a**2 * drho - dp)
+        Lc = un * grad[: ndim + nk]
 
-    dR = sum(d_r[k] * c_y[k] for k in range(nk)) if nk else 0.0
-    dT = (c_p - r_spec * T_f * c_rho - rho_f * T_f * dR) / (rho_f * r_spec)
-    de_int = cv * dT + sum((e_i[k] - e_i[n_last]) * c_y[k] for k in range(nk))
+        # modified amplitudes: relax the incoming acoustic wave towards the
+        # far-field pressure; where the flow locally re-enters, damp the
+        # convected waves too
+        relax = self._sigma * a * (1.0 - mach2) / self._length * (p - self._p_inf)
+        d1, d5 = L15 - np.where(self._incoming, relax, L15)
+        entering = un * self._outward < 0.0
+        dc = Lc - np.where(entering, 0.0, Lc)
 
-    vel_f = [vel[a][face] for a in range(ndim)]
-    ke = 0.5 * sum(vf * vf for vf in vel_f)
+        # LODI deltas (physical - modified source terms): the corrections
+        # added to d/dt of rho, p, the velocity components and Y
+        c_p = 0.5 * (d5 + d1)
+        c_rho = ((L2 - np.where(entering, 0.0, L2)) + c_p) / a**2
+        c_vel = np.where(self._normal, (d5 - d1) / (2.0 * roa), dc[:ndim])
+        c_y = dc[ndim:]
 
-    c_vel = [None] * ndim
-    c_vel[axis] = c_un
-    for j, a in enumerate(transverse):
-        c_vel[a] = c_ut[j]
-
-    du[st.i_rho][face] += c_rho
-    for a in range(ndim):
-        du[st.i_mom(a)][face] += vel_f[a] * c_rho + rho_f * c_vel[a]
-    du[st.i_energy][face] += (
-        (e_int_f + ke) * c_rho
-        + rho_f * de_int
-        + rho_f * sum(vel_f[a] * c_vel[a] for a in range(ndim))
-    )
-    for k in range(nk):
-        du[st.i_species(k)][face] += Y_f[k] * c_rho + rho_f * c_y[k]
+        # convert to conservative corrections
+        dR = _sum(self._d_r * c_y)
+        dT = (c_p - r_spec * T * c_rho - rho * T * dR) / (rho * r_spec)
+        de_int = cv * dT + _sum((e_i[:nk] - e_i[nk]) * c_y)
+        ke = 0.5 * _sum(vel * vel)
+        corr = np.empty((st.nvar, self.n))
+        corr[st.i_rho] = c_rho
+        corr[st.i_mom(0) : st.i_energy] = vel * c_rho + rho * c_vel
+        corr[st.i_energy] = (e_int + ke) * c_rho + rho * de_int + rho * _sum(vel * c_vel)
+        corr[st.species_slice] = Y[:nk] * c_rho + rho * c_y
+        return corr

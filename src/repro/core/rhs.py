@@ -58,9 +58,8 @@ class _EvalProps:
 class _Eval:
     """What one evaluation carries from phase to phase."""
 
-    __slots__ = ("t", "u", "out", "pc", "gstack", "grads", "idx_t", "idx_w",
-                 "idx_y", "idx_rho", "idx_p", "tmp_s", "hq", "tau", "flux_j",
-                 "flux_q", "fstacks", "dstacks", "sourced", "wdot")
+    __slots__ = ("t", "u", "out", "pc", "gstack", "grads", "tmp_s", "hq", "tau",
+                 "flux_j", "flux_q", "fstacks", "dstacks", "sourced", "wdot")
 
 
 def _fingerprint(u: np.ndarray):
@@ -122,6 +121,20 @@ class CompressibleRHS:
         self._needs_nscbc = any(
             spec.kind != "periodic" for spec in self.boundaries.values()
         )
+        # gradient stack layout: [vel_0..vel_{ndim-1}, T] (+ wbar when
+        # viscous) (+ Y_0..Y_{ns-1} when viscous or with characteristic
+        # faces) (+ rho, p with characteristic faces); pure-periodic Euler
+        # needs no primitive gradients at all
+        viscous, ns = transport is not None, self.mech.n_species
+        self._idx_t = self.ndim
+        self._idx_w = self.ndim + 1 if viscous else None
+        self._idx_y = self.ndim + 1 + viscous
+        self._nf = self._idx_y + ns + 2 * self._needs_nscbc
+        self._nscbc = None
+        if self._needs_nscbc:
+            fields = [*range(self.ndim), *range(self._idx_y, self._nf - 2),
+                      self._idx_t, self._nf - 2, self._nf - 1]
+            self._nscbc = nscbc.BoundaryPass(self, fields, self._nf)
         self.workspace = workspace if workspace is not None else Workspace(
             telemetry=self.telemetry
         )
@@ -221,7 +234,6 @@ class CompressibleRHS:
         :meth:`fluxes` differentiate, or ``None`` when nothing needs a
         primitive gradient (periodic Euler).
         """
-        st = self.state
         ndim = self.ndim
         ws = self.workspace
         ws.begin_eval()
@@ -236,37 +248,26 @@ class CompressibleRHS:
         ev.dstacks, ev.sourced, ev.wdot = {}, False, None
         pc = ev.pc = self._eval_props(u)
         S = pc.rho.shape
-        ns = self.mech.n_species
-        viscous = self.transport is not None
-        needs_nscbc = self._needs_nscbc
-
         # -- primitive gradients: one stacked sweep per direction --------
-        # stack layout: [vel_0..vel_{ndim-1}, T] (+ [wbar, Y_0..Y_{ns-1}]
-        # when viscous) (+ [rho, p] when characteristic boundaries need
-        # them); pure-periodic Euler needs no primitive gradients at all
         ev.gstack = None
-        ev.idx_t = ev.idx_w = ev.idx_y = ev.idx_rho = ev.idx_p = None
-        if viscous or needs_nscbc:
-            nf = ndim + 1
-            ev.idx_t = ndim
-            if viscous:
-                ev.idx_w = nf
-                ev.idx_y = nf + 1
-                nf += 1 + ns
-            if needs_nscbc:
-                ev.idx_rho = nf
-                ev.idx_p = nf + 1
-                nf += 2
-            gstack = ev.gstack = ws.array("rhs.gstack", (nf,) + S)
-            gstack[0:ndim] = ws.array("state.vel", (ndim,) + S)
-            gstack[ev.idx_t] = pc.T
-            if viscous:
-                gstack[ev.idx_w] = pc.wbar
-                gstack[ev.idx_y : ev.idx_y + ns] = pc.Y
-            if needs_nscbc:
-                gstack[ev.idx_rho] = pc.rho
-                gstack[ev.idx_p] = pc.p
+        if self.transport is not None or self._needs_nscbc:
+            ev.gstack = self._fill_stack(
+                ws.array("rhs.gstack", (self._nf,) + S),
+                ws.array("state.vel", (ndim,) + S), pc.T, pc.wbar, pc.Y, pc.rho, pc.p)
         return ev.gstack
+
+    def _fill_stack(self, stack, vel, T, wbar, Y, rho, p):
+        """The primitives to differentiate, in the stack layout."""
+        iy = self._idx_y
+        stack[0 : self.ndim] = vel
+        stack[self._idx_t] = T
+        if self._idx_w is not None:
+            stack[self._idx_w] = wbar
+        stack[iy : iy + self.mech.n_species] = Y
+        if self._needs_nscbc:
+            stack[-2] = rho
+            stack[-1] = p
+        return stack
 
     def fluxes(self, ghosts=None) -> dict:
         """Phase B: gradient sweeps, then stress, species-flux and
@@ -289,7 +290,7 @@ class CompressibleRHS:
         rho, T, Y, wbar = pc.rho, pc.T, pc.Y, pc.wbar
         S = rho.shape
         ns = mech.n_species
-        idx_t, idx_w, idx_y = ev.idx_t, ev.idx_w, ev.idx_y
+        idx_t, idx_w, idx_y = self._idx_t, self._idx_w, self._idx_y
         grads = ev.grads = None
         if ev.gstack is not None:
             grads = ev.grads = ws.array("rhs.grads", (ndim,) + ev.gstack.shape)
@@ -432,39 +433,40 @@ class CompressibleRHS:
     def _flux_stack(self, b: int, fstack):
         """The convective + diffusive flux of every conserved variable
         in direction ``b``, assembled into ``fstack``."""
-        st = self.state
-        ev = self._eval
-        pc = ev.pc
-        rho, vel, p, Y, e0 = pc.rho, pc.vel, pc.p, pc.Y, pc.e0
-        viscous = self.transport is not None
-        ub = vel[b]
-        np.multiply(rho, ub, out=fstack[st.i_rho])
-        for a in range(self.ndim):
-            fa = fstack[st.i_mom(a)]
-            np.multiply(rho, vel[a], out=fa)
-            fa *= ub
-            if a == b:
-                fa += p
+        with self.telemetry.span("FLUX_ASSEMBLY"):
+            st = self.state
+            ev = self._eval
+            pc = ev.pc
+            rho, vel, p, Y, e0 = pc.rho, pc.vel, pc.p, pc.Y, pc.e0
+            viscous = self.transport is not None
+            ub = vel[b]
+            np.multiply(rho, ub, out=fstack[st.i_rho])
+            for a in range(self.ndim):
+                fa = fstack[st.i_mom(a)]
+                np.multiply(rho, vel[a], out=fa)
+                fa *= ub
+                if a == b:
+                    fa += p
+                if viscous:
+                    fa -= ev.tau[a][b]
+            fe = fstack[st.i_energy]
+            np.multiply(rho, e0, out=fe)
+            fe += p
+            fe *= ub
             if viscous:
-                fa -= ev.tau[a][b]
-        fe = fstack[st.i_energy]
-        np.multiply(rho, e0, out=fe)
-        fe += p
-        fe *= ub
-        if viscous:
-            tmp_s = ev.tmp_s
-            np.multiply(ev.tau[0][b], vel[0], out=tmp_s)
-            for a in range(1, self.ndim):
-                np.multiply(ev.tau[a][b], vel[a], out=ev.hq)
-                tmp_s += ev.hq
-            fe -= tmp_s
-            fe += ev.flux_q[b]
-        for k in range(st.n_transported):
-            fy = fstack[st.i_species(k)]
-            np.multiply(rho, Y[k], out=fy)
-            fy *= ub
-            if viscous:
-                fy += ev.flux_j[k, b]
+                tmp_s = ev.tmp_s
+                np.multiply(ev.tau[0][b], vel[0], out=tmp_s)
+                for a in range(1, self.ndim):
+                    np.multiply(ev.tau[a][b], vel[a], out=ev.hq)
+                    tmp_s += ev.hq
+                fe -= tmp_s
+                fe += ev.flux_q[b]
+            for k in range(st.n_transported):
+                fy = fstack[st.i_species(k)]
+                np.multiply(rho, Y[k], out=fy)
+                fy *= ub
+                if viscous:
+                    fy += ev.flux_j[k, b]
         return fstack
 
     def finish(self, ghosts=None):
@@ -477,13 +479,10 @@ class CompressibleRHS:
         ev = self._eval
         ghosts = ghosts or {}
         st = self.state
-        mech = self.mech
         ndim = self.ndim
         ws = self.workspace
-        t, u, pc = ev.t, ev.u, ev.pc
-        rho, vel, T, p, Y = pc.rho, pc.vel, pc.T, pc.p, pc.Y
-        S = rho.shape
-        ns = mech.n_species
+        u = ev.u
+        S = ev.pc.rho.shape
         nt = st.n_transported
 
         # -- flux divergence: one stacked sweep per direction ------------
@@ -507,22 +506,9 @@ class CompressibleRHS:
             du[st.species_slice] += ev.wdot[:nt]
 
         # -- characteristic boundary handling -----------------------------
-        if self._needs_nscbc:
-            grads = ev.grads
-            viscous = self.transport is not None
-            grad_vel = [[grads[b, a] for b in range(ndim)] for a in range(ndim)]
-            grad_rho = [grads[b, ev.idx_rho] for b in range(ndim)]
-            grad_p = [grads[b, ev.idx_p] for b in range(ndim)]
-            gy = (
-                np.moveaxis(grads[:, ev.idx_y : ev.idx_y + ns], 0, 1)
-                if viscous else None
-            )
-            nscbc.apply_boundary_conditions(
-                self, t, du,
-                rho=rho, vel=vel, T=T, p=p, Y=Y,
-                grad_rho=grad_rho, grad_p=grad_p,
-                grad_vel=grad_vel, grad_y=gy,
-            )
+        if self._nscbc is not None:
+            with self.telemetry.span("NSCBC"):
+                self._nscbc.apply(ev.t, du, ev.gstack, ev.grads)
         ws.end_eval()
         return du
 
@@ -545,7 +531,7 @@ class CompressibleRHS:
         grad_vel = [[self.ops[b].apply_naive(vel[a], axis=b) for b in range(ndim)] for a in range(ndim)]
         grad_T = [self.ops[b].apply_naive(T, axis=b) for b in range(ndim)]
 
-        h_i = None
+        h_i = wbar = None
         viscous = self.transport is not None
         if viscous:
             with tel.span("THERMOPROPS"):
@@ -626,16 +612,12 @@ class CompressibleRHS:
             self.last_heat_release = np.zeros_like(rho)
 
         # -- characteristic boundary handling -----------------------------
-        if self._needs_nscbc:
-            grad_p = [self.ops[b].apply_naive(p, axis=b) for b in range(ndim)]
-            grad_rho = [self.ops[b].apply_naive(rho, axis=b) for b in range(ndim)]
-            gy = grad_y if viscous else None
-            nscbc.apply_boundary_conditions(
-                self, t, du,
-                rho=rho, vel=vel, T=T, p=p, Y=Y,
-                grad_rho=grad_rho, grad_p=grad_p,
-                grad_vel=grad_vel, grad_y=gy,
-            )
+        if self._nscbc is not None:
+            stack = self._fill_stack(np.empty((self._nf,) + rho.shape),
+                                     vel, T, wbar, Y, rho, p)
+            grads = np.array([[self.ops[b].apply_naive(f, axis=b) for f in stack]
+                              for b in range(ndim)])
+            self._nscbc.apply(t, du, stack, grads)
         return du
 
     # ------------------------------------------------------------------

@@ -145,20 +145,20 @@ def flat_source(scratch: SweepScratch, f, axis: int, ghost: int, copy: bool,
     return src, src.reshape(-1), math.prod(f.shape[axis + 1:])
 
 
-def boundary_slab(scratch: SweepScratch, name: str, a, axis: int, start: int, stop: int):
-    """Rows ``start:stop`` of ``a`` along ``axis`` with that axis leading.
+def boundary_ends(scratch: SweepScratch, a, axis: int, width: int):
+    """Rows ``0:width`` and ``n-width:n`` of ``a`` along ``axis``, staged
+    as one ``(2, width) + rest`` array with that axis second.
 
-    The one-sided boundary closures touch a handful of rows, one row per
-    ufunc call; along a strided axis those rows are staged through a
-    small contiguous copy (exact, so no bits change) instead of being
-    read as strided columns.
+    The one-sided boundary closures compute every row of both ends per
+    stencil term; staged in one small contiguous copy (exact, so no bits
+    change) a term reads both ends in one ufunc call, and reads rows
+    rather than strided columns along a strided axis.
     """
-    if not axis:
-        return a[start:stop]
-    slab = leading(a[along(axis, start, stop)], axis)
-    staged = scratch.view(name, slab.shape)
-    np.copyto(staged, slab)
-    return staged
+    lead = leading(a, axis)
+    ends = scratch.view("ends", (2, width) + lead.shape[1:])
+    np.copyto(ends[0], lead[:width])
+    np.copyto(ends[1], lead[lead.shape[0] - width :])
+    return ends
 
 
 def column(values, ndim: int, axis: int):

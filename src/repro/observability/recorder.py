@@ -114,15 +114,6 @@ class FlightRecorder:
     def last(self) -> StepRecord | None:
         return self.records[-1] if self.records else None
 
-    def series(self, key: str) -> list:
-        """History of one scalar field across retained records
-        (``"dt"``, ``"wall_time"``, ``"cfl_margin"``)."""
-        out = []
-        for r in self.records:
-            v = getattr(r, key, None)
-            out.append(float("nan") if v is None else float(v))
-        return out
-
     # -- serialization ---------------------------------------------------
     def summary(self, reason: str = "") -> dict:
         return {

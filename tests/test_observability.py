@@ -470,12 +470,6 @@ class TestFlightRecorder:
         assert counters["flightrecorder.dumps"] == 1
         assert counters["flightrecorder.bytes"] > 0
 
-    def test_series_extraction(self):
-        rec = FlightRecorder(capacity=8)
-        for i in range(3):
-            rec.record(self._record(i))
-        assert rec.series("dt") == [1e-8] * 3
-
 
 class TestTripRecoveryAcceptance:
     """The issue's acceptance path: a seeded NaN (silent corruption via

@@ -186,7 +186,7 @@ class TestEngineBitExactness:
 # ---------------------------------------------------------------------------
 # the three-phase evaluation against the single function it was cut from
 # ---------------------------------------------------------------------------
-from repro.core import nscbc  # noqa: E402
+from tests import nscbc_oracle  # noqa: E402
 from repro.core.kernels import species_diffusive_flux_dir  # noqa: E402
 from tests.helpers import PowerLawTransport
 
@@ -386,7 +386,7 @@ def _parent_call_batched(self, t, u, out=None):
             np.moveaxis(grads[:, idx_y : idx_y + ns], 0, 1)
             if viscous else None
         )
-        nscbc.apply_boundary_conditions(
+        nscbc_oracle.apply_boundary_conditions(
             self, t, du,
             rho=rho, vel=vel, T=T, p=p, Y=Y,
             grad_rho=grad_rho, grad_p=grad_p,

@@ -6,6 +6,8 @@ The derivative's oracle is :meth:`DerivativeOperator.apply_naive` (the
 filter never had one, so its pre-grouping sweep is frozen here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,15 +123,33 @@ class TestSweepCorners:
 
     def test_nonfinite_input_stays_where_the_stencil_puts_it(self, budget):
         # the flat passes combine neighbouring rows at positions nobody
-        # reads; a NaN must not leak from one field into another
-        op = DerivativeOperator(N, 0.1, periodic=True)
-        f = np.ones((3, 4, N))
-        f[1, 2, 5] = np.nan
-        with np.errstate(invalid="ignore"):
-            d = op.apply(f, axis=2)
-        assert np.isnan(d[1, 2]).any()
-        d[1, 2] = 0.0
-        assert np.isfinite(d).all()
+        # reads, and the closures compute every boundary row per term: a
+        # NaN must reach exactly the rows whose stencil reads it, in its
+        # own field line, and nothing else
+        for deriv, periodic, (shape, axis) in itertools.product(
+                (True, False), (True, False), (((3, 4, N), 2), ((3, N, 4), 1))):
+            op = (DerivativeOperator(N, 0.1, periodic=periodic) if deriv
+                  else FilterOperator(N, periodic=periodic))
+            w = 4 if deriv else FILTER_HALF_WIDTH
+            line = (1, 2, slice(None)) if axis == 2 else (1, slice(None), 2)
+
+            def reads(i, p):
+                if periodic or w <= i < N - w:
+                    dist = min(abs(i - p), N - abs(i - p)) if periodic else abs(i - p)
+                    return 1 <= dist <= w if deriv else dist <= w
+                if deriv:  # one-sided closures read the 5 end points
+                    return p <= 4 if i < w else p >= N - 5
+                return abs(i - p) <= min(i, N - 1 - i)  # reduced-order rows
+
+            for p in range(N):
+                f = np.ones(shape)
+                f[line[:axis] + (p,) + line[axis + 1:]] = np.nan
+                with np.errstate(invalid="ignore"):
+                    d = op.apply(f, axis=axis)
+                nan = np.isnan(d[line])
+                assert nan.tolist() == [reads(i, p) for i in range(N)], (deriv, periodic, axis, p)
+                d[line] = 0.0
+                assert np.isfinite(d).all()
 
 
 class TestSweepScratch:
