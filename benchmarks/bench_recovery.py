@@ -105,7 +105,7 @@ class _StubSolver:
     def __init__(self):
         self.step_count = 0
 
-    def run(self, n_steps, dt):
+    def run(self, n_steps, dt, monitor_interval=0):
         for _ in range(n_steps):
             self.step_count += 1
 

@@ -36,8 +36,9 @@ Every characteristic face of a domain is one batch (:class:`BoundaryPass`).
 A face plan built once from ``boundaries`` and the grid holds the flat
 index of every face point with its face's axis, outward side, ``sigma``,
 ``p_inf`` and axis length. An evaluation then takes the face primitives
-from the RHS's gradient stack in one gather and their normal derivatives
-from the swept gradients in one more, evaluates NASA-7 once for all
+from the RHS's gradient stack in one gather, their normal derivatives
+from the swept gradients and their species enthalpies from the RHS's
+``h_i`` field in one more each, evaluates NASA-7 ``cp`` once for all
 faces, and runs the LODI algebra with face points and species as array
 axes. Only the scatter into ``du`` goes face by face, in the order of
 ``boundaries``: a corner two faces share, and a hard inflow's read of
@@ -130,6 +131,8 @@ class BoundaryPass:
         rows = np.concatenate([np.asarray(fields)[:, None] * npts + flat,
                                (axis_of * npts + flat)[None]])
         self._take = (rows, axis_of * (nf * npts) + rows)
+        #: every species' row of an ``(ns,) + S`` field at the face points
+        self._take_h = np.arange(self.mech.n_species)[:, None] * npts + flat
         #: the relaxed (incoming) acoustic wave of each point: L1 at a
         #: high face, L5 at a low one
         self._incoming = np.array([high, ~high])
@@ -142,11 +145,12 @@ class BoundaryPass:
         self._w = w
         self._d_r = RU * (1.0 / w[:nk] - 1.0 / w[nk])
 
-    def apply(self, t, du, stack, grads) -> None:
+    def apply(self, t, du, stack, grads, h_i) -> None:
         """Correct the assembled ``du`` on every face: ``stack`` is the
         RHS's ``(nf,) + S`` gradient stack, ``grads`` its ``(ndim, nf) + S``
-        sweeps."""
-        corr = self._corrections(stack, grads) if self.n else None
+        sweeps and ``h_i`` the ``(ns,) + S`` species enthalpies [J/kg] at
+        the stack's temperature (``None`` without a characteristic face)."""
+        corr = self._corrections(stack, grads, h_i) if self.n else None
         for face, spec, points in self.faces:
             if spec.kind == "hard_inflow":
                 self._hard_inflow(t, du, face, spec, points)
@@ -167,7 +171,7 @@ class BoundaryPass:
         du[st.i_energy][face] = e0_t * drho
         du[(st.species_slice,) + face] = _components(Y_t, drho.ndim)[: st.n_transported] * drho
 
-    def _corrections(self, stack, grads):
+    def _corrections(self, stack, grads, h_field):
         """The ``(nvar, n)`` LODI correction swap of every characteristic
         face point."""
         st, mech, ndim = self.state, self.mech, self.ndim
@@ -176,14 +180,13 @@ class BoundaryPass:
         grad = np.take(grads, self._take[1])
         vel, Y, (T, rho, p, un) = prim[:ndim], prim[ndim:-4], prim[-4:]
         drho, dp, dun = grad[-3:]
-        # face thermodynamics from one fused NASA-7 pass: the same arithmetic
-        # as mech.sound_speed / cv_mass / int_energy_mass / gas_constant and
-        # the species internal energies, each of which would re-evaluate
-        # h or cp on T
+        # face thermodynamics from the field's species enthalpies and one
+        # NASA-7 cp pass: the same arithmetic as mech.sound_speed / cv_mass
+        # / int_energy_mass / gas_constant and the species internal
+        # energies, each of which would re-evaluate h or cp on T
         w = self._w
-        h_i, cp_i = mech.thermo.enthalpy_cp_molar(T)
-        h_i /= w
-        cp_i /= w
+        h_i = np.take(h_field, self._take_h)
+        cp_i = mech.thermo.cp_molar(T) / w
         cp_i *= Y
         cp_mix = _fold(cp_i)
         r_spec = RU / (1.0 / _fold(Y / w))

@@ -201,7 +201,8 @@ class CompressibleRHS:
             if self.transport is not None:
                 props = self.transport.evaluate(T, p, Y, workspace=ws)
             h_i = None
-            if self.transport is not None or (self.reacting and self.mech.n_reactions):
+            if (self.transport is not None or (self.reacting and self.mech.n_reactions)
+                    or self._nscbc is not None and self._nscbc.n):
                 h_i = self.mech.species_enthalpy_mass(T)
         pc = _EvalProps()
         pc.u, pc.version, pc.fingerprint = u, st.version, fp
@@ -508,7 +509,7 @@ class CompressibleRHS:
         # -- characteristic boundary handling -----------------------------
         if self._nscbc is not None:
             with self.telemetry.span("NSCBC"):
-                self._nscbc.apply(ev.t, du, ev.gstack, ev.grads)
+                self._nscbc.apply(ev.t, du, ev.gstack, ev.grads, ev.pc.h_i)
         ws.end_eval()
         return du
 
@@ -617,7 +618,9 @@ class CompressibleRHS:
                                      vel, T, wbar, Y, rho, p)
             grads = np.array([[self.ops[b].apply_naive(f, axis=b) for f in stack]
                               for b in range(ndim)])
-            self._nscbc.apply(t, du, stack, grads)
+            if h_i is None:
+                h_i = mech.species_enthalpy_mass(T)
+            self._nscbc.apply(t, du, stack, grads, h_i)
         return du
 
     # ------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The one time step and its driver (§2.6).
 
 :class:`SolverRankProgram` is the SPMD step every rank runs on the block
-it owns; :class:`S3DSolver` drives it on a transport world and keeps the
-clock and the hook points the paper's ecosystem attaches to:
-``checkpoint_hook`` (the I/O kernel of §5), the per-variable min/max
-monitor (the ASCII files of §9) and per-kernel spans (the profiler of
-§4). A serial run is the P = 1 case, an in-process world of one around
-the caller's live state; on any decomposition every sweep is bitwise the
-global operator's and every pointwise kernel a pure function of the
-cell, so the ranks compute the serial bits (docs/PARALLEL.md).
+it owns; :class:`S3DSolver` drives it on a transport world, keeps the
+clock and owns the one run loop, supervised or not, with the settings
+the paper's ecosystem attaches to it: the per-variable min/max monitor
+(the ASCII files of §9), checkpoints into a verified ring (the I/O
+layer of §5) and per-kernel spans (the profiler of §4). A serial run
+is the P = 1 case, an in-process world of one around the caller's live
+state; on any decomposition every sweep is bitwise the global
+operator's and every pointwise kernel a pure function of the cell, so
+the ranks compute the serial bits (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.parallel.decomp import CartesianDecomposition
 from repro.parallel.halo import HaloExchanger, edge_slabs
 from repro.resilience.checkpoint import CheckpointRing
 from repro.resilience.distributed import DistributedCheckpointRing
+from repro.resilience.errors import FaultInjectedError
+from repro.resilience.faults import NULL_INJECTOR
 from repro import telemetry as _telemetry
 
 
@@ -240,8 +243,10 @@ class S3DSolver:
 
     Every step is :class:`SolverRankProgram` on each rank of a transport
     world; the driver starts it, serves what the ranks post
-    (:meth:`_drive`) and keeps the clock. :meth:`step`, :meth:`run` and
-    :meth:`run_resilient` exist here and nowhere else.
+    (:meth:`_drive`) and keeps the clock. :meth:`step` exists here and
+    nowhere else, and so does :meth:`_loop`, the one loop that advances
+    a solver by N steps: :meth:`run` is that loop without a ring,
+    :meth:`run_resilient` the same loop under the supervisor.
 
     Parameters
     ----------
@@ -296,8 +301,6 @@ class S3DSolver:
                   and reacting and mech.n_reactions > 0)
         self.time = 0.0
         self.step_count = 0
-        self.checkpoint_hook = None
-        self.monitor_history = []  # list of (step, time, {var: (min, max)})
         #: optional :class:`~repro.telemetry.MonitorWriter` fed by
         #: :meth:`record_monitor` (the §9 ASCII monitoring files)
         self.monitor_writer = None
@@ -498,28 +501,58 @@ class S3DSolver:
         return dt
 
     def run(self, n_steps: int, dt: float | None = None,
-            monitor_interval: int = 0, checkpoint_interval: int = 0):
+            monitor_interval: int = 0) -> None:
         """Advance ``n_steps`` steps (of ``dt``, or of the solver's own
-        choosing), recording the monitor and firing the checkpoint hook
-        at the given intervals. An enabled health monitor checks its
-        watchdogs after each step (a trip raises
-        :class:`~repro.observability.watchdogs.WatchdogTripError`); a
-        disabled one costs one attribute check per step."""
+        choosing), recording the monitor every ``monitor_interval``-th
+        step: :meth:`_loop` without a ring or a fault site. An enabled
+        health monitor checks its watchdogs after each step (a trip
+        raises :class:`~repro.observability.watchdogs.WatchdogTripError`);
+        a disabled one costs one attribute check per step."""
+        self._loop(n_steps, dt, monitor_interval)
+
+    def _loop(self, n_steps, dt, monitor_interval=0, ring=None,
+              checkpoint_interval=0, injector=NULL_INJECTOR, report=None):
+        """The one loop: ``n_steps`` steps, each between the
+        ``solver.step`` (raise) and ``solver.state`` (poison with NaN)
+        fault sites of ``injector``, then an enabled health monitor's
+        check (before the save: a poisoned state trips, it is not
+        archived), the monitor every ``monitor_interval``-th step and a
+        save to ``ring`` every ``checkpoint_interval``-th and at the
+        last; ``report`` counts the poisonings and the saves."""
         health = self.health
-        checkpoint = self.checkpoint_hook if checkpoint_interval else None
-        for _ in range(n_steps):
+        target = self.step_count + int(n_steps)
+        while self.step_count < target:
+            if injector.enabled:
+                spec = injector.decide("solver.step")
+                if spec is not None:
+                    raise FaultInjectedError(
+                        f"injected {spec.mode} fault at step "
+                        f"{self.step_count}")
             if health.enabled:
                 t0 = health.clock()
                 used = self.step(dt)
-                health.on_step(used, health.clock() - t0)
+                wall = health.clock() - t0
             else:
                 self.step(dt)
+            if injector.enabled and injector.decide("solver.state") is not None:
+                # silent data corruption: only a watchdog can catch this
+                u = self.state.u.copy()
+                u.flat[0] = np.nan
+                self.set_state(u)
+                report.faults_seen += 1
+            if health.enabled:
+                health.on_step(used, wall)
             if monitor_interval and self.step_count % monitor_interval == 0:
                 self.record_monitor()
-            if (checkpoint is not None
-                    and self.step_count % checkpoint_interval == 0):
-                with self.telemetry.span("CHECKPOINT"):
-                    checkpoint(self.step_count, self.time, self.state)
+            if ring is not None and (self.step_count % checkpoint_interval == 0
+                                     or self.step_count == target):
+                self._checkpoint(ring, report)
+
+    def _checkpoint(self, ring, report) -> None:
+        """Save the solver to ``ring`` under a ``CHECKPOINT`` span."""
+        with self.telemetry.span("CHECKPOINT"):
+            ring.save(self)
+        report.checkpoints_written += 1
 
     def run_resilient(self, fs, n_steps: int, dt: float | None = None,
                       **kwargs):
@@ -576,7 +609,6 @@ class S3DSolver:
     def record_monitor(self) -> dict:
         """Record per-variable min/max (§9's ASCII monitoring data)."""
         mm = self.state.min_max()
-        self.monitor_history.append((self.step_count, self.time, mm))
         if self.monitor_writer is not None:
             self.monitor_writer.write_step(self.step_count, self.time, mm)
         return mm

@@ -28,8 +28,9 @@ The two presets mirror the paper's §5.3 testbeds: Lustre with a
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.resilience.errors import TornWriteError, TransientIOError
 from repro.resilience.faults import resolve_injector
@@ -260,14 +261,15 @@ class SimFileSystem:
         """Execute a set of concurrent write requests; returns the
         elapsed (simulated) phase time.
 
-        All requests land functionally; the elapsed time accounts for
-        per-client request overheads, per-server striped transfer
-        queues, and serialization on lock units touched by multiple
-        clients. ``independent`` marks the stream as issued through
-        independent (non-collective) I/O functions, which sustain only
-        ``config.independent_efficiency`` of server bandwidth.
+        All requests land functionally, then the phase is charged
+        through the one cost model (:meth:`_charge`): per-client request
+        overheads, per-server striped transfer queues, and serialization
+        on lock units touched by multiple clients — units of one file;
+        a phase may write several. ``independent`` marks the stream as
+        issued through independent (non-collective) I/O functions, which
+        sustain only ``config.independent_efficiency`` of server
+        bandwidth.
         """
-        cfg = self.config
         if not requests:
             return 0.0
         if self.faults.enabled:
@@ -282,59 +284,29 @@ class SimFileSystem:
                 raise TransientIOError(
                     f"injected write-phase failure ({len(requests)} requests)"
                 )
-        eff = cfg.independent_efficiency if independent else 1.0
-        # functional effect
+        files = {}
         for r in requests:
             buf = self._files[r.path]
             end = r.offset + len(r.data)
             if len(buf) < end:
                 buf.extend(b"\x00" * (end - len(buf)))
             buf[r.offset : end] = r.data
-        self.requests += len(requests)
-
-        # cost model
-        client_time = defaultdict(float)
-        server_time = defaultdict(float)
-        unit_clients = defaultdict(set)
-        for r in requests:
-            n = len(r.data)
-            client_time[r.client] += cfg.request_overhead + n / cfg.client_bandwidth
-            first = r.offset // cfg.lock_unit
-            last = (r.offset + n - 1) // cfg.lock_unit
-            for unit in range(first, last + 1):
-                u_lo = unit * cfg.lock_unit
-                u_hi = u_lo + cfg.lock_unit
-                nbytes = min(r.offset + n, u_hi) - max(r.offset, u_lo)
-                server = unit % cfg.n_servers
-                server_time[server] += nbytes / (cfg.server_bandwidth * eff)
-                unit_clients[(r.path, unit)].add(r.client)
-        lock_wait = 0.0
-        for clients in unit_clients.values():
-            if len(clients) > 1:
-                self.conflict_units += 1
-                lock_wait += (len(clients) - 1) * cfg.lock_conflict_cost
-        transfer = max(server_time.values()) if server_time else 0.0
-        overhead = max(client_time.values()) if client_time else 0.0
-        self.time.transfer += transfer
-        self.time.lock_wait += lock_wait
-        self.time.overhead += overhead
-        return transfer + lock_wait + overhead
+            files.setdefault(r.path, len(files))
+        return self._charge([files[r.path] for r in requests],
+                            [r.client for r in requests],
+                            [r.offset for r in requests],
+                            [len(r.data) for r in requests], independent)
 
     def phase_write_meta(self, path: str, clients, offsets, lengths,
                          independent: bool = False) -> float:
         """Cost-only write phase from metadata arrays (no payloads).
 
-        Vectorized twin of :meth:`phase_write` for benchmark-scale runs:
-        identical cost model, but the file contents are only extended,
-        not filled. Used by the Fig 9 driver at full process counts
-        where materializing every byte would be prohibitive in Python;
-        the functional path is exercised (and byte-verified) by the
-        test suite at reduced scale.
+        The cost of :meth:`phase_write` for benchmark-scale runs: the
+        file contents are only extended, not filled. Used by the Fig 9
+        driver at full process counts where materializing every byte
+        would be prohibitive in Python; the functional path is exercised
+        (and byte-verified) by the test suite at reduced scale.
         """
-        import numpy as np
-
-        cfg = self.config
-        clients = np.asarray(clients, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if not len(offsets):
@@ -344,6 +316,18 @@ class SimFileSystem:
         # track the logical size only — cost-path files are never read
         end = int((offsets + lengths).max())
         self._meta_sizes[path] = max(self._meta_sizes.get(path, 0), end)
+        return self._charge(np.zeros(len(offsets), dtype=np.int64), clients,
+                            offsets, lengths, independent)
+
+    def _charge(self, files, clients, offsets, lengths, independent) -> float:
+        """Charge one write phase of requests ``(client, offset,
+        length)`` into files numbered ``files`` (lock units conflict
+        only within one file); returns the phase time."""
+        cfg = self.config
+        files = np.asarray(files, dtype=np.int64)
+        clients = np.asarray(clients, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
         self.requests += len(offsets)
 
         # client timelines
@@ -359,7 +343,7 @@ class SimFileSystem:
         n_units = (last - first + 1).astype(np.int64)
         total = int(n_units.sum())
         req_idx = np.repeat(np.arange(len(offsets)), n_units)
-        unit_off = np.concatenate([np.arange(k) for k in n_units]) if total else np.array([], dtype=np.int64)
+        unit_off = np.arange(total) - np.repeat(np.cumsum(n_units) - n_units, n_units)
         units = first[req_idx] + unit_off
         u_lo = units * cfg.lock_unit
         u_hi = u_lo + cfg.lock_unit
@@ -372,8 +356,9 @@ class SimFileSystem:
         s_time = np.bincount(servers, weights=nbytes / (cfg.server_bandwidth * eff))
         transfer = float(s_time.max()) if len(s_time) else 0.0
 
-        pairs = np.unique(np.stack([units, clients[req_idx]]), axis=1)
-        unit_ids, counts = np.unique(pairs[0], return_counts=True)
+        # distinct (file, unit, client) triples, then clients per (file, unit)
+        triples = np.unique(np.stack([files[req_idx], units, clients[req_idx]]), axis=1)
+        _, counts = np.unique(triples[:2], axis=1, return_counts=True)
         conflicts = counts[counts > 1]
         self.conflict_units += int(len(conflicts))
         lock_wait = float((conflicts - 1).sum()) * cfg.lock_conflict_cost

@@ -21,10 +21,10 @@ and every consumer knows how to survive it.
   :class:`DistributedCheckpointRing`: coordinated two-phase distributed
   checkpoints (one CRC-guarded shard per rank, manifest as commit
   record) on the same ring core.
-* :mod:`repro.resilience.supervisor` — :func:`run_resilient`: the one
-  supervised loop, driving a serial or rank-parallel solver through
-  injected faults and rank failures (rollback / ``respawn``) to a
-  bit-identical final state.
+* :mod:`repro.resilience.supervisor` — :func:`run_resilient`: the
+  supervisor around the solver's one run loop, driving a serial or
+  rank-parallel solver through injected faults and rank failures
+  (rollback / ``respawn``) to a bit-identical final state.
 
 Telemetry counters: ``resilience.faults_injected``,
 ``resilience.retries``, ``resilience.recoveries``,

@@ -1,5 +1,5 @@
 """Distributed checkpoints: what a decomposed domain adds to the
-resilience layer (the supervised loop itself is
+resilience layer (the supervisor itself is
 :func:`repro.resilience.supervisor.run_resilient`, shared with the
 serial solver).
 

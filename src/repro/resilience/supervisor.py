@@ -1,15 +1,15 @@
-"""Self-healing run driver: the one supervised loop, serial or parallel.
+"""Self-healing run driver: supervision around the one run loop.
 
-:func:`run_resilient` advances a solver a fixed number of steps the way
-a production campaign shepherds a terascale run: checkpoints land in a
-verified ring (:mod:`repro.resilience.checkpoint` for the serial solver,
-the two-phase-commit shard ring of :mod:`repro.resilience.distributed`
-for a decomposed one) every ``checkpoint_interval`` steps, and any
-recoverable fault — an injected computational fault at the
-``solver.step`` site, silent corruption a watchdog trips on, an I/O
-fault that survived its retry budget, a corrupt checkpoint, a dead or
-hung rank — triggers a recovery *action* followed by a deterministic
-replay:
+:func:`run_resilient` advances a solver, serial or decomposed, through
+the loop ``solver.run`` steps through (``S3DSolver._loop``) and adds
+what supervision is: a verified ring the loop checkpoints into every
+``checkpoint_interval`` steps (:mod:`repro.resilience.checkpoint`, or
+the shard ring of :mod:`repro.resilience.distributed`), the baseline
+save, the :class:`RunReport` and recovery: any recoverable fault — an
+injected computational fault at the ``solver.step`` site, silent
+corruption a watchdog trips on, an I/O fault that survived its retry
+budget, a corrupt checkpoint, a dead or hung rank — triggers a recovery
+*action* followed by a deterministic replay:
 
 ===========  ======================  ===================================
 action       chosen when             what it does
@@ -29,14 +29,13 @@ transports (:mod:`repro.parallel.shm`); here a hung rank is just
 another rank failure.
 
 Telemetry: ``resilience.recoveries`` / ``.replayed_steps`` /
-``.ranks_respawned`` counters and a ``RECOVERY`` span per recovery.
+``.ranks_respawned`` counters and a ``RECOVERY`` span per recovery
+(the loop spans every ring save ``CHECKPOINT``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from repro.core.config import resolve
 from repro.resilience.errors import (
@@ -114,12 +113,16 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
         Step size; ``None`` lets the solver choose (``compute_dt``).
     policy:
         How a dead rank is answered (the module table); ``"off"`` is a
-        plain ``solver.run``: no supervision, no checkpoint traffic.
+        plain ``solver.run``, the same loop without a ring: no
+        supervision, no checkpoint traffic.
         Default: the solver's ``recovery_policy`` (the
         ``parallel_recovery`` knob; always rollback on a serial solver).
     checkpoint_interval:
         Steps between ring checkpoints; also the worst-case replay
         distance after a recovery.
+    monitor_interval:
+        Steps between min/max monitor records (0: none), as in
+        ``solver.run``.
     ring:
         An existing ring to resume into (default: a fresh one of the
         solver's kind on ``fs`` keeping ``keep`` entries).
@@ -149,7 +152,7 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
     elif policy != "rollback":
         policy = resolve("parallel_recovery", policy)
     if policy == "off":
-        solver.run(n_steps, dt)
+        solver.run(n_steps, dt, monitor_interval)
         return RunReport(steps_completed=solver.step_count)
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
@@ -173,42 +176,12 @@ def run_resilient(solver, fs, n_steps: int, *, dt: float | None = None,
     # the baseline checkpoint guarantees rollback is always possible,
     # even before the first interval boundary; it must succeed
     # un-supervised, there being nothing to roll back to yet
-    ring.save(solver)
-    report.checkpoints_written += 1
+    solver._checkpoint(ring, report)
 
     while solver.step_count < target:
         try:
-            if inj.enabled:
-                spec = inj.decide("solver.step")
-                if spec is not None:
-                    raise FaultInjectedError(
-                        f"injected {spec.mode} fault at step "
-                        f"{solver.step_count}"
-                    )
-            if health.enabled:
-                t0 = health.clock()
-                used = solver.step(dt)
-                wall = health.clock() - t0
-            else:
-                used = solver.step(dt)
-                wall = 0.0
-            if inj.enabled and inj.decide("solver.state") is not None:
-                # silent data corruption: poison the conserved state the
-                # ranks hold with NaN and keep going — no exception is
-                # raised here; only a watchdog can catch this
-                u = solver.state.u.copy()
-                u.flat[0] = np.nan
-                solver.set_state(u)
-                report.faults_seen += 1
-            # watchdogs run before the checkpoint save, so a poisoned
-            # state trips (and rolls back) instead of being archived
-            health.on_step(used, wall)
-            if monitor_interval and solver.step_count % monitor_interval == 0:
-                solver.record_monitor()
-            if (solver.step_count % checkpoint_interval == 0
-                    or solver.step_count == target):
-                ring.save(solver)
-                report.checkpoints_written += 1
+            solver._loop(target - solver.step_count, dt, monitor_interval,
+                         ring, checkpoint_interval, inj, report)
         except RECOVERABLE as err:
             failed_at = solver.step_count
             # the recovery actions themselves run collectives (cache

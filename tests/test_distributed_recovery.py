@@ -47,7 +47,8 @@ from repro.resilience import (
 )
 from repro.resilience.distributed import DistributedCheckpointRing
 from repro.resilience.faults import FaultInjector
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import (NULL_TELEMETRY, MonitorWriter, Telemetry,
+                             parse_monitor_text)
 from repro.transport import ConstantLewisTransport
 from repro.util.constants import P_ATM
 from tests.programs import ChainedFailingProgram, SleeperProgram
@@ -476,14 +477,19 @@ class TestRecoveryInProcess:
 
     def test_off_policy_is_plain_run(self, u_ref):
         solver = _h2_solver(policy="off")
+        solver.monitor_writer = writer = MonitorWriter()
         try:
             fs = SimFileSystem(lustre())
             report = solver.run_resilient(fs, N_STEPS, DT,
-                                          checkpoint_interval=CKPT)
+                                          checkpoint_interval=CKPT,
+                                          monitor_interval=2)
             assert report.clean
             assert report.checkpoints_written == 0
             assert not fs.listdir("parallel")  # zero checkpoint traffic
             assert np.array_equal(solver.gather_state(), u_ref)
+            # the loop solver.run steps through: it records the monitor
+            rows = parse_monitor_text(writer.text())
+            assert sorted({row["step"] for row in rows}) == [2, 4]
         finally:
             solver.close()
 

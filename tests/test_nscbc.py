@@ -125,7 +125,8 @@ def test_batched_pass_is_the_per_face_pass(case):
         du = rng.standard_normal(rhs.state.u.shape)
         want = du.copy()
         _per_face(rhs, t, want)
-        rhs._nscbc.apply(t, du, rhs._eval.gstack, rhs._eval.grads)
+        rhs._nscbc.apply(t, du, rhs._eval.gstack, rhs._eval.grads,
+                         rhs._eval.pc.h_i)
         assert np.array_equal(du, want)
         rhs.workspace.end_eval()
 
@@ -134,21 +135,26 @@ class TestWorkPerEvaluation:
     def test_one_thermo_pass_and_no_inflow_energy(self, monkeypatch):
         rhs = _jet()
         mech = rhs.mech
-        calls = {"hcp": 0, "e_int": 0}
+        face_passes, e_int = [], []
 
         def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+            def wrapper(T, *args):
+                if np.size(T) == rhs._nscbc.n:
+                    face_passes.append(name)
+                return fn(T, *args)
             return wrapper
 
-        monkeypatch.setattr(mech.thermo, "enthalpy_cp_molar",
-                            counted("hcp", mech.thermo.enthalpy_cp_molar))
-        monkeypatch.setattr(mech, "int_energy_mass", counted("e_int", mech.int_energy_mass))
+        for name in ("cp_molar", "enthalpy_molar", "enthalpy_cp_molar"):
+            monkeypatch.setattr(mech.thermo, name,
+                                counted(name, getattr(mech.thermo, name)))
+        monkeypatch.setattr(mech, "int_energy_mass",
+                            lambda *a: e_int.append(1))
         rhs(0.0, rhs.state.u)
-        # three characteristic faces, one NASA-7 (h, cp) pass; the
-        # constant inflow's energy was folded when the faces were planned
-        assert calls == {"hcp": 1, "e_int": 0}
+        # three characteristic faces, one NASA-7 cp pass (their h is the
+        # field's); the constant inflow's energy was folded when the
+        # faces were planned
+        assert face_passes == ["cp_molar"]
+        assert not e_int
 
     def test_inviscid_faces_add_no_sweep(self, monkeypatch):
         rhs = _inviscid()

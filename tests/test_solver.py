@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import BoundarySpec, Grid, S3DSolver, SolverConfig, State, ic
 from repro.core.config import periodic_boundaries
+from repro.io import SimFileSystem, lustre
+from repro.telemetry import MonitorWriter, parse_monitor_text
 from repro.transport import ConstantLewisTransport
 from repro.util.constants import P_ATM
 from tests.helpers import uniform_state
@@ -186,16 +188,19 @@ class TestNSCBC:
 
 
 class TestSolverMachinery:
-    def test_monitor_history(self, air_mech_mod, air_y_mod):
+    def test_monitor_writer_records_every_interval(self, air_mech_mod,
+                                                   air_y_mod):
         mech, Y = air_mech_mod, air_y_mod
         grid = Grid((32,), (1.0,), periodic=(True,))
         state = uniform_state(mech, grid, p=P_ATM, T=300.0, Y=Y)
         cfg = SolverConfig(boundaries=periodic_boundaries(1), cfl=0.5)
         solver = S3DSolver(state, cfg, transport=None, reacting=False)
+        solver.monitor_writer = writer = MonitorWriter()
         solver.run(6, monitor_interval=2)
-        assert len(solver.monitor_history) == 3
-        step, t, mm = solver.monitor_history[0]
-        assert "rho" in mm
+        assert writer.steps_recorded == 3
+        rows = parse_monitor_text(writer.text())
+        assert sorted({row["step"] for row in rows}) == [2, 4, 6]
+        assert "rho" in {row["variable"] for row in rows}
 
     def test_hooks_fire(self, air_mech_mod, air_y_mod):
         mech, Y = air_mech_mod, air_y_mod
@@ -203,10 +208,11 @@ class TestSolverMachinery:
         state = uniform_state(mech, grid, p=P_ATM, T=300.0, Y=Y)
         cfg = SolverConfig(boundaries=periodic_boundaries(1), cfl=0.5)
         solver = S3DSolver(state, cfg, transport=None, reacting=False)
-        calls = []
-        solver.checkpoint_hook = lambda s, t, st: calls.append(("c", s))
-        solver.run(4, checkpoint_interval=2)
-        assert calls == [("c", 2), ("c", 4)]
+        report = solver.run_resilient(SimFileSystem(lustre()), 4,
+                                      checkpoint_interval=2, keep=5)
+        # the baseline save, then every interval
+        assert [step for step, _ in report.ring.entries()] == [0, 2, 4]
+        assert report.checkpoints_written == 3
 
     def test_fixed_dt_honored(self, air_mech_mod, air_y_mod):
         mech, Y = air_mech_mod, air_y_mod

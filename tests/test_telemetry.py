@@ -734,6 +734,7 @@ class TestStepPhaseSpans:
                                                 h2_air_stoich):
         from repro.core import Grid, S3DSolver, SolverConfig, ic
         from repro.core.config import periodic_boundaries
+        from repro.io import SimFileSystem, lustre
         from repro.util.constants import P_ATM
 
         grid = Grid((16,), (1.0,), periodic=(True,))
@@ -742,12 +743,12 @@ class TestStepPhaseSpans:
         cfg = SolverConfig(boundaries=periodic_boundaries(1), dt=5e-8,
                            telemetry=True)
         s = S3DSolver(state, cfg, transport=None, reacting=False)
-        s.checkpoint_hook = lambda step, t, state: None
-        s.run(2, checkpoint_interval=1)
+        s.run_resilient(SimFileSystem(lustre()), 2, checkpoint_interval=1)
         stats = s.telemetry.tracer.stats
+        # CHECKPOINT: the baseline save plus one per step
         assert {name: stats[name].count for name in
                 ("INTEGRATE", "FILTER", "CHECKPOINT")} == {
-            "INTEGRATE": 2, "FILTER": 2, "CHECKPOINT": 2}
+            "INTEGRATE": 2, "FILTER": 2, "CHECKPOINT": 3}
         hists = s.telemetry.snapshot()["metrics"]["histograms"]
         assert not [name for name in hists if name.startswith("timer.")]
         assert not hasattr(s, "timers")
